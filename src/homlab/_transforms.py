@@ -1,19 +1,25 @@
-"""Fast tensor-product solvers for constant-coefficient operators.
+"""Fast transform solvers for constant-coefficient operators.
 
-The structured grids admit fast direct solution of ``(-lap + shift) u = b``
-for every boundary-condition combination used in the lab: fast transforms
-(FFT / DST) along the tangential axes diagonalize the operator there, and
-the remaining one-dimensional problems along the vertical axis are
-tridiagonal and solved with a vectorized Thomas sweep.  On the torus the
-solve is all-FFT.
+The structured grids admit fast direct solution of ``-lap_h u = b`` for
+every boundary-condition combination used in the lab, by the classical
+fast Poisson solver: each axis is diagonalized by a fast transform, the
+transformed data is divided by the precomputed eigenvalue symbol, and the
+transforms are undone.  Periodic axes go through one real FFT over all of
+them at once; bounded axes, the vertical one included, go through the
+real trig transform (DST/DCT of types I, II and IV) whose even or odd
+extension matches the ghost closure of ``vertical_stencil``.
 
-The same machinery provides the preconditioner for conjugate-gradient
-iterations on heterogeneous systems: inverting the constant-coefficient
-operator bounds the preconditioned condition number by the coefficient
-contrast, so iteration counts stay flat in the grid size.
+The same solver is the preconditioner for conjugate-gradient iterations
+on heterogeneous systems: inverting the constant-coefficient operator
+bounds the preconditioned condition number by the coefficient contrast,
+so iteration counts stay flat in the grid size.  ``thomas_many`` remains
+as a tridiagonal utility for the stream construction of the half-space
+skew correction.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 from scipy import fft as sfft
@@ -32,10 +38,15 @@ def axis_modes(m, offset, bc_low, bc_high):
     * cell-like axis (offset 0.5, m points): Dirichlet ghost = odd mirror,
       Neumann ghost = even mirror;
     * node-like axis (offset 0.0): Dirichlet unknowns exclude the pinned
-      boundary row, so callers pass the interior count m.
+      boundary row, so callers pass the interior count m; a Neumann end
+      keeps its boundary row with an even ghost.
 
-    Returns (forward, backward, eigenvalues); transforms are orthonormal
-    (or unitary FFT), so backward is the exact inverse.
+    Returns (forward, backward, eigenvalues); backward is the exact
+    inverse of forward.  The transforms are orthonormal (unitary FFT on
+    periodic axes) except on the node-like Neumann/Dirichlet axis, whose
+    eigenvectors ``cos(pi (k + 1/2) j / m)`` are not orthogonal in the
+    plain inner product; there the unnormalized DCT-II synthesizes and its
+    inverse analyzes.
     """
     if bc_low == PERIODIC:
         k = np.arange(m)
@@ -77,6 +88,13 @@ def axis_modes(m, offset, bc_low, bc_high):
             lam = 2.0 - 2.0 * np.cos(np.pi * k / (m + 1))
             fwd = lambda x, axis: sfft.dst(x, type=1, axis=axis, norm="ortho")
             bwd = lambda x, axis: sfft.idst(x, type=1, axis=axis, norm="ortho")
+            return fwd, bwd, lam
+        if bc_low == NEUMANN and bc_high == DIRICHLET:
+            # boundary row kept at the Neumann end, pinned row dropped
+            k = np.arange(m)
+            lam = 2.0 - 2.0 * np.cos(np.pi * (k + 0.5) / m)
+            fwd = lambda x, axis: sfft.idct(x, type=2, axis=axis)
+            bwd = lambda x, axis: sfft.dct(x, type=2, axis=axis)
             return fwd, bwd, lam
     raise NotImplementedError(
         f"no fast transform for offset={offset} bc=({bc_low},{bc_high})"
@@ -141,7 +159,12 @@ def thomas_many(sub, dia, sup, rhs):
 
 
 class FastConstSolver:
-    """Direct solver for ``(-lap_h + shift) u = b`` on a structured home.
+    """Direct solver for ``-lap_h u = b`` on a structured home.
+
+    Every axis is transformed: bounded axes by the real trig transform of
+    ``axis_modes``, periodic axes by one real FFT over all of them, which
+    stores and divides only half of the spectrum.  ``solve`` divides by the
+    precomputed eigenvalue symbol in between; there is no sweep.
 
     Parameters
     ----------
@@ -151,71 +174,40 @@ class FastConstSolver:
         on identified axes
     shape : unknown-array shape (node-like Dirichlet axes exclude pinned
         rows, so this may differ from ``grid.home_shape``)
-    project_mean : subtract the mean mode (singular pure-periodic /
-        pure-Neumann operators); the caller must supply compatible data
+    project_mean : drop the mean mode (singular pure-periodic /
+        pure-Neumann operators); the result is then the mean-free solution
+        for the mean-free part of the data
     """
 
     def __init__(self, grid, offsets, bcs, shape, project_mean=False):
-        self.grid = grid
-        self.shape = tuple(shape)
-        self.h2 = grid.h * grid.h
-        self.project_mean = project_mean
-        d = grid.dim
-        self._fwd = []
-        self._bwd = []
-        eigs = []
-        for a in range(d - 1):
-            f, b, lam = axis_modes(self.shape[a], offsets[a], *bcs[a])
-            self._fwd.append(f)
-            self._bwd.append(b)
-            eigs.append(lam)
-        za = d - 1
-        if bcs[za][0] == PERIODIC:
-            f, b, lam = axis_modes(self.shape[za], offsets[za], *bcs[za])
-            self._fwd.append(f)
-            self._bwd.append(b)
-            eigs.append(lam)
-            sym = sum(
-                lam.reshape([-1 if i == a else 1 for i in range(d)])
-                for a, lam in enumerate(eigs)
-            )
-            self._symbol = np.asarray(sym, dtype=float) / self.h2
-            self._vertical = None
-        else:
-            tang = sum(
-                lam.reshape([-1 if i == a else 1 for i in range(d - 1)] + [1])
-                for a, lam in enumerate(eigs)
-            )
-            self._tang = np.asarray(tang, dtype=float) / self.h2
-            self._vertical = vertical_stencil(self.shape[za], offsets[za], *bcs[za])
-            self._symbol = None
+        d = len(shape)
+        periodic = [a for a in range(d) if bcs[a][0] == PERIODIC]
+        self._forward = []
+        self._backward = []
+        symbol = np.zeros([1] * d)
+        for a in range(d):
+            fwd, bwd, lam = axis_modes(shape[a], offsets[a], *bcs[a])
+            if a not in periodic:
+                self._forward.append(partial(fwd, axis=a))
+                self._backward.insert(0, partial(bwd, axis=a))
+            elif a == periodic[-1]:
+                lam = lam[: shape[a] // 2 + 1]  # rfftn keeps half the last axis
+            symbol = symbol + lam.reshape([-1 if i == a else 1 for i in range(d)])
+        if periodic:
+            # after the real trig transforms, so rfftn still sees real data
+            sizes = [shape[a] for a in periodic]
+            self._forward.append(partial(sfft.rfftn, axes=periodic))
+            self._backward.insert(0, partial(sfft.irfftn, s=sizes, axes=periodic))
+        symbol = symbol / (grid.h * grid.h)
+        if project_mean:
+            symbol.flat[0] = np.inf  # the mean mode is projected away
+        self._inverse_symbol = 1.0 / symbol
 
-    def solve(self, b, shift=0.0):
-        d = self.grid.dim
+    def solve(self, b):
         x = np.asarray(b, dtype=float)
-        if self.project_mean:
-            x = x - x.mean()
-        if self._symbol is not None:
-            for a in range(d):
-                x = self._fwd[a](x, axis=a)
-            sym = self._symbol + shift
-            if self.project_mean:
-                flat = sym.reshape(-1)
-                flat[0] = 1.0  # zero mode projected away below
-            x = x / sym
-            if self.project_mean:
-                x.reshape(-1)[0] = 0.0
-            for a in range(d):
-                x = self._bwd[a](x, axis=a)
-            x = np.real(x)
-            if self.project_mean:
-                x = x - x.mean()
-            return x
-        for a in range(d - 1):
-            x = self._fwd[a](x, axis=a)
-        sub, dia, sup = self._vertical
-        full_dia = dia / self.h2 + self._tang + shift
-        x = thomas_many(sub / self.h2, full_dia, sup / self.h2, x)
-        for a in range(d - 1):
-            x = self._bwd[a](x, axis=a)
-        return np.real(x)
+        for transform in self._forward:
+            x = transform(x)
+        x = x * self._inverse_symbol
+        for transform in self._backward:
+            x = transform(x)
+        return x

@@ -150,7 +150,10 @@ def validate_config(raw):
 
 
 def config_hash(cfg):
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+    """Cache key of a config: every key except ``threads``, which changes
+    how seeds are scheduled but not what is computed."""
+    keyed = {k: v for k, v in cfg.items() if k != "threads"}
+    blob = json.dumps(keyed, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -266,7 +269,7 @@ def run_excess_stage(cfg, out_dir, tag, corr_results, hsets):
     cmeans = []
     for seed, f, pair, curve in corr_results:
         hset = hsets[seed]
-        trace = band_limited_trace(seed, R, amplitude=amplitude)
+        trace = band_limited_trace(seed, R, amplitude=amplitude, dim=grid.dim)
         sample = harmonic_sample(f, R, trace, tol=min(tol * 1e2, 1e-10))
         rep = excess_decay_experiment(sample, hset, radii)
         mvp = mean_value_check(sample, radii)
@@ -562,7 +565,7 @@ def cmd_excess(args):
     radii = [r for r in dyadic_radii(f.grid) if r <= args.R]
     rows = []
     for seed in range(args.seeds):
-        trace = band_limited_trace(seed, args.R)
+        trace = band_limited_trace(seed, args.R, dim=f.grid.dim)
         sample = harmonic_sample(f, args.R, trace, tol=max(args.tol, 1e-11))
         rep = excess_decay_experiment(sample, hset, radii)
         mvp = mean_value_check(sample, radii)

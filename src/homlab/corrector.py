@@ -26,6 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from ._transforms import PERIODIC, FastConstSolver
 from .field import CoefficientField, sample_field
 from .grid import Grid, TORUS, cell_offsets, pair_offsets
 from .pde import (
@@ -180,23 +181,6 @@ def _diff_up(arr, axis, h):
     return (np.roll(arr, -1, axis=axis) - arr) / h
 
 
-def torus_inverse_laplacian(grid, arr):
-    """Zero-mean solution of -lap u = arr on the torus (any home)."""
-    d = grid.dim
-    sym = np.zeros(grid.shape)
-    for a in range(d):
-        k = np.arange(grid.shape[a])
-        lam = (2.0 - 2.0 * np.cos(2.0 * np.pi * k / grid.shape[a])) / (grid.h * grid.h)
-        sym = sym + lam.reshape([-1 if i == a else 1 for i in range(d)])
-    hat = np.fft.fftn(arr)
-    flat = sym.reshape(-1)
-    flat[0] = 1.0
-    hat = hat / sym
-    hat.reshape(-1)[0] = 0.0
-    out = np.real(np.fft.ifftn(hat))
-    return out - out.mean()
-
-
 @dataclass
 class FluxPotentialSet:
     """Skew flux potentials sigma_jk (stored once per j < k) on the
@@ -247,10 +231,13 @@ def solve_flux_potential(grid, q, div_tol=1e-6):
         raise ValueError(f"current is not divergence-free: |div q| h = {ndiv:.3e} vs |q| = {nq:.3e}")
     sigma = {}
     d = grid.dim
+    # one periodic symbol serves every staggered home of the torus
+    inverse_laplacian = FastConstSolver(grid, cell_offsets(d), ((PERIODIC, PERIODIC),) * d,
+                                        grid.shape, project_mean=True)
     for j in range(d):
         for k in range(j + 1, d):
             omega = _diff_down(q.comps[k], j, h) - _diff_down(q.comps[j], k, h)
-            vals = torus_inverse_laplacian(grid, omega)
+            vals = inverse_laplacian.solve(omega)
             sigma[(j, k)] = ScalarField(grid, vals, pair_offsets(d, j, k))
     return FluxPotentialSet(grid, sigma)
 

@@ -36,6 +36,8 @@ from .pde import (
 )
 
 EXCESS_FLOOR = 1e-14  # solver-noise floor excluded from log-log fits
+# round-off of a difference quotient of data of size |u|, in units of eps |u| / h
+GRADIENT_ROUNDOFF_ULPS = 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -43,33 +45,31 @@ EXCESS_FLOOR = 1e-14  # solver-noise floor excluded from log-log fits
 # ---------------------------------------------------------------------------
 
 
-def band_limited_trace(seed, box_half_width, n_modes=4, decay=1.5, amplitude=1.0):
-    """Smooth random trace with a fixed, seeded spectrum.
+def band_limited_trace(seed, box_half_width, n_modes=4, decay=1.5, amplitude=1.0, dim=2):
+    """Smooth random trace of ``dim`` coordinates with a fixed, seeded
+    spectrum.
 
     A real cosine sum over a band of low wavenumbers; the decay exponent
     keeps the trace dominated by macroscopic scales so decay statistics
     are reproducible across seeds.
     """
     rng = np.random.default_rng(seed)
-    ks = [
-        np.array(k)
-        for k in np.ndindex(*([2 * n_modes + 1] * 2))
-    ]
     terms = []
-    for k in ks:
-        kv = k - n_modes
+    for k in np.ndindex(*([2 * n_modes + 1] * dim)):
+        kv = np.array(k) - n_modes
         if not np.any(kv):
             continue
         amp = rng.standard_normal() / (1.0 + float(kv @ kv)) ** decay
         phase = rng.uniform(0.0, 2.0 * np.pi)
         terms.append((kv, amp, phase))
 
-    def trace(x, y):
-        out = np.zeros(np.broadcast(x, y).shape)
+    def trace(*coords):
+        if len(coords) != dim:
+            raise TypeError(f"trace takes {dim} coordinates, got {len(coords)}")
+        out = np.zeros(np.broadcast(*coords).shape)
         for kv, amp, phase in terms:
-            out = out + amp * np.cos(
-                np.pi * (kv[0] * x + kv[1] * y) / (2.0 * box_half_width) + phase
-            )
+            arg = sum(k * c for k, c in zip(kv, coords))
+            out = out + amp * np.cos(np.pi * arg / (2.0 * box_half_width) + phase)
         return amplitude * out
 
     return trace
@@ -294,14 +294,17 @@ class MeanValueReport:
 def mean_value_check(sample, radii):
     """Ratios fint_{B_r^+} |grad u|^2 / fint_{B_R^+} |grad u|^2 with R the
     largest radius; degenerate zero-energy samples report unit ratios
-    with an explicit flag."""
+    with an explicit flag.  A sample counts as zero-energy when its energy
+    is at the round-off level of its own gradient, so the flag does not
+    depend on the scale of u."""
     grid = sample.u.grid
     g = gradient(sample.u)
     radii = sorted(float(r) for r in radii)
     R = radii[-1]
     masks_R = _face_masks(grid, R)
     den = _fint_product(g.comps, g.comps, masks_R)
-    if den <= 1e-30:
+    roundoff = GRADIENT_ROUNDOFF_ULPS * np.finfo(float).eps * np.abs(sample.u.values).max() / grid.h
+    if den <= roundoff**2:
         return MeanValueReport(np.asarray(radii), np.ones(len(radii)), 1.0, True)
     ratios = []
     for r in radii:

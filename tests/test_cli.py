@@ -123,6 +123,38 @@ def test_pipeline_determinism_and_cache(tmp_path):
     assert "a_hom_mean" in report and "halfspace_residuals" in report
 
 
+def test_pipeline_threads_share_cache(tmp_path):
+    cfg = small_config(tmp_path, seeds=(0, 1))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out-dir", str(out), "--threads", "1"]) == 0
+    assert main(["pipeline", "--config", str(cfg), "--out-dir", str(out), "--threads", "2"]) == 0
+    manifests = list(out.glob("manifest__*.json"))
+    assert len(manifests) == 1
+    manifest = json.loads(manifests[0].read_text())
+    assert all(s.get("cached") for s in manifest["stages"].values())
+
+
+def test_pipeline_3d_runs(tmp_path):
+    cfg = {
+        "ensemble": {"kind": "checkerboard", "lam": 0.25,
+                     "params": {"values": [0.25, 1.0], "cell_size": 1.0}},
+        "grid": {"dim": 3, "n": 16, "h": 1.0},
+        "seeds": [0],
+        "radii": [4.0],
+        "halfspace": {"L": 8.0, "mode": "direct"},
+        "excess": {"R": 8.0, "radii": [4.0, 8.0]},
+        "tol": 1e-11,
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 0
+    manifest = json.loads(sorted(out.glob("manifest__*.json"))[-1].read_text())
+    assert "failed" not in manifest
+    header, rows = read_csv(next(out.glob("excess__*.csv")))
+    assert header[3:6] == ["b1", "b2", "b3"] and rows
+
+
 def test_pipeline_bad_config_exit_code(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"grid": {"dim": 2, "n": 16}}))

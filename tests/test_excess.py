@@ -222,6 +222,21 @@ def test_mean_value_affine_and_degenerate():
     assert rep0.zero_energy and np.all(rep0.ratios == 1.0)
 
 
+@pytest.mark.parametrize("level", [1.5e3, 1.5e6])
+def test_mean_value_zero_energy_flag_scale_free(level):
+    f, pair, hset = make_setup(constant=np.eye(2))
+    s = harmonic_sample(f, R=16.0, trace=lambda x, y: level)
+    rep = mean_value_check(s, [4.0, 8.0, 16.0])
+    assert rep.zero_energy and np.all(rep.ratios == 1.0)
+
+
+def test_band_limited_trace_takes_grid_dimension():
+    x = np.linspace(-4.0, 4.0, 5)
+    assert band_limited_trace(3, 8.0, dim=3)(x, x, 0.0 * x).shape == (5,)
+    with pytest.raises(TypeError):
+        band_limited_trace(3, 8.0)(x, x, x)
+
+
 def test_mean_value_checkerboard_bounded():
     f, pair, hset = make_setup(n=64, seed=2)
     trace = band_limited_trace(seed=5, box_half_width=16.0)

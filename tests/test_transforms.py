@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homlab import _transforms as ft
+from homlab.grid import Grid
 
 
 def dense_1d(m, offset, bc_low, bc_high):
@@ -30,6 +32,7 @@ CASES = [
     (0.5, "neumann", "dirichlet"),
     (0.5, "dirichlet", "neumann"),
     (0.0, "dirichlet", "dirichlet"),
+    (0.0, "neumann", "dirichlet"),
 ]
 
 
@@ -85,3 +88,81 @@ def test_thomas_complex_rhs():
     x = ft.thomas_many(sub, dia + 0.7, sup, rhs)
     A = dense_1d(m, 0.5, "dirichlet", "dirichlet") + 0.7 * np.eye(m)
     assert np.allclose(A @ x, rhs, atol=1e-12)
+
+
+# -- FastConstSolver against dense Kronecker-sum operators ---------------------
+
+PERIODIC_AXIS = (0.5, "periodic", "periodic")
+SINGULAR_AXES = [PERIODIC_AXIS, (0.5, "neumann", "neumann")]
+
+
+def dense_axis(m, offset, bc_low, bc_high):
+    if bc_low == "periodic":
+        A = 2.0 * np.eye(m)
+        for i in range(m):
+            A[i, (i - 1) % m] -= 1.0
+            A[i, (i + 1) % m] -= 1.0
+        return A
+    return dense_1d(m, offset, bc_low, bc_high)
+
+
+def dense_operator(axes, h):
+    """-lap_h as the Kronecker sum of the 1-D stencils, in C order."""
+    mats = [dense_axis(m, *case) for case, m in axes]
+    total = 0.0
+    for a, A in enumerate(mats):
+        term = np.eye(1)
+        for b, B in enumerate(mats):
+            term = np.kron(term, A if a == b else np.eye(B.shape[0]))
+        total = total + term
+    return total / (h * h)
+
+
+def fast_solver(axes, h, project_mean=False):
+    cases = [case for case, _ in axes]
+    return ft.FastConstSolver(
+        Grid.torus(2, 4, h),  # only the spacing is read; the shape sets the dimension
+        [offset for offset, _, _ in cases],
+        [(lo, hi) for _, lo, hi in cases],
+        [m for _, m in axes],
+        project_mean=project_mean,
+    )
+
+
+def axes_strategy(cases):
+    return st.lists(st.tuples(st.sampled_from(cases), st.integers(2, 7)), min_size=1, max_size=3)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    axes=axes_strategy(CASES + [PERIODIC_AXIS]).filter(
+        lambda axes: any(case not in SINGULAR_AXES for case, _ in axes)),
+    h=st.sampled_from([1.0, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+@example(axes=[(PERIODIC_AXIS, 5), (CASES[-1], 4)], h=1.0, seed=0)
+@example(axes=[(PERIODIC_AXIS, 7), (PERIODIC_AXIS, 3), (CASES[0], 3)], h=0.5, seed=1)
+@example(axes=[(CASES[3], 6), (CASES[4], 5), (CASES[-1], 7)], h=1.0, seed=2)
+def test_fast_solver_matches_dense(axes, h, seed):
+    shape = [m for _, m in axes]
+    b = np.random.default_rng(seed).standard_normal(shape)
+    x = fast_solver(axes, h).solve(b)
+    ref = np.linalg.solve(dense_operator(axes, h), b.ravel()).reshape(shape)
+    assert x.shape == tuple(shape) and x.dtype == np.float64
+    assert np.allclose(x, ref, rtol=0.0, atol=1e-11 * np.abs(ref).max())
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(axes=axes_strategy(SINGULAR_AXES), h=st.sampled_from([1.0, 0.5]),
+       seed=st.integers(0, 2**16))
+@example(axes=[(PERIODIC_AXIS, 5), (PERIODIC_AXIS, 7)], h=1.0, seed=0)
+@example(axes=[(SINGULAR_AXES[1], 3), (SINGULAR_AXES[1], 4), (SINGULAR_AXES[1], 5)], h=0.5, seed=1)
+def test_fast_solver_project_mean_matches_least_squares(axes, h, seed):
+    """Singular shapes: the solution is the mean-free minimum-norm one."""
+    shape = [m for _, m in axes]
+    b = np.random.default_rng(seed).standard_normal(shape)
+    x = fast_solver(axes, h, project_mean=True).solve(b)
+    ref = np.linalg.lstsq(dense_operator(axes, h), b.ravel(), rcond=None)[0].reshape(shape)
+    scale = np.abs(ref).max()
+    assert abs(x.mean()) <= 1e-13 * scale
+    assert np.allclose(x, ref, rtol=0.0, atol=1e-11 * scale)

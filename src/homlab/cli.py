@@ -320,7 +320,9 @@ def run_pipeline(cfg, out_dir):
     corr_outputs.append(out_dir / f"corrector__{tag}__summary.json")
     hs_outputs = [out_dir / f"halfspace__{tag}__seed{s}.csv" for s in cfg["seeds"]]
     hs_outputs.append(out_dir / f"halfspace__{tag}__summary.json")
-    ex_outputs = [out_dir / f"excess__{tag}.csv"]
+    if cfg.get("halfspace", {}).get("mode", "direct") == "dyadic":
+        hs_outputs += [out_dir / f"halfspace_dyadic__{tag}__seed{s}.csv" for s in cfg["seeds"]]
+    ex_outputs = [out_dir / f"excess__{tag}.csv", out_dir / f"excess__{tag}__summary.json"]
 
     try:
         cached_all = (stage_done("corrector", corr_outputs)
@@ -399,7 +401,7 @@ def build_report(cfg, out_dir, tag):
 
 
 # ---------------------------------------------------------------------------
-# hs.bin bundle
+# half-space bundle (hs.npz)
 # ---------------------------------------------------------------------------
 
 
@@ -456,7 +458,9 @@ def save_halfspace_bundle(path, hset):
         arrays[f"varphi_{i}"] = fvarphi.values
     for (i, j), v in hset.v.items():
         arrays[f"v_{i}_{j}"] = v.values
-    np.savez(path, __meta__=json.dumps(meta, sort_keys=True), **arrays)
+    # through a handle: np.savez appends ".npz" to a path without that suffix
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=json.dumps(meta, sort_keys=True), **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -598,15 +602,17 @@ def cmd_pipeline(args):
 
 def cmd_report(args):
     out_dir = Path(args.out_dir)
-    manifests = sorted(out_dir.glob("manifest__*.json"))
-    if not manifests:
-        raise ConfigError(f"no manifest in {out_dir}")
-    manifest = json.loads(manifests[-1].read_text())
-    tag = manifest["config_hash"]
-    cfg_path = args.config
-    if cfg_path:
-        cfg = load_config(cfg_path)
+    if args.config:
+        cfg = load_config(args.config)
+        tag = config_hash(cfg)
+        if not (out_dir / f"manifest__{tag}.json").exists():
+            raise ConfigError(f"no manifest for config hash {tag} in {out_dir}")
     else:
+        manifests = list(out_dir.glob("manifest__*.json"))
+        if not manifests:
+            raise ConfigError(f"no manifest in {out_dir}")
+        newest = max(manifests, key=lambda p: p.stat().st_mtime_ns)
+        tag = json.loads(newest.read_text())["config_hash"]
         seeds = sorted(
             int(p.stem.split("seed")[1]) for p in out_dir.glob(f"corrector__{tag}__seed*.csv")
         )
@@ -645,7 +651,7 @@ def build_parser():
     ph.add_argument("--L", type=float, required=True)
     ph.add_argument("--r0", type=float, default=8.0)
     ph.add_argument("--n-max", type=int, default=2)
-    ph.add_argument("--out", required=True, help="hs.bin or hs.bin,hs.csv")
+    ph.add_argument("--out", required=True, help="hs.npz or hs.npz,hs.csv")
     ph.add_argument("--tol", type=float, default=1e-12)
     ph.set_defaults(fn=cmd_halfspace)
 

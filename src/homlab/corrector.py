@@ -46,10 +46,6 @@ from .pde import (
 DEFAULT_TOL = 1e-12  # corrector solves feed the flux-potential identity
 
 
-def _basis(dim):
-    return [np.eye(dim)[i] for i in range(dim)]
-
-
 def coefficient_times_vector(field, xi):
     """(a xi) sampled per face: component k on the k-face family."""
     grid = field.grid
@@ -339,15 +335,6 @@ def sublinearity_curve(pair, radii, center=None, directions=None):
     partial = np.cumsum(weights * delta ** (1.0 / 3.0))
     partial_gno = np.cumsum(weights * delta_gno ** (1.0 / 3.0))
     return SublinearityCurve(np.asarray(radii), delta, delta_gno, partial, partial_gno)
-
-
-def _ball_mean(values, grid, r, offsets, center):
-    from .pde import _interior_mask
-
-    mask = grid.ball_mask(offsets, r, center=center)
-    mask &= _interior_mask(grid, offsets)
-    v = values[mask]
-    return float(v.mean()) if v.size else 0.0
 
 
 def _ball_raw_and_centered(values, grid, r, offsets, center):

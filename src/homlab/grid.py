@@ -125,38 +125,47 @@ class Grid:
         axes = [self.points_along(a, offsets[a]) for a in range(self.dim)]
         return np.meshgrid(*axes, indexing="ij")
 
-    def displacement(self, offsets, center=None):
-        """Per-axis displacement arrays from ``center`` (default origin).
-
-        On the torus the minimum-image convention is used so that balls
-        around the origin wrap correctly.
-        """
+    def _axis_displacements(self, offsets, center):
+        """1-D displacements of home points from ``center`` (default
+        origin), one array per axis."""
         if center is None:
             center = (0.0,) * self.dim
         out = []
-        for a, x in enumerate(self.coords(offsets)):
-            d = x - center[a]
+        for a in range(self.dim):
+            d = self.points_along(a, offsets[a]) - center[a]
             if self.periodic_axis(a):
                 s = self.side
                 d = (d + s / 2.0) % s - s / 2.0
             out.append(d)
         return out
 
+    def displacement(self, offsets, center=None):
+        """Per-axis full-shape displacement arrays from ``center``
+        (default origin).
+
+        On the torus the minimum-image convention is used so that balls
+        around the origin wrap correctly.
+        """
+        return np.meshgrid(*self._axis_displacements(offsets, center), indexing="ij")
+
     def ball_mask(self, offsets, r, center=None, half=None):
         """Boolean mask of home points with |x - center| < r.
 
         ``half=True`` additionally requires x_d > 0 (points exactly on
         the flat plane are excluded).  Default: full ball on the torus,
-        half ball on a half-box.
+        half ball on a half-box.  The ball is separable: the squared 1-D
+        displacements are summed in axis order by broadcasting, so no
+        full-shape coordinate array is built.
         """
         if half is None:
             half = self.topology == HALF_BOX
-        disp = self.displacement(offsets, center)
+        axes = self._axis_displacements(offsets, center)
+        disp = np.meshgrid(*axes, indexing="ij", sparse=True)
         rho2 = sum(d * d for d in disp)
         mask = rho2 < r * r
         if half:
-            xd = self.coords(offsets)[self.dim - 1]
-            mask &= xd > 0.0
+            # the vertical axis is the last one, so its 1-D test broadcasts
+            mask &= self.points_along(self.dim - 1, offsets[self.dim - 1]) > 0.0
         return mask
 
     def cell_volume(self):

@@ -302,14 +302,6 @@ def solve_vector_potentials(grid, G, tol=None):
     return v
 
 
-def divergence_of_potentials(v, grid):
-    """Cell-homed div v, the zeroth-order Liouville diagnostic."""
-    out = np.zeros(grid.shape)
-    for j in range(grid.dim):
-        out += _diff_to_half(v[j].values, grid, j)
-    return out
-
-
 def curl_of_potentials(v, grid):
     """psi_jk = d_j v_k - d_k v_j on the staggered pair homes, using the
     ghost closures implied by the potentials' boundary conditions."""
@@ -446,19 +438,9 @@ class HalfSpaceCorrectorSet:
             if k == j:
                 continue
             comp = self.sigma_component(i, j, k)
-            term = _diff_to_half_padded(comp, self.grid, k)
+            term = _diff_to_half(comp, self.grid, k)
             out = term if out is None else out + term
         return out
-
-
-def _diff_to_half_padded(vals, grid, axis):
-    """Integer-axis difference toward the half home, padded with zeros
-    on the two boundary layers of non-periodic half-target axes so the
-    result matches the face-array shape of that family."""
-    h = grid.h
-    if grid.periodic_axis(axis):
-        return (np.roll(vals, -1, axis=axis) - vals) / h
-    return np.diff(vals, axis=axis) / h
 
 
 def restrict_direction_d(field_torus, pair, basis, half_grid):

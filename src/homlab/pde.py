@@ -337,7 +337,7 @@ def assemble(field, bc, src=None):
         shape=(n_cells, n_cells),
     ).tocsr()
 
-    symmetric = field.is_symmetric()
+    symmetric = not has_cross or field.is_symmetric()
     if has_cross and symmetric:
         A = (A + A.T) * 0.5
         A = A.tocsr()

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from homlab.cli import main, read_csv, CsvError, validate_config, ConfigError
+from homlab.cli import (
+    ConfigError, CsvError, config_hash, load_config, main, read_csv, validate_config,
+)
 
 
 def write_spec(tmp_path, n=32, seed=7):
@@ -232,3 +234,68 @@ def test_pipeline_failure_marks_manifest(tmp_path):
     assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 4
     manifest = json.loads(sorted(out.glob("manifest__*.json"))[-1].read_text())
     assert "failed" in manifest and "EllipticityError" in manifest["failed"]
+
+
+def test_pipeline_rewrites_missing_dyadic_and_excess_outputs(tmp_path):
+    cfg = {
+        "ensemble": {"kind": "checkerboard", "lam": 0.25,
+                     "params": {"values": [0.25, 1.0], "cell_size": 1.0}},
+        "grid": {"dim": 2, "n": 64, "h": 1.0},
+        "seeds": [0],
+        "radii": [8.0],
+        "halfspace": {"L": 32.0, "mode": "dyadic", "dyadic": {"r0": 8.0, "n_max": 0}},
+        "excess": {"R": 16.0, "radii": [4.0, 8.0]},
+        "tol": 1e-11,
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 0
+    tag = config_hash(validate_config(cfg))
+    for name, stage in ((f"halfspace_dyadic__{tag}__seed0.csv", "halfspace"),
+                        (f"excess__{tag}__summary.json", "excess")):
+        target = out / name
+        before = target.read_bytes()
+        target.unlink()
+        assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / f"manifest__{tag}.json").read_text())
+        assert manifest["stages"][stage]["cached"] is False
+        assert target.read_bytes() == before
+
+
+def test_halfspace_bundle_written_to_exact_path(tmp_path):
+    spec = write_spec(tmp_path)
+    fld = tmp_path / "field.bin"
+    main(["field", "sample", "--spec", str(spec), "--out", str(fld)])
+    hs_bin = tmp_path / "hs.bin"
+    hs_csv = tmp_path / "hs.csv"
+    assert main(["halfspace", "--field", str(fld), "--L", "16",
+                 "--out", f"{hs_bin},{hs_csv}"]) == 0
+    assert hs_bin.exists() and not (tmp_path / "hs.bin.npz").exists()
+    out = tmp_path / "excess.csv"
+    assert main(["excess", "--field", str(fld), "--hs", str(hs_bin), "--R", "8",
+                 "--seeds", "1", "--out", str(out)]) == 0
+
+
+def test_report_follows_config_then_newest_manifest(tmp_path):
+    paths, tags = [], []
+    for seed in (0, 1):
+        p = small_config(tmp_path, seeds=(seed,))
+        named = tmp_path / f"config{seed}.json"
+        p.rename(named)
+        paths.append(named)
+        tags.append(config_hash(load_config(named)))
+    first, last = sorted(range(2), key=lambda i: tags[i])
+    out = tmp_path / "run"
+    for i in (first, last):
+        assert main(["pipeline", "--config", str(paths[i]), "--out-dir", str(out)]) == 0
+    for rp in out.glob("report__*.json"):
+        rp.unlink()
+    assert main(["report", "--out-dir", str(out), "--config", str(paths[first])]) == 0
+    assert [p.name for p in out.glob("report__*.json")] == [f"report__{tags[first]}.json"]
+    # without --config: the newest manifest, here the rerun of the first config
+    assert main(["pipeline", "--config", str(paths[first]), "--out-dir", str(out)]) == 0
+    for rp in out.glob("report__*.json"):
+        rp.unlink()
+    assert main(["report", "--out-dir", str(out)]) == 0
+    assert [p.name for p in out.glob("report__*.json")] == [f"report__{tags[first]}.json"]

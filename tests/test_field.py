@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homlab.grid import Grid
 from homlab.field import (
@@ -208,3 +209,74 @@ def test_restrict_errors():
         restrict_to_half_box(f, L=3.3, tangential_periodic=False)  # off-grid plane
     with pytest.raises(ValueError):
         restrict_to_half_box(f, L=16.0, tangential_periodic=False)  # 2L > side
+
+
+def reference_ellipticity(field, slack=1e-12, max_violations=10):
+    """Per-face eigvalsh / svd scan in (axis, flat index) order."""
+    d = field.grid.dim
+    min_r, max_g, violations = np.inf, 0.0, []
+    for ax, f in enumerate(field.faces):
+        for b, m in enumerate(f.reshape(-1, d, d)):
+            r = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
+            g = float(np.linalg.svd(m, compute_uv=False)[0])
+            min_r, max_g = min(min_r, r), max(max_g, g)
+            if (r < field.lam - slack or g > 1.0 + slack) and len(violations) < max_violations:
+                violations.append((ax, np.unravel_index(b, field.grid.face_shape(ax)), m))
+    return min_r, max_g, violations
+
+
+@st.composite
+def mixed_fields(draw):
+    """Diagonal faces mixed with full (symmetric or not) ones, plus
+    violations injected at known faces."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([4, 8]))
+    grid = draw(st.sampled_from([Grid.torus(dim, n), Grid.half_box(dim, n),
+                                 Grid.half_box(dim, n, tangential_periodic=False)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    lam = 0.2
+    ii = np.arange(dim)
+    faces, injected = [], set()
+    for k in range(dim):
+        shp = grid.face_shape(k)
+        a = np.zeros(shp + (dim, dim))
+        a[..., ii, ii] = rng.uniform(0.4, 0.7, shp + (dim,))
+        full = rng.random(shp) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+        pert = rng.uniform(-0.05, 0.05, (int(full.sum()), dim, dim))  # stays admissible
+        if draw(st.booleans()):
+            pert = 0.5 * (pert + np.swapaxes(pert, -1, -2))
+        a[full] += pert
+        flat = a.reshape(-1, dim, dim)
+        for b in rng.choice(flat.shape[0], size=draw(st.integers(0, 4)), replace=False):
+            kind = rng.integers(4)
+            if kind == 0:  # symmetric part below lam
+                flat[b, ii[-1], ii[-1]] = 0.05
+            elif kind == 1:  # gain above 1
+                flat[b, 0, 0] = 1.5
+            elif kind == 2:  # negative entry: both bounds fail
+                flat[b, 0, 0] = -1.2
+            else:  # off-diagonal entry pushes the gain above 1
+                flat[b] = 0.7 * np.eye(dim)
+                flat[b, 0, 1] = 0.9
+            injected.add((k, int(b)))
+        faces.append(a)
+    return CoefficientField(grid, faces, lam=lam), injected
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=mixed_fields(), cap=st.integers(1, 12))
+def test_validate_ellipticity_matches_per_face_reference(case, cap):
+    field, injected = case
+    rep = validate_ellipticity(field, max_violations=cap)
+    min_r, max_g, violations = reference_ellipticity(field, max_violations=cap)
+    assert rep.min_rayleigh == min_r and rep.max_gain == max_g
+    assert rep.ok == (not injected)
+    assert len(rep.violations) == len(violations) == min(cap, len(injected))
+    for (ax, idx, mat), (ax_ref, idx_ref, mat_ref) in zip(rep.violations, violations):
+        assert ax == ax_ref and tuple(idx) == tuple(idx_ref)
+        assert np.array_equal(mat, mat_ref)
+    # every injected face is reported once the cap allows it
+    full = validate_ellipticity(field, max_violations=len(injected) + 1)
+    flagged = {(ax, int(np.ravel_multi_index(idx, field.grid.face_shape(ax))))
+               for ax, idx, _ in full.violations}
+    assert flagged == injected

@@ -54,7 +54,7 @@ print(f"decay ratio delta_h(64)/delta_h(8) = {curve.ratio(64.0, 8.0):.3f}")
 print("\n== dyadic-annuli construction ==")
 wcurve = sublinearity_curve(pair, dyadic_radii(grid))
 cfg = DyadicConfig.from_curve(wcurve, r0=8.0, n_max=3)
-dy = dyadic_construction(fhb, f, pair, b1, cfg, tol=1e-12)
+dy = dyadic_construction(fhb, f, pair, b1, cfg, tol=1e-12, direct=hset.varphi[0])
 print("annulus  height l_n   energy(B_r0)   bound shape")
 for n in cfg.annuli():
     print(f"  {n:3d}    {cfg.heights[n+1]:8.2f}   {dy.energies[(n, 8.0)]:.6f}      "

@@ -19,6 +19,7 @@ from .pde import (
     BoundarySpec,
     Dirichlet,
     NoFlux,
+    Operator,
     ScalarField,
     SolverError,
     SolveStats,
@@ -74,6 +75,7 @@ from .excess import (
     liouville_check,
     mean_value_check,
     smallness_radius,
+    window_operator,
 )
 
 __version__ = "0.1.0"

@@ -53,6 +53,7 @@ from .excess import (
     excess_decay_experiment,
     harmonic_sample,
     mean_value_check,
+    window_operator,
 )
 
 
@@ -243,7 +244,8 @@ def run_halfspace_stage(cfg, out_dir, tag, corr_results):
             dy_cfg = hs_cfg.get("dyadic", {})
             config = DyadicConfig.from_curve(curve, float(dy_cfg.get("r0", 8.0)),
                                              int(dy_cfg.get("n_max", 2)))
-            dy = dyadic_construction(fhb, f, pair, hset.basis.vectors[0], config, tol=tol)
+            dy = dyadic_construction(fhb, f, pair, hset.basis.vectors[0], config, tol=tol,
+                                     direct=hset.varphi[0])
             rows = [[int(n), float(config.heights[n + 1]),
                      float(dy.energies[(n, config.r0)]), float(dy.bound_shape[(n, config.r0)])]
                     for n in config.annuli()]
@@ -405,9 +407,10 @@ def build_report(cfg, out_dir, tag):
 # ---------------------------------------------------------------------------
 
 
-def load_halfspace_bundle(path, pair):
+def load_halfspace_bundle(path, pair=None):
     """Rebuild the lightweight half-space view (grid, basis, correctors,
-    potential fields) needed by the excess diagnostics."""
+    potential fields) needed by the excess diagnostics; those never read
+    the whole-space ``pair``, which may be left out."""
     from .grid import cell_offsets as _cells, pair_offsets as _pairs
     from .halfspace import HalfSpaceCorrectorSet, TangentialBasis
     from .pde import ScalarField
@@ -545,7 +548,8 @@ def cmd_halfspace(args):
         wcurve = sublinearity_curve(pair, dyadic_radii(f.grid))
         config = DyadicConfig.from_curve(wcurve, args.r0, args.n_max)
         fhb = restrict_to_half_box(f, args.L)
-        dy = dyadic_construction(fhb, f, pair, hset.basis.vectors[0], config, tol=args.tol)
+        dy = dyadic_construction(fhb, f, pair, hset.basis.vectors[0], config, tol=args.tol,
+                                 direct=hset.varphi[0])
         if out_csv:
             dy_path = Path(out_csv).with_suffix(".dyadic.csv")
             rows = [[int(n), float(config.heights[n + 1]),
@@ -561,16 +565,17 @@ def cmd_halfspace(args):
 
 def cmd_excess(args):
     f = load_field(args.field)
-    pair = solve_pair(f, tol=args.tol)
     if args.hs:
-        hset = load_halfspace_bundle(args.hs, pair)
+        hset = load_halfspace_bundle(args.hs)
     else:
-        hset = build_halfspace_set(f, pair, L=f.grid.side / 2.0, tol=args.tol)
+        hset = build_halfspace_set(f, solve_pair(f, tol=args.tol), L=f.grid.side / 2.0,
+                                   tol=args.tol)
     radii = [r for r in dyadic_radii(f.grid) if r <= args.R]
+    op = window_operator(f, args.R)  # only the Dirichlet trace changes between seeds
     rows = []
     for seed in range(args.seeds):
         trace = band_limited_trace(seed, args.R, dim=f.grid.dim)
-        sample = harmonic_sample(f, args.R, trace, tol=max(args.tol, 1e-11))
+        sample = harmonic_sample(f, args.R, trace, tol=max(args.tol, 1e-11), op=op)
         rep = excess_decay_experiment(sample, hset, radii)
         mvp = mean_value_check(sample, radii)
         for i, r in enumerate(rep.radii):
@@ -586,15 +591,21 @@ def cmd_excess(args):
     return 0
 
 
-def cmd_pipeline(args):
+def _config_from_args(args):
+    """The ``--config`` file with the ``--seeds``/``--tol`` overrides, which
+    enter the config hash, so ``pipeline`` and ``report`` share them."""
     cfg = load_config(args.config)
     if args.seeds is not None:
         cfg["seeds"] = list(range(int(args.seeds)))
     if args.tol is not None:
         cfg["tol"] = float(args.tol)
+    return validate_config(cfg)
+
+
+def cmd_pipeline(args):
+    cfg = _config_from_args(args)
     if args.threads is not None:
         cfg["threads"] = int(args.threads)
-    cfg = validate_config(cfg)
     manifest = run_pipeline(cfg, args.out_dir)
     print(json.dumps(manifest, indent=1, sort_keys=True))
     return 0
@@ -603,10 +614,12 @@ def cmd_pipeline(args):
 def cmd_report(args):
     out_dir = Path(args.out_dir)
     if args.config:
-        cfg = load_config(args.config)
+        cfg = _config_from_args(args)
         tag = config_hash(cfg)
         if not (out_dir / f"manifest__{tag}.json").exists():
             raise ConfigError(f"no manifest for config hash {tag} in {out_dir}")
+    elif args.seeds is not None or args.tol is not None:
+        raise ConfigError("--seeds and --tol override a --config")
     else:
         manifests = list(out_dir.glob("manifest__*.json"))
         if not manifests:
@@ -675,6 +688,8 @@ def build_parser():
     pr = sub.add_parser("report", help="consolidate stage outputs into report.json")
     pr.add_argument("--out-dir", required=True)
     pr.add_argument("--config", default=None)
+    pr.add_argument("--seeds", type=int, default=None, help="as given to pipeline")
+    pr.add_argument("--tol", type=float, default=None, help="as given to pipeline")
     pr.set_defaults(fn=cmd_report)
     return p
 

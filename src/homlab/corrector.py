@@ -32,6 +32,7 @@ from .grid import Grid, TORUS, cell_offsets, pair_offsets
 from .pde import (
     BoundarySpec,
     Dirichlet,
+    Operator,
     ScalarField,
     SourceTerm,
     VectorField,
@@ -55,16 +56,22 @@ def coefficient_times_vector(field, xi):
     return VectorField(grid, comps)
 
 
-def solve_corrector(field, xi, tol=DEFAULT_TOL, max_iter=20000):
-    """Zero-mean corrector for one unit direction on a torus field."""
+def periodic_operator(field):
+    """The corrector operator -div(a grad .) of a torus field."""
+    if field.grid.topology != TORUS:
+        raise ValueError("whole-space correctors live on the torus")
+    return Operator(field, BoundarySpec.periodic())
+
+
+def solve_corrector(field, xi, tol=DEFAULT_TOL, max_iter=20000, op=None):
+    """Zero-mean corrector for one unit direction on a torus field; ``op``
+    is the field's ``periodic_operator`` when the caller holds one."""
     xi = np.asarray(xi, dtype=float)
     if abs(np.linalg.norm(xi) - 1.0) > 1e-12:
         raise ValueError("direction must be a unit vector")
-    if field.grid.topology != TORUS:
-        raise ValueError("whole-space correctors live on the torus")
+    op = periodic_operator(field) if op is None else op
     src = SourceTerm(divergence_form=coefficient_times_vector(field, xi))
-    sys = assemble(field, BoundarySpec.periodic(), src)
-    phi, stats = solve(sys, tol=tol, max_iter=max_iter)
+    phi, stats = solve(op.system(src=src), tol=tol, max_iter=max_iter)
     phi.values -= phi.values.mean()
     return phi, stats
 
@@ -97,12 +104,11 @@ class CorrectorSet:
 
 
 def solve_correctors(field, tol=DEFAULT_TOL):
+    op = periodic_operator(field)
     phi = {}
     stats = {}
     for i in range(field.grid.dim):
-        e = np.zeros(field.grid.dim)
-        e[i] = 1.0
-        phi[i], stats[i] = solve_corrector(field, e, tol=tol)
+        phi[i], stats[i] = solve_corrector(field, np.eye(field.grid.dim)[i], tol=tol, op=op)
     return CorrectorSet(field, phi, stats)
 
 

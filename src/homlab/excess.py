@@ -28,8 +28,8 @@ from .pde import (
     BoundarySpec,
     Dirichlet,
     NoFlux,
+    Operator,
     ScalarField,
-    assemble,
     gradient,
     solve,
     _interior_mask,
@@ -84,17 +84,24 @@ class HarmonicSample:
     energy: float
 
 
-def harmonic_sample(field_torus, R, trace, tol=1e-11, max_iter=20000):
-    """Solve the mixed Dirichlet(round)/no-flux(flat) problem on the box
-    window of half-width and height R cut from the torus field."""
+def window_operator(field_torus, R):
+    """Operator of the box window of half-width and height R cut from the
+    torus field: no-flux flat side, Dirichlet far sides.  One serves the
+    harmonic samples of every trace on that window."""
     window = restrict_to_half_box(field_torus, R, tangential_periodic=False)
-    grid = window.grid
+    return Operator(window, BoundarySpec.half_box(window.grid))
+
+
+def harmonic_sample(field_torus, R, trace, tol=1e-11, max_iter=20000, op=None):
+    """Solve the mixed Dirichlet(round)/no-flux(flat) problem on the box
+    window of half-width and height R cut from the torus field; ``op`` is
+    that window's ``window_operator`` when the caller holds one."""
+    op = window_operator(field_torus, R) if op is None else op
     bc = BoundarySpec.half_box(
-        grid, flat=NoFlux(0.0), top=Dirichlet(trace), lateral=Dirichlet(trace)
+        op.grid, flat=NoFlux(0.0), top=Dirichlet(trace), lateral=Dirichlet(trace)
     )
-    sys = assemble(window, bc)
-    u, stats = solve(sys, tol=tol, max_iter=max_iter)
-    return HarmonicSample(u, window, R, stats.relative_residual, stats.energy)
+    u, stats = solve(op.system(bc), tol=tol, max_iter=max_iter)
+    return HarmonicSample(u, op.field, R, stats.relative_residual, stats.energy)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +177,19 @@ def excess(u, r, hset, center=None):
     space via the normal equations; singular Gram systems fall back to
     the minimum-norm solution."""
     grid = u.grid
+    return _excess(gradient(u), corrected_gradient_family(hset, grid), hset.basis, grid, r,
+                   center)
+
+
+def _excess(g, fam, basis, grid, r, center=None):
+    """``excess`` from the gradient g of u and the corrected gradient
+    family on u's grid, which do not depend on r."""
     d = grid.dim
     if r < 4 * grid.h:
         raise ValueError("radius below the quadrature floor (need r >= 4h)")
     masks = _face_masks(grid, r, center=center)
     if not any(m.any() for m in masks):
         raise ValueError("empty half-ball")
-    g = gradient(u)
-    fam = corrected_gradient_family(hset, grid)
     m = len(fam)
     M = np.zeros((m, m))
     c = np.zeros(m)
@@ -195,7 +207,7 @@ def excess(u, r, hset, center=None):
         t = np.zeros(0)
     resid = [g.comps[k] - sum(t[i] * fam[i][k] for i in range(m)) for k in range(d)]
     val = _fint_product(resid, resid, masks)
-    b_tilde = sum(t[i] * hset.basis.vectors[i] for i in range(m)) if m else np.zeros(d)
+    b_tilde = sum(t[i] * basis.vectors[i] for i in range(m)) if m else np.zeros(d)
     return ExcessValue(max(val, 0.0), np.asarray(b_tilde), t, cond)
 
 
@@ -214,11 +226,14 @@ def excess_decay_experiment(sample, hset, radii, fit_window=None):
     """Excess table over dyadic radii with the fitted decay exponent
     (slope of log Exc over log r on the largest usable decade)."""
     radii = sorted(float(r) for r in radii)
+    grid = sample.u.grid
+    g = gradient(sample.u)
+    fam = corrected_gradient_family(hset, grid)
     vals = []
     mins = []
     cond = 0.0
     for r in radii:
-        ev = excess(sample.u, r, hset)
+        ev = _excess(g, fam, hset.basis, grid, r)
         vals.append(ev.value)
         mins.append(ev.minimizer)
         cond = max(cond, ev.gram_condition)

@@ -45,12 +45,11 @@ from .field import restrict_to_half_box, restrict_values
 from .grid import Grid, TORUS, cell_offsets, face_offsets, pair_offsets
 from .pde import (
     BoundarySpec,
-    Dirichlet,
     NoFlux,
+    Operator,
     ScalarField,
     SourceTerm,
     VectorField,
-    assemble,
     ball_mean_square,
     flux,
     gradient,
@@ -188,20 +187,26 @@ def flat_flux_datum(field_torus, pair, b):
     return total, phi_b
 
 
-def solve_halfspace_correction(field_hb, field_torus, pair, b, tol=DEFAULT_TOL):
-    """Correction enforcing the no-flux condition for phi_b + b.x on the
-    flat boundary of the half-box."""
-    grid = field_hb.grid
+def _flat_datum_on(field_torus, pair, b, grid):
+    """flat_flux_datum restricted to the flat face layer of a half-box."""
     d = grid.dim
     total_d, _ = flat_flux_datum(field_torus, pair, b)
-    offs = face_offsets(d, d - 1)
-    total_half = restrict_values(total_d, field_torus.grid, grid, offs)
+    total_half = restrict_values(total_d, field_torus.grid, grid, face_offsets(d, d - 1))
+    return np.take(total_half, 0, axis=d - 1)
+
+
+def solve_halfspace_correction(field_hb, field_torus, pair, b, tol=DEFAULT_TOL, op=None):
+    """Correction enforcing the no-flux condition for phi_b + b.x on the
+    flat boundary of the half-box.  ``op`` is the half-box operator with
+    the default closure (no-flux flat, Dirichlet top) when the caller
+    holds one."""
+    grid = field_hb.grid
     # e_d . a grad varphi = -e_d . a (grad phi_b + b); with the outward
     # normal -e_d of the flat side this is a prescribed current +total
-    g_flat = np.take(total_half, 0, axis=d - 1)
-    bc = BoundarySpec.half_box(grid, flat=NoFlux(g_flat), top=Dirichlet(0.0))
-    sys = assemble(field_hb, bc)
-    varphi, stats = solve(sys, tol=tol)
+    g_flat = _flat_datum_on(field_torus, pair, b, grid)
+    if op is None:
+        op = Operator(field_hb, BoundarySpec.half_box(grid))
+    varphi, stats = solve(op.system(BoundarySpec.half_box(grid, flat=NoFlux(g_flat))), tol=tol)
     # the far-field Dirichlet truncation pins the additive constant, so no
     # unit-ball normalization is applied: shifting the solution would break
     # its own top rows and the ghost-closed current below
@@ -486,12 +491,13 @@ def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFA
     field_hb = restrict_to_half_box(field_torus, L, tangential_periodic)
     grid = field_hb.grid
     basis = tangential_basis(pair.a_hom)
+    op = Operator(field_hb, BoundarySpec.half_box(grid))
     phi_h, varphi, v, psi, psi_v, sigma_h, q_h, datum, gap, stats = (
         {}, {}, {}, {}, {}, {}, {}, {}, {}, {}
     )
     for i in range(d - 1):
         b = basis.vectors[i]
-        corr = solve_halfspace_correction(field_hb, field_torus, pair, b, tol=tol)
+        corr = solve_halfspace_correction(field_hb, field_torus, pair, b, tol=tol, op=op)
         varphi[i] = corr.varphi
         datum[i] = corr.datum
         stats[i] = corr.stats
@@ -576,8 +582,7 @@ def halfspace_residuals(field_hb, hset, i, inner_radius=None):
     d = grid.dim
     b = hset.basis.vectors[i]
     src = SourceTerm(divergence_form=coefficient_times_vector(field_hb, b))
-    bc = BoundarySpec.half_box(grid, flat=NoFlux(0.0), top=Dirichlet(0.0))
-    sys = assemble(field_hb, bc, src)
+    sys = Operator(field_hb, BoundarySpec.half_box(grid)).system(src=src)
     u = hset.phi_h[i].values.ravel()
     r = (sys.matrix @ u - sys.rhs).reshape(grid.shape)
     # rows inside Dirichlet truncation layers are determined by the trace
@@ -795,36 +800,35 @@ class DyadicResult:
 
 
 def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
-                        radii=None):
+                        radii=None, direct=None):
     """Annulus-by-annulus boundary corrections: each solve carries the
     flux datum cut off by one radial partition member; energies are
     tabulated against the bound shape with the measured sublinearity
-    values, and the partial sum is compared with the direct solve."""
+    values, and the partial sum is compared with the direct solve.
+    ``direct`` is that single-solve correction varphi for b on this
+    half-box at this tol (``solve_halfspace_correction``, as in
+    ``HalfSpaceCorrectorSet.varphi``); it is solved here when not given.
+    All solves share one operator."""
     grid = field_hb.grid
     d = grid.dim
     if config.r0 * 2.0 ** (config.n_max + 1) > grid.height * 2.0 + 1e-9:
         raise ValueError("outermost annulus exceeds the domain")
     config.validate(grid)
-    total_d, _ = flat_flux_datum(field_torus, pair, b)
-    offs = face_offsets(d, d - 1)
-    total_half = restrict_values(total_d, field_torus.grid, grid, offs)
-    g_full = np.take(total_half, 0, axis=d - 1)
-    flat_offs = face_offsets(d, d - 1)
-    coords = grid.coords(flat_offs)
+    g_full = _flat_datum_on(field_torus, pair, b, grid)
+    coords = grid.coords(face_offsets(d, d - 1))
     sl = [slice(None)] * d
     sl[d - 1] = 0
     rho = np.sqrt(sum(coords[a][tuple(sl)] ** 2 for a in range(d - 1)))
     if radii is None:
         radii = [config.r0]
+    op = Operator(field_hb, BoundarySpec.half_box(grid))
     varphi_n = {}
     energies = {}
     shapes = {}
     total = np.zeros(grid.shape)
     for n in config.annuli():
         g_n = config.cutoff(n, rho) * g_full
-        bc = BoundarySpec.half_box(grid, flat=NoFlux(g_n), top=Dirichlet(0.0))
-        sys = assemble(field_hb, bc)
-        sol, _ = solve(sys, tol=tol)
+        sol, _ = solve(op.system(BoundarySpec.half_box(grid, flat=NoFlux(g_n))), tol=tol)
         varphi_n[n] = sol
         total += sol.values
         R = config.r0 * 2.0 ** (n + 1)
@@ -832,11 +836,12 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
         for r in radii:
             energies[(n, r)] = float(np.sqrt(_grad_mean_square(sol, r)))
             shapes[(n, r)] = (R / r) ** (d / 2.0) * dlt ** (1.0 / 3.0)
-    corr = solve_halfspace_correction(field_hb, field_torus, pair, b, tol=tol)
+    if direct is None:
+        direct, _ = solve(op.system(BoundarySpec.half_box(grid, flat=NoFlux(g_full))), tol=tol)
     total_f = ScalarField(grid, total)
-    c_r0 = _relative_gradient_difference(total_f, corr.varphi, config.r0)
-    c_quarter = _relative_gradient_difference(total_f, corr.varphi, grid.height / 4.0)
-    return DyadicResult(config, varphi_n, energies, shapes, total_f, corr.varphi,
+    c_r0 = _relative_gradient_difference(total_f, direct, config.r0)
+    c_quarter = _relative_gradient_difference(total_f, direct, grid.height / 4.0)
+    return DyadicResult(config, varphi_n, energies, shapes, total_f, direct,
                         c_r0, c_quarter, g_full)
 
 

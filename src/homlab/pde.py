@@ -20,12 +20,17 @@ Boundary conditions on half-boxes:
 Pure-periodic (and pure-Neumann) systems are singular with constant null
 space; the solver pins the mean-zero representative by projecting out
 the constant mode every iteration.
+
+An ``Operator`` is built once per (field, boundary kinds) and holds the
+matrix and the preconditioner; its ``system`` turns boundary data and
+sources into right-hand sides, so many solves share one assembly.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -33,7 +38,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _transforms as ft
-from .grid import Grid, HALF_BOX, TORUS, cell_offsets, face_offsets
+from .grid import Grid, TORUS, cell_offsets, face_offsets
 
 log = logging.getLogger(__name__)
 
@@ -167,8 +172,9 @@ class SourceTerm:
 @dataclass
 class SolveStats:
     iterations: int
-    relative_residual: float
+    relative_residual: float  # the solver's recursive residual at exit
     energy: float
+    true_residual: float = 0.0  # |b - Ax| / |b| at exit
 
 
 class SolverError(RuntimeError):
@@ -176,23 +182,6 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.best_x = best_x
         self.history = history or []
-
-
-@dataclass
-class LinearSystem:
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    grid: Grid
-    bc: BoundarySpec
-    symmetric: bool
-    singular: bool
-    mean_coeff: float
-    axis_bcs: tuple  # per-axis (low, high) in transform vocabulary
-    rhs_mean_shift: float = 0.0  # mean removed from an incompatible rhs
-
-    @property
-    def n_unknowns(self):
-        return self.matrix.shape[0]
 
 
 def _boundary_datum(value, grid, axis, side):
@@ -233,130 +222,168 @@ def _transform_bcs(grid, bc):
     return tuple(out)
 
 
-def assemble(field, bc, src=None):
-    """Assemble -div(a grad u) = f + div F into a sparse linear system.
+def _side_cells(L, k, side):
+    """Flat indices of the cell layer next to side (k, side)."""
+    return np.take(L, 0 if side == 0 else L.shape[k] - 1, axis=k).ravel()
 
-    ``field`` is a CoefficientField (faces attribute per axis),
-    ``bc`` a BoundarySpec, ``src`` a SourceTerm.
+
+class Operator:
+    """-div(a grad u) for one coefficient field and one set of boundary
+    kinds: the CSR matrix, its symmetric and singular flags, the mean
+    coefficient and transform bcs of the preconditioner, and (built on
+    first use) one FastConstSolver preconditioner.  Only the kinds of
+    ``bc`` enter; ``system`` turns boundary data and sources into
+    right-hand sides, so one operator serves every right-hand side.
     """
-    grid = field.grid
-    d = grid.dim
-    shape = grid.shape
-    n_cells = int(np.prod(shape))
-    h = grid.h
-    inv_h2 = 1.0 / (h * h)
-    if grid.topology == TORUS:
-        for key, b in bc.sides.items():
-            if not isinstance(b, PeriodicBC):
+
+    def __init__(self, field, bc):
+        grid = field.grid
+        d = grid.dim
+        shape = grid.shape
+        n_cells = int(np.prod(shape))
+        inv_h2 = 1.0 / (grid.h * grid.h)
+        if grid.topology == TORUS:
+            if any(not isinstance(b, PeriodicBC) for b in bc.sides.values()):
                 raise ValueError("torus grids admit only periodic conditions")
-    else:
-        _transform_bcs(grid, bc)  # validates side kinds
+            self.axis_bcs = ((ft.PERIODIC, ft.PERIODIC),) * d
+        else:
+            self.axis_bcs = _transform_bcs(grid, bc)  # validates side kinds
+        self.field, self.grid, self.bc = field, grid, bc
 
-    L = np.arange(n_cells, dtype=np.int64).reshape(shape)
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n_cells)
+        L = np.arange(n_cells, dtype=np.int64).reshape(shape)
+        rows, cols, vals = [], [], []
 
-    if src is not None and src.volume is not None:
-        vol = np.asarray(src.volume, dtype=float)
-        if vol.shape != shape:
-            raise ValueError("volume source shape mismatch")
-        rhs += vol.ravel()
+        def add(r, c, v):
+            rows.append(np.ravel(r))
+            cols.append(np.ravel(c))
+            vals.append(np.ravel(v))
 
-    F = src.divergence_form if src is not None else None
-
-    def add(r, c, v):
-        rows.append(np.ravel(r))
-        cols.append(np.ravel(c))
-        vals.append(np.ravel(v))
-
-    has_cross = field.has_offdiagonal()
-
-    for k in range(d):
-        faces = field.faces[k]
-        a_kk = faces[..., k, k]
-        periodic = grid.periodic_axis(k)
-
-        if periodic:
-            lower = np.roll(L, 1, axis=k)
-            upper = L
-            t = a_kk * inv_h2
+        has_cross = field.has_offdiagonal()
+        self._dirichlet_weight = {}  # (axis, side) -> ghost weight 2 a_kk / h^2
+        for k in range(d):
+            faces = field.faces[k]
+            if grid.periodic_axis(k):
+                lower, upper = np.roll(L, 1, axis=k), L
+            else:
+                lower = np.take(L, np.arange(shape[k] - 1), axis=k)
+                upper = np.take(L, np.arange(1, shape[k]), axis=k)
+                faces = faces[(slice(None),) * k + (slice(1, shape[k]),)]  # interior faces
+            t = faces[..., k, k] * inv_h2
             add(upper, upper, t)
             add(lower, lower, t)
             add(upper, lower, -t)
             add(lower, upper, -t)
-            if F is not None:
-                Fk = F.comps[k]
-                rhs += ((np.roll(Fk, -1, axis=k) - Fk) / h).ravel()
-            if has_cross:
-                _cross_terms_periodic(grid, field, k, L, add)
-        else:
-            sl_lo = [slice(None)] * d
-            sl_hi = [slice(None)] * d
-            sl_int = [slice(None)] * d
-            sl_lo[k] = 0
-            sl_hi[k] = shape[k] - 1 + 1  # boundary face index in face array
-            sl_int[k] = slice(1, shape[k])
-            lower = np.take(L, np.arange(shape[k] - 1), axis=k)
-            upper = np.take(L, np.arange(1, shape[k]), axis=k)
-            t_int = a_kk[tuple(sl_int)] * inv_h2
-            add(upper, upper, t_int)
-            add(lower, lower, t_int)
-            add(upper, lower, -t_int)
-            add(lower, upper, -t_int)
-            if F is not None:
-                Fk = F.comps[k].copy()
-            else:
-                Fk = None
+            for side in (0, 1):
+                if isinstance(bc.bc(k, side), Dirichlet):
+                    t_b = field.faces[k][(slice(None),) * k + (side * shape[k],)][..., k, k]
+                    w = self._dirichlet_weight[k, side] = 2.0 * (t_b * inv_h2)
+                    cells = _side_cells(L, k, side)
+                    add(cells, cells, w)
+            for m in range(d):
+                if has_cross and m != k and np.any(faces[..., k, m]):
+                    _cross_flux_entries(grid, m, faces[..., k, m], lower, upper, add)
+
+        A = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n_cells, n_cells),
+        ).tocsr()
+        self.symmetric = not has_cross or field.is_symmetric()
+        if has_cross and self.symmetric:
+            A = ((A + A.T) * 0.5).tocsr()
+        self.matrix = A
+        self.singular = grid.topology == TORUS or not any(
+            isinstance(b, Dirichlet) for b in bc.sides.values())
+        self.mean_coeff = float(np.mean([f[..., k, k].mean() for k, f in enumerate(field.faces)]))
+
+    @cached_property
+    def preconditioner(self):
+        """The fast constant-coefficient solve with the operator's kinds,
+        scaled by the mean coefficient."""
+        shape = self.grid.shape
+        solver = ft.FastConstSolver(self.grid, cell_offsets(self.grid.dim), self.axis_bcs,
+                                    shape, project_mean=self.singular)
+        scale = max(self.mean_coeff, 1e-30)
+        return lambda r: solver.solve(r.reshape(shape)).ravel() / scale
+
+    def system(self, bc=None, src=None):
+        """The LinearSystem of boundary data ``bc`` (the operator's kinds;
+        default its own data) and source ``src``: Dirichlet data through
+        the ghost weights, no-flux data as prescribed currents that
+        absorb the divergence-form source on their faces."""
+        bc = self.bc if bc is None else bc
+        for key in set(bc.sides) | set(self.bc.sides):
+            if type(bc.bc(*key)) is not type(self.bc.bc(*key)):
+                raise ValueError(f"side {key} has another boundary kind than the operator")
+        grid = self.grid
+        shape = grid.shape
+        h = grid.h
+        L = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape)
+        rhs = np.zeros(L.size)
+        if src is not None and src.volume is not None:
+            vol = np.asarray(src.volume, dtype=float)
+            if vol.shape != shape:
+                raise ValueError("volume source shape mismatch")
+            rhs += vol.ravel()
+        F = src.divergence_form if src is not None else None
+        for k in range(grid.dim):
+            if grid.periodic_axis(k):
+                if F is not None:
+                    Fk = F.comps[k]
+                    rhs += ((np.roll(Fk, -1, axis=k) - Fk) / h).ravel()
+                continue
+            Fk = F.comps[k].copy() if F is not None else None
             for side in (0, 1):
                 b_side = bc.bc(k, side)
-                cell_sl = [slice(None)] * d
-                cell_sl[k] = 0 if side == 0 else shape[k] - 1
-                cells = L[tuple(cell_sl)]
-                face_sl = [slice(None)] * d
-                face_sl[k] = 0 if side == 0 else shape[k]
-                t_b = a_kk[tuple(face_sl)] * inv_h2
+                g = _boundary_datum(b_side.value, grid, k, side)
+                cells = _side_cells(L, k, side)
                 if isinstance(b_side, Dirichlet):
-                    g = _boundary_datum(b_side.value, grid, k, side)
-                    add(cells, cells, 2.0 * t_b)
-                    rhs[cells.ravel()] += (2.0 * t_b * g).ravel()
-                elif isinstance(b_side, NoFlux):
-                    g = _boundary_datum(b_side.value, grid, k, side)
-                    rhs[cells.ravel()] += (g / h).ravel()
-                    if Fk is not None:
-                        Fk[tuple(face_sl)] = 0.0  # absorbed into the datum
+                    rhs[cells] += (self._dirichlet_weight[k, side] * g).ravel()
                 else:
-                    raise ValueError("unexpected periodic side")
+                    rhs[cells] += (g / h).ravel()
+                    if Fk is not None:  # absorbed into the datum
+                        Fk[(slice(None),) * k + (side * shape[k],)] = 0.0
             if Fk is not None:
-                dFk = np.diff(Fk, axis=k) / h
-                rhs += dFk.ravel()
-            if has_cross:
-                _cross_terms_bounded(grid, field, k, L, add)
+                rhs += (np.diff(Fk, axis=k) / h).ravel()
+        shift = 0.0
+        if self.singular:
+            shift = float(rhs.mean())
+            rhs -= shift
+            if abs(shift) > 1e-12 * (1.0 + np.abs(rhs).max()):
+                log.info("subtracted rhs mean %.3e for singular system", shift)
+        return LinearSystem(self, rhs, bc, shift)
 
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_cells, n_cells),
-    ).tocsr()
 
-    symmetric = not has_cross or field.is_symmetric()
-    if has_cross and symmetric:
-        A = (A + A.T) * 0.5
-        A = A.tocsr()
+@dataclass
+class LinearSystem:
+    """One right-hand side on an Operator, whose matrix, flags and
+    preconditioner it shares."""
 
-    singular = not any(isinstance(b, Dirichlet) for b in bc.sides.values())
-    if grid.topology == TORUS:
-        singular = True
-    shift = 0.0
-    if singular:
-        shift = float(rhs.mean())
-        rhs -= shift
-        if abs(shift) > 1e-12 * (1.0 + np.abs(rhs).max()):
-            log.info("subtracted rhs mean %.3e for singular system", shift)
+    operator: Operator
+    rhs: np.ndarray
+    bc: BoundarySpec
+    rhs_mean_shift: float = 0.0  # mean removed from an incompatible rhs
 
-    mean_coeff = float(np.mean([f[..., k, k].mean() for k, f in enumerate(field.faces)]))
-    axis_bcs = (
-        ((ft.PERIODIC, ft.PERIODIC),) * d if grid.topology == TORUS else _transform_bcs(grid, bc)
-    )
-    return LinearSystem(A, rhs, grid, bc, symmetric, singular, mean_coeff, axis_bcs, shift)
+    matrix = property(lambda self: self.operator.matrix)
+    grid = property(lambda self: self.operator.grid)
+    symmetric = property(lambda self: self.operator.symmetric)
+    singular = property(lambda self: self.operator.singular)
+    mean_coeff = property(lambda self: self.operator.mean_coeff)
+    axis_bcs = property(lambda self: self.operator.axis_bcs)  # per-axis (low, high)
+
+    @property
+    def n_unknowns(self):
+        return self.matrix.shape[0]
+
+
+def assemble(field, bc, src=None):
+    """Assemble -div(a grad u) = f + div F into a sparse linear system on
+    a one-use Operator; callers with several right-hand sides on one
+    operator build the Operator once and call its ``system``.
+
+    ``field`` is a CoefficientField (faces attribute per axis),
+    ``bc`` a BoundarySpec, ``src`` a SourceTerm.
+    """
+    return Operator(field, bc).system(bc, src)
 
 
 def _tangential_pairs(grid, axis_m, idx):
@@ -374,7 +401,7 @@ def _tangential_pairs(grid, axis_m, idx):
     return lo, hi
 
 
-def _cross_flux_entries(grid, k, m, a_km, cl, cu, add):
+def _cross_flux_entries(grid, m, a_km, cl, cu, add):
     """COO entries of the cross flux a_km * avg centered d_m u at k-faces.
 
     The centered difference at each adjacent cell degenerates to a
@@ -394,59 +421,13 @@ def _cross_flux_entries(grid, k, m, a_km, cl, cu, add):
         add(cu, lo, w)
 
 
-def _cross_terms_periodic(grid, field, k, L, add):
-    faces = field.faces[k]
-    cl = np.roll(L, 1, axis=k)
-    cu = L
-    for m in range(grid.dim):
-        if m == k:
-            continue
-        a_km = faces[..., k, m]
-        if not np.any(a_km):
-            continue
-        _cross_flux_entries(grid, k, m, a_km, cl, cu, add)
-
-
-def _cross_terms_bounded(grid, field, k, L, add):
-    faces = field.faces[k]
-    shape = grid.shape
-    sl_int = [slice(None)] * grid.dim
-    sl_int[k] = slice(1, shape[k])
-    cl = np.take(L, np.arange(shape[k] - 1), axis=k)
-    cu = np.take(L, np.arange(1, shape[k]), axis=k)
-    for m in range(grid.dim):
-        if m == k:
-            continue
-        a_km = faces[tuple(sl_int)][..., k, m]
-        if not np.any(a_km):
-            continue
-        _cross_flux_entries(grid, k, m, a_km, cl, cu, add)
-
-
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
 
 
-def _fft_preconditioner(system):
-    solver = ft.FastConstSolver(
-        system.grid,
-        cell_offsets(system.grid.dim),
-        system.axis_bcs,
-        system.grid.shape,
-        project_mean=system.singular,
-    )
-    scale = max(system.mean_coeff, 1e-30)
-    shape = system.grid.shape
-
-    def apply(r):
-        return solver.solve(r.reshape(shape)).ravel() / scale
-
-    return apply
-
-
-def _jacobi_preconditioner(system):
-    dia = system.matrix.diagonal().copy()
+def _jacobi_preconditioner(matrix):
+    dia = matrix.diagonal().copy()
     dia[dia == 0.0] = 1.0
     inv = 1.0 / dia
 
@@ -470,25 +451,27 @@ def solve(system, tol=1e-10, max_iter=20000, preconditioner="auto", x0=None):
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         zero = ScalarField(grid, np.zeros(grid.shape))
-        return zero, SolveStats(0, 0.0, 0.0)
+        return zero, SolveStats(0, 0.0, 0.0, 0.0)
 
     if not system.symmetric:
-        x, info = spla.bicgstab(system.matrix, b, rtol=tol, maxiter=max_iter)
+        iterations = [0]
+
+        def count(xk):
+            iterations[0] += 1
+
+        x, info = spla.bicgstab(system.matrix, b, rtol=tol, maxiter=max_iter, callback=count)
         if info != 0:
             raise SolverError(f"bicgstab failed with code {info}", best_x=x)
-        res = float(np.linalg.norm(b - system.matrix @ x) / nb)
-        energy = 0.5 * float(x @ (system.matrix @ x)) - float(x @ b)
-        return ScalarField(grid, x.reshape(grid.shape)), SolveStats(-1, res, energy)
+        Ax = system.matrix @ x
+        res = float(np.linalg.norm(b - Ax) / nb)
+        energy = 0.5 * float(x @ Ax) - float(x @ b)
+        stats = SolveStats(iterations[0], res, energy, res)
+        return ScalarField(grid, x.reshape(grid.shape)), stats
 
-    if preconditioner == "auto":
-        preconditioner = "fft"
-    if preconditioner == "fft":
-        try:
-            M = _fft_preconditioner(system)
-        except NotImplementedError:
-            M = _jacobi_preconditioner(system)
+    if preconditioner in ("auto", "fft"):
+        M = system.operator.preconditioner
     elif preconditioner == "jacobi":
-        M = _jacobi_preconditioner(system)
+        M = _jacobi_preconditioner(system.matrix)
     elif preconditioner is None:
         M = lambda r: r
     else:
@@ -542,8 +525,9 @@ def solve(system, tol=1e-10, max_iter=20000, preconditioner="auto", x0=None):
         )
     if project:
         x -= x.mean()
-    energy = 0.5 * float(x @ (A @ x)) - float(x @ b)
-    stats = SolveStats(len(history) - 1, history[-1], energy)
+    Ax = A @ x
+    energy = 0.5 * float(x @ Ax) - float(x @ b)
+    stats = SolveStats(len(history) - 1, history[-1], energy, float(np.linalg.norm(b - Ax)) / nb)
     return ScalarField(grid, x.reshape(grid.shape)), stats
 
 

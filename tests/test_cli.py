@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from homlab import cli
 from homlab.cli import (
     ConfigError, CsvError, config_hash, load_config, main, read_csv, validate_config,
 )
@@ -299,3 +300,82 @@ def test_report_follows_config_then_newest_manifest(tmp_path):
         rp.unlink()
     assert main(["report", "--out-dir", str(out)]) == 0
     assert [p.name for p in out.glob("report__*.json")] == [f"report__{tags[first]}.json"]
+
+
+def test_excess_with_bundle_skips_whole_space_pair(tmp_path, monkeypatch):
+    spec = write_spec(tmp_path)
+    fld = tmp_path / "field.bin"
+    main(["field", "sample", "--spec", str(spec), "--out", str(fld)])
+    hs_bin = tmp_path / "hs.npz"
+    assert main(["halfspace", "--field", str(fld), "--L", "16", "--out", str(hs_bin)]) == 0
+    rebuilt = tmp_path / "rebuilt.csv"
+    assert main(["excess", "--field", str(fld), "--R", "8", "--seeds", "2",
+                 "--out", str(rebuilt)]) == 0
+
+    def no_pair(*args, **kwargs):
+        raise AssertionError("solve_pair called although --hs was given")
+
+    monkeypatch.setattr(cli, "solve_pair", no_pair)
+    out = tmp_path / "excess.csv"
+    assert main(["excess", "--field", str(fld), "--hs", str(hs_bin), "--R", "8",
+                 "--seeds", "2", "--out", str(out)]) == 0
+    assert out.read_bytes() == rebuilt.read_bytes()
+
+
+def test_report_takes_pipeline_overrides(tmp_path):
+    cfg = small_config(tmp_path, seeds=(0,))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out-dir", str(out), "--tol", "1e-10"]) == 0
+    for rp in out.glob("report__*.json"):
+        rp.unlink()
+    assert main(["report", "--out-dir", str(out), "--config", str(cfg), "--tol", "1e-10"]) == 0
+    tag = json.loads(next(out.glob("manifest__*.json")).read_text())["config_hash"]
+    assert [p.name for p in out.glob("report__*.json")] == [f"report__{tag}.json"]
+    # the overrides change the hash, so the plain config has no run here
+    assert main(["report", "--out-dir", str(out), "--config", str(cfg)]) == 2
+    assert main(["report", "--out-dir", str(out), "--tol", "1e-10"]) == 2
+
+
+def test_pipeline_builds_one_operator_per_field_and_kinds(tmp_path, monkeypatch):
+    """One operator per (field, boundary kinds) and stage function: the
+    torus and window operators once per seed, the slab operator once each
+    in build_halfspace_set, halfspace_residuals and dyadic_construction;
+    the direct half-space correction is not solved twice."""
+    import importlib
+
+    from homlab import pde
+    from homlab.grid import TORUS
+
+    builds = []
+    init = pde.Operator.__init__
+
+    def counting_init(self, field, bc):
+        grid = field.grid
+        builds.append("torus" if grid.topology == TORUS
+                      else "slab" if grid.tangential_periodic else "window")
+        init(self, field, bc)
+
+    solves = []
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return pde.solve(*args, **kwargs)
+
+    monkeypatch.setattr(pde.Operator, "__init__", counting_init)
+    for name in ("corrector", "halfspace", "excess"):
+        monkeypatch.setattr(importlib.import_module(f"homlab.{name}"), "solve", counting_solve)
+    n_max = 1
+    cfg = validate_config({
+        "ensemble": {"kind": "checkerboard", "lam": 0.25,
+                     "params": {"values": [0.25, 1.0], "cell_size": 1.0}},
+        "grid": {"dim": 2, "n": 64, "h": 1.0},
+        "seeds": [0],
+        "halfspace": {"L": 32.0, "mode": "dyadic", "dyadic": {"r0": 8.0, "n_max": n_max}},
+        "excess": {"R": 16.0, "radii": [4.0, 8.0]},
+        "tol": 1e-11,
+    })
+    manifest = cli.run_pipeline(cfg, tmp_path / "run")
+    assert "failed" not in manifest
+    assert sorted(builds) == ["slab"] * 3 + ["torus", "window"]
+    # d correctors, d - 1 half-space corrections, n_max + 2 annuli, one sample
+    assert len(solves) == 2 + 1 + (n_max + 2) + 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homlab.grid import Grid, cell_offsets, face_offsets
 from homlab.field import CoefficientField, EnsembleSpec, sample_field, faces_from_cells
@@ -7,6 +8,8 @@ from homlab.pde import (
     BoundarySpec,
     Dirichlet,
     NoFlux,
+    Operator,
+    PeriodicBC,
     ScalarField,
     SolverError,
     SourceTerm,
@@ -305,3 +308,136 @@ def test_solver_regression_checkerboard_n128():
     u, stats = solve(sys, tol=1e-10)
     assert stats.relative_residual <= 1e-10
     assert 0 < stats.iterations < 120
+
+
+# -- one operator, many right-hand sides --------------------------------------
+
+
+@st.composite
+def operator_cases(draw):
+    """An SPD face field (diagonal or with off-diagonal entries) and the
+    boundary kinds of a torus, a slab or a plain half-box (no-flux or
+    Dirichlet flat and top sides, Dirichlet lateral sides)."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = 8 if dim == 2 else 4
+    grid = draw(st.sampled_from([Grid.torus(dim, n), Grid.half_box(dim, n),
+                                 Grid.half_box(dim, n, tangential_periodic=False)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    cross = draw(st.booleans())
+    ii = np.arange(dim)
+    faces = []
+    for k in range(dim):
+        shp = grid.face_shape(k)
+        a = np.zeros(shp + (dim, dim))
+        if cross:
+            off = rng.uniform(-0.05, 0.05, shp + (dim, dim))
+            a += 0.5 * (off + np.swapaxes(off, -1, -2))
+        a[..., ii, ii] = rng.uniform(0.5, 1.0, shp + (dim,))
+        faces.append(a)
+    field = CoefficientField(grid, faces, lam=0.2)
+    if grid.topology == "torus":
+        kinds = BoundarySpec.periodic()
+    else:
+        flat, top = (draw(st.sampled_from([NoFlux, Dirichlet])) for _ in range(2))
+        kinds = BoundarySpec.half_box(grid, flat=flat(), top=top())
+    return field, kinds, rng
+
+
+def random_data(kinds, grid, rng):
+    """Boundary data of the given kinds and random sources."""
+    sides = {}
+    for (a, s), b in kinds.sides.items():
+        if isinstance(b, PeriodicBC):
+            sides[(a, s)] = b
+        else:
+            shape = tuple(m for i, m in enumerate(grid.face_shape(a)) if i != a)
+            sides[(a, s)] = type(b)(rng.standard_normal(shape))
+    F = VectorField(grid, [rng.standard_normal(grid.face_shape(k)) for k in range(grid.dim)])
+    return BoundarySpec(sides), SourceTerm(rng.standard_normal(grid.shape), F)
+
+
+def combine(x, y, bx, by, sx, sy):
+    """x (bx, sx) + y (by, sy) for data of the same kinds."""
+    sides = {key: b if isinstance(b, PeriodicBC) else type(b)(x * b.value + y * by.sides[key].value)
+             for key, b in bx.sides.items()}
+    F = VectorField(sx.divergence_form.grid,
+                    [x * p + y * q for p, q in zip(sx.divergence_form.comps,
+                                                   sy.divergence_form.comps)])
+    return BoundarySpec(sides), SourceTerm(x * sx.volume + y * sy.volume, F)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(case=operator_cases())
+def test_operator_rhs_split_properties(case):
+    field, kinds, rng = case
+    grid = field.grid
+    data = [random_data(kinds, grid, rng) for _ in range(3)]
+    op = Operator(field, data[0][0])
+    A = op.matrix
+    # the matrix depends on the kinds only, never on the data values
+    for bc, src in data[1:]:
+        assert (Operator(field, bc).matrix != A).nnz == 0
+        assert (assemble(field, bc, src).matrix != A).nnz == 0
+    assert (Operator(field, kinds).matrix != A).nnz == 0
+    # symmetric fields give symmetric matrices
+    assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
+    # the rhs of the split is assemble's, and linear in data and sources
+    rhs = [op.system(bc, src).rhs for bc, src in data]
+    for (bc, src), r in zip(data, rhs):
+        assert np.array_equal(assemble(field, bc, src).rhs, r)
+    x, y = rng.uniform(-2.0, 2.0, 2)
+    mixed = op.system(*combine(x, y, data[0][0], data[1][0], data[0][1], data[1][1])).rhs
+    scale = max(np.abs(rhs[0]).max(), np.abs(rhs[1]).max())
+    assert np.abs(mixed - (x * rhs[0] + y * rhs[1])).max() <= 1e-12 * (abs(x) + abs(y)) * scale
+    only_volume = op.system(data[0][0], SourceTerm(volume=data[0][1].volume)).rhs
+    only_div = op.system(data[0][0], SourceTerm(divergence_form=data[0][1].divergence_form)).rhs
+    only_bc = op.system(data[0][0]).rhs
+    assert np.abs(only_volume + only_div - only_bc - rhs[0]).max() <= 1e-12 * scale
+    # several right-hand sides on one operator match fresh dense solves
+    for bc, src in data:
+        u, _ = solve(op.system(bc, src), tol=1e-12)
+        ref = dense_solve(assemble(field, bc, src))
+        assert np.abs(u.values - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_operator_rejects_other_boundary_kinds():
+    grid = Grid.half_box(2, 8)
+    op = Operator(identity_field(grid), BoundarySpec.half_box(grid))
+    with pytest.raises(ValueError):
+        op.system(BoundarySpec.half_box(grid, flat=Dirichlet(1.0)))
+
+
+def test_solve_stats_true_residual_symmetric_slab():
+    grid = Grid.half_box(2, 32)
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=3), grid)
+    rng = np.random.default_rng(1)
+    bc = BoundarySpec.half_box(grid, flat=NoFlux(rng.standard_normal(32)))
+    sys = assemble(f, bc, SourceTerm(volume=rng.standard_normal(grid.shape)))
+    assert sys.symmetric
+    u, stats = solve(sys, tol=1e-10)
+    true = np.linalg.norm(sys.rhs - sys.matrix @ u.values.ravel()) / np.linalg.norm(sys.rhs)
+    assert stats.true_residual == pytest.approx(true, rel=1e-12)
+    assert stats.iterations > 0 and stats.relative_residual <= 1e-10
+    assert 0.0 < stats.true_residual <= 1e-9
+
+
+def test_solve_stats_bicgstab_nonsymmetric_field():
+    grid = Grid.half_box(2, 16, tangential_periodic=False)
+    rng = np.random.default_rng(5)
+    faces = []
+    for k in range(2):
+        shp = grid.face_shape(k)
+        a = np.zeros(shp + (2, 2))
+        a[..., 0, 0] = rng.uniform(0.5, 1.0, shp)
+        a[..., 1, 1] = rng.uniform(0.5, 1.0, shp)
+        a[..., 0, 1] = rng.uniform(-0.1, 0.1, shp)  # a_01 != a_10
+        a[..., 1, 0] = rng.uniform(-0.1, 0.1, shp)
+        faces.append(a)
+    field = CoefficientField(grid, faces, lam=0.2)
+    sys = assemble(field, BoundarySpec.half_box(grid, flat=NoFlux(0.3), top=Dirichlet(1.0)))
+    assert not sys.symmetric
+    u, stats = solve(sys, tol=1e-10)
+    true = np.linalg.norm(sys.rhs - sys.matrix @ u.values.ravel()) / np.linalg.norm(sys.rhs)
+    assert stats.iterations > 0
+    assert stats.true_residual == stats.relative_residual == pytest.approx(true, rel=1e-12)
+    assert true <= 1e-9

@@ -407,10 +407,10 @@ def build_report(cfg, out_dir, tag):
 # ---------------------------------------------------------------------------
 
 
-def load_halfspace_bundle(path, pair=None):
+def load_halfspace_bundle(path):
     """Rebuild the lightweight half-space view (grid, basis, correctors,
     potential fields) needed by the excess diagnostics; those never read
-    the whole-space ``pair``, which may be left out."""
+    the whole-space pair, which the bundle does not carry."""
     from .grid import cell_offsets as _cells, pair_offsets as _pairs
     from .halfspace import HalfSpaceCorrectorSet, TangentialBasis
     from .pde import ScalarField
@@ -438,7 +438,7 @@ def load_halfspace_bundle(path, pair=None):
             varphi[int(name.split("_")[-1])] = ScalarField(grid, bundle[name])
     gap = {int(k): float(vv) for k, vv in meta.get("liouville_gap", {}).items()}
     return HalfSpaceCorrectorSet(
-        grid, basis, a_hom, pair, phi_h, varphi, v, {}, {}, sigma_h, {}, {}, gap
+        grid, basis, a_hom, None, phi_h, varphi, v, {}, {}, sigma_h, {}, {}, gap
     )
 
 

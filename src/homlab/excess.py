@@ -96,7 +96,13 @@ def harmonic_sample(field_torus, R, trace, tol=1e-11, max_iter=20000, op=None):
     """Solve the mixed Dirichlet(round)/no-flux(flat) problem on the box
     window of half-width and height R cut from the torus field; ``op`` is
     that window's ``window_operator`` when the caller holds one."""
-    op = window_operator(field_torus, R) if op is None else op
+    if op is None:
+        op = window_operator(field_torus, R)
+    else:
+        g = field_torus.grid
+        window = Grid.half_box(g.dim, int(round(2.0 * R / g.h)), g.h, tangential_periodic=False)
+        if op.grid != window:
+            raise ValueError(f"op is on {op.grid}, not on the radius-{R} window {window}")
     bc = BoundarySpec.half_box(
         op.grid, flat=NoFlux(0.0), top=Dirichlet(trace), lateral=Dirichlet(trace)
     )

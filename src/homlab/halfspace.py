@@ -50,6 +50,7 @@ from .pde import (
     ScalarField,
     SourceTerm,
     VectorField,
+    assemble,
     ball_mean_square,
     flux,
     gradient,
@@ -582,7 +583,7 @@ def halfspace_residuals(field_hb, hset, i, inner_radius=None):
     d = grid.dim
     b = hset.basis.vectors[i]
     src = SourceTerm(divergence_form=coefficient_times_vector(field_hb, b))
-    sys = Operator(field_hb, BoundarySpec.half_box(grid)).system(src=src)
+    sys = assemble(field_hb, BoundarySpec.half_box(grid), src)
     u = hset.phi_h[i].values.ravel()
     r = (sys.matrix @ u - sys.rhs).reshape(grid.shape)
     # rows inside Dirichlet truncation layers are determined by the trace
@@ -837,7 +838,7 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
             energies[(n, r)] = float(np.sqrt(_grad_mean_square(sol, r)))
             shapes[(n, r)] = (R / r) ** (d / 2.0) * dlt ** (1.0 / 3.0)
     if direct is None:
-        direct, _ = solve(op.system(BoundarySpec.half_box(grid, flat=NoFlux(g_full))), tol=tol)
+        direct = solve_halfspace_correction(field_hb, field_torus, pair, b, tol=tol, op=op).varphi
     total_f = ScalarField(grid, total)
     c_r0 = _relative_gradient_difference(total_f, direct, config.r0)
     c_quarter = _relative_gradient_difference(total_f, direct, grid.height / 4.0)

@@ -174,7 +174,7 @@ class SolveStats:
     iterations: int
     relative_residual: float  # the solver's recursive residual at exit
     energy: float
-    true_residual: float = 0.0  # |b - Ax| / |b| at exit
+    true_residual: float  # |b - Ax| / |b| at exit
 
 
 class SolverError(RuntimeError):
@@ -367,7 +367,6 @@ class LinearSystem:
     grid = property(lambda self: self.operator.grid)
     symmetric = property(lambda self: self.operator.symmetric)
     singular = property(lambda self: self.operator.singular)
-    mean_coeff = property(lambda self: self.operator.mean_coeff)
     axis_bcs = property(lambda self: self.operator.axis_bcs)  # per-axis (low, high)
 
     @property

@@ -13,6 +13,7 @@ from homlab.excess import (
     excess_decay_experiment,
     harmonic_sample,
     liouville_check,
+    window_operator,
     mean_value_check,
     smallness_radius,
 )
@@ -54,6 +55,18 @@ def test_harmonic_sample_constant_trace():
     f, pair, hset = make_setup(constant=0.5 * np.eye(2))
     s = harmonic_sample(f, R=16.0, trace=lambda x, y: 2.0)
     assert np.abs(s.u.values - 2.0).max() <= 1e-10
+
+
+def test_harmonic_sample_reuses_window_operator_and_rejects_other_radius():
+    grid = Grid.torus(2, 32)
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=5), grid)
+    trace = band_limited_trace(1, 8.0)
+    op = window_operator(f, 8.0)
+    fresh = harmonic_sample(f, 8.0, trace)
+    reused = harmonic_sample(f, 8.0, trace, op=op)
+    assert np.array_equal(fresh.u.values, reused.u.values)
+    with pytest.raises(ValueError, match="window"):
+        harmonic_sample(f, 4.0, trace, op=op)
 
 
 def test_harmonic_sample_band_limited_residual():

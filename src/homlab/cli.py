@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -75,11 +76,31 @@ def fmt(x):
     return f"{float(x):.17g}"
 
 
+def write_atomic(path, write, mode="w"):
+    """Call ``write(fh)`` on a temporary file next to ``path``, then move
+    it over ``path`` with ``os.replace``: the final name holds the old
+    file or the whole new one, never a partial write."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "\n") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_json(path, obj):
+    write_atomic(path, lambda fh: fh.write(json.dumps(obj, indent=1, sort_keys=True)))
+
+
 def write_csv(path, header, rows):
-    with open(path, "w", newline="\n") as fh:
+    def write(fh):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+    write_atomic(path, write)
 
 
 def read_csv(path):
@@ -151,10 +172,12 @@ def validate_config(raw):
 
 
 def config_hash(cfg):
-    """Cache key of a config: every key except ``threads``, which changes
-    how seeds are scheduled but not what is computed."""
+    """Cache key of a config and the homlab version: every key except
+    ``threads``, which changes how seeds are scheduled but not what is
+    computed."""
     keyed = {k: v for k, v in cfg.items() if k != "threads"}
-    blob = json.dumps(keyed, sort_keys=True, separators=(",", ":")).encode()
+    blob = json.dumps({"config": keyed, "version": __version__},
+                      sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -209,8 +232,7 @@ def run_corrector_stage(cfg, out_dir, tag):
             "delta_first": float(curve.delta[0]),
             "delta_last": float(curve.delta[-1]),
         })
-    (out_dir / f"corrector__{tag}__summary.json").write_text(
-        json.dumps(summaries, indent=1, sort_keys=True))
+    write_json(out_dir / f"corrector__{tag}__summary.json", summaries)
     return results
 
 
@@ -254,8 +276,7 @@ def run_halfspace_stage(cfg, out_dir, tag, corr_results):
             entry["dyadic_consistency_r0"] = dy.consistency_r0
             entry["dyadic_empirical_constant"] = dy.empirical_constant
         summaries.append(entry)
-    (out_dir / f"halfspace__{tag}__summary.json").write_text(
-        json.dumps(summaries, indent=1, sort_keys=True))
+    write_json(out_dir / f"halfspace__{tag}__summary.json", summaries)
     return hsets
 
 
@@ -290,8 +311,7 @@ def run_excess_stage(cfg, out_dir, tag, corr_results, hsets):
         "alpha_mean": float(np.nanmean(alphas)) if alphas else float("nan"),
         "c_mean_max": float(np.nanmax(cmeans)) if cmeans else float("nan"),
     }
-    (out_dir / f"excess__{tag}__summary.json").write_text(
-        json.dumps(summary, indent=1, sort_keys=True))
+    write_json(out_dir / f"excess__{tag}__summary.json", summary)
     return summary
 
 
@@ -353,9 +373,9 @@ def run_pipeline(cfg, out_dir):
             }
     except Exception as e:
         manifest["failed"] = f"{type(e).__name__}: {e}"
-        manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        write_json(manifest_path, manifest)
         raise
-    manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    write_json(manifest_path, manifest)
     build_report(cfg, out_dir, tag)
     return manifest
 
@@ -398,7 +418,7 @@ def build_report(cfg, out_dir, tag):
     if ex_sum.exists():
         report["excess"] = json.loads(ex_sum.read_text())
     path = out_dir / f"report__{tag}.json"
-    path.write_text(json.dumps(report, indent=1, sort_keys=True))
+    write_json(path, report)
     return path
 
 
@@ -462,8 +482,8 @@ def save_halfspace_bundle(path, hset):
     for (i, j), v in hset.v.items():
         arrays[f"v_{i}_{j}"] = v.values
     # through a handle: np.savez appends ".npz" to a path without that suffix
-    with open(path, "wb") as fh:
-        np.savez(fh, __meta__=json.dumps(meta, sort_keys=True), **arrays)
+    write_atomic(path, lambda fh: np.savez(fh, __meta__=json.dumps(meta, sort_keys=True), **arrays),
+                 "wb")
 
 
 # ---------------------------------------------------------------------------

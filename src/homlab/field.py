@@ -75,8 +75,8 @@ class CoefficientField:
 
     def has_offdiagonal(self):
         d = self.grid.dim
-        off = ~np.eye(d, dtype=bool)
-        return any(np.any(f[..., off]) for f in self.faces)
+        return any(np.any(f[..., i, j]) for f in self.faces
+                   for i in range(d) for j in range(d) if i != j)
 
     def equals(self, other):
         return (
@@ -362,7 +362,7 @@ def validate_ellipticity(field, slack=1e-12, max_violations=10):
 # ---------------------------------------------------------------------------
 
 
-def _axis_index_map(n_torus, n_half, half_origin, h, offset, periodic_axis_half, count):
+def _axis_index_map(n_torus, half_origin, h, offset, count):
     """Torus indices corresponding to half-box home points along one axis."""
     idx = np.arange(count)
     x = half_origin + (idx + offset) * h
@@ -372,21 +372,9 @@ def _axis_index_map(n_torus, n_half, half_origin, h, offset, periodic_axis_half,
 
 def half_box_index_maps(torus_grid, half_grid, offsets):
     """Per-axis torus index arrays matching half-box home points."""
-    maps = []
-    for a in range(half_grid.dim):
-        count = half_grid.home_shape(offsets)[a]
-        maps.append(
-            _axis_index_map(
-                torus_grid.n,
-                half_grid.n,
-                half_grid.origin[a],
-                half_grid.h,
-                offsets[a],
-                half_grid.periodic_axis(a),
-                count,
-            )
-        )
-    return maps
+    counts = half_grid.home_shape(offsets)
+    return [_axis_index_map(torus_grid.n, half_grid.origin[a], half_grid.h, offsets[a], counts[a])
+            for a in range(half_grid.dim)]
 
 
 def restrict_to_half_box(field, L, tangential_periodic=True):

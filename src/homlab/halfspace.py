@@ -288,7 +288,7 @@ def face_poisson_solve(grid, j, rhs):
     return out
 
 
-def solve_vector_potentials(grid, G, tol=None):
+def solve_vector_potentials(grid, G):
     """Direct-mode potentials v_j, one constant-coefficient solve per
     component with rhs G_j (equal to div(x_j G) up to the divergence
     residual of G); the vertical component is normalized to zero average

@@ -8,6 +8,13 @@ the two adjacent cells.  For symmetric coefficient tensors the assembled
 operator is symmetrized exactly (the cross-term sampling is averaged
 over the two face families), so ``<Au, v> = <u, Av>`` holds to round-off.
 
+Assembly adds every contribution (face couplings, Dirichlet ghost weights
+on the centre, one-sided cross closures) by slicing into one cell-shaped
+band per stencil offset in {-1,0,1}^d the scheme touches: 2d+1 for
+diagonal fields, 9 (2d) or 19 (3d) with cross terms.  The bands become
+CSR rows with ascending columns: interior rows share one band order,
+rows on a periodic seam wrap and take their own.
+
 Boundary conditions on half-boxes:
 
 * ``Dirichlet(g)``: second-order ghost values at face centers,
@@ -28,6 +35,7 @@ sources into right-hand sides, so many solves share one assembly.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -250,45 +258,75 @@ class Operator:
             self.axis_bcs = _transform_bcs(grid, bc)  # validates side kinds
         self.field, self.grid, self.bc = field, grid, bc
 
-        L = np.arange(n_cells, dtype=np.int64).reshape(shape)
-        rows, cols, vals = [], [], []
+        per = np.array([grid.periodic_axis(a) for a in range(d)])
+        inner = [f if per[k] else f[(slice(None),) * k + (slice(1, shape[k]),)]
+                 for k, f in enumerate(field.faces)]  # interior faces
+        cross = [(k, m) for k in range(d) for m in range(d)
+                 if m != k and np.any(inner[k][..., k, m])]
+        e = np.eye(d, dtype=int)
+        offsets = {(0,) * d} | {tuple(s * e[k]) for k in range(d) for s in (-1, 1)}
+        offsets |= {tuple(s * e[k] + r * e[m]) for k, m in cross for s in (-1, 1) for r in (-1, 1)}
+        stride = np.array([int(np.prod(shape[a + 1:])) for a in range(d)])
+        O = np.array(sorted(offsets, key=lambda o: (int(np.dot(o, stride)), o)))
+        band = {tuple(o): j for j, o in enumerate(O)}
+        # V[j][c]: coefficient of column c + O[j] in row c; entries whose
+        # column lies past a non-periodic side are dropped below
+        V = np.zeros((len(O),) + shape)
+        at = lambda o: V[band[tuple(o)]]
 
-        def add(r, c, v):
-            rows.append(np.ravel(r))
-            cols.append(np.ravel(c))
-            vals.append(np.ravel(v))
+        def facing(a, k, s):  # interior k-face values above (s=1) or below each cell
+            if per[k]:
+                return np.roll(a, -1, axis=k) if s > 0 else a
+            out = np.zeros(shape)
+            out[(slice(None),) * k + (slice(0, -1) if s > 0 else slice(1, None),)] = a
+            return out
 
-        has_cross = field.has_offdiagonal()
         self._dirichlet_weight = {}  # (axis, side) -> ghost weight 2 a_kk / h^2
         for k in range(d):
-            faces = field.faces[k]
-            if grid.periodic_axis(k):
-                lower, upper = np.roll(L, 1, axis=k), L
-            else:
-                lower = np.take(L, np.arange(shape[k] - 1), axis=k)
-                upper = np.take(L, np.arange(1, shape[k]), axis=k)
-                faces = faces[(slice(None),) * k + (slice(1, shape[k]),)]  # interior faces
-            t = faces[..., k, k] * inv_h2
-            add(upper, upper, t)
-            add(lower, lower, t)
-            add(upper, lower, -t)
-            add(lower, upper, -t)
-            for side in (0, 1):
-                if isinstance(bc.bc(k, side), Dirichlet):
-                    t_b = field.faces[k][(slice(None),) * k + (side * shape[k],)][..., k, k]
-                    w = self._dirichlet_weight[k, side] = 2.0 * (t_b * inv_h2)
-                    cells = _side_cells(L, k, side)
-                    add(cells, cells, w)
-            for m in range(d):
-                if has_cross and m != k and np.any(faces[..., k, m]):
-                    _cross_flux_entries(grid, m, faces[..., k, m], lower, upper, add)
-
-        A = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_cells, n_cells),
-        ).tocsr()
-        self.symmetric = not has_cross or field.is_symmetric()
-        if has_cross and self.symmetric:
+            t = inner[k][..., k, k] * inv_h2
+            for s in (-1, 1):
+                ts = facing(t, k, s)
+                at(0 * e[k])[...] += ts
+                at(s * e[k])[...] -= ts
+            for side in (i for i in (0, 1) if isinstance(bc.bc(k, i), Dirichlet)):
+                t_b = field.faces[k][(slice(None),) * k + (side * shape[k],)][..., k, k]
+                w = self._dirichlet_weight[k, side] = 2.0 * (t_b * inv_h2)
+                at(0 * e[k])[(slice(None),) * k + (-side,)] += w
+            for m in (m for kk, m in cross if kk == k):
+                # a_km times the mean centred m-difference of the face's two cells
+                # (one-sided past a non-periodic side): + below the face, - above
+                w = inner[k][..., k, m] / (2.0 * 2.0 * grid.h * grid.h)
+                for s in (1, -1):
+                    ws = facing(w, k, s)
+                    for x, r in itertools.product((0, s), (1, -1)):
+                        at(x * e[k] + r * e[m])[...] += s * r * ws
+                        if not per[m]:
+                            edge = (slice(None),) * m + (-(r > 0),)
+                            at(x * e[k])[edge] += s * r * ws[edge]
+        # CSR columns ascend by the offsets' flat steps; each boundary region
+        # (first or last layer of some axes) wraps the steps across periodic
+        # sides, reorders the bands by them and drops the offsets that leave
+        # a non-periodic side
+        S = np.array(list(itertools.product((-1, 0, 1), repeat=d)))[:, None, :]
+        leave = (O == S) & (S != 0)  # region, band, axis
+        steps = O @ stride - ((leave & per) * S * shape) @ stride
+        order = np.argsort(steps, axis=1, kind="stable")
+        steps = np.take_along_axis(steps, order, axis=1).astype(np.int32)
+        kept = np.take_along_axis(~(leave & ~per).any(axis=2), order, axis=1)
+        cells = np.arange(n_cells, dtype=np.int32).reshape(shape)[..., None]
+        C, keep = np.empty(shape + (len(O),), np.int32), np.empty(shape + (len(O),), bool)
+        counts = np.empty(shape, np.int32)
+        layer = {-1: slice(0, 1), 0: slice(1, -1), 1: slice(-1, None)}
+        for s, o, st, kp in zip(S[:, 0], order, steps, kept):
+            where = tuple(layer[x] for x in s)
+            C[where], keep[where], counts[where] = cells[where] + st, kp, kp.sum()
+            if np.any(o != np.arange(len(O))):
+                V[(slice(None),) + where] = V[(o,) + where]
+        indptr = np.cumsum(np.r_[0, counts.ravel()], dtype=np.int32)
+        V = np.ascontiguousarray(V.reshape(len(O), n_cells).T).reshape(keep.shape)
+        A = sp.csr_matrix((V[keep], C[keep], indptr), shape=(n_cells, n_cells))
+        self.symmetric = not cross or field.is_symmetric()
+        if cross and self.symmetric:
             A = ((A + A.T) * 0.5).tocsr()
         self.matrix = A
         self.singular = grid.topology == TORUS or not any(
@@ -385,41 +423,6 @@ def assemble(field, bc, src=None):
     return Operator(field, bc).system(bc, src)
 
 
-def _tangential_pairs(grid, axis_m, idx):
-    """Neighbor index pairs along axis m for centered differences."""
-    if grid.periodic_axis(axis_m):
-        return np.roll(idx, 1, axis=axis_m), np.roll(idx, -1, axis=axis_m)
-    lo = np.concatenate(
-        [np.take(idx, [0], axis=axis_m), np.take(idx, np.arange(idx.shape[axis_m] - 1), axis=axis_m)],
-        axis=axis_m,
-    )
-    hi = np.concatenate(
-        [np.take(idx, np.arange(1, idx.shape[axis_m]), axis=axis_m), np.take(idx, [-1], axis=axis_m)],
-        axis=axis_m,
-    )
-    return lo, hi
-
-
-def _cross_flux_entries(grid, m, a_km, cl, cu, add):
-    """COO entries of the cross flux a_km * avg centered d_m u at k-faces.
-
-    The centered difference at each adjacent cell degenerates to a
-    one-sided difference at non-periodic m-boundaries (first-order
-    closure there).
-    """
-    h = grid.h
-    for cells in (cl, cu):
-        lo, hi = _tangential_pairs(grid, m, cells)
-        # weight: average over the two adjacent cells (1/2) and the
-        # centered difference span 2h
-        w = a_km / (2.0 * 2.0 * h * h)
-        # flux term tau*(u[hi]-u[lo]) enters rows cl (-) and cu (+):
-        add(cl, hi, w)
-        add(cl, lo, -w)
-        add(cu, hi, -w)
-        add(cu, lo, w)
-
-
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
@@ -429,11 +432,7 @@ def _jacobi_preconditioner(matrix):
     dia = matrix.diagonal().copy()
     dia[dia == 0.0] = 1.0
     inv = 1.0 / dia
-
-    def apply(r):
-        return inv * r
-
-    return apply
+    return lambda r: inv * r
 
 
 def solve(system, tol=1e-10, max_iter=20000, preconditioner="auto", x0=None):

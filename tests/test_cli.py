@@ -379,3 +379,47 @@ def test_pipeline_builds_one_operator_per_field_and_kinds(tmp_path, monkeypatch)
     assert sorted(builds) == ["slab"] * 3 + ["torus", "window"]
     # d correctors, d - 1 half-space corrections, n_max + 2 annuli, one sample
     assert len(solves) == 2 + 1 + (n_max + 2) + 1
+
+
+def test_pipeline_cache_keyed_on_version(tmp_path, monkeypatch):
+    cfg = validate_config(json.loads(small_config(tmp_path, seeds=(0,)).read_text()))
+    out = tmp_path / "run"
+    cli.run_pipeline(cfg, out)
+    old_tag = config_hash(cfg)
+    old = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    monkeypatch.setattr(cli, "__version__", cli.__version__ + "+next")
+    new_tag = config_hash(cfg)
+    assert new_tag != old_tag
+    manifest = cli.run_pipeline(cfg, out)
+    assert manifest["version"] == cli.__version__
+    assert all(stage["cached"] is False for stage in manifest["stages"].values())
+    # recomputed under the new key, with the same numbers
+    for name, data in old.items():
+        assert (out / name.replace(old_tag, new_tag)).read_bytes() == data
+
+
+def test_pipeline_crash_mid_csv_leaves_no_partial_output(tmp_path, monkeypatch):
+    cfg = validate_config(json.loads(small_config(tmp_path, seeds=(0,)).read_text()))
+    out = tmp_path / "run"
+    cli.run_pipeline(cfg, out)
+    target = out / f"corrector__{config_hash(cfg)}__seed0.csv"
+    complete = target.read_bytes()
+    target.unlink()
+    real_fmt, calls = cli.fmt, []
+
+    def failing_fmt(x):  # the third value of the first CSV row fails
+        calls.append(x)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real_fmt(x)
+
+    monkeypatch.setattr(cli, "fmt", failing_fmt)
+    with pytest.raises(OSError, match="disk full"):
+        cli.run_pipeline(cfg, out)
+    assert len(calls) == 3
+    assert not target.exists()
+    assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+    monkeypatch.setattr(cli, "fmt", real_fmt)
+    manifest = cli.run_pipeline(cfg, out)
+    assert manifest["stages"]["corrector"]["cached"] is False
+    assert target.read_bytes() == complete

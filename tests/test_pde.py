@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coo_reference import coo_operator_matrix
 from homlab.grid import Grid, cell_offsets, face_offsets
-from homlab.field import CoefficientField, EnsembleSpec, sample_field, faces_from_cells
+from homlab.field import (
+    CoefficientField, EnsembleSpec, faces_from_cells, restrict_to_half_box, sample_field,
+)
 from homlab.pde import (
     BoundarySpec,
     Dirichlet,
@@ -441,3 +446,73 @@ def test_solve_stats_bicgstab_nonsymmetric_field():
     assert stats.iterations > 0
     assert stats.true_residual == stats.relative_residual == pytest.approx(true, rel=1e-12)
     assert true <= 1e-9
+
+
+# -- band assembly against the COO reference ----------------------------------
+
+
+@st.composite
+def assembly_cases(draw):
+    """The fields and kinds of operator_cases (diagonal or symmetric cross
+    fields), or the same with nonsymmetric cross terms added."""
+    field, kinds, rng = draw(operator_cases())
+    if draw(st.booleans()):
+        faces = [f.copy() for f in field.faces]
+        for f in faces:
+            f[..., 0, 1] += rng.uniform(0.01, 0.05, f.shape[:-2])  # a_01 != a_10
+        field = CoefficientField(field.grid, faces, lam=0.2)
+    return field, kinds
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(case=assembly_cases())
+def test_band_assembly_matches_coo_reference(case):
+    field, kinds = case
+    A = Operator(field, kinds).matrix
+    ref = coo_operator_matrix(field, kinds)
+    assert A.shape == ref.shape and A.indices.dtype == np.int32
+    if not field.has_offdiagonal():
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert np.array_equal(A.data, ref.data)
+    else:
+        eps = np.finfo(float).eps
+        assert abs(A - ref).max() <= 4 * eps * abs(ref).max()
+    # columns strictly ascending within every row
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    same_row = rows[1:] == rows[:-1]
+    assert np.all(np.diff(A.indices)[same_row] > 0)
+
+
+def test_band_assembly_peak_memory():
+    torus = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=2), Grid.torus(3, 32))
+    window = restrict_to_half_box(torus, 16.0, tangential_periodic=False)
+    kinds = BoundarySpec.half_box(window.grid)
+    tracemalloc.start()
+    try:
+        A = Operator(window, kinds).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+
+def test_operator_symmetric_without_cross_couplings():
+    # a_10 on 0-faces and a_01 on 1-faces never enter a flux: the matrix is
+    # the diagonal field's, symmetric, and solved by CG
+    grid = Grid.half_box(2, 8, tangential_periodic=False)
+    rng = np.random.default_rng(3)
+    diag, faces = [], []
+    for k in range(2):
+        a = np.zeros(grid.face_shape(k) + (2, 2))
+        a[..., 0, 0] = rng.uniform(0.5, 1.0, grid.face_shape(k))
+        a[..., 1, 1] = rng.uniform(0.5, 1.0, grid.face_shape(k))
+        diag.append(a.copy())
+        a[..., 1 - k, k] = rng.uniform(0.01, 0.05, grid.face_shape(k))
+        faces.append(a)
+    field = CoefficientField(grid, faces, lam=0.2)
+    assert field.has_offdiagonal() and not field.is_symmetric()
+    op = Operator(field, BoundarySpec.half_box(grid))
+    ref = Operator(CoefficientField(grid, diag, lam=0.2), BoundarySpec.half_box(grid))
+    assert op.symmetric
+    assert (op.matrix != ref.matrix).nnz == 0

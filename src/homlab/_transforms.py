@@ -12,9 +12,17 @@ extension matches the ghost closure of ``vertical_stencil``.
 The same solver is the preconditioner for conjugate-gradient iterations
 on heterogeneous systems: inverting the constant-coefficient operator
 bounds the preconditioned condition number by the coefficient contrast,
-so iteration counts stay flat in the grid size.  ``thomas_many`` remains
-as a tridiagonal utility for the stream construction of the half-space
-skew correction.
+so iteration counts stay flat in the grid size.  As a preconditioner it
+runs in single precision (``dtype=np.float32``): a preconditioner only
+has to approximate the inverse, and its 1e-7 relative rounding leaves the
+float64 residual recurrence of CG intact, while the float32 transforms
+move half the bytes.  CG keeps x, r, p, A p, its dot products and its
+stopping test in float64 and takes the flexible (Polak-Ribiere) beta,
+which tolerates a preconditioner that is not exactly symmetric (Notay,
+SIAM J. Sci. Comput. 22, 2000).  The exact solves (Hodge solves, vector
+potentials) use the float64 default.  ``thomas_many`` remains as a
+tridiagonal utility for the stream construction of the half-space skew
+correction.
 """
 
 from __future__ import annotations
@@ -27,6 +35,12 @@ from scipy import fft as sfft
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
+
+
+def _along(transform, **fixed):
+    """``transform`` as a function of (x, axis), passing ``overwrite_x``
+    and other keywords through."""
+    return lambda x, axis, **kw: transform(x, axis=axis, **fixed, **kw)
 
 
 def axis_modes(m, offset, bc_low, bc_high):
@@ -51,51 +65,40 @@ def axis_modes(m, offset, bc_low, bc_high):
     if bc_low == PERIODIC:
         k = np.arange(m)
         lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * k / m)
-        return (
-            lambda x, axis: sfft.fft(x, axis=axis),
-            lambda x, axis: sfft.ifft(x, axis=axis),
-            lam,
-        )
+        return _along(sfft.fft), _along(sfft.ifft), lam
     if offset == 0.5:
         if bc_low == DIRICHLET and bc_high == DIRICHLET:
             k = np.arange(1, m + 1)
             lam = 2.0 - 2.0 * np.cos(np.pi * k / m)
-            fwd = lambda x, axis: sfft.dst(x, type=2, axis=axis, norm="ortho")
-            bwd = lambda x, axis: sfft.idst(x, type=2, axis=axis, norm="ortho")
-            return fwd, bwd, lam
+            return (_along(sfft.dst, type=2, norm="ortho"),
+                    _along(sfft.idst, type=2, norm="ortho"), lam)
         if bc_low == NEUMANN and bc_high == NEUMANN:
             k = np.arange(m)
             lam = 2.0 - 2.0 * np.cos(np.pi * k / m)
-            fwd = lambda x, axis: sfft.dct(x, type=2, axis=axis, norm="ortho")
-            bwd = lambda x, axis: sfft.idct(x, type=2, axis=axis, norm="ortho")
-            return fwd, bwd, lam
+            return (_along(sfft.dct, type=2, norm="ortho"),
+                    _along(sfft.idct, type=2, norm="ortho"), lam)
         if bc_low == NEUMANN and bc_high == DIRICHLET:
             k = np.arange(m)
             lam = 2.0 - 2.0 * np.cos(np.pi * (k + 0.5) / m)
-            fwd = lambda x, axis: sfft.dct(x, type=4, axis=axis, norm="ortho")
-            bwd = lambda x, axis: sfft.idct(x, type=4, axis=axis, norm="ortho")
-            return fwd, bwd, lam
+            return (_along(sfft.dct, type=4, norm="ortho"),
+                    _along(sfft.idct, type=4, norm="ortho"), lam)
         if bc_low == DIRICHLET and bc_high == NEUMANN:
             k = np.arange(m)
             lam = 2.0 - 2.0 * np.cos(np.pi * (k + 0.5) / m)
-            fwd = lambda x, axis: sfft.dst(x, type=4, axis=axis, norm="ortho")
-            bwd = lambda x, axis: sfft.idst(x, type=4, axis=axis, norm="ortho")
-            return fwd, bwd, lam
+            return (_along(sfft.dst, type=4, norm="ortho"),
+                    _along(sfft.idst, type=4, norm="ortho"), lam)
     else:
         if bc_low == DIRICHLET and bc_high == DIRICHLET:
             # interior nodes of a pinned lattice
             k = np.arange(1, m + 1)
             lam = 2.0 - 2.0 * np.cos(np.pi * k / (m + 1))
-            fwd = lambda x, axis: sfft.dst(x, type=1, axis=axis, norm="ortho")
-            bwd = lambda x, axis: sfft.idst(x, type=1, axis=axis, norm="ortho")
-            return fwd, bwd, lam
+            return (_along(sfft.dst, type=1, norm="ortho"),
+                    _along(sfft.idst, type=1, norm="ortho"), lam)
         if bc_low == NEUMANN and bc_high == DIRICHLET:
             # boundary row kept at the Neumann end, pinned row dropped
             k = np.arange(m)
             lam = 2.0 - 2.0 * np.cos(np.pi * (k + 0.5) / m)
-            fwd = lambda x, axis: sfft.idct(x, type=2, axis=axis)
-            bwd = lambda x, axis: sfft.dct(x, type=2, axis=axis)
-            return fwd, bwd, lam
+            return _along(sfft.idct, type=2), _along(sfft.dct, type=2), lam
     raise NotImplementedError(
         f"no fast transform for offset={offset} bc=({bc_low},{bc_high})"
     )
@@ -159,12 +162,12 @@ def thomas_many(sub, dia, sup, rhs):
 
 
 class FastConstSolver:
-    """Direct solver for ``-lap_h u = b`` on a structured home.
+    """Direct solver for ``-coeff lap_h u = b`` on a structured home.
 
     Every axis is transformed: bounded axes by the real trig transform of
     ``axis_modes``, periodic axes by one real FFT over all of them, which
-    stores and divides only half of the spectrum.  ``solve`` divides by the
-    precomputed eigenvalue symbol in between; there is no sweep.
+    stores and divides only half of the spectrum.  ``solve`` multiplies by
+    the precomputed inverse symbol in between; there is no sweep.
 
     Parameters
     ----------
@@ -177,9 +180,14 @@ class FastConstSolver:
     project_mean : drop the mean mode (singular pure-periodic /
         pure-Neumann operators); the result is then the mean-free solution
         for the mean-free part of the data
+    coeff : constant coefficient, folded into the inverse symbol
+    dtype : precision of the transforms and the symbol; ``np.float32``
+        halves the memory traffic of a preconditioner apply, the float64
+        default is the exact solve
     """
 
-    def __init__(self, grid, offsets, bcs, shape, project_mean=False):
+    def __init__(self, grid, offsets, bcs, shape, project_mean=False, coeff=1.0,
+                 dtype=np.float64):
         d = len(shape)
         periodic = [a for a in range(d) if bcs[a][0] == PERIODIC]
         self._forward = []
@@ -198,16 +206,25 @@ class FastConstSolver:
             sizes = [shape[a] for a in periodic]
             self._forward.append(partial(sfft.rfftn, axes=periodic))
             self._backward.insert(0, partial(sfft.irfftn, s=sizes, axes=periodic))
-        symbol = symbol / (grid.h * grid.h)
+        symbol = symbol * coeff / (grid.h * grid.h)
         if project_mean:
             symbol.flat[0] = np.inf  # the mean mode is projected away
-        self._inverse_symbol = 1.0 / symbol
+        self.dtype = np.dtype(dtype)
+        self._inverse_symbol = (1.0 / symbol).astype(self.dtype)
 
-    def solve(self, b):
-        x = np.asarray(b, dtype=float)
+    def solve(self, b, scale=1.0):
+        """The float64 solution for data ``b``.  The transforms see
+        ``b / scale`` and the result is scaled back, so a positive ``scale``
+        of the size of ``b`` (a norm of it) keeps data of any magnitude
+        inside the single-precision range; ``b`` itself is never written."""
+        # the result is allocated before the narrower temporaries, whose
+        # freed blocks then merge into one that the next result fits
+        out = np.empty(np.shape(b))
+        x = np.empty(np.shape(b), self.dtype)
+        np.multiply(b, 1.0 / scale, out=x, casting="same_kind")
         for transform in self._forward:
-            x = transform(x)
-        x = x * self._inverse_symbol
+            x = transform(x, overwrite_x=True)
+        x *= self._inverse_symbol
         for transform in self._backward:
-            x = transform(x)
-        return x
+            x = transform(x, overwrite_x=True)
+        return np.multiply(x, scale, out=out, dtype=np.float64)

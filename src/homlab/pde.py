@@ -195,15 +195,16 @@ class SolverError(RuntimeError):
 def _boundary_datum(value, grid, axis, side):
     """Evaluate a boundary datum on the face layer (axis, side)."""
     offs = face_offsets(grid.dim, axis)
-    shape = grid.face_shape(axis)
-    idx = [slice(None)] * grid.dim
-    idx[axis] = 0 if side == 0 else shape[axis] - 1
+    want = tuple(s for a, s in enumerate(grid.face_shape(axis)) if a != axis)
     if callable(value):
-        coords = [c[tuple(idx)] for c in grid.coords(offs)]
+        # layer coordinates from the 1-D points of the other axes and the
+        # side's fixed coordinate, not from full-box meshgrids
+        pts = [grid.points_along(a, offs[a]) for a in range(grid.dim)]
+        pts[axis] = pts[axis][0 if side == 0 else -1]
+        coords = [c.reshape(want) for c in np.meshgrid(*pts, indexing="ij")]
         out = np.asarray(value(*coords), dtype=float)
     else:
         out = np.asarray(value, dtype=float)
-    want = tuple(s for a, s in enumerate(shape) if a != axis)
     if out.ndim == 0:
         out = np.full(want, float(out))
     if out.shape != want:
@@ -335,13 +336,16 @@ class Operator:
 
     @cached_property
     def preconditioner(self):
-        """The fast constant-coefficient solve with the operator's kinds,
-        scaled by the mean coefficient."""
+        """The fast constant-coefficient solve with the operator's kinds and
+        mean coefficient, in single precision.  ``M(r, norm)`` hands
+        ``r / norm`` to the float32 transforms and scales the float64
+        result back, so a norm of ``r`` (CG passes ``|r|``) keeps residuals
+        of any magnitude inside the float32 range."""
         shape = self.grid.shape
         solver = ft.FastConstSolver(self.grid, cell_offsets(self.grid.dim), self.axis_bcs,
-                                    shape, project_mean=self.singular)
-        scale = max(self.mean_coeff, 1e-30)
-        return lambda r: solver.solve(r.reshape(shape)).ravel() / scale
+                                    shape, project_mean=self.singular,
+                                    coeff=max(self.mean_coeff, 1e-30), dtype=np.float32)
+        return lambda r, norm: solver.solve(r.reshape(shape), norm).ravel()
 
     def system(self, bc=None, src=None):
         """The LinearSystem of boundary data ``bc`` (the operator's kinds;
@@ -432,7 +436,7 @@ def _jacobi_preconditioner(matrix):
     dia = matrix.diagonal().copy()
     dia[dia == 0.0] = 1.0
     inv = 1.0 / dia
-    return lambda r: inv * r
+    return lambda r, norm: inv * r
 
 
 def solve(system, tol=1e-10, max_iter=20000, preconditioner="auto", x0=None):
@@ -441,6 +445,18 @@ def solve(system, tol=1e-10, max_iter=20000, preconditioner="auto", x0=None):
     Returns (ScalarField, SolveStats).  Semi-definite systems return the
     mean-zero representative.  Non-convergence raises SolverError with
     the best iterate and full residual history attached.
+
+    Precision split: the fast preconditioner (``Operator.preconditioner``)
+    runs in float32, while everything CG computes (x, r, p, A p, the dot
+    products and the stopping test) stays in float64.  The preconditioner
+    only approximates the inverse, so its rounding costs no accuracy; the
+    flexible (Polak-Ribiere) beta = -alpha (A p . z) / (r . z)_old keeps CG
+    robust when the preconditioner is not exactly symmetric.  CG
+    returns only when the true residual |b - Ax| / |b| is at most ``tol``:
+    at the recursive residual's exit the true one is checked, and if it is
+    larger, residual replacement restarts CG from r = b - Ax (van der Vorst
+    and Ye, SIAM J. Sci. Comput. 22, 2000) until it is met; a replacement
+    that no longer lowers the true residual raises SolverError.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
@@ -471,7 +487,7 @@ def solve(system, tol=1e-10, max_iter=20000, preconditioner="auto", x0=None):
     elif preconditioner == "jacobi":
         M = _jacobi_preconditioner(system.matrix)
     elif preconditioner is None:
-        M = lambda r: r
+        M = lambda r, norm: r
     else:
         raise ValueError(f"unknown preconditioner {preconditioner!r}")
 
@@ -479,53 +495,73 @@ def solve(system, tol=1e-10, max_iter=20000, preconditioner="auto", x0=None):
     project = system.singular
     x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float).ravel().copy()
     r = b - A @ x if x0 is not None else b.copy()
-    if project:
-        r -= r.mean()
-    z = M(r)
-    if project:
-        z -= z.mean()
-    p = z.copy()
-    rz = float(r @ z)
-    history = [float(np.linalg.norm(r)) / nb]
-    best = (history[0], x.copy())
+    history = []
     it = 0
-    while history[-1] > tol and it < max_iter:
-        Ap = A @ p
-        if project:
-            Ap -= Ap.mean()
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise SolverError("operator lost positivity in CG", best_x=best[1], history=history)
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+    true_before = np.inf
+    while True:  # one pass per (re)start from the residual r of x
         if project:
             r -= r.mean()
         rel = float(np.linalg.norm(r)) / nb
         history.append(rel)
-        if rel < best[0]:
-            best = (rel, x.copy())
-        if rel <= tol:
-            break
-        z = M(r)
+        best_rel, best_x = rel, None  # None: the best iterate is x itself
+        if rel > tol:
+            z = M(r, rel * nb)
+            if project:
+                z -= z.mean()
+            p = z.copy()
+            rz = float(r @ z)
+        while rel > tol and it < max_iter:
+            Ap = A @ p
+            if project:
+                Ap -= Ap.mean()
+            pAp = float(p @ Ap)
+            if pAp <= 0.0:
+                raise SolverError("operator lost positivity in CG",
+                                  best_x=x.copy() if best_x is None else best_x, history=history)
+            alpha = rz / pAp
+            x += alpha * p
+            r -= alpha * Ap
+            if project:
+                r -= r.mean()
+            rel = float(np.linalg.norm(r)) / nb
+            history.append(rel)
+            it += 1
+            if rel < best_rel:
+                best_rel, best_x = rel, None
+            elif best_x is None:  # the residual rose: keep the previous iterate
+                best_x = x - alpha * p
+            if rel <= tol:
+                break
+            z = M(r, rel * nb)
+            if project:
+                z -= z.mean()
+            beta = -alpha * float(z @ Ap) / rz
+            rz = float(r @ z)
+            p *= beta
+            p += z
+        if rel > tol:
+            raise SolverError(
+                f"CG did not reach tol={tol} in {max_iter} iterations "
+                f"(best residual {best_rel:.3e})",
+                best_x=x.copy() if best_x is None else best_x,
+                history=history,
+            )
         if project:
-            z -= z.mean()
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-        it += 1
-    if history[-1] > tol:
-        raise SolverError(
-            f"CG did not reach tol={tol} in {max_iter} iterations "
-            f"(best residual {best[0]:.3e})",
-            best_x=best[1],
-            history=history,
-        )
-    if project:
-        x -= x.mean()
-    Ax = A @ x
+            x -= x.mean()
+        Ax = A @ x
+        r = b - Ax
+        true = float(np.linalg.norm(r)) / nb
+        if true <= tol:
+            break
+        if true >= true_before:
+            raise SolverError(
+                f"residual replacement stalled at true residual {true:.3e} > tol={tol}",
+                best_x=x, history=history,
+            )
+        log.info("true residual %.3e > tol %.1e: residual replacement", true, tol)
+        true_before = true
     energy = 0.5 * float(x @ Ax) - float(x @ b)
-    stats = SolveStats(len(history) - 1, history[-1], energy, float(np.linalg.norm(b - Ax)) / nb)
+    stats = SolveStats(it, rel, energy, true)
     return ScalarField(grid, x.reshape(grid.shape)), stats
 
 

@@ -12,6 +12,7 @@ from homlab.field import (
 from homlab.pde import (
     BoundarySpec,
     Dirichlet,
+    LinearSystem,
     NoFlux,
     Operator,
     PeriodicBC,
@@ -208,13 +209,43 @@ def test_solver_dense_oracle_small_systems():
 
 def test_solver_nonconvergence_raises_with_history():
     grid = Grid.torus(2, 16)
-    f = sample_field(EnsembleSpec.checkerboard(seed=1), grid)
-    sys = assemble(f, BoundarySpec.periodic())
-    b = np.random.default_rng(1).standard_normal(sys.n_unknowns)
-    sys.rhs = b - b.mean()
+    for values, preconditioner, max_iter in [((0.25, 1.0), "jacobi", 2),
+                                             ((0.01, 1.0), "jacobi", 8),  # min inside
+                                             ((0.01, 1.0), None, 3)]:  # min at x0
+        f = sample_field(EnsembleSpec.checkerboard(values=values, seed=1), grid)
+        sys = assemble(f, BoundarySpec.periodic())
+        b = np.random.default_rng(1).standard_normal(sys.n_unknowns)
+        sys.rhs = b - b.mean()
+        with pytest.raises(SolverError) as exc:
+            solve(sys, tol=1e-12, max_iter=max_iter, preconditioner=preconditioner)
+        history = exc.value.history
+        assert exc.value.best_x is not None and len(history) >= 2
+        # the best iterate is the one whose residual is min(history)
+        assert residual_norm(sys, exc.value.best_x) == pytest.approx(min(history), rel=1e-10)
+
+
+def test_solve_exits_on_true_residual():
+    # contrast 100: the recursive residual reaches tol=1e-14 while the
+    # true one is still above it; residual replacement closes the gap
+    grid = Grid.torus(2, 256)
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.01, 1.0), seed=7), grid)
+    from homlab.corrector import coefficient_times_vector
+
+    src = SourceTerm(divergence_form=coefficient_times_vector(f, np.array([1.0, 0.0])))
+    sys = assemble(f, BoundarySpec.periodic(), src)
+    u, stats = solve(sys, tol=1e-14)
+    assert stats.true_residual <= 1e-14
+    assert residual_norm(sys, u.values) == pytest.approx(stats.true_residual, rel=1e-12)
+
+
+def test_solve_raises_when_true_residual_stalls_above_tol():
+    grid = Grid.half_box(2, 32)
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=3), grid)
+    bc = BoundarySpec.half_box(grid, flat=NoFlux(np.random.default_rng(1).standard_normal(32)))
+    sys = assemble(f, bc)
     with pytest.raises(SolverError) as exc:
-        solve(sys, tol=1e-12, max_iter=2, preconditioner="jacobi")
-    assert exc.value.best_x is not None and len(exc.value.history) >= 2
+        solve(sys, tol=1e-17)  # below the round-off floor of b - Ax
+    assert residual_norm(sys, exc.value.best_x) > 1e-17
 
 
 # -- calculus ----------------------------------------------------------------
@@ -516,3 +547,77 @@ def test_operator_symmetric_without_cross_couplings():
     ref = Operator(CoefficientField(grid, diag, lam=0.2), BoundarySpec.half_box(grid))
     assert op.symmetric
     assert (op.matrix != ref.matrix).nnz == 0
+
+
+# -- the single-precision preconditioner --------------------------------------
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(case=operator_cases())
+def test_solve_reaches_tol_in_true_residual(case):
+    field, kinds, rng = case
+    op = Operator(field, kinds)
+    for bc, src in [random_data(kinds, field.grid, rng) for _ in range(2)]:
+        sys = op.system(bc, src)
+        u, stats = solve(sys, tol=1e-12)
+        assert residual_norm(sys, u.values) <= 1e-12
+        assert stats.true_residual <= 1e-12
+        ref = dense_solve(sys)
+        assert np.abs(u.values - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("grid", [Grid.torus(2, 32), Grid.half_box(3, 8, tangential_periodic=False)])
+def test_solve_scale_invariant_over_float32_range(grid):
+    # 1e-40 is subnormal in float32: the preconditioner sees r / |r|
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.1, 1.0), seed=4), grid)
+    kinds = BoundarySpec.periodic() if grid.topology == "torus" else BoundarySpec.half_box(grid)
+    op = Operator(f, kinds)
+    rhs = op.system(*random_data(op.bc, grid, np.random.default_rng(2))).rhs
+    u, stats = solve(LinearSystem(op, rhs, op.bc), tol=1e-12)
+    for scale in (1e-40, 1e30):
+        us, ss = solve(LinearSystem(op, scale * rhs, op.bc), tol=1e-12)
+        assert ss.iterations == stats.iterations
+        assert ss.true_residual <= 1e-12
+        assert np.abs(us.values / scale - u.values).max() <= 1e-9 * np.abs(u.values).max()
+
+
+def test_solve_tolerates_perturbed_preconditioner():
+    grid = Grid.torus(2, 64)
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.01, 1.0), seed=5), grid)
+    from homlab.corrector import coefficient_times_vector
+
+    src = SourceTerm(divergence_form=coefficient_times_vector(f, np.array([1.0, 0.0])))
+    op = Operator(f, BoundarySpec.periodic())
+    sys = op.system(src=src)
+    exact = op.preconditioner
+    _, base = solve(sys, tol=1e-12)
+    rng = np.random.default_rng(6)
+    for noise in (1e-6, 1e-1):
+        # new relative noise at every apply: neither symmetric nor fixed; the
+        # flexible beta keeps the iteration count within 2x of the exact
+        # preconditioner's (Fletcher-Reeves beta takes 6.7x at 10 % noise)
+        op.preconditioner = lambda r, norm: exact(r, norm) * (
+            1.0 + noise * rng.standard_normal(r.size))
+        u, stats = solve(sys, tol=1e-12)
+        assert residual_norm(sys, u.values) <= 1e-12
+        assert stats.iterations <= 2 * base.iterations
+
+
+def test_callable_boundary_datum_matches_meshgrid_path():
+    datum = lambda *x: np.cos(0.3 * x[0]) + x[-1] * x[0] - 0.1 * x[1] ** 2
+    for grid in (Grid.half_box(2, 8), Grid.half_box(2, 8, tangential_periodic=False),
+                 Grid.half_box(3, 4), Grid.half_box(3, 4, tangential_periodic=False)):
+        kinds = BoundarySpec.half_box(grid, flat=NoFlux(), top=Dirichlet())
+        op = Operator(identity_field(grid), kinds)
+        called, evaluated = {}, {}
+        for (a, s), b in kinds.sides.items():
+            if isinstance(b, PeriodicBC):
+                called[a, s] = evaluated[a, s] = b
+                continue
+            # the datum on full-box coordinate meshgrids, sliced to the layer
+            offs = face_offsets(grid.dim, a)
+            layer = (slice(None),) * a + (0 if s == 0 else grid.face_shape(a)[a] - 1,)
+            called[a, s] = type(b)(datum)
+            evaluated[a, s] = type(b)(datum(*(c[layer] for c in grid.coords(offs))))
+        rhs = op.system(BoundarySpec(called)).rhs
+        assert np.array_equal(rhs, op.system(BoundarySpec(evaluated)).rhs)

@@ -50,7 +50,6 @@ from .halfspace import (
 )
 from .excess import (
     band_limited_trace,
-    coercivity_check,
     excess_decay_experiment,
     harmonic_sample,
     mean_value_check,
@@ -431,7 +430,7 @@ def load_halfspace_bundle(path):
     """Rebuild the lightweight half-space view (grid, basis, correctors,
     potential fields) needed by the excess diagnostics; those never read
     the whole-space pair, which the bundle does not carry."""
-    from .grid import cell_offsets as _cells, pair_offsets as _pairs
+    from .grid import pair_offsets as _pairs
     from .halfspace import HalfSpaceCorrectorSet, TangentialBasis
     from .pde import ScalarField
 

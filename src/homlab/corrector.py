@@ -41,6 +41,7 @@ from .pde import (
     divergence,
     flux,
     gradient,
+    interior_ball_mask,
     solve,
 )
 
@@ -52,7 +53,10 @@ def coefficient_times_vector(field, xi):
     grid = field.grid
     comps = []
     for k in range(grid.dim):
-        comps.append(np.einsum("...m,m->...", field.faces[k][..., k, :], xi))
+        if field.diagonal:
+            comps.append(field.entry(k, k) * xi[k])
+        else:
+            comps.append(np.einsum("...m,m->...", field.matrices(k)[..., k, :], xi))
     return VectorField(grid, comps)
 
 
@@ -346,10 +350,7 @@ def sublinearity_curve(pair, radii, center=None, directions=None):
 def _ball_raw_and_centered(values, grid, r, offsets, center):
     """Ball means of f^2 and of (f - ball mean)^2, the latter computed
     directly to avoid cancellation."""
-    from .pde import _interior_mask
-
-    mask = grid.ball_mask(offsets, r, center=center)
-    mask &= _interior_mask(grid, offsets)
+    mask = interior_ball_mask(grid, offsets, r, center=center)
     v = values[mask]
     if not v.size:
         return 0.0, 0.0

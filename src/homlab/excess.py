@@ -16,14 +16,13 @@ which is all the decay theory needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .field import restrict_to_half_box
 from .grid import Grid, cell_offsets, face_offsets
-from .halfspace import HalfSpaceCorrectorSet
 from .pde import (
     BoundarySpec,
     Dirichlet,
@@ -32,7 +31,7 @@ from .pde import (
     ScalarField,
     gradient,
     solve,
-    _interior_mask,
+    interior_ball_mask,
 )
 
 EXCESS_FLOOR = 1e-14  # solver-noise floor excluded from log-log fits
@@ -146,13 +145,8 @@ def corrected_gradient_family(hset, win_grid):
 
 
 def _face_masks(grid, r, center=None):
-    masks = []
-    for k in range(grid.dim):
-        offs = face_offsets(grid.dim, k)
-        m = grid.ball_mask(offs, r, center=center)
-        m &= _interior_mask(grid, offs)
-        masks.append(m)
-    return masks
+    return [interior_ball_mask(grid, face_offsets(grid.dim, k), r, center=center)
+            for k in range(grid.dim)]
 
 
 def _fint_product(comps_a, comps_b, masks):

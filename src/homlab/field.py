@@ -17,7 +17,6 @@ the torus (the Lipschitz image of a stationary Gaussian field).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -49,34 +48,63 @@ class EllipticityError(ValueError):
 class CoefficientField:
     """Face-sampled coefficient tensors.  Treated as immutable after
     construction, so realizations are safe to share across concurrent
-    solves; independent realizations come from independent seeds."""
+    solves; independent realizations come from independent seeds.
+
+    ``faces[k]`` holds the k-faces either as diagonals, shape
+    ``face_shape(k) + (d,)``, or as full matrices, shape
+    ``face_shape(k) + (d, d)``.  A field without an off-diagonal entry is
+    always stored as diagonals (``diagonal`` is True), whichever form it
+    was given in, so the same numbers give the same storage.  Readers go
+    through ``entry`` and ``matrices``, never the storage itself.
+    """
 
     grid: Grid
-    faces: list  # per axis, shape face_shape(axis) + (d, d)
+    faces: list
     lam: float
     seed: int = 0
+    diagonal: bool = dc_field(init=False)
 
     def __post_init__(self):
         d = self.grid.dim
         if len(self.faces) != d:
             raise ValueError("need one face array per axis")
-        self.faces = [np.ascontiguousarray(f, dtype=float) for f in self.faces]
-        for k, f in enumerate(self.faces):
-            expect = self.grid.face_shape(k) + (d, d)
-            if f.shape != expect:
-                raise ValueError(f"face array {k}: shape {f.shape} != {expect}")
+        faces = [np.asarray(f, dtype=float) for f in self.faces]
+        for k, f in enumerate(faces):
+            base = self.grid.face_shape(k)
+            if f.shape not in (base + (d,), base + (d, d)):
+                raise ValueError(f"face array {k}: shape {f.shape}, "
+                                 f"need {base + (d,)} or {base + (d, d)}")
+        self.diagonal = not any(f.ndim == d + 2 and np.any(f[..., i, j])
+                                for f in faces for i in range(d) for j in range(d) if i != j)
+        ii = np.arange(d)
+        if self.diagonal:
+            faces = [f[..., ii, ii] if f.ndim == d + 2 else f for f in faces]
+        else:
+            faces = [_diagonal_matrices(f) if f.ndim == d + 1 else f for f in faces]
+        self.faces = [np.ascontiguousarray(f) for f in faces]
+
+    def entry(self, k, m):
+        """a_km on the k-faces (exact zeros off the diagonal of a
+        diagonal field)."""
+        f = self.faces[k]
+        if not self.diagonal:
+            return f[..., k, m]
+        return f[..., k] if m == k else np.broadcast_to(0.0, f.shape[:-1])
+
+    def matrices(self, k):
+        """The k-face matrices, shape face_shape(k) + (d, d); a new array
+        for a diagonal field, the storage itself otherwise (read only)."""
+        f = self.faces[k]
+        return _diagonal_matrices(f) if self.diagonal else f
 
     def is_symmetric(self, rtol=1e-12):
+        if self.diagonal:
+            return True
         for f in self.faces:
             diff = np.abs(f - np.swapaxes(f, -1, -2)).max()
             if diff > rtol * max(np.abs(f).max(), 1.0):
                 return False
         return True
-
-    def has_offdiagonal(self):
-        d = self.grid.dim
-        return any(np.any(f[..., i, j]) for f in self.faces
-                   for i in range(d) for j in range(d) if i != j)
 
     def equals(self, other):
         return (
@@ -86,13 +114,13 @@ class CoefficientField:
             and all(np.array_equal(a, b) for a, b in zip(self.faces, other.faces))
         )
 
-    def constant_value(self):
-        """The single matrix of a spatially constant field, or None."""
-        a0 = self.faces[0].reshape(-1, self.grid.dim, self.grid.dim)[0]
-        for f in self.faces:
-            if not np.allclose(f, a0, rtol=0.0, atol=0.0):
-                return None
-        return a0.copy()
+
+def _diagonal_matrices(diag):
+    """Diagonal matrices (..., d, d) with the given diagonals (..., d)."""
+    d = diag.shape[-1]
+    out = np.zeros(diag.shape + (d,))
+    out[..., np.arange(d), np.arange(d)] = diag
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +185,9 @@ def _value_rayleigh(v):
     return float(np.linalg.eigvalsh(0.5 * (v + v.T)).min())
 
 
-def _matrix_list(values, dim):
+def _value_stack(values, dim):
+    """Ensemble values stacked as cell diagonals (k, d) when none has an
+    off-diagonal entry, else as matrices (k, d, d)."""
     out = []
     for v in values:
         v = np.asarray(v, dtype=float)
@@ -167,12 +197,10 @@ def _matrix_list(values, dim):
             out.append(v)
         else:
             raise ValueError(f"ensemble value with shape {v.shape}, need scalar or ({dim},{dim})")
-    return np.stack(out)
-
-
-
-
-
+    mats = np.stack(out)
+    if np.any(mats[:, ~np.eye(dim, dtype=bool)]):
+        return mats
+    return mats[:, np.arange(dim), np.arange(dim)]
 
 
 def checkerboard_assignment(spec, grid):
@@ -191,30 +219,28 @@ def checkerboard_assignment(spec, grid):
     return rng.integers(0, nvals, size=(units,) * grid.dim)
 
 
-def cell_matrices(spec, grid):
-    """Per-cell coefficient matrices of an ensemble on a torus grid."""
+def cell_values(spec, grid):
+    """Per-cell coefficients of an ensemble on a torus grid: diagonals,
+    shape grid.shape + (d,), for a diagonal ensemble (scalar or diagonal
+    values, and every Gaussian field), else matrices grid.shape + (d, d)."""
     if grid.topology != TORUS:
         raise ValueError("cell sampling happens on the ambient torus")
     d = grid.dim
     shape = grid.shape
     if spec.kind == "constant":
-        a0 = np.asarray(spec.params["a0"], dtype=float)
-        if a0.ndim == 0:
-            a0 = float(a0) * np.eye(d)
-        return np.broadcast_to(a0, shape + (d, d)).copy()
+        a0 = _value_stack([spec.params["a0"]], d)[0]
+        return np.broadcast_to(a0, shape + a0.shape).copy()
     if spec.kind == "laminate":
         axis = int(spec.params.get("axis", 0))
         width = float(spec.params.get("width", 1.0))
-        vals = _matrix_list(spec.params["values"], d)
+        vals = _value_stack(spec.params["values"], d)
+        tail = vals.shape[1:]
         x = grid.points_along(axis, 0.5)
         stripe = np.floor(x / width).astype(int) % len(vals)
-        out = vals[stripe]  # (n, d, d)
-        reps = list(shape) + [1, 1]
-        reps[axis] = 1
-        out = out.reshape([shape[axis] if a == axis else 1 for a in range(d)] + [d, d])
-        return np.tile(out, reps)
+        out = vals[stripe].reshape([shape[axis] if a == axis else 1 for a in range(d)] + list(tail))
+        return np.broadcast_to(out, shape + tail).copy()
     if spec.kind == "checkerboard":
-        vals = _matrix_list(spec.params["values"], d)
+        vals = _value_stack(spec.params["values"], d)
         assign = checkerboard_assignment(spec, grid)
         per_unit = int(round(float(spec.params.get("cell_size", 1.0)) / grid.h))
         for a in range(d):
@@ -234,25 +260,20 @@ def cell_matrices(spec, grid):
         lo = spec.lam * (1.0 + 1e-9)
         hi = 1.0 - 1e-12
         m = np.clip(mean + scale * g, lo, hi)
-        return m[..., None, None] * np.eye(d)
+        return np.broadcast_to(m[..., None], shape + (d,))
     raise ValueError(f"unknown ensemble kind {spec.kind!r}")
 
 
+def cell_matrices(spec, grid):
+    """Per-cell coefficient matrices of an ensemble on a torus grid,
+    shape grid.shape + (d, d)."""
+    cells = cell_values(spec, grid)
+    return cells if cells.ndim == grid.dim + 2 else _diagonal_matrices(cells)
+
+
 def _pair_mean(a, b):
-    """Face value between two cell matrices: harmonic mean for SPD pairs
-    (diagonal fast path), arithmetic otherwise."""
-    d = a.shape[-1]
-    off = ~np.eye(d, dtype=bool)
-    diag_only = not (np.any(a[..., off]) or np.any(b[..., off]))
-    if diag_only:
-        out = np.zeros_like(a)
-        ii = np.arange(d)
-        da, db = a[..., ii, ii], b[..., ii, ii]
-        if np.all(da > 0) and np.all(db > 0):
-            out[..., ii, ii] = 2.0 * da * db / (da + db)
-        else:
-            out[..., ii, ii] = 0.5 * (da + db)
-        return out
+    """Face value between two cell matrices: harmonic mean for symmetric
+    invertible pairs, arithmetic otherwise."""
     sym = np.array_equal(a, np.swapaxes(a, -1, -2)) and np.array_equal(
         b, np.swapaxes(b, -1, -2)
     )
@@ -265,7 +286,44 @@ def _pair_mean(a, b):
     return 0.5 * (a + b)
 
 
+def _diagonal_pair_mean(out, a, b, harmonic):
+    """Write the face diagonals between cell diagonals ``a`` and ``b``
+    into ``out``: 2 a b / (a + b), or (a + b) / 2 unless ``harmonic``."""
+    if harmonic:
+        np.multiply(2.0, a, out=out)
+        out *= b
+        out /= a + b
+    else:
+        np.add(a, b, out=out)
+        out *= 0.5
+
+
 def faces_from_cells(grid, cells):
+    """Face coefficients from cell diagonals (..., d) or matrices
+    (..., d, d); a boundary face of a non-periodic axis copies its cell."""
+    d = grid.dim
+    if cells.ndim == d + 2:
+        if np.any(cells[..., ~np.eye(d, dtype=bool)]):
+            return _faces_from_cell_matrices(grid, cells)
+        cells = cells[..., np.arange(d), np.arange(d)]
+    harmonic = bool(np.all(cells > 0))
+    faces = []
+    for k in range(d):
+        m = grid.shape[k]
+        at = lambda s: (slice(None),) * k + (s,)
+        out = np.empty(grid.face_shape(k) + cells.shape[-1:])
+        _diagonal_pair_mean(out[at(slice(1, m))], cells[at(slice(0, m - 1))],
+                            cells[at(slice(1, m))], harmonic)
+        if grid.periodic_axis(k):
+            _diagonal_pair_mean(out[at(slice(0, 1))], cells[at(slice(m - 1, m))],
+                                cells[at(slice(0, 1))], harmonic)
+        else:
+            out[at(0)], out[at(m)] = cells[at(0)], cells[at(m - 1)]
+        faces.append(out)
+    return faces
+
+
+def _faces_from_cell_matrices(grid, cells):
     faces = []
     for k in range(grid.dim):
         if grid.periodic_axis(k):
@@ -293,8 +351,7 @@ def sample_field(spec, grid, validate=True):
         ambient = Grid.torus(grid.dim, grid.n, grid.h)
         full = sample_field(spec, ambient, validate=validate)
         return restrict_to_half_box(full, grid.height, grid.tangential_periodic)
-    cells = cell_matrices(spec, grid)
-    faces = faces_from_cells(grid, cells)
+    faces = faces_from_cells(grid, cell_values(spec, grid))
     out = CoefficientField(grid, faces, lam=spec.lam, seed=spec.seed)
     if validate:
         rep = validate_ellipticity(out)
@@ -338,21 +395,26 @@ def validate_ellipticity(field, slack=1e-12, max_violations=10):
     max_g = 0.0
     violations = []
     for ax, f in enumerate(field.faces):
-        flat = f.reshape(-1, d, d)
-        diag = flat[:, ii, ii]
-        r = diag.min(axis=1)
-        g = np.abs(diag).max(axis=1)
-        full = np.nonzero(np.any(flat[:, off], axis=1))[0]
-        if full.size:
-            sub = flat[full]
-            r[full] = np.linalg.eigvalsh(0.5 * (sub + np.swapaxes(sub, -1, -2)))[:, 0]
-            g[full] = np.linalg.svd(sub, compute_uv=False)[:, 0]
+        if field.diagonal:
+            flat = f.reshape(-1, d)
+            r = flat.min(axis=1)
+            g = np.maximum(flat.max(axis=1), -r)  # max |diag|
+        else:
+            flat = f.reshape(-1, d, d)
+            diag = flat[:, ii, ii]
+            r = diag.min(axis=1)
+            g = np.abs(diag).max(axis=1)
+            full = np.nonzero(np.any(flat[:, off], axis=1))[0]
+            if full.size:
+                sub = flat[full]
+                r[full] = np.linalg.eigvalsh(0.5 * (sub + np.swapaxes(sub, -1, -2)))[:, 0]
+                g[full] = np.linalg.svd(sub, compute_uv=False)[:, 0]
         min_r = min(min_r, float(r.min()))
         max_g = max(max_g, float(g.max()))
         bad = np.nonzero((r < field.lam - slack) | (g > 1.0 + slack))[0]
         for b in bad[: max_violations - len(violations)]:
             idx = np.unravel_index(b, field.grid.face_shape(ax))
-            violations.append((ax, idx, flat[b].copy()))
+            violations.append((ax, idx, np.diag(flat[b]) if field.diagonal else flat[b].copy()))
     ok = (min_r >= field.lam - slack) and (max_g <= 1.0 + slack)
     return EllipticityReport(field.lam, float(min_r), float(max_g), violations, ok)
 
@@ -380,8 +442,9 @@ def half_box_index_maps(torus_grid, half_grid, offsets):
 def restrict_to_half_box(field, L, tangential_periodic=True):
     """Restrict a torus coefficient field to the half-box of height L.
 
-    Face matrices are copied from the torus field by index arithmetic,
-    so they agree exactly at corresponding locations.
+    Face coefficients are copied from the torus field by index arithmetic
+    on the leading (spatial) axes, so they agree exactly at corresponding
+    locations and keep the torus field's storage.
     """
     grid = field.grid
     if grid.topology != TORUS:
@@ -435,17 +498,18 @@ def _grid_from_token(dim, n, h, token):
 def save_field(field, path):
     """Binary field format: magic, ASCII header `dim n h topology lambda
     seed`, then row-major little-endian float64 payload, faces ordered by
-    (axis, index), d*d values per face."""
+    (axis, index), d*d values per face (a diagonal field writes its zero
+    off-diagonals)."""
     grid = field.grid
     header = (
         f"{grid.dim} {grid.n} {grid.h!r} {_topology_token(grid)} "
         f"{field.lam!r} {field.seed}\n"
     )
-    payload = np.concatenate([f.ravel() for f in field.faces]).astype("<f8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(header.encode("ascii"))
-        fh.write(payload.tobytes())
+        for k in range(grid.dim):
+            fh.write(np.ascontiguousarray(field.matrices(k), dtype="<f8").data)
 
 
 def _read_header(fh, path, expect_tokens):
@@ -484,8 +548,8 @@ def load_field(path):
     for k in range(dim):
         chunk = data[pos : pos + sizes[k]]
         pos += sizes[k]
-        faces.append(chunk.reshape(grid.face_shape(k) + (dim, dim)).copy())
-    return CoefficientField(grid, faces, lam=lam, seed=seed)
+        faces.append(chunk.reshape(grid.face_shape(k) + (dim, dim)))
+    return CoefficientField(grid, faces, lam=lam, seed=seed)  # compresses diagonal fields
 
 
 def save_data_field(path, grid, kind, arrays):

@@ -20,7 +20,7 @@ face/node-like axis (points at ``i h``).  Cell centers are offset
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

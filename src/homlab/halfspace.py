@@ -34,15 +34,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _transforms as ft
-from .corrector import (
-    WholeSpacePair,
-    _diff_down,
-    _diff_up,
-    coefficient_times_vector,
-    sublinearity_curve,
-)
+from .corrector import WholeSpacePair, coefficient_times_vector
 from .field import restrict_to_half_box, restrict_values
-from .grid import Grid, TORUS, cell_offsets, face_offsets, pair_offsets
+from .grid import Grid, cell_offsets, face_offsets, pair_offsets
 from .pde import (
     BoundarySpec,
     NoFlux,
@@ -56,6 +50,7 @@ from .pde import (
     gradient,
     solve,
     _interior_mask,
+    interior_ball_mask,
 )
 
 DEFAULT_TOL = 1e-12  # the sigma_h identity budget amplifies solver residuals
@@ -233,7 +228,7 @@ def correction_current(field_hb, varphi, g_flat):
     for k in range(d):
         if grid.periodic_axis(k):
             continue
-        a_kk = field_hb.faces[k][..., k, k]
+        a_kk = field_hb.entry(k, k)
         m = grid.shape[k]
         hi_face = [slice(None)] * d
         hi_face[k] = m
@@ -299,9 +294,7 @@ def solve_vector_potentials(grid, G):
     for j in range(d):
         vals = face_poisson_solve(grid, j, G.comps[j])
         if j == d - 1:
-            offs = face_offsets(d, j)
-            mask = grid.ball_mask(offs, max(1.0, 2 * grid.h), half=False)
-            mask &= _interior_mask(grid, offs)
+            mask = interior_ball_mask(grid, face_offsets(d, j), max(1.0, 2 * grid.h), half=False)
             if mask.any():
                 vals = vals - vals[mask].mean()
         v[j] = ScalarField(grid, vals, face_offsets(d, j))
@@ -529,7 +522,9 @@ def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFA
             comb = sum(b[w] * pair.sigmas[w].component(j, k) for w in range(d))
             base = restrict_values(comb, field_torus.grid, grid, offs)
             sigma_h[(i, (j, k))] = ScalarField(grid, base + psi_exact[(j, k)].values, offs)
-    # transversal direction: restriction only
+    # transversal direction: restriction only, without the slab's operator,
+    # field and last correction alive
+    del op, field_hb, corr
     i_d = d - 1
     phi_d, sig_d, q_d = restrict_direction_d(field_torus, pair, basis, grid)
     phi_h[i_d] = phi_d
@@ -637,8 +632,7 @@ def sigma_identity_residual(hset, i, inner_radius=None):
             q = q[tuple(sl)]
             mask = grid.ball_mask(offs, inner_radius)[tuple(sl)]
         else:
-            mask = grid.ball_mask(offs, inner_radius)
-            mask &= _interior_mask(grid, offs)
+            mask = interior_ball_mask(grid, offs, inner_radius)
         diff = (row - q)[mask]
         num += float((diff * diff).sum())
         den += float((q[mask] ** 2).sum())
@@ -835,7 +829,7 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
         R = config.r0 * 2.0 ** (n + 1)
         dlt = config.delta_at[n + 1]
         for r in radii:
-            energies[(n, r)] = float(np.sqrt(_grad_mean_square(sol, r)))
+            energies[(n, r)] = float(np.sqrt(ball_mean_square(gradient(sol), sol.grid, r)))
             shapes[(n, r)] = (R / r) ** (d / 2.0) * dlt ** (1.0 / 3.0)
     if direct is None:
         direct = solve_halfspace_correction(field_hb, field_torus, pair, b, tol=tol, op=op).varphi
@@ -846,24 +840,10 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
                         c_r0, c_quarter, g_full)
 
 
-def _grad_mean_square(u, r):
-    grid = u.grid
-    g = gradient(u)
-    tot = 0.0
-    for k in range(grid.dim):
-        offs = face_offsets(grid.dim, k)
-        mask = grid.ball_mask(offs, r)
-        mask &= _interior_mask(grid, offs)
-        c = g.comps[k][mask]
-        if c.size:
-            tot += float((c * c).mean())
-    return tot
-
-
 def _relative_gradient_difference(u_a, u_b, r):
     diff = ScalarField(u_a.grid, u_a.values - u_b.values)
-    num = _grad_mean_square(diff, r)
-    den = _grad_mean_square(u_b, r)
+    num = ball_mean_square(gradient(diff), diff.grid, r)
+    den = ball_mean_square(gradient(u_b), u_b.grid, r)
     return float(np.sqrt(num / den)) if den > 0 else float(np.sqrt(num))
 
 
@@ -888,9 +868,7 @@ def correction_truncation_change(field_torus, pair, b, L, r_obs=None, tol=DEFAUL
     num = 0.0
     den = 0.0
     for k in range(small.grid.dim):
-        offs = face_offsets(small.grid.dim, k)
-        mask = small.grid.ball_mask(offs, r_obs)
-        mask &= _interior_mask(small.grid, offs)
+        mask = interior_ball_mask(small.grid, face_offsets(small.grid.dim, k), r_obs)
         a = g_small.comps[k][mask]
         bb = _slab_faces_on_window(g_large.comps[k], large.grid, small.grid, k)[mask]
         num += float(((a - bb) ** 2).sum())
@@ -938,8 +916,7 @@ def solve_vector_potentials_dyadic(field_hb, dyadic_result, config, tol=DEFAULT_
             lin = sum(c_n[a] * coords[a] for a in range(d))
             vals = vals - lin
             if j == d - 1:
-                mask = grid.ball_mask(offs, max(1.0, 2 * h), half=False)
-                mask &= _interior_mask(grid, offs)
+                mask = interior_ball_mask(grid, offs, max(1.0, 2 * h), half=False)
                 if mask.any():
                     vals = vals - vals[mask].mean()
             constants[(n, j)] = c_n

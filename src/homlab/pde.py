@@ -260,10 +260,13 @@ class Operator:
         self.field, self.grid, self.bc = field, grid, bc
 
         per = np.array([grid.periodic_axis(a) for a in range(d)])
-        inner = [f if per[k] else f[(slice(None),) * k + (slice(1, shape[k]),)]
-                 for k, f in enumerate(field.faces)]  # interior faces
-        cross = [(k, m) for k in range(d) for m in range(d)
-                 if m != k and np.any(inner[k][..., k, m])]
+
+        def inner(k, m):  # a_km on the interior k-faces
+            a = field.entry(k, m)
+            return a if per[k] else a[(slice(None),) * k + (slice(1, shape[k]),)]
+
+        cross = [] if field.diagonal else [(k, m) for k in range(d) for m in range(d)
+                                           if m != k and np.any(inner(k, m))]
         e = np.eye(d, dtype=int)
         offsets = {(0,) * d} | {tuple(s * e[k]) for k in range(d) for s in (-1, 1)}
         offsets |= {tuple(s * e[k] + r * e[m]) for k, m in cross for s in (-1, 1) for r in (-1, 1)}
@@ -284,19 +287,19 @@ class Operator:
 
         self._dirichlet_weight = {}  # (axis, side) -> ghost weight 2 a_kk / h^2
         for k in range(d):
-            t = inner[k][..., k, k] * inv_h2
+            t = inner(k, k) * inv_h2
             for s in (-1, 1):
                 ts = facing(t, k, s)
                 at(0 * e[k])[...] += ts
                 at(s * e[k])[...] -= ts
             for side in (i for i in (0, 1) if isinstance(bc.bc(k, i), Dirichlet)):
-                t_b = field.faces[k][(slice(None),) * k + (side * shape[k],)][..., k, k]
+                t_b = field.entry(k, k)[(slice(None),) * k + (side * shape[k],)]
                 w = self._dirichlet_weight[k, side] = 2.0 * (t_b * inv_h2)
                 at(0 * e[k])[(slice(None),) * k + (-side,)] += w
             for m in (m for kk, m in cross if kk == k):
                 # a_km times the mean centred m-difference of the face's two cells
                 # (one-sided past a non-periodic side): + below the face, - above
-                w = inner[k][..., k, m] / (2.0 * 2.0 * grid.h * grid.h)
+                w = inner(k, m) / (2.0 * 2.0 * grid.h * grid.h)
                 for s in (1, -1):
                     ws = facing(w, k, s)
                     for x, r in itertools.product((0, s), (1, -1)):
@@ -332,7 +335,7 @@ class Operator:
         self.matrix = A
         self.singular = grid.topology == TORUS or not any(
             isinstance(b, Dirichlet) for b in bc.sides.values())
-        self.mean_coeff = float(np.mean([f[..., k, k].mean() for k, f in enumerate(field.faces)]))
+        self.mean_coeff = float(np.mean([field.entry(k, k).mean() for k in range(d)]))
 
     @cached_property
     def preconditioner(self):
@@ -653,15 +656,13 @@ def flux(field, u):
     grid = field.grid
     g = gradient(u)
     comps = []
-    cross = field.has_offdiagonal()
     for k in range(grid.dim):
-        a_kk = field.faces[k][..., k, k]
-        q = a_kk * g.comps[k]
-        if cross:
+        q = field.entry(k, k) * g.comps[k]
+        if not field.diagonal:
             for m in range(grid.dim):
                 if m == k:
                     continue
-                a_km = field.faces[k][..., k, m]
+                a_km = field.entry(k, m)
                 if np.any(a_km):
                     q = q + a_km * _tangential_average_at_faces(grid, g.comps[m], m, k)
         if not grid.periodic_axis(k):
@@ -694,6 +695,12 @@ def _interior_mask(grid, offsets):
     return mask
 
 
+def interior_ball_mask(grid, offsets, r, center=None, half=None):
+    """``grid.ball_mask`` without the boundary-plane layers of
+    ``_interior_mask``: the home points a ball quadrature sums over."""
+    return grid.ball_mask(offsets, r, center=center, half=half) & _interior_mask(grid, offsets)
+
+
 def half_ball_average(values, grid, r, center=None, offsets=None, half=None):
     """Arithmetic mean over home points inside the (half-)ball.
 
@@ -711,8 +718,7 @@ def half_ball_average(values, grid, r, center=None, offsets=None, half=None):
     limit = grid.side / 2.0 if grid.topology == TORUS else grid.height
     if r > limit + 1e-12:
         raise ValueError(f"radius {r} exceeds domain (limit {limit})")
-    mask = grid.ball_mask(offsets, r, center=center, half=half)
-    mask &= _interior_mask(grid, offsets)
+    mask = interior_ball_mask(grid, offsets, r, center=center, half=half)
     count = int(mask.sum())
     if count == 0:
         return 0.0, 0
@@ -725,9 +731,7 @@ def ball_mean_square(vf_or_field, grid, r, center=None, half=None):
     if isinstance(vf_or_field, VectorField):
         total = 0.0
         for k in range(grid.dim):
-            offs = face_offsets(grid.dim, k)
-            mask = grid.ball_mask(offs, r, center=center, half=half)
-            mask &= _interior_mask(grid, offs)
+            mask = interior_ball_mask(grid, face_offsets(grid.dim, k), r, center=center, half=half)
             c = vf_or_field.comps[k][mask]
             if c.size:
                 total += float((c * c).mean())
@@ -738,8 +742,7 @@ def ball_mean_square(vf_or_field, grid, r, center=None, half=None):
     else:
         arr = np.asarray(vf_or_field)
         offs = cell_offsets(grid.dim)
-    mask = grid.ball_mask(offs, r, center=center, half=half)
-    mask &= _interior_mask(grid, offs)
+    mask = interior_ball_mask(grid, offs, r, center=center, half=half)
     v = arr[mask]
     return float((v * v).mean()) if v.size else 0.0
 
@@ -763,9 +766,7 @@ def caccioppoli_ratio(u, field, r, center=None, residual_tol=1e-6):
     g = gradient(u)
     num = 0.0
     for k in range(grid.dim):
-        offs = face_offsets(grid.dim, k)
-        mask = grid.ball_mask(offs, r, center=center)
-        mask &= _interior_mask(grid, offs)
+        mask = interior_ball_mask(grid, face_offsets(grid.dim, k), r, center=center)
         c = g.comps[k][mask]
         num += float((c * c).sum()) * vol
     mask2 = grid.ball_mask(cell_offsets(grid.dim), 2 * r, center=center)

@@ -61,9 +61,9 @@ def coo_operator_matrix(field, bc):
         cols.append(np.ravel(c))
         vals.append(np.ravel(v))
 
-    has_cross = field.has_offdiagonal()
+    has_cross = not field.diagonal
     for k in range(d):
-        faces = field.faces[k]
+        faces = field.matrices(k)
         if grid.periodic_axis(k):
             lower, upper = np.roll(L, 1, axis=k), L
         else:
@@ -77,7 +77,7 @@ def coo_operator_matrix(field, bc):
         add(lower, upper, -t)
         for side in (0, 1):
             if isinstance(bc.bc(k, side), Dirichlet):
-                t_b = field.faces[k][(slice(None),) * k + (side * shape[k],)][..., k, k]
+                t_b = field.matrices(k)[(slice(None),) * k + (side * shape[k],)][..., k, k]
                 cells = _side_cells(L, k, side)
                 add(cells, cells, 2.0 * (t_b * inv_h2))
         for m in range(d):

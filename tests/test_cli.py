@@ -50,13 +50,12 @@ def test_field_check_flags_bad_field(tmp_path):
     spec = write_spec(tmp_path)
     out = tmp_path / "field.bin"
     main(["field", "sample", "--spec", str(spec), "--out", str(out)])
-    from homlab.field import load_field, save_field
+    from homlab.field import CoefficientField, load_field, save_field
 
     f = load_field(out)
-    for k in range(2):
-        f.faces[k] *= 1.5
+    scaled = CoefficientField(f.grid, [1.5 * f.matrices(k) for k in range(2)], lam=f.lam, seed=f.seed)
     bad = tmp_path / "bad.bin"
-    save_field(f, bad)
+    save_field(scaled, bad)
     assert main(["field", "check", "--field", str(bad)]) == 4
 
 

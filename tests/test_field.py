@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from homlab.field import (
     EnsembleSpec,
     FieldFileError,
     cell_matrices,
+    cell_values,
     checkerboard_assignment,
     load_field,
     restrict_to_half_box,
@@ -22,7 +26,7 @@ def test_constant_identity_every_face():
     grid = Grid.torus(2, 8)
     f = sample_field(EnsembleSpec.constant(np.eye(2)), grid)
     for k in range(2):
-        assert np.array_equal(f.faces[k], np.broadcast_to(np.eye(2), f.faces[k].shape))
+        assert np.array_equal(f.matrices(k), np.broadcast_to(np.eye(2), f.matrices(k).shape))
 
 
 def test_laminate_depends_only_on_first_axis():
@@ -30,7 +34,7 @@ def test_laminate_depends_only_on_first_axis():
     f = sample_field(EnsembleSpec.laminate(axis=0, values=(0.25, 1.0)), grid)
     for k in range(2):
         # scan rows: constant along axis 1
-        assert np.allclose(f.faces[k], f.faces[k][:, :1], atol=0.0)
+        assert np.allclose(f.matrices(k), f.matrices(k)[:, :1], atol=0.0)
 
 
 def test_checkerboard_fraction_and_determinism():
@@ -48,7 +52,7 @@ def test_checkerboard_face_values_from_harmonic_mean():
     grid = Grid.torus(2, 16)
     spec = EnsembleSpec.checkerboard(values=(0.25, 1.0), cell_size=1.0, seed=3)
     f = sample_field(spec, grid)
-    vals = {round(v, 12) for v in np.unique(f.faces[0][..., 0, 0])}
+    vals = {round(v, 12) for v in np.unique(f.matrices(0)[..., 0, 0])}
     assert vals <= {0.25, 0.4, 1.0}
 
 
@@ -75,7 +79,7 @@ def test_ellipticity_checkerboard_min_rayleigh():
     rep = validate_ellipticity(f)
     # exhaustive face scan oracle
     lo = min(float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
-             for k in range(2) for m in f.faces[k].reshape(-1, 2, 2))
+             for k in range(2) for m in f.matrices(k).reshape(-1, 2, 2))
     assert rep.min_rayleigh == pytest.approx(lo, abs=0.0)
     assert rep.min_rayleigh == pytest.approx(0.25, abs=1e-15)
 
@@ -89,7 +93,7 @@ def test_random_probe_inequalities():
         f = sample_field(spec, grid)
         rng = np.random.default_rng(11)
         for k in range(2):
-            mats = f.faces[k].reshape(-1, 2, 2)
+            mats = f.matrices(k).reshape(-1, 2, 2)
             xi = rng.standard_normal((100, 2))
             xi /= np.linalg.norm(xi, axis=1, keepdims=True)
             for m in mats[:: max(1, len(mats) // 50)]:
@@ -124,10 +128,10 @@ def test_restrict_half_box_constant_and_laminate():
     const = sample_field(EnsembleSpec.constant(0.5 * np.eye(2)), grid)
     half = restrict_to_half_box(const, L=8.0, tangential_periodic=False)
     assert half.grid.shape == (16, 8)
-    assert np.allclose(half.faces[0], 0.5 * np.eye(2), atol=0.0)
+    assert np.allclose(half.matrices(0), 0.5 * np.eye(2), atol=0.0)
     lam = sample_field(EnsembleSpec.laminate(axis=0, values=(0.25, 1.0)), grid)
     hl = restrict_to_half_box(lam, L=8.0, tangential_periodic=False)
-    assert np.allclose(hl.faces[1], hl.faces[1][:, :1], atol=0.0)
+    assert np.allclose(hl.matrices(1), hl.matrices(1)[:, :1], atol=0.0)
 
 
 def test_restrict_half_box_checkerboard_index_arithmetic():
@@ -137,7 +141,7 @@ def test_restrict_half_box_checkerboard_index_arithmetic():
     n, L_cells = 32, 8
     for j in range(half.grid.shape[0]):
         ti = (j - L_cells) % n
-        assert np.array_equal(half.faces[1][j], f.faces[1][ti, : L_cells + 1])
+        assert np.array_equal(half.matrices(1)[j], f.matrices(1)[ti, : L_cells + 1])
 
 
 def test_sample_field_on_half_box_matches_restriction():
@@ -217,8 +221,8 @@ def reference_ellipticity(field, slack=1e-12, max_violations=10):
     face can be an ulp off), eigvalsh / svd of the others."""
     d = field.grid.dim
     min_r, max_g, violations = np.inf, 0.0, []
-    for ax, f in enumerate(field.faces):
-        for b, m in enumerate(f.reshape(-1, d, d)):
+    for ax in range(d):
+        for b, m in enumerate(field.matrices(ax).reshape(-1, d, d)):
             if np.count_nonzero(m - np.diag(np.diag(m))) == 0:
                 r, g = float(np.diag(m).min()), float(np.abs(np.diag(m)).max())
             else:
@@ -285,3 +289,113 @@ def test_validate_ellipticity_matches_per_face_reference(case, cap):
     flagged = {(ax, int(np.ravel_multi_index(idx, field.grid.face_shape(ax))))
                for ax, idx, _ in full.violations}
     assert flagged == injected
+
+
+# -- diagonal storage ---------------------------------------------------------
+
+
+def test_zero_offdiagonal_matrices_give_diagonal_storage():
+    grid = Grid.half_box(3, 4, tangential_periodic=False)
+    rng = np.random.default_rng(1)
+    diags = [rng.uniform(0.3, 1.0, grid.face_shape(k) + (3,)) for k in range(3)]
+    mats = [np.einsum("...i,ij->...ij", a, np.eye(3)) for a in diags]
+    from_diag = CoefficientField(grid, diags, lam=0.3, seed=4)
+    from_mats = CoefficientField(grid, mats, lam=0.3, seed=4)
+    assert from_diag.diagonal and from_mats.diagonal
+    assert from_diag.equals(from_mats) and from_mats.equals(from_diag)
+    for k in range(3):
+        assert from_mats.faces[k].shape == grid.face_shape(k) + (3,)
+        assert np.array_equal(from_mats.faces[k], diags[k])
+        assert np.array_equal(from_diag.matrices(k), mats[k])
+        assert np.array_equal(from_diag.entry(k, k), diags[k][..., k])
+        assert not np.any(from_diag.entry(k, (k + 1) % 3))
+    assert from_diag.is_symmetric()
+    # one off-diagonal entry anywhere keeps every axis as full matrices
+    mats[2][1, 0, 0, 2, 1] = 0.01
+    full = CoefficientField(grid, [diags[0], mats[1], mats[2]], lam=0.3)
+    assert not full.diagonal and not full.is_symmetric()
+    assert np.array_equal(full.faces[0], from_diag.matrices(0))
+    assert full.entry(2, 1)[1, 0, 0] == 0.01
+    with pytest.raises(ValueError):
+        CoefficientField(grid, [d[..., :2] for d in diags], lam=0.3)
+
+
+def test_validate_diagonal_field_closed_forms():
+    # max |diag| must see a negative entry larger in size than every positive one
+    grid = Grid.torus(2, 4)
+    diags = [np.full(grid.face_shape(k) + (2,), 0.7) for k in range(2)]
+    diags[1][2, 3, 0] = -1.2
+    rep = validate_ellipticity(CoefficientField(grid, diags, lam=0.5))
+    assert rep.min_rayleigh == -1.2 and rep.max_gain == 1.2 and not rep.ok
+    assert [(ax, tuple(idx)) for ax, idx, _ in rep.violations] == [(1, (2, 3))]
+    assert np.array_equal(rep.violations[0][2], np.diag([-1.2, 0.7]))
+
+
+def test_every_builtin_ensemble_samples_diagonal_storage():
+    grid = Grid.torus(3, 8)
+    specs = [EnsembleSpec.constant(0.5 * np.eye(3)), EnsembleSpec.laminate(axis=2),
+             EnsembleSpec.checkerboard(values=(0.25, np.diag([0.5, 0.75, 1.0])), seed=3),
+             EnsembleSpec.gaussian_lipschitz(seed=3)]
+    for spec in specs:
+        f = sample_field(spec, grid)
+        assert f.diagonal
+        assert all(a.shape == grid.face_shape(k) + (3,) for k, a in enumerate(f.faces))
+        cells = cell_values(spec, grid)
+        assert cells.shape == grid.shape + (3,)
+        mats = cell_matrices(spec, grid)
+        assert np.array_equal(mats, np.einsum("...i,ij->...ij", cells, np.eye(3)))
+
+
+def test_nonsymmetric_constant_field_keeps_full_storage(tmp_path):
+    from homlab.corrector import homogenized_matrix, solve_correctors
+
+    grid = Grid.torus(2, 16)
+    a0 = np.array([[0.8, 0.2], [-0.2, 0.8]])  # the non-symmetric member of test_corrector
+    f = sample_field(EnsembleSpec.constant(a0), grid)
+    assert not f.diagonal and not f.is_symmetric()
+    assert cell_values(EnsembleSpec.constant(a0), grid).shape == grid.shape + (2, 2)
+    for k in range(2):
+        assert f.faces[k].shape == grid.face_shape(k) + (2, 2)
+        assert np.array_equal(f.matrices(k), np.broadcast_to(a0, f.faces[k].shape))
+        assert np.all(f.entry(k, 1 - k) == a0[k, 1 - k])
+    p = tmp_path / "a0.bin"
+    save_field(f, p)
+    assert load_field(p).equals(f) and not load_field(p).diagonal
+    assert np.abs(homogenized_matrix(solve_correctors(f)) - a0).max() <= 1e-14
+
+
+# SHA-256 of save_field files of checkerboard (0.25, 1) seed 7 fields, recorded
+# with the full-matrix storage that preceded diagonal storage: the file
+# format did not change.
+SAVED_FIELD_SHA256 = {
+    2: (8, "aa6d2d2b3f1ea087b7a4a8c832de5d01f9b03044e2a672ed72a8d4560495cf94"),
+    3: (4, "f99e1b047e8f52e666c3a7ea812ef6e4ae67d87b0ac59d46bf2859007dce92be"),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_saved_field_bytes_unchanged(tmp_path, dim):
+    n, digest = SAVED_FIELD_SHA256[dim]
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=7), Grid.torus(dim, n))
+    p, q = tmp_path / "f.bin", tmp_path / "g.bin"
+    save_field(f, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+    g = load_field(p)
+    assert g.diagonal and g.equals(f)
+    save_field(g, q)
+    assert q.read_bytes() == p.read_bytes()
+
+
+def test_sample_field_peak_memory():
+    grid = Grid.torus(3, 32)
+    stored = 8 * 3 * sum(int(np.prod(grid.face_shape(k))) for k in range(3))
+    for spec in [EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=2),
+                 EnsembleSpec.gaussian_lipschitz(seed=2)]:
+        tracemalloc.start()
+        try:
+            f = sample_field(spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(a.nbytes for a in f.faces) == stored
+        assert peak <= 2.5 * stored

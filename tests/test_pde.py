@@ -488,7 +488,7 @@ def assembly_cases(draw):
     fields), or the same with nonsymmetric cross terms added."""
     field, kinds, rng = draw(operator_cases())
     if draw(st.booleans()):
-        faces = [f.copy() for f in field.faces]
+        faces = [field.matrices(k).copy() for k in range(field.grid.dim)]
         for f in faces:
             f[..., 0, 1] += rng.uniform(0.01, 0.05, f.shape[:-2])  # a_01 != a_10
         field = CoefficientField(field.grid, faces, lam=0.2)
@@ -502,7 +502,7 @@ def test_band_assembly_matches_coo_reference(case):
     A = Operator(field, kinds).matrix
     ref = coo_operator_matrix(field, kinds)
     assert A.shape == ref.shape and A.indices.dtype == np.int32
-    if not field.has_offdiagonal():
+    if field.diagonal:
         assert np.array_equal(A.indptr, ref.indptr)
         assert np.array_equal(A.indices, ref.indices)
         assert np.array_equal(A.data, ref.data)
@@ -542,7 +542,7 @@ def test_operator_symmetric_without_cross_couplings():
         a[..., 1 - k, k] = rng.uniform(0.01, 0.05, grid.face_shape(k))
         faces.append(a)
     field = CoefficientField(grid, faces, lam=0.2)
-    assert field.has_offdiagonal() and not field.is_symmetric()
+    assert not field.diagonal and not field.is_symmetric()
     op = Operator(field, BoundarySpec.half_box(grid))
     ref = Operator(CoefficientField(grid, diag, lam=0.2), BoundarySpec.half_box(grid))
     assert op.symmetric

@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -190,13 +191,6 @@ def _grid_from_config(cfg):
     return Grid.torus(int(g["dim"]), int(g["n"]), float(g.get("h", 1.0)))
 
 
-def _spec_for_seed(cfg, seed):
-    spec = EnsembleSpec.from_dict(cfg["ensemble"])
-    from dataclasses import replace
-
-    return replace(spec, seed=int(seed))
-
-
 def _radii(cfg, grid):
     radii = cfg.get("radii")
     if radii is None:
@@ -204,14 +198,69 @@ def _radii(cfg, grid):
     return [float(r) for r in radii]
 
 
+CORRECTOR_HEADER = ["r", "delta", "delta_gno", "partial_sum_m"]
+HALFSPACE_HEADER = ["r", "delta_h", "delta_h_halfball"]
+DYADIC_HEADER = ["n", "l_n", "energy", "bound_shape"]
+
+
+def corrector_rows(curve):
+    return [[float(r), float(d), float(dg), float(ps)]
+            for r, d, dg, ps in zip(curve.radii, curve.delta, curve.delta_gno, curve.partial_sums)]
+
+
+def halfspace_rows(hcurve):
+    return [[float(r), float(d), float(dh)]
+            for r, d, dh in zip(hcurve.radii, hcurve.delta_h, hcurve.delta_h_halfball)]
+
+
+def run_dyadic(field_hb, f, pair, hset, curve, r0, n_max, tol):
+    """The dyadic construction for the first tangential direction of
+    ``hset``, with cutoff heights from the whole-space ``curve``; returns
+    the result and its table rows (DYADIC_HEADER)."""
+    config = DyadicConfig.from_curve(curve, r0, n_max)
+    dy = dyadic_construction(field_hb, f, pair, hset.basis.vectors[0], config, tol=tol,
+                             direct=hset.varphi[0])
+    rows = [[int(n), float(config.heights[n + 1]),
+             float(dy.energies[(n, config.r0)]), float(dy.bound_shape[(n, config.r0)])]
+            for n in config.annuli()]
+    return dy, rows
+
+
+def excess_header(dim):
+    return ["seed", "r", "excess"] + [f"b{k+1}" for k in range(dim)] + [
+        "ratio", "fitted_alpha", "mvp_ratio"]
+
+
+def excess_rows(f, hset, R, radii, tol, trace_seeds, amplitude):
+    """Excess table rows (``excess_header``) of one harmonic sample per
+    trace seed on the radius-R window of the torus field ``f``, all on one
+    window operator; also the fitted exponent and mean-value constant of
+    each sample."""
+    op = window_operator(f, R)
+    rows, alphas, c_means = [], [], []
+    for seed in trace_seeds:
+        trace = band_limited_trace(seed, R, amplitude=amplitude, dim=f.grid.dim)
+        sample = harmonic_sample(f, R, trace, tol=min(tol * 1e2, 1e-10), op=op)
+        rep = excess_decay_experiment(sample, hset, radii)
+        mvp = mean_value_check(sample, radii)
+        alphas.append(rep.fitted_alpha)
+        c_means.append(mvp.c_mean)
+        for i, r in enumerate(rep.radii):
+            ratio = rep.pair_ratios.get(float(r), float("nan"))
+            rows.append([int(seed), float(r), float(rep.excess[i]),
+                         *[float(c) for c in rep.minimizers[i]],
+                         float(ratio), float(rep.fitted_alpha), float(mvp.ratios[i])])
+    return rows, alphas, c_means
+
+
 def run_corrector_stage(cfg, out_dir, tag):
     grid = _grid_from_config(cfg)
     radii = _radii(cfg, grid)
     tol = float(cfg["tol"])
+    spec = EnsembleSpec.from_dict(cfg["ensemble"])
 
     def one(seed):
-        spec = _spec_for_seed(cfg, seed)
-        f = sample_field(spec, grid)
+        f = sample_field(replace(spec, seed=int(seed)), grid)
         pair = solve_pair(f, tol=tol)
         curve = sublinearity_curve(pair, radii)
         return seed, f, pair, curve
@@ -219,12 +268,8 @@ def run_corrector_stage(cfg, out_dir, tag):
     results = _map_seeds(one, cfg)
     summaries = []
     for seed, f, pair, curve in results:
-        rows = [
-            [float(r), float(d), float(dg), float(ps)]
-            for r, d, dg, ps in zip(curve.radii, curve.delta, curve.delta_gno, curve.partial_sums)
-        ]
-        write_csv(out_dir / f"corrector__{tag}__seed{seed}.csv",
-                  ["r", "delta", "delta_gno", "partial_sum_m"], rows)
+        write_csv(out_dir / f"corrector__{tag}__seed{seed}.csv", CORRECTOR_HEADER,
+                  corrector_rows(curve))
         summaries.append({
             "seed": seed,
             "a_hom": pair.a_hom.tolist(),
@@ -247,11 +292,8 @@ def run_halfspace_stage(cfg, out_dir, tag, corr_results):
     for seed, f, pair, curve in corr_results:
         hset = build_halfspace_set(f, pair, L=L, tol=tol)
         hsets[seed] = hset
-        hcurve = half_sublinearity_curve(hset, radii)
-        rows = [[float(r), float(d), float(dh)]
-                for r, d, dh in zip(hcurve.radii, hcurve.delta_h, hcurve.delta_h_halfball)]
-        write_csv(out_dir / f"halfspace__{tag}__seed{seed}.csv",
-                  ["r", "delta_h", "delta_h_halfball"], rows)
+        write_csv(out_dir / f"halfspace__{tag}__seed{seed}.csv", HALFSPACE_HEADER,
+                  halfspace_rows(half_sublinearity_curve(hset, radii)))
         fhb = restrict_to_half_box(f, L)
         res = halfspace_residuals(fhb, hset, 0)
         entry = {
@@ -263,15 +305,9 @@ def run_halfspace_stage(cfg, out_dir, tag, corr_results):
         }
         if mode == "dyadic":
             dy_cfg = hs_cfg.get("dyadic", {})
-            config = DyadicConfig.from_curve(curve, float(dy_cfg.get("r0", 8.0)),
-                                             int(dy_cfg.get("n_max", 2)))
-            dy = dyadic_construction(fhb, f, pair, hset.basis.vectors[0], config, tol=tol,
-                                     direct=hset.varphi[0])
-            rows = [[int(n), float(config.heights[n + 1]),
-                     float(dy.energies[(n, config.r0)]), float(dy.bound_shape[(n, config.r0)])]
-                    for n in config.annuli()]
-            write_csv(out_dir / f"halfspace_dyadic__{tag}__seed{seed}.csv",
-                      ["n", "l_n", "energy", "bound_shape"], rows)
+            dy, rows = run_dyadic(fhb, f, pair, hset, curve, float(dy_cfg.get("r0", 8.0)),
+                                  int(dy_cfg.get("n_max", 2)), tol)
+            write_csv(out_dir / f"halfspace_dyadic__{tag}__seed{seed}.csv", DYADIC_HEADER, rows)
             entry["dyadic_consistency_r0"] = dy.consistency_r0
             entry["dyadic_empirical_constant"] = dy.empirical_constant
         summaries.append(entry)
@@ -284,31 +320,19 @@ def run_excess_stage(cfg, out_dir, tag, corr_results, hsets):
     grid = _grid_from_config(cfg)
     R = float(ex_cfg.get("R", grid.side / 4.0))
     radii = [float(r) for r in ex_cfg.get("radii", [r for r in _radii(cfg, grid) if r <= R])]
-    tol = float(cfg["tol"])
     amplitude = float(ex_cfg.get("trace_amplitude", 1.0))
-    rows = []
-    alphas = []
-    cmeans = []
+    rows, alphas, c_means = [], [], []
     for seed, f, pair, curve in corr_results:
-        hset = hsets[seed]
-        trace = band_limited_trace(seed, R, amplitude=amplitude, dim=grid.dim)
-        sample = harmonic_sample(f, R, trace, tol=min(tol * 1e2, 1e-10))
-        rep = excess_decay_experiment(sample, hset, radii)
-        mvp = mean_value_check(sample, radii)
-        alphas.append(rep.fitted_alpha)
-        cmeans.append(mvp.c_mean)
-        for i, r in enumerate(rep.radii):
-            ratio = rep.pair_ratios.get(float(r), float("nan"))
-            rows.append([int(seed), float(r), float(rep.excess[i]),
-                         *[float(c) for c in rep.minimizers[i]],
-                         float(ratio), float(rep.fitted_alpha), float(mvp.ratios[i])])
-    d = grid.dim
-    header = ["seed", "r", "excess"] + [f"b{k+1}" for k in range(d)] + [
-        "ratio", "fitted_alpha", "mvp_ratio"]
-    write_csv(out_dir / f"excess__{tag}.csv", header, rows)
+        # one trace per field, seeded like the field
+        seed_rows, seed_alphas, seed_c_means = excess_rows(f, hsets[seed], R, radii,
+                                                           float(cfg["tol"]), [seed], amplitude)
+        rows += seed_rows
+        alphas += seed_alphas
+        c_means += seed_c_means
+    write_csv(out_dir / f"excess__{tag}.csv", excess_header(grid.dim), rows)
     summary = {
         "alpha_mean": float(np.nanmean(alphas)) if alphas else float("nan"),
-        "c_mean_max": float(np.nanmax(cmeans)) if cmeans else float("nan"),
+        "c_mean_max": float(np.nanmax(c_means)) if c_means else float("nan"),
     }
     write_json(out_dir / f"excess__{tag}__summary.json", summary)
     return summary
@@ -542,12 +566,9 @@ def _parse_radii(text, grid):
 def cmd_corrector(args):
     f = load_field(args.field)
     pair = solve_pair(f, tol=args.tol)
-    radii = _parse_radii(args.radii, f.grid)
-    directions = _parse_directions(args.directions, f.grid.dim)
-    curve = sublinearity_curve(pair, radii, directions=directions)
-    rows = [[float(r), float(d), float(dg), float(ps)]
-            for r, d, dg, ps in zip(curve.radii, curve.delta, curve.delta_gno, curve.partial_sums)]
-    write_csv(args.out, ["r", "delta", "delta_gno", "partial_sum_m"], rows)
+    directions = None if args.directions is None else _parse_directions(args.directions, f.grid.dim)
+    curve = sublinearity_curve(pair, _parse_radii(args.radii, f.grid), directions=directions)
+    write_csv(args.out, CORRECTOR_HEADER, corrector_rows(curve))
     print(f"wrote {args.out}; a_hom = {pair.a_hom.tolist()}")
     return 0
 
@@ -557,24 +578,16 @@ def cmd_halfspace(args):
     pair = solve_pair(f, tol=args.tol)
     hset = build_halfspace_set(f, pair, L=args.L, tol=args.tol)
     out_bin, out_csv = (args.out.split(",") + [None])[:2]
-    radii = [r for r in dyadic_radii(f.grid) if r <= args.L / 2.0]
-    curve = half_sublinearity_curve(hset, radii)
     if out_csv:
-        rows = [[float(r), float(d), float(dh)]
-                for r, d, dh in zip(curve.radii, curve.delta_h, curve.delta_h_halfball)]
-        write_csv(out_csv, ["r", "delta_h", "delta_h_halfball"], rows)
+        radii = [r for r in dyadic_radii(f.grid) if r <= args.L / 2.0]
+        write_csv(out_csv, HALFSPACE_HEADER, halfspace_rows(half_sublinearity_curve(hset, radii)))
     if args.mode == "dyadic":
-        wcurve = sublinearity_curve(pair, dyadic_radii(f.grid))
-        config = DyadicConfig.from_curve(wcurve, args.r0, args.n_max)
-        fhb = restrict_to_half_box(f, args.L)
-        dy = dyadic_construction(fhb, f, pair, hset.basis.vectors[0], config, tol=args.tol,
-                                 direct=hset.varphi[0])
+        dy, rows = run_dyadic(restrict_to_half_box(f, args.L), f, pair, hset,
+                              sublinearity_curve(pair, dyadic_radii(f.grid)), args.r0, args.n_max,
+                              args.tol)
         if out_csv:
             dy_path = Path(out_csv).with_suffix(".dyadic.csv")
-            rows = [[int(n), float(config.heights[n + 1]),
-                     float(dy.energies[(n, config.r0)]), float(dy.bound_shape[(n, config.r0)])]
-                    for n in config.annuli()]
-            write_csv(dy_path, ["n", "l_n", "energy", "bound_shape"], rows)
+            write_csv(dy_path, DYADIC_HEADER, rows)
             print(f"dyadic: consistency(B_r0) = {dy.consistency_r0:.4g}, "
                   f"empirical constant = {dy.empirical_constant:.4g} -> {dy_path}")
     save_halfspace_bundle(out_bin, hset)
@@ -590,22 +603,8 @@ def cmd_excess(args):
         hset = build_halfspace_set(f, solve_pair(f, tol=args.tol), L=f.grid.side / 2.0,
                                    tol=args.tol)
     radii = [r for r in dyadic_radii(f.grid) if r <= args.R]
-    op = window_operator(f, args.R)  # only the Dirichlet trace changes between seeds
-    rows = []
-    for seed in range(args.seeds):
-        trace = band_limited_trace(seed, args.R, dim=f.grid.dim)
-        sample = harmonic_sample(f, args.R, trace, tol=max(args.tol, 1e-11), op=op)
-        rep = excess_decay_experiment(sample, hset, radii)
-        mvp = mean_value_check(sample, radii)
-        for i, r in enumerate(rep.radii):
-            ratio = rep.pair_ratios.get(float(r), float("nan"))
-            rows.append([int(seed), float(r), float(rep.excess[i]),
-                         *[float(c) for c in rep.minimizers[i]],
-                         float(ratio), float(rep.fitted_alpha), float(mvp.ratios[i])])
-    d = f.grid.dim
-    header = ["seed", "r", "excess"] + [f"b{k+1}" for k in range(d)] + [
-        "ratio", "fitted_alpha", "mvp_ratio"]
-    write_csv(args.out, header, rows)
+    rows, _, _ = excess_rows(f, hset, args.R, radii, args.tol, range(args.seeds), 1.0)
+    write_csv(args.out, excess_header(f.grid.dim), rows)
     print(f"wrote {args.out}")
     return 0
 
@@ -671,7 +670,7 @@ def build_parser():
 
     pco = sub.add_parser("corrector", help="whole-space correctors and sublinearity curve")
     pco.add_argument("--field", required=True)
-    pco.add_argument("--directions", default="e1,e2")
+    pco.add_argument("--directions", default=None, help="e.g. e1,e2 (default: all)")
     pco.add_argument("--radii", default="8:512")
     pco.add_argument("--out", required=True)
     pco.add_argument("--tol", type=float, default=1e-12)

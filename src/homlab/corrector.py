@@ -22,7 +22,7 @@ returns -q, which the residual check rejects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -38,6 +38,8 @@ from .pde import (
     VectorField,
     assemble,
     ball_mean_square,
+    diff_to_half,
+    diff_to_integer,
     divergence,
     flux,
     gradient,
@@ -148,20 +150,13 @@ def monte_carlo_homogenized(spec, grid, seeds, tol=DEFAULT_TOL):
     """Independent realizations; mean and standard error per entry."""
     samples = []
     for s in seeds:
-        sp = dataclass_replace_seed(spec, s)
-        f = sample_field(sp, grid)
+        f = sample_field(replace(spec, seed=int(s)), grid)
         cset = solve_correctors(f, tol=tol)
         samples.append(homogenized_matrix(cset))
     arr = np.stack(samples)
     mean = arr.mean(axis=0)
     stderr = arr.std(axis=0, ddof=1) / np.sqrt(len(samples)) if len(samples) > 1 else 0.0 * mean
     return HomogenizedMatrix(mean, samples, stderr)
-
-
-def dataclass_replace_seed(spec, seed):
-    from dataclasses import replace
-
-    return replace(spec, seed=int(seed))
 
 
 def flux_correction(cset, a_hom, i):
@@ -175,16 +170,6 @@ def flux_correction(cset, a_hom, i):
 # ---------------------------------------------------------------------------
 # flux potentials (staggered Hodge construction)
 # ---------------------------------------------------------------------------
-
-
-def _diff_down(arr, axis, h):
-    """Difference toward the integer-offset home: (f - roll(f,1))/h."""
-    return (arr - np.roll(arr, 1, axis=axis)) / h
-
-
-def _diff_up(arr, axis, h):
-    """Difference toward the half-offset home: (roll(f,-1) - f)/h."""
-    return (np.roll(arr, -1, axis=axis) - arr) / h
 
 
 @dataclass
@@ -204,12 +189,11 @@ class FluxPotentialSet:
 
     def row_divergence(self, j):
         """sum_k d_k sigma_jk at the j-face family."""
-        h = self.grid.h
         out = None
         for k in range(self.grid.dim):
             if k == j:
                 continue
-            term = _diff_up(self.component(j, k), k, h)
+            term = diff_to_half(self.component(j, k), self.grid, k)
             out = term if out is None else out + term
         return out
 
@@ -242,7 +226,7 @@ def solve_flux_potential(grid, q, div_tol=1e-6):
                                         grid.shape, project_mean=True)
     for j in range(d):
         for k in range(j + 1, d):
-            omega = _diff_down(q.comps[k], j, h) - _diff_down(q.comps[j], k, h)
+            omega = diff_to_integer(q.comps[k], grid, j) - diff_to_integer(q.comps[j], grid, k)
             vals = inverse_laplacian.solve(omega)
             sigma[(j, k)] = ScalarField(grid, vals, pair_offsets(d, j, k))
     return FluxPotentialSet(grid, sigma)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .field import restrict_to_half_box
+from .field import restrict_to_half_box, restrict_values
 from .grid import Grid, cell_offsets, face_offsets
 from .pde import (
     BoundarySpec,
@@ -114,21 +114,6 @@ def harmonic_sample(field_torus, R, trace, tol=1e-11, max_iter=20000, op=None):
 # ---------------------------------------------------------------------------
 
 
-def _slab_faces_on_window(arr_slab, slab_grid, win_grid, k):
-    """Map a slab face-component array onto the window face family."""
-    d = win_grid.dim
-    offs = face_offsets(d, k)
-    idx = []
-    for a in range(d):
-        m = win_grid.home_shape(offs)[a]
-        x = win_grid.origin[a] + (np.arange(m) + offs[a]) * win_grid.h
-        i = np.rint((x - slab_grid.origin[a]) / slab_grid.h - offs[a]).astype(int)
-        if slab_grid.periodic_axis(a):
-            i %= slab_grid.shape[a]
-        idx.append(i)
-    return arr_slab[np.ix_(*idx)]
-
-
 def corrected_gradient_family(hset, win_grid):
     """Per tangential direction, the face components of b + grad phi_h_b
     evaluated on the window face families."""
@@ -138,7 +123,7 @@ def corrected_gradient_family(hset, win_grid):
         g = gradient(hset.phi_h[i])
         comps = []
         for k in range(d):
-            vals = _slab_faces_on_window(g.comps[k], hset.grid, win_grid, k)
+            vals = restrict_values(g.comps[k], hset.grid, win_grid, face_offsets(d, k))
             comps.append(vals + hset.basis.vectors[i][k])
         fam.append(comps)
     return fam
@@ -354,7 +339,7 @@ def liouville_check(u, hset, radii, alpha=0.5):
     cells = grid.coords(cell_offsets(d))
     basis_fields = []
     for i in range(d - 1):
-        phi = _slab_cells_on_window(hset.phi_h[i].values, hset.grid, grid)
+        phi = restrict_values(hset.phi_h[i].values, hset.grid, grid, cell_offsets(d))
         lin = sum(hset.basis.vectors[i][a] * cells[a] for a in range(d))
         basis_fields.append(lin + phi)
     coeffs_by_r = {}
@@ -393,16 +378,3 @@ def liouville_check(u, hset, radii, alpha=0.5):
             float(np.linalg.norm(coeffs_by_r[r][:-1] - coeffs_by_r[radii[-1]][:-1]) / ref),
         )
     return LiouvilleReport(np.asarray(b_tilde), cst, residual_profile, growth, subquadratic, drift)
-
-
-def _slab_cells_on_window(arr_slab, slab_grid, win_grid):
-    d = win_grid.dim
-    idx = []
-    for a in range(d):
-        m = win_grid.shape[a]
-        x = win_grid.origin[a] + (np.arange(m) + 0.5) * win_grid.h
-        i = np.rint((x - slab_grid.origin[a]) / slab_grid.h - 0.5).astype(int)
-        if slab_grid.periodic_axis(a):
-            i %= slab_grid.shape[a]
-        idx.append(i)
-    return arr_slab[np.ix_(*idx)]

@@ -424,19 +424,24 @@ def validate_ellipticity(field, slack=1e-12, max_violations=10):
 # ---------------------------------------------------------------------------
 
 
-def _axis_index_map(n_torus, half_origin, h, offset, count):
-    """Torus indices corresponding to half-box home points along one axis."""
-    idx = np.arange(count)
-    x = half_origin + (idx + offset) * h
-    i = np.rint(x / h - offset).astype(int) % n_torus
-    return i
+def index_maps(src_grid, dst_grid, offsets):
+    """Per-axis indices of the ``src_grid`` home points (of the given
+    offsets) that sit under the ``dst_grid`` home points; periodic source
+    axes wrap."""
+    maps = []
+    for a in range(dst_grid.dim):
+        x = dst_grid.points_along(a, offsets[a])
+        i = np.rint((x - src_grid.origin[a]) / src_grid.h - offsets[a]).astype(int)
+        if src_grid.periodic_axis(a):
+            i %= src_grid.shape[a]
+        maps.append(i)
+    return maps
 
 
-def half_box_index_maps(torus_grid, half_grid, offsets):
-    """Per-axis torus index arrays matching half-box home points."""
-    counts = half_grid.home_shape(offsets)
-    return [_axis_index_map(torus_grid.n, half_grid.origin[a], half_grid.h, offsets[a], counts[a])
-            for a in range(half_grid.dim)]
+def restrict_values(values, src_grid, dst_grid, offsets):
+    """A ``src_grid`` home-point array at the matching ``dst_grid`` home
+    points; trailing axes (per-point diagonals or matrices) are kept."""
+    return np.asarray(values)[np.ix_(*index_maps(src_grid, dst_grid, offsets))]
 
 
 def restrict_to_half_box(field, L, tangential_periodic=True):
@@ -460,18 +465,9 @@ def restrict_to_half_box(field, L, tangential_periodic=True):
     if abs(n_half - round(n_half)) > 1e-12:
         raise ValueError("flat boundary must lie in a grid plane (L/h integral)")
     half = Grid.half_box(grid.dim, int(round(n_half)), grid.h, tangential_periodic)
-    faces = []
-    for k in range(grid.dim):
-        offs = face_offsets(grid.dim, k)
-        maps = half_box_index_maps(grid, half, offs)
-        faces.append(field.faces[k][np.ix_(*maps)])
+    faces = [restrict_values(field.faces[k], grid, half, face_offsets(grid.dim, k))
+             for k in range(grid.dim)]
     return CoefficientField(half, faces, lam=field.lam, seed=field.seed)
-
-
-def restrict_values(values, torus_grid, half_grid, offsets):
-    """Restrict a torus home-point array to the matching half-box home."""
-    maps = half_box_index_maps(torus_grid, half_grid, offsets)
-    return np.asarray(values)[np.ix_(*maps)]
 
 
 # ---------------------------------------------------------------------------

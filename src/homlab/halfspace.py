@@ -46,6 +46,8 @@ from .pde import (
     VectorField,
     assemble,
     ball_mean_square,
+    diff_to_half,
+    diff_to_integer,
     flux,
     gradient,
     solve,
@@ -119,44 +121,6 @@ def _orient(r):
         if abs(c) > 1e-13:
             return r if c > 0 else -r
     return r
-
-
-# ---------------------------------------------------------------------------
-# staggered differences with boundary ghosts
-# ---------------------------------------------------------------------------
-
-
-def _diff_to_integer(vals, grid, axis, ghost="odd"):
-    """Difference of a half-offset axis toward the integer home.
-
-    Non-periodic axes gain one layer; ghost values encode the boundary
-    condition of the differentiated field ('odd' for Dirichlet zero,
-    'even' for a Neumann mirror)."""
-    h = grid.h
-    if grid.periodic_axis(axis):
-        return (vals - np.roll(vals, 1, axis=axis)) / h
-    m = vals.shape[axis]
-    inner = np.diff(vals, axis=axis) / h
-    first = np.take(vals, [0], axis=axis)
-    last = np.take(vals, [m - 1], axis=axis)
-    if ghost == "odd":
-        lo = 2.0 * first / h
-        hi = -2.0 * last / h
-    elif ghost == "even":
-        lo = np.zeros_like(first)
-        hi = np.zeros_like(last)
-    else:
-        lo = first / h
-        hi = -last / h
-    return np.concatenate([lo, inner, hi], axis=axis)
-
-
-def _diff_to_half(vals, grid, axis):
-    """Difference of an integer-offset axis toward the half home."""
-    h = grid.h
-    if grid.periodic_axis(axis):
-        return (np.roll(vals, -1, axis=axis) - vals) / h
-    return np.diff(vals, axis=axis) / h
 
 
 # ---------------------------------------------------------------------------
@@ -302,25 +266,18 @@ def solve_vector_potentials(grid, G):
 
 
 def curl_of_potentials(v, grid):
-    """psi_jk = d_j v_k - d_k v_j on the staggered pair homes, using the
-    ghost closures implied by the potentials' boundary conditions."""
+    """psi_jk = d_j v_k - d_k v_j on the staggered pair homes.  Every axis
+    a potential is differentiated along carries Dirichlet data (the
+    Neumann row only concerns the vertical potential along its own axis,
+    which never appears in the skew combination), so odd ghosts close
+    both differences."""
     d = grid.dim
     out = {}
     for j in range(d):
         for k in range(j + 1, d):
-            term_a = _stag_diff(v[k], grid, j)
-            term_b = _stag_diff(v[j], grid, k)
-            out[(j, k)] = ScalarField(grid, term_a - term_b, pair_offsets(d, j, k))
+            psi = diff_to_integer(v[k].values, grid, j) - diff_to_integer(v[j].values, grid, k)
+            out[(j, k)] = ScalarField(grid, psi, pair_offsets(d, j, k))
     return out
-
-
-def _stag_diff(vf, grid, axis):
-    """d_axis of a face-homed field toward the pair home.  Every axis a
-    potential is differentiated along carries Dirichlet data (the
-    Neumann row only concerns the vertical potential along its own
-    axis, which never appears in the skew combination), so odd mirrors
-    are the right ghosts throughout."""
-    return _diff_to_integer(vf.values, grid, axis, ghost="odd")
 
 
 # ---------------------------------------------------------------------------
@@ -437,50 +394,36 @@ class HalfSpaceCorrectorSet:
             if k == j:
                 continue
             comp = self.sigma_component(i, j, k)
-            term = _diff_to_half(comp, self.grid, k)
+            term = diff_to_half(comp, self.grid, k)
             out = term if out is None else out + term
         return out
 
 
-def restrict_direction_d(field_torus, pair, basis, half_grid):
-    """Restriction of the whole-space corrector/potential for the basis
-    direction transversal to the boundary (no solve, Theorem-style)."""
+def restrict_pair(pair, b, half_grid):
+    """The whole-space corrector phi_b, flux potential sigma_b (pairs
+    j < k) and current q_b = sum_w b_w q_w restricted to a half-box cut
+    from the torus of the pair; each array is a new one."""
+    torus = pair.cset.grid
     d = half_grid.dim
-    b = basis.normal_like
-    phi_t = pair.cset.phi_for(b)
-    phi = ScalarField(
-        half_grid,
-        restrict_values(phi_t.values, field_torus.grid, half_grid, cell_offsets(d)),
-    )
-    sig = {}
+    phi = ScalarField(half_grid, restrict_values(pair.cset.phi_for(b).values, torus, half_grid,
+                                                 cell_offsets(d)))
+    sigma = {}
     for j in range(d):
         for k in range(j + 1, d):
             offs = pair_offsets(d, j, k)
             comb = sum(b[w] * pair.sigmas[w].component(j, k) for w in range(d))
-            sig[(j, k)] = ScalarField(
-                half_grid, restrict_values(comb, field_torus.grid, half_grid, offs), offs
-            )
-    q = _restrict_face_field(_superpose_q(pair, b), field_torus.grid, half_grid)
-    return phi, sig, q
-
-
-def _superpose_q(pair, b):
-    grid = pair.cset.grid
-    comps = [sum(b[w] * pair.q[w].comps[k] for w in range(grid.dim)) for k in range(grid.dim)]
-    return VectorField(grid, comps)
-
-
-def _restrict_face_field(vf, torus_grid, half_grid):
-    comps = []
-    for k in range(half_grid.dim):
-        offs = face_offsets(half_grid.dim, k)
-        comps.append(restrict_values(vf.comps[k], torus_grid, half_grid, offs))
-    return VectorField(half_grid, comps)
+            sigma[(j, k)] = ScalarField(half_grid, restrict_values(comb, torus, half_grid, offs),
+                                        offs)
+    q = [restrict_values(sum(b[w] * pair.q[w].comps[k] for w in range(d)), torus, half_grid,
+                         face_offsets(d, k)) for k in range(d)]
+    return phi, sigma, VectorField(half_grid, q)
 
 
 def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFAULT_TOL):
     """Construct the full half-space-adapted set on a half-box of height
-    L cut from the torus field."""
+    L cut from the torus field.  Each tangential direction adds its
+    correction to the restricted whole-space pair; the transversal one
+    is the restriction alone (no solve, Theorem-style)."""
     d = field_torus.grid.dim
     field_hb = restrict_to_half_box(field_torus, L, tangential_periodic)
     grid = field_hb.grid
@@ -495,9 +438,6 @@ def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFA
         varphi[i] = corr.varphi
         datum[i] = corr.datum
         stats[i] = corr.stats
-        phi_t = pair.cset.phi_for(b)
-        phi_restr = restrict_values(phi_t.values, field_torus.grid, grid, cell_offsets(d))
-        phi_h[i] = ScalarField(grid, phi_restr + corr.varphi.values)
         # potentials and skew corrections
         vi = solve_vector_potentials(grid, corr.current)
         for j in range(d):
@@ -512,25 +452,20 @@ def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFA
             psi[(i, key)] = psi_exact[key]
             psi_v[(i, key)] = curl_v[key]
         gap[i] = _relative_gap(psi_exact, curl_v, grid)
-        # sigma_h = restricted whole-space potential + correction
-        q_restr = _restrict_face_field(_superpose_q(pair, b), field_torus.grid, grid)
+        # the restricted whole-space pair plus the correction
+        phi_h[i], sig, q_h[i] = restrict_pair(pair, b, grid)
+        phi_h[i].values += corr.varphi.values
         for j in range(d):
-            q_restr.comps[j] = q_restr.comps[j] + corr.current.comps[j]
-        q_h[i] = q_restr
-        for (j, k) in curl_v:
-            offs = pair_offsets(d, j, k)
-            comb = sum(b[w] * pair.sigmas[w].component(j, k) for w in range(d))
-            base = restrict_values(comb, field_torus.grid, grid, offs)
-            sigma_h[(i, (j, k))] = ScalarField(grid, base + psi_exact[(j, k)].values, offs)
-    # transversal direction: restriction only, without the slab's operator,
-    # field and last correction alive
+            q_h[i].comps[j] += corr.current.comps[j]
+        for key, f in sig.items():
+            f.values += psi_exact[key].values
+            sigma_h[(i, key)] = f
+    # transversal direction, without the slab's operator, field and last
+    # correction alive
     del op, field_hb, corr
-    i_d = d - 1
-    phi_d, sig_d, q_d = restrict_direction_d(field_torus, pair, basis, grid)
-    phi_h[i_d] = phi_d
-    for key, f in sig_d.items():
-        sigma_h[(i_d, key)] = f
-    q_h[i_d] = q_d
+    phi_h[d - 1], sig, q_h[d - 1] = restrict_pair(pair, basis.normal_like, grid)
+    for key, f in sig.items():
+        sigma_h[(d - 1, key)] = f
     return HalfSpaceCorrectorSet(
         grid, basis, pair.a_hom, pair, phi_h, varphi, v, psi, psi_v, sigma_h, q_h,
         datum, gap, stats,
@@ -861,16 +796,15 @@ def correction_truncation_change(field_torus, pair, b, L, r_obs=None, tol=DEFAUL
     c_small = solve_halfspace_correction(small, field_torus, pair, b, tol=tol)
     c_large = solve_halfspace_correction(large, field_torus, pair, b, tol=tol)
     # evaluate both gradients on the smaller grid's half-ball
-    from .excess import _slab_faces_on_window
-
     g_small = gradient(c_small.varphi)
     g_large = gradient(c_large.varphi)
     num = 0.0
     den = 0.0
     for k in range(small.grid.dim):
-        mask = interior_ball_mask(small.grid, face_offsets(small.grid.dim, k), r_obs)
+        offs = face_offsets(small.grid.dim, k)
+        mask = interior_ball_mask(small.grid, offs, r_obs)
         a = g_small.comps[k][mask]
-        bb = _slab_faces_on_window(g_large.comps[k], large.grid, small.grid, k)[mask]
+        bb = restrict_values(g_large.comps[k], large.grid, small.grid, offs)[mask]
         num += float(((a - bb) ** 2).sum())
         den += float((bb * bb).sum())
     return float(np.sqrt(num / den)) if den > 0 else float(np.sqrt(num))
@@ -932,10 +866,7 @@ def _origin_gradient(vf, grid):
     h = grid.h
     out = np.zeros(d)
     for a in range(d):
-        if grid.periodic_axis(a):
-            dv = (np.roll(vf.values, -1, axis=a) - vf.values) / h
-        else:
-            dv = np.diff(vf.values, axis=a) / h
+        dv = diff_to_half(vf.values, grid, a)
         # the difference lives on a half-step-shifted home; the 4h ball
         # mask of the original home trimmed to the difference shape keeps
         # the average within half a cell of the intended ball

@@ -615,16 +615,32 @@ def gradient(u):
 
 def divergence(vf):
     """Cell-homed divergence of a face field (uses boundary faces)."""
-    grid = vf.grid
-    h = grid.h
-    out = np.zeros(grid.shape)
-    for k in range(grid.dim):
-        Fk = vf.comps[k]
-        if grid.periodic_axis(k):
-            out += (np.roll(Fk, -1, axis=k) - Fk) / h
-        else:
-            out += np.diff(Fk, axis=k) / h
+    out = np.zeros(vf.grid.shape)
+    for k in range(vf.grid.dim):
+        out += diff_to_half(vf.comps[k], vf.grid, k)
     return out
+
+
+def diff_to_integer(vals, grid, axis):
+    """Difference of a half-offset axis toward the integer home.  A
+    non-periodic axis gains one layer, closed by odd ghosts (zero
+    Dirichlet data)."""
+    h = grid.h
+    if grid.periodic_axis(axis):
+        return (vals - np.roll(vals, 1, axis=axis)) / h
+    m = vals.shape[axis]
+    inner = np.diff(vals, axis=axis) / h
+    lo = 2.0 * np.take(vals, [0], axis=axis) / h
+    hi = -2.0 * np.take(vals, [m - 1], axis=axis) / h
+    return np.concatenate([lo, inner, hi], axis=axis)
+
+
+def diff_to_half(vals, grid, axis):
+    """Difference of an integer-offset axis toward the half home."""
+    h = grid.h
+    if grid.periodic_axis(axis):
+        return (np.roll(vals, -1, axis=axis) - vals) / h
+    return np.diff(vals, axis=axis) / h
 
 
 def _tangential_average_at_faces(grid, comp_m, m, k):

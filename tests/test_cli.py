@@ -422,3 +422,72 @@ def test_pipeline_crash_mid_csv_leaves_no_partial_output(tmp_path, monkeypatch):
     manifest = cli.run_pipeline(cfg, out)
     assert manifest["stages"]["corrector"]["cached"] is False
     assert target.read_bytes() == complete
+
+
+def field_file(tmp_path, dim, n, seed):
+    """The field the pipeline samples for ``seed``, saved for the subcommands."""
+    from homlab.field import EnsembleSpec, sample_field, save_field
+    from homlab.grid import Grid
+
+    spec = EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=seed)
+    path = tmp_path / f"field{seed}.bin"
+    save_field(sample_field(spec, Grid.torus(dim, n)), path)
+    return path
+
+
+def stage_config(dim, n, seed, **extra):
+    return validate_config({
+        "ensemble": {"kind": "checkerboard", "lam": 0.25,
+                     "params": {"values": [0.25, 1.0], "cell_size": 1.0}},
+        "grid": {"dim": dim, "n": n, "h": 1.0},
+        "seeds": [seed],
+        "tol": 1e-12,
+        **extra,
+    })
+
+
+def test_corrector_command_matches_corrector_stage_3d(tmp_path):
+    # the default runs every direction, e3 included
+    cfg = stage_config(3, 16, 2, radii=[2.0, 4.0])
+    cli.run_corrector_stage(cfg, tmp_path, "t")
+    out = tmp_path / "curve.csv"
+    assert main(["corrector", "--field", str(field_file(tmp_path, 3, 16, 2)), "--radii", "2:4",
+                 "--tol", "1e-12", "--out", str(out)]) == 0
+    assert out.read_bytes() == (tmp_path / "corrector__t__seed2.csv").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["direct", "dyadic"])
+def test_halfspace_command_matches_halfspace_stage(tmp_path, mode):
+    cfg = stage_config(2, 64, 5, halfspace={"L": 32.0, "mode": mode,
+                                            "dyadic": {"r0": 8.0, "n_max": 0}})
+    cli.run_halfspace_stage(cfg, tmp_path, "t", cli.run_corrector_stage(cfg, tmp_path, "t"))
+    hs_csv = tmp_path / "hs.csv"
+    assert main(["halfspace", "--field", str(field_file(tmp_path, 2, 64, 5)), "--L", "32",
+                 "--mode", mode, "--r0", "8", "--n-max", "0", "--tol", "1e-12",
+                 "--out", f"{tmp_path / 'hs.npz'},{hs_csv}"]) == 0
+    assert hs_csv.read_bytes() == (tmp_path / "halfspace__t__seed5.csv").read_bytes()
+    dyadic = tmp_path / "hs.dyadic.csv"
+    if mode == "dyadic":
+        assert dyadic.read_bytes() == (tmp_path / "halfspace_dyadic__t__seed5.csv").read_bytes()
+    else:
+        assert not dyadic.exists()
+
+
+def test_excess_command_matches_excess_stage(tmp_path):
+    # the pipeline's trace for field seed s is trace seed s, so --seeds s+1
+    # reaches it; both paths solve the harmonic samples at one tolerance
+    seed = 1
+    cfg = stage_config(2, 64, seed, halfspace={"L": 32.0}, excess={"R": 16.0})
+    cli.run_pipeline(cfg, tmp_path / "run")
+    fld = str(field_file(tmp_path, 2, 64, seed))
+    hs_bin = tmp_path / "hs.npz"
+    assert main(["halfspace", "--field", fld, "--L", "32", "--tol", "1e-12",
+                 "--out", str(hs_bin)]) == 0
+    out = tmp_path / "excess.csv"
+    assert main(["excess", "--field", fld, "--hs", str(hs_bin), "--R", "16",
+                 "--seeds", str(seed + 1), "--tol", "1e-12", "--out", str(out)]) == 0
+    header, *lines = out.read_text().splitlines()
+    want = (tmp_path / "run" / f"excess__{config_hash(cfg)}.csv").read_text().splitlines()
+    assert header == want[0]
+    rows = [ln for ln in lines if ln.startswith(f"{seed},")]
+    assert rows and rows == want[1:]

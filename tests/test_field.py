@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homlab.grid import Grid
+from homlab.grid import Grid, cell_offsets, face_offsets, pair_offsets
 from homlab.field import (
     CoefficientField,
     EllipticityError,
@@ -14,8 +14,10 @@ from homlab.field import (
     cell_matrices,
     cell_values,
     checkerboard_assignment,
+    index_maps,
     load_field,
     restrict_to_half_box,
+    restrict_values,
     sample_field,
     save_field,
     validate_ellipticity,
@@ -142,6 +144,88 @@ def test_restrict_half_box_checkerboard_index_arithmetic():
     for j in range(half.grid.shape[0]):
         ti = (j - L_cells) % n
         assert np.array_equal(half.matrices(1)[j], f.matrices(1)[ti, : L_cells + 1])
+
+
+def reference_half_box_maps(torus_grid, half_grid, offsets):
+    """The torus-to-half-box index formula that ``index_maps`` replaced."""
+    counts = half_grid.home_shape(offsets)
+    out = []
+    for a in range(half_grid.dim):
+        x = half_grid.origin[a] + (np.arange(counts[a]) + offsets[a]) * half_grid.h
+        out.append(np.rint(x / half_grid.h - offsets[a]).astype(int) % torus_grid.n)
+    return out
+
+
+def reference_slab_on_window_maps(slab_grid, win_grid, offsets):
+    """The slab-to-window index formula that ``index_maps`` replaced (face
+    families; the cell form took ``win_grid.shape``, the same counts)."""
+    out = []
+    for a in range(win_grid.dim):
+        m = win_grid.home_shape(offsets)[a]
+        x = win_grid.origin[a] + (np.arange(m) + offsets[a]) * win_grid.h
+        i = np.rint((x - slab_grid.origin[a]) / slab_grid.h - offsets[a]).astype(int)
+        if slab_grid.periodic_axis(a):
+            i %= slab_grid.shape[a]
+        out.append(i)
+    return out
+
+
+def brute_force_restriction(values, torus_grid, dst_grid, offsets):
+    """Each destination home point takes the value of the torus home
+    point at minimum-image distance zero."""
+    d = torus_grid.dim
+    src = np.stack([x.ravel() for x in torus_grid.coords(offsets)], axis=1)
+    dst = np.stack([x.ravel() for x in dst_grid.coords(offsets)], axis=1)
+    diff = dst[:, None, :] - src[None, :, :]
+    side = torus_grid.side
+    diff = (diff + side / 2.0) % side - side / 2.0
+    dist = np.sqrt((diff ** 2).sum(axis=2))
+    nearest = dist.argmin(axis=1)
+    assert np.all(dist[np.arange(len(dst)), nearest] < 1e-9 * torus_grid.h)
+    flat = values.reshape((-1,) + values.shape[d:])
+    return flat[nearest].reshape(dst_grid.home_shape(offsets) + values.shape[d:])
+
+
+@st.composite
+def restriction_cases(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([8, 16] if dim == 2 else [4, 8]))
+    h = draw(st.sampled_from([1.0, 0.5]))
+    torus = Grid.torus(dim, n, h)
+    homes = [cell_offsets(dim)] + [face_offsets(dim, k) for k in range(dim)]
+    homes += [pair_offsets(dim, j, k) for j in range(dim) for k in range(j + 1, dim)]
+    offsets = draw(st.sampled_from(homes))
+    n_box = draw(st.sampled_from(range(4, n + 1, 2)))
+    n_window = draw(st.sampled_from(range(4, n_box + 1, 2)))
+    tail = draw(st.sampled_from([(), (dim,), (dim, dim)]))
+    seed = draw(st.integers(0, 2**16))
+    return torus, offsets, n_box, n_window, tail, seed
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=restriction_cases())
+def test_index_maps_round_trip_and_reference(case):
+    torus, offsets, n_box, n_window, tail, seed = case
+    dim, n, h = torus.dim, torus.n, torus.h
+    slab = Grid.half_box(dim, n, h, tangential_periodic=True)
+    box = Grid.half_box(dim, n_box, h, tangential_periodic=False)
+    window = Grid.half_box(dim, n_window, h, tangential_periodic=False)
+    values = np.random.default_rng(seed).standard_normal(torus.home_shape(offsets) + tail)
+    for half in (slab, box, window):
+        got = restrict_values(values, torus, half, offsets)
+        assert got.shape == half.home_shape(offsets) + tail
+        assert np.array_equal(got, brute_force_restriction(values, torus, half, offsets))
+        maps = index_maps(torus, half, offsets)
+        for i, ref in zip(maps, reference_half_box_maps(torus, half, offsets)):
+            assert np.array_equal(i, ref)
+    # through the slab or a larger box to the window equals straight to it
+    straight = restrict_values(values, torus, window, offsets)
+    for mid in (slab, box):
+        via = restrict_values(restrict_values(values, torus, mid, offsets), mid, window, offsets)
+        assert np.array_equal(via, straight)
+        maps = index_maps(mid, window, offsets)
+        for i, ref in zip(maps, reference_slab_on_window_maps(mid, window, offsets)):
+            assert np.array_equal(i, ref)
 
 
 def test_sample_field_on_half_box_matches_restriction():

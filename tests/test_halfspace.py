@@ -255,11 +255,9 @@ def test_potential_equation_residual():
     fhb = restrict_to_half_box(f, 32.0)
     corr_current = hset.q_h[0].copy()
     # rebuild G = q_h - restricted q
-    from homlab.halfspace import _superpose_q, _restrict_face_field
+    from homlab.halfspace import restrict_pair
 
-    q_r = _restrict_face_field(
-        _superpose_q(pair, hset.basis.vectors[0]), grid, hset.grid
-    )
+    q_r = restrict_pair(pair, hset.basis.vectors[0], hset.grid)[2]
     h2 = grid.h * grid.h
     for j in range(2):
         G_j = corr_current.comps[j] - q_r.comps[j]

@@ -13,13 +13,13 @@ The same solver is the preconditioner for conjugate-gradient iterations
 on heterogeneous systems: inverting the constant-coefficient operator
 bounds the preconditioned condition number by the coefficient contrast,
 so iteration counts stay flat in the grid size.  As a preconditioner it
-runs in single precision (``dtype=np.float32``): a preconditioner only
-has to approximate the inverse, and its 1e-7 relative rounding leaves the
-float64 residual recurrence of CG intact, while the float32 transforms
-move half the bytes.  CG keeps x, r, p, A p, its dot products and its
-stopping test in float64 and takes the flexible (Polak-Ribiere) beta,
-which tolerates a preconditioner that is not exactly symmetric (Notay,
-SIAM J. Sci. Comput. 22, 2000).  The exact solves (Hodge solves, vector
+runs in single precision (``dtype=np.float32``) and returns float32: it
+serves the float32 inner CG solves of ``pde.solve``, whose residuals are
+normalized to unit norm, so no scaling is needed to stay inside the
+float32 range, and the float32 transforms move half the bytes.  The
+float64 outer loop of ``pde.solve`` recomputes the residual and adds the
+corrections, so single precision limits the cost of a correction, not
+the accuracy of the solution.  The exact solves (Hodge solves, vector
 potentials) use the float64 default.  ``thomas_many`` remains as a
 tridiagonal utility for the stream construction of the half-space skew
 correction.
@@ -181,9 +181,9 @@ class FastConstSolver:
         pure-Neumann operators); the result is then the mean-free solution
         for the mean-free part of the data
     coeff : constant coefficient, folded into the inverse symbol
-    dtype : precision of the transforms and the symbol; ``np.float32``
-        halves the memory traffic of a preconditioner apply, the float64
-        default is the exact solve
+    dtype : precision of the transforms, the symbol and the result;
+        ``np.float32`` halves the memory traffic of a preconditioner apply,
+        the float64 default is the exact solve
     """
 
     def __init__(self, grid, offsets, bcs, shape, project_mean=False, coeff=1.0,
@@ -212,19 +212,13 @@ class FastConstSolver:
         self.dtype = np.dtype(dtype)
         self._inverse_symbol = (1.0 / symbol).astype(self.dtype)
 
-    def solve(self, b, scale=1.0):
-        """The float64 solution for data ``b``.  The transforms see
-        ``b / scale`` and the result is scaled back, so a positive ``scale``
-        of the size of ``b`` (a norm of it) keeps data of any magnitude
-        inside the single-precision range; ``b`` itself is never written."""
-        # the result is allocated before the narrower temporaries, whose
-        # freed blocks then merge into one that the next result fits
-        out = np.empty(np.shape(b))
-        x = np.empty(np.shape(b), self.dtype)
-        np.multiply(b, 1.0 / scale, out=x, casting="same_kind")
+    def solve(self, b):
+        """The solution for data ``b``, in the solver's dtype; ``b`` itself
+        is never written."""
+        x = np.array(b, dtype=self.dtype)
         for transform in self._forward:
             x = transform(x, overwrite_x=True)
         x *= self._inverse_symbol
         for transform in self._backward:
             x = transform(x, overwrite_x=True)
-        return np.multiply(x, scale, out=out, dtype=np.float64)
+        return x

@@ -36,7 +36,7 @@ from .field import (
     save_field,
     validate_ellipticity,
 )
-from .pde import SolverError
+from .pde import BoundarySpec, Operator, SolverError
 from .corrector import (
     dyadic_radii,
     solve_pair,
@@ -213,13 +213,14 @@ def halfspace_rows(hcurve):
             for r, d, dh in zip(hcurve.radii, hcurve.delta_h, hcurve.delta_h_halfball)]
 
 
-def run_dyadic(field_hb, f, pair, hset, curve, r0, n_max, tol):
+def run_dyadic(field_hb, f, pair, hset, curve, r0, n_max, tol, op=None):
     """The dyadic construction for the first tangential direction of
-    ``hset``, with cutoff heights from the whole-space ``curve``; returns
+    ``hset`` (on the half-box operator ``op`` when given), with cutoff
+    heights from the whole-space ``curve`` at the annulus radii; returns
     the result and its table rows (DYADIC_HEADER)."""
     config = DyadicConfig.from_curve(curve, r0, n_max)
     dy = dyadic_construction(field_hb, f, pair, hset.basis.vectors[0], config, tol=tol,
-                             direct=hset.varphi[0])
+                             direct=hset.varphi[0], op=op)
     rows = [[int(n), float(config.heights[n + 1]),
              float(dy.energies[(n, config.r0)]), float(dy.bound_shape[(n, config.r0)])]
             for n in config.annuli()]
@@ -295,7 +296,8 @@ def run_halfspace_stage(cfg, out_dir, tag, corr_results):
         write_csv(out_dir / f"halfspace__{tag}__seed{seed}.csv", HALFSPACE_HEADER,
                   halfspace_rows(half_sublinearity_curve(hset, radii)))
         fhb = restrict_to_half_box(f, L)
-        res = halfspace_residuals(fhb, hset, 0)
+        op = Operator(fhb, BoundarySpec.half_box(fhb.grid))
+        res = halfspace_residuals(fhb, hset, 0, op=op)
         entry = {
             "seed": seed,
             "flat_flux_relative": res.flat_flux_relative,
@@ -306,7 +308,7 @@ def run_halfspace_stage(cfg, out_dir, tag, corr_results):
         if mode == "dyadic":
             dy_cfg = hs_cfg.get("dyadic", {})
             dy, rows = run_dyadic(fhb, f, pair, hset, curve, float(dy_cfg.get("r0", 8.0)),
-                                  int(dy_cfg.get("n_max", 2)), tol)
+                                  int(dy_cfg.get("n_max", 2)), tol, op=op)
             write_csv(out_dir / f"halfspace_dyadic__{tag}__seed{seed}.csv", DYADIC_HEADER, rows)
             entry["dyadic_consistency_r0"] = dy.consistency_r0
             entry["dyadic_empirical_constant"] = dy.empirical_constant

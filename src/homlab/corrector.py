@@ -287,6 +287,8 @@ class SublinearityCurve:
     delta_gno: np.ndarray
     partial_sums: np.ndarray  # cumulative sum of log2(r) * delta^(1/3)
     partial_sums_gno: np.ndarray = None  # same series on the mean-subtracted curve
+    # the same measurement (pair, center, directions) at other radii
+    remeasure: object = dc_field(default=None, repr=False, compare=False)
 
     def ratio(self, r_num, r_den):
         i = int(np.argmin(np.abs(self.radii - r_num)))
@@ -328,7 +330,8 @@ def sublinearity_curve(pair, radii, center=None, directions=None):
     weights = np.log2(np.asarray(radii))
     partial = np.cumsum(weights * delta ** (1.0 / 3.0))
     partial_gno = np.cumsum(weights * delta_gno ** (1.0 / 3.0))
-    return SublinearityCurve(np.asarray(radii), delta, delta_gno, partial, partial_gno)
+    return SublinearityCurve(np.asarray(radii), delta, delta_gno, partial, partial_gno,
+                             lambda rs: sublinearity_curve(pair, rs, center, directions))
 
 
 def _ball_raw_and_centered(values, grid, r, offsets, center):

@@ -44,7 +44,6 @@ from .pde import (
     ScalarField,
     SourceTerm,
     VectorField,
-    assemble,
     ball_mean_square,
     diff_to_half,
     diff_to_integer,
@@ -500,20 +499,22 @@ class HalfSpaceResiduals:
         return self.flat_flux_max / self.flat_flux_scale if self.flat_flux_scale > 0 else 0.0
 
 
-def halfspace_residuals(field_hb, hset, i, inner_radius=None):
+def halfspace_residuals(field_hb, hset, i, inner_radius=None, op=None):
     """Residuals of the defining problem for tangential direction i.
 
     flat flux: the implied conormal of phi_h + b.x through flat faces,
     from the cell balances of the assembled no-flux problem (top layer
     excluded); interior: relative equation residual; sigma identity:
     relative L2 defect of the row-divergence identity on the inner
-    half-ball (default L/2).
+    half-ball (default L/2).  ``op`` is the half-box operator with the
+    default closure when the caller holds one.
     """
     grid = field_hb.grid
     d = grid.dim
     b = hset.basis.vectors[i]
-    src = SourceTerm(divergence_form=coefficient_times_vector(field_hb, b))
-    sys = assemble(field_hb, BoundarySpec.half_box(grid), src)
+    if op is None:
+        op = Operator(field_hb, BoundarySpec.half_box(grid))
+    sys = op.system(src=SourceTerm(divergence_form=coefficient_times_vector(field_hb, b)))
     u = hset.phi_h[i].values.ravel()
     r = (sys.matrix @ u - sys.rhs).reshape(grid.shape)
     # rows inside Dirichlet truncation layers are determined by the trace
@@ -657,14 +658,20 @@ class DyadicConfig:
 
     @staticmethod
     def from_curve(curve, r0, n_max):
+        """The config whose heights read ``curve`` at the annulus radii;
+        a curve that lacks one of them is measured again at those radii,
+        and one that cannot be (built by hand) raises ValueError."""
         if abs(np.log2(r0) % 1.0) > 1e-9:
             raise ValueError("r0 must be dyadic")
+        radii = [r0 * 2.0 ** (n + 1) for n in range(-1, n_max + 1)]
+        if not all(np.any(np.abs(curve.radii - R) <= 1e-9 * R) for R in radii):
+            if curve.remeasure is None:
+                raise ValueError(f"the sublinearity curve lacks an annulus radius of {radii}")
+            curve = curve.remeasure(radii)
         heights = []
         deltas = []
-        for n in range(-1, n_max + 1):
-            R = r0 * 2.0 ** (n + 1)
-            idx = int(np.argmin(np.abs(curve.radii - R)))
-            dlt = float(curve.delta[idx])
+        for R in radii:
+            dlt = float(curve.delta[np.argmin(np.abs(curve.radii - R))])
             deltas.append(dlt)
             heights.append(min(dlt ** (2.0 / 3.0) * R, 0.999 * R))
         return DyadicConfig(r0, n_max, np.asarray(heights), np.asarray(deltas))
@@ -730,7 +737,7 @@ class DyadicResult:
 
 
 def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
-                        radii=None, direct=None):
+                        radii=None, direct=None, op=None):
     """Annulus-by-annulus boundary corrections: each solve carries the
     flux datum cut off by one radial partition member; energies are
     tabulated against the bound shape with the measured sublinearity
@@ -738,7 +745,8 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
     ``direct`` is that single-solve correction varphi for b on this
     half-box at this tol (``solve_halfspace_correction``, as in
     ``HalfSpaceCorrectorSet.varphi``); it is solved here when not given.
-    All solves share one operator."""
+    All solves share one operator, ``op`` (the half-box operator with the
+    default closure) when the caller holds one."""
     grid = field_hb.grid
     d = grid.dim
     if config.r0 * 2.0 ** (config.n_max + 1) > grid.height * 2.0 + 1e-9:
@@ -751,7 +759,8 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
     rho = np.sqrt(sum(coords[a][tuple(sl)] ** 2 for a in range(d - 1)))
     if radii is None:
         radii = [config.r0]
-    op = Operator(field_hb, BoundarySpec.half_box(grid))
+    if op is None:
+        op = Operator(field_hb, BoundarySpec.half_box(grid))
     varphi_n = {}
     energies = {}
     shapes = {}

@@ -26,7 +26,7 @@ Boundary conditions on half-boxes:
 
 Pure-periodic (and pure-Neumann) systems are singular with constant null
 space; the solver pins the mean-zero representative by projecting out
-the constant mode every iteration.
+the constant mode of every float64 residual and iterate.
 
 An ``Operator`` is built once per (field, boundary kinds) and holds the
 matrix and the preconditioner; its ``system`` turns boundary data and
@@ -180,7 +180,7 @@ class SourceTerm:
 @dataclass
 class SolveStats:
     iterations: int
-    relative_residual: float  # the solver's recursive residual at exit
+    relative_residual: float  # |b - Ax| / |b| at exit, computed in float64
     energy: float
     true_residual: float  # |b - Ax| / |b| at exit
 
@@ -338,17 +338,24 @@ class Operator:
         self.mean_coeff = float(np.mean([field.entry(k, k).mean() for k in range(d)]))
 
     @cached_property
+    def matrix32(self):
+        """The matrix in float32 for the inner CG solves; it shares
+        ``indices`` and ``indptr`` with ``matrix``."""
+        A = self.matrix
+        return sp.csr_matrix((A.data.astype(np.float32), A.indices, A.indptr), shape=A.shape)
+
+    @cached_property
     def preconditioner(self):
         """The fast constant-coefficient solve with the operator's kinds and
-        mean coefficient, in single precision.  ``M(r, norm)`` hands
-        ``r / norm`` to the float32 transforms and scales the float64
-        result back, so a norm of ``r`` (CG passes ``|r|``) keeps residuals
-        of any magnitude inside the float32 range."""
+        mean coefficient, in single precision: ``M(r, norm)`` returns
+        float32 for the float32 residuals of the inner CG solves.  Their
+        norm (``norm``) is about 1 or less and more than ``INNER_TOL``, so
+        the transforms need no scaling."""
         shape = self.grid.shape
         solver = ft.FastConstSolver(self.grid, cell_offsets(self.grid.dim), self.axis_bcs,
                                     shape, project_mean=self.singular,
                                     coeff=max(self.mean_coeff, 1e-30), dtype=np.float32)
-        return lambda r, norm: solver.solve(r.reshape(shape), norm).ravel()
+        return lambda r, norm: solver.solve(r.reshape(shape)).ravel()
 
     def system(self, bc=None, src=None):
         """The LinearSystem of boundary data ``bc`` (the operator's kinds;
@@ -435,55 +442,90 @@ def assemble(field, bc, src=None):
 # ---------------------------------------------------------------------------
 
 
+# Relative target of one float32 inner solve.  Float32 CG attains about
+# kappa * eps32 (eps32 = 6e-8, kappa the preconditioned condition number,
+# about the coefficient contrast): asking more of it costs iterations that
+# do not lower the true residual.  The float64 outer loop does the rest.
+INNER_TOL = 1e-4
+
+
+def _norm(v):
+    """|v|, computed again on v / max |v| when the sum of squares may have
+    under- or overflowed."""
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(v))
+    if 1e-150 < n < 1e150:
+        return n
+    m = float(np.abs(v).max())
+    return m * float(np.linalg.norm(v / m)) if m > 0.0 else 0.0
+
+
 def _jacobi_preconditioner(matrix):
     dia = matrix.diagonal().copy()
     dia[dia == 0.0] = 1.0
-    inv = 1.0 / dia
+    inv = (1.0 / dia).astype(np.float32)
     return lambda r, norm: inv * r
 
 
+def _bicgstab(A, b, nb, tol, max_iter):
+    """scipy's BiCGSTAB, restarted from its last iterate while the true
+    residual is above ``tol`` (scipy stops on its recursive residual)."""
+    x, it, history = np.zeros_like(b), 0, []
+
+    def count(xk):
+        nonlocal it
+        it += 1
+
+    while True:
+        x_prev = x
+        x, info = spla.bicgstab(A, b, x0=x, rtol=tol, maxiter=max_iter - it, callback=count)
+        Ax = A @ x
+        true = _norm(b - Ax) / nb
+        history.append(true)
+        if true <= tol:
+            return x, Ax, it, true
+        if len(history) > 1 and true >= history[-2]:
+            raise SolverError(f"bicgstab restart stalled at true residual {true:.3e} > tol={tol}",
+                              best_x=x_prev, history=history)
+        if info != 0 or it >= max_iter:
+            raise SolverError(f"bicgstab failed with code {info} at true residual {true:.3e}",
+                              best_x=x, history=history)
+
+
 def solve(system, tol=1e-10, max_iter=20000, preconditioner="auto", x0=None):
-    """Solve the assembled system by preconditioned conjugate gradients.
+    """Solve the assembled system to a true residual |b - Ax| / |b| of at
+    most ``tol``.
 
     Returns (ScalarField, SolveStats).  Semi-definite systems return the
     mean-zero representative.  Non-convergence raises SolverError with
-    the best iterate and full residual history attached.
+    the best iterate and the residual history attached.
 
-    Precision split: the fast preconditioner (``Operator.preconditioner``)
-    runs in float32, while everything CG computes (x, r, p, A p, the dot
-    products and the stopping test) stays in float64.  The preconditioner
-    only approximates the inverse, so its rounding costs no accuracy; the
-    flexible (Polak-Ribiere) beta = -alpha (A p . z) / (r . z)_old keeps CG
-    robust when the preconditioner is not exactly symmetric.  CG
-    returns only when the true residual |b - Ax| / |b| is at most ``tol``:
-    at the recursive residual's exit the true one is checked, and if it is
-    larger, residual replacement restarts CG from r = b - Ax (van der Vorst
-    and Ye, SIAM J. Sci. Comput. 22, 2000) until it is met; a replacement
-    that no longer lowers the true residual raises SolverError.
+    Symmetric systems: mixed-precision iterative refinement (Carson and
+    Higham, SIAM J. Sci. Comput. 40, 2018).  A float64 loop computes
+    r = b - Ax (mean-free on singular systems), returns once |r| / |b| <=
+    tol, and otherwise adds |r| d, where float32 PCG solves A d = r / |r|
+    to the relative target max(INNER_TOL, tol |b| / (2 |r|)).  Inner CG
+    takes the flexible (Polak-Ribiere) beta, which tolerates a
+    preconditioner that is not exactly symmetric (Notay, SIAM J. Sci.
+    Comput. 22, 2000), and projects nothing: A annihilates constants, the
+    fast preconditioner drops the mean mode, and the outer loop projects r
+    and x.  A correction that does not lower |r|, or ``max_iter`` spent
+    inner iterations, raises SolverError.  Nonsymmetric systems: scipy's
+    BiCGSTAB, restarted from its iterate under the same two rules.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
     grid = system.grid
     b = system.rhs
-    nb = float(np.linalg.norm(b))
+    nb = _norm(b)
     if nb == 0.0:
         zero = ScalarField(grid, np.zeros(grid.shape))
         return zero, SolveStats(0, 0.0, 0.0, 0.0)
 
     if not system.symmetric:
-        iterations = [0]
-
-        def count(xk):
-            iterations[0] += 1
-
-        x, info = spla.bicgstab(system.matrix, b, rtol=tol, maxiter=max_iter, callback=count)
-        if info != 0:
-            raise SolverError(f"bicgstab failed with code {info}", best_x=x)
-        Ax = system.matrix @ x
-        res = float(np.linalg.norm(b - Ax) / nb)
+        x, Ax, it, true = _bicgstab(system.matrix, b, nb, tol, max_iter)
         energy = 0.5 * float(x @ Ax) - float(x @ b)
-        stats = SolveStats(iterations[0], res, energy, res)
-        return ScalarField(grid, x.reshape(grid.shape)), stats
+        return ScalarField(grid, x.reshape(grid.shape)), SolveStats(it, true, energy, true)
 
     if preconditioner in ("auto", "fft"):
         M = system.operator.preconditioner
@@ -494,77 +536,62 @@ def solve(system, tol=1e-10, max_iter=20000, preconditioner="auto", x0=None):
     else:
         raise ValueError(f"unknown preconditioner {preconditioner!r}")
 
-    A = system.matrix
+    A, A32 = system.matrix, system.operator.matrix32
     project = system.singular
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float).ravel().copy()
-    r = b - A @ x if x0 is not None else b.copy()
+    if x0 is None:
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        x = np.asarray(x0, dtype=float).ravel() - (np.mean(x0) if project else 0.0)
+        r = b - A @ x
     history = []
     it = 0
-    true_before = np.inf
-    while True:  # one pass per (re)start from the residual r of x
+    while True:
         if project:
             r -= r.mean()
-        rel = float(np.linalg.norm(r)) / nb
-        history.append(rel)
-        best_rel, best_x = rel, None  # None: the best iterate is x itself
-        if rel > tol:
-            z = M(r, rel * nb)
-            if project:
-                z -= z.mean()
-            p = z.copy()
-            rz = float(r @ z)
-        while rel > tol and it < max_iter:
-            Ap = A @ p
-            if project:
-                Ap -= Ap.mean()
-            pAp = float(p @ Ap)
-            if pAp <= 0.0:
-                raise SolverError("operator lost positivity in CG",
-                                  best_x=x.copy() if best_x is None else best_x, history=history)
-            alpha = rz / pAp
-            x += alpha * p
-            r -= alpha * Ap
-            if project:
-                r -= r.mean()
-            rel = float(np.linalg.norm(r)) / nb
-            history.append(rel)
-            it += 1
-            if rel < best_rel:
-                best_rel, best_x = rel, None
-            elif best_x is None:  # the residual rose: keep the previous iterate
-                best_x = x - alpha * p
-            if rel <= tol:
-                break
-            z = M(r, rel * nb)
-            if project:
-                z -= z.mean()
-            beta = -alpha * float(z @ Ap) / rz
-            rz = float(r @ z)
-            p *= beta
-            p += z
-        if rel > tol:
-            raise SolverError(
-                f"CG did not reach tol={tol} in {max_iter} iterations "
-                f"(best residual {best_rel:.3e})",
-                best_x=x.copy() if best_x is None else best_x,
-                history=history,
-            )
-        if project:
-            x -= x.mean()
-        Ax = A @ x
-        r = b - Ax
-        true = float(np.linalg.norm(r)) / nb
+        nr = _norm(r)
+        true = nr / nb
+        history.append(true)
         if true <= tol:
             break
-        if true >= true_before:
-            raise SolverError(
-                f"residual replacement stalled at true residual {true:.3e} > tol={tol}",
-                best_x=x, history=history,
-            )
-        log.info("true residual %.3e > tol %.1e: residual replacement", true, tol)
-        true_before = true
-    energy = 0.5 * float(x @ Ax) - float(x @ b)
-    stats = SolveStats(it, rel, energy, true)
+        if len(history) > 1 and true >= history[-2]:
+            raise SolverError(f"refinement stalled at true residual {true:.3e} > tol={tol}",
+                              best_x=x_prev, history=history)
+        if it >= max_iter:
+            raise SolverError(f"CG did not reach tol={tol} in {max_iter} iterations "
+                              f"(best residual {true:.3e})", best_x=x, history=history)
+        # float32 PCG for A d = r / |r|, buffers allocated once per correction
+        target = max(INNER_TOL, 0.5 * tol / true)
+        r32 = np.divide(r, nr, out=np.empty(r.shape, np.float32), casting="same_kind")
+        d = np.zeros_like(r32)
+        scratch = np.empty_like(r32)
+        z = M(r32, 1.0)
+        p = z.astype(np.float32)
+        rz = float(r32 @ z)
+        while it < max_iter:
+            Ap = A32 @ p
+            pAp = float(p @ Ap)
+            if pAp <= 0.0:
+                raise SolverError("operator lost positivity in CG", best_x=x, history=history)
+            alpha = rz / pAp
+            d += np.multiply(p, alpha, out=scratch)
+            r32 -= np.multiply(Ap, alpha, out=scratch)
+            rel = float(np.sqrt(r32 @ r32))
+            it += 1
+            if rel <= target:
+                break
+            z = M(r32, rel)
+            beta = -alpha * float(z @ Ap) / rz
+            rz = float(r32 @ z)
+            p *= beta
+            p += z
+        x_prev = x
+        # in float64: nr * d would be float32 (NEP 50) and under- or overflow
+        x = x + np.multiply(d, nr, dtype=np.float64)
+        if project:
+            x -= x.mean()
+        r = b - A @ x
+    energy = -0.5 * nb * float((x / nb) @ (b + r))  # x.Ax / 2 - x.b with Ax = b - r
+    stats = SolveStats(it, true, energy, true)
     return ScalarField(grid, x.reshape(grid.shape)), stats
 
 

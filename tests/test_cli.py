@@ -337,9 +337,10 @@ def test_report_takes_pipeline_overrides(tmp_path):
 
 def test_pipeline_builds_one_operator_per_field_and_kinds(tmp_path, monkeypatch):
     """One operator per (field, boundary kinds) and stage function: the
-    torus and window operators once per seed, the slab operator once each
-    in build_halfspace_set, halfspace_residuals and dyadic_construction;
-    the direct half-space correction is not solved twice."""
+    torus and window operators once per seed, the slab operator once in
+    build_halfspace_set and once in the half-space stage, which hands it to
+    halfspace_residuals and dyadic_construction; the direct half-space
+    correction is not solved twice."""
     import importlib
 
     from homlab import pde
@@ -375,7 +376,7 @@ def test_pipeline_builds_one_operator_per_field_and_kinds(tmp_path, monkeypatch)
     })
     manifest = cli.run_pipeline(cfg, tmp_path / "run")
     assert "failed" not in manifest
-    assert sorted(builds) == ["slab"] * 3 + ["torus", "window"]
+    assert sorted(builds) == ["slab"] * 2 + ["torus", "window"]
     # d correctors, d - 1 half-space corrections, n_max + 2 annuli, one sample
     assert len(solves) == 2 + 1 + (n_max + 2) + 1
 
@@ -458,12 +459,14 @@ def test_corrector_command_matches_corrector_stage_3d(tmp_path):
 
 @pytest.mark.parametrize("mode", ["direct", "dyadic"])
 def test_halfspace_command_matches_halfspace_stage(tmp_path, mode):
+    # n_max 2 reaches the annulus radius 64, beyond the radii of both the
+    # stage's curve (side / 4) and the command's default (side / 2)
     cfg = stage_config(2, 64, 5, halfspace={"L": 32.0, "mode": mode,
-                                            "dyadic": {"r0": 8.0, "n_max": 0}})
+                                            "dyadic": {"r0": 8.0, "n_max": 2}})
     cli.run_halfspace_stage(cfg, tmp_path, "t", cli.run_corrector_stage(cfg, tmp_path, "t"))
     hs_csv = tmp_path / "hs.csv"
     assert main(["halfspace", "--field", str(field_file(tmp_path, 2, 64, 5)), "--L", "32",
-                 "--mode", mode, "--r0", "8", "--n-max", "0", "--tol", "1e-12",
+                 "--mode", mode, "--r0", "8", "--n-max", "2", "--tol", "1e-12",
                  "--out", f"{tmp_path / 'hs.npz'},{hs_csv}"]) == 0
     assert hs_csv.read_bytes() == (tmp_path / "halfspace__t__seed5.csv").read_bytes()
     dyadic = tmp_path / "hs.dyadic.csv"

@@ -408,6 +408,24 @@ def test_dyadic_constant_field_all_zero():
         assert dy.energies[(n, 8.0)] <= 1e-12
 
 
+def test_dyadic_config_reads_every_annulus_radius():
+    # n_max 2 reads delta at radius 64: a measured curve without it is
+    # measured again there, not read at its nearest radius (32)
+    grid = Grid.torus(2, 64)
+    pair = solve_pair(sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=5), grid))
+    full = DyadicConfig.from_curve(sublinearity_curve(pair, [8.0, 16.0, 32.0, 64.0]), 8.0, 2)
+    short = DyadicConfig.from_curve(sublinearity_curve(pair, dyadic_radii(grid)), 8.0, 2)
+    assert np.array_equal(short.delta_at, full.delta_at)
+    assert np.array_equal(short.heights, full.heights)
+    from homlab.corrector import SublinearityCurve
+
+    hand = SublinearityCurve(np.array([8.0, 16.0, 32.0]), np.array([0.1, 0.05, 0.025]),
+                             np.array([0.1, 0.05, 0.025]), np.zeros(3))
+    assert DyadicConfig.from_curve(hand, 8.0, 1).delta_at.tolist() == [0.1, 0.05, 0.025]
+    with pytest.raises(ValueError):
+        DyadicConfig.from_curve(hand, 8.0, 2)
+
+
 def test_halfspace_3d_smoke():
     # the 3d construction runs end to end; the skew correction falls back
     # to the curl of the potentials there, carrying the truncation gap in

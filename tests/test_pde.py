@@ -479,6 +479,36 @@ def test_solve_stats_bicgstab_nonsymmetric_field():
     assert true <= 1e-9
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("grid", [Grid.half_box(2, 64, tangential_periodic=False),
+                                  Grid.torus(2, 64)])
+def test_bicgstab_exits_on_true_residual(grid, seed):
+    # contrast 100 with nonsymmetric cross terms: scipy's recursive residual
+    # reaches tol while the true one is above it (half-box seeds 0 and 2);
+    # restarts from the last iterate close the gap
+    rng = np.random.default_rng(seed)
+    faces = []
+    for k in range(2):
+        shp = grid.face_shape(k)
+        a = np.zeros(shp + (2, 2))
+        lo = np.where(rng.random(shp) < 0.5, 0.01, 1.0)
+        a[..., 0, 0] = lo * rng.uniform(0.5, 1.0, shp)
+        a[..., 1, 1] = lo * rng.uniform(0.5, 1.0, shp)
+        a[..., 0, 1] = lo * rng.uniform(-0.1, 0.1, shp)  # a_01 != a_10
+        a[..., 1, 0] = lo * rng.uniform(-0.1, 0.1, shp)
+        faces.append(a)
+    field = CoefficientField(grid, faces, lam=0.002)
+    if grid.topology == "torus":
+        sys = assemble(field, BoundarySpec.periodic(), SourceTerm(volume=rng.standard_normal(grid.shape)))
+    else:
+        sys = assemble(field, BoundarySpec.half_box(grid, flat=NoFlux(0.3), top=Dirichlet(1.0)))
+    assert not sys.symmetric
+    for tol in (1e-10, 1e-12):
+        u, stats = solve(sys, tol=tol)
+        assert stats.true_residual <= tol
+        assert residual_norm(sys, u.values) == pytest.approx(stats.true_residual, rel=1e-12)
+
+
 # -- band assembly against the COO reference ----------------------------------
 
 
@@ -499,7 +529,12 @@ def assembly_cases(draw):
 @given(case=assembly_cases())
 def test_band_assembly_matches_coo_reference(case):
     field, kinds = case
-    A = Operator(field, kinds).matrix
+    op = Operator(field, kinds)
+    A = op.matrix
+    # the float32 copy of the inner CG solves shares the index arrays
+    A32 = op.matrix32
+    assert A32.dtype == np.float32 and np.array_equal(A32.data, A.data.astype(np.float32))
+    assert np.shares_memory(A32.indices, A.indices) and np.shares_memory(A32.indptr, A.indptr)
     ref = coo_operator_matrix(field, kinds)
     assert A.shape == ref.shape and A.indices.dtype == np.int32
     if field.diagonal:
@@ -562,19 +597,21 @@ def test_solve_reaches_tol_in_true_residual(case):
         u, stats = solve(sys, tol=1e-12)
         assert residual_norm(sys, u.values) <= 1e-12
         assert stats.true_residual <= 1e-12
+        assert stats.relative_residual == stats.true_residual
         ref = dense_solve(sys)
         assert np.abs(u.values - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("grid", [Grid.torus(2, 32), Grid.half_box(3, 8, tangential_periodic=False)])
 def test_solve_scale_invariant_over_float32_range(grid):
-    # 1e-40 is subnormal in float32: the preconditioner sees r / |r|
+    # 1e-40 is subnormal in float32: the inner solves see r / |r|; at 1e-200
+    # and 1e200 a float32 product |r| d of the correction under- or overflows
     f = sample_field(EnsembleSpec.checkerboard(values=(0.1, 1.0), seed=4), grid)
     kinds = BoundarySpec.periodic() if grid.topology == "torus" else BoundarySpec.half_box(grid)
     op = Operator(f, kinds)
     rhs = op.system(*random_data(op.bc, grid, np.random.default_rng(2))).rhs
     u, stats = solve(LinearSystem(op, rhs, op.bc), tol=1e-12)
-    for scale in (1e-40, 1e30):
+    for scale in (1e-200, 1e-40, 1e30, 1e200):
         us, ss = solve(LinearSystem(op, scale * rhs, op.bc), tol=1e-12)
         assert ss.iterations == stats.iterations
         assert ss.true_residual <= 1e-12

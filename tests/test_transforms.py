@@ -173,18 +173,21 @@ def test_fast_solver_project_mean_matches_least_squares(axes, h, seed):
        coeff=st.sampled_from([0.3, 1.0, 40.0]), magnitude=st.sampled_from([1e-40, 1.0, 1e30]),
        seed=st.integers(0, 2**16))
 def test_single_precision_solver_matches_float64(axes, h, coeff, magnitude, seed):
-    """The float32 instance folds ``coeff`` into its symbol, returns float64
-    within float32 round-off of the exact solve at any data magnitude when
-    given a norm as scale, and leaves its input unwritten."""
+    """The float32 instance folds ``coeff`` into its symbol, returns float32
+    within float32 round-off of the exact solve for data of unit norm (what
+    the inner CG solves hand it, whatever the magnitude of their
+    right-hand side), and leaves its input unwritten."""
     shape = [m for _, m in axes]
     project = all(case in SINGULAR_AXES for case, _ in axes)
     cases = [case for case, _ in axes]
     single = ft.FastConstSolver(Grid.torus(2, 4, h), [c[0] for c in cases], [c[1:] for c in cases],
                                 shape, project_mean=project, coeff=coeff, dtype=np.float32)
     b = magnitude * np.random.default_rng(seed).standard_normal(shape)
-    kept = b.copy()
-    x = single.solve(b, float(np.linalg.norm(b)))
+    norm = float(np.linalg.norm(b))
+    b32 = (b / norm).astype(np.float32)
+    kept = b32.copy()
+    x = single.solve(b32)
     ref = fast_solver(axes, h, project_mean=project).solve(b) / coeff
-    assert np.array_equal(b, kept)
-    assert x.shape == tuple(shape) and x.dtype == np.float64
-    assert np.allclose(x, ref, rtol=0.0, atol=1e-5 * np.abs(ref).max())
+    assert np.array_equal(b32, kept)
+    assert x.shape == tuple(shape) and x.dtype == np.float32
+    assert np.allclose(norm * x.astype(np.float64), ref, rtol=0.0, atol=1e-5 * np.abs(ref).max())

@@ -54,7 +54,6 @@ from .excess import (
     excess_decay_experiment,
     harmonic_sample,
     mean_value_check,
-    window_operator,
 )
 
 
@@ -234,14 +233,13 @@ def excess_header(dim):
 
 def excess_rows(f, hset, R, radii, tol, trace_seeds, amplitude):
     """Excess table rows (``excess_header``) of one harmonic sample per
-    trace seed on the radius-R window of the torus field ``f``, all on one
-    window operator; also the fitted exponent and mean-value constant of
-    each sample."""
-    op = window_operator(f, R)
+    trace seed on the radius-R window of the torus field ``f`` (the samples
+    share one window record); also the fitted exponent and mean-value
+    constant of each sample."""
     rows, alphas, c_means = [], [], []
     for seed in trace_seeds:
         trace = band_limited_trace(seed, R, amplitude=amplitude, dim=f.grid.dim)
-        sample = harmonic_sample(f, R, trace, tol=min(tol * 1e2, 1e-10), op=op)
+        sample = harmonic_sample(f, R, trace, tol=min(tol * 1e2, 1e-10))
         rep = excess_decay_experiment(sample, hset, radii)
         mvp = mean_value_check(sample, radii)
         alphas.append(rep.fitted_alpha)

@@ -12,17 +12,27 @@ harmonic samples solve the mixed problem on the box window
 [-R, R]^(d-1) x [0, R] (Dirichlet trace on the far sides, no-flux on the
 flat side); any such solution is a-harmonic with no-flux data on B_R^+,
 which is all the decay theory needs.
+
+Many harmonic samples on one window share one window record: the window
+operator of the last (torus field, R), the corrected-gradient family of
+the last half-space set on that window and the window's half-ball face
+masks by radius, all read-only.  There is one record at a time: a new
+field, R or set replaces it, and it is released when its field or set is
+garbage-collected.  Fields and sets are taken as immutable: a field
+changed in place after a sample keeps its old window operator.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .field import restrict_to_half_box, restrict_values
-from .grid import Grid, cell_offsets, face_offsets
+from .grid import cell_offsets, face_offsets
 from .pde import (
     BoundarySpec,
     Dirichlet,
@@ -91,17 +101,11 @@ def window_operator(field_torus, R):
     return Operator(window, BoundarySpec.half_box(window.grid))
 
 
-def harmonic_sample(field_torus, R, trace, tol=1e-11, max_iter=20000, op=None):
+def harmonic_sample(field_torus, R, trace, tol=1e-11, max_iter=20000):
     """Solve the mixed Dirichlet(round)/no-flux(flat) problem on the box
-    window of half-width and height R cut from the torus field; ``op`` is
-    that window's ``window_operator`` when the caller holds one."""
-    if op is None:
-        op = window_operator(field_torus, R)
-    else:
-        g = field_torus.grid
-        window = Grid.half_box(g.dim, int(round(2.0 * R / g.h)), g.h, tangential_periodic=False)
-        if op.grid != window:
-            raise ValueError(f"op is on {op.grid}, not on the radius-{R} window {window}")
+    window of half-width and height R cut from the torus field; repeated
+    samples on one (field, R) share the window record's operator."""
+    op = _window_for(field_torus, R).op
     bc = BoundarySpec.half_box(
         op.grid, flat=NoFlux(0.0), top=Dirichlet(trace), lateral=Dirichlet(trace)
     )
@@ -110,28 +114,115 @@ def harmonic_sample(field_torus, R, trace, tol=1e-11, max_iter=20000, op=None):
 
 
 # ---------------------------------------------------------------------------
+# the window record
+# ---------------------------------------------------------------------------
+
+# radii whose masks one window keeps; the oldest goes first
+_MASK_RADII = 16
+
+
+class _Window:
+    """The box window of half-width and height R of one torus field: its
+    operator, the corrected-gradient family of the last half-space set
+    seen on it and its half-ball face masks by radius.  Only weak
+    references to the field and the set are kept."""
+
+    def __init__(self, field_torus, R):
+        self.field = weakref.ref(field_torus, _forget)
+        self.R = R
+        self.op = window_operator(field_torus, R)
+        self.grid = self.op.grid
+        self.family = (None, None)  # (weak reference to the set, its family)
+        self.masks = {}
+
+
+_window = None  # the one window record, or None
+_lock = threading.Lock()  # serializes checking and replacing the record or its parts
+
+
+def _forget(ref):
+    """Weak-reference callback: the record's field or set was collected."""
+    global _window
+    w = _window
+    if w is not None and (w.field is ref or w.family[0] is ref):
+        _window = None
+
+
+def _window_for(field_torus, R):
+    """The record of (field, R), replacing any other one."""
+    global _window
+    with _lock:
+        w = _window
+        if w is None or w.field() is not field_torus or w.R != R:
+            _window = None  # release the old window before the new one is built
+            w = _window = _Window(field_torus, R)
+    return w
+
+
+def _record_on(grid):
+    """The record whose window grid is ``grid``, or None."""
+    w = _window
+    return w if w is not None and w.grid == grid else None
+
+
+def _read_only(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# ---------------------------------------------------------------------------
 # corrected gradient family on a window
 # ---------------------------------------------------------------------------
+
+
+def _corrected_gradient(hset, i, grid):
+    """Face components of b_i + grad phi_h_{b_i} on the faces of ``grid``
+    (the set's own grid needs no restriction)."""
+    d = grid.dim
+    g = gradient(hset.phi_h[i])
+    b = hset.basis.vectors[i]
+    if grid == hset.grid:
+        return [g.comps[k] + b[k] for k in range(d)]
+    return [restrict_values(g.comps[k], hset.grid, grid, face_offsets(d, k)) + b[k]
+            for k in range(d)]
 
 
 def corrected_gradient_family(hset, win_grid):
     """Per tangential direction, the face components of b + grad phi_h_b
     evaluated on the window face families."""
-    d = win_grid.dim
-    fam = []
-    for i in range(d - 1):
-        g = gradient(hset.phi_h[i])
-        comps = []
-        for k in range(d):
-            vals = restrict_values(g.comps[k], hset.grid, win_grid, face_offsets(d, k))
-            comps.append(vals + hset.basis.vectors[i][k])
-        fam.append(comps)
+    return [_corrected_gradient(hset, i, win_grid) for i in range(win_grid.dim - 1)]
+
+
+def _family(hset, grid):
+    """``corrected_gradient_family``, kept read-only by the record when
+    ``grid`` is its window."""
+    w = _record_on(grid)
+    if w is None:
+        return corrected_gradient_family(hset, grid)
+    with _lock:
+        ref, fam = w.family
+        if ref is None or ref() is not hset:
+            w.family = (None, None)  # release the old family before the new one is built
+            fam = [_read_only(comps) for comps in corrected_gradient_family(hset, grid)]
+            w.family = (weakref.ref(hset, _forget), fam)
     return fam
 
 
 def _face_masks(grid, r, center=None):
-    return [interior_ball_mask(grid, face_offsets(grid.dim, k), r, center=center)
-            for k in range(grid.dim)]
+    """Read-only interior half-ball masks of the face families; those
+    about the origin of the record's window are built once per radius."""
+    w = _record_on(grid) if center is None else None
+    with _lock:
+        masks = w.masks.get(r) if w is not None else None
+        if masks is None:
+            masks = _read_only([interior_ball_mask(grid, face_offsets(grid.dim, k), r,
+                                                   center=center) for k in range(grid.dim)])
+            if w is not None:
+                if len(w.masks) >= _MASK_RADII:
+                    del w.masks[next(iter(w.masks))]
+                w.masks[r] = masks
+    return masks
 
 
 def _fint_product(comps_a, comps_b, masks):
@@ -162,8 +253,7 @@ def excess(u, r, hset, center=None):
     space via the normal equations; singular Gram systems fall back to
     the minimum-norm solution."""
     grid = u.grid
-    return _excess(gradient(u), corrected_gradient_family(hset, grid), hset.basis, grid, r,
-                   center)
+    return _excess(gradient(u), _family(hset, grid), hset.basis, grid, r, center)
 
 
 def _excess(g, fam, basis, grid, r, center=None):
@@ -213,7 +303,7 @@ def excess_decay_experiment(sample, hset, radii, fit_window=None):
     radii = sorted(float(r) for r in radii)
     grid = sample.u.grid
     g = gradient(sample.u)
-    fam = corrected_gradient_family(hset, grid)
+    fam = _family(hset, grid)
     vals = []
     mins = []
     cond = 0.0
@@ -265,7 +355,7 @@ def coercivity_check(hset, r, magnitudes=(1.0, 4.0, 16.0, 64.0)):
     grid = hset.grid
     d = grid.dim
     masks = _face_masks(grid, r)
-    fam = corrected_gradient_family(hset, grid)[0]
+    fam = _corrected_gradient(hset, 0, grid)
     base = _fint_product(fam, fam, masks)
     mags = np.asarray(magnitudes, dtype=float)
     values = base * mags**2

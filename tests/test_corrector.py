@@ -94,6 +94,15 @@ def test_homogenized_matrix_symmetric_for_symmetric_field():
     assert abs(a_hom[0, 1] - a_hom[1, 0]) <= 1e-9
 
 
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="pde.flux and the assembled operator disagree on cross-term "
+                          "fields (not only through the (A + A.T) / 2 symmetrization)")
+def test_solve_pair_symmetric_cross_term_field():
+    grid = Grid.torus(2, 32)
+    spec = EnsembleSpec.checkerboard(values=([[0.6, 0.1], [0.1, 0.5]], 1.0), seed=2)
+    solve_pair(sample_field(spec, grid))
+
+
 def test_checkerboard_duality_smoke():
     # Dykhne: geometric mean 0.5 Id; tight run lives in the acceptance suite
     grid = Grid.torus(2, 64)

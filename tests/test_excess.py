@@ -1,3 +1,7 @@
+import gc
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,7 @@ from homlab.grid import Grid, cell_offsets
 from homlab.field import EnsembleSpec, sample_field
 from homlab.corrector import solve_pair
 from homlab.halfspace import build_halfspace_set
-from homlab.pde import ScalarField
+from homlab.pde import BoundarySpec, Dirichlet, NoFlux, ScalarField, solve
 from homlab.excess import (
     band_limited_trace,
     coercivity_check,
@@ -17,6 +21,8 @@ from homlab.excess import (
     mean_value_check,
     smallness_radius,
 )
+
+excess_module = importlib.import_module("homlab.excess")  # the package exports the function
 
 
 def make_setup(n=64, seed=7, values=(0.25, 1.0), constant=None, tol=1e-12):
@@ -57,16 +63,116 @@ def test_harmonic_sample_constant_trace():
     assert np.abs(s.u.values - 2.0).max() <= 1e-10
 
 
-def test_harmonic_sample_reuses_window_operator_and_rejects_other_radius():
+def test_window_record_builds_one_operator_per_window(monkeypatch):
+    """Three samples on one (field, R) build one window operator; a second
+    R and then a second field build one more each, and the record lets
+    go of a replaced window and of a collected field."""
+    from homlab import pde
+
     grid = Grid.torus(2, 32)
-    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=5), grid)
-    trace = band_limited_trace(1, 8.0)
-    op = window_operator(f, 8.0)
-    fresh = harmonic_sample(f, 8.0, trace)
-    reused = harmonic_sample(f, 8.0, trace, op=op)
-    assert np.array_equal(fresh.u.values, reused.u.values)
-    with pytest.raises(ValueError, match="window"):
-        harmonic_sample(f, 4.0, trace, op=op)
+    f1 = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=5), grid)
+    f2 = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=6), grid)
+    builds = []
+    init = pde.Operator.__init__
+
+    def counting_init(self, field, bc):
+        builds.append(field.grid)
+        init(self, field, bc)
+
+    monkeypatch.setattr(excess_module, "_window", None)
+    monkeypatch.setattr(pde.Operator, "__init__", counting_init)
+    cases = [(f1, 8.0, 1), (f1, 8.0, 2), (f1, 8.0, 3), (f1, 4.0, 4), (f2, 4.0, 5)]
+    samples, counts = [], []
+    for f, R, seed in cases:
+        samples.append(harmonic_sample(f, R, band_limited_trace(seed, R)))
+        counts.append(len(builds))
+        if len(samples) == 1:
+            first_op = weakref.ref(excess_module._window.op)
+    assert counts == [1, 1, 1, 2, 3]
+    gc.collect()
+    assert first_op() is None
+    for (f, R, seed), sample in zip(cases, samples):
+        op = window_operator(f, R)
+        trace = band_limited_trace(seed, R)
+        bc = BoundarySpec.half_box(op.grid, flat=NoFlux(0.0), top=Dirichlet(trace),
+                                   lateral=Dirichlet(trace))
+        u, _ = solve(op.system(bc), tol=1e-11)
+        assert np.array_equal(sample.u.values, u.values)
+    del op, f, cases
+    last_op = weakref.ref(excess_module._window.op)
+    del f2
+    gc.collect()
+    assert excess_module._window is None and last_op() is None
+
+
+def test_window_record_lets_go_of_a_collected_set(monkeypatch):
+    monkeypatch.setattr(excess_module, "_window", None)
+    f, pair, hset = make_setup(n=32, seed=3)
+    s = harmonic_sample(f, 8.0, band_limited_trace(2, 8.0))
+    excess_decay_experiment(s, hset, [4.0, 8.0])
+    family = weakref.ref(excess_module._window.family[1][0][0])
+    del pair, hset
+    gc.collect()
+    assert excess_module._window is None and family() is None
+
+
+def _same_reports(a, b):
+    (rep_a, mv_a, co_a), (rep_b, mv_b, co_b) = a, b
+    assert np.array_equal(rep_a.excess, rep_b.excess)
+    assert all(np.array_equal(x, y) for x, y in zip(rep_a.minimizers, rep_b.minimizers))
+    assert np.array_equal(rep_a.fitted_alpha, rep_b.fitted_alpha, equal_nan=True)
+    assert rep_a.pair_ratios == rep_b.pair_ratios
+    assert np.array_equal(mv_a.ratios, mv_b.ratios) and mv_a.c_mean == mv_b.c_mean
+    assert co_a.empirical_constant == co_b.empirical_constant
+    assert np.array_equal(co_a.values, co_b.values)
+
+
+def test_window_record_gives_the_same_reports_warm_and_cleared(monkeypatch):
+    from homlab.excess import _face_masks, _fint_product, corrected_gradient_family
+
+    f, pair, hset = make_setup(n=64, seed=5)
+    radii = [4.0, 8.0, 16.0]
+
+    def reports(seed, clear):
+        out = []
+        for step in (
+            lambda: harmonic_sample(f, 16.0, band_limited_trace(seed, 16.0)),
+            lambda: excess_decay_experiment(out[0], hset, radii),
+            lambda: mean_value_check(out[0], radii),
+            lambda: coercivity_check(hset, 8.0),
+        ):
+            if clear:
+                monkeypatch.setattr(excess_module, "_window", None)
+            out.append(step())
+        return out[1:]
+
+    for seed in (1, 2):
+        cold = reports(seed, clear=True)
+        reports(seed, clear=False)  # warms the record on this sample's window
+        warm = reports(seed, clear=False)
+        record = excess_module._window
+        assert record.family[0]() is hset and set(radii) <= set(record.masks)
+        _same_reports(warm, cold)
+    # the first direction on the set's own grid, as the whole family gives it
+    grid = hset.grid
+    fam = corrected_gradient_family(hset, grid)[0]
+    assert warm[2].empirical_constant == _fint_product(fam, fam, _face_masks(grid, 8.0))
+    masks = _face_masks(record.grid, 8.0)
+    assert masks is record.masks[8.0]
+    with pytest.raises(ValueError):
+        masks[0][0, 0] = True
+    # another set on the same window and an off-origin ball are not
+    # served from what the record holds
+    sample = harmonic_sample(f, 16.0, band_limited_trace(3, 16.0))
+    _, _, other = make_setup(n=64, seed=6)
+    centered = lambda h: excess(sample.u, 8.0, h, center=np.array([3.0, 0.0]))
+    warm_values = [(excess_decay_experiment(sample, h, radii).excess, centered(h).value)
+                   for h in (hset, other)]
+    monkeypatch.setattr(excess_module, "_window", None)
+    cold_values = [(excess_decay_experiment(sample, h, radii).excess, centered(h).value)
+                   for h in (hset, other)]
+    for (w_exc, w_c), (c_exc, c_c) in zip(warm_values, cold_values):
+        assert np.array_equal(w_exc, c_exc) and w_c == c_c
 
 
 def test_harmonic_sample_band_limited_residual():

@@ -167,6 +167,15 @@ def validate_config(raw):
     hs = cfg.get("halfspace", {})
     if hs.get("mode", "direct") not in ("direct", "dyadic"):
         raise ConfigError("halfspace mode must be direct or dyadic")
+    try:
+        grid = _grid_from_config(cfg)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad grid config: {e}") from e
+    if not _radii(cfg, grid):
+        raise ConfigError(f"no corrector radius: default radii 8h..side/4 empty at side {grid.side:g}")
+    _, ex_radii = _excess_radii(cfg, grid)
+    if not ex_radii or min(ex_radii) < 4 * grid.h:
+        raise ConfigError(f"excess radii {ex_radii} empty or below the quadrature floor 4h")
     return cfg
 
 
@@ -195,6 +204,13 @@ def _radii(cfg, grid):
     if radii is None:
         return dyadic_radii(grid, r_max=grid.side / 4.0)
     return [float(r) for r in radii]
+
+
+def _excess_radii(cfg, grid):
+    """The window half-width R and the radii of the excess stage."""
+    ex_cfg = cfg.get("excess", {})
+    R = float(ex_cfg.get("R", grid.side / 4.0))
+    return R, [float(r) for r in ex_cfg.get("radii", [r for r in _radii(cfg, grid) if r <= R])]
 
 
 CORRECTOR_HEADER = ["r", "delta", "delta_gno", "partial_sum_m"]
@@ -318,8 +334,7 @@ def run_halfspace_stage(cfg, out_dir, tag, corr_results):
 def run_excess_stage(cfg, out_dir, tag, corr_results, hsets):
     ex_cfg = cfg.get("excess", {})
     grid = _grid_from_config(cfg)
-    R = float(ex_cfg.get("R", grid.side / 4.0))
-    radii = [float(r) for r in ex_cfg.get("radii", [r for r in _radii(cfg, grid) if r <= R])]
+    R, radii = _excess_radii(cfg, grid)
     amplitude = float(ex_cfg.get("trace_amplitude", 1.0))
     rows, alphas, c_means = [], [], []
     for seed, f, pair, curve in corr_results:

@@ -225,14 +225,22 @@ def _face_masks(grid, r, center=None):
     return masks
 
 
-def _fint_product(comps_a, comps_b, masks):
+def _gather(comps, masks):
+    return [c[m] for c, m in zip(comps, masks)]
+
+
+def _mean_product(a, b):
+    """Sum over the face families of the mean of a * b, from components
+    already gathered on the ball."""
     out = 0.0
-    for k, m in enumerate(masks):
-        a = comps_a[k][m]
-        b = comps_b[k][m]
-        if a.size:
-            out += float((a * b).mean())
+    for x, y in zip(a, b):
+        if x.size:
+            out += float((x * y).mean())
     return out
+
+
+def _fint_product(comps_a, comps_b, masks):
+    return _mean_product(_gather(comps_a, masks), _gather(comps_b, masks))
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +266,23 @@ def excess(u, r, hset, center=None):
 
 def _excess(g, fam, basis, grid, r, center=None):
     """``excess`` from the gradient g of u and the corrected gradient
-    family on u's grid, which do not depend on r."""
+    family on u's grid, which do not depend on r; g and each member are
+    gathered on the half-ball once."""
     d = grid.dim
     if r < 4 * grid.h:
         raise ValueError("radius below the quadrature floor (need r >= 4h)")
     masks = _face_masks(grid, r, center=center)
     if not any(m.any() for m in masks):
         raise ValueError("empty half-ball")
+    g = _gather(g.comps, masks)
+    fam = [_gather(f, masks) for f in fam]
     m = len(fam)
     M = np.zeros((m, m))
     c = np.zeros(m)
     for i in range(m):
-        c[i] = _fint_product(g.comps, fam[i], masks)
+        c[i] = _mean_product(g, fam[i])
         for j in range(i, m):
-            M[i, j] = M[j, i] = _fint_product(fam[i], fam[j], masks)
+            M[i, j] = M[j, i] = _mean_product(fam[i], fam[j])
     cond = float(np.linalg.cond(M)) if m else 0.0
     if m:
         if np.isfinite(cond) and cond < 1e12:
@@ -280,8 +291,8 @@ def _excess(g, fam, basis, grid, r, center=None):
             t, *_ = np.linalg.lstsq(M, c, rcond=None)
     else:
         t = np.zeros(0)
-    resid = [g.comps[k] - sum(t[i] * fam[i][k] for i in range(m)) for k in range(d)]
-    val = _fint_product(resid, resid, masks)
+    resid = [g[k] - sum(t[i] * fam[i][k] for i in range(m)) for k in range(d)]
+    val = _mean_product(resid, resid)
     b_tilde = sum(t[i] * basis.vectors[i] for i in range(m)) if m else np.zeros(d)
     return ExcessValue(max(val, 0.0), np.asarray(b_tilde), t, cond)
 

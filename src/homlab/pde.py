@@ -240,7 +240,8 @@ class Operator:
     """-div(a grad u) for one coefficient field and one set of boundary
     kinds: the CSR matrix, its symmetric and singular flags, the mean
     coefficient and transform bcs of the preconditioner, and (built on
-    first use) one FastConstSolver preconditioner.  Only the kinds of
+    first use) the float32 matrix of the inner CG solves and one
+    FastConstSolver preconditioner.  Only the kinds of
     ``bc`` enter; ``system`` turns boundary data and sources into
     right-hand sides, so one operator serves every right-hand side.
     """
@@ -330,8 +331,10 @@ class Operator:
         V = np.ascontiguousarray(V.reshape(len(O), n_cells).T).reshape(keep.shape)
         A = sp.csr_matrix((V[keep], C[keep], indptr), shape=(n_cells, n_cells))
         self.symmetric = not cross or field.is_symmetric()
+        self._diagonals = np.unique(steps[kept])
         if cross and self.symmetric:
             A = ((A + A.T) * 0.5).tocsr()
+            self._diagonals = np.union1d(self._diagonals, -self._diagonals)
         self.matrix = A
         self.singular = grid.topology == TORUS or not any(
             isinstance(b, Dirichlet) for b in bc.sides.values())
@@ -339,10 +342,15 @@ class Operator:
 
     @cached_property
     def matrix32(self):
-        """The matrix in float32 for the inner CG solves; it shares
-        ``indices`` and ``indptr`` with ``matrix``."""
-        A = self.matrix
-        return sp.csr_matrix((A.data.astype(np.float32), A.indices, A.indptr), shape=A.shape)
+        """The matrix in float32, stored by diagonals, for the inner CG
+        solves.  The offsets ascend, so each row of a product sums in the
+        column order of ``matrix`` and the products equal those of a
+        float32 CSR copy bit for bit, without its index loads."""
+        A, n = self.matrix, self.matrix.shape[0]
+        data = np.zeros((len(self._diagonals), n), np.float32)
+        for i, o in enumerate(self._diagonals.tolist()):
+            data[i, max(o, 0):n + min(o, 0)] = A.diagonal(o)
+        return sp.dia_matrix((data, self._diagonals), shape=A.shape)
 
     @cached_property
     def preconditioner(self):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +172,27 @@ def test_pipeline_bad_config_exit_code(tmp_path):
         "seeds": [0, 0],
     }))
     assert main(["pipeline", "--config", str(p2), "--out-dir", str(tmp_path / "o")]) == 2
+    # radii a stage would fail on are rejected before any solve: the default
+    # corrector radii 8h..side/4 are empty at n=16, and an excess radius of
+    # 2 is below the quadrature floor 4h
+    good = json.loads(small_config(tmp_path).read_text())
+    for name, change in (("empty_radii", {"grid": {"dim": 2, "n": 16}, "radii": None}),
+                         ("low_radius", {"radii": [2.0, 4.0, 8.0], "excess": {}})):
+        cfg = {k: v for k, v in {**good, **change}.items() if v is not None}
+        p3 = tmp_path / f"{name}.json"
+        p3.write_text(json.dumps(cfg))
+        out = tmp_path / name
+        assert main(["pipeline", "--config", str(p3), "--out-dir", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
+
+def test_module_entry_point_runs_from_a_checkout():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run([sys.executable, "-m", "homlab", "--version"], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == cli.__version__
 
 
 def test_config_validation_rules():
@@ -225,7 +250,7 @@ def test_pipeline_failure_marks_manifest(tmp_path):
     cfg = {
         "ensemble": {"kind": "checkerboard", "lam": 0.25,
                      "params": {"values": [0.25, 1.5], "cell_size": 1.0}},  # gain > 1
-        "grid": {"dim": 2, "n": 16, "h": 1.0},
+        "grid": {"dim": 2, "n": 32, "h": 1.0},
         "seeds": [0],
     }
     p = tmp_path / "cfg.json"
@@ -449,7 +474,7 @@ def stage_config(dim, n, seed, **extra):
 
 def test_corrector_command_matches_corrector_stage_3d(tmp_path):
     # the default runs every direction, e3 included
-    cfg = stage_config(3, 16, 2, radii=[2.0, 4.0])
+    cfg = stage_config(3, 16, 2, radii=[2.0, 4.0], excess={"radii": [4.0]})
     cli.run_corrector_stage(cfg, tmp_path, "t")
     out = tmp_path / "curve.csv"
     assert main(["corrector", "--field", str(field_file(tmp_path, 3, 16, 2)), "--radii", "2:4",

@@ -264,6 +264,40 @@ def test_excess_minimizer_matches_brute_force_search():
     assert abs(t_best - ev.coefficients[0]) <= 2e-3
 
 
+@pytest.mark.parametrize("dim, n, R", [(2, 64, 16.0), (3, 16, 8.0)])
+def test_excess_equals_full_array_evaluation(dim, n, R):
+    # the Gram matrix, right-hand side and residual of the tilt functional
+    # computed on full arrays masked per product, as the definition reads
+    import scipy.linalg
+    from homlab.excess import corrected_gradient_family
+    from homlab.grid import face_offsets
+    from homlab.pde import gradient, interior_ball_mask
+
+    def fint(a, b, masks):
+        return sum(float((a[k][mk] * b[k][mk]).mean()) for k, mk in enumerate(masks) if mk.any())
+
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=5), Grid.torus(dim, n))
+    hset = build_halfspace_set(f, solve_pair(f, tol=1e-12), L=n / 2.0)
+    off_origin = np.r_[3.0, np.zeros(dim - 1)]
+    for seed in (1, 2):
+        u = harmonic_sample(f, R, band_limited_trace(seed, R, dim=dim)).u
+        g = gradient(u).comps
+        fam = corrected_gradient_family(hset, u.grid)
+        m = len(fam)
+        for r, center in ((4.0, None), (R / 2, None), (R, None), (R / 2, off_origin)):
+            masks = [interior_ball_mask(u.grid, face_offsets(dim, k), r, center=center)
+                     for k in range(dim)]
+            M = np.array([[fint(fam[i], fam[j], masks) for j in range(m)] for i in range(m)])
+            c = np.array([fint(g, fam[i], masks) for i in range(m)])
+            t = scipy.linalg.solve(M, c, assume_a="sym")
+            resid = [g[k] - sum(t[i] * fam[i][k] for i in range(m)) for k in range(dim)]
+            ev = excess(u, r, hset, center=center)
+            assert np.array_equal(ev.coefficients, t)
+            assert ev.value == max(fint(resid, resid, masks), 0.0)
+            assert ev.gram_condition == float(np.linalg.cond(M))
+            assert np.array_equal(ev.minimizer, sum(t[i] * hset.basis.vectors[i] for i in range(m)))
+
+
 # -- excess decay -------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from coo_reference import coo_operator_matrix
@@ -531,10 +532,15 @@ def test_band_assembly_matches_coo_reference(case):
     field, kinds = case
     op = Operator(field, kinds)
     A = op.matrix
-    # the float32 copy of the inner CG solves shares the index arrays
+    # the float32 copy of the inner CG solves is stored by ascending
+    # diagonals and holds the float32 entries of A, with equal products
     A32 = op.matrix32
-    assert A32.dtype == np.float32 and np.array_equal(A32.data, A.data.astype(np.float32))
-    assert np.shares_memory(A32.indices, A.indices) and np.shares_memory(A32.indptr, A.indptr)
+    assert isinstance(A32, sp.dia_matrix) and A32.dtype == np.float32
+    assert np.all(np.diff(A32.offsets) > 0)
+    A_32 = A.astype(np.float32)
+    assert abs(A32.tocsr() - A_32).max() == 0
+    x = np.random.default_rng(A.nnz).standard_normal(A.shape[0]).astype(np.float32)
+    assert np.array_equal(A32 @ x, A_32 @ x)
     ref = coo_operator_matrix(field, kinds)
     assert A.shape == ref.shape and A.indices.dtype == np.int32
     if field.diagonal:
@@ -658,3 +664,31 @@ def test_callable_boundary_datum_matches_meshgrid_path():
             evaluated[a, s] = type(b)(datum(*(c[layer] for c in grid.coords(offs))))
         rhs = op.system(BoundarySpec(called)).rhs
         assert np.array_equal(rhs, op.system(BoundarySpec(evaluated)).rhs)
+
+
+@pytest.mark.parametrize("case", ["torus2d-c100", "slab2d", "window3d"])
+def test_solve_by_diagonals_matches_csr_copy(case, monkeypatch):
+    # the inner CG's diagonal-stored float32 matrix gives the iterates of a
+    # float32 CSR copy of the same matrix bit for bit
+    from homlab.corrector import coefficient_times_vector
+
+    if case == "torus2d-c100":
+        f = sample_field(EnsembleSpec.checkerboard(values=(0.01, 1.0), seed=7), Grid.torus(2, 64))
+        kinds = BoundarySpec.periodic()
+    elif case == "slab2d":
+        torus = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=8), Grid.torus(2, 64))
+        f = restrict_to_half_box(torus, 32.0)
+        kinds = BoundarySpec.half_box(f.grid, flat=NoFlux(), top=Dirichlet())
+    else:
+        torus = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=9), Grid.torus(3, 16))
+        f = restrict_to_half_box(torus, 8.0, tangential_periodic=False)
+        kinds = BoundarySpec.half_box(f.grid, lateral=Dirichlet())
+    op = Operator(f, kinds)
+    xi = np.eye(f.grid.dim)[0]
+    sys = op.system(src=SourceTerm(divergence_form=coefficient_times_vector(f, xi)))
+    u, stats = solve(sys, tol=1e-12)
+    assert isinstance(op.matrix32, sp.dia_matrix)
+    monkeypatch.setattr(op, "matrix32", op.matrix.astype(np.float32))
+    u_csr, stats_csr = solve(sys, tol=1e-12)
+    assert np.array_equal(u.values, u_csr.values)
+    assert stats.iterations == stats_csr.iterations > 0

@@ -239,11 +239,12 @@ def _side_cells(L, k, side):
 class Operator:
     """-div(a grad u) for one coefficient field and one set of boundary
     kinds: the CSR matrix, its symmetric and singular flags, the mean
-    coefficient and transform bcs of the preconditioner, and (built on
-    first use) the float32 matrix of the inner CG solves and one
-    FastConstSolver preconditioner.  Only the kinds of
-    ``bc`` enter; ``system`` turns boundary data and sources into
-    right-hand sides, so one operator serves every right-hand side.
+    coefficient and transform bcs of the fast solve, and (built on first
+    use) the float32 matrix of the inner CG solves and their
+    preconditioner, the fast solve between two l1-Jacobi smoothing steps.
+    Only the kinds of ``bc`` enter; ``system`` turns boundary data and
+    sources into right-hand sides, so one operator serves every
+    right-hand side.
     """
 
     def __init__(self, field, bc):
@@ -354,16 +355,41 @@ class Operator:
 
     @cached_property
     def preconditioner(self):
-        """The fast constant-coefficient solve with the operator's kinds and
-        mean coefficient, in single precision: ``M(r, norm)`` returns
-        float32 for the float32 residuals of the inner CG solves.  Their
-        norm (``norm``) is about 1 or less and more than ``INNER_TOL``, so
-        the transforms need no scaling."""
+        """The symmetric two-level preconditioner of the inner CG solves
+        (Tang, Nabben, Vuik and Erlangga, J. Sci. Comput. 39, 2009):
+        ``M(r, norm)`` smooths with l1-Jacobi ``S = SMOOTH_WEIGHT / l1``,
+        ``l1`` the row sums of ``|A|`` (Baker, Falgout, Kolev and Yang,
+        SIAM J. Sci. Comput. 33, 2011), corrects with the fast
+        constant-coefficient solve ``F`` of the operator's kinds and mean
+        coefficient, and smooths again:
+
+            z1 = S r,  z2 = z1 + F(r - A z1),  z = z2 + S(r - A z2).
+
+        A symmetric A satisfies A <= diag(l1), so ``2S - SAS`` and with it
+        M are positive definite for weights below 2, whatever the boundary
+        kinds.  All of it runs in single precision on the float32 residuals
+        of the inner CG solves, whose norm (``norm``) is about 1 or less and
+        more than ``INNER_TOL``, so the transforms need no scaling."""
         shape = self.grid.shape
         solver = ft.FastConstSolver(self.grid, cell_offsets(self.grid.dim), self.axis_bcs,
                                     shape, project_mean=self.singular,
                                     coeff=max(self.mean_coeff, 1e-30), dtype=np.float32)
-        return lambda r, norm: solver.solve(r.reshape(shape)).ravel()
+        A32 = self.matrix32
+        n = A32.shape[0]
+        s = np.zeros(n, np.float32)  # l1 summed one diagonal at a time, no |A| copy
+        for o, diagonal in zip(A32.offsets.tolist(), A32.data):
+            s[max(-o, 0):n - max(o, 0)] += np.abs(diagonal[max(o, 0):n + min(o, 0)])
+        np.divide(SMOOTH_WEIGHT, s, out=s)
+
+        def apply(r, norm):  # the residuals r - A z overwrite the products A z
+            z = s * r
+            t = A32 @ z
+            z += solver.solve(np.subtract(r, t, out=t).reshape(shape)).ravel()
+            t = A32 @ z
+            z += np.multiply(s, np.subtract(r, t, out=t), out=t)
+            return z
+
+        return apply
 
     def system(self, bc=None, src=None):
         """The LinearSystem of boundary data ``bc`` (the operator's kinds;
@@ -456,16 +482,20 @@ def assemble(field, bc, src=None):
 # do not lower the true residual.  The float64 outer loop does the rest.
 INNER_TOL = 1e-4
 
+# Weight of the l1-Jacobi smoothing steps of ``Operator.preconditioner``.
+# Any weight below 2 keeps the preconditioner positive definite.
+SMOOTH_WEIGHT = 1.5
+
 
 def _norm(v):
     """|v|, computed again on v / max |v| when the sum of squares may have
-    under- or overflowed."""
+    under- or overflowed; inf or nan when v holds a non-finite entry."""
     with np.errstate(over="ignore"):
         n = float(np.linalg.norm(v))
     if 1e-150 < n < 1e150:
         return n
     m = float(np.abs(v).max())
-    return m * float(np.linalg.norm(v / m)) if m > 0.0 else 0.0
+    return m * float(np.linalg.norm(v / m)) if 0.0 < m < np.inf else m
 
 
 def _jacobi_preconditioner(matrix):
@@ -515,17 +545,21 @@ def solve(system, tol=1e-10, max_iter=20000, preconditioner="auto", x0=None):
     to the relative target max(INNER_TOL, tol |b| / (2 |r|)).  Inner CG
     takes the flexible (Polak-Ribiere) beta, which tolerates a
     preconditioner that is not exactly symmetric (Notay, SIAM J. Sci.
-    Comput. 22, 2000), and projects nothing: A annihilates constants, the
-    fast preconditioner drops the mean mode, and the outer loop projects r
-    and x.  A correction that does not lower |r|, or ``max_iter`` spent
-    inner iterations, raises SolverError.  Nonsymmetric systems: scipy's
-    BiCGSTAB, restarted from its iterate under the same two rules.
+    Comput. 22, 2000), and projects nothing: A annihilates constants, so
+    the constant part that the smoothing steps of the preconditioner add
+    to the correction leaves r alone, and the outer loop projects r and x.
+    A correction that does not lower |r|, or ``max_iter`` spent inner
+    iterations, raises SolverError, and so does a non-finite |b|, |r| or
+    p.Ap.  Nonsymmetric systems: scipy's BiCGSTAB, restarted from its
+    iterate under the same two rules.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
     grid = system.grid
     b = system.rhs
     nb = _norm(b)
+    if not np.isfinite(nb):
+        raise SolverError(f"right-hand side is not finite (|b| = {nb})")
     if nb == 0.0:
         zero = ScalarField(grid, np.zeros(grid.shape))
         return zero, SolveStats(0, 0.0, 0.0, 0.0)
@@ -552,11 +586,14 @@ def solve(system, tol=1e-10, max_iter=20000, preconditioner="auto", x0=None):
         x = np.asarray(x0, dtype=float).ravel() - (np.mean(x0) if project else 0.0)
         r = b - A @ x
     history = []
-    it = 0
+    it, x_prev = 0, None
     while True:
         if project:
             r -= r.mean()
         nr = _norm(r)
+        if not np.isfinite(nr):
+            raise SolverError(f"residual is not finite (|r| = {nr})", best_x=x_prev,
+                              history=history)
         true = nr / nb
         history.append(true)
         if true <= tol:
@@ -578,8 +615,9 @@ def solve(system, tol=1e-10, max_iter=20000, preconditioner="auto", x0=None):
         while it < max_iter:
             Ap = A32 @ p
             pAp = float(p @ Ap)
-            if pAp <= 0.0:
-                raise SolverError("operator lost positivity in CG", best_x=x, history=history)
+            if not pAp > 0.0:  # also a nan from a non-finite product
+                raise SolverError(f"operator lost positivity in CG (pAp = {pAp})",
+                                  best_x=x, history=history)
             alpha = rz / pAp
             d += np.multiply(p, alpha, out=scratch)
             r32 -= np.multiply(Ap, alpha, out=scratch)

@@ -345,9 +345,10 @@ def run_excess_stage(cfg, out_dir, tag, corr_results, hsets):
         alphas += seed_alphas
         c_means += seed_c_means
     write_csv(out_dir / f"excess__{tag}.csv", excess_header(grid.dim), rows)
+    # null, not NaN (invalid JSON), when no seed gave a finite value
     summary = {
-        "alpha_mean": float(np.nanmean(alphas)) if alphas else float("nan"),
-        "c_mean_max": float(np.nanmax(c_means)) if c_means else float("nan"),
+        "alpha_mean": float(np.nanmean(alphas)) if np.isfinite(alphas).any() else None,
+        "c_mean_max": float(np.nanmax(c_means)) if np.isfinite(c_means).any() else None,
     }
     write_json(out_dir / f"excess__{tag}__summary.json", summary)
     return summary

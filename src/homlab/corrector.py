@@ -38,12 +38,12 @@ from .pde import (
     VectorField,
     assemble,
     ball_mean_square,
+    ball_values,
     diff_to_half,
     diff_to_integer,
     divergence,
     flux,
     gradient,
-    interior_ball_mask,
     solve,
 )
 
@@ -197,13 +197,6 @@ class FluxPotentialSet:
             out = term if out is None else out + term
         return out
 
-    def norm_sq_sum(self, r, center=None, half=None):
-        """sum over all ordered pairs (j,k) of the ball mean of sigma_jk^2."""
-        total = 0.0
-        for (j, k), f in self.sigma.items():
-            total += 2.0 * ball_mean_square(f, self.grid, r, center=center, half=half)
-        return total
-
 
 def solve_flux_potential(grid, q, div_tol=1e-6):
     """Flux potential of a divergence-free, mean-free face field q.
@@ -315,12 +308,11 @@ def sublinearity_curve(pair, radii, center=None, directions=None):
         tot = 0.0
         tot_g = 0.0
         for i in directions:
-            phi = pair.cset.phi[i]
-            msq, csq = _ball_raw_and_centered(phi.values, grid, r, phi.offsets, center)
+            msq, csq = _ball_raw_and_centered(pair.cset.phi[i], grid, r, center)
             tot += msq
             tot_g += csq
             for (j, k), f in pair.sigmas[i].sigma.items():
-                s_msq, s_csq = _ball_raw_and_centered(f.values, grid, r, f.offsets, center)
+                s_msq, s_csq = _ball_raw_and_centered(f, grid, r, center)
                 tot += 2.0 * s_msq
                 tot_g += 2.0 * s_csq
         delta.append(np.sqrt(tot) / r)
@@ -334,11 +326,10 @@ def sublinearity_curve(pair, radii, center=None, directions=None):
                              lambda rs: sublinearity_curve(pair, rs, center, directions))
 
 
-def _ball_raw_and_centered(values, grid, r, offsets, center):
+def _ball_raw_and_centered(f, grid, r, center=None):
     """Ball means of f^2 and of (f - ball mean)^2, the latter computed
     directly to avoid cancellation."""
-    mask = interior_ball_mask(grid, offsets, r, center=center)
-    v = values[mask]
+    [v] = ball_values(f, grid, r, center=center)
     if not v.size:
         return 0.0, 0.0
     m = float(v.mean())

@@ -14,12 +14,13 @@ flat side); any such solution is a-harmonic with no-flux data on B_R^+,
 which is all the decay theory needs.
 
 Many harmonic samples on one window share one window record: the window
-operator of the last (torus field, R), the corrected-gradient family of
-the last half-space set on that window and the window's half-ball face
-masks by radius, all read-only.  There is one record at a time: a new
-field, R or set replaces it, and it is released when its field or set is
-garbage-collected.  Fields and sets are taken as immutable: a field
-changed in place after a sample keeps its old window operator.
+operator of the last (torus field, R) and the corrected-gradient family
+of the last half-space set on that window, read-only.  There is one
+record at a time: a new field, R or set replaces it, and it is released
+when its field or set is garbage-collected.  Fields and sets are taken as
+immutable: a field changed in place after a sample keeps its old window
+operator.  Every ball mean goes through the quadrature of ``homlab.pde``,
+whose half-ball masks are cached by value, so the record holds none.
 """
 
 from __future__ import annotations
@@ -39,9 +40,12 @@ from .pde import (
     NoFlux,
     Operator,
     ScalarField,
+    VectorField,
+    ball_mean_square,
+    ball_values,
     gradient,
+    mean_product,
     solve,
-    interior_ball_mask,
 )
 
 EXCESS_FLOOR = 1e-14  # solver-noise floor excluded from log-log fits
@@ -117,15 +121,11 @@ def harmonic_sample(field_torus, R, trace, tol=1e-11, max_iter=20000):
 # the window record
 # ---------------------------------------------------------------------------
 
-# radii whose masks one window keeps; the oldest goes first
-_MASK_RADII = 16
-
 
 class _Window:
     """The box window of half-width and height R of one torus field: its
-    operator, the corrected-gradient family of the last half-space set
-    seen on it and its half-ball face masks by radius.  Only weak
-    references to the field and the set are kept."""
+    operator and the corrected-gradient family of the last half-space set
+    seen on it.  Only weak references to the field and the set are kept."""
 
     def __init__(self, field_torus, R):
         self.field = weakref.ref(field_torus, _forget)
@@ -133,11 +133,10 @@ class _Window:
         self.op = window_operator(field_torus, R)
         self.grid = self.op.grid
         self.family = (None, None)  # (weak reference to the set, its family)
-        self.masks = {}
 
 
 _window = None  # the one window record, or None
-_lock = threading.Lock()  # serializes checking and replacing the record or its parts
+_lock = threading.Lock()  # serializes checking and replacing the record or its family
 
 
 def _forget(ref):
@@ -209,40 +208,6 @@ def _family(hset, grid):
     return fam
 
 
-def _face_masks(grid, r, center=None):
-    """Read-only interior half-ball masks of the face families; those
-    about the origin of the record's window are built once per radius."""
-    w = _record_on(grid) if center is None else None
-    with _lock:
-        masks = w.masks.get(r) if w is not None else None
-        if masks is None:
-            masks = _read_only([interior_ball_mask(grid, face_offsets(grid.dim, k), r,
-                                                   center=center) for k in range(grid.dim)])
-            if w is not None:
-                if len(w.masks) >= _MASK_RADII:
-                    del w.masks[next(iter(w.masks))]
-                w.masks[r] = masks
-    return masks
-
-
-def _gather(comps, masks):
-    return [c[m] for c, m in zip(comps, masks)]
-
-
-def _mean_product(a, b):
-    """Sum over the face families of the mean of a * b, from components
-    already gathered on the ball."""
-    out = 0.0
-    for x, y in zip(a, b):
-        if x.size:
-            out += float((x * y).mean())
-    return out
-
-
-def _fint_product(comps_a, comps_b, masks):
-    return _mean_product(_gather(comps_a, masks), _gather(comps_b, masks))
-
-
 # ---------------------------------------------------------------------------
 # excess
 # ---------------------------------------------------------------------------
@@ -271,18 +236,17 @@ def _excess(g, fam, basis, grid, r, center=None):
     d = grid.dim
     if r < 4 * grid.h:
         raise ValueError("radius below the quadrature floor (need r >= 4h)")
-    masks = _face_masks(grid, r, center=center)
-    if not any(m.any() for m in masks):
+    g = ball_values(g, grid, r, center=center)
+    if not any(x.size for x in g):
         raise ValueError("empty half-ball")
-    g = _gather(g.comps, masks)
-    fam = [_gather(f, masks) for f in fam]
+    fam = [ball_values(VectorField(grid, f), grid, r, center=center) for f in fam]
     m = len(fam)
     M = np.zeros((m, m))
     c = np.zeros(m)
     for i in range(m):
-        c[i] = _mean_product(g, fam[i])
+        c[i] = mean_product(g, fam[i])
         for j in range(i, m):
-            M[i, j] = M[j, i] = _mean_product(fam[i], fam[j])
+            M[i, j] = M[j, i] = mean_product(fam[i], fam[j])
     cond = float(np.linalg.cond(M)) if m else 0.0
     if m:
         if np.isfinite(cond) and cond < 1e12:
@@ -292,7 +256,7 @@ def _excess(g, fam, basis, grid, r, center=None):
     else:
         t = np.zeros(0)
     resid = [g[k] - sum(t[i] * fam[i][k] for i in range(m)) for k in range(d)]
-    val = _mean_product(resid, resid)
+    val = mean_product(resid, resid)
     b_tilde = sum(t[i] * basis.vectors[i] for i in range(m)) if m else np.zeros(d)
     return ExcessValue(max(val, 0.0), np.asarray(b_tilde), t, cond)
 
@@ -365,9 +329,7 @@ def coercivity_check(hset, r, magnitudes=(1.0, 4.0, 16.0, 64.0)):
     family is linear in t, so quadratic homogeneity is exact."""
     grid = hset.grid
     d = grid.dim
-    masks = _face_masks(grid, r)
-    fam = _corrected_gradient(hset, 0, grid)
-    base = _fint_product(fam, fam, masks)
+    base = ball_mean_square(VectorField(grid, _corrected_gradient(hset, 0, grid)), grid, r)
     mags = np.asarray(magnitudes, dtype=float)
     values = base * mags**2
     lower = (1.0 / 16.0) ** (d + 1) * mags**2
@@ -402,16 +364,11 @@ def mean_value_check(sample, radii):
     g = gradient(sample.u)
     radii = sorted(float(r) for r in radii)
     R = radii[-1]
-    masks_R = _face_masks(grid, R)
-    den = _fint_product(g.comps, g.comps, masks_R)
+    den = ball_mean_square(g, grid, R)
     roundoff = GRADIENT_ROUNDOFF_ULPS * np.finfo(float).eps * np.abs(sample.u.values).max() / grid.h
     if den <= roundoff**2:
         return MeanValueReport(np.asarray(radii), np.ones(len(radii)), 1.0, True)
-    ratios = []
-    for r in radii:
-        masks = _face_masks(grid, r)
-        ratios.append(_fint_product(g.comps, g.comps, masks) / den)
-    ratios = np.asarray(ratios)
+    ratios = np.asarray([ball_mean_square(g, grid, r) / den for r in radii])
     return MeanValueReport(np.asarray(radii), ratios, float(ratios.max()), False)
 
 
@@ -459,15 +416,13 @@ def liouville_check(u, hset, radii, alpha=0.5):
     )
     fit = sum(t[i] * basis_fields[i] for i in range(d - 1)) + cst
     g = gradient(u)
+    mis = ScalarField(grid, u.values - fit)
     residual_profile = {}
     growth = {}
     for r in radii:
-        mask = grid.ball_mask(cell_offsets(d), r)
-        mis = u.values[mask] - fit[mask]
-        masks = _face_masks(grid, r)
-        grms = np.sqrt(max(_fint_product(g.comps, g.comps, masks), 1e-30))
-        residual_profile[r] = float(np.sqrt((mis**2).mean()) / (r * grms))
-        growth[r] = float(np.sqrt((u.values[mask] ** 2).mean()) / r ** (1.0 + alpha))
+        grms = np.sqrt(max(ball_mean_square(g, grid, r), 1e-30))
+        residual_profile[r] = float(np.sqrt(ball_mean_square(mis, grid, r)) / (r * grms))
+        growth[r] = float(np.sqrt(ball_mean_square(u, grid, r)) / r ** (1.0 + alpha))
     gv = [growth[r] for r in radii]
     half = max(1, len(gv) // 2)
     subquadratic = all(b <= a * (1.0 + 1e-9) for a, b in zip(gv[-half - 1 : -1], gv[-half:]))

@@ -508,7 +508,7 @@ def save_field(field, path):
             fh.write(np.ascontiguousarray(field.matrices(k), dtype="<f8").data)
 
 
-def _read_header(fh, path, expect_tokens):
+def _read_header(fh, path):
     magic = fh.read(len(MAGIC))
     if magic != MAGIC:
         raise FieldFileError(f"{path}: bad magic {magic!r}")
@@ -519,14 +519,14 @@ def _read_header(fh, path, expect_tokens):
             raise FieldFileError(f"{path}: truncated header")
         line += c
     tokens = line.decode("ascii").split()
-    if len(tokens) not in expect_tokens:
-        raise FieldFileError(f"{path}: header has {len(tokens)} tokens, want {expect_tokens}")
+    if len(tokens) != 6:
+        raise FieldFileError(f"{path}: header has {len(tokens)} tokens, want 6")
     return tokens
 
 
 def load_field(path):
     with open(path, "rb") as fh:
-        tokens = _read_header(fh, path, (6,))
+        tokens = _read_header(fh, path)
         dim, n = int(tokens[0]), int(tokens[1])
         h = float(tokens[2])
         grid = _grid_from_token(dim, n, h, tokens[3])
@@ -547,40 +547,3 @@ def load_field(path):
         faces.append(chunk.reshape(grid.face_shape(k) + (dim, dim)))
     return CoefficientField(grid, faces, lam=lam, seed=seed)  # compresses diagonal fields
 
-
-def save_data_field(path, grid, kind, arrays):
-    """Persist scalar ('scalar', one cell array) or vector ('vector', one
-    array per face family) data in the field container with a kind tag."""
-    header = f"{grid.dim} {grid.n} {grid.h!r} {_topology_token(grid)} 0.0 0 {kind}\n"
-    payload = np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrays]).astype("<f8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(header.encode("ascii"))
-        fh.write(payload.tobytes())
-
-
-def load_data_field(path):
-    with open(path, "rb") as fh:
-        tokens = _read_header(fh, path, (7,))
-        dim, n = int(tokens[0]), int(tokens[1])
-        h = float(tokens[2])
-        grid = _grid_from_token(dim, n, h, tokens[3])
-        kind = tokens[6]
-        raw = fh.read()
-    data = np.frombuffer(raw, dtype="<f8")
-    if kind == "scalar":
-        want = int(np.prod(grid.shape))
-        if data.size != want:
-            raise FieldFileError(f"{path}: scalar payload {data.size} != {want}")
-        return grid, kind, [data.reshape(grid.shape).copy()]
-    if kind == "vector":
-        sizes = [int(np.prod(grid.face_shape(k))) for k in range(dim)]
-        if data.size != sum(sizes):
-            raise FieldFileError(f"{path}: vector payload {data.size} != {sum(sizes)}")
-        arrays = []
-        pos = 0
-        for k in range(dim):
-            arrays.append(data[pos : pos + sizes[k]].reshape(grid.face_shape(k)).copy())
-            pos += sizes[k]
-        return grid, kind, arrays
-    raise FieldFileError(f"{path}: unknown kind {kind!r}")

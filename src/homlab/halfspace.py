@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _transforms as ft
-from .corrector import WholeSpacePair, coefficient_times_vector
+from .corrector import WholeSpacePair, _ball_raw_and_centered, coefficient_times_vector
 from .field import restrict_to_half_box, restrict_values
 from .grid import Grid, cell_offsets, face_offsets, pair_offsets
 from .pde import (
@@ -45,6 +45,7 @@ from .pde import (
     SourceTerm,
     VectorField,
     ball_mean_square,
+    ball_values,
     diff_to_half,
     diff_to_integer,
     flux,
@@ -257,11 +258,16 @@ def solve_vector_potentials(grid, G):
     for j in range(d):
         vals = face_poisson_solve(grid, j, G.comps[j])
         if j == d - 1:
-            mask = interior_ball_mask(grid, face_offsets(d, j), max(1.0, 2 * grid.h), half=False)
-            if mask.any():
-                vals = vals - vals[mask].mean()
+            vals = _unit_ball_centred(vals, grid, face_offsets(d, j))
         v[j] = ScalarField(grid, vals, face_offsets(d, j))
     return v
+
+
+def _unit_ball_centred(vals, grid, offs):
+    """Values of the vertical potential less their mean over the full
+    ball of radius max(1, 2h) about the origin."""
+    [ball] = ball_values(ScalarField(grid, vals, offs), grid, max(1.0, 2 * grid.h), half=False)
+    return vals - ball.mean() if ball.size else vals
 
 
 def curl_of_potentials(v, grid):
@@ -610,11 +616,7 @@ def half_sublinearity_curve(hset, radii):
             raise ValueError(f"radius {r} exceeds the half-box height")
         tot_tang = 0.0
         for i in range(d - 1):
-            phi = hset.phi_h[i]
-            mask = grid.ball_mask(phi.offsets, r)
-            vals = phi.values[mask]
-            m = vals.mean() if vals.size else 0.0
-            tot_tang += float(((vals - m) ** 2).mean()) if vals.size else 0.0
+            tot_tang += _ball_raw_and_centered(hset.phi_h[i], grid, r)[1]
             for j in range(d):
                 for k in range(j + 1, d):
                     f = hset.sigma_h[(i, (j, k))]
@@ -805,15 +807,13 @@ def correction_truncation_change(field_torus, pair, b, L, r_obs=None, tol=DEFAUL
     c_small = solve_halfspace_correction(small, field_torus, pair, b, tol=tol)
     c_large = solve_halfspace_correction(large, field_torus, pair, b, tol=tol)
     # evaluate both gradients on the smaller grid's half-ball
-    g_small = gradient(c_small.varphi)
-    g_large = gradient(c_large.varphi)
+    grid = small.grid
+    g_large = VectorField(grid, [restrict_values(c, large.grid, grid, face_offsets(grid.dim, k))
+                                 for k, c in enumerate(gradient(c_large.varphi).comps)])
     num = 0.0
     den = 0.0
-    for k in range(small.grid.dim):
-        offs = face_offsets(small.grid.dim, k)
-        mask = interior_ball_mask(small.grid, offs, r_obs)
-        a = g_small.comps[k][mask]
-        bb = restrict_values(g_large.comps[k], large.grid, small.grid, offs)[mask]
+    for a, bb in zip(ball_values(gradient(c_small.varphi), grid, r_obs),
+                     ball_values(g_large, grid, r_obs)):
         num += float(((a - bb) ** 2).sum())
         den += float((bb * bb).sum())
     return float(np.sqrt(num / den)) if den > 0 else float(np.sqrt(num))
@@ -830,7 +830,6 @@ def solve_vector_potentials_dyadic(field_hb, dyadic_result, config, tol=DEFAULT_
     """
     grid = field_hb.grid
     d = grid.dim
-    h = grid.h
     # radial cutoffs on every face family
     def cutoff_at(offs, n):
         coords = grid.coords(offs)
@@ -859,9 +858,7 @@ def solve_vector_potentials_dyadic(field_hb, dyadic_result, config, tol=DEFAULT_
             lin = sum(c_n[a] * coords[a] for a in range(d))
             vals = vals - lin
             if j == d - 1:
-                mask = interior_ball_mask(grid, offs, max(1.0, 2 * h), half=False)
-                if mask.any():
-                    vals = vals - vals[mask].mean()
+                vals = _unit_ball_centred(vals, grid, offs)
             constants[(n, j)] = c_n
             v_sum[j] += vals
     out = {j: ScalarField(grid, v_sum[j], face_offsets(d, j)) for j in range(d)}

@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -498,13 +498,6 @@ def _norm(v):
     return m * float(np.linalg.norm(v / m)) if 0.0 < m < np.inf else m
 
 
-def _jacobi_preconditioner(matrix):
-    dia = matrix.diagonal().copy()
-    dia[dia == 0.0] = 1.0
-    inv = (1.0 / dia).astype(np.float32)
-    return lambda r, norm: inv * r
-
-
 def _bicgstab(A, b, nb, tol, max_iter):
     """scipy's BiCGSTAB, restarted from its last iterate while the true
     residual is above ``tol`` (scipy stops on its recursive residual)."""
@@ -530,7 +523,7 @@ def _bicgstab(A, b, nb, tol, max_iter):
                               best_x=x, history=history)
 
 
-def solve(system, tol=1e-10, max_iter=20000, preconditioner="auto", x0=None):
+def solve(system, tol=1e-10, max_iter=20000):
     """Solve the assembled system to a true residual |b - Ax| / |b| of at
     most ``tol``.
 
@@ -569,22 +562,10 @@ def solve(system, tol=1e-10, max_iter=20000, preconditioner="auto", x0=None):
         energy = 0.5 * float(x @ Ax) - float(x @ b)
         return ScalarField(grid, x.reshape(grid.shape)), SolveStats(it, true, energy, true)
 
-    if preconditioner in ("auto", "fft"):
-        M = system.operator.preconditioner
-    elif preconditioner == "jacobi":
-        M = _jacobi_preconditioner(system.matrix)
-    elif preconditioner is None:
-        M = lambda r, norm: r
-    else:
-        raise ValueError(f"unknown preconditioner {preconditioner!r}")
-
+    M = system.operator.preconditioner
     A, A32 = system.matrix, system.operator.matrix32
     project = system.singular
-    if x0 is None:
-        x, r = np.zeros_like(b), b.copy()
-    else:
-        x = np.asarray(x0, dtype=float).ravel() - (np.mean(x0) if project else 0.0)
-        r = b - A @ x
+    x, r = np.zeros_like(b), b.copy()
     history = []
     it, x_prev = 0, None
     while True:
@@ -786,8 +767,21 @@ def _interior_mask(grid, offsets):
 
 def interior_ball_mask(grid, offsets, r, center=None, half=None):
     """``grid.ball_mask`` without the boundary-plane layers of
-    ``_interior_mask``: the home points a ball quadrature sums over."""
-    return grid.ball_mask(offsets, r, center=center, half=half) & _interior_mask(grid, offsets)
+    ``_interior_mask``: the home points a ball quadrature sums over.
+
+    Masks are cached by value of (grid, offsets, r, center, half), the
+    last 16 of them, and are read-only; a center may be any sequence of
+    coordinates."""
+    if center is not None:
+        center = tuple(float(c) for c in center)
+    return _cached_ball_mask(grid, tuple(offsets), r, center, half)
+
+
+@lru_cache(maxsize=16)  # a 3d excess table of three radii and a coercivity radius take 12
+def _cached_ball_mask(grid, offsets, r, center, half):
+    mask = grid.ball_mask(offsets, r, center=center, half=half) & _interior_mask(grid, offsets)
+    mask.flags.writeable = False
+    return mask
 
 
 def half_ball_average(values, grid, r, center=None, offsets=None, half=None):
@@ -814,26 +808,31 @@ def half_ball_average(values, grid, r, center=None, offsets=None, half=None):
     return float(arr[mask].mean()), count
 
 
-def ball_mean_square(vf_or_field, grid, r, center=None, half=None):
-    """Mean of |field|^2 over the (half-)ball; vector fields average each
+def ball_values(f, grid, r, center=None, half=None):
+    """The values of f at the home points of the (half-)ball, one array
+    per home: one for a ScalarField, one per face family of a
+    VectorField."""
+    if isinstance(f, VectorField):
+        return [c[interior_ball_mask(grid, face_offsets(grid.dim, k), r, center, half)]
+                for k, c in enumerate(f.comps)]
+    return [f.values[interior_ball_mask(grid, f.offsets, r, center, half)]]
+
+
+def mean_product(a, b):
+    """Sum over the homes of the mean of a * b, from values gathered by
+    ``ball_values``; empty homes add nothing."""
+    out = 0.0
+    for x, y in zip(a, b):
+        if x.size:
+            out += float((x * y).mean())
+    return out
+
+
+def ball_mean_square(f, grid, r, center=None, half=None):
+    """Mean of |f|^2 over the (half-)ball; vector fields average each
     face component on its own home and sum the component means."""
-    if isinstance(vf_or_field, VectorField):
-        total = 0.0
-        for k in range(grid.dim):
-            mask = interior_ball_mask(grid, face_offsets(grid.dim, k), r, center=center, half=half)
-            c = vf_or_field.comps[k][mask]
-            if c.size:
-                total += float((c * c).mean())
-        return total
-    if isinstance(vf_or_field, ScalarField):
-        arr = vf_or_field.values
-        offs = vf_or_field.offsets
-    else:
-        arr = np.asarray(vf_or_field)
-        offs = cell_offsets(grid.dim)
-    mask = interior_ball_mask(grid, offs, r, center=center, half=half)
-    v = arr[mask]
-    return float((v * v).mean()) if v.size else 0.0
+    v = ball_values(f, grid, r, center=center, half=half)
+    return mean_product(v, v)
 
 
 @dataclass
@@ -852,11 +851,8 @@ def caccioppoli_ratio(u, field, r, center=None, residual_tol=1e-6):
     """
     grid = u.grid
     vol = grid.cell_volume()
-    g = gradient(u)
     num = 0.0
-    for k in range(grid.dim):
-        mask = interior_ball_mask(grid, face_offsets(grid.dim, k), r, center=center)
-        c = g.comps[k][mask]
+    for c in ball_values(gradient(u), grid, r, center=center):
         num += float((c * c).sum()) * vol
     mask2 = grid.ball_mask(cell_offsets(grid.dim), 2 * r, center=center)
     den = float((u.values[mask2] ** 2).sum()) * vol / (r * r)

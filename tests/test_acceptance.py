@@ -287,16 +287,15 @@ def test_criterion_11_oracle_equivalence():
     hset = build_halfspace_set(f, pair, L=16.0)
     u = harmonic_sample(f, 8.0, band_limited_trace(3, 8.0)).u
     ev = excess(u, 4.0, hset)
-    from homlab.excess import _face_masks, _fint_product, corrected_gradient_family
-    from homlab.pde import gradient
+    from homlab.excess import corrected_gradient_family
+    from homlab.pde import ball_values, gradient, mean_product
 
-    masks = _face_masks(u.grid, 4.0)
-    fam = corrected_gradient_family(hset, u.grid)[0]
-    g = gradient(u)
+    fam = ball_values(VectorField(u.grid, corrected_gradient_family(hset, u.grid)[0]), u.grid, 4.0)
+    g = ball_values(gradient(u), u.grid, 4.0)
     ts = np.arange(-4.0, 4.0 + 1e-9, 1e-3)
-    a = _fint_product(fam, fam, masks)
-    lin = _fint_product(g.comps, fam, masks)
-    cc = _fint_product(g.comps, g.comps, masks)
+    a = mean_product(fam, fam)
+    lin = mean_product(g, fam)
+    cc = mean_product(g, g)
     t_best = ts[int(np.argmin(cc - 2 * ts * lin + ts**2 * a))]
     t_err = abs(t_best - ev.coefficients[0])
     ok = worst <= 1e-9 and t_err <= 2e-3

@@ -161,6 +161,31 @@ def test_pipeline_3d_runs(tmp_path):
     assert header[3:6] == ["b1", "b2", "b3"] and rows
 
 
+def test_pipeline_without_a_fitted_exponent_writes_null(tmp_path):
+    # n=32 with the default radii leaves the excess stage one radius, so
+    # no seed fits an exponent: the summaries hold null, never NaN
+    cfg = {
+        "ensemble": {"kind": "checkerboard", "lam": 0.25,
+                     "params": {"values": [0.25, 1.0], "cell_size": 1.0}},
+        "grid": {"dim": 2, "n": 32, "h": 1.0},
+        "seeds": [0],
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 0
+    manifest = json.loads(next(out.glob("manifest__*.json")).read_text())
+    assert "failed" not in manifest
+
+    def no_constant(name):
+        raise AssertionError(f"invalid JSON constant {name}")
+
+    for pattern in ("excess__*__summary.json", "report__*.json"):
+        doc = json.loads(next(out.glob(pattern)).read_text(), parse_constant=no_constant)
+        summary = doc.get("excess", doc)
+        assert summary["alpha_mean"] is None and summary["c_mean_max"] == 1.0
+
+
 def test_pipeline_bad_config_exit_code(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"grid": {"dim": 2, "n": 16}}))

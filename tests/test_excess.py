@@ -9,7 +9,19 @@ from homlab.grid import Grid, cell_offsets
 from homlab.field import EnsembleSpec, sample_field
 from homlab.corrector import solve_pair
 from homlab.halfspace import build_halfspace_set
-from homlab.pde import BoundarySpec, Dirichlet, NoFlux, ScalarField, solve
+from homlab.pde import (
+    BoundarySpec,
+    Dirichlet,
+    NoFlux,
+    ScalarField,
+    VectorField,
+    ball_mean_square,
+    ball_values,
+    gradient,
+    interior_ball_mask,
+    mean_product,
+    solve,
+)
 from homlab.excess import (
     band_limited_trace,
     coercivity_check,
@@ -128,7 +140,9 @@ def _same_reports(a, b):
 
 
 def test_window_record_gives_the_same_reports_warm_and_cleared(monkeypatch):
-    from homlab.excess import _face_masks, _fint_product, corrected_gradient_family
+    from homlab import pde
+    from homlab.excess import corrected_gradient_family
+    from homlab.grid import face_offsets
 
     f, pair, hset = make_setup(n=64, seed=5)
     radii = [4.0, 8.0, 16.0]
@@ -143,6 +157,7 @@ def test_window_record_gives_the_same_reports_warm_and_cleared(monkeypatch):
         ):
             if clear:
                 monkeypatch.setattr(excess_module, "_window", None)
+                pde._cached_ball_mask.cache_clear()
             out.append(step())
         return out[1:]
 
@@ -151,18 +166,19 @@ def test_window_record_gives_the_same_reports_warm_and_cleared(monkeypatch):
         reports(seed, clear=False)  # warms the record on this sample's window
         warm = reports(seed, clear=False)
         record = excess_module._window
-        assert record.family[0]() is hset and set(radii) <= set(record.masks)
+        assert record.family[0]() is hset
         _same_reports(warm, cold)
     # the first direction on the set's own grid, as the whole family gives it
     grid = hset.grid
     fam = corrected_gradient_family(hset, grid)[0]
-    assert warm[2].empirical_constant == _fint_product(fam, fam, _face_masks(grid, 8.0))
-    masks = _face_masks(record.grid, 8.0)
-    assert masks is record.masks[8.0]
+    assert warm[2].empirical_constant == ball_mean_square(VectorField(grid, fam), grid, 8.0)
+    # the quadrature serves one read-only mask per key
+    mask = interior_ball_mask(record.grid, face_offsets(2, 0), 8.0)
+    assert mask is interior_ball_mask(record.grid, face_offsets(2, 0), 8.0)
     with pytest.raises(ValueError):
-        masks[0][0, 0] = True
-    # another set on the same window and an off-origin ball are not
-    # served from what the record holds
+        mask[0, 0] = True
+    # another set on the same window and an off-origin ball give the
+    # same values from the record and cleared
     sample = harmonic_sample(f, 16.0, band_limited_trace(3, 16.0))
     _, _, other = make_setup(n=64, seed=6)
     centered = lambda h: excess(sample.u, 8.0, h, center=np.array([3.0, 0.0]))
@@ -228,14 +244,12 @@ def test_excess_first_order_optimality():
     ev = excess(u, 8.0, hset)
 
     def functional(t):
-        from homlab.excess import _face_masks, _fint_product, corrected_gradient_family
-        from homlab.pde import gradient
+        from homlab.excess import corrected_gradient_family
 
-        masks = _face_masks(u.grid, 8.0)
         fam = corrected_gradient_family(hset, u.grid)[0]
         g = gradient(u)
-        resid = [g.comps[k] - t * fam[k] for k in range(2)]
-        return _fint_product(resid, resid, masks)
+        resid = VectorField(u.grid, [g.comps[k] - t * fam[k] for k in range(2)])
+        return ball_mean_square(resid, u.grid, 8.0)
 
     rng = np.random.default_rng(0)
     t_star = ev.coefficients[0]
@@ -250,15 +264,13 @@ def test_excess_minimizer_matches_brute_force_search():
     u = harmonic_sample(f, R=8.0, trace=trace).u
     ev = excess(u, 4.0, hset)
     ts = np.arange(-4.0, 4.0 + 1e-9, 1e-3)
-    from homlab.excess import _face_masks, _fint_product, corrected_gradient_family
-    from homlab.pde import gradient
+    from homlab.excess import corrected_gradient_family
 
-    masks = _face_masks(u.grid, 4.0)
-    fam = corrected_gradient_family(hset, u.grid)[0]
-    g = gradient(u)
-    a = _fint_product(fam, fam, masks)
-    blin = _fint_product(g.comps, fam, masks)
-    cc = _fint_product(g.comps, g.comps, masks)
+    fam = ball_values(VectorField(u.grid, corrected_gradient_family(hset, u.grid)[0]), u.grid, 4.0)
+    g = ball_values(gradient(u), u.grid, 4.0)
+    a = mean_product(fam, fam)
+    blin = mean_product(g, fam)
+    cc = mean_product(g, g)
     vals = cc - 2 * ts * blin + ts**2 * a
     t_best = ts[int(np.argmin(vals))]
     assert abs(t_best - ev.coefficients[0]) <= 2e-3
@@ -271,7 +283,6 @@ def test_excess_equals_full_array_evaluation(dim, n, R):
     import scipy.linalg
     from homlab.excess import corrected_gradient_family
     from homlab.grid import face_offsets
-    from homlab.pde import gradient, interior_ball_mask
 
     def fint(a, b, masks):
         return sum(float((a[k][mk] * b[k][mk]).mean()) for k, mk in enumerate(masks) if mk.any())
@@ -453,8 +464,7 @@ def test_caccioppoli_ratios_bounded_for_harmonic_samples():
 
 def test_excess_monotone_window_property():
     # freezing the large-radius minimizer upper-bounds the infimum
-    from homlab.excess import _face_masks, _fint_product, corrected_gradient_family
-    from homlab.pde import gradient
+    from homlab.excess import corrected_gradient_family
 
     f, pair, hset = make_setup(n=64, seed=6)
     trace = band_limited_trace(seed=6, box_half_width=16.0)
@@ -463,9 +473,8 @@ def test_excess_monotone_window_property():
     t_R = ev_R.coefficients[0]
     for r in (4.0, 8.0):
         ev_r = excess(u, r, hset)
-        masks = _face_masks(u.grid, r)
         fam = corrected_gradient_family(hset, u.grid)[0]
         g = gradient(u)
-        resid = [g.comps[k] - t_R * fam[k] for k in range(2)]
-        frozen = _fint_product(resid, resid, masks)
+        resid = VectorField(u.grid, [g.comps[k] - t_R * fam[k] for k in range(2)])
+        frozen = ball_mean_square(resid, u.grid, r)
         assert frozen >= ev_r.value - 1e-12

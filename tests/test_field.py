@@ -265,29 +265,6 @@ def test_load_truncated_file_raises(tmp_path):
         load_field(tmp_path / "m.bin")
 
 
-def test_data_field_round_trip(tmp_path):
-    from homlab.field import load_data_field, save_data_field
-
-    grid = Grid.torus(2, 8)
-    rng = np.random.default_rng(0)
-    scalar = rng.standard_normal(grid.shape)
-    p = tmp_path / "scalar.bin"
-    save_data_field(p, grid, "scalar", [scalar])
-    g2, kind, arrays = load_data_field(p)
-    assert kind == "scalar" and g2 == grid
-    assert np.array_equal(arrays[0], scalar)
-    vec = [rng.standard_normal(grid.face_shape(k)) for k in range(2)]
-    pv = tmp_path / "vector.bin"
-    save_data_field(pv, grid, "vector", vec)
-    g3, kind, arrays = load_data_field(pv)
-    assert kind == "vector"
-    assert all(np.array_equal(a, b) for a, b in zip(arrays, vec))
-    raw = pv.read_bytes()
-    (tmp_path / "trunc.bin").write_bytes(raw[:-8])
-    with pytest.raises(FieldFileError):
-        load_data_field(tmp_path / "trunc.bin")
-
-
 def test_restrict_errors():
     grid = Grid.torus(2, 16)
     f = sample_field(EnsembleSpec.constant(np.eye(2)), grid)

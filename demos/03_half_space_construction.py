@@ -2,10 +2,10 @@
 no-flux flat boundary.
 
 Builds the adapted pair for a checkerboard realization, verifies the
-flat-boundary flux and the two defining identities, shows the gap
-between the exact skew correction and the curl of the vector potentials
-(the finite-truncation Liouville defect), and runs the dyadic-annuli
-construction with its energy table.
+flat-boundary flux and the two defining identities, shows the identity
+residual the curl of the vector potentials would leave in place of the
+axial-gauge skew correction (the finite-truncation Liouville defect), and
+runs the dyadic-annuli construction with its energy table.
 """
 
 import numpy as np
@@ -40,10 +40,10 @@ res = halfspace_residuals(fhb, hset, 0)
 print(f"\nflat-boundary flux residual (relative): {res.flat_flux_relative:.2e}")
 print(f"interior equation residual:              {res.interior_relative:.2e}")
 print(f"sigma_h row-divergence identity:         {res.sigma_identity:.2e}")
-print(f"Liouville gap of the curl construction:  {hset.liouville_gap[0]:.3f}")
-print("(the curl of the potentials misses the identity by the divergence")
-print(" of v, which only vanishes in the infinite-domain limit; the skew")
-print(" correction used for sigma_h is built exactly instead)")
+print(f"Liouville gap of the curl construction:  {hset.liouville_gap[0]:.2e}")
+print("(the identity residual with psi = curl v: the curl of the potentials")
+print(" misses the identity by the divergence of v, which only vanishes in")
+print(" the infinite-domain limit)")
 
 print("\n== half-space sublinearity ==")
 curve = half_sublinearity_curve(hset, [8.0, 16.0, 32.0, 64.0])

@@ -21,8 +21,8 @@ move half the bytes.  The float64 outer loop of ``pde.solve`` recomputes
 the residual and adds the corrections, so single precision limits the
 cost of a correction, not the accuracy of the solution.  The exact
 solves (Hodge solves, vector potentials) use the float64 default.
-``thomas_many`` remains as a tridiagonal utility for the stream
-construction of the half-space skew correction.
+``thomas_many`` and ``vertical_stencil`` serve only the benchmark's
+tridiagonal-sweep probe (``perfbench``); no solver of the lab calls them.
 """
 
 from __future__ import annotations

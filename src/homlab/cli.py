@@ -467,9 +467,11 @@ def build_report(cfg, out_dir, tag):
 
 
 def load_halfspace_bundle(path):
-    """Rebuild the lightweight half-space view (grid, basis, correctors,
-    potential fields) needed by the excess diagnostics; those never read
-    the whole-space pair, which the bundle does not carry."""
+    """Rebuild the lightweight half-space view needed by the excess
+    diagnostics: grid, basis, the correctors phi_h and varphi, the flux
+    potentials sigma_h and the Liouville gaps.  Those diagnostics never
+    read the whole-space pair, the vector potentials or the skew
+    corrections, which the bundle does not carry."""
     from .grid import pair_offsets as _pairs
     from .halfspace import HalfSpaceCorrectorSet, TangentialBasis
     from .pde import ScalarField
@@ -484,7 +486,6 @@ def load_halfspace_bundle(path):
     phi_h = {}
     sigma_h = {}
     varphi = {}
-    v = {}
     for name in bundle.files:
         if name.startswith("phi_h_"):
             i = int(name.split("_")[-1])
@@ -497,7 +498,7 @@ def load_halfspace_bundle(path):
             varphi[int(name.split("_")[-1])] = ScalarField(grid, bundle[name])
     gap = {int(k): float(vv) for k, vv in meta.get("liouville_gap", {}).items()}
     return HalfSpaceCorrectorSet(
-        grid, basis, a_hom, None, phi_h, varphi, v, {}, {}, sigma_h, {}, {}, gap
+        grid, basis, a_hom, None, phi_h, varphi, {}, {}, sigma_h, {}, {}, gap
     )
 
 
@@ -518,8 +519,6 @@ def save_halfspace_bundle(path, hset):
         arrays[f"sigma_h_{i}_{j}{k}"] = s.values
     for i, fvarphi in hset.varphi.items():
         arrays[f"varphi_{i}"] = fvarphi.values
-    for (i, j), v in hset.v.items():
-        arrays[f"v_{i}_{j}"] = v.values
     # through a handle: np.savez appends ".npz" to a path without that suffix
     write_atomic(path, lambda fh: np.savez(fh, __meta__=json.dumps(meta, sort_keys=True), **arrays),
                  "wb")

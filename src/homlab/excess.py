@@ -359,10 +359,13 @@ def mean_value_check(sample, radii):
     largest radius; degenerate zero-energy samples report unit ratios
     with an explicit flag.  A sample counts as zero-energy when its energy
     is at the round-off level of its own gradient, so the flag does not
-    depend on the scale of u."""
+    depend on the scale of u.  Fewer than two radii compare nothing: the
+    ratios and the constant are NaN."""
     grid = sample.u.grid
     g = gradient(sample.u)
     radii = sorted(float(r) for r in radii)
+    if len(radii) < 2:
+        return MeanValueReport(np.asarray(radii), np.full(len(radii), np.nan), float("nan"), False)
     R = radii[-1]
     den = ball_mean_square(g, grid, R)
     roundoff = GRADIENT_ROUNDOFF_ULPS * np.finfo(float).eps * np.abs(sample.u.values).max() / grid.h

@@ -13,14 +13,15 @@ homogenized conormal, e_d . a_hom b = 0):
   flat boundary for tangential j and a Neumann row for the vertical
   component;
 * the skew correction psi making sigma_h = sigma + psi satisfy the
-  half-space flux-potential identity is built directly on the staggered
-  pair homes.  In 2d it is the least-squares stream function of G
-  (solved exactly per tangential Fourier mode), so the identity holds to
-  solver precision; the curl of the v fields reproduces it only up to
-  the divergence of v, which vanishes in the infinite-domain limit and
-  is reported here as the Liouville-gap diagnostic.  In 3d psi falls
-  back to the curl construction and the gap enters the identity
-  residual.
+  half-space flux-potential identity sum_k d_k sigma_h_jk = q_h_j is
+  built in the axial gauge, the same way in every dimension: psi_jk = 0
+  for tangential j, k, and psi_jd is a vertical cumulative sum of G_j
+  started from the gradient of one tangential Poisson solve of the flat
+  row of G_d.  The identity then holds to solver precision;
+* the curl of the v fields is a skew correction too, but it meets the
+  identity only up to the divergence of v, which vanishes in the
+  infinite-domain limit.  Its identity residual is the Liouville-gap
+  diagnostic; it does not depend on the gauge of psi.
 
 The direction completing the tangential basis needs no solve: its
 corrector and potential are plain restrictions of the whole-space
@@ -286,68 +287,35 @@ def curl_of_potentials(v, grid):
 
 
 # ---------------------------------------------------------------------------
-# exact skew correction (2d stream construction)
+# skew correction (axial gauge)
 # ---------------------------------------------------------------------------
 
 
-def stream_correction_2d(grid, G):
-    """Least-squares stream function s with (d_2 s, -d_1 s) = (G_1, G_2),
-    solved exactly per tangential mode; the skew correction psi_12 = s
-    then satisfies the row-divergence identity up to the divergence
-    residual of G."""
-    if grid.dim != 2:
-        raise ValueError("stream construction is two-dimensional")
-    h = grid.h
-    g1 = G.comps[0]  # (n, M) at x-faces
-    g2 = G.comps[1]  # (n, M+1) at y-faces, flat row carries the datum
-    n = grid.shape[0]
-    M = grid.shape[1]
-    if not grid.periodic_axis(0):
-        return _stream_2d_box(grid, g1, g2)
-    G1 = np.fft.fft(g1, axis=0)  # modes x rows (M)
-    G2 = np.fft.fft(g2, axis=0)  # modes x rows (M+1)
-    theta = 2.0 * np.pi * np.arange(n) / n
-    mu = (np.exp(1j * theta) - 1.0) / h  # d_1 multiplier (node -> half)
-    s_hat = np.zeros((n, M + 1), dtype=complex)
-    # vertical first-difference operator D: rows M x (M+1): (s[m+1]-s[m])/h
-    # normal equations: (D^T D + |mu|^2 I) s = D^T G1 - conj(mu) G2
-    dtd_sub = np.full(M + 1, -1.0) / (h * h)
-    dtd_sup = np.full(M + 1, -1.0) / (h * h)
-    dtd_sub[0] = 0.0
-    dtd_sup[-1] = 0.0
-    dtd_diag = np.full(M + 1, 2.0) / (h * h)
-    dtd_diag[0] = 1.0 / (h * h)
-    dtd_diag[-1] = 1.0 / (h * h)
-    # D^T applied to G1
-    def dt_apply(rows):
-        out = np.zeros(rows.shape[:-1] + (M + 1,), dtype=rows.dtype)
-        out[..., :-1] -= rows / h
-        out[..., 1:] += rows / h
-        return out
-
-    rhs = dt_apply(G1) - np.conj(mu)[:, None] * G2
-    mu2 = (np.abs(mu) ** 2)[:, None]
-    # zero mode: pure integration of the tangential mean of G1
-    s0 = np.concatenate([[0.0 + 0.0j], np.cumsum(G1[0]) * h])
-    s0 -= s0.mean()
-    s_hat[0] = s0
-    if n > 1:
-        diag = dtd_diag[None, :] + mu2[1:]
-        s_hat[1:] = ft.thomas_many(dtd_sub, diag, dtd_sup, rhs[1:])
-    s = np.real(np.fft.ifft(s_hat, axis=0))
-    return s - s.mean()
-
-
-def _stream_2d_box(grid, g1, g2):
-    """Stream function on the all-Dirichlet half-box by path integration:
-    the face arrays align exactly with the node lattice, so the two
-    defining relations integrate the bottom row and then every column."""
-    h = grid.h
-    n, M = grid.shape
-    s = np.zeros((n + 1, M + 1))
-    s[1:, 0] = -h * np.cumsum(g2[:, 0])
-    s[:, 1:] = s[:, [0]] + h * np.cumsum(g1, axis=1)
-    return s - s.mean()
+def skew_correction(grid, G):
+    """Skew psi with sum_k d_k psi_jk = G_j for a discretely divergence-free
+    face current G, in the axial gauge: psi_jk = 0 for tangential j, k, and
+    psi_jd = f_j + h cumsum_d G_j grows from the flat node layer.  There
+    f = grad' w with -lap' w = G_d on the flat layer, one tangential
+    (d-1)-dimensional solve: periodic with the mean projected on a slab,
+    zero Dirichlet on a plain half-box.  Returns the components (j, d),
+    each shifted to zero mean; the tangential ones are zero and left
+    out."""
+    d = grid.dim
+    flat = np.take(G.comps[d - 1], 0, axis=d - 1)
+    bcs = [(ft.PERIODIC, ft.PERIODIC) if grid.periodic_axis(a) else (ft.DIRICHLET, ft.DIRICHLET)
+           for a in range(d - 1)]
+    w = ft.FastConstSolver(grid, cell_offsets(d - 1), bcs, flat.shape,
+                           project_mean=grid.tangential_periodic).solve(flat)
+    psi = {}
+    for j in range(d - 1):
+        offs = pair_offsets(d, j, d - 1)
+        col = np.zeros(grid.home_shape(offs))
+        np.cumsum(G.comps[j], axis=d - 1, out=col[..., 1:])
+        col *= grid.h
+        col += np.expand_dims(diff_to_integer(w, grid, j), d - 1)
+        col -= col.mean()
+        psi[(j, d - 1)] = ScalarField(grid, col, offs)
+    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +329,10 @@ class HalfSpaceCorrectorSet:
 
     Directions are indexed by rows of the tangential basis; the last row
     needs no solve (restriction only).  sigma_h maps (row, (j, k)) with
-    j < k to pair-homed fields; skew access mirrors the sign.
+    j < k to pair-homed fields; psi holds the nonzero skew corrections
+    (row, (j, d)) of ``skew_correction``.  liouville_gap holds, per
+    tangential row, the identity residual of sigma built with psi = curl v
+    instead.
     """
 
     grid: Grid
@@ -372,7 +343,6 @@ class HalfSpaceCorrectorSet:
     varphi: dict
     v: dict
     psi: dict
-    psi_from_v: dict
     sigma_h: dict
     q_h: dict
     flat_datum: dict
@@ -382,26 +352,6 @@ class HalfSpaceCorrectorSet:
     @property
     def dim(self):
         return self.grid.dim
-
-    def sigma_component(self, i, j, k):
-        if j == k:
-            return np.zeros(self.grid.home_shape(pair_offsets(self.dim, j, k)))
-        if j < k:
-            return self.sigma_h[(i, (j, k))].values
-        return -self.sigma_h[(i, (k, j))].values
-
-    def sigma_row_divergence(self, i, j):
-        """sum_k d_k sigma_h_{i,jk} at the j-face family (interior
-        layers exact; non-periodic boundary layers carry one-sided
-        values and are excluded from residual norms)."""
-        out = None
-        for k in range(self.dim):
-            if k == j:
-                continue
-            comp = self.sigma_component(i, j, k)
-            term = diff_to_half(comp, self.grid, k)
-            out = term if out is None else out + term
-        return out
 
 
 def restrict_pair(pair, b, half_grid):
@@ -434,36 +384,31 @@ def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFA
     grid = field_hb.grid
     basis = tangential_basis(pair.a_hom)
     op = Operator(field_hb, BoundarySpec.half_box(grid))
-    phi_h, varphi, v, psi, psi_v, sigma_h, q_h, datum, gap, stats = (
-        {}, {}, {}, {}, {}, {}, {}, {}, {}, {}
-    )
+    phi_h, varphi, v, psi, sigma_h, q_h, datum, gap, stats = {}, {}, {}, {}, {}, {}, {}, {}, {}
     for i in range(d - 1):
         b = basis.vectors[i]
         corr = solve_halfspace_correction(field_hb, field_torus, pair, b, tol=tol, op=op)
         varphi[i] = corr.varphi
         datum[i] = corr.datum
         stats[i] = corr.stats
-        # potentials and skew corrections
         vi = solve_vector_potentials(grid, corr.current)
         for j in range(d):
             v[(i, j)] = vi[j]
-        curl_v = curl_of_potentials(vi, grid)
-        if d == 2:
-            s = stream_correction_2d(grid, corr.current)
-            psi_exact = {(0, 1): ScalarField(grid, s, pair_offsets(2, 0, 1))}
-        else:
-            psi_exact = curl_v
-        for key in curl_v:
-            psi[(i, key)] = psi_exact[key]
-            psi_v[(i, key)] = curl_v[key]
-        gap[i] = _relative_gap(psi_exact, curl_v, grid)
         # the restricted whole-space pair plus the correction
         phi_h[i], sig, q_h[i] = restrict_pair(pair, b, grid)
         phi_h[i].values += corr.varphi.values
         for j in range(d):
             q_h[i].comps[j] += corr.current.comps[j]
+        # the Liouville gap: sigma with psi = curl v, measured and dropped
+        sigma_v = curl_of_potentials(vi, grid)
+        for key, f in sigma_v.items():
+            f.values += sig[key].values
+        gap[i] = identity_residual(sigma_v, q_h[i])
+        del sigma_v
+        for key, f in skew_correction(grid, corr.current).items():
+            psi[(i, key)] = f
+            sig[key].values += f.values
         for key, f in sig.items():
-            f.values += psi_exact[key].values
             sigma_h[(i, key)] = f
     # transversal direction, without the slab's operator, field and last
     # correction alive
@@ -472,20 +417,8 @@ def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFA
     for key, f in sig.items():
         sigma_h[(d - 1, key)] = f
     return HalfSpaceCorrectorSet(
-        grid, basis, pair.a_hom, pair, phi_h, varphi, v, psi, psi_v, sigma_h, q_h,
-        datum, gap, stats,
+        grid, basis, pair.a_hom, pair, phi_h, varphi, v, psi, sigma_h, q_h, datum, gap, stats,
     )
-
-
-def _relative_gap(psi_a, psi_b, grid):
-    num = 0.0
-    den = 0.0
-    for key in psi_a:
-        mask = _interior_mask(grid, psi_a[key].offsets)
-        diff = (psi_a[key].values - psi_b[key].values)[mask]
-        num += float((diff * diff).sum())
-        den += float((psi_a[key].values[mask] ** 2).sum())
-    return float(np.sqrt(num / den)) if den > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -555,29 +488,42 @@ def halfspace_residuals(field_hb, hset, i, inner_radius=None, op=None):
 
 
 def sigma_identity_residual(hset, i, inner_radius=None):
-    """Relative L2 residual of sum_k d_k sigma_h_jk = q_h_j over the
-    inner half-ball."""
-    grid = hset.grid
+    """Relative L2 residual of sum_k d_k sigma_h_jk = q_h_j for tangential
+    direction i over the inner half-ball (``identity_residual``)."""
+    d = hset.dim
+    sigma = {(j, k): hset.sigma_h[(i, (j, k))] for j in range(d) for k in range(j + 1, d)}
+    return identity_residual(sigma, hset.q_h[i], inner_radius=inner_radius)
+
+
+def row_divergence(sigma, j):
+    """sum_k d_k sigma_jk at the j-face family, for a skew field given by
+    its pair-homed fields (j, k), j < k.  Interior layers are exact;
+    non-periodic boundary layers carry one-sided values."""
+    out = 0.0
+    for (a, k), f in sigma.items():
+        if a == j:
+            out = out + diff_to_half(f.values, f.grid, k)
+        elif k == j:
+            out = out - diff_to_half(f.values, f.grid, a)
+    return out
+
+
+def identity_residual(sigma, q, inner_radius=None):
+    """Relative L2 residual of sum_k d_k sigma_jk = q_j over the inner
+    half-ball (default radius L/2), normalised by q there; the ball
+    quadrature drops the one-sided boundary layers of each row."""
+    grid = q.grid
     d = grid.dim
     if inner_radius is None:
         inner_radius = grid.height / 2.0
     num = 0.0
     den = 0.0
     for j in range(d):
-        row = hset.sigma_row_divergence(i, j)
-        q = hset.q_h[i].comps[j]
-        offs = face_offsets(d, j)
-        if row.shape != q.shape:
-            # non-periodic axes: row divergence lives on interior layers
-            sl = [slice(None)] * d
-            sl[j] = slice(1, q.shape[j] - 1)
-            q = q[tuple(sl)]
-            mask = grid.ball_mask(offs, inner_radius)[tuple(sl)]
-        else:
-            mask = interior_ball_mask(grid, offs, inner_radius)
-        diff = (row - q)[mask]
+        mask = interior_ball_mask(grid, face_offsets(d, j), inner_radius)
+        qj = q.comps[j][mask]
+        diff = row_divergence(sigma, j)[mask] - qj
         num += float((diff * diff).sum())
-        den += float((q[mask] ** 2).sum())
+        den += float((qj * qj).sum())
     return float(np.sqrt(num / den)) if den > 0 else float(np.sqrt(num))
 
 

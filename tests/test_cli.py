@@ -80,7 +80,8 @@ def test_corrector_and_halfspace_commands(tmp_path):
     header, rows = read_csv(hs_csv)
     assert header[:2] == ["r", "delta_h"]
     bundle = np.load(hs_bin)
-    assert "phi_h_0" in bundle and "__meta__" in bundle
+    assert sorted(bundle.files) == ["__meta__", "phi_h_0", "phi_h_1", "sigma_h_0_01",
+                                    "sigma_h_1_01", "varphi_0"]
 
 
 def test_halfspace_dyadic_mode(tmp_path):
@@ -163,7 +164,8 @@ def test_pipeline_3d_runs(tmp_path):
 
 def test_pipeline_without_a_fitted_exponent_writes_null(tmp_path):
     # n=32 with the default radii leaves the excess stage one radius, so
-    # no seed fits an exponent: the summaries hold null, never NaN
+    # no seed fits an exponent and no mean-value ratio compares two radii:
+    # the CSV holds nan ratios and the summaries null, never NaN
     cfg = {
         "ensemble": {"kind": "checkerboard", "lam": 0.25,
                      "params": {"values": [0.25, 1.0], "cell_size": 1.0}},
@@ -183,7 +185,9 @@ def test_pipeline_without_a_fitted_exponent_writes_null(tmp_path):
     for pattern in ("excess__*__summary.json", "report__*.json"):
         doc = json.loads(next(out.glob(pattern)).read_text(), parse_constant=no_constant)
         summary = doc.get("excess", doc)
-        assert summary["alpha_mean"] is None and summary["c_mean_max"] == 1.0
+        assert summary["alpha_mean"] is None and summary["c_mean_max"] is None
+    header, rows = read_csv(next(out.glob("excess__*.csv")))
+    assert rows and all(np.isnan(row[header.index("mvp_ratio")]) for row in rows)
 
 
 def test_pipeline_bad_config_exit_code(tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from homlab.grid import Grid, cell_offsets, face_offsets
+from homlab.grid import Grid, cell_offsets, face_offsets, pair_offsets
 from homlab.field import EnsembleSpec, sample_field, restrict_to_half_box
 from homlab.corrector import solve_pair, sublinearity_curve, dyadic_radii
-from homlab.pde import VectorField
+from homlab.pde import ScalarField, VectorField
 from homlab.halfspace import (
     DyadicConfig,
     build_halfspace_set,
@@ -13,10 +14,11 @@ from homlab.halfspace import (
     face_poisson_solve,
     half_sublinearity_curve,
     halfspace_residuals,
+    row_divergence,
     sigma_identity_residual,
+    skew_correction,
     solve_halfspace_correction,
     solve_vector_potentials,
-    stream_correction_2d,
     tangential_basis,
 )
 
@@ -238,7 +240,7 @@ def test_construction_identity_pointwise():
     h = grid.h
     v1 = hset.v[(0, 0)].values
     v2 = hset.v[(0, 1)].values
-    psi = hset.psi_from_v[(0, (0, 1))].values
+    psi = curl_of_potentials({0: hset.v[(0, 0)], 1: hset.v[(0, 1)]}, hset.grid)[(0, 1)].values
     for (i, m) in [(3, 5), (10, 9), (40, 2)]:
         d1v2 = (v2[i, m] - v2[i - 1, m]) / h
         d2v1 = (v1[i, m] - v1[i, m - 1]) / h
@@ -275,28 +277,72 @@ def test_potential_equation_residual():
 
 def test_liouville_gap_vs_exact_stream():
     # the curl of the potentials misses the identity by the divergence
-    # of v; the stream construction closes it
+    # of v; the skew correction closes it, and the gap is the identity
+    # residual of sigma with curl v swapped in for psi
     grid = Grid.torus(2, 128)
     f = sample_field(EnsembleSpec.checkerboard(seed=11), grid)
     pair = solve_pair(f, tol=1e-12)
     hset = build_halfspace_set(f, pair, L=64.0)
     exact = sigma_identity_residual(hset, 0)
     assert exact <= 1e-8
-    # swap in the curl-based correction and re-measure
+    assert hset.liouville_gap[0] > 100 * exact
     import copy
 
     alt = copy.copy(hset)
     alt.sigma_h = dict(hset.sigma_h)
     key = (0, (0, 1))
-    delta = hset.psi_from_v[key].values - hset.psi[key].values
-    from homlab.pde import ScalarField
-    from homlab.grid import pair_offsets
-
+    curl_v = curl_of_potentials({0: hset.v[(0, 0)], 1: hset.v[(0, 1)]}, hset.grid)[(0, 1)]
     alt.sigma_h[key] = ScalarField(
-        hset.grid, hset.sigma_h[key].values + delta, pair_offsets(2, 0, 1)
+        hset.grid, hset.sigma_h[key].values - hset.psi[key].values + curl_v.values,
+        pair_offsets(2, 0, 1),
     )
-    gap_res = sigma_identity_residual(alt, 0)
-    assert gap_res > 100 * exact
+    assert sigma_identity_residual(alt, 0) == pytest.approx(hset.liouville_gap[0], rel=1e-6)
+
+
+@st.composite
+def skew_cases(draw):
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([4, 6, 8] if d == 3 else [4, 6, 8, 12, 16]))
+    h = draw(st.sampled_from([1.0, 0.5]))
+    periodic = draw(st.booleans())
+    seed = draw(st.integers(0, 2**16))
+    return Grid.half_box(d, n, h, tangential_periodic=periodic), seed
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=skew_cases())
+def test_skew_correction_reproduces_divergence_free_currents(case):
+    # G = rowdiv(psi0) of a random skew psi0 is discretely divergence-free,
+    # so the axial-gauge psi must carry the identity at every home point
+    grid, seed = case
+    d = grid.dim
+    rng = np.random.default_rng(seed)
+    psi0 = {}
+    for j in range(d):
+        for k in range(j + 1, d):
+            offs = pair_offsets(d, j, k)
+            psi0[(j, k)] = ScalarField(grid, rng.standard_normal(grid.home_shape(offs)), offs)
+    G = VectorField(grid, [row_divergence(psi0, j) for j in range(d)])
+    psi = skew_correction(grid, G)
+    assert set(psi) == {(j, d - 1) for j in range(d - 1)}
+    for j in range(d):
+        assert row_divergence(psi, j).shape == G.comps[j].shape
+    num = sum(np.sum((row_divergence(psi, j) - G.comps[j]) ** 2) for j in range(d))
+    den = sum(np.sum(G.comps[j] ** 2) for j in range(d))
+    assert np.sqrt(num / den) <= 1e-12
+
+
+@pytest.mark.parametrize("n, periodic", [(16, True), (16, False), (32, True), (32, False),
+                                         (64, True)])
+def test_halfspace_identity_3d(n, periodic):
+    grid = Grid.torus(3, n)
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=3), grid)
+    pair = solve_pair(f, tol=1e-11)
+    L = n / 2.0 if periodic else n / 4.0
+    hset = build_halfspace_set(f, pair, L=L, tangential_periodic=periodic, tol=1e-11)
+    for i in range(2):
+        assert sigma_identity_residual(hset, i) <= 1e-10
+        assert hset.liouville_gap[i] > 0.0
 
 
 # -- half-space sublinearity and truncation -----------------------------------
@@ -427,17 +473,16 @@ def test_dyadic_config_reads_every_annulus_radius():
 
 
 def test_halfspace_3d_smoke():
-    # the 3d construction runs end to end; the skew correction falls back
-    # to the curl of the potentials there, carrying the truncation gap in
-    # the identity residual (reported, not hidden)
+    # the 3d construction runs end to end; the axial-gauge skew correction
+    # carries the identity, and the curl of the potentials misses it by the
+    # truncation gap, which is reported
     grid = Grid.torus(3, 16)
     f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=1), grid)
     pair = solve_pair(f, tol=1e-11)
     hset = build_halfspace_set(f, pair, L=8.0, tol=1e-11)
     assert set(hset.phi_h) == {0, 1, 2}
-    res = sigma_identity_residual(hset, 0)
-    assert np.isfinite(res)
-    assert hset.liouville_gap[0] == 0.0  # psi equals curl v in 3d
+    assert sigma_identity_residual(hset, 0) <= 1e-10
+    assert 0.0 < hset.liouville_gap[0] < 0.05
     curve = half_sublinearity_curve(hset, [4.0])
     assert np.isfinite(curve.delta_h[0])
 

@@ -42,6 +42,7 @@ from .pde import (
     diff_to_half,
     diff_to_integer,
     divergence,
+    face_current,
     flux,
     gradient,
     solve,
@@ -51,15 +52,9 @@ DEFAULT_TOL = 1e-12  # corrector solves feed the flux-potential identity
 
 
 def coefficient_times_vector(field, xi):
-    """(a xi) sampled per face: component k on the k-face family."""
-    grid = field.grid
-    comps = []
-    for k in range(grid.dim):
-        if field.diagonal:
-            comps.append(field.entry(k, k) * xi[k])
-        else:
-            comps.append(np.einsum("...m,m->...", field.matrices(k)[..., k, :], xi))
-    return VectorField(grid, comps)
+    """(a xi) sampled per face: component k on the k-face family, the
+    ``face_current`` of the constant face field xi."""
+    return VectorField(field.grid, face_current(field, list(xi)))
 
 
 def periodic_operator(field):

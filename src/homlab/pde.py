@@ -1,19 +1,20 @@
 """Divergence-form elliptic solver on structured grids.
 
 Discretization: cell-centered finite volumes with face-sampled tensor
-coefficients.  The flux through a k-face is ``sum_m a_km (d_m u)`` with
-the normal derivative taken as the two-point difference across the face
-and tangential derivatives as averages of the centered differences in
-the two adjacent cells.  For symmetric coefficient tensors the assembled
-operator is symmetrized exactly (the cross-term sampling is averaged
-over the two face families), so ``<Au, v> = <u, Av>`` holds to round-off.
+coefficients.  The current of face values g (a gradient: two-point
+differences, zero on boundary faces) has one definition,
+``face_current``: ``a_kk g_k`` through a k-face plus, with off-diagonal
+entries, the cross part ``face_current_map``.  ``flux``,
+``corrector.coefficient_times_vector`` and the operator all read it, so
+``A u = -div flux(u)`` up to Dirichlet ghost terms, and symmetric face
+matrices give a symmetric matrix as assembled.
 
-Assembly adds every contribution (face couplings, Dirichlet ghost weights
-on the centre, one-sided cross closures) by slicing into one cell-shaped
-band per stencil offset in {-1,0,1}^d the scheme touches: 2d+1 for
-diagonal fields, 9 (2d) or 19 (3d) with cross terms.  The bands become
-CSR rows with ascending columns: interior rows share one band order,
-rows on a periodic seam wrap and take their own.
+Assembly slices the diagonal part (face couplings, Dirichlet ghost
+weights on the centre) into one cell-shaped band per stencil offset, 2d+1
+of them, which become CSR rows with ascending columns: interior rows share
+one band order, rows on a periodic seam wrap and take their own.  The
+cross part ``G^T X G`` (G the sparse face gradient) is added as a sparse
+product.
 
 Boundary conditions on half-boxes:
 
@@ -262,16 +263,8 @@ class Operator:
         self.field, self.grid, self.bc = field, grid, bc
 
         per = np.array([grid.periodic_axis(a) for a in range(d)])
-
-        def inner(k, m):  # a_km on the interior k-faces
-            a = field.entry(k, m)
-            return a if per[k] else a[(slice(None),) * k + (slice(1, shape[k]),)]
-
-        cross = [] if field.diagonal else [(k, m) for k in range(d) for m in range(d)
-                                           if m != k and np.any(inner(k, m))]
         e = np.eye(d, dtype=int)
         offsets = {(0,) * d} | {tuple(s * e[k]) for k in range(d) for s in (-1, 1)}
-        offsets |= {tuple(s * e[k] + r * e[m]) for k, m in cross for s in (-1, 1) for r in (-1, 1)}
         stride = np.array([int(np.prod(shape[a + 1:])) for a in range(d)])
         O = np.array(sorted(offsets, key=lambda o: (int(np.dot(o, stride)), o)))
         band = {tuple(o): j for j, o in enumerate(O)}
@@ -289,26 +282,16 @@ class Operator:
 
         self._dirichlet_weight = {}  # (axis, side) -> ghost weight 2 a_kk / h^2
         for k in range(d):
-            t = inner(k, k) * inv_h2
+            a_kk = field.entry(k, k)
+            t = (a_kk if per[k] else a_kk[(slice(None),) * k + (slice(1, shape[k]),)]) * inv_h2
             for s in (-1, 1):
                 ts = facing(t, k, s)
                 at(0 * e[k])[...] += ts
                 at(s * e[k])[...] -= ts
             for side in (i for i in (0, 1) if isinstance(bc.bc(k, i), Dirichlet)):
-                t_b = field.entry(k, k)[(slice(None),) * k + (side * shape[k],)]
+                t_b = a_kk[(slice(None),) * k + (side * shape[k],)]
                 w = self._dirichlet_weight[k, side] = 2.0 * (t_b * inv_h2)
                 at(0 * e[k])[(slice(None),) * k + (-side,)] += w
-            for m in (m for kk, m in cross if kk == k):
-                # a_km times the mean centred m-difference of the face's two cells
-                # (one-sided past a non-periodic side): + below the face, - above
-                w = inner(k, m) / (2.0 * 2.0 * grid.h * grid.h)
-                for s in (1, -1):
-                    ws = facing(w, k, s)
-                    for x, r in itertools.product((0, s), (1, -1)):
-                        at(x * e[k] + r * e[m])[...] += s * r * ws
-                        if not per[m]:
-                            edge = (slice(None),) * m + (-(r > 0),)
-                            at(x * e[k])[edge] += s * r * ws[edge]
         # CSR columns ascend by the offsets' flat steps; each boundary region
         # (first or last layer of some axes) wraps the steps across periodic
         # sides, reorders the bands by them and drops the offsets that leave
@@ -331,11 +314,16 @@ class Operator:
         indptr = np.cumsum(np.r_[0, counts.ravel()], dtype=np.int32)
         V = np.ascontiguousarray(V.reshape(len(O), n_cells).T).reshape(keep.shape)
         A = sp.csr_matrix((V[keep], C[keep], indptr), shape=(n_cells, n_cells))
-        self.symmetric = not cross or field.is_symmetric()
         self._diagonals = np.unique(steps[kept])
-        if cross and self.symmetric:
-            A = ((A + A.T) * 0.5).tocsr()
-            self._diagonals = np.union1d(self._diagonals, -self._diagonals)
+        if not field.diagonal:
+            # -div of the cross current: G^T X G, as X has zero boundary rows
+            diff = [_face_from_cells(grid, a, -1.0 / grid.h, 1.0 / grid.h) for a in range(d)]
+            G = sp.vstack([_on_axes(grid, [diff[a] if a == k else None for a in range(d)])
+                           for k in range(d)])
+            cross = (G.T @ face_current_map(field) @ G).tocoo()
+            A = (A + cross).tocsr()
+            self._diagonals = np.union1d(self._diagonals, cross.col - cross.row)
+        self.symmetric = field.is_symmetric()
         self.matrix = A
         self.singular = grid.topology == TORUS or not any(
             isinstance(b, Dirichlet) for b in bc.sides.values())
@@ -697,53 +685,69 @@ def diff_to_half(vals, grid, axis):
     return np.diff(vals, axis=axis) / h
 
 
-def _tangential_average_at_faces(grid, comp_m, m, k):
-    """Average an m-face field onto k-faces (the four nearest faces)."""
-    def mid(arr, axis, periodic):
-        if periodic:
-            return 0.5 * (arr + np.roll(arr, 1, axis=axis))
-        lo = np.take(arr, [0], axis=axis)
-        hi = np.take(arr, [-1], axis=axis)
-        inner = 0.5 * (np.take(arr, np.arange(arr.shape[axis] - 1), axis=axis)
-                       + np.take(arr, np.arange(1, arr.shape[axis]), axis=axis))
-        return np.concatenate([lo, inner, hi], axis=axis)
+def _face_from_cells(grid, axis, below, above):
+    """The sparse (faces, cells) matrix along one axis that weighs the
+    cells below and above each interior face; boundary faces are zero
+    rows."""
+    n = grid.shape[axis]
+    f = np.arange(0 if grid.periodic_axis(axis) else 1, n)
+    return sp.csr_matrix((np.repeat([below, above], f.size), (np.r_[f, f], np.r_[(f - 1) % n, f])),
+                         shape=(grid.face_shape(axis)[axis], n))
 
-    # comp_m is staggered in m; move to cells along m, then to faces along k.
-    x = comp_m
-    if grid.periodic_axis(m):
-        x = 0.5 * (x + np.roll(x, -1, axis=m))
-    else:
-        x = 0.5 * (np.take(x, np.arange(x.shape[m] - 1), axis=m)
-                   + np.take(x, np.arange(1, x.shape[m]), axis=m))
-    # now cell-homed along every axis; average onto k-faces
-    if grid.periodic_axis(k):
-        return 0.5 * (x + np.roll(x, 1, axis=k))
-    return mid(x, k, False)
+
+def _on_axes(grid, mats):
+    """The Kronecker product of one matrix per axis (the identity for
+    None), acting on C-ordered flat arrays."""
+    out = sp.identity(1, format="csr")
+    for n, m in zip(grid.shape, mats):
+        out = sp.kron(out, sp.identity(n) if m is None else m, format="csr")
+    return out
+
+
+def face_current_map(field):
+    """The cross part X of ``face_current``, over the face families
+    stacked in axis order and flattened:
+
+        (X g)_k = sum_{m != k} 1/2 (a_km|k P_km g_m + P_km (a_km|m g_m)),
+
+    a_km|k the (k, m) entries of the k-face matrices, a_km|m the same
+    entries on the m-faces, P_km the mean of the four m-faces nearest
+    each k-face; boundary faces are zero rows and columns.  Symmetric face
+    matrices give X_mk = X_km^T.  Built on first use and kept on the
+    field, whose values never change."""
+    X = vars(field).get("_face_current_map")
+    if X is not None:
+        return X
+    grid = field.grid
+    d = grid.dim
+    mean = [_face_from_cells(grid, a, 0.5, 0.5) for a in range(d)]
+    blocks = [[None] * d for _ in range(d)]
+    for k, m in itertools.permutations(range(d), 2):
+        P = _on_axes(grid, [mean[a] if a == k else mean[a].T if a == m else None
+                            for a in range(d)])
+        blocks[k][m] = 0.5 * (sp.diags(field.entry(k, m).ravel()) @ P
+                              + P @ sp.diags(field.matrices(m)[..., k, m].ravel()))
+    X = field._face_current_map = sp.bmat(blocks, format="csr")
+    X.eliminate_zeros()
+    return X
+
+
+def face_current(field, comps):
+    """The discrete current of face values ``comps`` (one array or
+    constant per face family): a_kk g_k, plus the cross part of
+    ``face_current_map`` for a field with off-diagonal entries."""
+    q = [field.entry(k, k) * g for k, g in enumerate(comps)]
+    if not field.diagonal:
+        g = np.concatenate([np.broadcast_to(c, f.shape).ravel() for c, f in zip(comps, q)])
+        parts = np.split(face_current_map(field) @ g, np.cumsum([f.size for f in q])[:-1])
+        q = [f + x.reshape(f.shape) for f, x in zip(q, parts)]
+    return q
 
 
 def flux(field, u):
-    """Current a grad u as a face field (boundary faces zero)."""
-    grid = field.grid
-    g = gradient(u)
-    comps = []
-    for k in range(grid.dim):
-        q = field.entry(k, k) * g.comps[k]
-        if not field.diagonal:
-            for m in range(grid.dim):
-                if m == k:
-                    continue
-                a_km = field.entry(k, m)
-                if np.any(a_km):
-                    q = q + a_km * _tangential_average_at_faces(grid, g.comps[m], m, k)
-        if not grid.periodic_axis(k):
-            sl0 = [slice(None)] * grid.dim
-            sl1 = [slice(None)] * grid.dim
-            sl0[k] = 0
-            sl1[k] = -1
-            q[tuple(sl0)] = 0.0
-            q[tuple(sl1)] = 0.0
-        comps.append(q)
-    return VectorField(grid, comps)
+    """Current a grad u as a face field: the ``face_current`` of the
+    gradient, boundary faces zero."""
+    return VectorField(field.grid, face_current(field, gradient(u).comps))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Reference assembler: -div(a grad u) built from COO triplets.
 
-This is the triplet assembly ``pde.Operator`` used before it assembled
-stencil bands straight into CSR.  The property tests compare every
-operator against it: equal CSR arrays for diagonal fields, equal entries
-up to round-off for fields with cross terms.
+The diagonal part is the triplet assembly ``pde.Operator`` used before it
+assembled stencil bands straight into CSR.  The cross part writes the
+stencil of the face current out entry by entry: the current through an
+interior k-face adds, for each m != k and each of the four nearest
+interior m-faces, (a_km on the k-face + a_km on the m-face) / 8 times the
+two-point m-difference across that m-face.  The property tests compare
+every operator against it: equal CSR arrays for diagonal fields, equal
+entries up to round-off for fields with cross terms.
 """
 
 import numpy as np
@@ -16,38 +20,54 @@ def _side_cells(L, k, side):
     return np.take(L, 0 if side == 0 else L.shape[k] - 1, axis=k).ravel()
 
 
-def _tangential_pairs(grid, axis_m, idx):
-    """Neighbor index pairs along axis m for centered differences."""
-    if grid.periodic_axis(axis_m):
-        return np.roll(idx, 1, axis=axis_m), np.roll(idx, -1, axis=axis_m)
-    lo = np.concatenate(
-        [np.take(idx, [0], axis=axis_m), np.take(idx, np.arange(idx.shape[axis_m] - 1), axis=axis_m)],
-        axis=axis_m,
-    )
-    hi = np.concatenate(
-        [np.take(idx, np.arange(1, idx.shape[axis_m]), axis=axis_m), np.take(idx, [-1], axis=axis_m)],
-        axis=axis_m,
-    )
-    return lo, hi
+def _cell_faces(field, L, m):
+    """Per cell and each of its two m-faces (below, above): the flat
+    index of the cell across that face, a_km of that face for every k,
+    and whether the face is interior."""
+    grid = field.grid
+    n = L.shape[m]
+    mats = field.matrices(m)
+    below, above = np.arange(n), np.arange(1, n + 1)
+    if grid.periodic_axis(m):
+        above = above % n
+        ok = np.ones(n, bool), np.ones(n, bool)
+    else:
+        ok = below > 0, above < n
+    out = []
+    for faces, across, inner in ((below, np.roll(L, 1, axis=m), ok[0]),
+                                 (above, np.roll(L, -1, axis=m), ok[1])):
+        a = np.take(mats, faces, axis=m)
+        inner = np.broadcast_to(inner.reshape((-1,) + (1,) * (L.ndim - m - 1)), L.shape)
+        out.append((across.ravel(), a.reshape(L.size, *mats.shape[-2:]), inner.ravel()))
+    return out
 
 
-def _cross_flux_entries(grid, m, a_km, cl, cu, add):
-    """COO entries of the cross flux a_km * avg centered d_m u at k-faces,
-    one-sided at non-periodic m-boundaries."""
-    h = grid.h
-    for cells in (cl, cu):
-        lo, hi = _tangential_pairs(grid, m, cells)
-        w = a_km / (2.0 * 2.0 * h * h)
-        add(cl, hi, w)
-        add(cl, lo, -w)
-        add(cu, hi, -w)
-        add(cu, lo, w)
+def _cross_entries(field, L, k, lower, upper, k_faces, add):
+    """COO entries of the cross current through the interior k-faces
+    between cells ``lower`` and ``upper``; ``k_faces`` holds the k-face
+    matrices there.  The current q enters row ``lower`` as -q/h and row
+    ``upper`` as +q/h."""
+    h2 = field.grid.h ** 2
+    lower, upper = lower.ravel(), upper.ravel()
+    for m in range(field.grid.dim):
+        if m == k:
+            continue
+        a_k = k_faces[..., k, m].ravel()
+        for side, (across, a_m, inner) in enumerate(_cell_faces(field, L, m)):
+            for cell in (lower, upper):
+                ok = inner[cell]
+                w = (a_k[ok] + a_m[cell[ok], k, m]) / (8.0 * h2)
+                # the m-difference across the face: +1 above it, -1 below
+                hi, lo = (cell[ok], across[cell[ok]]) if side == 0 else (across[cell[ok]], cell[ok])
+                add(lower[ok], hi, -w)
+                add(lower[ok], lo, w)
+                add(upper[ok], hi, w)
+                add(upper[ok], lo, -w)
 
 
 def coo_operator_matrix(field, bc):
     """The CSR matrix of -div(a grad u) with the boundary kinds of ``bc``,
-    assembled from COO triplets and symmetrized for symmetric cross
-    fields."""
+    assembled from COO triplets."""
     grid = field.grid
     d = grid.dim
     shape = grid.shape
@@ -61,7 +81,6 @@ def coo_operator_matrix(field, bc):
         cols.append(np.ravel(c))
         vals.append(np.ravel(v))
 
-    has_cross = not field.diagonal
     for k in range(d):
         faces = field.matrices(k)
         if grid.periodic_axis(k):
@@ -80,14 +99,10 @@ def coo_operator_matrix(field, bc):
                 t_b = field.matrices(k)[(slice(None),) * k + (side * shape[k],)][..., k, k]
                 cells = _side_cells(L, k, side)
                 add(cells, cells, 2.0 * (t_b * inv_h2))
-        for m in range(d):
-            if has_cross and m != k and np.any(faces[..., k, m]):
-                _cross_flux_entries(grid, m, faces[..., k, m], lower, upper, add)
+        if not field.diagonal:
+            _cross_entries(field, L, k, lower, upper, faces, add)
 
-    A = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_cells, n_cells),
     ).tocsr()
-    if has_cross and field.is_symmetric():
-        A = ((A + A.T) * 0.5).tocsr()
-    return A

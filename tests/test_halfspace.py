@@ -129,6 +129,25 @@ def test_checkerboard_residuals_box():
     assert res.sigma_identity <= 1e-6
 
 
+@pytest.mark.parametrize("periodic", [True, False], ids=["slab", "box"])
+@pytest.mark.parametrize("values", [([[0.6, 0.1], [0.1, 0.5]], 1.0),
+                                    ([[0.6, 0.1], [-0.1, 0.5]], 1.0)],
+                         ids=["symmetric", "nonsymmetric"])
+def test_halfspace_identity_2d_cross_term_field(values, periodic):
+    # the flat-flux residual is left out: the half-box current of the
+    # restricted corrector drops the flat-plane normal gradients that the
+    # torus current averages into the first layer of tangential faces
+    grid = Grid.torus(2, 64)
+    f = sample_field(EnsembleSpec.checkerboard(values=values, seed=3), grid)
+    pair = solve_pair(f, tol=1e-12)
+    L = 32.0 if periodic else 16.0
+    hset = build_halfspace_set(f, pair, L=L, tangential_periodic=periodic)
+    res = halfspace_residuals(restrict_to_half_box(f, L, tangential_periodic=periodic), hset, 0)
+    assert res.interior_relative <= 1e-10
+    assert res.sigma_identity <= 1e-10
+    assert hset.liouville_gap[0] > 0.0
+
+
 # -- vector potentials --------------------------------------------------------
 
 

@@ -697,6 +697,15 @@ def test_band_assembly_matches_coo_reference(case):
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     same_row = rows[1:] == rows[:-1]
     assert np.all(np.diff(A.indices)[same_row] > 0)
+    # the operator is -div of pde.flux, up to the Dirichlet ghost terms:
+    # the right-hand side of Dirichlet data equal to the side cells of u
+    grid = field.grid
+    u = np.random.default_rng(A.nnz + 1).standard_normal(grid.shape)
+    trace = BoundarySpec({(a, s): Dirichlet(np.take(u, -s, axis=a)) if isinstance(b, Dirichlet)
+                          else type(b)() for (a, s), b in kinds.sides.items()})
+    ghost = op.system(trace).rhs
+    gap = A @ u.ravel() + divergence(flux(field, ScalarField(grid, u))).ravel() - ghost
+    assert np.abs(gap).max() <= 1e-12 * abs(A).max() * np.abs(u).max()
 
 
 def test_band_assembly_peak_memory():
@@ -712,25 +721,59 @@ def test_band_assembly_peak_memory():
     assert peak <= 4 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
-def test_operator_symmetric_without_cross_couplings():
-    # a_10 on 0-faces and a_01 on 1-faces never enter a flux: the matrix is
-    # the diagonal field's, symmetric, and solved by CG
-    grid = Grid.half_box(2, 8, tangential_periodic=False)
+def test_operator_ignores_uncoupled_cross_entries():
+    # the current through a k-face couples g_k with g_m through a_km and
+    # a_mk only; in 3d the entry a_jm with j, m != k on the k-faces never
+    # enters, so the matrix is the diagonal field's.  The face matrices are
+    # non-symmetric, so the operator is flagged non-symmetric and solved by
+    # BiCGSTAB
+    grid = Grid.half_box(3, 4, tangential_periodic=False)
     rng = np.random.default_rng(3)
     diag, faces = [], []
-    for k in range(2):
-        a = np.zeros(grid.face_shape(k) + (2, 2))
-        a[..., 0, 0] = rng.uniform(0.5, 1.0, grid.face_shape(k))
-        a[..., 1, 1] = rng.uniform(0.5, 1.0, grid.face_shape(k))
+    for k in range(3):
+        a = np.zeros(grid.face_shape(k) + (3, 3))
+        for i in range(3):
+            a[..., i, i] = rng.uniform(0.5, 1.0, grid.face_shape(k))
         diag.append(a.copy())
-        a[..., 1 - k, k] = rng.uniform(0.01, 0.05, grid.face_shape(k))
+        j, m = (i for i in range(3) if i != k)
+        a[..., j, m] = rng.uniform(0.01, 0.05, grid.face_shape(k))
         faces.append(a)
     field = CoefficientField(grid, faces, lam=0.2)
     assert not field.diagonal and not field.is_symmetric()
     op = Operator(field, BoundarySpec.half_box(grid))
     ref = Operator(CoefficientField(grid, diag, lam=0.2), BoundarySpec.half_box(grid))
-    assert op.symmetric
     assert (op.matrix != ref.matrix).nnz == 0
+    assert not op.symmetric
+    sys = op.system(BoundarySpec.half_box(grid, flat=NoFlux(0.3), top=Dirichlet(1.0)))
+    u, _ = solve(sys, tol=1e-12)
+    assert residual_norm(sys, u.values) <= 1e-12
+    assert np.abs(u.values - solve(ref.system(sys.bc), tol=1e-12)[0].values).max() <= 1e-9
+
+
+@pytest.mark.parametrize("dim, ns", [(2, (16, 32, 64)), (3, (8, 16, 32))], ids=["2d", "3d"])
+def test_cross_stencil_consistent_with_smooth_solution(dim, ns):
+    # constant symmetric a with off-diagonal entries and u = prod sin(x_i)
+    # on the 2 pi torus: A u matches -div(a grad u) = -sum a_km d_k d_m u
+    # at the cell centres to O(h^2)
+    a = np.array([[1.0, 0.3, 0.2], [0.3, 0.9, -0.1], [0.2, -0.1, 0.8]])[:dim, :dim]
+    errors = []
+    for n in ns:
+        grid = Grid.torus(dim, n, h=2.0 * np.pi / n)
+        field = CoefficientField(
+            grid, [np.broadcast_to(a, grid.face_shape(k) + (dim, dim)) for k in range(dim)], lam=0.5)
+        x = grid.coords(cell_offsets(dim))
+        sin, cos = np.sin(x), np.cos(x)
+        u = np.prod(sin, axis=0)
+        exact = np.trace(a) * u
+        for k in range(dim):
+            for m in range(dim):
+                if m != k:
+                    exact -= a[k, m] * np.prod([cos[i] if i in (k, m) else sin[i]
+                                                for i in range(dim)], axis=0)
+        Au = Operator(field, BoundarySpec.periodic()).matrix @ u.ravel()
+        errors.append(np.abs(Au - exact.ravel()).max())
+        assert errors[-1] <= 0.3 * grid.h ** 2
+    assert all(coarse >= 3.5 * fine for coarse, fine in zip(errors, errors[1:]))
 
 
 # -- the single-precision preconditioner --------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
 import os
 import sys
 import time
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid import Grid
+from .grid import Grid, is_dyadic
 from .field import (
     EllipticityError,
     EnsembleSpec,
@@ -151,15 +152,16 @@ def validate_config(raw):
     for key in ("dim", "n"):
         if key not in g:
             raise ConfigError(f"grid config misses {key!r}")
-    seeds = list(cfg["seeds"])
+    seeds = cfg["seeds"]
+    if not isinstance(seeds, (list, tuple)) or not all(
+            isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in seeds):
+        raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
     cfg["seeds"] = [int(s) for s in seeds]
-    radii = cfg.get("radii")
-    if radii is not None:
-        for r in radii:
-            if abs(np.log2(float(r)) % 1.0) > 1e-9:
-                raise ConfigError(f"radius {r} is not dyadic")
+    for r in cfg.get("radii") or []:
+        if not is_dyadic(r):
+            raise ConfigError(f"radius {r} is not a positive power of two")
     try:
         EnsembleSpec.from_dict(cfg["ensemble"])
     except Exception as e:
@@ -173,7 +175,19 @@ def validate_config(raw):
         raise ConfigError(f"bad grid config: {e}") from e
     if not _radii(cfg, grid):
         raise ConfigError(f"no corrector radius: default radii 8h..side/4 empty at side {grid.side:g}")
-    _, ex_radii = _excess_radii(cfg, grid)
+    # the half-space stage builds a tangentially periodic slab, 2L = side
+    L = float(hs.get("L", grid.side / 2.0))
+    if abs(2.0 * L - grid.side) > 1e-12:
+        raise ConfigError(f"halfspace L {L:g} is not side/2 = {grid.side / 2.0:g}")
+    if hs.get("mode") == "dyadic":
+        r0, n_max = _dyadic_params(hs)
+        if not is_dyadic(r0):
+            raise ConfigError(f"dyadic r0 {r0:g} is not a positive power of two")
+        if r0 * 2.0 ** (n_max + 1) > 2.0 * L + 1e-9:
+            raise ConfigError(f"outer annulus r0 2^(n_max+1) exceeds 2L = {2.0 * L:g}")
+    R, ex_radii = _excess_radii(cfg, grid)
+    if 2.0 * R > grid.side + 1e-12:
+        raise ConfigError(f"excess window 2R = {2.0 * R:g} exceeds the torus side {grid.side:g}")
     if not ex_radii or min(ex_radii) < 4 * grid.h:
         raise ConfigError(f"excess radii {ex_radii} empty or below the quadrature floor 4h")
     return cfg
@@ -204,6 +218,12 @@ def _radii(cfg, grid):
     if radii is None:
         return dyadic_radii(grid, r_max=grid.side / 4.0)
     return [float(r) for r in radii]
+
+
+def _dyadic_params(hs_cfg):
+    """r0 and n_max of the dyadic half-space mode."""
+    dy_cfg = hs_cfg.get("dyadic", {})
+    return float(dy_cfg.get("r0", 8.0)), int(dy_cfg.get("n_max", 2))
 
 
 def _excess_radii(cfg, grid):
@@ -320,9 +340,7 @@ def run_halfspace_stage(cfg, out_dir, tag, corr_results):
             "liouville_gap": hset.liouville_gap[0],
         }
         if mode == "dyadic":
-            dy_cfg = hs_cfg.get("dyadic", {})
-            dy, rows = run_dyadic(fhb, f, pair, hset, curve, float(dy_cfg.get("r0", 8.0)),
-                                  int(dy_cfg.get("n_max", 2)), tol, op=op)
+            dy, rows = run_dyadic(fhb, f, pair, hset, curve, *_dyadic_params(hs_cfg), tol, op=op)
             write_csv(out_dir / f"halfspace_dyadic__{tag}__seed{seed}.csv", DYADIC_HEADER, rows)
             entry["dyadic_consistency_r0"] = dy.consistency_r0
             entry["dyadic_empirical_constant"] = dy.empirical_constant
@@ -469,9 +487,10 @@ def build_report(cfg, out_dir, tag):
 def load_halfspace_bundle(path):
     """Rebuild the lightweight half-space view needed by the excess
     diagnostics: grid, basis, the correctors phi_h and varphi, the flux
-    potentials sigma_h and the Liouville gaps.  Those diagnostics never
-    read the whole-space pair, the vector potentials or the skew
-    corrections, which the bundle does not carry."""
+    potentials sigma_h (one ``FluxPotentialSet`` per direction) and the
+    Liouville gaps.  Those diagnostics never read the whole-space pair or
+    the currents q_h, which the bundle does not carry."""
+    from .corrector import FluxPotentialSet
     from .grid import pair_offsets as _pairs
     from .halfspace import HalfSpaceCorrectorSet, TangentialBasis
     from .pde import ScalarField
@@ -480,11 +499,10 @@ def load_halfspace_bundle(path):
     meta = json.loads(str(bundle["__meta__"]))
     grid = Grid.half_box(int(meta["dim"]), int(meta["n"]), float(meta["h"]),
                          tangential_periodic=bool(meta["tangential_periodic"]))
-    a_hom = np.asarray(meta["a_hom"])
-    basis = TangentialBasis(np.asarray(meta["basis"]), a_hom)
+    basis = TangentialBasis(np.asarray(meta["basis"]), np.asarray(meta["a_hom"]))
     d = grid.dim
     phi_h = {}
-    sigma_h = {}
+    sigma_h = {i: FluxPotentialSet(grid, {}) for i in range(d)}
     varphi = {}
     for name in bundle.files:
         if name.startswith("phi_h_"):
@@ -493,13 +511,11 @@ def load_halfspace_bundle(path):
         elif name.startswith("sigma_h_"):
             _, _, i, jk = name.split("_")
             j, k = int(jk[0]), int(jk[1])
-            sigma_h[(int(i), (j, k))] = ScalarField(grid, bundle[name], _pairs(d, j, k))
+            sigma_h[int(i)].sigma[(j, k)] = ScalarField(grid, bundle[name], _pairs(d, j, k))
         elif name.startswith("varphi_"):
             varphi[int(name.split("_")[-1])] = ScalarField(grid, bundle[name])
     gap = {int(k): float(vv) for k, vv in meta.get("liouville_gap", {}).items()}
-    return HalfSpaceCorrectorSet(
-        grid, basis, a_hom, None, phi_h, varphi, {}, {}, sigma_h, {}, {}, gap
-    )
+    return HalfSpaceCorrectorSet(grid, basis, None, phi_h, varphi, sigma_h, {}, gap)
 
 
 def save_halfspace_bundle(path, hset):
@@ -509,14 +525,15 @@ def save_halfspace_bundle(path, hset):
         "n": hset.grid.n,
         "h": hset.grid.h,
         "tangential_periodic": hset.grid.tangential_periodic,
-        "a_hom": hset.a_hom.tolist(),
+        "a_hom": hset.basis.a_hom.tolist(),
         "basis": hset.basis.vectors.tolist(),
         "liouville_gap": {str(k): v for k, v in hset.liouville_gap.items()},
     }
     for i, fphi in hset.phi_h.items():
         arrays[f"phi_h_{i}"] = fphi.values
-    for (i, (j, k)), s in hset.sigma_h.items():
-        arrays[f"sigma_h_{i}_{j}{k}"] = s.values
+    for i, fps in hset.sigma_h.items():
+        for (j, k), s in fps.sigma.items():
+            arrays[f"sigma_h_{i}_{j}{k}"] = s.values
     for i, fvarphi in hset.varphi.items():
         arrays[f"varphi_{i}"] = fvarphi.values
     # through a handle: np.savez appends ".npz" to a path without that suffix

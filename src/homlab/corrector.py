@@ -28,7 +28,7 @@ import numpy as np
 
 from ._transforms import PERIODIC, FastConstSolver
 from .field import CoefficientField, sample_field
-from .grid import Grid, TORUS, cell_offsets, pair_offsets
+from .grid import Grid, TORUS, cell_offsets, face_offsets, is_dyadic, pair_offsets
 from .pde import (
     BoundarySpec,
     Dirichlet,
@@ -45,6 +45,7 @@ from .pde import (
     face_current,
     flux,
     gradient,
+    interior_ball_mask,
     solve,
 )
 
@@ -169,8 +170,8 @@ def flux_correction(cset, a_hom, i):
 
 @dataclass
 class FluxPotentialSet:
-    """Skew flux potentials sigma_jk (stored once per j < k) on the
-    staggered pair homes; sigma_kj = -sigma_jk exactly by access."""
+    """Skew field sigma_jk on the staggered pair homes, stored once per
+    j < k; sigma_kj = -sigma_jk exactly by access."""
 
     grid: Grid
     sigma: dict  # (j, k) with j < k -> ScalarField at pair home
@@ -183,13 +184,15 @@ class FluxPotentialSet:
         return -self.sigma[(k, j)].values
 
     def row_divergence(self, j):
-        """sum_k d_k sigma_jk at the j-face family."""
-        out = None
-        for k in range(self.grid.dim):
-            if k == j:
-                continue
-            term = diff_to_half(self.component(j, k), self.grid, k)
-            out = term if out is None else out + term
+        """sum_k d_k sigma_jk at the j-face family, a pair the set does not
+        hold counting as zero.  Interior layers are exact; non-periodic
+        boundary layers carry one-sided values."""
+        out = 0.0
+        for (a, k), f in self.sigma.items():
+            if a == j:
+                out = out + diff_to_half(f.values, self.grid, k)
+            elif k == j:
+                out = out - diff_to_half(f.values, self.grid, a)
         return out
 
 
@@ -220,15 +223,22 @@ def solve_flux_potential(grid, q, div_tol=1e-6):
     return FluxPotentialSet(grid, sigma)
 
 
-def flux_potential_residual(fps, q_comps):
-    """Relative L2 residual of the row-divergence identity."""
+def flux_potential_residual(fps, q_comps, inner_radius=None):
+    """Relative L2 residual of the row-divergence identity over the whole
+    grid, or over the (half-)ball of ``inner_radius`` about the origin,
+    whose quadrature drops the one-sided boundary layers of each row."""
+    grid = fps.grid
     num = 0.0
     den = 0.0
-    for j in range(fps.grid.dim):
+    for j in range(grid.dim):
         r = fps.row_divergence(j) - q_comps[j]
+        qj = q_comps[j]
+        if inner_radius is not None:
+            mask = interior_ball_mask(grid, face_offsets(grid.dim, j), inner_radius)
+            r, qj = r[mask], qj[mask]
         num += float((r * r).sum())
-        den += float((q_comps[j] ** 2).sum())
-    return np.sqrt(num / den) if den > 0 else np.sqrt(num)
+        den += float((qj * qj).sum())
+    return float(np.sqrt(num / den)) if den > 0 else float(np.sqrt(num))
 
 
 @dataclass
@@ -239,6 +249,16 @@ class WholeSpacePair:
     a_hom: np.ndarray
     q: dict  # i -> VectorField
     sigmas: dict  # i -> FluxPotentialSet
+
+    def sigma_for(self, b):
+        """The flux potential sum_w b_w sigma_w of direction b (linear in b,
+        like ``CorrectorSet.phi_for``)."""
+        b = np.asarray(b, dtype=float)
+        d = len(self.sigmas)
+        return FluxPotentialSet(self.cset.grid, {
+            key: ScalarField(f.grid, sum(b[w] * self.sigmas[w].sigma[key].values for w in range(d)),
+                             f.offsets)
+            for key, f in self.sigmas[0].sigma.items()})
 
 
 def solve_pair(field, tol=DEFAULT_TOL):
@@ -295,8 +315,8 @@ def sublinearity_curve(pair, radii, center=None, directions=None):
     if directions is None:
         directions = range(d)
     for r in radii:
-        if abs(np.log2(r / grid.h) % 1.0) > 1e-9:
-            raise ValueError(f"radius {r} is not dyadic in units of h")
+        if not is_dyadic(r / grid.h):
+            raise ValueError(f"radius {r} is not a positive dyadic multiple of h")
     delta = []
     delta_gno = []
     for r in radii:
@@ -340,19 +360,11 @@ def basis_change_check(pair, basis, r, center=None):
     if B.shape != (d, d) or np.abs(B @ B.T - np.eye(d)).max() > 1e-10:
         raise ValueError("basis must be orthonormal (rows)")
     tot = 0.0
-    for i in range(d):
-        b = B[i]
-        phi_b = pair.cset.phi_for(b)
-        tot += ball_mean_square(phi_b, grid, r, center=center)
-        for j in range(d):
-            for k in range(d):
-                if j == k:
-                    continue
-                lo, hi = min(j, k), max(j, k)
-                sgn = 1.0 if j < k else -1.0
-                comp = sum(b[w] * sgn * pair.sigmas[w].component(lo, hi) for w in range(d))
-                f = ScalarField(grid, comp, pair_offsets(d, lo, hi))
-                tot += ball_mean_square(f, grid, r, center=center)
+    for b in B:
+        tot += ball_mean_square(pair.cset.phi_for(b), grid, r, center=center)
+        # sigma_kj = -sigma_jk: each stored pair enters twice
+        for f in pair.sigma_for(b).sigma.values():
+            tot += 2.0 * ball_mean_square(f, grid, r, center=center)
     lhs = np.sqrt(tot) / r
     curve = sublinearity_curve(pair, [r], center=center)
     bound = np.sqrt(d * (d + 1) / 2.0) * curve.delta[0]
@@ -445,7 +457,6 @@ def _grad_norm(u):
     g = gradient(u)
     grid = u.grid
     from .pde import _interior_mask
-    from .grid import face_offsets
 
     tot = 0.0
     for k in range(grid.dim):

@@ -169,9 +169,6 @@ class EnsembleSpec:
             {"correlation_length": correlation_length, "mean": mean, "scale": scale},
         )
 
-    def to_dict(self):
-        return {"kind": self.kind, "lam": self.lam, "seed": self.seed, "params": self.params}
-
     @staticmethod
     def from_dict(d):
         return EnsembleSpec(d["kind"], float(d["lam"]), int(d.get("seed", 0)), d.get("params", {}))

@@ -41,6 +41,13 @@ def pair_offsets(dim, j, k):
     return tuple(0.0 if a in (j, k) else 0.5 for a in range(dim))
 
 
+def is_dyadic(r):
+    """Whether r is a finite positive power of two; log2 of r <= 0 is nan or
+    -inf, which the remainder test alone lets through."""
+    r = float(r)
+    return bool(0 < r < np.inf and abs(np.log2(r) % 1.0) <= 1e-9)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Regular grid on a periodized box or a truncated half-box."""

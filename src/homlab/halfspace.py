@@ -35,9 +35,15 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _transforms as ft
-from .corrector import WholeSpacePair, _ball_raw_and_centered, coefficient_times_vector
+from .corrector import (
+    FluxPotentialSet,
+    WholeSpacePair,
+    _ball_raw_and_centered,
+    coefficient_times_vector,
+    flux_potential_residual,
+)
 from .field import restrict_to_half_box, restrict_values
-from .grid import Grid, cell_offsets, face_offsets, pair_offsets
+from .grid import Grid, cell_offsets, face_offsets, is_dyadic, pair_offsets
 from .pde import (
     BoundarySpec,
     NoFlux,
@@ -47,13 +53,11 @@ from .pde import (
     VectorField,
     ball_mean_square,
     ball_values,
-    diff_to_half,
     diff_to_integer,
     flux,
     gradient,
     solve,
     _interior_mask,
-    interior_ball_mask,
 )
 
 DEFAULT_TOL = 1e-12  # the sigma_h identity budget amplifies solver residuals
@@ -71,13 +75,6 @@ class TangentialBasis:
 
     vectors: np.ndarray
     a_hom: np.ndarray
-
-    @property
-    def dim(self):
-        return self.vectors.shape[0]
-
-    def tangential(self):
-        return [self.vectors[i] for i in range(self.dim - 1)]
 
     @property
     def normal_like(self):
@@ -272,18 +269,18 @@ def _unit_ball_centred(vals, grid, offs):
 
 
 def curl_of_potentials(v, grid):
-    """psi_jk = d_j v_k - d_k v_j on the staggered pair homes.  Every axis
-    a potential is differentiated along carries Dirichlet data (the
-    Neumann row only concerns the vertical potential along its own axis,
-    which never appears in the skew combination), so odd ghosts close
-    both differences."""
+    """The skew field psi_jk = d_j v_k - d_k v_j on the staggered pair
+    homes.  Every axis a potential is differentiated along carries
+    Dirichlet data (the Neumann row only concerns the vertical potential
+    along its own axis, which never appears in the skew combination), so
+    odd ghosts close both differences."""
     d = grid.dim
     out = {}
     for j in range(d):
         for k in range(j + 1, d):
             psi = diff_to_integer(v[k].values, grid, j) - diff_to_integer(v[j].values, grid, k)
             out[(j, k)] = ScalarField(grid, psi, pair_offsets(d, j, k))
-    return out
+    return FluxPotentialSet(grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +294,9 @@ def skew_correction(grid, G):
     psi_jd = f_j + h cumsum_d G_j grows from the flat node layer.  There
     f = grad' w with -lap' w = G_d on the flat layer, one tangential
     (d-1)-dimensional solve: periodic with the mean projected on a slab,
-    zero Dirichlet on a plain half-box.  Returns the components (j, d),
-    each shifted to zero mean; the tangential ones are zero and left
-    out."""
+    zero Dirichlet on a plain half-box.  The set holds the components
+    (j, d), each shifted to zero mean; the tangential ones are zero and
+    left out."""
     d = grid.dim
     flat = np.take(G.comps[d - 1], 0, axis=d - 1)
     bcs = [(ft.PERIODIC, ft.PERIODIC) if grid.periodic_axis(a) else (ft.DIRICHLET, ft.DIRICHLET)
@@ -315,7 +312,7 @@ def skew_correction(grid, G):
         col += np.expand_dims(diff_to_integer(w, grid, j), d - 1)
         col -= col.mean()
         psi[(j, d - 1)] = ScalarField(grid, col, offs)
-    return psi
+    return FluxPotentialSet(grid, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -325,50 +322,38 @@ def skew_correction(grid, G):
 
 @dataclass
 class HalfSpaceCorrectorSet:
-    """Correctors, potentials and skew corrections for one realization.
+    """Correctors and flux potentials for one realization.
 
     Directions are indexed by rows of the tangential basis; the last row
-    needs no solve (restriction only).  sigma_h maps (row, (j, k)) with
-    j < k to pair-homed fields; psi holds the nonzero skew corrections
-    (row, (j, d)) of ``skew_correction``.  liouville_gap holds, per
-    tangential row, the identity residual of sigma built with psi = curl v
-    instead.
+    needs no solve (restriction only).  sigma_h holds one
+    ``FluxPotentialSet`` per row.  liouville_gap holds, per tangential
+    row, the identity residual of sigma built with psi = curl v instead
+    of the axial-gauge skew correction.
     """
 
     grid: Grid
     basis: TangentialBasis
-    a_hom: np.ndarray
     torus_pair: WholeSpacePair
     phi_h: dict
     varphi: dict
-    v: dict
-    psi: dict
     sigma_h: dict
     q_h: dict
-    flat_datum: dict
     liouville_gap: dict
     stats: dict = dc_field(default_factory=dict)
 
-    @property
-    def dim(self):
-        return self.grid.dim
-
 
 def restrict_pair(pair, b, half_grid):
-    """The whole-space corrector phi_b, flux potential sigma_b (pairs
-    j < k) and current q_b = sum_w b_w q_w restricted to a half-box cut
-    from the torus of the pair; each array is a new one."""
+    """The whole-space corrector phi_b, flux potential ``sigma_for(b)`` and
+    current q_b = sum_w b_w q_w restricted to a half-box cut from the
+    torus of the pair; each array is a new one."""
     torus = pair.cset.grid
     d = half_grid.dim
     phi = ScalarField(half_grid, restrict_values(pair.cset.phi_for(b).values, torus, half_grid,
                                                  cell_offsets(d)))
-    sigma = {}
-    for j in range(d):
-        for k in range(j + 1, d):
-            offs = pair_offsets(d, j, k)
-            comb = sum(b[w] * pair.sigmas[w].component(j, k) for w in range(d))
-            sigma[(j, k)] = ScalarField(half_grid, restrict_values(comb, torus, half_grid, offs),
-                                        offs)
+    sigma = FluxPotentialSet(half_grid, {
+        key: ScalarField(half_grid, restrict_values(f.values, torus, half_grid, f.offsets),
+                         f.offsets)
+        for key, f in pair.sigma_for(b).sigma.items()})
     q = [restrict_values(sum(b[w] * pair.q[w].comps[k] for w in range(d)), torus, half_grid,
                          face_offsets(d, k)) for k in range(d)]
     return phi, sigma, VectorField(half_grid, q)
@@ -384,41 +369,30 @@ def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFA
     grid = field_hb.grid
     basis = tangential_basis(pair.a_hom)
     op = Operator(field_hb, BoundarySpec.half_box(grid))
-    phi_h, varphi, v, psi, sigma_h, q_h, datum, gap, stats = {}, {}, {}, {}, {}, {}, {}, {}, {}
+    phi_h, varphi, sigma_h, q_h, gap, stats = {}, {}, {}, {}, {}, {}
     for i in range(d - 1):
         b = basis.vectors[i]
         corr = solve_halfspace_correction(field_hb, field_torus, pair, b, tol=tol, op=op)
         varphi[i] = corr.varphi
-        datum[i] = corr.datum
         stats[i] = corr.stats
-        vi = solve_vector_potentials(grid, corr.current)
-        for j in range(d):
-            v[(i, j)] = vi[j]
         # the restricted whole-space pair plus the correction
-        phi_h[i], sig, q_h[i] = restrict_pair(pair, b, grid)
+        phi_h[i], sigma_h[i], q_h[i] = restrict_pair(pair, b, grid)
         phi_h[i].values += corr.varphi.values
         for j in range(d):
             q_h[i].comps[j] += corr.current.comps[j]
         # the Liouville gap: sigma with psi = curl v, measured and dropped
-        sigma_v = curl_of_potentials(vi, grid)
-        for key, f in sigma_v.items():
-            f.values += sig[key].values
-        gap[i] = identity_residual(sigma_v, q_h[i])
+        sigma_v = curl_of_potentials(solve_vector_potentials(grid, corr.current), grid)
+        for key, f in sigma_v.sigma.items():
+            f.values += sigma_h[i].sigma[key].values
+        gap[i] = flux_potential_residual(sigma_v, q_h[i].comps, grid.height / 2.0)
         del sigma_v
-        for key, f in skew_correction(grid, corr.current).items():
-            psi[(i, key)] = f
-            sig[key].values += f.values
-        for key, f in sig.items():
-            sigma_h[(i, key)] = f
+        for key, f in skew_correction(grid, corr.current).sigma.items():
+            sigma_h[i].sigma[key].values += f.values
     # transversal direction, without the slab's operator, field and last
     # correction alive
     del op, field_hb, corr
-    phi_h[d - 1], sig, q_h[d - 1] = restrict_pair(pair, basis.normal_like, grid)
-    for key, f in sig.items():
-        sigma_h[(d - 1, key)] = f
-    return HalfSpaceCorrectorSet(
-        grid, basis, pair.a_hom, pair, phi_h, varphi, v, psi, sigma_h, q_h, datum, gap, stats,
-    )
+    phi_h[d - 1], sigma_h[d - 1], q_h[d - 1] = restrict_pair(pair, basis.normal_like, grid)
+    return HalfSpaceCorrectorSet(grid, basis, pair, phi_h, varphi, sigma_h, q_h, gap, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -488,43 +462,11 @@ def halfspace_residuals(field_hb, hset, i, inner_radius=None, op=None):
 
 
 def sigma_identity_residual(hset, i, inner_radius=None):
-    """Relative L2 residual of sum_k d_k sigma_h_jk = q_h_j for tangential
-    direction i over the inner half-ball (``identity_residual``)."""
-    d = hset.dim
-    sigma = {(j, k): hset.sigma_h[(i, (j, k))] for j in range(d) for k in range(j + 1, d)}
-    return identity_residual(sigma, hset.q_h[i], inner_radius=inner_radius)
-
-
-def row_divergence(sigma, j):
-    """sum_k d_k sigma_jk at the j-face family, for a skew field given by
-    its pair-homed fields (j, k), j < k.  Interior layers are exact;
-    non-periodic boundary layers carry one-sided values."""
-    out = 0.0
-    for (a, k), f in sigma.items():
-        if a == j:
-            out = out + diff_to_half(f.values, f.grid, k)
-        elif k == j:
-            out = out - diff_to_half(f.values, f.grid, a)
-    return out
-
-
-def identity_residual(sigma, q, inner_radius=None):
-    """Relative L2 residual of sum_k d_k sigma_jk = q_j over the inner
-    half-ball (default radius L/2), normalised by q there; the ball
-    quadrature drops the one-sided boundary layers of each row."""
-    grid = q.grid
-    d = grid.dim
-    if inner_radius is None:
-        inner_radius = grid.height / 2.0
-    num = 0.0
-    den = 0.0
-    for j in range(d):
-        mask = interior_ball_mask(grid, face_offsets(d, j), inner_radius)
-        qj = q.comps[j][mask]
-        diff = row_divergence(sigma, j)[mask] - qj
-        num += float((diff * diff).sum())
-        den += float((qj * qj).sum())
-    return float(np.sqrt(num / den)) if den > 0 else float(np.sqrt(num))
+    """Relative L2 residual of sum_k d_k sigma_h_jk = q_h_j for direction
+    i over the inner half-ball (default radius L/2), normalised by q_h
+    there (``flux_potential_residual``)."""
+    r = hset.grid.height / 2.0 if inner_radius is None else inner_radius
+    return flux_potential_residual(hset.sigma_h[i], hset.q_h[i].comps, r)
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +497,7 @@ def half_sublinearity_curve(hset, radii):
     torus = hset.torus_pair.cset.grid
     b = hset.basis.normal_like
     phi_d_torus = hset.torus_pair.cset.phi_for(b)
+    sigma_d_torus = hset.torus_pair.sigma_for(b)
     out_full = []
     out_half = []
     for r in radii:
@@ -563,21 +506,14 @@ def half_sublinearity_curve(hset, radii):
         tot_tang = 0.0
         for i in range(d - 1):
             tot_tang += _ball_raw_and_centered(hset.phi_h[i], grid, r)[1]
-            for j in range(d):
-                for k in range(j + 1, d):
-                    f = hset.sigma_h[(i, (j, k))]
-                    tot_tang += 2.0 * ball_mean_square(f, grid, r)
+            for f in hset.sigma_h[i].sigma.values():
+                tot_tang += 2.0 * ball_mean_square(f, grid, r)
         # transversal term, full-ball (torus fields) and half-ball variant
         full = ball_mean_square(phi_d_torus, torus, r, half=False)
         halfv = ball_mean_square(hset.phi_h[i_d], grid, r)
-        for j in range(d):
-            for k in range(j + 1, d):
-                comb = sum(
-                    b[w] * hset.torus_pair.sigmas[w].component(j, k) for w in range(d)
-                )
-                f_t = ScalarField(torus, comb, pair_offsets(d, j, k))
-                full += 2.0 * ball_mean_square(f_t, torus, r, half=False)
-                halfv += 2.0 * ball_mean_square(hset.sigma_h[(i_d, (j, k))], grid, r)
+        for key, f_t in sigma_d_torus.sigma.items():
+            full += 2.0 * ball_mean_square(f_t, torus, r, half=False)
+            halfv += 2.0 * ball_mean_square(hset.sigma_h[i_d].sigma[key], grid, r)
         out_full.append(np.sqrt(tot_tang + full) / r)
         out_half.append(np.sqrt(tot_tang + halfv) / r)
     return HalfSublinearityCurve(np.asarray(radii), np.asarray(out_full), np.asarray(out_half))
@@ -609,8 +545,8 @@ class DyadicConfig:
         """The config whose heights read ``curve`` at the annulus radii;
         a curve that lacks one of them is measured again at those radii,
         and one that cannot be (built by hand) raises ValueError."""
-        if abs(np.log2(r0) % 1.0) > 1e-9:
-            raise ValueError("r0 must be dyadic")
+        if not is_dyadic(r0):
+            raise ValueError(f"r0 {r0} is not a positive power of two")
         radii = [r0 * 2.0 ** (n + 1) for n in range(-1, n_max + 1)]
         if not all(np.any(np.abs(curve.radii - R) <= 1e-9 * R) for R in radii):
             if curve.remeasure is None:
@@ -675,7 +611,6 @@ class DyadicResult:
     direct: ScalarField       # single-solve correction
     consistency_r0: float     # rel gradient difference on B_{r0}^+
     consistency_quarter: float  # same on B_{L/4}^+
-    flat_datum: np.ndarray = None  # uncut conormal datum on the flat plane
 
     @property
     def empirical_constant(self):
@@ -728,8 +663,7 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
     total_f = ScalarField(grid, total)
     c_r0 = _relative_gradient_difference(total_f, direct, config.r0)
     c_quarter = _relative_gradient_difference(total_f, direct, grid.height / 4.0)
-    return DyadicResult(config, varphi_n, energies, shapes, total_f, direct,
-                        c_r0, c_quarter, g_full)
+    return DyadicResult(config, varphi_n, energies, shapes, total_f, direct, c_r0, c_quarter)
 
 
 def _relative_gradient_difference(u_a, u_b, r):
@@ -737,93 +671,3 @@ def _relative_gradient_difference(u_a, u_b, r):
     num = ball_mean_square(gradient(diff), diff.grid, r)
     den = ball_mean_square(gradient(u_b), u_b.grid, r)
     return float(np.sqrt(num / den)) if den > 0 else float(np.sqrt(num))
-
-
-def correction_truncation_change(field_torus, pair, b, L, r_obs=None, tol=DEFAULT_TOL):
-    """Sensitivity of the correction to the far-field closure: relative
-    gradient change of varphi on B_{r_obs}^+ when the Dirichlet half-box
-    is doubled from L to 2L.  Values above a configured tolerance flag
-    the truncation as too tight."""
-    if r_obs is None:
-        r_obs = L / 2.0
-    if 4.0 * L > field_torus.grid.side + 1e-12:
-        raise ValueError("doubling L exceeds the ambient torus")
-    small = restrict_to_half_box(field_torus, L, tangential_periodic=False)
-    large = restrict_to_half_box(field_torus, 2.0 * L, tangential_periodic=False)
-    c_small = solve_halfspace_correction(small, field_torus, pair, b, tol=tol)
-    c_large = solve_halfspace_correction(large, field_torus, pair, b, tol=tol)
-    # evaluate both gradients on the smaller grid's half-ball
-    grid = small.grid
-    g_large = VectorField(grid, [restrict_values(c, large.grid, grid, face_offsets(grid.dim, k))
-                                 for k, c in enumerate(gradient(c_large.varphi).comps)])
-    num = 0.0
-    den = 0.0
-    for a, bb in zip(ball_values(gradient(c_small.varphi), grid, r_obs),
-                     ball_values(g_large, grid, r_obs)):
-        num += float(((a - bb) ** 2).sum())
-        den += float((bb * bb).sum())
-    return float(np.sqrt(num / den)) if den > 0 else float(np.sqrt(num))
-
-
-def solve_vector_potentials_dyadic(field_hb, dyadic_result, config, tol=DEFAULT_TOL):
-    """Dyadic-mode potentials: one solve per annulus with the radially
-    cut-off current, the initial linear growth removed through the
-    per-annulus constants (zero on the innermost piece, elsewhere the
-    gradient at the origin evaluated as a small-ball average of grad v),
-    and the vertical component recentered on the unit half-ball.
-
-    Returns (summed potentials, constants table).
-    """
-    grid = field_hb.grid
-    d = grid.dim
-    # radial cutoffs on every face family
-    def cutoff_at(offs, n):
-        coords = grid.coords(offs)
-        rho = np.sqrt(sum(c * c for c in coords[: d - 1]) + coords[d - 1] ** 2)
-        return config.cutoff(n, rho)
-
-    total_varphi = dyadic_result.total
-    g_flat = dyadic_result.flat_datum
-    if g_flat is None:
-        raise ValueError("dyadic result carries no flat datum")
-    G = correction_current(field_hb, total_varphi, g_flat)
-    v_sum = {j: np.zeros(grid.home_shape(face_offsets(d, j))) for j in range(d)}
-    constants = {}
-    for n in config.annuli():
-        for j in range(d):
-            offs = face_offsets(d, j)
-            eta = cutoff_at(offs, n)
-            rhs = eta * G.comps[j]
-            vals = face_poisson_solve(grid, j, rhs)
-            vf = ScalarField(grid, vals, offs)
-            if n == -1:
-                c_n = np.zeros(d)
-            else:
-                c_n = _origin_gradient(vf, grid)
-            coords = grid.coords(offs)
-            lin = sum(c_n[a] * coords[a] for a in range(d))
-            vals = vals - lin
-            if j == d - 1:
-                vals = _unit_ball_centred(vals, grid, offs)
-            constants[(n, j)] = c_n
-            v_sum[j] += vals
-    out = {j: ScalarField(grid, v_sum[j], face_offsets(d, j)) for j in range(d)}
-    return out, constants
-
-
-def _origin_gradient(vf, grid):
-    """Gradient at the origin as a small-ball average (point values of
-    discrete fields are noisy; interior regularity backs the average)."""
-    d = grid.dim
-    h = grid.h
-    out = np.zeros(d)
-    for a in range(d):
-        dv = diff_to_half(vf.values, grid, a)
-        # the difference lives on a half-step-shifted home; the 4h ball
-        # mask of the original home trimmed to the difference shape keeps
-        # the average within half a cell of the intended ball
-        mask = grid.ball_mask(vf.offsets, 4.0 * h)
-        mask = mask[tuple(slice(0, s) for s in dv.shape)]
-        vals = dv[mask] if mask.any() else dv.ravel()[:1]
-        out[a] = float(vals.mean())
-    return out

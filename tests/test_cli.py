@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from homlab import cli
+from homlab.corrector import FluxPotentialSet, solve_pair
+from homlab.field import load_field
+from homlab.halfspace import build_halfspace_set
 from homlab.cli import (
     ConfigError, CsvError, config_hash, load_config, main, read_csv, validate_config,
 )
@@ -82,6 +85,20 @@ def test_corrector_and_halfspace_commands(tmp_path):
     bundle = np.load(hs_bin)
     assert sorted(bundle.files) == ["__meta__", "phi_h_0", "phi_h_1", "sigma_h_0_01",
                                     "sigma_h_1_01", "varphi_0"]
+    # the bundle loads one FluxPotentialSet per direction, equal to the
+    # saved set's (rebuilt here from the same field and tolerance)
+    f = load_field(fld)
+    hset = build_halfspace_set(f, solve_pair(f, tol=1e-12), L=16.0, tol=1e-12)
+    loaded = cli.load_halfspace_bundle(hs_bin)
+    assert list(loaded.sigma_h) == list(hset.sigma_h) == [0, 1]
+    for i, fps in hset.sigma_h.items():
+        got = loaded.sigma_h[i]
+        assert isinstance(got, FluxPotentialSet) and got.grid == hset.grid
+        assert list(got.sigma) == list(fps.sigma)
+        for key, s in fps.sigma.items():
+            assert got.sigma[key].offsets == s.offsets
+            assert np.array_equal(got.sigma[key].values, s.values)
+    assert np.array_equal(loaded.basis.a_hom, hset.basis.a_hom)
 
 
 def test_halfspace_dyadic_mode(tmp_path):
@@ -205,8 +222,22 @@ def test_pipeline_bad_config_exit_code(tmp_path):
     # corrector radii 8h..side/4 are empty at n=16, and an excess radius of
     # 2 is below the quadrature floor 4h
     good = json.loads(small_config(tmp_path).read_text())
+    # so are non-positive radii, a slab height L other than side/2, a dyadic
+    # r0 that is no power of two, an outer annulus r0 2^(n_max+1) beyond 2L,
+    # an excess window 2R wider than the torus, and seeds that are not a
+    # list of integers
+    dyadic = {"L": 16.0, "mode": "dyadic"}
     for name, change in (("empty_radii", {"grid": {"dim": 2, "n": 16}, "radii": None}),
-                         ("low_radius", {"radii": [2.0, 4.0, 8.0], "excess": {}})):
+                         ("low_radius", {"radii": [2.0, 4.0, 8.0], "excess": {}}),
+                         ("negative_radius", {"radii": [-8.0, 8.0]}),
+                         ("short_slab", {"halfspace": {"L": 8.0, "mode": "direct"}}),
+                         ("odd_r0", {"halfspace": {**dyadic, "dyadic": {"r0": 6.0, "n_max": 0}}}),
+                         ("wide_annulus",
+                          {"halfspace": {**dyadic, "dyadic": {"r0": 8.0, "n_max": 2}}}),
+                         ("wide_window", {"excess": {"R": 32.0, "radii": [4.0, 8.0]}}),
+                         ("float_seeds", {"seeds": [0.5, 1]}),
+                         ("string_seeds", {"seeds": ["a"]}),
+                         ("scalar_seeds", {"seeds": 3})):
         cfg = {k: v for k, v in {**good, **change}.items() if v is not None}
         p3 = tmp_path / f"{name}.json"
         p3.write_text(json.dumps(cfg))

@@ -198,6 +198,23 @@ def test_flux_potential_3d_identity():
                 )
 
 
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+def test_sigma_for_coordinate_directions_and_linearity(dim, n):
+    grid = Grid.torus(dim, n)
+    f = sample_field(EnsembleSpec.checkerboard(seed=4), grid)
+    pair = solve_pair(f, tol=1e-12)
+    for i in range(dim):
+        fps = pair.sigma_for(np.eye(dim)[i])
+        assert isinstance(fps, FluxPotentialSet) and list(fps.sigma) == list(pair.sigmas[i].sigma)
+        for key, s in fps.sigma.items():
+            assert s.offsets == pair.sigmas[i].sigma[key].offsets
+            assert np.array_equal(s.values, pair.sigmas[i].sigma[key].values)
+    b = np.arange(1.0, dim + 1.0) / np.linalg.norm(np.arange(1.0, dim + 1.0))
+    for key, s in pair.sigma_for(b).sigma.items():
+        expect = sum(b[w] * pair.sigmas[w].sigma[key].values for w in range(dim))
+        assert np.allclose(s.values, expect, rtol=0.0, atol=1e-15)
+
+
 def zero_pair(grid, phi_const=0.0):
     d = grid.dim
     phi = {i: ScalarField(grid, np.full(grid.shape, phi_const)) for i in range(d)}
@@ -233,6 +250,14 @@ def test_sublinearity_zero_and_constant_oracle():
     expect = c * np.sqrt(2.0) / np.asarray(radii)
     assert np.allclose(cc.delta, expect, rtol=1e-12)
     assert np.all(cc.delta_gno <= 1e-12)
+
+
+def test_sublinearity_rejects_non_positive_radii():
+    # log2 of r <= 0 is nan or -inf, which a remainder test alone lets pass
+    pz = zero_pair(Grid.torus(2, 32))
+    for radii in ([-8.0, 8.0], [0.0, 8.0], [12.0]):
+        with pytest.raises(ValueError):
+            sublinearity_curve(pz, radii)
 
 
 def test_sublinearity_gno_below_delta_and_decay():

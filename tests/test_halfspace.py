@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homlab.grid import Grid, cell_offsets, face_offsets, pair_offsets
-from homlab.field import EnsembleSpec, sample_field, restrict_to_half_box
-from homlab.corrector import solve_pair, sublinearity_curve, dyadic_radii
+from homlab.field import EnsembleSpec, sample_field, restrict_to_half_box, restrict_values
+from homlab.corrector import (
+    FluxPotentialSet,
+    dyadic_radii,
+    solve_pair,
+    sublinearity_curve,
+)
 from homlab.pde import ScalarField, VectorField
 from homlab.halfspace import (
     DyadicConfig,
@@ -14,7 +19,7 @@ from homlab.halfspace import (
     face_poisson_solve,
     half_sublinearity_curve,
     halfspace_residuals,
-    row_divergence,
+    restrict_pair,
     sigma_identity_residual,
     skew_correction,
     solve_halfspace_correction,
@@ -69,8 +74,9 @@ def test_constant_field_trivial_halfspace_set():
     assert np.abs(hset.varphi[0].values).max() <= 1e-12
     assert np.abs(hset.phi_h[0].values).max() <= 1e-12
     assert np.abs(hset.phi_h[1].values).max() <= 1e-12
-    for key, s in hset.sigma_h.items():
-        assert np.abs(s.values).max() <= 1e-10
+    for fps in hset.sigma_h.values():
+        for s in fps.sigma.values():
+            assert np.abs(s.values).max() <= 1e-10
     curve = half_sublinearity_curve(hset, [8.0])
     assert curve.delta_h[0] <= 1e-10
 
@@ -231,7 +237,7 @@ def test_vector_potentials_zero_for_zero_current():
     for j in range(2):
         assert np.all(v[j].values == 0.0)
     psi = curl_of_potentials(v, grid)
-    assert np.all(psi[(0, 1)].values == 0.0)
+    assert np.all(psi.sigma[(0, 1)].values == 0.0)
 
 
 def test_curl_antisymmetrization_fixture():
@@ -247,19 +253,29 @@ def test_curl_antisymmetrization_fixture():
         1: ScalarField(grid, x1, face_offsets(2, 1)),
     }
     psi = curl_of_potentials(v, grid)
-    inner = psi[(0, 1)].values[1:-1, 1:-1]
+    inner = psi.sigma[(0, 1)].values[1:-1, 1:-1]
     assert np.abs(inner).max() <= 1e-13
+
+
+def correction_potentials(f, pair, L, i=0):
+    """The correction of tangential direction i on the slab of height L,
+    its vector potentials and its skew correction, as ``build_halfspace_set``
+    computes them before it drops the potentials and the correction."""
+    fhb = restrict_to_half_box(f, L)
+    corr = solve_halfspace_correction(fhb, f, pair, tangential_basis(pair.a_hom).vectors[i])
+    return (corr, solve_vector_potentials(fhb.grid, corr.current),
+            skew_correction(fhb.grid, corr.current))
 
 
 def test_construction_identity_pointwise():
     grid = Grid.torus(2, 64)
     f = sample_field(EnsembleSpec.checkerboard(seed=1), grid)
     pair = solve_pair(f, tol=1e-12)
-    hset = build_halfspace_set(f, pair, L=32.0)
+    corr, v, _ = correction_potentials(f, pair, 32.0)
     h = grid.h
-    v1 = hset.v[(0, 0)].values
-    v2 = hset.v[(0, 1)].values
-    psi = curl_of_potentials({0: hset.v[(0, 0)], 1: hset.v[(0, 1)]}, hset.grid)[(0, 1)].values
+    v1 = v[0].values
+    v2 = v[1].values
+    psi = curl_of_potentials(v, corr.varphi.grid).sigma[(0, 1)].values
     for (i, m) in [(3, 5), (10, 9), (40, 2)]:
         d1v2 = (v2[i, m] - v2[i - 1, m]) / h
         d2v1 = (v1[i, m] - v1[i, m - 1]) / h
@@ -273,16 +289,14 @@ def test_potential_equation_residual():
     f = sample_field(EnsembleSpec.checkerboard(seed=5), grid)
     pair = solve_pair(f, tol=1e-12)
     hset = build_halfspace_set(f, pair, L=32.0)
-    fhb = restrict_to_half_box(f, 32.0)
+    _, vs, _ = correction_potentials(f, pair, 32.0)
     corr_current = hset.q_h[0].copy()
     # rebuild G = q_h - restricted q
-    from homlab.halfspace import restrict_pair
-
     q_r = restrict_pair(pair, hset.basis.vectors[0], hset.grid)[2]
     h2 = grid.h * grid.h
     for j in range(2):
         G_j = corr_current.comps[j] - q_r.comps[j]
-        v = hset.v[(0, j)].values
+        v = vs[j].values
         if j == 0:
             lap = np.zeros_like(v)
             lap += 2 * v - np.roll(v, 1, 0) - np.roll(v, -1, 0)
@@ -307,15 +321,30 @@ def test_liouville_gap_vs_exact_stream():
     assert hset.liouville_gap[0] > 100 * exact
     import copy
 
+    _, v, psi = correction_potentials(f, pair, 64.0)
     alt = copy.copy(hset)
-    alt.sigma_h = dict(hset.sigma_h)
-    key = (0, (0, 1))
-    curl_v = curl_of_potentials({0: hset.v[(0, 0)], 1: hset.v[(0, 1)]}, hset.grid)[(0, 1)]
-    alt.sigma_h[key] = ScalarField(
-        hset.grid, hset.sigma_h[key].values - hset.psi[key].values + curl_v.values,
+    key = (0, 1)
+    curl_v = curl_of_potentials(v, hset.grid).sigma[key]
+    alt.sigma_h = {**hset.sigma_h, 0: FluxPotentialSet(hset.grid, {key: ScalarField(
+        hset.grid, hset.sigma_h[0].sigma[key].values - psi.sigma[key].values + curl_v.values,
         pair_offsets(2, 0, 1),
-    )
+    )})}
     assert sigma_identity_residual(alt, 0) == pytest.approx(hset.liouville_gap[0], rel=1e-6)
+
+
+def test_restrict_pair_restricts_sigma_for():
+    grid = Grid.torus(2, 32)
+    f = sample_field(EnsembleSpec.checkerboard(seed=3), grid)
+    pair = solve_pair(f, tol=1e-12)
+    half = restrict_to_half_box(f, 16.0).grid
+    b = tangential_basis(pair.a_hom).vectors[0]
+    _, sigma, _ = restrict_pair(pair, b, half)
+    whole = pair.sigma_for(b)
+    assert isinstance(sigma, FluxPotentialSet) and sigma.grid == half
+    assert list(sigma.sigma) == list(whole.sigma) == [(0, 1)]
+    offs = pair_offsets(2, 0, 1)
+    assert np.array_equal(sigma.sigma[(0, 1)].values,
+                          restrict_values(whole.sigma[(0, 1)].values, grid, half, offs))
 
 
 @st.composite
@@ -341,12 +370,12 @@ def test_skew_correction_reproduces_divergence_free_currents(case):
         for k in range(j + 1, d):
             offs = pair_offsets(d, j, k)
             psi0[(j, k)] = ScalarField(grid, rng.standard_normal(grid.home_shape(offs)), offs)
-    G = VectorField(grid, [row_divergence(psi0, j) for j in range(d)])
+    G = VectorField(grid, [FluxPotentialSet(grid, psi0).row_divergence(j) for j in range(d)])
     psi = skew_correction(grid, G)
-    assert set(psi) == {(j, d - 1) for j in range(d - 1)}
+    assert set(psi.sigma) == {(j, d - 1) for j in range(d - 1)}
     for j in range(d):
-        assert row_divergence(psi, j).shape == G.comps[j].shape
-    num = sum(np.sum((row_divergence(psi, j) - G.comps[j]) ** 2) for j in range(d))
+        assert psi.row_divergence(j).shape == G.comps[j].shape
+    num = sum(np.sum((psi.row_divergence(j) - G.comps[j]) ** 2) for j in range(d))
     den = sum(np.sum(G.comps[j] ** 2) for j in range(d))
     assert np.sqrt(num / den) <= 1e-12
 
@@ -489,6 +518,10 @@ def test_dyadic_config_reads_every_annulus_radius():
     assert DyadicConfig.from_curve(hand, 8.0, 1).delta_at.tolist() == [0.1, 0.05, 0.025]
     with pytest.raises(ValueError):
         DyadicConfig.from_curve(hand, 8.0, 2)
+    # r0 must be a positive power of two; log2 of r0 <= 0 is nan or -inf
+    for r0 in (-8.0, 0.0, 12.0):
+        with pytest.raises(ValueError):
+            DyadicConfig.from_curve(hand, r0, 0)
 
 
 def test_halfspace_3d_smoke():
@@ -504,38 +537,3 @@ def test_halfspace_3d_smoke():
     assert 0.0 < hset.liouville_gap[0] < 0.05
     curve = half_sublinearity_curve(hset, [4.0])
     assert np.isfinite(curve.delta_h[0])
-
-
-def test_correction_truncation_sensitivity_helper():
-    from homlab.halfspace import correction_truncation_change
-
-    grid = Grid.torus(2, 128)
-    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=7), grid)
-    pair = solve_pair(f, tol=1e-12)
-    b1 = tangential_basis(pair.a_hom).vectors[0]
-    change = correction_truncation_change(f, pair, b1, L=32.0, r_obs=16.0)
-    assert 0.0 <= change < 0.5
-    with pytest.raises(ValueError):
-        correction_truncation_change(f, pair, b1, L=64.0)
-
-
-def test_dyadic_vector_potentials_and_constants():
-    from homlab.halfspace import solve_vector_potentials_dyadic, _origin_gradient
-
-    grid = Grid.torus(2, 128)
-    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=7), grid)
-    pair = solve_pair(f, tol=1e-12)
-    fhb = restrict_to_half_box(f, 64.0)
-    curve = sublinearity_curve(pair, dyadic_radii(grid))
-    cfg = DyadicConfig.from_curve(curve, r0=8.0, n_max=2)
-    b1 = tangential_basis(pair.a_hom).vectors[0]
-    dy = dyadic_construction(fhb, f, pair, b1, cfg, tol=1e-12)
-    v, consts = solve_vector_potentials_dyadic(fhb, dy, cfg)
-    # innermost annulus keeps its growth; later annuli are recentered
-    for j in range(2):
-        assert np.all(consts[(-1, j)] == 0.0)
-    for n in (0, 1, 2):
-        for j in range(2):
-            assert np.isfinite(consts[(n, j)]).all()
-    for j in range(2):
-        assert np.all(np.isfinite(v[j].values))

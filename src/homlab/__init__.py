@@ -30,7 +30,6 @@ from .pde import (
     dense_solve,
     flux,
     gradient,
-    half_ball_average,
     solve,
 )
 from .corrector import (

@@ -31,6 +31,7 @@ from .field import (
     EllipticityError,
     EnsembleSpec,
     FieldFileError,
+    _grid_from_token,
     load_field,
     restrict_to_half_box,
     sample_field,
@@ -39,6 +40,7 @@ from .field import (
 )
 from .pde import BoundarySpec, Operator, SolverError
 from .corrector import (
+    HomogenizedMatrix,
     dyadic_radii,
     solve_pair,
     sublinearity_curve,
@@ -183,11 +185,16 @@ def validate_config(raw):
         r0, n_max = _dyadic_params(hs)
         if not is_dyadic(r0):
             raise ConfigError(f"dyadic r0 {r0:g} is not a positive power of two")
+        if n_max < -1:
+            raise ConfigError(f"dyadic n_max {n_max} leaves no annulus; the least is -1")
         if r0 * 2.0 ** (n_max + 1) > 2.0 * L + 1e-9:
             raise ConfigError(f"outer annulus r0 2^(n_max+1) exceeds 2L = {2.0 * L:g}")
     R, ex_radii = _excess_radii(cfg, grid)
     if 2.0 * R > grid.side + 1e-12:
         raise ConfigError(f"excess window 2R = {2.0 * R:g} exceeds the torus side {grid.side:g}")
+    # the window is a half-box of 2R/h cells a side, which must be even and at least 4
+    if abs(R / grid.h - round(R / grid.h)) > 1e-12 or R < 2.0 * grid.h:
+        raise ConfigError(f"excess window height R = {R:g} is not a whole number >= 2 of cells")
     if not ex_radii or min(ex_radii) < 4 * grid.h:
         raise ConfigError(f"excess radii {ex_radii} empty or below the quadrature floor 4h")
     return cfg
@@ -445,12 +452,9 @@ def build_report(cfg, out_dir, tag):
     corr_sum = out_dir / f"corrector__{tag}__summary.json"
     if corr_sum.exists():
         entries = json.loads(corr_sum.read_text())
-        mats = np.array([e["a_hom"] for e in entries])
-        report["a_hom_mean"] = mats.mean(axis=0).tolist()
-        report["a_hom_stderr"] = (
-            (mats.std(axis=0, ddof=1) / np.sqrt(len(mats))).tolist()
-            if len(mats) > 1 else (0.0 * mats.mean(axis=0)).tolist()
-        )
+        est = HomogenizedMatrix.from_samples([e["a_hom"] for e in entries])
+        report["a_hom_mean"] = est.matrix.tolist()
+        report["a_hom_stderr"] = est.stderr.tolist()
         ratios = [e["delta_last"] / e["delta_first"] for e in entries if e["delta_first"] > 0]
         report["delta_decay_ratio_mean"] = float(np.mean(ratios)) if ratios else None
     curves = {}
@@ -551,11 +555,7 @@ def cmd_field_sample(args):
     spec = EnsembleSpec.from_dict(spec_raw)
     g = spec_raw.get("grid", {})
     topo = g.get("topology", "torus")
-    if topo == "torus":
-        grid = Grid.torus(int(g.get("dim", 2)), int(g.get("n", 64)), float(g.get("h", 1.0)))
-    else:
-        grid = Grid.half_box(int(g.get("dim", 2)), int(g.get("n", 64)), float(g.get("h", 1.0)),
-                             tangential_periodic=(topo == "half_slab"))
+    grid = _grid_from_token(int(g.get("dim", 2)), int(g.get("n", 64)), float(g.get("h", 1.0)), topo)
     f = sample_field(spec, grid)
     save_field(f, args.out)
     print(f"wrote {args.out} (dim={grid.dim}, n={grid.n}, topology={topo})")
@@ -585,21 +585,14 @@ def _parse_directions(text, dim):
     return out
 
 
-def _parse_radii(text, grid):
-    lo, hi = text.split(":")
-    out = []
-    r = float(lo)
-    while r <= float(hi) + 1e-9:
-        out.append(r)
-        r *= 2.0
-    return [r for r in out if r <= grid.side / 2.0]
-
-
 def cmd_corrector(args):
     f = load_field(args.field)
     pair = solve_pair(f, tol=args.tol)
-    directions = None if args.directions is None else _parse_directions(args.directions, f.grid.dim)
-    curve = sublinearity_curve(pair, _parse_radii(args.radii, f.grid), directions=directions)
+    d = f.grid.dim
+    basis = None if args.directions is None else np.eye(d)[_parse_directions(args.directions, d)]
+    lo, hi = args.radii.split(":")
+    radii = dyadic_radii(f.grid, r_min=float(lo), r_max=min(float(hi), f.grid.side / 2.0))
+    curve = sublinearity_curve(pair, radii, basis=basis)
     write_csv(args.out, CORRECTOR_HEADER, corrector_rows(curve))
     print(f"wrote {args.out}; a_hom = {pair.a_hom.tolist()}")
     return 0

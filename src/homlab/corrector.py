@@ -37,7 +37,6 @@ from .pde import (
     SourceTerm,
     VectorField,
     assemble,
-    ball_mean_square,
     ball_values,
     diff_to_half,
     diff_to_integer,
@@ -96,13 +95,12 @@ class CorrectorSet:
         vals = sum(b[i] * self.phi[i].values for i in range(self.grid.dim))
         return ScalarField(self.grid, vals)
 
-    def current(self, i):
-        """Corrected current a(grad phi_i + e_i) as a face field."""
-        e = np.zeros(self.grid.dim)
-        e[i] = 1.0
-        q = flux(self.field, self.phi[i])
-        axi = coefficient_times_vector(self.field, e)
-        return VectorField(self.grid, [q.comps[k] + axi.comps[k] for k in range(self.grid.dim)])
+    def current(self, b):
+        """Corrected current a(grad phi_b + b) of direction b as a face
+        field."""
+        q = flux(self.field, self.phi_for(b))
+        ab = coefficient_times_vector(self.field, b)
+        return VectorField(self.grid, [q.comps[k] + ab.comps[k] for k in range(self.grid.dim)])
 
 
 def solve_correctors(field, tol=DEFAULT_TOL):
@@ -129,6 +127,15 @@ class HomogenizedMatrix:
     def sample_count(self):
         return len(self.samples)
 
+    @staticmethod
+    def from_samples(samples):
+        """Entrywise mean and standard error of per-realization matrices
+        (standard error zero for a single sample)."""
+        arr = np.asarray(samples, dtype=float)
+        mean = arr.mean(axis=0)
+        stderr = arr.std(axis=0, ddof=1) / np.sqrt(len(arr)) if len(arr) > 1 else 0.0 * mean
+        return HomogenizedMatrix(mean, list(samples), stderr)
+
 
 def homogenized_matrix(cset):
     """Columns are the exact face-family averages of the corrected
@@ -136,7 +143,7 @@ def homogenized_matrix(cset):
     d = cset.grid.dim
     a_hom = np.zeros((d, d))
     for i in range(d):
-        cur = cset.current(i)
+        cur = cset.current(np.eye(d)[i])
         for k in range(d):
             a_hom[k, i] = float(cur.comps[k].mean())
     return a_hom
@@ -149,16 +156,13 @@ def monte_carlo_homogenized(spec, grid, seeds, tol=DEFAULT_TOL):
         f = sample_field(replace(spec, seed=int(s)), grid)
         cset = solve_correctors(f, tol=tol)
         samples.append(homogenized_matrix(cset))
-    arr = np.stack(samples)
-    mean = arr.mean(axis=0)
-    stderr = arr.std(axis=0, ddof=1) / np.sqrt(len(samples)) if len(samples) > 1 else 0.0 * mean
-    return HomogenizedMatrix(mean, samples, stderr)
+    return HomogenizedMatrix.from_samples(samples)
 
 
 def flux_correction(cset, a_hom, i):
     """q_i = a(grad phi_i + e_i) - a_hom e_i as a face field."""
-    cur = cset.current(i)
     d = cset.grid.dim
+    cur = cset.current(np.eye(d)[i])
     comps = [cur.comps[k] - a_hom[k, i] for k in range(d)]
     return VectorField(cset.grid, comps)
 
@@ -304,41 +308,37 @@ class SublinearityCurve:
         return self.delta[i] / self.delta[j]
 
 
-def sublinearity_curve(pair, radii, center=None, directions=None):
+def sublinearity_curve(pair, radii, center=None, basis=None):
     """delta_r and its mean-subtracted variant on dyadic balls around the
     origin, plus the partial sums of the quantified-ergodicity series
     (weights log2 r, increments log2(r) * delta_r^(1/3)).  The sum runs
-    over the full coordinate frame unless a subset of direction indices
-    is given."""
+    over the directions b given as rows of ``basis``, each through
+    ``phi_for(b)`` and ``sigma_for(b)`` (default: the coordinate frame)."""
     grid = pair.cset.grid
-    d = grid.dim
-    if directions is None:
-        directions = range(d)
+    radii = np.asarray(radii)
+    if basis is None:
+        basis = np.eye(grid.dim)
     for r in radii:
         if not is_dyadic(r / grid.h):
             raise ValueError(f"radius {r} is not a positive dyadic multiple of h")
-    delta = []
-    delta_gno = []
-    for r in radii:
-        tot = 0.0
-        tot_g = 0.0
-        for i in directions:
-            msq, csq = _ball_raw_and_centered(pair.cset.phi[i], grid, r, center)
-            tot += msq
-            tot_g += csq
-            for (j, k), f in pair.sigmas[i].sigma.items():
-                s_msq, s_csq = _ball_raw_and_centered(f, grid, r, center)
-                tot += 2.0 * s_msq
-                tot_g += 2.0 * s_csq
-        delta.append(np.sqrt(tot) / r)
-        delta_gno.append(np.sqrt(tot_g) / r)
-    delta = np.asarray(delta)
-    delta_gno = np.asarray(delta_gno)
-    weights = np.log2(np.asarray(radii))
+    tot = np.zeros(len(radii))
+    tot_g = np.zeros(len(radii))
+    for b in basis:  # one direction's fields alive at a time
+        fields = [(1.0, pair.cset.phi_for(b))]
+        # sigma_kj = -sigma_jk: each stored pair enters twice
+        fields += [(2.0, f) for f in pair.sigma_for(b).sigma.values()]
+        for m, r in enumerate(radii):
+            for w, f in fields:
+                msq, csq = _ball_raw_and_centered(f, grid, r, center)
+                tot[m] += w * msq
+                tot_g[m] += w * csq
+    delta = np.sqrt(tot) / radii
+    delta_gno = np.sqrt(tot_g) / radii
+    weights = np.log2(radii)
     partial = np.cumsum(weights * delta ** (1.0 / 3.0))
     partial_gno = np.cumsum(weights * delta_gno ** (1.0 / 3.0))
-    return SublinearityCurve(np.asarray(radii), delta, delta_gno, partial, partial_gno,
-                             lambda rs: sublinearity_curve(pair, rs, center, directions))
+    return SublinearityCurve(radii, delta, delta_gno, partial, partial_gno,
+                             lambda rs: sublinearity_curve(pair, rs, center, basis))
 
 
 def _ball_raw_and_centered(f, grid, r, center=None):
@@ -354,20 +354,12 @@ def _ball_raw_and_centered(f, grid, r, center=None):
 def basis_change_check(pair, basis, r, center=None):
     """Evaluates the rotated-direction functional and the bound
     sqrt(d(d+1)/2) delta_r; returns (lhs, bound)."""
-    grid = pair.cset.grid
-    d = grid.dim
+    d = pair.cset.grid.dim
     B = np.asarray(basis, dtype=float)
     if B.shape != (d, d) or np.abs(B @ B.T - np.eye(d)).max() > 1e-10:
         raise ValueError("basis must be orthonormal (rows)")
-    tot = 0.0
-    for b in B:
-        tot += ball_mean_square(pair.cset.phi_for(b), grid, r, center=center)
-        # sigma_kj = -sigma_jk: each stored pair enters twice
-        for f in pair.sigma_for(b).sigma.values():
-            tot += 2.0 * ball_mean_square(f, grid, r, center=center)
-    lhs = np.sqrt(tot) / r
-    curve = sublinearity_curve(pair, [r], center=center)
-    bound = np.sqrt(d * (d + 1) / 2.0) * curve.delta[0]
+    lhs = sublinearity_curve(pair, [r], center=center, basis=B).delta[0]
+    bound = np.sqrt(d * (d + 1) / 2.0) * sublinearity_curve(pair, [r], center=center).delta[0]
     return lhs, bound
 
 

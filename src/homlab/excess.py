@@ -44,6 +44,7 @@ from .pde import (
     ball_mean_square,
     ball_values,
     gradient,
+    interior_ball_mask,
     mean_product,
     solve,
 )
@@ -405,7 +406,7 @@ def liouville_check(u, hset, radii, alpha=0.5):
         basis_fields.append(lin + phi)
     coeffs_by_r = {}
     for r in radii:
-        mask = grid.ball_mask(cell_offsets(d), r)
+        mask = interior_ball_mask(grid, cell_offsets(d), r)
         cols = [bf[mask] for bf in basis_fields] + [np.ones(int(mask.sum()))]
         A = np.stack(cols, axis=1)
         sol, *_ = np.linalg.lstsq(A, u.values[mask], rcond=None)

@@ -134,21 +134,11 @@ class CorrectionResult:
     stats: object
 
 
-def flat_flux_datum(field_torus, pair, b):
-    """-e_d . a (grad phi_b + b) on the plane x_d = 0, from torus data."""
-    grid = field_torus.grid
-    d = grid.dim
-    phi_b = pair.cset.phi_for(np.asarray(b, dtype=float))
-    q = flux(field_torus, phi_b)
-    ab = coefficient_times_vector(field_torus, np.asarray(b, dtype=float))
-    total = q.comps[d - 1] + ab.comps[d - 1]
-    return total, phi_b
-
-
 def _flat_datum_on(field_torus, pair, b, grid):
-    """flat_flux_datum restricted to the flat face layer of a half-box."""
+    """e_d . a (grad phi_b + b) on the flat face layer of a half-box cut
+    from the torus of ``pair``."""
     d = grid.dim
-    total_d, _ = flat_flux_datum(field_torus, pair, b)
+    total_d = pair.cset.current(b).comps[d - 1]
     total_half = restrict_values(total_d, field_torus.grid, grid, face_offsets(d, d - 1))
     return np.take(total_half, 0, axis=d - 1)
 
@@ -531,9 +521,9 @@ def _smoothstep(t):
 
 @dataclass
 class DyadicConfig:
-    """Radial partition of unity on doubling annuli with vertical
-    cutoff heights l_n = delta(r_0 2^(n+1))^(2/3) * r_0 2^(n+1) taken
-    from a measured whole-space sublinearity curve."""
+    """Radial partition of unity on the doubling annuli n = -1..n_max,
+    with heights l_n = delta(r_0 2^(n+1))^(2/3) * r_0 2^(n+1) taken from
+    a measured whole-space sublinearity curve."""
 
     r0: float
     n_max: int
@@ -547,6 +537,8 @@ class DyadicConfig:
         and one that cannot be (built by hand) raises ValueError."""
         if not is_dyadic(r0):
             raise ValueError(f"r0 {r0} is not a positive power of two")
+        if n_max < -1:
+            raise ValueError(f"n_max {n_max} leaves no annulus; the least is -1")
         radii = [r0 * 2.0 ** (n + 1) for n in range(-1, n_max + 1)]
         if not all(np.any(np.abs(curve.radii - R) <= 1e-9 * R) for R in radii):
             if curve.remeasure is None:
@@ -573,10 +565,6 @@ class DyadicConfig:
             return c(0, rho)
         return c(n + 1, rho) - c(n, rho)
 
-    def vertical_cutoff(self, n, xd):
-        ln = self.heights[n + 1]
-        return _smoothstep((2.0 * ln - np.abs(xd)) / ln)
-
     def validate(self, grid):
         """Grid-sampled invariants: partition sums to one inside the
         outermost annulus and discrete slopes respect the stated
@@ -591,12 +579,7 @@ class DyadicConfig:
             slope = np.abs(np.diff(vals) / np.diff(t)).max()
             if slope > 4.0 / (self.r0 * 2.0 ** max(n, 0)) + 1e-9:
                 raise ValueError(f"radial cutoff {n} violates its gradient bound")
-            ln = self.heights[n + 1]
-            xs = np.linspace(0.0, 2.5 * ln, 2048)
-            vs = self.vertical_cutoff(n, xs)
-            if np.abs(np.diff(vs) / np.diff(xs)).max() > 2.0 / ln + 1e-9:
-                raise ValueError(f"vertical cutoff {n} violates its gradient bound")
-            if not ln < self.r0 * 2.0 ** (n + 1):
+            if not self.heights[n + 1] < self.r0 * 2.0 ** (n + 1):
                 raise ValueError("cutoff height must stay below the annulus radius")
         return True
 
@@ -607,8 +590,6 @@ class DyadicResult:
     varphi_n: dict            # n -> ScalarField
     energies: dict            # (n, r) -> measured (fint |grad varphi_n|^2)^(1/2)
     bound_shape: dict         # (n, r) -> (r0 2^(n+1)/r)^(d/2) delta^(1/3)
-    total: ScalarField        # sum of the annulus corrections
-    direct: ScalarField       # single-solve correction
     consistency_r0: float     # rel gradient difference on B_{r0}^+
     consistency_quarter: float  # same on B_{L/4}^+
 
@@ -663,7 +644,7 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
     total_f = ScalarField(grid, total)
     c_r0 = _relative_gradient_difference(total_f, direct, config.r0)
     c_quarter = _relative_gradient_difference(total_f, direct, grid.height / 4.0)
-    return DyadicResult(config, varphi_n, energies, shapes, total_f, direct, c_r0, c_quarter)
+    return DyadicResult(config, varphi_n, energies, shapes, c_r0, c_quarter)
 
 
 def _relative_gradient_difference(u_a, u_b, r):

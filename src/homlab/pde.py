@@ -788,30 +788,6 @@ def _cached_ball_mask(grid, offsets, r, center, half):
     return mask
 
 
-def half_ball_average(values, grid, r, center=None, offsets=None, half=None):
-    """Arithmetic mean over home points inside the (half-)ball.
-
-    Returns (mean, count).  ``values`` may be a ScalarField or an array
-    with ``offsets`` given.  Radii beyond the domain raise ValueError.
-    """
-    if isinstance(values, ScalarField):
-        grid = values.grid
-        offsets = values.offsets
-        arr = values.values
-    else:
-        arr = np.asarray(values, dtype=float)
-        if offsets is None:
-            offsets = cell_offsets(grid.dim)
-    limit = grid.side / 2.0 if grid.topology == TORUS else grid.height
-    if r > limit + 1e-12:
-        raise ValueError(f"radius {r} exceeds domain (limit {limit})")
-    mask = interior_ball_mask(grid, offsets, r, center=center, half=half)
-    count = int(mask.sum())
-    if count == 0:
-        return 0.0, 0
-    return float(arr[mask].mean()), count
-
-
 def ball_values(f, grid, r, center=None, half=None):
     """The values of f at the home points of the (half-)ball, one array
     per home: one for a ScalarField, one per face family of a
@@ -858,15 +834,15 @@ def caccioppoli_ratio(u, field, r, center=None, residual_tol=1e-6):
     num = 0.0
     for c in ball_values(gradient(u), grid, r, center=center):
         num += float((c * c).sum()) * vol
-    mask2 = grid.ball_mask(cell_offsets(grid.dim), 2 * r, center=center)
-    den = float((u.values[mask2] ** 2).sum()) * vol / (r * r)
+    [u2] = ball_values(u, grid, 2 * r, center=center)
+    den = float((u2 ** 2).sum()) * vol / (r * r)
     # a-harmonicity check away from the outer rim
     q = flux(field, u)
     div_q = divergence(q)
-    inner = grid.ball_mask(cell_offsets(grid.dim), 2 * r - 2 * grid.h, center=center)
+    inner = interior_ball_mask(grid, cell_offsets(grid.dim), 2 * r - 2 * grid.h, center=center)
     # exclude the flat-adjacent layer: its balance involves the boundary flux
     xd = grid.coords(cell_offsets(grid.dim))[grid.dim - 1]
-    inner &= xd > grid.h
+    inner = inner & (xd > grid.h)
     scale = max(np.abs(div_q).max(), 1e-30)
     res = float(np.abs(div_q[inner]).max() / scale) if inner.any() else 0.0
     warning = res > residual_tol

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from homlab import cli
-from homlab.corrector import FluxPotentialSet, solve_pair
+from homlab.corrector import FluxPotentialSet, solve_pair, sublinearity_curve
 from homlab.field import load_field
 from homlab.halfspace import build_halfspace_set
 from homlab.cli import (
@@ -51,6 +51,22 @@ def test_field_sample_and_check(tmp_path):
     assert main(["field", "sample", "--spec", str(spec), "--out", str(out)]) == 0
     assert out.exists()
     assert main(["field", "check", "--field", str(out)]) == 0
+    # the topology tokens of the field file; any other is a config error
+    from homlab.grid import Grid
+
+    for topo, grid in (("torus", Grid.torus(2, 32)),
+                       ("half_slab", Grid.half_box(2, 32, tangential_periodic=True)),
+                       ("half_box", Grid.half_box(2, 32, tangential_periodic=False)),
+                       ("slab", None)):
+        raw = json.loads(spec.read_text())
+        raw["grid"]["topology"] = topo
+        spec.write_text(json.dumps(raw))
+        out = tmp_path / f"{topo}.bin"
+        rc = main(["field", "sample", "--spec", str(spec), "--out", str(out)])
+        if grid is None:
+            assert rc == 2 and not out.exists()
+        else:
+            assert rc == 0 and load_field(out).grid == grid
 
 
 def test_field_check_flags_bad_field(tmp_path):
@@ -111,6 +127,9 @@ def test_halfspace_dyadic_mode(tmp_path):
                  "--r0", "8", "--n-max", "0", "--out", f"{hs_bin},{hs_csv}"]) == 0
     header, rows = read_csv(tmp_path / "hs.dyadic.csv")
     assert header == ["n", "l_n", "energy", "bound_shape"]
+    # an n_max below -1 leaves no annulus: an invariant violation, not a crash
+    assert main(["halfspace", "--field", str(fld), "--L", "32", "--mode", "dyadic",
+                 "--n-max", "-2", "--out", str(tmp_path / "no_annulus.npz")]) == 4
 
 
 def test_excess_command(tmp_path):
@@ -223,9 +242,10 @@ def test_pipeline_bad_config_exit_code(tmp_path):
     # 2 is below the quadrature floor 4h
     good = json.loads(small_config(tmp_path).read_text())
     # so are non-positive radii, a slab height L other than side/2, a dyadic
-    # r0 that is no power of two, an outer annulus r0 2^(n_max+1) beyond 2L,
-    # an excess window 2R wider than the torus, and seeds that are not a
-    # list of integers
+    # r0 that is no power of two, an n_max below -1 (no annulus), an outer
+    # annulus r0 2^(n_max+1) beyond 2L, an excess window 2R wider than the
+    # torus or with a height R off the grid planes (the window half-box needs
+    # an even number of cells a side), and seeds that are not a list of integers
     dyadic = {"L": 16.0, "mode": "dyadic"}
     for name, change in (("empty_radii", {"grid": {"dim": 2, "n": 16}, "radii": None}),
                          ("low_radius", {"radii": [2.0, 4.0, 8.0], "excess": {}}),
@@ -234,7 +254,11 @@ def test_pipeline_bad_config_exit_code(tmp_path):
                          ("odd_r0", {"halfspace": {**dyadic, "dyadic": {"r0": 6.0, "n_max": 0}}}),
                          ("wide_annulus",
                           {"halfspace": {**dyadic, "dyadic": {"r0": 8.0, "n_max": 2}}}),
+                         ("no_annulus",
+                          {"halfspace": {**dyadic, "dyadic": {"r0": 8.0, "n_max": -2}}}),
                          ("wide_window", {"excess": {"R": 32.0, "radii": [4.0, 8.0]}}),
+                         ("window_off_planes", {"excess": {"R": 7.25, "radii": [4.0]}}),
+                         ("odd_window", {"excess": {"R": 7.5, "radii": [4.0]}}),
                          ("float_seeds", {"seeds": [0.5, 1]}),
                          ("string_seeds", {"seeds": ["a"]}),
                          ("scalar_seeds", {"seeds": 3})):
@@ -304,6 +328,12 @@ def test_corrector_direction_flag_validation(tmp_path):
     out = tmp_path / "c.csv"
     assert main(["corrector", "--field", str(fld), "--directions", "e9",
                  "--radii", "8:8", "--out", str(out)]) == 2
+    # --directions e2 sums the basis row e2 alone; radii stop at side / 2
+    assert main(["corrector", "--field", str(fld), "--directions", "e2",
+                 "--radii", "8:64", "--out", str(out)]) == 0
+    pair = solve_pair(load_field(fld), tol=1e-12)
+    want = cli.corrector_rows(sublinearity_curve(pair, [8.0, 16.0], basis=[[0.0, 1.0]]))
+    assert read_csv(out)[1] == want
 
 
 def test_pipeline_failure_marks_manifest(tmp_path):

@@ -276,9 +276,11 @@ def test_basis_change_identity_and_random_bases():
     f = sample_field(EnsembleSpec.checkerboard(seed=9), grid)
     pair = solve_pair(f, tol=1e-11)
     lhs, bound = basis_change_check(pair, np.eye(2), r=16.0)
-    curve = sublinearity_curve(pair, [16.0])
-    assert lhs == pytest.approx(curve.delta[0], rel=1e-12)
+    # the identity frame is the coordinate sum itself, to the last bit
+    assert lhs == sublinearity_curve(pair, [16.0]).delta[0]
     assert lhs <= bound + 1e-12
+    pair3 = solve_pair(sample_field(EnsembleSpec.checkerboard(seed=9), Grid.torus(3, 16)))
+    assert basis_change_check(pair3, np.eye(3), r=4.0)[0] == sublinearity_curve(pair3, [4.0]).delta[0]
     rng = np.random.default_rng(42)
     for _ in range(100):
         Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))

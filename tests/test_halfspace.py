@@ -452,10 +452,9 @@ def test_dyadic_single_annulus_equals_cut_direct():
     dy = dyadic_construction(fhb, f, pair, b1, cfg)
     # independent solve with the same cut datum
     from homlab.pde import BoundarySpec, Dirichlet, NoFlux, assemble, solve
-    from homlab.halfspace import flat_flux_datum
     from homlab.field import restrict_values
 
-    total, _ = flat_flux_datum(f, pair, b1)
+    total = pair.cset.current(b1).comps[1]
     th = restrict_values(total, grid, fhb.grid, face_offsets(2, 1))
     g = th[:, 0]
     coords = fhb.grid.coords(face_offsets(2, 1))
@@ -522,6 +521,9 @@ def test_dyadic_config_reads_every_annulus_radius():
     for r0 in (-8.0, 0.0, 12.0):
         with pytest.raises(ValueError):
             DyadicConfig.from_curve(hand, r0, 0)
+    # n_max -1 is the single annulus; below it there is none
+    with pytest.raises(ValueError, match="no annulus"):
+        DyadicConfig.from_curve(hand, 8.0, -2)
 
 
 def test_halfspace_3d_smoke():

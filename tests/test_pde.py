@@ -31,7 +31,6 @@ from homlab.pde import (
     divergence,
     flux,
     gradient,
-    half_ball_average,
     interior_ball_mask,
     mean_product,
     residual_norm,
@@ -341,26 +340,23 @@ def test_flux_laminate_exact():
 
 def test_half_ball_average_constant_and_brute_force():
     grid = Grid.torus(2, 32)
-    c = np.full(grid.shape, 2.5)
-    val, cnt = half_ball_average(c, grid, r=8.0)
-    assert val == 2.5 and cnt > 0
+    [c] = ball_values(ScalarField(grid, np.full(grid.shape, 2.5)), grid, 8.0)
+    assert c.mean() == 2.5 and c.size > 0
     # |x|^2 oracle by direct cell enumeration on a half box
     gh = Grid.half_box(2, 32)
     x, y = gh.coords(cell_offsets(2))
     v = x * x + y * y
-    val, cnt = half_ball_average(v, gh, r=16 * gh.h)
+    [got] = ball_values(ScalarField(gh, v), gh, 16 * gh.h)
     inside = (x**2 + y**2 < 16.0**2) & (y > 0)
-    assert cnt == int(inside.sum())
-    assert val == pytest.approx(float(v[inside].mean()), rel=0.0, abs=0.0)
+    assert got.size == int(inside.sum())
+    assert float(got.mean()) == pytest.approx(float(v[inside].mean()), rel=0.0, abs=0.0)
 
 
 def test_half_ball_average_indicator_symmetry():
     grid = Grid.torus(2, 64)
-    x, y = grid.coords(cell_offsets(2))
     disp = grid.displacement(cell_offsets(2))
-    ind = (disp[1] > 0).astype(float)
-    val, _ = half_ball_average(ind, grid, r=16.0)
-    assert abs(val - 0.5) <= 2.0 / 16.0
+    [ind] = ball_values(ScalarField(grid, (disp[1] > 0).astype(float)), grid, 16.0)
+    assert abs(ind.mean() - 0.5) <= 2.0 / 16.0
 
 
 def reference_ball_values(grid, offsets, values, r, center=None, half=None):
@@ -448,12 +444,6 @@ def test_ball_masks_are_cached_by_value_and_read_only():
     assert interior_ball_mask(grid, offsets, 3.0) is not mask
     with pytest.raises(ValueError):
         mask[1, 1, 1] = True
-
-
-def test_half_ball_radius_error():
-    grid = Grid.torus(2, 16)
-    with pytest.raises(ValueError):
-        half_ball_average(np.zeros(grid.shape), grid, r=10.0)
 
 
 def test_caccioppoli_linear_scale_invariance():

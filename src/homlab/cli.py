@@ -6,6 +6,19 @@
 All physical parameters are dimensionless in unit-cell units; curves are
 exchanged as CSV, fields as binary, and a pipeline run is reproducible
 byte-for-byte from its config (fixed seeds, fixed reduction order).
+
+`validate_config` is the one place that knows the config defaults; the
+stages and the cache key read the config it fills.  The subcommands map
+their flags onto config keys (the grid comes from the field file), pass
+the checks of the stages they run, so a bad flag exits 2 before any
+solve, and run the stages' per-seed code:
+
+    --tol                    tol
+    corrector --radii lo:hi  radii = dyadic_radii(grid, lo, min(hi, side/2))
+    halfspace --L --mode     halfspace.L, halfspace.mode
+    halfspace --r0 --n-max   halfspace.dyadic.r0, halfspace.dyadic.n_max
+    excess --R               excess.R, excess.radii = dyadic_radii(grid, r_max=R)
+
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 invariant
 violation.
 """
@@ -26,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid import Grid, is_dyadic
+from .grid import Grid, is_dyadic, pair_offsets
 from .field import (
     EllipticityError,
     EnsembleSpec,
@@ -38,8 +51,9 @@ from .field import (
     save_field,
     validate_ellipticity,
 )
-from .pde import BoundarySpec, Operator, SolverError
+from .pde import BoundarySpec, Operator, ScalarField, SolverError
 from .corrector import (
+    FluxPotentialSet,
     HomogenizedMatrix,
     dyadic_radii,
     solve_pair,
@@ -47,6 +61,8 @@ from .corrector import (
 )
 from .halfspace import (
     DyadicConfig,
+    HalfSpaceCorrectorSet,
+    TangentialBasis,
     build_halfspace_set,
     dyadic_construction,
     half_sublinearity_curve,
@@ -130,23 +146,34 @@ def read_csv(path):
 # experiment config
 # ---------------------------------------------------------------------------
 
-DEFAULT_CONFIG = {
-    "tol": 1e-12,
-    "threads": 1,
-}
+DEFAULT_CONFIG = {"tol": 1e-12, "threads": 1}
+
+
+def read_json(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigError(f"cannot read {path}: {e}") from e
+
+
+def ensemble_spec(raw):
+    try:
+        return EnsembleSpec.from_dict(raw)
+    except Exception as e:
+        raise ConfigError(f"bad ensemble spec: {e}") from e
 
 
 def load_config(path):
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
-    return validate_config(raw)
+    return validate_config(read_json(path))
 
 
 def validate_config(raw):
-    cfg = dict(DEFAULT_CONFIG)
-    cfg.update(raw)
+    """The config ``raw`` with every default filled in (``tol``, ``threads``,
+    ``grid.h`` and the keys of the stage checks below), or ``ConfigError``
+    for a config some stage could not run.  A filled config passes unchanged."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    cfg = {**DEFAULT_CONFIG, **raw}
     for key in ("ensemble", "grid", "seeds"):
         if key not in cfg:
             raise ConfigError(f"config misses required key {key!r}")
@@ -161,49 +188,79 @@ def validate_config(raw):
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
     cfg["seeds"] = [int(s) for s in seeds]
-    for r in cfg.get("radii") or []:
+    ensemble_spec(cfg["ensemble"])
+    try:
+        cfg["grid"] = {**g, "dim": int(g["dim"]), "n": int(g["n"]), "h": float(g.get("h", 1.0))}
+        cfg["tol"], cfg["threads"] = float(cfg["tol"]), int(cfg["threads"])
+        grid = _grid_from_config(cfg)
+        for check in (check_corrector, check_halfspace, check_excess):
+            check(cfg, grid)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad config value: {e}") from e
+    return cfg
+
+
+def check_corrector(cfg, grid):
+    """Fill ``radii`` (default 8h..side/4) and check that it is a non-empty
+    list of powers of two."""
+    radii = cfg.get("radii")
+    if radii is None:
+        radii = dyadic_radii(grid, r_max=grid.side / 4.0)
+    cfg["radii"] = [float(r) for r in radii]
+    for r in cfg["radii"]:
         if not is_dyadic(r):
             raise ConfigError(f"radius {r} is not a positive power of two")
-    try:
-        EnsembleSpec.from_dict(cfg["ensemble"])
-    except Exception as e:
-        raise ConfigError(f"bad ensemble spec: {e}") from e
-    hs = cfg.get("halfspace", {})
-    if hs.get("mode", "direct") not in ("direct", "dyadic"):
+    if not cfg["radii"]:
+        raise ConfigError(f"no corrector radius; the default 8h..side/4 is empty at side "
+                          f"{grid.side:g}")
+
+
+def check_halfspace(cfg, grid):
+    """Fill ``halfspace``: L (side/2), mode (direct) and, in dyadic mode,
+    dyadic.r0 (8) and dyadic.n_max (2); check the slab height and the
+    annuli."""
+    hs = cfg["halfspace"] = {"L": grid.side / 2.0, "mode": "direct", **cfg.get("halfspace", {})}
+    if hs["mode"] not in ("direct", "dyadic"):
         raise ConfigError("halfspace mode must be direct or dyadic")
-    try:
-        grid = _grid_from_config(cfg)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad grid config: {e}") from e
-    if not _radii(cfg, grid):
-        raise ConfigError(f"no corrector radius: default radii 8h..side/4 empty at side {grid.side:g}")
     # the half-space stage builds a tangentially periodic slab, 2L = side
-    L = float(hs.get("L", grid.side / 2.0))
+    L = hs["L"] = float(hs["L"])
     if abs(2.0 * L - grid.side) > 1e-12:
         raise ConfigError(f"halfspace L {L:g} is not side/2 = {grid.side / 2.0:g}")
-    if hs.get("mode") == "dyadic":
-        r0, n_max = _dyadic_params(hs)
+    if hs["mode"] == "dyadic":
+        dy = hs["dyadic"] = {"r0": 8.0, "n_max": 2, **hs.get("dyadic", {})}
+        r0 = dy["r0"] = float(dy["r0"])
+        n_max = dy["n_max"] = int(dy["n_max"])
         if not is_dyadic(r0):
             raise ConfigError(f"dyadic r0 {r0:g} is not a positive power of two")
         if n_max < -1:
             raise ConfigError(f"dyadic n_max {n_max} leaves no annulus; the least is -1")
         if r0 * 2.0 ** (n_max + 1) > 2.0 * L + 1e-9:
             raise ConfigError(f"outer annulus r0 2^(n_max+1) exceeds 2L = {2.0 * L:g}")
-    R, ex_radii = _excess_radii(cfg, grid)
+
+
+def check_excess(cfg, grid):
+    """Fill ``excess``: R (side/4), radii (the corrector radii up to R) and
+    trace_amplitude (1); check the window and the radii."""
+    ex = cfg["excess"] = {"R": grid.side / 4.0, "trace_amplitude": 1.0, **cfg.get("excess", {})}
+    R = ex["R"] = float(ex["R"])
+    radii = ex["radii"] if "radii" in ex else [r for r in cfg["radii"] if r <= R]
+    ex["radii"] = [float(r) for r in radii]
+    ex["trace_amplitude"] = float(ex["trace_amplitude"])
     if 2.0 * R > grid.side + 1e-12:
         raise ConfigError(f"excess window 2R = {2.0 * R:g} exceeds the torus side {grid.side:g}")
     # the window is a half-box of 2R/h cells a side, which must be even and at least 4
     if abs(R / grid.h - round(R / grid.h)) > 1e-12 or R < 2.0 * grid.h:
         raise ConfigError(f"excess window height R = {R:g} is not a whole number >= 2 of cells")
-    if not ex_radii or min(ex_radii) < 4 * grid.h:
-        raise ConfigError(f"excess radii {ex_radii} empty or below the quadrature floor 4h")
-    return cfg
+    if not ex["radii"] or min(ex["radii"]) < 4 * grid.h:
+        raise ConfigError(f"excess radii {ex['radii']} empty or below the quadrature floor 4h")
 
 
 def config_hash(cfg):
-    """Cache key of a config and the homlab version: every key except
-    ``threads``, which changes how seeds are scheduled but not what is
-    computed."""
+    """Cache key of a filled config and the homlab version: every key
+    except ``threads``, which changes how seeds are scheduled but not what
+    is computed."""
     keyed = {k: v for k, v in cfg.items() if k != "threads"}
     blob = json.dumps({"config": keyed, "version": __version__},
                       sort_keys=True, separators=(",", ":")).encode()
@@ -217,32 +274,13 @@ def config_hash(cfg):
 
 def _grid_from_config(cfg):
     g = cfg["grid"]
-    return Grid.torus(int(g["dim"]), int(g["n"]), float(g.get("h", 1.0)))
-
-
-def _radii(cfg, grid):
-    radii = cfg.get("radii")
-    if radii is None:
-        return dyadic_radii(grid, r_max=grid.side / 4.0)
-    return [float(r) for r in radii]
-
-
-def _dyadic_params(hs_cfg):
-    """r0 and n_max of the dyadic half-space mode."""
-    dy_cfg = hs_cfg.get("dyadic", {})
-    return float(dy_cfg.get("r0", 8.0)), int(dy_cfg.get("n_max", 2))
-
-
-def _excess_radii(cfg, grid):
-    """The window half-width R and the radii of the excess stage."""
-    ex_cfg = cfg.get("excess", {})
-    R = float(ex_cfg.get("R", grid.side / 4.0))
-    return R, [float(r) for r in ex_cfg.get("radii", [r for r in _radii(cfg, grid) if r <= R])]
+    return Grid.torus(g["dim"], g["n"], g["h"])
 
 
 CORRECTOR_HEADER = ["r", "delta", "delta_gno", "partial_sum_m"]
 HALFSPACE_HEADER = ["r", "delta_h", "delta_h_halfball"]
 DYADIC_HEADER = ["n", "l_n", "energy", "bound_shape"]
+RESIDUALS = ("flat_flux_relative", "interior_relative", "sigma_identity")
 
 
 def corrector_rows(curve):
@@ -250,23 +288,32 @@ def corrector_rows(curve):
             for r, d, dg, ps in zip(curve.radii, curve.delta, curve.delta_gno, curve.partial_sums)]
 
 
-def halfspace_rows(hcurve):
-    return [[float(r), float(d), float(dh)]
+def halfspace_seed(cfg, f, pair, curve):
+    """The half-space stage for one torus field ``f``: the set, its curve
+    rows (HALFSPACE_HEADER), its summary entry and, in dyadic mode, the
+    rows (DYADIC_HEADER, else None) of the dyadic construction for the
+    first tangential direction, with cutoff heights from the whole-space
+    ``curve`` at the annulus radii."""
+    hs, tol = cfg["halfspace"], cfg["tol"]
+    hset = build_halfspace_set(f, pair, L=hs["L"], tol=tol)
+    hcurve = half_sublinearity_curve(hset, [r for r in cfg["radii"] if r <= hs["L"] / 2.0])
+    rows = [[float(r), float(d), float(dh)]
             for r, d, dh in zip(hcurve.radii, hcurve.delta_h, hcurve.delta_h_halfball)]
-
-
-def run_dyadic(field_hb, f, pair, hset, curve, r0, n_max, tol, op=None):
-    """The dyadic construction for the first tangential direction of
-    ``hset`` (on the half-box operator ``op`` when given), with cutoff
-    heights from the whole-space ``curve`` at the annulus radii; returns
-    the result and its table rows (DYADIC_HEADER)."""
-    config = DyadicConfig.from_curve(curve, r0, n_max)
-    dy = dyadic_construction(field_hb, f, pair, hset.basis.vectors[0], config, tol=tol,
-                             direct=hset.varphi[0], op=op)
-    rows = [[int(n), float(config.heights[n + 1]),
-             float(dy.energies[(n, config.r0)]), float(dy.bound_shape[(n, config.r0)])]
-            for n in config.annuli()]
-    return dy, rows
+    fhb = restrict_to_half_box(f, hs["L"])
+    op = Operator(fhb, BoundarySpec.half_box(fhb.grid))
+    res = halfspace_residuals(fhb, hset, 0, op=op)
+    entry = {key: getattr(res, key) for key in RESIDUALS}
+    entry["liouville_gap"] = hset.liouville_gap[0]
+    dy_rows = None
+    if hs["mode"] == "dyadic":
+        config = DyadicConfig.from_curve(curve, hs["dyadic"]["r0"], hs["dyadic"]["n_max"])
+        dy = dyadic_construction(fhb, f, pair, hset.basis.vectors[0], config, tol=tol,
+                                 direct=hset.varphi[0], op=op)
+        dy_rows = [[int(n), float(config.heights[n + 1]), float(dy.energies[(n, config.r0)]),
+                    float(dy.bound_shape[(n, config.r0)])] for n in config.annuli()]
+        entry["dyadic_consistency_r0"] = dy.consistency_r0
+        entry["dyadic_empirical_constant"] = dy.empirical_constant
+    return hset, rows, entry, dy_rows
 
 
 def excess_header(dim):
@@ -274,17 +321,18 @@ def excess_header(dim):
         "ratio", "fitted_alpha", "mvp_ratio"]
 
 
-def excess_rows(f, hset, R, radii, tol, trace_seeds, amplitude):
+def excess_rows(cfg, samples):
     """Excess table rows (``excess_header``) of one harmonic sample per
-    trace seed on the radius-R window of the torus field ``f`` (the samples
-    share one window record); also the fitted exponent and mean-value
-    constant of each sample."""
+    (trace seed, torus field f, half-space set) in ``samples``, on the
+    window ``excess.R`` of f (samples of one field share one window
+    record); also the fitted exponent and mean-value constant of each."""
+    ex = cfg["excess"]
     rows, alphas, c_means = [], [], []
-    for seed in trace_seeds:
-        trace = band_limited_trace(seed, R, amplitude=amplitude, dim=f.grid.dim)
-        sample = harmonic_sample(f, R, trace, tol=min(tol * 1e2, 1e-10))
-        rep = excess_decay_experiment(sample, hset, radii)
-        mvp = mean_value_check(sample, radii)
+    for seed, f, hset in samples:
+        trace = band_limited_trace(seed, ex["R"], amplitude=ex["trace_amplitude"], dim=f.grid.dim)
+        sample = harmonic_sample(f, ex["R"], trace, tol=min(cfg["tol"] * 1e2, 1e-10))
+        rep = excess_decay_experiment(sample, hset, ex["radii"])
+        mvp = mean_value_check(sample, ex["radii"])
         alphas.append(rep.fitted_alpha)
         c_means.append(mvp.c_mean)
         for i, r in enumerate(rep.radii):
@@ -297,79 +345,46 @@ def excess_rows(f, hset, R, radii, tol, trace_seeds, amplitude):
 
 def run_corrector_stage(cfg, out_dir, tag):
     grid = _grid_from_config(cfg)
-    radii = _radii(cfg, grid)
-    tol = float(cfg["tol"])
     spec = EnsembleSpec.from_dict(cfg["ensemble"])
 
     def one(seed):
-        f = sample_field(replace(spec, seed=int(seed)), grid)
-        pair = solve_pair(f, tol=tol)
-        curve = sublinearity_curve(pair, radii)
-        return seed, f, pair, curve
+        f = sample_field(replace(spec, seed=seed), grid)
+        pair = solve_pair(f, tol=cfg["tol"])
+        return seed, f, pair, sublinearity_curve(pair, cfg["radii"])
 
-    results = _map_seeds(one, cfg)
+    if cfg["threads"] > 1:
+        with ThreadPoolExecutor(max_workers=cfg["threads"]) as ex:
+            results = list(ex.map(one, cfg["seeds"]))
+    else:
+        results = [one(seed) for seed in cfg["seeds"]]
     summaries = []
     for seed, f, pair, curve in results:
         write_csv(out_dir / f"corrector__{tag}__seed{seed}.csv", CORRECTOR_HEADER,
                   corrector_rows(curve))
-        summaries.append({
-            "seed": seed,
-            "a_hom": pair.a_hom.tolist(),
-            "delta_first": float(curve.delta[0]),
-            "delta_last": float(curve.delta[-1]),
-        })
+        summaries.append({"seed": seed, "a_hom": pair.a_hom.tolist(),
+                          "delta_first": float(curve.delta[0]),
+                          "delta_last": float(curve.delta[-1])})
     write_json(out_dir / f"corrector__{tag}__summary.json", summaries)
     return results
 
 
 def run_halfspace_stage(cfg, out_dir, tag, corr_results):
-    hs_cfg = cfg.get("halfspace", {})
-    grid = _grid_from_config(cfg)
-    L = float(hs_cfg.get("L", grid.side / 2.0))
-    mode = hs_cfg.get("mode", "direct")
-    tol = float(cfg["tol"])
-    radii = [r for r in _radii(cfg, grid) if r <= L / 2.0]
-    summaries = []
-    hsets = {}
+    summaries, hsets = [], {}
     for seed, f, pair, curve in corr_results:
-        hset = build_halfspace_set(f, pair, L=L, tol=tol)
-        hsets[seed] = hset
-        write_csv(out_dir / f"halfspace__{tag}__seed{seed}.csv", HALFSPACE_HEADER,
-                  halfspace_rows(half_sublinearity_curve(hset, radii)))
-        fhb = restrict_to_half_box(f, L)
-        op = Operator(fhb, BoundarySpec.half_box(fhb.grid))
-        res = halfspace_residuals(fhb, hset, 0, op=op)
-        entry = {
-            "seed": seed,
-            "flat_flux_relative": res.flat_flux_relative,
-            "interior_relative": res.interior_relative,
-            "sigma_identity": res.sigma_identity,
-            "liouville_gap": hset.liouville_gap[0],
-        }
-        if mode == "dyadic":
-            dy, rows = run_dyadic(fhb, f, pair, hset, curve, *_dyadic_params(hs_cfg), tol, op=op)
-            write_csv(out_dir / f"halfspace_dyadic__{tag}__seed{seed}.csv", DYADIC_HEADER, rows)
-            entry["dyadic_consistency_r0"] = dy.consistency_r0
-            entry["dyadic_empirical_constant"] = dy.empirical_constant
-        summaries.append(entry)
+        hsets[seed], rows, entry, dy_rows = halfspace_seed(cfg, f, pair, curve)
+        write_csv(out_dir / f"halfspace__{tag}__seed{seed}.csv", HALFSPACE_HEADER, rows)
+        if dy_rows is not None:
+            write_csv(out_dir / f"halfspace_dyadic__{tag}__seed{seed}.csv", DYADIC_HEADER, dy_rows)
+        summaries.append({"seed": seed, **entry})
     write_json(out_dir / f"halfspace__{tag}__summary.json", summaries)
     return hsets
 
 
 def run_excess_stage(cfg, out_dir, tag, corr_results, hsets):
-    ex_cfg = cfg.get("excess", {})
-    grid = _grid_from_config(cfg)
-    R, radii = _excess_radii(cfg, grid)
-    amplitude = float(ex_cfg.get("trace_amplitude", 1.0))
-    rows, alphas, c_means = [], [], []
-    for seed, f, pair, curve in corr_results:
-        # one trace per field, seeded like the field
-        seed_rows, seed_alphas, seed_c_means = excess_rows(f, hsets[seed], R, radii,
-                                                           float(cfg["tol"]), [seed], amplitude)
-        rows += seed_rows
-        alphas += seed_alphas
-        c_means += seed_c_means
-    write_csv(out_dir / f"excess__{tag}.csv", excess_header(grid.dim), rows)
+    # one trace per field, seeded like the field
+    rows, alphas, c_means = excess_rows(cfg, [(seed, f, hsets[seed])
+                                              for seed, f, _, _ in corr_results])
+    write_csv(out_dir / f"excess__{tag}.csv", excess_header(cfg["grid"]["dim"]), rows)
     # null, not NaN (invalid JSON), when no seed gave a finite value
     summary = {
         "alpha_mean": float(np.nanmean(alphas)) if np.isfinite(alphas).any() else None,
@@ -379,62 +394,38 @@ def run_excess_stage(cfg, out_dir, tag, corr_results, hsets):
     return summary
 
 
-def _map_seeds(fn, cfg):
-    seeds = cfg["seeds"]
-    threads = int(cfg.get("threads", 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, seeds))
-    return [fn(s) for s in seeds]
+STAGES = {"corrector": run_corrector_stage, "halfspace": run_halfspace_stage,
+          "excess": run_excess_stage}
 
 
 def run_pipeline(cfg, out_dir):
+    """Run the stages of the filled config ``cfg`` into ``out_dir``, each
+    fed the results of the stages before it, unless every output of this
+    config hash is there already; returns the manifest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = config_hash(cfg)
-    manifest = {
-        "config_hash": tag,
-        "version": __version__,
-        "stages": {},
-    }
+    manifest = {"config_hash": tag, "version": __version__, "stages": {}}
     manifest_path = out_dir / f"manifest__{tag}.json"
-
-    def stage_done(name, outputs):
-        return all(Path(p).exists() for p in outputs)
-
-    corr_outputs = [out_dir / f"corrector__{tag}__seed{s}.csv" for s in cfg["seeds"]]
-    corr_outputs.append(out_dir / f"corrector__{tag}__summary.json")
-    hs_outputs = [out_dir / f"halfspace__{tag}__seed{s}.csv" for s in cfg["seeds"]]
-    hs_outputs.append(out_dir / f"halfspace__{tag}__summary.json")
-    if cfg.get("halfspace", {}).get("mode", "direct") == "dyadic":
-        hs_outputs += [out_dir / f"halfspace_dyadic__{tag}__seed{s}.csv" for s in cfg["seeds"]]
-    ex_outputs = [out_dir / f"excess__{tag}.csv", out_dir / f"excess__{tag}__summary.json"]
-
+    kinds = ["corrector", "halfspace"]
+    if cfg["halfspace"]["mode"] == "dyadic":
+        kinds.append("halfspace_dyadic")
+    outputs = [f"{kind}__{tag}__seed{s}.csv" for kind in kinds for s in cfg["seeds"]]
+    outputs += [f"{name}__{tag}__summary.json" for name in STAGES] + [f"excess__{tag}.csv"]
     try:
-        cached_all = (stage_done("corrector", corr_outputs)
-                      and stage_done("halfspace", hs_outputs)
-                      and stage_done("excess", ex_outputs))
-        if cached_all:
-            for name in ("corrector", "halfspace", "excess"):
-                manifest["stages"][name] = {"cached": True}
+        if all((out_dir / name).exists() for name in outputs):
+            manifest["stages"] = {name: {"cached": True} for name in STAGES}
         else:
-            t0 = time.time()
-            corr_results = run_corrector_stage(cfg, out_dir, tag)
-            manifest["stages"]["corrector"] = {"cached": False, "seconds": round(time.time() - t0, 3)}
-            t0 = time.time()
-            hsets = run_halfspace_stage(cfg, out_dir, tag, corr_results)
-            manifest["stages"]["halfspace"] = {"cached": False, "seconds": round(time.time() - t0, 3)}
-            t0 = time.time()
-            run_excess_stage(cfg, out_dir, tag, corr_results, hsets)
-            manifest["stages"]["excess"] = {"cached": False, "seconds": round(time.time() - t0, 3)}
+            results = []
+            for name, run in STAGES.items():
+                t0 = time.time()
+                results.append(run(cfg, out_dir, tag, *results))
+                manifest["stages"][name] = {"cached": False, "seconds": round(time.time() - t0, 3)}
         hs_sum = out_dir / f"halfspace__{tag}__summary.json"
         if hs_sum.exists():
             entries = json.loads(hs_sum.read_text())
-            manifest["residual_summary"] = {
-                "flat_flux_relative_max": max(e["flat_flux_relative"] for e in entries),
-                "interior_relative_max": max(e["interior_relative"] for e in entries),
-                "sigma_identity_max": max(e["sigma_identity"] for e in entries),
-            }
+            manifest["residual_summary"] = {f"{key}_max": max(e[key] for e in entries)
+                                            for key in RESIDUALS}
     except Exception as e:
         manifest["failed"] = f"{type(e).__name__}: {e}"
         write_json(manifest_path, manifest)
@@ -467,14 +458,12 @@ def build_report(cfg, out_dir, tag):
         report["delta_curves"] = curves
         first = next(iter(curves.values()))
         if len(first["radii"]) >= 2:
-            exps = []
-            for c in curves.values():
-                exps.append(float(-np.polyfit(np.log(c["radii"]), np.log(c["delta"]), 1)[0]))
+            exps = [float(-np.polyfit(np.log(c["radii"]), np.log(c["delta"]), 1)[0])
+                    for c in curves.values()]
             report["delta_fit_exponent_mean"] = float(np.mean(exps))
     hs_sum = out_dir / f"halfspace__{tag}__summary.json"
     if hs_sum.exists():
-        entries = json.loads(hs_sum.read_text())
-        report["halfspace_residuals"] = entries
+        report["halfspace_residuals"] = json.loads(hs_sum.read_text())
     ex_sum = out_dir / f"excess__{tag}__summary.json"
     if ex_sum.exists():
         report["excess"] = json.loads(ex_sum.read_text())
@@ -494,28 +483,21 @@ def load_halfspace_bundle(path):
     potentials sigma_h (one ``FluxPotentialSet`` per direction) and the
     Liouville gaps.  Those diagnostics never read the whole-space pair or
     the currents q_h, which the bundle does not carry."""
-    from .corrector import FluxPotentialSet
-    from .grid import pair_offsets as _pairs
-    from .halfspace import HalfSpaceCorrectorSet, TangentialBasis
-    from .pde import ScalarField
-
     bundle = np.load(path)
     meta = json.loads(str(bundle["__meta__"]))
     grid = Grid.half_box(int(meta["dim"]), int(meta["n"]), float(meta["h"]),
                          tangential_periodic=bool(meta["tangential_periodic"]))
     basis = TangentialBasis(np.asarray(meta["basis"]), np.asarray(meta["a_hom"]))
     d = grid.dim
-    phi_h = {}
+    phi_h, varphi = {}, {}
     sigma_h = {i: FluxPotentialSet(grid, {}) for i in range(d)}
-    varphi = {}
     for name in bundle.files:
         if name.startswith("phi_h_"):
-            i = int(name.split("_")[-1])
-            phi_h[i] = ScalarField(grid, bundle[name])
+            phi_h[int(name.split("_")[-1])] = ScalarField(grid, bundle[name])
         elif name.startswith("sigma_h_"):
             _, _, i, jk = name.split("_")
             j, k = int(jk[0]), int(jk[1])
-            sigma_h[int(i)].sigma[(j, k)] = ScalarField(grid, bundle[name], _pairs(d, j, k))
+            sigma_h[int(i)].sigma[(j, k)] = ScalarField(grid, bundle[name], pair_offsets(d, j, k))
         elif name.startswith("varphi_"):
             varphi[int(name.split("_")[-1])] = ScalarField(grid, bundle[name])
     gap = {int(k): float(vv) for k, vv in meta.get("liouville_gap", {}).items()}
@@ -545,20 +527,37 @@ def save_halfspace_bundle(path, hset):
                  "wb")
 
 
+
+
 # ---------------------------------------------------------------------------
 # subcommand mains
 # ---------------------------------------------------------------------------
 
 
+def _given(keys):
+    """``keys`` without the flags not given (None), at every depth."""
+    return {k: _given(v) if isinstance(v, dict) else v for k, v in keys.items() if v is not None}
+
+
+def _flag_config(grid, checks, **keys):
+    """The config of a subcommand's flags ``keys``: filled in and checked,
+    before any solve, by the checks of the stages it runs."""
+    cfg = {**DEFAULT_CONFIG, **_given(keys)}
+    for check in checks:
+        check(cfg, grid)
+    return cfg
+
+
 def cmd_field_sample(args):
-    spec_raw = json.loads(Path(args.spec).read_text())
-    spec = EnsembleSpec.from_dict(spec_raw)
-    g = spec_raw.get("grid", {})
-    topo = g.get("topology", "torus")
-    grid = _grid_from_token(int(g.get("dim", 2)), int(g.get("n", 64)), float(g.get("h", 1.0)), topo)
-    f = sample_field(spec, grid)
-    save_field(f, args.out)
-    print(f"wrote {args.out} (dim={grid.dim}, n={grid.n}, topology={topo})")
+    spec_raw = read_json(args.spec)
+    spec = ensemble_spec(spec_raw)
+    g = {"dim": 2, "n": 64, "h": 1.0, "topology": "torus", **spec_raw.get("grid", {})}
+    try:
+        grid = _grid_from_token(int(g["dim"]), int(g["n"]), float(g["h"]), g["topology"])
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad grid in {args.spec}: {e}") from e
+    save_field(sample_field(spec, grid), args.out)
+    print(f"wrote {args.out} (dim={grid.dim}, n={grid.n}, topology={g['topology']})")
     return 0
 
 
@@ -573,26 +572,29 @@ def cmd_field_check(args):
 
 
 def _parse_directions(text, dim):
+    """The rows of the identity basis that ``text`` (e.g. e1,e2) names."""
     out = []
     for token in text.split(","):
         token = token.strip()
-        if not token.startswith("e"):
+        if not (token[:1] == "e" and token[1:].isdigit() and 1 <= int(token[1:]) <= dim):
             raise ConfigError(f"direction token {token!r}; use e1..e{dim}")
-        i = int(token[1:])
-        if not 1 <= i <= dim:
-            raise ConfigError(f"direction {token} outside 1..{dim}")
-        out.append(i - 1)
-    return out
+        out.append(int(token[1:]) - 1)
+    return np.eye(dim)[out]
 
 
 def cmd_corrector(args):
     f = load_field(args.field)
-    pair = solve_pair(f, tol=args.tol)
-    d = f.grid.dim
-    basis = None if args.directions is None else np.eye(d)[_parse_directions(args.directions, d)]
-    lo, hi = args.radii.split(":")
-    radii = dyadic_radii(f.grid, r_min=float(lo), r_max=min(float(hi), f.grid.side / 2.0))
-    curve = sublinearity_curve(pair, radii, basis=basis)
+    grid, radii = f.grid, None
+    basis = None if args.directions is None else _parse_directions(args.directions, grid.dim)
+    if args.radii is not None:
+        try:
+            lo, hi = (float(x) for x in args.radii.split(":"))
+        except ValueError as e:
+            raise ConfigError(f"--radii {args.radii!r} is not lo:hi") from e
+        radii = dyadic_radii(grid, r_min=lo, r_max=min(hi, grid.side / 2.0))
+    cfg = _flag_config(grid, (check_corrector,), tol=args.tol, radii=radii)
+    pair = solve_pair(f, tol=cfg["tol"])
+    curve = sublinearity_curve(pair, cfg["radii"], basis=basis)
     write_csv(args.out, CORRECTOR_HEADER, corrector_rows(curve))
     print(f"wrote {args.out}; a_hom = {pair.a_hom.tolist()}")
     return 0
@@ -600,35 +602,33 @@ def cmd_corrector(args):
 
 def cmd_halfspace(args):
     f = load_field(args.field)
-    pair = solve_pair(f, tol=args.tol)
-    hset = build_halfspace_set(f, pair, L=args.L, tol=args.tol)
+    cfg = _flag_config(f.grid, (check_corrector, check_halfspace), tol=args.tol,
+                       halfspace={"L": args.L, "mode": args.mode,
+                                  "dyadic": {"r0": args.r0, "n_max": args.n_max}})
+    pair = solve_pair(f, tol=cfg["tol"])
+    hset, rows, entry, dy_rows = halfspace_seed(cfg, f, pair,
+                                                sublinearity_curve(pair, cfg["radii"]))
     out_bin, out_csv = (args.out.split(",") + [None])[:2]
     if out_csv:
-        radii = [r for r in dyadic_radii(f.grid) if r <= args.L / 2.0]
-        write_csv(out_csv, HALFSPACE_HEADER, halfspace_rows(half_sublinearity_curve(hset, radii)))
-    if args.mode == "dyadic":
-        dy, rows = run_dyadic(restrict_to_half_box(f, args.L), f, pair, hset,
-                              sublinearity_curve(pair, dyadic_radii(f.grid)), args.r0, args.n_max,
-                              args.tol)
-        if out_csv:
-            dy_path = Path(out_csv).with_suffix(".dyadic.csv")
-            write_csv(dy_path, DYADIC_HEADER, rows)
-            print(f"dyadic: consistency(B_r0) = {dy.consistency_r0:.4g}, "
-                  f"empirical constant = {dy.empirical_constant:.4g} -> {dy_path}")
+        write_csv(out_csv, HALFSPACE_HEADER, rows)
+        if dy_rows is not None:
+            write_csv(Path(out_csv).with_suffix(".dyadic.csv"), DYADIC_HEADER, dy_rows)
     save_halfspace_bundle(out_bin, hset)
     print(f"wrote {out_bin}" + (f" and {out_csv}" if out_csv else ""))
+    print(json.dumps(entry, sort_keys=True))
     return 0
 
 
 def cmd_excess(args):
     f = load_field(args.field)
+    cfg = _flag_config(f.grid, (check_halfspace, check_excess), tol=args.tol,
+                       excess={"R": args.R, "radii": dyadic_radii(f.grid, r_max=args.R)})
     if args.hs:
         hset = load_halfspace_bundle(args.hs)
     else:
-        hset = build_halfspace_set(f, solve_pair(f, tol=args.tol), L=f.grid.side / 2.0,
-                                   tol=args.tol)
-    radii = [r for r in dyadic_radii(f.grid) if r <= args.R]
-    rows, _, _ = excess_rows(f, hset, args.R, radii, args.tol, range(args.seeds), 1.0)
+        hset = build_halfspace_set(f, solve_pair(f, tol=cfg["tol"]), L=cfg["halfspace"]["L"],
+                                   tol=cfg["tol"])
+    rows, _, _ = excess_rows(cfg, [(seed, f, hset) for seed in range(args.seeds)])
     write_csv(args.out, excess_header(f.grid.dim), rows)
     print(f"wrote {args.out}")
     return 0
@@ -669,17 +669,16 @@ def cmd_report(args):
             raise ConfigError(f"no manifest in {out_dir}")
         newest = max(manifests, key=lambda p: p.stat().st_mtime_ns)
         tag = json.loads(newest.read_text())["config_hash"]
-        seeds = sorted(
-            int(p.stem.split("seed")[1]) for p in out_dir.glob(f"corrector__{tag}__seed*.csv")
-        )
-        cfg = {"seeds": seeds}
+        cfg = {"seeds": sorted(int(p.stem.split("seed")[1])
+                               for p in out_dir.glob(f"corrector__{tag}__seed*.csv"))}
     path = build_report(cfg, out_dir, tag)
     print(f"wrote {path}")
     return 0
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="homlab", description=__doc__)
+    p = argparse.ArgumentParser(prog="homlab", description=__doc__,
+                                formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -695,29 +694,29 @@ def build_parser():
 
     pco = sub.add_parser("corrector", help="whole-space correctors and sublinearity curve")
     pco.add_argument("--field", required=True)
-    pco.add_argument("--directions", default=None, help="e.g. e1,e2 (default: all)")
-    pco.add_argument("--radii", default="8:512")
+    pco.add_argument("--directions", help="e.g. e1,e2 (default: all)")
+    pco.add_argument("--radii", help="lo:hi, config radii")
     pco.add_argument("--out", required=True)
-    pco.add_argument("--tol", type=float, default=1e-12)
+    pco.add_argument("--tol", type=float)
     pco.set_defaults(fn=cmd_corrector)
 
     ph = sub.add_parser("halfspace", help="half-space-adapted corrector construction")
     ph.add_argument("--field", required=True)
-    ph.add_argument("--mode", choices=("direct", "dyadic"), default="direct")
+    ph.add_argument("--mode", choices=("direct", "dyadic"))
     ph.add_argument("--L", type=float, required=True)
-    ph.add_argument("--r0", type=float, default=8.0)
-    ph.add_argument("--n-max", type=int, default=2)
+    ph.add_argument("--r0", type=float)
+    ph.add_argument("--n-max", type=int)
     ph.add_argument("--out", required=True, help="hs.npz or hs.npz,hs.csv")
-    ph.add_argument("--tol", type=float, default=1e-12)
+    ph.add_argument("--tol", type=float)
     ph.set_defaults(fn=cmd_halfspace)
 
     pe = sub.add_parser("excess", help="tilt-excess decay experiments")
     pe.add_argument("--field", required=True)
-    pe.add_argument("--hs", default=None, help="optional half-space bundle (rebuilt if absent)")
+    pe.add_argument("--hs", help="optional half-space bundle (rebuilt if absent)")
     pe.add_argument("--R", type=float, required=True)
     pe.add_argument("--seeds", type=int, default=8)
     pe.add_argument("--out", required=True)
-    pe.add_argument("--tol", type=float, default=1e-12)
+    pe.add_argument("--tol", type=float)
     pe.set_defaults(fn=cmd_excess)
 
     pp = sub.add_parser("pipeline", help="run all stages from a config")

@@ -282,11 +282,11 @@ def solve_pair(field, tol=DEFAULT_TOL):
 
 
 def dyadic_radii(grid, r_min=None, r_max=None):
-    """Radii 8h * 2^k up to the torus half-side (or r_max)."""
+    """Radii 8h * 2^k up to the torus half-side (or r_max); none from an r_min <= 0."""
     r = 8.0 * grid.h if r_min is None else float(r_min)
     stop = grid.side / 2.0 if r_max is None else float(r_max)
     out = []
-    while r <= stop + 1e-12:
+    while 0.0 < r <= stop + 1e-12:
         out.append(r)
         r *= 2.0
     return out

@@ -67,6 +67,17 @@ def test_field_sample_and_check(tmp_path):
             assert rc == 2 and not out.exists()
         else:
             assert rc == 0 and load_field(out).grid == grid
+    # the spec is read like a config: malformed JSON, an ensemble without a
+    # kind and a grid no torus has are config errors that write no file
+    good = json.loads(write_spec(tmp_path).read_text())
+    for name, text in (("malformed", '{"kind": "checkerboard",'),
+                       ("kindless", json.dumps({"lam": 0.25, "grid": {"dim": 2, "n": 32}})),
+                       ("odd_n", json.dumps({**good, "grid": {"dim": 2, "n": 30}})),
+                       ("text_n", json.dumps({**good, "grid": {"dim": 2, "n": "abc"}}))):
+        bad, out = tmp_path / f"{name}.json", tmp_path / f"{name}.bin"
+        bad.write_text(text)
+        assert main(["field", "sample", "--spec", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_field_check_flags_bad_field(tmp_path):
@@ -127,9 +138,11 @@ def test_halfspace_dyadic_mode(tmp_path):
                  "--r0", "8", "--n-max", "0", "--out", f"{hs_bin},{hs_csv}"]) == 0
     header, rows = read_csv(tmp_path / "hs.dyadic.csv")
     assert header == ["n", "l_n", "energy", "bound_shape"]
-    # an n_max below -1 leaves no annulus: an invariant violation, not a crash
+    # an n_max below -1 leaves no annulus: a config error before any solve,
+    # as in the pipeline
     assert main(["halfspace", "--field", str(fld), "--L", "32", "--mode", "dyadic",
-                 "--n-max", "-2", "--out", str(tmp_path / "no_annulus.npz")]) == 4
+                 "--n-max", "-2", "--out", str(tmp_path / "no_annulus.npz")]) == 2
+    assert not (tmp_path / "no_annulus.npz").exists()
 
 
 def test_excess_command(tmp_path):
@@ -270,6 +283,87 @@ def test_pipeline_bad_config_exit_code(tmp_path):
         assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["halfspace", "--L", "16", "--mode", "dyadic", "--n-max", "-2", "--out", "hs.npz,hs.csv"],
+    ["halfspace", "--L", "10", "--out", "hs.npz,hs.csv"],
+    ["corrector", "--radii", "6:64", "--out", "curve.csv"],
+    ["corrector", "--radii", "abc", "--out", "curve.csv"],
+    ["corrector", "--radii", "0:64", "--out", "curve.csv"],
+    ["corrector", "--radii=-8:64", "--out", "curve.csv"],
+    ["excess", "--R", "7.25", "--out", "excess.csv"],
+], ids=["n_max", "slab_height", "radii_off_powers", "radii_text", "radii_from_zero",
+        "radii_from_negative", "window_off_planes"])
+def test_bad_flags_fail_before_any_solve(tmp_path, monkeypatch, argv):
+    """A flag a stage check rejects exits 2, as the pipeline does for the
+    same config value, before any solve and without writing a file."""
+    fld = tmp_path / "field.bin"
+    assert main(["field", "sample", "--spec", str(write_spec(tmp_path)), "--out", str(fld)]) == 0
+    before = set(tmp_path.iterdir())
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_pair called before the flags were checked")
+
+    monkeypatch.setattr(cli, "solve_pair", no_solve)
+    out = argv.index("--out") + 1
+    argv = argv[:1] + ["--field", str(fld)] + argv[1:out] + [
+        ",".join(str(tmp_path / name) for name in argv[out].split(","))]
+    assert main(argv) == 2
+    assert set(tmp_path.iterdir()) == before
+
+
+def dyadic_config(**spelled_out):
+    return {
+        "ensemble": {"kind": "checkerboard", "lam": 0.25,
+                     "params": {"values": [0.25, 1.0], "cell_size": 1.0}},
+        "grid": {"dim": 2, "n": 64},
+        "seeds": [0],
+        "halfspace": {"mode": "dyadic"},
+        **spelled_out,
+    }
+
+
+def test_spelled_out_defaults_share_the_cache(tmp_path):
+    terse = dyadic_config()
+    spelled = dyadic_config(
+        grid={"dim": 2, "n": 64, "h": 1},
+        radii=[8, 16],
+        halfspace={"L": 32, "mode": "dyadic", "dyadic": {"r0": 8, "n_max": 2}},
+        excess={"R": 16, "radii": [8, 16], "trace_amplitude": 1},
+        tol=1e-12,
+        threads=2,
+    )
+    filled = validate_config(terse)
+    assert validate_config(filled) == filled
+    assert validate_config(spelled) == {**filled, "threads": 2}
+    assert config_hash(validate_config(spelled)) == config_hash(filled)
+    # the raw configs are read, never filled in place
+    assert terse == dyadic_config()
+    out = tmp_path / "run"
+    first = cli.run_pipeline(filled, out)
+    assert not any(stage["cached"] for stage in first["stages"].values())
+    second = cli.run_pipeline(validate_config(spelled), out)
+    assert all(stage["cached"] for stage in second["stages"].values())
+    assert len(list(out.glob("manifest__*.json"))) == 1
+
+
+def test_readme_command_lines_parse():
+    """Every ``homlab ...`` line of README's command-line block, optional
+    ``[...]`` parts removed, parses with the CLI's parser."""
+    import re
+    import shlex
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("homlab ")]
+    assert len(lines) >= 8
+    parser = cli.build_parser()
+    for line in lines:
+        while re.search(r"\[[^\[\]]*\]", line):
+            line = re.sub(r"\[[^\[\]]*\]", "", line)
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.fn), line
+
+
 def test_module_entry_point_runs_from_a_checkout():
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": "src"}
@@ -334,6 +428,9 @@ def test_corrector_direction_flag_validation(tmp_path):
     pair = solve_pair(load_field(fld), tol=1e-12)
     want = cli.corrector_rows(sublinearity_curve(pair, [8.0, 16.0], basis=[[0.0, 1.0]]))
     assert read_csv(out)[1] == want
+    # without --radii: the config default 8h..side/4, as in the pipeline
+    assert main(["corrector", "--field", str(fld), "--out", str(out)]) == 0
+    assert read_csv(out)[1] == cli.corrector_rows(sublinearity_curve(pair, [8.0]))
 
 
 def test_pipeline_failure_marks_manifest(tmp_path):

@@ -625,6 +625,9 @@ def cmd_excess(args):
                        excess={"R": args.R, "radii": dyadic_radii(f.grid, r_max=args.R)})
     if args.hs:
         hset = load_halfspace_bundle(args.hs)
+        if hset.grid != Grid.half_box(f.grid.dim, f.grid.n, f.grid.h):
+            raise ConfigError(f"--hs {args.hs} holds a set on {hset.grid}, not on the half-box "
+                              f"of --field {args.field}")
     else:
         hset = build_halfspace_set(f, solve_pair(f, tol=cfg["tol"]), L=cfg["halfspace"]["L"],
                                    tol=cfg["tol"])

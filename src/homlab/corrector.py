@@ -37,7 +37,6 @@ from .pde import (
     SourceTerm,
     VectorField,
     assemble,
-    ball_values,
     diff_to_half,
     diff_to_integer,
     divergence,
@@ -64,7 +63,7 @@ def periodic_operator(field):
     return Operator(field, BoundarySpec.periodic())
 
 
-def solve_corrector(field, xi, tol=DEFAULT_TOL, max_iter=20000, op=None):
+def solve_corrector(field, xi, tol=DEFAULT_TOL, op=None):
     """Zero-mean corrector for one unit direction on a torus field; ``op``
     is the field's ``periodic_operator`` when the caller holds one."""
     xi = np.asarray(xi, dtype=float)
@@ -72,7 +71,7 @@ def solve_corrector(field, xi, tol=DEFAULT_TOL, max_iter=20000, op=None):
         raise ValueError("direction must be a unit vector")
     op = periodic_operator(field) if op is None else op
     src = SourceTerm(divergence_form=coefficient_times_vector(field, xi))
-    phi, stats = solve(op.system(src=src), tol=tol, max_iter=max_iter)
+    phi, stats = solve(op.system(src=src), tol=tol)
     phi.values -= phi.values.mean()
     return phi, stats
 
@@ -200,19 +199,19 @@ class FluxPotentialSet:
         return out
 
 
-def solve_flux_potential(grid, q, div_tol=1e-6):
+def solve_flux_potential(grid, q):
     """Flux potential of a divergence-free, mean-free face field q.
 
     Solves the gauge Poisson problem -lap sigma_jk = d_j q_k - d_k q_j on
     the staggered pair homes by FFT; the row-divergence identity then
-    holds up to the divergence residual of q.
+    holds up to the divergence residual of q, at most 1e-6 |q|.
     """
     h = grid.h
     div = divergence(q)
     nq = np.sqrt(sum(float((c * c).sum()) for c in q.comps))
     ndiv = float(np.linalg.norm(div)) * h
     floor = 1e-13 * np.sqrt(div.size)  # all-round-off currents are fine
-    if nq > floor and ndiv > div_tol * nq + floor:
+    if nq > floor and ndiv > 1e-6 * nq + floor:
         raise ValueError(f"current is not divergence-free: |div q| h = {ndiv:.3e} vs |q| = {nq:.3e}")
     sigma = {}
     d = grid.dim
@@ -299,7 +298,7 @@ class SublinearityCurve:
     delta_gno: np.ndarray
     partial_sums: np.ndarray  # cumulative sum of log2(r) * delta^(1/3)
     partial_sums_gno: np.ndarray = None  # same series on the mean-subtracted curve
-    # the same measurement (pair, center, directions) at other radii
+    # the same measurement (pair, directions) at other radii
     remeasure: object = dc_field(default=None, repr=False, compare=False)
 
     def ratio(self, r_num, r_den):
@@ -308,28 +307,33 @@ class SublinearityCurve:
         return self.delta[i] / self.delta[j]
 
 
-def sublinearity_curve(pair, radii, center=None, basis=None):
+def sublinearity_curve(pair, radii, basis=None):
     """delta_r and its mean-subtracted variant on dyadic balls around the
     origin, plus the partial sums of the quantified-ergodicity series
     (weights log2 r, increments log2(r) * delta_r^(1/3)).  The sum runs
-    over the directions b given as rows of ``basis``, each through
-    ``phi_for(b)`` and ``sigma_for(b)`` (default: the coordinate frame)."""
+    over the directions b given as rows of ``basis`` (default: the
+    coordinate frame), each through the ball values of ``phi_for(b)`` and
+    ``sigma_for(b)``, formed from each stored field gathered once per
+    (home, radius)."""
     grid = pair.cset.grid
+    d = grid.dim
     radii = np.asarray(radii)
-    if basis is None:
-        basis = np.eye(grid.dim)
+    basis = np.eye(d) if basis is None else np.asarray(basis, dtype=float)
     for r in radii:
         if not is_dyadic(r / grid.h):
             raise ValueError(f"radius {r} is not a positive dyadic multiple of h")
+    # per home, its weight and the stored fields of the d coordinate
+    # directions; sigma_kj = -sigma_jk: each stored pair enters twice
+    homes = [(1.0, [pair.cset.phi[i] for i in range(d)])]
+    homes += [(2.0, [pair.sigmas[w].sigma[key] for w in range(d)]) for key in pair.sigmas[0].sigma]
     tot = np.zeros(len(radii))
     tot_g = np.zeros(len(radii))
-    for b in basis:  # one direction's fields alive at a time
-        fields = [(1.0, pair.cset.phi_for(b))]
-        # sigma_kj = -sigma_jk: each stored pair enters twice
-        fields += [(2.0, f) for f in pair.sigma_for(b).sigma.values()]
-        for m, r in enumerate(radii):
-            for w, f in fields:
-                msq, csq = _ball_raw_and_centered(f, grid, r, center)
+    for m, r in enumerate(radii):
+        gathered = [(w, [f.values[interior_ball_mask(grid, f.offsets, r)] for f in fs])
+                    for w, fs in homes]
+        for b in basis:
+            for w, vals in gathered:
+                msq, csq = _raw_and_centered(sum(b[i] * vals[i] for i in range(d)))
                 tot[m] += w * msq
                 tot_g[m] += w * csq
     delta = np.sqrt(tot) / radii
@@ -338,28 +342,27 @@ def sublinearity_curve(pair, radii, center=None, basis=None):
     partial = np.cumsum(weights * delta ** (1.0 / 3.0))
     partial_gno = np.cumsum(weights * delta_gno ** (1.0 / 3.0))
     return SublinearityCurve(radii, delta, delta_gno, partial, partial_gno,
-                             lambda rs: sublinearity_curve(pair, rs, center, basis))
+                             lambda rs: sublinearity_curve(pair, rs, basis))
 
 
-def _ball_raw_and_centered(f, grid, r, center=None):
-    """Ball means of f^2 and of (f - ball mean)^2, the latter computed
-    directly to avoid cancellation."""
-    [v] = ball_values(f, grid, r, center=center)
+def _raw_and_centered(v):
+    """Means of v^2 and of (v - mean)^2 over ball values v, the latter
+    computed directly to avoid cancellation."""
     if not v.size:
         return 0.0, 0.0
     m = float(v.mean())
     return float((v * v).mean()), float(((v - m) ** 2).mean())
 
 
-def basis_change_check(pair, basis, r, center=None):
+def basis_change_check(pair, basis, r):
     """Evaluates the rotated-direction functional and the bound
     sqrt(d(d+1)/2) delta_r; returns (lhs, bound)."""
     d = pair.cset.grid.dim
     B = np.asarray(basis, dtype=float)
     if B.shape != (d, d) or np.abs(B @ B.T - np.eye(d)).max() > 1e-10:
         raise ValueError("basis must be orthonormal (rows)")
-    lhs = sublinearity_curve(pair, [r], center=center, basis=B).delta[0]
-    bound = np.sqrt(d * (d + 1) / 2.0) * sublinearity_curve(pair, [r], center=center).delta[0]
+    lhs = sublinearity_curve(pair, [r], basis=B).delta[0]
+    bound = np.sqrt(d * (d + 1) / 2.0) * sublinearity_curve(pair, [r]).delta[0]
     return lhs, bound
 
 
@@ -376,14 +379,14 @@ class TwoScaleReport:
     scale_warning: bool
 
 
-def two_scale_error(field, pair, R, trace, rho=None, tol=1e-10):
+def two_scale_error(field, pair, R, trace, tol=1e-10):
     """Homogenization error on a Dirichlet window of half-width R.
 
     The window is the box [-R, R]^(d-1) x [0, R] cut from the torus; the
     heterogeneous solution u and the homogenized solution share the trace
     on all window sides.  Returns the gradient norms of the two-scale
     remainder w = u - u_hom - eta sum_i phi_i d_i u_hom (with a boundary
-    cutoff eta of width rho) and of the plain difference u - u_hom.
+    cutoff eta of width R^(2/3)) and of the plain difference u - u_hom.
     """
     from .field import restrict_to_half_box, restrict_values
 
@@ -405,8 +408,7 @@ def two_scale_error(field, pair, R, trace, rho=None, tol=1e-10):
     hom_field = CoefficientField(wgrid, hom_faces, lam=min(np.linalg.eigvalsh(0.5 * (a_hom + a_hom.T))))
     u_hom, _ = solve(assemble(hom_field, bc), tol=tol)
 
-    if rho is None:
-        rho = R ** (2.0 / 3.0)
+    rho = R ** (2.0 / 3.0)
     eta = _boundary_cutoff(wgrid, rho)
     du_hom = _cell_gradient(u_hom)
     corr = np.zeros(wgrid.shape)

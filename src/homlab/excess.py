@@ -106,7 +106,7 @@ def window_operator(field_torus, R):
     return Operator(window, BoundarySpec.half_box(window.grid))
 
 
-def harmonic_sample(field_torus, R, trace, tol=1e-11, max_iter=20000):
+def harmonic_sample(field_torus, R, trace, tol=1e-11):
     """Solve the mixed Dirichlet(round)/no-flux(flat) problem on the box
     window of half-width and height R cut from the torus field; repeated
     samples on one (field, R) share the window record's operator."""
@@ -114,7 +114,7 @@ def harmonic_sample(field_torus, R, trace, tol=1e-11, max_iter=20000):
     bc = BoundarySpec.half_box(
         op.grid, flat=NoFlux(0.0), top=Dirichlet(trace), lateral=Dirichlet(trace)
     )
-    u, stats = solve(op.system(bc), tol=tol, max_iter=max_iter)
+    u, stats = solve(op.system(bc), tol=tol)
     return HarmonicSample(u, op.field, R, stats.relative_residual, stats.energy)
 
 
@@ -222,25 +222,25 @@ class ExcessValue:
     gram_condition: float
 
 
-def excess(u, r, hset, center=None):
+def excess(u, r, hset):
     """Exact minimization of the tilt functional over the tangential
     space via the normal equations; singular Gram systems fall back to
     the minimum-norm solution."""
     grid = u.grid
-    return _excess(gradient(u), _family(hset, grid), hset.basis, grid, r, center)
+    return _excess(gradient(u), _family(hset, grid), hset.basis, grid, r)
 
 
-def _excess(g, fam, basis, grid, r, center=None):
+def _excess(g, fam, basis, grid, r):
     """``excess`` from the gradient g of u and the corrected gradient
     family on u's grid, which do not depend on r; g and each member are
     gathered on the half-ball once."""
     d = grid.dim
     if r < 4 * grid.h:
         raise ValueError("radius below the quadrature floor (need r >= 4h)")
-    g = ball_values(g, grid, r, center=center)
+    g = ball_values(g, grid, r)
     if not any(x.size for x in g):
         raise ValueError("empty half-ball")
-    fam = [ball_values(VectorField(grid, f), grid, r, center=center) for f in fam]
+    fam = [ball_values(VectorField(grid, f), grid, r) for f in fam]
     m = len(fam)
     M = np.zeros((m, m))
     c = np.zeros(m)
@@ -325,13 +325,13 @@ class CoercivityReport:
         return bool(np.all(self.values >= self.lower_bound - 1e-12))
 
 
-def coercivity_check(hset, r, magnitudes=(1.0, 4.0, 16.0, 64.0)):
-    """fint |t b_1 + grad phi_h_{t b_1}|^2 against (1/16)^(d+1) t^2; the
-    family is linear in t, so quadratic homogeneity is exact."""
+def coercivity_check(hset, r):
+    """fint |t b_1 + grad phi_h_{t b_1}|^2 against (1/16)^(d+1) t^2 for t in
+    1, 4, 16, 64; the family is linear in t, so quadratic homogeneity is exact."""
     grid = hset.grid
     d = grid.dim
     base = ball_mean_square(VectorField(grid, _corrected_gradient(hset, 0, grid)), grid, r)
-    mags = np.asarray(magnitudes, dtype=float)
+    mags = np.array([1.0, 4.0, 16.0, 64.0])
     values = base * mags**2
     lower = (1.0 / 16.0) ** (d + 1) * mags**2
     return CoercivityReport(r, mags, values, lower, base)
@@ -386,15 +386,15 @@ class LiouvilleReport:
     b_tilde: np.ndarray
     constant: float
     residual_profile: dict  # r -> normalized L2 misfit
-    growth_profile: dict  # r -> r^-(1+alpha) rms(u)
+    growth_profile: dict  # r -> r^-(3/2) rms(u)
     subquadratic: bool
     minimizer_drift: float  # max relative variation of b_r across radii
 
 
-def liouville_check(u, hset, radii, alpha=0.5):
+def liouville_check(u, hset, radii):
     """Least-squares fit of u by b.x + phi_h_b + c at the largest radius,
-    with the growth diagnostic of subquadratic behavior and the radius
-    stability of the per-radius minimizers."""
+    with the growth diagnostic r^-(3/2) rms(u) of subquadratic behavior
+    and the radius stability of the per-radius minimizers."""
     grid = u.grid
     d = grid.dim
     radii = sorted(float(r) for r in radii)
@@ -426,7 +426,7 @@ def liouville_check(u, hset, radii, alpha=0.5):
     for r in radii:
         grms = np.sqrt(max(ball_mean_square(g, grid, r), 1e-30))
         residual_profile[r] = float(np.sqrt(ball_mean_square(mis, grid, r)) / (r * grms))
-        growth[r] = float(np.sqrt(ball_mean_square(u, grid, r)) / r ** (1.0 + alpha))
+        growth[r] = float(np.sqrt(ball_mean_square(u, grid, r)) / r ** 1.5)
     gv = [growth[r] for r in radii]
     half = max(1, len(gv) // 2)
     subquadratic = all(b <= a * (1.0 + 1e-9) for a, b in zip(gv[-half - 1 : -1], gv[-half:]))

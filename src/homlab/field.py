@@ -97,12 +97,13 @@ class CoefficientField:
         f = self.faces[k]
         return _diagonal_matrices(f) if self.diagonal else f
 
-    def is_symmetric(self, rtol=1e-12):
+    def is_symmetric(self):
+        """Whether every face matrix is symmetric to 1e-12 relative."""
         if self.diagonal:
             return True
         for f in self.faces:
             diff = np.abs(f - np.swapaxes(f, -1, -2)).max()
-            if diff > rtol * max(np.abs(f).max(), 1.0):
+            if diff > 1e-12 * max(np.abs(f).max(), 1.0):
                 return False
         return True
 
@@ -337,29 +338,24 @@ def _faces_from_cell_matrices(grid, cells):
     return faces
 
 
-def sample_field(spec, grid, validate=True):
-    """Draw one realization of the ensemble on the grid.
+def sample_field(spec, grid):
+    """Draw one realization of the ensemble on the grid and validate it.
 
     Deterministic in (spec, grid, seed); torus fields are exactly
     periodic, and half-box grids receive the restriction of the ambient
     torus realization with the same n and h.
     """
     if grid.topology == HALF_BOX:
-        ambient = Grid.torus(grid.dim, grid.n, grid.h)
-        full = sample_field(spec, ambient, validate=validate)
+        full = sample_field(spec, Grid.torus(grid.dim, grid.n, grid.h))
         return restrict_to_half_box(full, grid.height, grid.tangential_periodic)
     faces = faces_from_cells(grid, cell_values(spec, grid))
     out = CoefficientField(grid, faces, lam=spec.lam, seed=spec.seed)
-    if validate:
-        rep = validate_ellipticity(out)
-        if not rep.ok:
-            ax, idx, mat = rep.violations[0]
-            raise EllipticityError(
-                f"sampled field leaves the admissible class at axis {ax}, face {idx}: "
-                f"rayleigh {rep.min_rayleigh:.6g}, gain {rep.max_gain:.6g}",
-                matrix=mat,
-                where=(ax, idx),
-            )
+    rep = validate_ellipticity(out)
+    if not rep.ok:
+        ax, idx, mat = rep.violations[0]
+        raise EllipticityError(
+            f"sampled field leaves the admissible class at axis {ax}, face {idx}: "
+            f"rayleigh {rep.min_rayleigh:.6g}, gain {rep.max_gain:.6g}", matrix=mat, where=(ax, idx))
     return out
 
 
@@ -373,19 +369,23 @@ class EllipticityReport:
     lam: float
     min_rayleigh: float
     max_gain: float
-    violations: list  # (axis, index tuple, matrix), capped
+    violations: list  # (axis, index tuple, matrix), the first 10
     ok: bool
 
 
-def validate_ellipticity(field, slack=1e-12, max_violations=10):
-    """Exact per-face check of the two admissibility inequalities.
+def validate_ellipticity(field):
+    """Exact per-face check of the two admissibility inequalities, each to
+    a slack of 1e-12.
 
     min_rayleigh is the smallest eigenvalue of any symmetric part,
     max_gain the largest operator norm |a xi| / |xi|.  Faces without an
     off-diagonal entry use the exact closed forms min(diag) and
-    max(|diag|); only the others go through ``eigvalsh`` and ``svd``.
+    max(|diag|): on diagonal storage one min and one max per face array,
+    and per-face values only to locate the violations of a failed bound.
+    The other faces go through ``eigvalsh`` and ``svd``.
     """
     d = field.grid.dim
+    lo, hi = field.lam - 1e-12, 1.0 + 1e-12
     off = ~np.eye(d, dtype=bool)
     ii = np.arange(d)
     min_r = np.inf
@@ -394,6 +394,10 @@ def validate_ellipticity(field, slack=1e-12, max_violations=10):
     for ax, f in enumerate(field.faces):
         if field.diagonal:
             flat = f.reshape(-1, d)
+            f_min, f_max = float(flat.min()), float(flat.max())
+            min_r, max_g = min(min_r, f_min), max(max_g, f_max, -f_min)
+            if f_min >= lo and max(f_max, -f_min) <= hi:
+                continue
             r = flat.min(axis=1)
             g = np.maximum(flat.max(axis=1), -r)  # max |diag|
         else:
@@ -406,13 +410,13 @@ def validate_ellipticity(field, slack=1e-12, max_violations=10):
                 sub = flat[full]
                 r[full] = np.linalg.eigvalsh(0.5 * (sub + np.swapaxes(sub, -1, -2)))[:, 0]
                 g[full] = np.linalg.svd(sub, compute_uv=False)[:, 0]
-        min_r = min(min_r, float(r.min()))
-        max_g = max(max_g, float(g.max()))
-        bad = np.nonzero((r < field.lam - slack) | (g > 1.0 + slack))[0]
-        for b in bad[: max_violations - len(violations)]:
+            min_r = min(min_r, float(r.min()))
+            max_g = max(max_g, float(g.max()))
+        bad = np.nonzero((r < lo) | (g > hi))[0]
+        for b in bad[: 10 - len(violations)]:
             idx = np.unravel_index(b, field.grid.face_shape(ax))
             violations.append((ax, idx, np.diag(flat[b]) if field.diagonal else flat[b].copy()))
-    ok = (min_r >= field.lam - slack) and (max_g <= 1.0 + slack)
+    ok = (min_r >= lo) and (max_g <= hi)
     return EllipticityReport(field.lam, float(min_r), float(max_g), violations, ok)
 
 

@@ -132,31 +132,27 @@ class Grid:
         axes = [self.points_along(a, offsets[a]) for a in range(self.dim)]
         return np.meshgrid(*axes, indexing="ij")
 
-    def _axis_displacements(self, offsets, center):
-        """1-D displacements of home points from ``center`` (default
-        origin), one array per axis."""
-        if center is None:
-            center = (0.0,) * self.dim
+    def _axis_displacements(self, offsets):
+        """1-D displacements of home points from the origin, one per axis."""
         out = []
         for a in range(self.dim):
-            d = self.points_along(a, offsets[a]) - center[a]
+            d = self.points_along(a, offsets[a])
             if self.periodic_axis(a):
                 s = self.side
                 d = (d + s / 2.0) % s - s / 2.0
             out.append(d)
         return out
 
-    def displacement(self, offsets, center=None):
-        """Per-axis full-shape displacement arrays from ``center``
-        (default origin).
+    def displacement(self, offsets):
+        """Per-axis full-shape displacement arrays from the origin.
 
         On the torus the minimum-image convention is used so that balls
         around the origin wrap correctly.
         """
-        return np.meshgrid(*self._axis_displacements(offsets, center), indexing="ij")
+        return np.meshgrid(*self._axis_displacements(offsets), indexing="ij")
 
-    def ball_mask(self, offsets, r, center=None, half=None):
-        """Boolean mask of home points with |x - center| < r.
+    def ball_mask(self, offsets, r, half=None):
+        """Boolean mask of home points with |x| < r.
 
         ``half=True`` additionally requires x_d > 0 (points exactly on
         the flat plane are excluded).  Default: full ball on the torus,
@@ -166,8 +162,7 @@ class Grid:
         """
         if half is None:
             half = self.topology == HALF_BOX
-        axes = self._axis_displacements(offsets, center)
-        disp = np.meshgrid(*axes, indexing="ij", sparse=True)
+        disp = np.meshgrid(*self._axis_displacements(offsets), indexing="ij", sparse=True)
         rho2 = sum(d * d for d in disp)
         mask = rho2 < r * r
         if half:

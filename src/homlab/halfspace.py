@@ -38,7 +38,7 @@ from . import _transforms as ft
 from .corrector import (
     FluxPotentialSet,
     WholeSpacePair,
-    _ball_raw_and_centered,
+    _raw_and_centered,
     coefficient_times_vector,
     flux_potential_residual,
 )
@@ -402,14 +402,14 @@ class HalfSpaceResiduals:
         return self.flat_flux_max / self.flat_flux_scale if self.flat_flux_scale > 0 else 0.0
 
 
-def halfspace_residuals(field_hb, hset, i, inner_radius=None, op=None):
+def halfspace_residuals(field_hb, hset, i, op=None):
     """Residuals of the defining problem for tangential direction i.
 
     flat flux: the implied conormal of phi_h + b.x through flat faces,
     from the cell balances of the assembled no-flux problem (top layer
     excluded); interior: relative equation residual; sigma identity:
     relative L2 defect of the row-divergence identity on the inner
-    half-ball (default L/2).  ``op`` is the half-box operator with the
+    half-ball of radius L/2.  ``op`` is the half-box operator with the
     default closure when the caller holds one.
     """
     grid = field_hb.grid
@@ -447,16 +447,15 @@ def halfspace_residuals(field_hb, hset, i, inner_radius=None, op=None):
     interior[tuple(sl_flat)] = 0.0
     nb = np.linalg.norm(sys.rhs)
     interior_rel = float(np.linalg.norm(interior) / nb) if nb > 0 else 0.0
-    sigma_res = sigma_identity_residual(hset, i, inner_radius=inner_radius)
+    sigma_res = sigma_identity_residual(hset, i)
     return HalfSpaceResiduals(float(flat_flux.max()), scale, interior_rel, sigma_res)
 
 
-def sigma_identity_residual(hset, i, inner_radius=None):
+def sigma_identity_residual(hset, i):
     """Relative L2 residual of sum_k d_k sigma_h_jk = q_h_j for direction
-    i over the inner half-ball (default radius L/2), normalised by q_h
-    there (``flux_potential_residual``)."""
-    r = hset.grid.height / 2.0 if inner_radius is None else inner_radius
-    return flux_potential_residual(hset.sigma_h[i], hset.q_h[i].comps, r)
+    i over the inner half-ball of radius L/2, normalised by q_h there
+    (``flux_potential_residual``)."""
+    return flux_potential_residual(hset.sigma_h[i], hset.q_h[i].comps, hset.grid.height / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +494,7 @@ def half_sublinearity_curve(hset, radii):
             raise ValueError(f"radius {r} exceeds the half-box height")
         tot_tang = 0.0
         for i in range(d - 1):
-            tot_tang += _ball_raw_and_centered(hset.phi_h[i], grid, r)[1]
+            tot_tang += _raw_and_centered(ball_values(hset.phi_h[i], grid, r)[0])[1]
             for f in hset.sigma_h[i].sigma.values():
                 tot_tang += 2.0 * ball_mean_square(f, grid, r)
         # transversal term, full-ball (torus fields) and half-ball variant
@@ -601,19 +600,20 @@ class DyadicResult:
 
 
 def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
-                        radii=None, direct=None, op=None):
+                        direct=None, op=None):
     """Annulus-by-annulus boundary corrections: each solve carries the
-    flux datum cut off by one radial partition member; energies are
-    tabulated against the bound shape with the measured sublinearity
-    values, and the partial sum is compared with the direct solve.
-    ``direct`` is that single-solve correction varphi for b on this
+    flux datum cut off by one radial partition member; energies on
+    B_{r0}^+ are tabulated against the bound shape with the measured
+    sublinearity values, and the partial sum is compared with the direct
+    solve.  ``direct`` is that single-solve correction varphi for b on this
     half-box at this tol (``solve_halfspace_correction``, as in
     ``HalfSpaceCorrectorSet.varphi``); it is solved here when not given.
     All solves share one operator, ``op`` (the half-box operator with the
     default closure) when the caller holds one."""
     grid = field_hb.grid
     d = grid.dim
-    if config.r0 * 2.0 ** (config.n_max + 1) > grid.height * 2.0 + 1e-9:
+    r0 = config.r0
+    if r0 * 2.0 ** (config.n_max + 1) > grid.height * 2.0 + 1e-9:
         raise ValueError("outermost annulus exceeds the domain")
     config.validate(grid)
     g_full = _flat_datum_on(field_torus, pair, b, grid)
@@ -621,8 +621,6 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
     sl = [slice(None)] * d
     sl[d - 1] = 0
     rho = np.sqrt(sum(coords[a][tuple(sl)] ** 2 for a in range(d - 1)))
-    if radii is None:
-        radii = [config.r0]
     if op is None:
         op = Operator(field_hb, BoundarySpec.half_box(grid))
     varphi_n = {}
@@ -634,15 +632,14 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
         sol, _ = solve(op.system(BoundarySpec.half_box(grid, flat=NoFlux(g_n))), tol=tol)
         varphi_n[n] = sol
         total += sol.values
-        R = config.r0 * 2.0 ** (n + 1)
+        R = r0 * 2.0 ** (n + 1)
         dlt = config.delta_at[n + 1]
-        for r in radii:
-            energies[(n, r)] = float(np.sqrt(ball_mean_square(gradient(sol), sol.grid, r)))
-            shapes[(n, r)] = (R / r) ** (d / 2.0) * dlt ** (1.0 / 3.0)
+        energies[(n, r0)] = float(np.sqrt(ball_mean_square(gradient(sol), sol.grid, r0)))
+        shapes[(n, r0)] = (R / r0) ** (d / 2.0) * dlt ** (1.0 / 3.0)
     if direct is None:
         direct = solve_halfspace_correction(field_hb, field_torus, pair, b, tol=tol, op=op).varphi
     total_f = ScalarField(grid, total)
-    c_r0 = _relative_gradient_difference(total_f, direct, config.r0)
+    c_r0 = _relative_gradient_difference(total_f, direct, r0)
     c_quarter = _relative_gradient_difference(total_f, direct, grid.height / 4.0)
     return DyadicResult(config, varphi_n, energies, shapes, c_r0, c_quarter)
 

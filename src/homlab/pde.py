@@ -769,33 +769,30 @@ def _interior_mask(grid, offsets):
     return mask
 
 
-def interior_ball_mask(grid, offsets, r, center=None, half=None):
+def interior_ball_mask(grid, offsets, r, half=None):
     """``grid.ball_mask`` without the boundary-plane layers of
     ``_interior_mask``: the home points a ball quadrature sums over.
 
-    Masks are cached by value of (grid, offsets, r, center, half), the
-    last 16 of them, and are read-only; a center may be any sequence of
-    coordinates."""
-    if center is not None:
-        center = tuple(float(c) for c in center)
-    return _cached_ball_mask(grid, tuple(offsets), r, center, half)
+    Masks are cached by value of (grid, offsets, r, half), the last 16 of
+    them, and are read-only."""
+    return _cached_ball_mask(grid, tuple(offsets), r, half)
 
 
 @lru_cache(maxsize=16)  # a 3d excess table of three radii and a coercivity radius take 12
-def _cached_ball_mask(grid, offsets, r, center, half):
-    mask = grid.ball_mask(offsets, r, center=center, half=half) & _interior_mask(grid, offsets)
+def _cached_ball_mask(grid, offsets, r, half):
+    mask = grid.ball_mask(offsets, r, half=half) & _interior_mask(grid, offsets)
     mask.flags.writeable = False
     return mask
 
 
-def ball_values(f, grid, r, center=None, half=None):
+def ball_values(f, grid, r, half=None):
     """The values of f at the home points of the (half-)ball, one array
     per home: one for a ScalarField, one per face family of a
     VectorField."""
     if isinstance(f, VectorField):
-        return [c[interior_ball_mask(grid, face_offsets(grid.dim, k), r, center, half)]
+        return [c[interior_ball_mask(grid, face_offsets(grid.dim, k), r, half)]
                 for k, c in enumerate(f.comps)]
-    return [f.values[interior_ball_mask(grid, f.offsets, r, center, half)]]
+    return [f.values[interior_ball_mask(grid, f.offsets, r, half)]]
 
 
 def mean_product(a, b):
@@ -808,10 +805,10 @@ def mean_product(a, b):
     return out
 
 
-def ball_mean_square(f, grid, r, center=None, half=None):
+def ball_mean_square(f, grid, r, half=None):
     """Mean of |f|^2 over the (half-)ball; vector fields average each
     face component on its own home and sum the component means."""
-    v = ball_values(f, grid, r, center=center, half=half)
+    v = ball_values(f, grid, r, half=half)
     return mean_product(v, v)
 
 
@@ -822,29 +819,29 @@ class CaccioppoliResult:
     equation_residual: float
 
 
-def caccioppoli_ratio(u, field, r, center=None, residual_tol=1e-6):
+def caccioppoli_ratio(u, field, r):
     """Energy ratio int_{B_r^+} |grad u|^2 / (r^-2 int_{B_2r^+} |u|^2).
 
     ``u`` should be discrete a-harmonic with no-flux flat data on
-    B_{2r}^+; if the interior equation residual there exceeds the
-    tolerance the result is flagged.
+    B_{2r}^+; if the relative interior equation residual there exceeds
+    1e-6 the result is flagged.
     """
     grid = u.grid
     vol = grid.cell_volume()
     num = 0.0
-    for c in ball_values(gradient(u), grid, r, center=center):
+    for c in ball_values(gradient(u), grid, r):
         num += float((c * c).sum()) * vol
-    [u2] = ball_values(u, grid, 2 * r, center=center)
+    [u2] = ball_values(u, grid, 2 * r)
     den = float((u2 ** 2).sum()) * vol / (r * r)
     # a-harmonicity check away from the outer rim
     q = flux(field, u)
     div_q = divergence(q)
-    inner = interior_ball_mask(grid, cell_offsets(grid.dim), 2 * r - 2 * grid.h, center=center)
+    inner = interior_ball_mask(grid, cell_offsets(grid.dim), 2 * r - 2 * grid.h)
     # exclude the flat-adjacent layer: its balance involves the boundary flux
     xd = grid.coords(cell_offsets(grid.dim))[grid.dim - 1]
     inner = inner & (xd > grid.h)
     scale = max(np.abs(div_q).max(), 1e-30)
     res = float(np.abs(div_q[inner]).max() / scale) if inner.any() else 0.0
-    warning = res > residual_tol
+    warning = res > 1e-6
     ratio = num / den if den > 0 else 0.0
     return CaccioppoliResult(ratio, warning, res)

@@ -415,6 +415,27 @@ def test_excess_command_with_bundle(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_excess_rejects_a_bundle_of_another_field(tmp_path, monkeypatch):
+    """A bundle built from an n=64 field, passed with an n=32 field, exits 2
+    before any solve and without writing the table."""
+    fields = {}
+    for n in (32, 64):
+        fields[n] = tmp_path / f"f{n}.bin"
+        main(["field", "sample", "--spec", str(write_spec(tmp_path, n=n)), "--out", str(fields[n])])
+    hs64 = tmp_path / "hs64.npz"
+    assert main(["halfspace", "--field", str(fields[64]), "--L", "32", "--out", str(hs64)]) == 0
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the bundle was checked")
+
+    monkeypatch.setattr(cli, "solve_pair", no_solve)
+    monkeypatch.setattr(cli, "harmonic_sample", no_solve)
+    out = tmp_path / "excess.csv"
+    assert main(["excess", "--field", str(fields[32]), "--hs", str(hs64), "--R", "8",
+                 "--seeds", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_corrector_direction_flag_validation(tmp_path):
     spec = write_spec(tmp_path)
     fld = tmp_path / "field.bin"

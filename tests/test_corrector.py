@@ -3,7 +3,8 @@ import pytest
 
 from homlab.grid import Grid, cell_offsets
 from homlab.field import EnsembleSpec, sample_field
-from homlab.pde import ScalarField, VectorField, divergence
+from homlab import pde
+from homlab.pde import ScalarField, VectorField, ball_values, divergence
 from homlab.corrector import (
     CorrectorSet,
     FluxPotentialSet,
@@ -258,6 +259,43 @@ def test_sublinearity_rejects_non_positive_radii():
     for radii in ([-8.0, 8.0], [0.0, 8.0], [12.0]):
         with pytest.raises(ValueError):
             sublinearity_curve(pz, radii)
+
+
+def reference_sublinearity(pair, radii, basis):
+    """delta and delta_gno row by row from the full fields phi_for(b) and
+    sigma_for(b), summed in the same order."""
+    grid = pair.cset.grid
+    tot, tot_g = np.zeros(len(radii)), np.zeros(len(radii))
+    for b in basis:
+        fields = [(1.0, pair.cset.phi_for(b))]
+        fields += [(2.0, f) for f in pair.sigma_for(b).sigma.values()]
+        for m, r in enumerate(radii):
+            for w, f in fields:
+                [v] = ball_values(f, grid, r)
+                if v.size:
+                    tot[m] += w * float((v * v).mean())
+                    tot_g[m] += w * float(((v - float(v.mean())) ** 2).mean())
+    return np.sqrt(tot) / radii, np.sqrt(tot_g) / radii
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+def test_sublinearity_matches_row_by_row_reference(dim, n):
+    pair = solve_pair(sample_field(EnsembleSpec.checkerboard(seed=3), Grid.torus(dim, n)))
+    radii = np.asarray(dyadic_radii(pair.cset.grid, r_min=2.0))
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((dim, dim)))
+    for basis in (np.eye(dim), Q, Q[:1]):
+        curve = sublinearity_curve(pair, radii, basis=basis)
+        delta, delta_gno = reference_sublinearity(pair, radii, basis)
+        assert np.array_equal(curve.delta, delta) and np.array_equal(curve.delta_gno, delta_gno)
+
+
+def test_sublinearity_builds_each_ball_mask_once():
+    # 3d: a cell home and three pair homes at five radii are 20 masks, more
+    # than the 16 the quadrature keeps; the curve builds each of them once
+    pz = zero_pair(Grid.torus(3, 32))
+    pde._cached_ball_mask.cache_clear()
+    sublinearity_curve(pz, [1.0, 2.0, 4.0, 8.0, 16.0])
+    assert pde._cached_ball_mask.cache_info().misses == 20
 
 
 def test_sublinearity_gno_below_delta_and_decay():

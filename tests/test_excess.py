@@ -177,16 +177,15 @@ def test_window_record_gives_the_same_reports_warm_and_cleared(monkeypatch):
     assert mask is interior_ball_mask(record.grid, face_offsets(2, 0), 8.0)
     with pytest.raises(ValueError):
         mask[0, 0] = True
-    # another set on the same window and an off-origin ball give the
-    # same values from the record and cleared
+    # another set on the same window gives the same values from the
+    # record and cleared
     sample = harmonic_sample(f, 16.0, band_limited_trace(3, 16.0))
     _, _, other = make_setup(n=64, seed=6)
-    centered = lambda h: excess(sample.u, 8.0, h, center=np.array([3.0, 0.0]))
-    warm_values = [(excess_decay_experiment(sample, h, radii).excess, centered(h).value)
-                   for h in (hset, other)]
+    values = lambda h: (excess_decay_experiment(sample, h, radii).excess,
+                        excess(sample.u, 8.0, h).value)
+    warm_values = [values(h) for h in (hset, other)]
     monkeypatch.setattr(excess_module, "_window", None)
-    cold_values = [(excess_decay_experiment(sample, h, radii).excess, centered(h).value)
-                   for h in (hset, other)]
+    cold_values = [values(h) for h in (hset, other)]
     for (w_exc, w_c), (c_exc, c_c) in zip(warm_values, cold_values):
         assert np.array_equal(w_exc, c_exc) and w_c == c_c
 
@@ -289,20 +288,18 @@ def test_excess_equals_full_array_evaluation(dim, n, R):
 
     f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=5), Grid.torus(dim, n))
     hset = build_halfspace_set(f, solve_pair(f, tol=1e-12), L=n / 2.0)
-    off_origin = np.r_[3.0, np.zeros(dim - 1)]
     for seed in (1, 2):
         u = harmonic_sample(f, R, band_limited_trace(seed, R, dim=dim)).u
         g = gradient(u).comps
         fam = corrected_gradient_family(hset, u.grid)
         m = len(fam)
-        for r, center in ((4.0, None), (R / 2, None), (R, None), (R / 2, off_origin)):
-            masks = [interior_ball_mask(u.grid, face_offsets(dim, k), r, center=center)
-                     for k in range(dim)]
+        for r in (4.0, R / 2, R):
+            masks = [interior_ball_mask(u.grid, face_offsets(dim, k), r) for k in range(dim)]
             M = np.array([[fint(fam[i], fam[j], masks) for j in range(m)] for i in range(m)])
             c = np.array([fint(g, fam[i], masks) for i in range(m)])
             t = scipy.linalg.solve(M, c, assume_a="sym")
             resid = [g[k] - sum(t[i] * fam[i][k] for i in range(m)) for k in range(dim)]
-            ev = excess(u, r, hset, center=center)
+            ev = excess(u, r, hset)
             assert np.array_equal(ev.coefficients, t)
             assert ev.value == max(fint(resid, resid, masks), 0.0)
             assert ev.gram_condition == float(np.linalg.cond(M))

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homlab.grid import Grid, cell_offsets, face_offsets, pair_offsets
 from homlab.field import (
@@ -276,10 +276,11 @@ def test_restrict_errors():
         restrict_to_half_box(f, L=16.0, tangential_periodic=False)  # 2L > side
 
 
-def reference_ellipticity(field, slack=1e-12, max_violations=10):
+def reference_ellipticity(field):
     """Per-face scan in (axis, flat index) order: the exact min(diag) and
     max(|diag|) of a face without off-diagonal entries (an SVD of such a
-    face can be an ulp off), eigvalsh / svd of the others."""
+    face can be an ulp off), eigvalsh / svd of the others; slack 1e-12,
+    the first 10 violations."""
     d = field.grid.dim
     min_r, max_g, violations = np.inf, 0.0, []
     for ax in range(d):
@@ -290,7 +291,7 @@ def reference_ellipticity(field, slack=1e-12, max_violations=10):
                 r = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
                 g = float(np.linalg.svd(m, compute_uv=False)[0])
             min_r, max_g = min(min_r, r), max(max_g, g)
-            if (r < field.lam - slack or g > 1.0 + slack) and len(violations) < max_violations:
+            if (r < field.lam - 1e-12 or g > 1.0 + 1e-12) and len(violations) < 10:
                 violations.append((ax, np.unravel_index(b, field.grid.face_shape(ax)), m))
     return min_r, max_g, violations
 
@@ -333,23 +334,43 @@ def mixed_fields(draw):
     return CoefficientField(grid, faces, lam=lam), injected
 
 
+def twelve_violations(diagonal):
+    """A 3d field with 12 violating faces, 4 per axis, two over the cap of
+    10; diagonal storage or full matrices."""
+    grid = Grid.torus(3, 4)
+    rng = np.random.default_rng(3)
+    faces, injected = [], set()
+    for k in range(3):
+        a = np.zeros(grid.face_shape(k) + (3, 3))
+        a[..., np.arange(3), np.arange(3)] = rng.uniform(0.4, 0.7, grid.face_shape(k) + (3,))
+        if not diagonal:
+            a[..., 0, 1] = a[..., 1, 0] = 0.05
+        flat = a.reshape(-1, 3, 3)
+        for j, b in enumerate(rng.choice(flat.shape[0], size=4, replace=False)):
+            flat[b, j % 3, j % 3] = 0.05 if j % 2 else 1.5
+            injected.add((k, int(b)))
+        faces.append(a)
+    return CoefficientField(grid, faces, lam=0.2), injected
+
+
 @settings(max_examples=60, deadline=None, database=None)
-@given(case=mixed_fields(), cap=st.integers(1, 12))
-def test_validate_ellipticity_matches_per_face_reference(case, cap):
+@given(case=mixed_fields())
+@example(case=twelve_violations(True))
+@example(case=twelve_violations(False))
+def test_validate_ellipticity_matches_per_face_reference(case):
     field, injected = case
-    rep = validate_ellipticity(field, max_violations=cap)
-    min_r, max_g, violations = reference_ellipticity(field, max_violations=cap)
+    rep = validate_ellipticity(field)
+    min_r, max_g, violations = reference_ellipticity(field)
     assert rep.min_rayleigh == min_r and rep.max_gain == max_g
     assert rep.ok == (not injected)
-    assert len(rep.violations) == len(violations) == min(cap, len(injected))
+    assert len(rep.violations) == len(violations) == min(10, len(injected))
     for (ax, idx, mat), (ax_ref, idx_ref, mat_ref) in zip(rep.violations, violations):
         assert ax == ax_ref and tuple(idx) == tuple(idx_ref)
         assert np.array_equal(mat, mat_ref)
-    # every injected face is reported once the cap allows it
-    full = validate_ellipticity(field, max_violations=len(injected) + 1)
+    # only injected faces are reported, every one of them up to the cap of 10
     flagged = {(ax, int(np.ravel_multi_index(idx, field.grid.face_shape(ax))))
-               for ax, idx, _ in full.violations}
-    assert flagged == injected
+               for ax, idx, _ in rep.violations}
+    assert flagged <= injected and len(flagged) == min(10, len(injected))
 
 
 # -- diagonal storage ---------------------------------------------------------

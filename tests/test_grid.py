@@ -5,17 +5,15 @@ from hypothesis import given, settings, strategies as st
 from homlab.grid import HALF_BOX, Grid, cell_offsets, face_offsets, pair_offsets
 
 
-def reference_ball_mask(grid, offsets, r, center=None, half=None):
+def reference_ball_mask(grid, offsets, r, half=None):
     """Brute force on full-shape arrays: meshgrid of home coordinates,
     minimum image per axis, squared distances summed in axis order."""
     if half is None:
         half = grid.topology == HALF_BOX
-    if center is None:
-        center = (0.0,) * grid.dim
     xs = grid.coords(offsets)
     rho2 = 0
     for a, x in enumerate(xs):
-        d = x - center[a]
+        d = x
         if grid.periodic_axis(a):
             s = grid.side
             d = (d + s / 2.0) % s - s / 2.0
@@ -46,24 +44,19 @@ def ball_cases(draw):
     h = draw(st.sampled_from([1.0, 0.5]))
     grid = make_grid(dim, topology, n, h)
     offsets = draw(st.sampled_from(homes(dim)))
-    # half-integer multiples of h hit points exactly on the sphere and the plane
-    coord = st.one_of(
-        st.floats(-grid.side, grid.side, allow_nan=False),
-        st.integers(-2 * n, 2 * n).map(lambda i: 0.5 * i * h),
-    )
-    center = draw(st.one_of(st.none(), st.tuples(*[coord] * dim)))
+    # half-integer multiples of h hit points exactly on the sphere
     r = draw(st.one_of(st.floats(0.0, grid.side, allow_nan=False),
                        st.integers(0, 2 * n).map(lambda i: 0.5 * i * h)))
     half = draw(st.sampled_from([None, True, False]))
-    return grid, offsets, r, center, half
+    return grid, offsets, r, half
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(case=ball_cases())
 def test_ball_mask_matches_brute_force(case):
-    grid, offsets, r, center, half = case
-    got = grid.ball_mask(offsets, r, center=center, half=half)
-    want = reference_ball_mask(grid, offsets, r, center=center, half=half)
+    grid, offsets, r, half = case
+    got = grid.ball_mask(offsets, r, half=half)
+    want = reference_ball_mask(grid, offsets, r, half=half)
     assert got.shape == grid.home_shape(offsets)
     assert got.dtype == bool
     assert np.array_equal(got, want)
@@ -74,12 +67,11 @@ def test_ball_mask_matches_brute_force(case):
 def test_displacement_full_shape(dim, topology):
     grid = make_grid(dim, topology, 8, 0.5)
     for offsets in homes(dim):
-        center = (0.3,) * dim
-        disp = grid.displacement(offsets, center)
+        disp = grid.displacement(offsets)
         xs = grid.coords(offsets)
         for a, (d, x) in enumerate(zip(disp, xs)):
             assert d.shape == grid.home_shape(offsets)
-            want = x - center[a]
+            want = x
             if grid.periodic_axis(a):
                 want = (want + grid.side / 2.0) % grid.side - grid.side / 2.0
             assert np.array_equal(d, want)

@@ -359,22 +359,20 @@ def test_half_ball_average_indicator_symmetry():
     assert abs(ind.mean() - 0.5) <= 2.0 / 16.0
 
 
-def reference_ball_values(grid, offsets, values, r, center=None, half=None):
+def reference_ball_values(grid, offsets, values, r, half=None):
     """Brute force over home points in index order: keep a point that
     lies in the (half-)ball by its minimum-image distance and off the
     boundary planes of a non-periodic integer axis."""
     d = grid.dim
     if half is None:
         half = grid.topology == HALF_BOX
-    if center is None:
-        center = (0.0,) * d
     pts = [grid.points_along(a, offsets[a]) for a in range(d)]
     out = []
     for idx in np.ndindex(values.shape):
         rho2 = 0.0
         boundary = False
         for a, i in enumerate(idx):
-            x = pts[a][i] - center[a]
+            x = pts[a][i]
             if grid.periodic_axis(a):
                 x = (x + grid.side / 2.0) % grid.side - grid.side / 2.0
             rho2 += x * x
@@ -395,21 +393,18 @@ def quadrature_cases(draw):
     else:
         grid = Grid.half_box(dim, n, h, tangential_periodic=topology == "slab")
     home = draw(st.sampled_from(["cell", "face", "pair"]))
-    # half-integer multiples of h hit points exactly on the sphere and the plane
-    coord = st.integers(-2 * n, 2 * n).map(lambda i: 0.5 * i * h)
-    center = draw(st.one_of(st.none(), st.lists(coord, min_size=dim, max_size=dim),
-                            st.lists(coord, min_size=dim, max_size=dim).map(np.array)))
+    # half-integer multiples of h hit points exactly on the sphere
     r = draw(st.one_of(st.floats(0.0, grid.side, allow_nan=False),
                        st.integers(0, 2 * n).map(lambda i: 0.5 * i * h)))
     half = draw(st.sampled_from([None, True, False]))
     seed = draw(st.integers(0, 2**16))
-    return grid, home, r, center, half, seed
+    return grid, home, r, half, seed
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(case=quadrature_cases())
 def test_ball_quadrature_matches_brute_force(case):
-    grid, home, r, center, half, seed = case
+    grid, home, r, half, seed = case
     d = grid.dim
     rng = np.random.default_rng(seed)
     if home == "face":
@@ -420,8 +415,8 @@ def test_ball_quadrature_matches_brute_force(case):
         offsets = [cell_offsets(d) if home == "cell" else pair_offsets(d, 0, d - 1)]
         f = ScalarField(grid, rng.standard_normal(grid.home_shape(offsets[0])), offsets[0])
         arrays = [f.values]
-    got = ball_values(f, grid, r, center=center, half=half)
-    want = [reference_ball_values(grid, o, a, r, center, half) for o, a in zip(offsets, arrays)]
+    got = ball_values(f, grid, r, half=half)
+    want = [reference_ball_values(grid, o, a, r, half) for o, a in zip(offsets, arrays)]
     assert len(got) == len(want)
     assert all(np.array_equal(x, y) for x, y in zip(got, want))
     # the mean of products skips empty homes and sums the rest from 0.0
@@ -429,19 +424,18 @@ def test_ball_quadrature_matches_brute_force(case):
     for v in want:
         if v.size:
             total += float((v * v).mean())
-    assert ball_mean_square(f, grid, r, center=center, half=half) == total
+    assert ball_mean_square(f, grid, r, half=half) == total
     assert mean_product(got, got) == total
 
 
 def test_ball_masks_are_cached_by_value_and_read_only():
     grid = Grid.half_box(3, 8)
     offsets = face_offsets(3, 0)
-    mask = interior_ball_mask(grid, offsets, 3.0, center=[1.0, 0.0, 0.5])
-    # an equal grid, the offsets as a list and the center as an array
-    same = interior_ball_mask(Grid.half_box(3, 8), list(offsets), 3.0,
-                              center=np.array([1.0, 0.0, 0.5]))
+    mask = interior_ball_mask(grid, offsets, 3.0)
+    # an equal grid and the offsets as a list
+    same = interior_ball_mask(Grid.half_box(3, 8), list(offsets), 3.0)
     assert same is mask
-    assert interior_ball_mask(grid, offsets, 3.0) is not mask
+    assert interior_ball_mask(grid, offsets, 3.0, half=False) is not mask
     with pytest.raises(ValueError):
         mask[1, 1, 1] = True
 

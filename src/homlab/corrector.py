@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from ._transforms import PERIODIC, FastConstSolver
-from .field import CoefficientField, sample_field
+from .field import CoefficientField, restrict_to_half_box, restrict_values, sample_field
 from .grid import Grid, TORUS, cell_offsets, face_offsets, is_dyadic, pair_offsets
 from .pde import (
     BoundarySpec,
@@ -36,6 +36,7 @@ from .pde import (
     ScalarField,
     SourceTerm,
     VectorField,
+    _interior_mask,
     assemble,
     diff_to_half,
     diff_to_integer,
@@ -388,8 +389,6 @@ def two_scale_error(field, pair, R, trace, tol=1e-10):
     remainder w = u - u_hom - eta sum_i phi_i d_i u_hom (with a boundary
     cutoff eta of width R^(2/3)) and of the plain difference u - u_hom.
     """
-    from .field import restrict_to_half_box, restrict_values
-
     grid = field.grid
     if grid.topology != TORUS:
         raise ValueError("two-scale window is cut from a torus field")
@@ -450,8 +449,6 @@ def _boundary_cutoff(grid, rho):
 def _grad_norm(u):
     g = gradient(u)
     grid = u.grid
-    from .pde import _interior_mask
-
     tot = 0.0
     for k in range(grid.dim):
         mask = _interior_mask(grid, face_offsets(grid.dim, k))

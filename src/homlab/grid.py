@@ -151,17 +151,14 @@ class Grid:
         """
         return np.meshgrid(*self._axis_displacements(offsets), indexing="ij")
 
-    def ball_mask(self, offsets, r, half=None):
+    def ball_mask(self, offsets, r, half):
         """Boolean mask of home points with |x| < r.
 
         ``half=True`` additionally requires x_d > 0 (points exactly on
-        the flat plane are excluded).  Default: full ball on the torus,
-        half ball on a half-box.  The ball is separable: the squared 1-D
-        displacements are summed in axis order by broadcasting, so no
+        the flat plane are excluded).  The ball is separable: the squared
+        1-D displacements are summed in axis order by broadcasting, so no
         full-shape coordinate array is built.
         """
-        if half is None:
-            half = self.topology == HALF_BOX
         disp = np.meshgrid(*self._axis_displacements(offsets), indexing="ij", sparse=True)
         rho2 = sum(d * d for d in disp)
         mask = rho2 < r * r

@@ -9,12 +9,14 @@ entries, the cross part ``face_current_map``.  ``flux``,
 ``A u = -div flux(u)`` up to Dirichlet ghost terms, and symmetric face
 matrices give a symmetric matrix as assembled.
 
-Assembly slices the diagonal part (face couplings, Dirichlet ghost
-weights on the centre) into one cell-shaped band per stencil offset, 2d+1
-of them, which become CSR rows with ascending columns: interior rows share
-one band order, rows on a periodic seam wrap and take their own.  The
-cross part ``G^T X G`` (G the sparse face gradient) is added as a sparse
-product.
+The matrix is stored by diagonals (scipy's ``dia_matrix``), their flat
+steps ascending.  Assembly slices the diagonal part (face couplings,
+Dirichlet ghost weights on the centre) into the 2d+1 stencil bands and
+writes each into the cell-shaped view of its diagonal; on a periodic seam
+the edge layer of a band goes into its wrap diagonal.  The cross part
+``G^T X G`` (G the sparse face gradient) is added one diagonal at a time.
+As the steps ascend, each row of a product sums in ascending column
+order, as a CSR product with sorted columns does.
 
 Boundary conditions on half-boxes:
 
@@ -47,7 +49,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _transforms as ft
-from .grid import Grid, TORUS, cell_offsets, face_offsets
+from .grid import Grid, HALF_BOX, TORUS, cell_offsets, face_offsets
 
 log = logging.getLogger(__name__)
 
@@ -239,9 +241,9 @@ def _side_cells(L, k, side):
 
 class Operator:
     """-div(a grad u) for one coefficient field and one set of boundary
-    kinds: the CSR matrix, its symmetric and singular flags, the mean
-    coefficient and transform bcs of the fast solve, and (built on first
-    use) the float32 matrix of the inner CG solves and their
+    kinds: the matrix by diagonals, its symmetric and singular flags, the
+    mean coefficient and transform bcs of the fast solve, and (built on
+    first use) its float32 cast for the inner CG solves and their
     preconditioner, the fast solve between two l1-Jacobi smoothing steps.
     Only the kinds of ``bc`` enter; ``system`` turns boundary data and
     sources into right-hand sides, so one operator serves every
@@ -262,16 +264,28 @@ class Operator:
             self.axis_bcs = _transform_bcs(grid, bc)  # validates side kinds
         self.field, self.grid, self.bc = field, grid, bc
 
-        per = np.array([grid.periodic_axis(a) for a in range(d)])
-        e = np.eye(d, dtype=int)
-        offsets = {(0,) * d} | {tuple(s * e[k]) for k in range(d) for s in (-1, 1)}
-        stride = np.array([int(np.prod(shape[a + 1:])) for a in range(d)])
-        O = np.array(sorted(offsets, key=lambda o: (int(np.dot(o, stride)), o)))
-        band = {tuple(o): j for j, o in enumerate(O)}
-        # V[j][c]: coefficient of column c + O[j] in row c; entries whose
-        # column lies past a non-periodic side are dropped below
-        V = np.zeros((len(O),) + shape)
-        at = lambda o: V[band[tuple(o)]]
+        per = [grid.periodic_axis(a) for a in range(d)]
+        stride = [int(np.prod(shape[a + 1:])) for a in range(d)]
+        # the flat steps of the bands: the centre, the neighbours and, on
+        # periodic axes, the wrap steps of the layers next to the seam
+        steps = {0} | {s * stride[k] for k in range(d) for s in (-1, 1)}
+        steps |= {s * (shape[k] - 1) * stride[k] for k in range(d) if per[k] for s in (-1, 1)}
+        cross_steps = []
+        if not field.diagonal:
+            # -div of the cross current: G^T X G, as X has zero boundary rows
+            diff = [_face_from_cells(grid, a, -1.0 / grid.h, 1.0 / grid.h) for a in range(d)]
+            G = sp.vstack([_on_axes(grid, [diff[a] if a == k else None for a in range(d)])
+                           for k in range(d)])
+            cross = G.T @ face_current_map(field) @ G
+            entries = cross.tocoo()
+            cross_steps = np.unique(entries.col - entries.row).tolist()
+            steps.update(cross_steps)
+        offsets = sorted(steps)
+        data = np.zeros((len(offsets), n_cells))
+        # diag[o] views the diagonal of step o by cells: at the cell of
+        # column c it holds the coefficient of column c in row c - o
+        diag = {o: row.reshape(shape) for o, row in zip(offsets, data)}
+        centre = diag[0]
 
         def facing(a, k, s):  # interior k-face values above (s=1) or below each cell
             if per[k]:
@@ -284,62 +298,34 @@ class Operator:
         for k in range(d):
             a_kk = field.entry(k, k)
             t = (a_kk if per[k] else a_kk[(slice(None),) * k + (slice(1, shape[k]),)]) * inv_h2
+            lo, hi, first, last = ((slice(None),) * k + (i,) for i in
+                                   (slice(0, -1), slice(1, None), slice(0, 1), slice(-1, None)))
             for s in (-1, 1):
                 ts = facing(t, k, s)
-                at(0 * e[k])[...] += ts
-                at(s * e[k])[...] -= ts
+                centre += ts
+                # row c couples to column c + s e_k; the edge layer's column
+                # wraps across a periodic side, and past another side the
+                # band is zero and skipped
+                rows, cols, edge, seam = (lo, hi, last, first) if s > 0 else (hi, lo, first, last)
+                diag[s * stride[k]][cols] -= ts[rows]
+                if per[k]:
+                    diag[-s * (shape[k] - 1) * stride[k]][seam] -= ts[edge]
             for side in (i for i in (0, 1) if isinstance(bc.bc(k, i), Dirichlet)):
                 t_b = a_kk[(slice(None),) * k + (side * shape[k],)]
                 w = self._dirichlet_weight[k, side] = 2.0 * (t_b * inv_h2)
-                at(0 * e[k])[(slice(None),) * k + (-side,)] += w
-        # CSR columns ascend by the offsets' flat steps; each boundary region
-        # (first or last layer of some axes) wraps the steps across periodic
-        # sides, reorders the bands by them and drops the offsets that leave
-        # a non-periodic side
-        S = np.array(list(itertools.product((-1, 0, 1), repeat=d)))[:, None, :]
-        leave = (O == S) & (S != 0)  # region, band, axis
-        steps = O @ stride - ((leave & per) * S * shape) @ stride
-        order = np.argsort(steps, axis=1, kind="stable")
-        steps = np.take_along_axis(steps, order, axis=1).astype(np.int32)
-        kept = np.take_along_axis(~(leave & ~per).any(axis=2), order, axis=1)
-        cells = np.arange(n_cells, dtype=np.int32).reshape(shape)[..., None]
-        C, keep = np.empty(shape + (len(O),), np.int32), np.empty(shape + (len(O),), bool)
-        counts = np.empty(shape, np.int32)
-        layer = {-1: slice(0, 1), 0: slice(1, -1), 1: slice(-1, None)}
-        for s, o, st, kp in zip(S[:, 0], order, steps, kept):
-            where = tuple(layer[x] for x in s)
-            C[where], keep[where], counts[where] = cells[where] + st, kp, kp.sum()
-            if np.any(o != np.arange(len(O))):
-                V[(slice(None),) + where] = V[(o,) + where]
-        indptr = np.cumsum(np.r_[0, counts.ravel()], dtype=np.int32)
-        V = np.ascontiguousarray(V.reshape(len(O), n_cells).T).reshape(keep.shape)
-        A = sp.csr_matrix((V[keep], C[keep], indptr), shape=(n_cells, n_cells))
-        self._diagonals = np.unique(steps[kept])
-        if not field.diagonal:
-            # -div of the cross current: G^T X G, as X has zero boundary rows
-            diff = [_face_from_cells(grid, a, -1.0 / grid.h, 1.0 / grid.h) for a in range(d)]
-            G = sp.vstack([_on_axes(grid, [diff[a] if a == k else None for a in range(d)])
-                           for k in range(d)])
-            cross = (G.T @ face_current_map(field) @ G).tocoo()
-            A = (A + cross).tocsr()
-            self._diagonals = np.union1d(self._diagonals, cross.col - cross.row)
+                centre[(slice(None),) * k + (-side,)] += w
+        for o in cross_steps:
+            data[offsets.index(o), max(o, 0):n_cells + min(o, 0)] += cross.diagonal(o)
+        self.matrix = sp.dia_matrix((data, offsets), shape=(n_cells, n_cells))
         self.symmetric = field.is_symmetric()
-        self.matrix = A
         self.singular = grid.topology == TORUS or not any(
             isinstance(b, Dirichlet) for b in bc.sides.values())
         self.mean_coeff = float(np.mean([field.entry(k, k).mean() for k in range(d)]))
 
     @cached_property
     def matrix32(self):
-        """The matrix in float32, stored by diagonals, for the inner CG
-        solves.  The offsets ascend, so each row of a product sums in the
-        column order of ``matrix`` and the products equal those of a
-        float32 CSR copy bit for bit, without its index loads."""
-        A, n = self.matrix, self.matrix.shape[0]
-        data = np.zeros((len(self._diagonals), n), np.float32)
-        for i, o in enumerate(self._diagonals.tolist()):
-            data[i, max(o, 0):n + min(o, 0)] = A.diagonal(o)
-        return sp.dia_matrix((data, self._diagonals), shape=A.shape)
+        """The matrix in float32, for the inner CG solves."""
+        return self.matrix.astype(np.float32)
 
     @cached_property
     def preconditioner(self):
@@ -773,8 +759,10 @@ def interior_ball_mask(grid, offsets, r, half=None):
     """``grid.ball_mask`` without the boundary-plane layers of
     ``_interior_mask``: the home points a ball quadrature sums over.
 
-    Masks are cached by value of (grid, offsets, r, half), the last 16 of
-    them, and are read-only."""
+    ``half=None`` is the grid's default, half balls on a half-box.  Masks
+    are cached by value of (grid, offsets, r, half), the last 16 of them,
+    and are read-only."""
+    half = grid.topology == HALF_BOX if half is None else half
     return _cached_ball_mask(grid, tuple(offsets), r, half)
 
 

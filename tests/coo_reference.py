@@ -1,13 +1,14 @@
 """Reference assembler: -div(a grad u) built from COO triplets.
 
 The diagonal part is the triplet assembly ``pde.Operator`` used before it
-assembled stencil bands straight into CSR.  The cross part writes the
-stencil of the face current out entry by entry: the current through an
-interior k-face adds, for each m != k and each of the four nearest
+assembled stencil bands straight into diagonals.  The cross part writes
+the stencil of the face current out entry by entry: the current through
+an interior k-face adds, for each m != k and each of the four nearest
 interior m-faces, (a_km on the k-face + a_km on the m-face) / 8 times the
 two-point m-difference across that m-face.  The property tests compare
-every operator against it: equal CSR arrays for diagonal fields, equal
-entries up to round-off for fields with cross terms.
+every operator's CSR copy against it: equal CSR arrays and products for
+diagonal fields, equal entries up to round-off for fields with cross
+terms.
 """
 
 import numpy as np

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homlab.grid import HALF_BOX, Grid, cell_offsets, face_offsets, pair_offsets
+from homlab.grid import Grid, cell_offsets, face_offsets, pair_offsets
 
 
-def reference_ball_mask(grid, offsets, r, half=None):
+def reference_ball_mask(grid, offsets, r, half):
     """Brute force on full-shape arrays: meshgrid of home coordinates,
     minimum image per axis, squared distances summed in axis order."""
-    if half is None:
-        half = grid.topology == HALF_BOX
     xs = grid.coords(offsets)
     rho2 = 0
     for a, x in enumerate(xs):
@@ -47,7 +45,7 @@ def ball_cases(draw):
     # half-integer multiples of h hit points exactly on the sphere
     r = draw(st.one_of(st.floats(0.0, grid.side, allow_nan=False),
                        st.integers(0, 2 * n).map(lambda i: 0.5 * i * h)))
-    half = draw(st.sampled_from([None, True, False]))
+    half = draw(st.booleans())
     return grid, offsets, r, half
 
 

@@ -10,6 +10,7 @@ from homlab.corrector import (
     solve_pair,
     sublinearity_curve,
 )
+from homlab import pde
 from homlab.pde import ScalarField, VectorField
 from homlab.halfspace import (
     DyadicConfig,
@@ -407,6 +408,19 @@ def test_half_sublinearity_decay_and_variants():
     assert np.all(np.abs(curve.delta_h - curve.delta_h_halfball) / curve.delta_h < 0.5)
     with pytest.raises(ValueError):
         half_sublinearity_curve(hset, [128.0])
+
+
+def test_half_sublinearity_shares_the_torus_ball_masks():
+    # the transversal row reads the torus balls with half=False, the masks
+    # sublinearity_curve cached with the torus default: 4 torus and 4
+    # half-box masks at two radii
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=7), Grid.torus(2, 32))
+    pair = solve_pair(f, tol=1e-12)
+    hset = build_halfspace_set(f, pair, L=16.0)
+    pde._cached_ball_mask.cache_clear()
+    sublinearity_curve(pair, [4.0, 8.0])
+    half_sublinearity_curve(hset, [4.0, 8.0])
+    assert pde._cached_ball_mask.cache_info().misses == 8
 
 
 def test_growth_rate_exponent_relation():

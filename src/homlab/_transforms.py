@@ -10,14 +10,14 @@ real trig transform (DST/DCT of types I, II and IV) whose even or odd
 extension matches the ghost closure of ``vertical_stencil``.
 
 The same solver, in single precision (``dtype=np.float32``), is the
-coarse step of the conjugate-gradient preconditioner on heterogeneous
-systems, between two l1-Jacobi smoothing steps (``pde.Operator``):
-inverting the constant-coefficient operator bounds the preconditioned
-condition number by the coefficient contrast, so iteration counts stay
-flat in the grid size.  It serves the float32 inner CG solves of
-``pde.solve``, whose residuals are normalized to unit norm, so no scaling
-is needed to stay inside the float32 range, and the float32 transforms
-move half the bytes.  The float64 outer loop of ``pde.solve`` recomputes
+coarse step of the preconditioner on heterogeneous systems, between two
+l1-Jacobi smoothing steps (``pde.Operator``): inverting the
+constant-coefficient operator bounds the preconditioned condition number
+by the coefficient contrast, so iteration counts stay flat in the grid
+size.  It serves the float32 inner solves of ``pde.solve`` (CG on
+symmetric systems, BiCGSTAB on nonsymmetric ones), whose residuals are
+normalized to unit norm, so no scaling is needed to stay inside the
+float32 range, and the float32 transforms move half the bytes.  The float64 outer loop of ``pde.solve`` recomputes
 the residual and adds the corrections, so single precision limits the
 cost of a correction, not the accuracy of the solution.  The exact
 solves (Hodge solves, vector potentials) use the float64 default.

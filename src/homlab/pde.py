@@ -243,7 +243,7 @@ class Operator:
     """-div(a grad u) for one coefficient field and one set of boundary
     kinds: the matrix by diagonals, its symmetric and singular flags, the
     mean coefficient and transform bcs of the fast solve, and (built on
-    first use) its float32 cast for the inner CG solves and their
+    first use) its float32 cast for the inner solves and their
     preconditioner, the fast solve between two l1-Jacobi smoothing steps.
     Only the kinds of ``bc`` enter; ``system`` turns boundary data and
     sources into right-hand sides, so one operator serves every
@@ -324,14 +324,14 @@ class Operator:
 
     @cached_property
     def matrix32(self):
-        """The matrix in float32, for the inner CG solves."""
+        """The matrix in float32, for the inner solves."""
         return self.matrix.astype(np.float32)
 
     @cached_property
     def preconditioner(self):
-        """The symmetric two-level preconditioner of the inner CG solves
-        (Tang, Nabben, Vuik and Erlangga, J. Sci. Comput. 39, 2009):
-        ``M(r, norm)`` smooths with l1-Jacobi ``S = SMOOTH_WEIGHT / l1``,
+        """The two-level preconditioner of the inner solves (Tang, Nabben,
+        Vuik and Erlangga, J. Sci. Comput. 39, 2009): ``M(r)`` smooths
+        with l1-Jacobi ``S = SMOOTH_WEIGHT / l1``,
         ``l1`` the row sums of ``|A|`` (Baker, Falgout, Kolev and Yang,
         SIAM J. Sci. Comput. 33, 2011), corrects with the fast
         constant-coefficient solve ``F`` of the operator's kinds and mean
@@ -340,10 +340,12 @@ class Operator:
             z1 = S r,  z2 = z1 + F(r - A z1),  z = z2 + S(r - A z2).
 
         A symmetric A satisfies A <= diag(l1), so ``2S - SAS`` and with it
-        M are positive definite for weights below 2, whatever the boundary
-        kinds.  All of it runs in single precision on the float32 residuals
-        of the inner CG solves, whose norm (``norm``) is about 1 or less and
-        more than ``INNER_TOL``, so the transforms need no scaling."""
+        M are symmetric positive definite for weights below 2, whatever the
+        boundary kinds, as CG needs.  The l1 weights stay defined for a
+        nonsymmetric A, and BiCGSTAB asks no symmetry of M.  All of it runs
+        in single precision on the float32 residuals of the inner solves,
+        whose norm is about 1 or less and more than ``INNER_TOL``, so the
+        transforms need no scaling."""
         shape = self.grid.shape
         solver = ft.FastConstSolver(self.grid, cell_offsets(self.grid.dim), self.axis_bcs,
                                     shape, project_mean=self.singular,
@@ -355,7 +357,7 @@ class Operator:
             s[max(-o, 0):n - max(o, 0)] += np.abs(diagonal[max(o, 0):n + min(o, 0)])
         np.divide(SMOOTH_WEIGHT, s, out=s)
 
-        def apply(r, norm):  # the residuals r - A z overwrite the products A z
+        def apply(r):  # the residuals r - A z overwrite the products A z
             z = s * r
             t = A32 @ z
             z += solver.solve(np.subtract(r, t, out=t).reshape(shape)).ravel()
@@ -450,10 +452,11 @@ def assemble(field, bc, src=None):
 # ---------------------------------------------------------------------------
 
 
-# Relative target of one float32 inner solve.  Float32 CG attains about
-# kappa * eps32 (eps32 = 6e-8, kappa the preconditioned condition number,
-# about the coefficient contrast): asking more of it costs iterations that
-# do not lower the true residual.  The float64 outer loop does the rest.
+# Relative target of one float32 inner solve.  Float32 CG or BiCGSTAB
+# attains about kappa * eps32 (eps32 = 6e-8, kappa the preconditioned
+# condition number, about the coefficient contrast): asking more of it
+# costs iterations that do not lower the true residual.  The float64 outer
+# loop does the rest.
 INNER_TOL = 1e-4
 
 # Weight of the l1-Jacobi smoothing steps of ``Operator.preconditioner``.
@@ -472,31 +475,6 @@ def _norm(v):
     return m * float(np.linalg.norm(v / m)) if 0.0 < m < np.inf else m
 
 
-def _bicgstab(A, b, nb, tol, max_iter):
-    """scipy's BiCGSTAB, restarted from its last iterate while the true
-    residual is above ``tol`` (scipy stops on its recursive residual)."""
-    x, it, history = np.zeros_like(b), 0, []
-
-    def count(xk):
-        nonlocal it
-        it += 1
-
-    while True:
-        x_prev = x
-        x, info = spla.bicgstab(A, b, x0=x, rtol=tol, maxiter=max_iter - it, callback=count)
-        Ax = A @ x
-        true = _norm(b - Ax) / nb
-        history.append(true)
-        if true <= tol:
-            return x, Ax, it, true
-        if len(history) > 1 and true >= history[-2]:
-            raise SolverError(f"bicgstab restart stalled at true residual {true:.3e} > tol={tol}",
-                              best_x=x_prev, history=history)
-        if info != 0 or it >= max_iter:
-            raise SolverError(f"bicgstab failed with code {info} at true residual {true:.3e}",
-                              best_x=x, history=history)
-
-
 def solve(system, tol=1e-10, max_iter=20000):
     """Solve the assembled system to a true residual |b - Ax| / |b| of at
     most ``tol``.
@@ -505,20 +483,21 @@ def solve(system, tol=1e-10, max_iter=20000):
     mean-zero representative.  Non-convergence raises SolverError with
     the best iterate and the residual history attached.
 
-    Symmetric systems: mixed-precision iterative refinement (Carson and
-    Higham, SIAM J. Sci. Comput. 40, 2018).  A float64 loop computes
+    Mixed-precision iterative refinement (Carson and Higham, SIAM J. Sci.
+    Comput. 40, 2018), one loop for every system.  A float64 loop computes
     r = b - Ax (mean-free on singular systems), returns once |r| / |b| <=
-    tol, and otherwise adds |r| d, where float32 PCG solves A d = r / |r|
-    to the relative target max(INNER_TOL, tol |b| / (2 |r|)).  Inner CG
-    takes the flexible (Polak-Ribiere) beta, which tolerates a
-    preconditioner that is not exactly symmetric (Notay, SIAM J. Sci.
-    Comput. 22, 2000), and projects nothing: A annihilates constants, so
-    the constant part that the smoothing steps of the preconditioner add
-    to the correction leaves r alone, and the outer loop projects r and x.
-    A correction that does not lower |r|, or ``max_iter`` spent inner
-    iterations, raises SolverError, and so does a non-finite |b|, |r| or
-    p.Ap.  Nonsymmetric systems: scipy's BiCGSTAB, restarted from its
-    iterate under the same two rules.
+    tol, and otherwise adds |r| d, where a float32 Krylov method with the
+    operator's preconditioner solves A d = r / |r| to the relative target
+    max(INNER_TOL, tol |b| / (2 |r|)).  Symmetric systems use PCG with the
+    flexible (Polak-Ribiere) beta, which tolerates a preconditioner that is
+    not exactly symmetric (Notay, SIAM J. Sci. Comput. 22, 2000);
+    nonsymmetric ones use scipy's BiCGSTAB (van der Vorst, SIAM J. Sci.
+    Stat. Comput. 13, 1992), whose iterations are its full steps.  Neither
+    projects: A annihilates constants, so the constant part that the
+    smoothing steps of the preconditioner add to the correction leaves r
+    alone, and the outer loop projects r and x.  A correction that does
+    not lower |r|, or ``max_iter`` spent inner iterations, raises
+    SolverError, and so does a non-finite |b|, |r| or (in CG) p.Ap.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
@@ -531,13 +510,10 @@ def solve(system, tol=1e-10, max_iter=20000):
         zero = ScalarField(grid, np.zeros(grid.shape))
         return zero, SolveStats(0, 0.0, 0.0, 0.0)
 
-    if not system.symmetric:
-        x, Ax, it, true = _bicgstab(system.matrix, b, nb, tol, max_iter)
-        energy = 0.5 * float(x @ Ax) - float(x @ b)
-        return ScalarField(grid, x.reshape(grid.shape)), SolveStats(it, true, energy, true)
-
     M = system.operator.preconditioner
     A, A32 = system.matrix, system.operator.matrix32
+    if not system.symmetric:
+        M = spla.LinearOperator(A32.shape, matvec=M, dtype=np.float32)
     project = system.singular
     x, r = np.zeros_like(b), b.copy()
     history = []
@@ -557,34 +533,41 @@ def solve(system, tol=1e-10, max_iter=20000):
             raise SolverError(f"refinement stalled at true residual {true:.3e} > tol={tol}",
                               best_x=x_prev, history=history)
         if it >= max_iter:
-            raise SolverError(f"CG did not reach tol={tol} in {max_iter} iterations "
+            raise SolverError(f"inner solves did not reach tol={tol} in {max_iter} iterations "
                               f"(best residual {true:.3e})", best_x=x, history=history)
-        # float32 PCG for A d = r / |r|, buffers allocated once per correction
+        # a float32 solve of A d = r / |r|: PCG (buffers allocated once per
+        # correction) on symmetric systems, BiCGSTAB otherwise
         target = max(INNER_TOL, 0.5 * tol / true)
         r32 = np.divide(r, nr, out=np.empty(r.shape, np.float32), casting="same_kind")
-        d = np.zeros_like(r32)
-        scratch = np.empty_like(r32)
-        z = M(r32, 1.0)
-        p = z.astype(np.float32)
-        rz = float(r32 @ z)
-        while it < max_iter:
-            Ap = A32 @ p
-            pAp = float(p @ Ap)
-            if not pAp > 0.0:  # also a nan from a non-finite product
-                raise SolverError(f"operator lost positivity in CG (pAp = {pAp})",
-                                  best_x=x, history=history)
-            alpha = rz / pAp
-            d += np.multiply(p, alpha, out=scratch)
-            r32 -= np.multiply(Ap, alpha, out=scratch)
-            rel = float(np.sqrt(r32 @ r32))
-            it += 1
-            if rel <= target:
-                break
-            z = M(r32, rel)
-            beta = -alpha * float(z @ Ap) / rz
+        if system.symmetric:
+            d = np.zeros_like(r32)
+            scratch = np.empty_like(r32)
+            z = M(r32)
+            p = z.astype(np.float32)
             rz = float(r32 @ z)
-            p *= beta
-            p += z
+            while it < max_iter:
+                Ap = A32 @ p
+                pAp = float(p @ Ap)
+                if not pAp > 0.0:  # also a nan from a non-finite product
+                    raise SolverError(f"operator lost positivity in CG (pAp = {pAp})",
+                                      best_x=x, history=history)
+                alpha = rz / pAp
+                d += np.multiply(p, alpha, out=scratch)
+                r32 -= np.multiply(Ap, alpha, out=scratch)
+                rel = float(np.sqrt(r32 @ r32))
+                it += 1
+                if rel <= target:
+                    break
+                z = M(r32)
+                beta = -alpha * float(z @ Ap) / rz
+                rz = float(r32 @ z)
+                p *= beta
+                p += z
+        else:  # BiCGSTAB asks no symmetry of M
+            steps = []
+            d, _ = spla.bicgstab(A32, r32, rtol=target, atol=0.0, maxiter=max_iter - it, M=M,
+                                 callback=steps.append)
+            it += len(steps)
         x_prev = x
         # in float64: nr * d would be float32 (NEP 50) and under- or overflow
         x = x + np.multiply(d, nr, dtype=np.float64)

@@ -14,6 +14,7 @@ from homlab.halfspace import build_halfspace_set
 from homlab.cli import (
     ConfigError, CsvError, config_hash, load_config, main, read_csv, validate_config,
 )
+from test_corrector import CROSS_CHECKERBOARDS
 
 
 def write_spec(tmp_path, n=32, seed=7):
@@ -615,15 +616,17 @@ def test_pipeline_builds_one_operator_per_field_and_kinds(tmp_path, monkeypatch)
 
 
 def test_pipeline_cross_term_checkerboard(tmp_path):
-    cfg = json.loads(small_config(tmp_path, seeds=(0,)).read_text())
-    cfg["ensemble"]["params"]["values"] = [[[0.6, 0.1], [0.1, 0.5]], 1.0]
-    out = tmp_path / "run"
-    manifest = cli.run_pipeline(validate_config(cfg), out)
-    assert "failed" not in manifest
-    report = json.loads(sorted(out.glob("report__*.json"))[-1].read_text())
-    a_hom = np.array(report["a_hom_mean"])
-    assert a_hom.shape == (2, 2) and np.all(np.isfinite(a_hom))
-    assert manifest["residual_summary"]["sigma_identity_max"] <= 1e-10
+    # the symmetric and the nonsymmetric cross checkerboard
+    for name, values in zip(("symmetric", "nonsymmetric"), CROSS_CHECKERBOARDS):
+        cfg = json.loads(small_config(tmp_path, seeds=(0,)).read_text())
+        cfg["ensemble"]["params"]["values"] = list(values)
+        out = tmp_path / name
+        manifest = cli.run_pipeline(validate_config(cfg), out)
+        assert "failed" not in manifest
+        report = json.loads(sorted(out.glob("report__*.json"))[-1].read_text())
+        a_hom = np.array(report["a_hom_mean"])
+        assert a_hom.shape == (2, 2) and np.all(np.isfinite(a_hom))
+        assert manifest["residual_summary"]["sigma_identity_max"] <= 1e-10
 
 
 def test_pipeline_cache_keyed_on_version(tmp_path, monkeypatch):

@@ -202,8 +202,10 @@ def test_solver_dense_oracle_small_systems():
 
 def test_solver_nonconvergence_raises_with_history():
     grid = Grid.torus(2, 16)
+    nonsymmetric = ([[0.006, 0.001], [-0.001, 0.005]], 1.0)  # contrast 100, BiCGSTAB
     for values, max_iter in [((0.25, 1.0), 1), ((0.25, 1.0), 3),
-                             ((0.01, 1.0), 2), ((0.01, 1.0), 8), ((0.01, 1.0), 20)]:
+                             ((0.01, 1.0), 2), ((0.01, 1.0), 8), ((0.01, 1.0), 20),
+                             (nonsymmetric, 1), (nonsymmetric, 3), (nonsymmetric, 8)]:
         f = sample_field(EnsembleSpec.checkerboard(values=values, seed=1), grid)
         sys = assemble(f, BoundarySpec.periodic())
         b = np.random.default_rng(1).standard_normal(sys.n_unknowns)
@@ -268,21 +270,23 @@ class _NanProductAfter:
 
 
 def test_solve_raises_on_non_finite_residual(monkeypatch):
+    # symmetric (CG) and nonsymmetric (BiCGSTAB) fields share the outer loop
     grid = Grid.torus(2, 16)
-    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=1), grid)
-    op = Operator(f, BoundarySpec.periodic())
-    b = np.random.default_rng(1).standard_normal(grid.shape)
-    sys = op.system(src=SourceTerm(volume=b - b.mean()))
-    solve(sys)  # builds the float32 matrix and the preconditioner from the true one
-    A = op.matrix
-    monkeypatch.setattr(op, "matrix", _NanProductAfter(A, 2))
-    with pytest.raises(SolverError, match="residual is not finite") as exc:
-        solve(sys, tol=1e-12)
-    # the iterate of the last finite residual, one correction in
-    history = exc.value.history
-    assert len(history) == 2 and np.all(np.isfinite(exc.value.best_x))
-    true = np.linalg.norm(sys.rhs - A @ exc.value.best_x) / np.linalg.norm(sys.rhs)
-    assert true == pytest.approx(history[-1], rel=1e-10)
+    for values in ((0.25, 1.0), ([[0.6, 0.1], [-0.1, 0.5]], 1.0)):
+        f = sample_field(EnsembleSpec.checkerboard(values=values, seed=1), grid)
+        op = Operator(f, BoundarySpec.periodic())
+        b = np.random.default_rng(1).standard_normal(grid.shape)
+        sys = op.system(src=SourceTerm(volume=b - b.mean()))
+        solve(sys)  # builds the float32 matrix and the preconditioner from the true one
+        A = op.matrix
+        monkeypatch.setattr(op, "matrix", _NanProductAfter(A, 2))
+        with pytest.raises(SolverError, match="residual is not finite") as exc:
+            solve(sys, tol=1e-12)
+        # the iterate of the last finite residual, one correction in
+        history = exc.value.history
+        assert len(history) == 2 and np.all(np.isfinite(exc.value.best_x))
+        true = np.linalg.norm(sys.rhs - A @ exc.value.best_x) / np.linalg.norm(sys.rhs)
+        assert true == pytest.approx(history[-1], rel=1e-10)
 
 
 def test_solve_raises_on_non_finite_curvature(monkeypatch):
@@ -294,7 +298,7 @@ def test_solve_raises_on_non_finite_curvature(monkeypatch):
     b = np.random.default_rng(1).standard_normal(grid.shape)
     sys = op.system(src=SourceTerm(volume=b - b.mean()))
     exact, calls = op.preconditioner, iter(range(10**6))
-    monkeypatch.setattr(op, "preconditioner", lambda r, norm: exact(r, norm) if next(calls) < 5
+    monkeypatch.setattr(op, "preconditioner", lambda r: exact(r) if next(calls) < 5
                         else np.full_like(r, np.nan))
     with pytest.raises(SolverError, match="lost positivity") as exc:
         solve(sys, tol=1e-12)
@@ -611,9 +615,10 @@ def test_solve_stats_bicgstab_nonsymmetric_field():
 @pytest.mark.parametrize("grid", [Grid.half_box(2, 64, tangential_periodic=False),
                                   Grid.torus(2, 64)])
 def test_bicgstab_exits_on_true_residual(grid, seed):
-    # contrast 100 with nonsymmetric cross terms: scipy's recursive residual
-    # reaches tol while the true one is above it (half-box seeds 0 and 2);
-    # restarts from the last iterate close the gap
+    # contrast 100 with nonsymmetric cross terms: each float32 BiCGSTAB
+    # solve stops on its recursive residual near the float32 floor, and the
+    # float64 refinement loop recomputes b - Ax until the true residual
+    # meets tol; with the preconditioner it takes 50-55 iterations
     rng = np.random.default_rng(seed)
     faces = []
     for k in range(2):
@@ -635,6 +640,7 @@ def test_bicgstab_exits_on_true_residual(grid, seed):
         u, stats = solve(sys, tol=tol)
         assert stats.true_residual <= tol
         assert residual_norm(sys, u.values) == pytest.approx(stats.true_residual, rel=1e-12)
+    assert stats.iterations <= 80
 
 
 # -- band assembly against the COO reference ----------------------------------
@@ -815,7 +821,7 @@ def test_solve_tolerates_perturbed_preconditioner():
         # new relative noise at every apply: neither symmetric nor fixed; the
         # flexible beta keeps the iteration count within 2x of the exact
         # preconditioner's (Fletcher-Reeves beta takes 6.7x at 10 % noise)
-        op.preconditioner = lambda r, norm: exact(r, norm) * (
+        op.preconditioner = lambda r: exact(r) * (
             1.0 + noise * rng.standard_normal(r.size))
         u, stats = solve(sys, tol=1e-12)
         assert residual_norm(sys, u.values) <= 1e-12
@@ -832,7 +838,7 @@ def test_smoothed_preconditioner_is_spd(case):
     assert op.symmetric
     n = op.matrix.shape[0]
     eye = np.eye(n, dtype=np.float32)
-    M = np.stack([op.preconditioner(e, 1.0) for e in eye], axis=1).astype(float)
+    M = np.stack([op.preconditioner(e) for e in eye], axis=1).astype(float)
     assert np.abs(M - M.T).max() <= 1e-6 * np.abs(M).max()
     sym = 0.5 * (M + M.T)
     if op.singular:  # on the mean-free subspace
@@ -857,7 +863,7 @@ def test_smoothed_preconditioner_cuts_iterations(monkeypatch):
     fast = ft.FastConstSolver(grid, cell_offsets(2), op.axis_bcs, grid.shape, project_mean=True,
                               coeff=op.mean_coeff, dtype=np.float32)
     monkeypatch.setattr(op, "preconditioner",
-                        lambda r, norm: fast.solve(r.reshape(grid.shape)).ravel())
+                        lambda r: fast.solve(r.reshape(grid.shape)).ravel())
     u, plain = solve(sys, tol=1e-12)
     assert residual_norm(sys, u.values) <= 1e-12 and smoothed.true_residual <= 1e-12
     assert smoothed.iterations <= 0.6 * plain.iterations

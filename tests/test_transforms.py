@@ -175,7 +175,7 @@ def test_fast_solver_project_mean_matches_least_squares(axes, h, seed):
 def test_single_precision_solver_matches_float64(axes, h, coeff, magnitude, seed):
     """The float32 instance folds ``coeff`` into its symbol, returns float32
     within float32 round-off of the exact solve for data of unit norm (what
-    the inner CG solves hand it, whatever the magnitude of their
+    the inner solves hand it, whatever the magnitude of their
     right-hand side), and leaves its input unwritten."""
     shape = [m for _, m in axes]
     project = all(case in SINGULAR_AXES for case, _ in axes)

@@ -324,8 +324,8 @@ def excess_header(dim):
 def excess_rows(cfg, samples):
     """Excess table rows (``excess_header``) of one harmonic sample per
     (trace seed, torus field f, half-space set) in ``samples``, on the
-    window ``excess.R`` of f (samples of one field share one window
-    record); also the fitted exponent and mean-value constant of each."""
+    window ``excess.R`` of f (samples of one field share its window
+    operator); also the fitted exponent and mean-value constant of each."""
     ex = cfg["excess"]
     rows, alphas, c_means = [], [], []
     for seed, f, hset in samples:
@@ -418,9 +418,10 @@ def run_pipeline(cfg, out_dir):
         else:
             results = []
             for name, run in STAGES.items():
-                t0 = time.time()
+                t0 = time.perf_counter()
                 results.append(run(cfg, out_dir, tag, *results))
-                manifest["stages"][name] = {"cached": False, "seconds": round(time.time() - t0, 3)}
+                manifest["stages"][name] = {"cached": False,
+                                            "seconds": round(time.perf_counter() - t0, 3)}
         hs_sum = out_dir / f"halfspace__{tag}__summary.json"
         if hs_sum.exists():
             entries = json.loads(hs_sum.read_text())

@@ -13,20 +13,16 @@ harmonic samples solve the mixed problem on the box window
 flat side); any such solution is a-harmonic with no-flux data on B_R^+,
 which is all the decay theory needs.
 
-Many harmonic samples on one window share one window record: the window
-operator of the last (torus field, R) and the corrected-gradient family
-of the last half-space set on that window, read-only.  There is one
-record at a time: a new field, R or set replaces it, and it is released
-when its field or set is garbage-collected.  Fields and sets are taken as
-immutable: a field changed in place after a sample keeps its old window
-operator.  Every ball mean goes through the quadrature of ``homlab.pde``,
-whose half-ball masks are cached by value, so the record holds none.
+Many harmonic samples on one window share its operator, and many excess
+evaluations share the corrected-gradient family: the torus field keeps the
+operator of its last window and the half-space set the family on its last
+grid, read-only, and both go with their owner.  Fields and sets are taken
+as immutable: a field changed in place after a sample keeps its old window
+operator.  Every ball mean goes through the quadrature of ``homlab.pde``.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,75 +96,29 @@ class HarmonicSample:
 
 def window_operator(field_torus, R):
     """Operator of the box window of half-width and height R cut from the
-    torus field: no-flux flat side, Dirichlet far sides.  One serves the
-    harmonic samples of every trace on that window."""
+    torus field: no-flux flat side, Dirichlet far sides.  It serves every
+    trace on that window and is kept on the field for the last R (a new R
+    drops it before the new one is built)."""
+    kept = vars(field_torus).get("_window_operator")
+    if kept is not None and kept[0] == R:
+        return kept[1]
+    field_torus._window_operator = None
     window = restrict_to_half_box(field_torus, R, tangential_periodic=False)
-    return Operator(window, BoundarySpec.half_box(window.grid))
+    op = Operator(window, BoundarySpec.half_box(window.grid))
+    field_torus._window_operator = (R, op)
+    return op
 
 
 def harmonic_sample(field_torus, R, trace, tol=1e-11):
     """Solve the mixed Dirichlet(round)/no-flux(flat) problem on the box
     window of half-width and height R cut from the torus field; repeated
-    samples on one (field, R) share the window record's operator."""
-    op = _window_for(field_torus, R).op
+    samples on one (field, R) share its ``window_operator``."""
+    op = window_operator(field_torus, R)
     bc = BoundarySpec.half_box(
         op.grid, flat=NoFlux(0.0), top=Dirichlet(trace), lateral=Dirichlet(trace)
     )
     u, stats = solve(op.system(bc), tol=tol)
     return HarmonicSample(u, op.field, R, stats.relative_residual, stats.energy)
-
-
-# ---------------------------------------------------------------------------
-# the window record
-# ---------------------------------------------------------------------------
-
-
-class _Window:
-    """The box window of half-width and height R of one torus field: its
-    operator and the corrected-gradient family of the last half-space set
-    seen on it.  Only weak references to the field and the set are kept."""
-
-    def __init__(self, field_torus, R):
-        self.field = weakref.ref(field_torus, _forget)
-        self.R = R
-        self.op = window_operator(field_torus, R)
-        self.grid = self.op.grid
-        self.family = (None, None)  # (weak reference to the set, its family)
-
-
-_window = None  # the one window record, or None
-_lock = threading.Lock()  # serializes checking and replacing the record or its family
-
-
-def _forget(ref):
-    """Weak-reference callback: the record's field or set was collected."""
-    global _window
-    w = _window
-    if w is not None and (w.field is ref or w.family[0] is ref):
-        _window = None
-
-
-def _window_for(field_torus, R):
-    """The record of (field, R), replacing any other one."""
-    global _window
-    with _lock:
-        w = _window
-        if w is None or w.field() is not field_torus or w.R != R:
-            _window = None  # release the old window before the new one is built
-            w = _window = _Window(field_torus, R)
-    return w
-
-
-def _record_on(grid):
-    """The record whose window grid is ``grid``, or None."""
-    w = _window
-    return w if w is not None and w.grid == grid else None
-
-
-def _read_only(arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -188,24 +138,19 @@ def _corrected_gradient(hset, i, grid):
             for k in range(d)]
 
 
-def corrected_gradient_family(hset, win_grid):
+def corrected_gradient_family(hset, grid):
     """Per tangential direction, the face components of b + grad phi_h_b
-    evaluated on the window face families."""
-    return [_corrected_gradient(hset, i, win_grid) for i in range(win_grid.dim - 1)]
-
-
-def _family(hset, grid):
-    """``corrected_gradient_family``, kept read-only by the record when
-    ``grid`` is its window."""
-    w = _record_on(grid)
-    if w is None:
-        return corrected_gradient_family(hset, grid)
-    with _lock:
-        ref, fam = w.family
-        if ref is None or ref() is not hset:
-            w.family = (None, None)  # release the old family before the new one is built
-            fam = [_read_only(comps) for comps in corrected_gradient_family(hset, grid)]
-            w.family = (weakref.ref(hset, _forget), fam)
+    on the face families of ``grid``, kept read-only on the set for the
+    last grid (a new grid drops it before the new one is built)."""
+    kept = vars(hset).get("_gradient_family")
+    if kept is not None and kept[0] == grid:
+        return kept[1]
+    hset._gradient_family = None
+    fam = [_corrected_gradient(hset, i, grid) for i in range(grid.dim - 1)]
+    for comps in fam:
+        for a in comps:
+            a.flags.writeable = False
+    hset._gradient_family = (grid, fam)
     return fam
 
 
@@ -227,7 +172,7 @@ def excess(u, r, hset):
     space via the normal equations; singular Gram systems fall back to
     the minimum-norm solution."""
     grid = u.grid
-    return _excess(gradient(u), _family(hset, grid), hset.basis, grid, r)
+    return _excess(gradient(u), corrected_gradient_family(hset, grid), hset.basis, grid, r)
 
 
 def _excess(g, fam, basis, grid, r):
@@ -279,7 +224,7 @@ def excess_decay_experiment(sample, hset, radii, fit_window=None):
     radii = sorted(float(r) for r in radii)
     grid = sample.u.grid
     g = gradient(sample.u)
-    fam = _family(hset, grid)
+    fam = corrected_gradient_family(hset, grid)
     vals = []
     mins = []
     cond = 0.0

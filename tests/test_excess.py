@@ -1,5 +1,4 @@
 import gc
-import importlib
 import weakref
 
 import numpy as np
@@ -33,8 +32,6 @@ from homlab.excess import (
     mean_value_check,
     smallness_radius,
 )
-
-excess_module = importlib.import_module("homlab.excess")  # the package exports the function
 
 
 def make_setup(n=64, seed=7, values=(0.25, 1.0), constant=None, tol=1e-12):
@@ -75,15 +72,9 @@ def test_harmonic_sample_constant_trace():
     assert np.abs(s.u.values - 2.0).max() <= 1e-10
 
 
-def test_window_record_builds_one_operator_per_window(monkeypatch):
-    """Three samples on one (field, R) build one window operator; a second
-    R and then a second field build one more each, and the record lets
-    go of a replaced window and of a collected field."""
+def _count_operator_builds(monkeypatch):
     from homlab import pde
 
-    grid = Grid.torus(2, 32)
-    f1 = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=5), grid)
-    f2 = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=6), grid)
     builds = []
     init = pde.Operator.__init__
 
@@ -91,19 +82,38 @@ def test_window_record_builds_one_operator_per_window(monkeypatch):
         builds.append(field.grid)
         init(self, field, bc)
 
-    monkeypatch.setattr(excess_module, "_window", None)
     monkeypatch.setattr(pde.Operator, "__init__", counting_init)
+    return builds
+
+
+def _drop_kept(*owners):
+    """Forget the window operators and families kept on fields and sets."""
+    for owner in owners:
+        vars(owner).pop("_window_operator", None)
+        vars(owner).pop("_gradient_family", None)
+
+
+def test_window_operator_builds_one_operator_per_field_and_R(monkeypatch):
+    """Three samples on one (field, R) build one window operator; a second
+    R and then a second field build one more each; the field lets go of a
+    replaced operator, and the last one goes with its field."""
+    grid = Grid.torus(2, 32)
+    f1 = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=5), grid)
+    f2 = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=6), grid)
+    builds = _count_operator_builds(monkeypatch)
     cases = [(f1, 8.0, 1), (f1, 8.0, 2), (f1, 8.0, 3), (f1, 4.0, 4), (f2, 4.0, 5)]
     samples, counts = [], []
     for f, R, seed in cases:
         samples.append(harmonic_sample(f, R, band_limited_trace(seed, R)))
         counts.append(len(builds))
         if len(samples) == 1:
-            first_op = weakref.ref(excess_module._window.op)
+            first_op = weakref.ref(window_operator(f1, 8.0))
     assert counts == [1, 1, 1, 2, 3]
     gc.collect()
     assert first_op() is None
+    # each sample is the solve on a freshly built operator of its window
     for (f, R, seed), sample in zip(cases, samples):
+        _drop_kept(f)
         op = window_operator(f, R)
         trace = band_limited_trace(seed, R)
         bc = BoundarySpec.half_box(op.grid, flat=NoFlux(0.0), top=Dirichlet(trace),
@@ -111,21 +121,38 @@ def test_window_record_builds_one_operator_per_window(monkeypatch):
         u, _ = solve(op.system(bc), tol=1e-11)
         assert np.array_equal(sample.u.values, u.values)
     del op, f, cases
-    last_op = weakref.ref(excess_module._window.op)
+    last_op = weakref.ref(window_operator(f2, 4.0))
     del f2
     gc.collect()
-    assert excess_module._window is None and last_op() is None
+    assert last_op() is None
 
 
-def test_window_record_lets_go_of_a_collected_set(monkeypatch):
-    monkeypatch.setattr(excess_module, "_window", None)
+def test_window_operators_of_live_fields_do_not_evict_one_another(monkeypatch):
+    # samples interleaved on two fields at one R keep one window each
+    grid = Grid.torus(2, 32)
+    fields = [sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=s), grid)
+              for s in (5, 6)]
+    builds = _count_operator_builds(monkeypatch)
+    for seed, f in enumerate(fields * 2):
+        harmonic_sample(f, 8.0, band_limited_trace(seed, 8.0))
+    assert len(builds) == 2
+
+
+def test_gradient_family_is_kept_read_only_and_goes_with_its_set():
+    from homlab.excess import corrected_gradient_family
+
     f, pair, hset = make_setup(n=32, seed=3)
     s = harmonic_sample(f, 8.0, band_limited_trace(2, 8.0))
     excess_decay_experiment(s, hset, [4.0, 8.0])
-    family = weakref.ref(excess_module._window.family[1][0][0])
-    del pair, hset
+    fam = corrected_gradient_family(hset, s.u.grid)
+    assert fam is corrected_gradient_family(hset, s.u.grid)
+    assert all(not a.flags.writeable for comps in fam for a in comps)
+    with pytest.raises(ValueError):
+        fam[0][0][0, 0] = 0.0
+    family = weakref.ref(fam[0][0])
+    del fam, pair, hset
     gc.collect()
-    assert excess_module._window is None and family() is None
+    assert family() is None
 
 
 def _same_reports(a, b):
@@ -139,7 +166,7 @@ def _same_reports(a, b):
     assert np.array_equal(co_a.values, co_b.values)
 
 
-def test_window_record_gives_the_same_reports_warm_and_cleared(monkeypatch):
+def test_kept_window_gives_the_same_reports_warm_and_fresh():
     from homlab import pde
     from homlab.excess import corrected_gradient_family
     from homlab.grid import face_offsets
@@ -147,7 +174,7 @@ def test_window_record_gives_the_same_reports_warm_and_cleared(monkeypatch):
     f, pair, hset = make_setup(n=64, seed=5)
     radii = [4.0, 8.0, 16.0]
 
-    def reports(seed, clear):
+    def reports(seed, fresh):
         out = []
         for step in (
             lambda: harmonic_sample(f, 16.0, band_limited_trace(seed, 16.0)),
@@ -155,36 +182,35 @@ def test_window_record_gives_the_same_reports_warm_and_cleared(monkeypatch):
             lambda: mean_value_check(out[0], radii),
             lambda: coercivity_check(hset, 8.0),
         ):
-            if clear:
-                monkeypatch.setattr(excess_module, "_window", None)
+            if fresh:
+                _drop_kept(f, hset)
                 pde._cached_ball_mask.cache_clear()
             out.append(step())
         return out[1:]
 
     for seed in (1, 2):
-        cold = reports(seed, clear=True)
-        reports(seed, clear=False)  # warms the record on this sample's window
-        warm = reports(seed, clear=False)
-        record = excess_module._window
-        assert record.family[0]() is hset
+        cold = reports(seed, fresh=True)
+        reports(seed, fresh=False)  # warms the window of this sample
+        warm = reports(seed, fresh=False)
+        window = window_operator(f, 16.0).grid
+        assert vars(hset)["_gradient_family"][0] == window
         _same_reports(warm, cold)
     # the first direction on the set's own grid, as the whole family gives it
     grid = hset.grid
     fam = corrected_gradient_family(hset, grid)[0]
     assert warm[2].empirical_constant == ball_mean_square(VectorField(grid, fam), grid, 8.0)
     # the quadrature serves one read-only mask per key
-    mask = interior_ball_mask(record.grid, face_offsets(2, 0), 8.0)
-    assert mask is interior_ball_mask(record.grid, face_offsets(2, 0), 8.0)
+    mask = interior_ball_mask(window, face_offsets(2, 0), 8.0)
+    assert mask is interior_ball_mask(window, face_offsets(2, 0), 8.0)
     with pytest.raises(ValueError):
         mask[0, 0] = True
-    # another set on the same window gives the same values from the
-    # record and cleared
+    # another set on the same window gives the same values warm and fresh
     sample = harmonic_sample(f, 16.0, band_limited_trace(3, 16.0))
     _, _, other = make_setup(n=64, seed=6)
     values = lambda h: (excess_decay_experiment(sample, h, radii).excess,
                         excess(sample.u, 8.0, h).value)
     warm_values = [values(h) for h in (hset, other)]
-    monkeypatch.setattr(excess_module, "_window", None)
+    _drop_kept(f, hset, other)
     cold_values = [values(h) for h in (hset, other)]
     for (w_exc, w_c), (c_exc, c_c) in zip(warm_values, cold_values):
         assert np.array_equal(w_exc, c_exc) and w_c == c_c

@@ -73,6 +73,7 @@ from .excess import (
     excess_decay_experiment,
     harmonic_sample,
     mean_value_check,
+    release_window,
 )
 
 
@@ -325,10 +326,12 @@ def excess_rows(cfg, samples):
     """Excess table rows (``excess_header``) of one harmonic sample per
     (trace seed, torus field f, half-space set) in ``samples``, on the
     window ``excess.R`` of f (samples of one field share its window
-    operator); also the fitted exponent and mean-value constant of each."""
+    operator); also the fitted exponent and mean-value constant of each.
+    A field's window and its set's family are released once the next
+    sample is on another field, so one window is alive at a time."""
     ex = cfg["excess"]
     rows, alphas, c_means = [], [], []
-    for seed, f, hset in samples:
+    for n, (seed, f, hset) in enumerate(samples):
         trace = band_limited_trace(seed, ex["R"], amplitude=ex["trace_amplitude"], dim=f.grid.dim)
         sample = harmonic_sample(f, ex["R"], trace, tol=min(cfg["tol"] * 1e2, 1e-10))
         rep = excess_decay_experiment(sample, hset, ex["radii"])
@@ -340,6 +343,8 @@ def excess_rows(cfg, samples):
             rows.append([int(seed), float(r), float(rep.excess[i]),
                          *[float(c) for c in rep.minimizers[i]],
                          float(ratio), float(rep.fitted_alpha), float(mvp.ratios[i])])
+        if n + 1 == len(samples) or samples[n + 1][1] is not f:
+            release_window(f, hset)
     return rows, alphas, c_means
 
 

@@ -22,6 +22,7 @@ returns -q, which the residual check rejects.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -245,14 +246,39 @@ def flux_potential_residual(fps, q_comps, inner_radius=None):
     return float(np.sqrt(num / den)) if den > 0 else float(np.sqrt(num))
 
 
+class _Currents(Mapping):
+    """Read-only ``i -> flux_correction(cset, a_hom, i)``, each read
+    computing direction i alone; nothing is kept."""
+
+    def __init__(self, pair):
+        self._pair = pair
+
+    def __getitem__(self, i):
+        if i not in range(len(self)):
+            raise KeyError(i)
+        return flux_correction(self._pair.cset, self._pair.a_hom, i)
+
+    def __len__(self):
+        return self._pair.cset.grid.dim
+
+    def __iter__(self):
+        return iter(range(len(self)))
+
+
 @dataclass
 class WholeSpacePair:
-    """Corrector/flux-potential pair for all coordinate directions."""
+    """Corrector/flux-potential pair for all coordinate directions.  The
+    corrected currents are not kept: ``q[i]`` computes q_i from the
+    correctors on each read."""
 
     cset: CorrectorSet
     a_hom: np.ndarray
-    q: dict  # i -> VectorField
     sigmas: dict  # i -> FluxPotentialSet
+
+    @property
+    def q(self):
+        """i -> q_i = a(grad phi_i + e_i) - a_hom e_i (``flux_correction``)."""
+        return _Currents(self)
 
     def sigma_for(self, b):
         """The flux potential sum_w b_w sigma_w of direction b (linear in b,
@@ -266,14 +292,13 @@ class WholeSpacePair:
 
 
 def solve_pair(field, tol=DEFAULT_TOL):
+    """Correctors, a_hom and flux potentials; each direction's current is
+    built only to solve its flux potential."""
     cset = solve_correctors(field, tol=tol)
     a_hom = homogenized_matrix(cset)
-    q = {}
-    sigmas = {}
-    for i in range(field.grid.dim):
-        q[i] = flux_correction(cset, a_hom, i)
-        sigmas[i] = solve_flux_potential(field.grid, q[i])
-    return WholeSpacePair(cset, a_hom, q, sigmas)
+    sigmas = {i: solve_flux_potential(field.grid, flux_correction(cset, a_hom, i))
+              for i in range(field.grid.dim)}
+    return WholeSpacePair(cset, a_hom, sigmas)
 
 
 # ---------------------------------------------------------------------------

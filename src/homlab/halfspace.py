@@ -334,8 +334,9 @@ class HalfSpaceCorrectorSet:
 
 def restrict_pair(pair, b, half_grid):
     """The whole-space corrector phi_b, flux potential ``sigma_for(b)`` and
-    current q_b = sum_w b_w q_w restricted to a half-box cut from the
-    torus of the pair; each array is a new one."""
+    current q_b = a(grad phi_b + b) - a_hom b restricted to a half-box cut
+    from the torus of the pair; each array is a new one, and q_b is the one
+    torus-sized current built."""
     torus = pair.cset.grid
     d = half_grid.dim
     phi = ScalarField(half_grid, restrict_values(pair.cset.phi_for(b).values, torus, half_grid,
@@ -344,8 +345,10 @@ def restrict_pair(pair, b, half_grid):
         key: ScalarField(half_grid, restrict_values(f.values, torus, half_grid, f.offsets),
                          f.offsets)
         for key, f in pair.sigma_for(b).sigma.items()})
-    q = [restrict_values(sum(b[w] * pair.q[w].comps[k] for w in range(d)), torus, half_grid,
-                         face_offsets(d, k)) for k in range(d)]
+    cur = pair.cset.current(b)
+    a_hom_b = pair.a_hom @ b
+    q = [restrict_values(cur.comps[k] - a_hom_b[k], torus, half_grid, face_offsets(d, k))
+         for k in range(d)]
     return phi, sigma, VectorField(half_grid, q)
 
 

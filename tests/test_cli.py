@@ -695,6 +695,43 @@ def stage_config(dim, n, seed, **extra):
     })
 
 
+def test_excess_rows_keep_one_window_alive(monkeypatch):
+    """excess_rows releases a field's window operator and its set's
+    gradient family once the next sample is on another field; samples of
+    one field share one window."""
+    import gc
+    import weakref
+
+    from homlab import pde
+    from homlab.field import EnsembleSpec, sample_field
+    from homlab.grid import Grid
+
+    cfg = stage_config(2, 32, 0, excess={"R": 8.0})
+    samples = []
+    for seed in range(3):
+        f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=seed), Grid.torus(2, 32))
+        samples.append((seed, f, build_halfspace_set(f, solve_pair(f, tol=1e-10), L=16.0,
+                                                     tol=1e-10)))
+    windows = []
+    init = pde.Operator.__init__
+
+    def recording_init(self, field, bc):
+        init(self, field, bc)
+        if not field.grid.tangential_periodic:
+            windows.append(weakref.ref(self))
+
+    monkeypatch.setattr(pde.Operator, "__init__", recording_init)
+    cli.excess_rows(cfg, samples)
+    gc.collect()
+    assert len(windows) == 3
+    assert sum(w() is not None for w in windows) <= 1
+    assert sum("_gradient_family" in vars(hset) for _, _, hset in samples) <= 1
+    windows.clear()
+    _, f, hset = samples[0]
+    cli.excess_rows(cfg, [(0, f, hset), (1, f, hset)])
+    assert len(windows) == 1
+
+
 def test_corrector_command_matches_corrector_stage_3d(tmp_path):
     # the default runs every direction, e3 included
     cfg = stage_config(3, 16, 2, radii=[2.0, 4.0], excess={"radii": [4.0]})

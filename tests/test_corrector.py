@@ -224,6 +224,36 @@ def test_sigma_for_coordinate_directions_and_linearity(dim, n):
         assert np.allclose(s.values, expect, rtol=0.0, atol=1e-15)
 
 
+def test_pair_currents_are_computed_on_read(monkeypatch):
+    """pair.q keeps nothing: each read of q[i] builds direction i alone,
+    bit-identical to ``flux_correction``, and the mapping behaves like a
+    dict of the d directions."""
+    from homlab import corrector
+
+    pair = solve_pair(sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=4),
+                                   Grid.torus(3, 8)))
+    held = [x for v in vars(pair).values() for x in (v.values() if isinstance(v, dict) else (v,))]
+    assert not any(isinstance(x, VectorField) for x in held)
+    calls = []
+    real_flux = corrector.flux
+
+    def counting_flux(field, u):
+        calls.append(u)
+        return real_flux(field, u)
+
+    monkeypatch.setattr(corrector, "flux", counting_flux)
+    for i in range(3):
+        calls.clear()
+        q = pair.q[i]
+        assert len(calls) == 1
+        ref = flux_correction(pair.cset, pair.a_hom, i)
+        assert all(np.array_equal(a, b) for a, b in zip(q.comps, ref.comps))
+    assert len(pair.q) == 3 and list(pair.q) == [0, 1, 2] and 2 in pair.q and 3 not in pair.q
+    for key in (3, -1, "0"):
+        with pytest.raises(KeyError):
+            pair.q[key]
+
+
 def zero_pair(grid, phi_const=0.0):
     d = grid.dim
     phi = {i: ScalarField(grid, np.full(grid.shape, phi_const)) for i in range(d)}
@@ -244,7 +274,7 @@ def zero_pair(grid, phi_const=0.0):
 
     f = sample_field(EnsembleSpec.constant(np.eye(d)), grid)
     cset = CorrectorSet(f, phi)
-    return WholeSpacePair(cset, np.eye(d), {}, sig)
+    return WholeSpacePair(cset, np.eye(d), sig)
 
 
 def test_sublinearity_zero_and_constant_oracle():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,13 +341,37 @@ def test_restrict_pair_restricts_sigma_for():
     pair = solve_pair(f, tol=1e-12)
     half = restrict_to_half_box(f, 16.0).grid
     b = tangential_basis(pair.a_hom).vectors[0]
-    _, sigma, _ = restrict_pair(pair, b, half)
+    _, sigma, q = restrict_pair(pair, b, half)
     whole = pair.sigma_for(b)
     assert isinstance(sigma, FluxPotentialSet) and sigma.grid == half
     assert list(sigma.sigma) == list(whole.sigma) == [(0, 1)]
     offs = pair_offsets(2, 0, 1)
     assert np.array_equal(sigma.sigma[(0, 1)].values,
                           restrict_values(whole.sigma[(0, 1)].values, grid, half, offs))
+    # the current of direction b is the superposition of the coordinate ones
+    for k in range(2):
+        expect = restrict_values(sum(b[w] * pair.q[w].comps[k] for w in range(2)), grid, half,
+                                 face_offsets(2, k))
+        assert np.allclose(q.comps[k], expect, rtol=0.0, atol=1e-13)
+
+
+def test_pair_and_halfspace_set_peak_memory():
+    # bytes per torus cell of numpy arrays on a 3d 32^3 grid, the field
+    # excluded: the pair keeps phi and sigma but no currents, and the
+    # half-space build holds at most one torus-sized current at a time
+    grid = Grid.torus(3, 32)
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=2), grid)
+    cells = grid.shape[0] ** 3
+    tracemalloc.start()
+    try:
+        pair = solve_pair(f, tol=1e-10)
+        kept = tracemalloc.get_traced_memory()[0]
+        build_halfspace_set(f, pair, L=16.0, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 110 * cells
+    assert peak <= 360 * cells
 
 
 @st.composite

@@ -8,7 +8,11 @@ exchanged as CSV, fields as binary, and a pipeline run is reproducible
 byte-for-byte from its config (fixed seeds, fixed reduction order).
 
 `validate_config` is the one place that knows the config defaults; the
-stages and the cache key read the config it fills.  The subcommands map
+stages and the cache key read the config it fills.  `pipeline` runs seed
+by seed: `run_seed` runs the three stages of one seed, whose field, pair
+and half-space set go when it returns, `threads > 1` runs whole seeds in
+a pool, and the stage files are written once every seed is done (the
+manifest's stage seconds are sums over the seeds).  The subcommands map
 their flags onto config keys (the grid comes from the field file), pass
 the checks of the stages they run, so a bad flag exits 2 before any
 solve, and run the stages' per-seed code:
@@ -73,7 +77,6 @@ from .excess import (
     excess_decay_experiment,
     harmonic_sample,
     mean_value_check,
-    release_window,
 )
 
 
@@ -186,6 +189,8 @@ def validate_config(raw):
     if not isinstance(seeds, (list, tuple)) or not all(
             isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in seeds):
         raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
+    if not seeds:
+        raise ConfigError("seeds is empty; a run needs at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
     cfg["seeds"] = [int(s) for s in seeds]
@@ -193,6 +198,8 @@ def validate_config(raw):
     try:
         cfg["grid"] = {**g, "dim": int(g["dim"]), "n": int(g["n"]), "h": float(g.get("h", 1.0))}
         cfg["tol"], cfg["threads"] = float(cfg["tol"]), int(cfg["threads"])
+        if cfg["threads"] < 1:
+            raise ConfigError(f"threads {cfg['threads']} is below 1")
         grid = _grid_from_config(cfg)
         for check in (check_corrector, check_halfspace, check_excess):
             check(cfg, grid)
@@ -322,16 +329,15 @@ def excess_header(dim):
         "ratio", "fitted_alpha", "mvp_ratio"]
 
 
-def excess_rows(cfg, samples):
+def excess_rows(cfg, f, hset, seeds):
     """Excess table rows (``excess_header``) of one harmonic sample per
-    (trace seed, torus field f, half-space set) in ``samples``, on the
-    window ``excess.R`` of f (samples of one field share its window
-    operator); also the fitted exponent and mean-value constant of each.
-    A field's window and its set's family are released once the next
-    sample is on another field, so one window is alive at a time."""
+    trace seed in ``seeds`` on the window ``excess.R`` of the torus field
+    f (the samples share its window operator), measured against the
+    half-space set hset of f; also the fitted exponent and mean-value
+    constant of each sample."""
     ex = cfg["excess"]
     rows, alphas, c_means = [], [], []
-    for n, (seed, f, hset) in enumerate(samples):
+    for seed in seeds:
         trace = band_limited_trace(seed, ex["R"], amplitude=ex["trace_amplitude"], dim=f.grid.dim)
         sample = harmonic_sample(f, ex["R"], trace, tol=min(cfg["tol"] * 1e2, 1e-10))
         rep = excess_decay_experiment(sample, hset, ex["radii"])
@@ -343,70 +349,66 @@ def excess_rows(cfg, samples):
             rows.append([int(seed), float(r), float(rep.excess[i]),
                          *[float(c) for c in rep.minimizers[i]],
                          float(ratio), float(rep.fitted_alpha), float(mvp.ratios[i])])
-        if n + 1 == len(samples) or samples[n + 1][1] is not f:
-            release_window(f, hset)
     return rows, alphas, c_means
 
 
-def run_corrector_stage(cfg, out_dir, tag):
-    grid = _grid_from_config(cfg)
-    spec = EnsembleSpec.from_dict(cfg["ensemble"])
-
-    def one(seed):
-        f = sample_field(replace(spec, seed=seed), grid)
-        pair = solve_pair(f, tol=cfg["tol"])
-        return seed, f, pair, sublinearity_curve(pair, cfg["radii"])
-
-    if cfg["threads"] > 1:
-        with ThreadPoolExecutor(max_workers=cfg["threads"]) as ex:
-            results = list(ex.map(one, cfg["seeds"]))
-    else:
-        results = [one(seed) for seed in cfg["seeds"]]
-    summaries = []
-    for seed, f, pair, curve in results:
-        write_csv(out_dir / f"corrector__{tag}__seed{seed}.csv", CORRECTOR_HEADER,
-                  corrector_rows(curve))
-        summaries.append({"seed": seed, "a_hom": pair.a_hom.tolist(),
-                          "delta_first": float(curve.delta[0]),
-                          "delta_last": float(curve.delta[-1])})
-    write_json(out_dir / f"corrector__{tag}__summary.json", summaries)
-    return results
+STAGES = ("corrector", "halfspace", "excess")
+SEED_CSVS = {"corrector": CORRECTOR_HEADER, "halfspace": HALFSPACE_HEADER,
+             "halfspace_dyadic": DYADIC_HEADER}
 
 
-def run_halfspace_stage(cfg, out_dir, tag, corr_results):
-    summaries, hsets = [], {}
-    for seed, f, pair, curve in corr_results:
-        hsets[seed], rows, entry, dy_rows = halfspace_seed(cfg, f, pair, curve)
-        write_csv(out_dir / f"halfspace__{tag}__seed{seed}.csv", HALFSPACE_HEADER, rows)
-        if dy_rows is not None:
-            write_csv(out_dir / f"halfspace_dyadic__{tag}__seed{seed}.csv", DYADIC_HEADER, dy_rows)
-        summaries.append({"seed": seed, **entry})
-    write_json(out_dir / f"halfspace__{tag}__summary.json", summaries)
-    return hsets
-
-
-def run_excess_stage(cfg, out_dir, tag, corr_results, hsets):
+def run_seed(cfg, seed):
+    """The three stages for one seed of the filled config ``cfg``: the rows
+    of its per-seed CSVs by kind (``SEED_CSVS``), its entry per stage (the
+    summary entry; for the excess stage its rows, fitted exponent and
+    mean-value constant) and each stage's seconds.  The seed's field, pair,
+    set, window operator and gradient family go when it returns."""
+    clock = [time.perf_counter()]
+    f = sample_field(replace(EnsembleSpec.from_dict(cfg["ensemble"]), seed=seed),
+                     _grid_from_config(cfg))
+    pair = solve_pair(f, tol=cfg["tol"])
+    curve = sublinearity_curve(pair, cfg["radii"])
+    csvs = {"corrector": corrector_rows(curve)}
+    entries = {"corrector": {"seed": seed, "a_hom": pair.a_hom.tolist(),
+                             "delta_first": float(curve.delta[0]),
+                             "delta_last": float(curve.delta[-1])}}
+    clock.append(time.perf_counter())
+    hset, csvs["halfspace"], entry, dy_rows = halfspace_seed(cfg, f, pair, curve)
+    if dy_rows is not None:
+        csvs["halfspace_dyadic"] = dy_rows
+    entries["halfspace"] = {"seed": seed, **entry}
+    clock.append(time.perf_counter())
     # one trace per field, seeded like the field
-    rows, alphas, c_means = excess_rows(cfg, [(seed, f, hsets[seed])
-                                              for seed, f, _, _ in corr_results])
-    write_csv(out_dir / f"excess__{tag}.csv", excess_header(cfg["grid"]["dim"]), rows)
+    rows, (alpha,), (c_mean,) = excess_rows(cfg, f, hset, [seed])
+    entries["excess"] = {"rows": rows, "alpha": alpha, "c_mean": c_mean}
+    clock.append(time.perf_counter())
+    return csvs, entries, {name: b - a for name, a, b in zip(STAGES, clock, clock[1:])}
+
+
+def write_stage_files(cfg, out_dir, tag, results):
+    """The stage files of the ``run_seed`` results, in the order of
+    ``cfg["seeds"]``."""
+    for seed, (csvs, _, _) in zip(cfg["seeds"], results):
+        for kind, rows in csvs.items():
+            write_csv(out_dir / f"{kind}__{tag}__seed{seed}.csv", SEED_CSVS[kind], rows)
+    for name in ("corrector", "halfspace"):
+        write_json(out_dir / f"{name}__{tag}__summary.json", [e[name] for _, e, _ in results])
+    ex = [e["excess"] for _, e, _ in results]
+    write_csv(out_dir / f"excess__{tag}.csv", excess_header(cfg["grid"]["dim"]),
+              [row for e in ex for row in e["rows"]])
+    alphas, c_means = [e["alpha"] for e in ex], [e["c_mean"] for e in ex]
     # null, not NaN (invalid JSON), when no seed gave a finite value
-    summary = {
+    write_json(out_dir / f"excess__{tag}__summary.json", {
         "alpha_mean": float(np.nanmean(alphas)) if np.isfinite(alphas).any() else None,
         "c_mean_max": float(np.nanmax(c_means)) if np.isfinite(c_means).any() else None,
-    }
-    write_json(out_dir / f"excess__{tag}__summary.json", summary)
-    return summary
-
-
-STAGES = {"corrector": run_corrector_stage, "halfspace": run_halfspace_stage,
-          "excess": run_excess_stage}
+    })
 
 
 def run_pipeline(cfg, out_dir):
-    """Run the stages of the filled config ``cfg`` into ``out_dir``, each
-    fed the results of the stages before it, unless every output of this
-    config hash is there already; returns the manifest."""
+    """Run the stages of the filled config ``cfg`` into ``out_dir`` seed by
+    seed (``run_seed``), unless every output of this config hash is there
+    already, and write the stage files once every seed is done; returns the
+    manifest, whose stage seconds are sums over the seeds."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = config_hash(cfg)
@@ -421,12 +423,15 @@ def run_pipeline(cfg, out_dir):
         if all((out_dir / name).exists() for name in outputs):
             manifest["stages"] = {name: {"cached": True} for name in STAGES}
         else:
-            results = []
-            for name, run in STAGES.items():
-                t0 = time.perf_counter()
-                results.append(run(cfg, out_dir, tag, *results))
-                manifest["stages"][name] = {"cached": False,
-                                            "seconds": round(time.perf_counter() - t0, 3)}
+            if cfg["threads"] > 1:
+                with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
+                    results = list(pool.map(lambda seed: run_seed(cfg, seed), cfg["seeds"]))
+            else:  # no one-worker pool: a new thread's own malloc arena costs 16 MB at 3d n=64
+                results = [run_seed(cfg, seed) for seed in cfg["seeds"]]
+            write_stage_files(cfg, out_dir, tag, results)
+            manifest["stages"] = {name: {"cached": False,
+                                         "seconds": round(sum(s[name] for _, _, s in results), 3)}
+                                  for name in STAGES}
         hs_sum = out_dir / f"halfspace__{tag}__summary.json"
         if hs_sum.exists():
             entries = json.loads(hs_sum.read_text())
@@ -533,8 +538,6 @@ def save_halfspace_bundle(path, hset):
                  "wb")
 
 
-
-
 # ---------------------------------------------------------------------------
 # subcommand mains
 # ---------------------------------------------------------------------------
@@ -626,6 +629,8 @@ def cmd_halfspace(args):
 
 
 def cmd_excess(args):
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds {args.seeds} runs no trace; the least is 1")
     f = load_field(args.field)
     cfg = _flag_config(f.grid, (check_halfspace, check_excess), tol=args.tol,
                        excess={"R": args.R, "radii": dyadic_radii(f.grid, r_max=args.R)})
@@ -637,7 +642,7 @@ def cmd_excess(args):
     else:
         hset = build_halfspace_set(f, solve_pair(f, tol=cfg["tol"]), L=cfg["halfspace"]["L"],
                                    tol=cfg["tol"])
-    rows, _, _ = excess_rows(cfg, [(seed, f, hset) for seed in range(args.seeds)])
+    rows, _, _ = excess_rows(cfg, f, hset, range(args.seeds))
     write_csv(args.out, excess_header(f.grid.dim), rows)
     print(f"wrote {args.out}")
     return 0
@@ -645,19 +650,20 @@ def cmd_excess(args):
 
 def _config_from_args(args):
     """The ``--config`` file with the ``--seeds``/``--tol`` overrides, which
-    enter the config hash, so ``pipeline`` and ``report`` share them."""
+    enter the config hash, so ``pipeline`` and ``report`` share them, and
+    ``pipeline --threads``; checked with the overrides applied."""
     cfg = load_config(args.config)
     if args.seeds is not None:
         cfg["seeds"] = list(range(int(args.seeds)))
     if args.tol is not None:
         cfg["tol"] = float(args.tol)
+    if vars(args).get("threads") is not None:
+        cfg["threads"] = int(args.threads)
     return validate_config(cfg)
 
 
 def cmd_pipeline(args):
     cfg = _config_from_args(args)
-    if args.threads is not None:
-        cfg["threads"] = int(args.threads)
     manifest = run_pipeline(cfg, args.out_dir)
     print(json.dumps(manifest, indent=1, sort_keys=True))
     return 0

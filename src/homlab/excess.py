@@ -154,13 +154,6 @@ def corrected_gradient_family(hset, grid):
     return fam
 
 
-def release_window(field_torus, hset):
-    """Drop the ``window_operator`` kept on the field and the
-    ``corrected_gradient_family`` kept on the set."""
-    vars(field_torus).pop("_window_operator", None)
-    vars(hset).pop("_gradient_family", None)
-
-
 # ---------------------------------------------------------------------------
 # excess
 # ---------------------------------------------------------------------------

@@ -191,6 +191,42 @@ def test_pipeline_threads_share_cache(tmp_path):
     assert all(s.get("cached") for s in manifest["stages"].values())
 
 
+def test_pipeline_threads_match_serial_run(tmp_path):
+    """Seeds run in a pool at threads 2 write the same files as at threads 1."""
+    cfg = small_config(tmp_path, seeds=(0, 1))
+    files = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert main(["pipeline", "--config", str(cfg), "--out-dir", str(out),
+                     "--threads", threads]) == 0
+        manifest = json.loads(next(out.glob("manifest__*.json")).read_text())
+        assert not any(s["cached"] for s in manifest["stages"].values())
+        files[threads] = {p.name: p.read_bytes() for p in out.iterdir()
+                          if not p.name.startswith("manifest__")}
+    # 2 corrector and 2 half-space CSVs, 3 summaries, the excess table, the report
+    assert len(files["1"]) == 9
+    assert files["2"] == files["1"]
+
+
+@pytest.mark.parametrize("change, flags", [
+    ({"seeds": []}, []),
+    ({}, ["--seeds", "0"]),
+    ({"threads": 0}, []),
+    ({}, ["--threads", "-3"]),
+], ids=["empty_seeds", "seeds_flag_zero", "threads_zero", "threads_flag_negative"])
+def test_pipeline_without_seeds_or_threads_fails_before_any_solve(tmp_path, monkeypatch,
+                                                                  change, flags):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("run_seed called before the config was checked")
+
+    monkeypatch.setattr(cli, "run_seed", no_solve)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**json.loads(small_config(tmp_path).read_text()), **change}))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(p), "--out-dir", str(out), *flags]) == 2
+    assert not out.exists()
+
+
 def test_pipeline_3d_runs(tmp_path):
     cfg = {
         "ensemble": {"kind": "checkerboard", "lam": 0.25,
@@ -292,8 +328,9 @@ def test_pipeline_bad_config_exit_code(tmp_path):
     ["corrector", "--radii", "0:64", "--out", "curve.csv"],
     ["corrector", "--radii=-8:64", "--out", "curve.csv"],
     ["excess", "--R", "7.25", "--out", "excess.csv"],
+    ["excess", "--R", "8", "--seeds", "0", "--out", "excess.csv"],
 ], ids=["n_max", "slab_height", "radii_off_powers", "radii_text", "radii_from_zero",
-        "radii_from_negative", "window_off_planes"])
+        "radii_from_negative", "window_off_planes", "excess_seeds_zero"])
 def test_bad_flags_fail_before_any_solve(tmp_path, monkeypatch, argv):
     """A flag a stage check rejects exits 2, as the pipeline does for the
     same config value, before any solve and without writing a file."""
@@ -696,50 +733,71 @@ def stage_config(dim, n, seed, **extra):
 
 
 def test_excess_rows_keep_one_window_alive(monkeypatch):
-    """excess_rows releases a field's window operator and its set's
-    gradient family once the next sample is on another field; samples of
-    one field share one window."""
-    import gc
-    import weakref
-
+    """Two samples on one field share one window operator."""
     from homlab import pde
     from homlab.field import EnsembleSpec, sample_field
     from homlab.grid import Grid
 
     cfg = stage_config(2, 32, 0, excess={"R": 8.0})
-    samples = []
-    for seed in range(3):
-        f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=seed), Grid.torus(2, 32))
-        samples.append((seed, f, build_halfspace_set(f, solve_pair(f, tol=1e-10), L=16.0,
-                                                     tol=1e-10)))
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=0), Grid.torus(2, 32))
+    hset = build_halfspace_set(f, solve_pair(f, tol=1e-10), L=16.0, tol=1e-10)
     windows = []
     init = pde.Operator.__init__
 
     def recording_init(self, field, bc):
         init(self, field, bc)
         if not field.grid.tangential_periodic:
-            windows.append(weakref.ref(self))
+            windows.append(self)
 
     monkeypatch.setattr(pde.Operator, "__init__", recording_init)
-    cli.excess_rows(cfg, samples)
-    gc.collect()
-    assert len(windows) == 3
-    assert sum(w() is not None for w in windows) <= 1
-    assert sum("_gradient_family" in vars(hset) for _, _, hset in samples) <= 1
-    windows.clear()
-    _, f, hset = samples[0]
-    cli.excess_rows(cfg, [(0, f, hset), (1, f, hset)])
+    rows, alphas, _ = cli.excess_rows(cfg, f, hset, [0, 1])
     assert len(windows) == 1
+    assert {row[0] for row in rows} == {0, 1} and len(alphas) == 2
+
+
+def test_pipeline_keeps_one_seed_alive(tmp_path, monkeypatch):
+    """The pipeline runs seed by seed: when a seed's torus field is sampled,
+    at most one earlier field and one excess window are alive."""
+    import gc
+    import weakref
+
+    from homlab import pde
+
+    fields, windows, alive = [], [], []
+    sample, init = cli.sample_field, pde.Operator.__init__
+
+    def recording_sample(spec, grid):
+        gc.collect()
+        alive.append((sum(w() is not None for w in fields),
+                      sum(w() is not None for w in windows)))
+        f = sample(spec, grid)
+        fields.append(weakref.ref(f))
+        return f
+
+    def recording_init(self, field, bc):
+        init(self, field, bc)
+        if not field.grid.tangential_periodic:
+            windows.append(weakref.ref(self))
+
+    monkeypatch.setattr(cli, "sample_field", recording_sample)
+    monkeypatch.setattr(pde.Operator, "__init__", recording_init)
+    cfg = validate_config(json.loads(small_config(tmp_path, seeds=(0, 1, 2)).read_text()))
+    assert cfg["threads"] == 1
+    manifest = cli.run_pipeline(cfg, tmp_path / "run")
+    assert "failed" not in manifest
+    assert len(fields) == 3 and len(windows) == 3
+    assert all(n_fields <= 1 and n_windows <= 1 for n_fields, n_windows in alive)
 
 
 def test_corrector_command_matches_corrector_stage_3d(tmp_path):
     # the default runs every direction, e3 included
     cfg = stage_config(3, 16, 2, radii=[2.0, 4.0], excess={"radii": [4.0]})
-    cli.run_corrector_stage(cfg, tmp_path, "t")
+    cli.run_pipeline(cfg, tmp_path / "run")
     out = tmp_path / "curve.csv"
     assert main(["corrector", "--field", str(field_file(tmp_path, 3, 16, 2)), "--radii", "2:4",
                  "--tol", "1e-12", "--out", str(out)]) == 0
-    assert out.read_bytes() == (tmp_path / "corrector__t__seed2.csv").read_bytes()
+    tag = config_hash(cfg)
+    assert out.read_bytes() == (tmp_path / "run" / f"corrector__{tag}__seed2.csv").read_bytes()
 
 
 @pytest.mark.parametrize("mode", ["direct", "dyadic"])
@@ -748,15 +806,17 @@ def test_halfspace_command_matches_halfspace_stage(tmp_path, mode):
     # stage's curve (side / 4) and the command's default (side / 2)
     cfg = stage_config(2, 64, 5, halfspace={"L": 32.0, "mode": mode,
                                             "dyadic": {"r0": 8.0, "n_max": 2}})
-    cli.run_halfspace_stage(cfg, tmp_path, "t", cli.run_corrector_stage(cfg, tmp_path, "t"))
+    run = tmp_path / "run"
+    cli.run_pipeline(cfg, run)
+    tag = config_hash(cfg)
     hs_csv = tmp_path / "hs.csv"
     assert main(["halfspace", "--field", str(field_file(tmp_path, 2, 64, 5)), "--L", "32",
                  "--mode", mode, "--r0", "8", "--n-max", "2", "--tol", "1e-12",
                  "--out", f"{tmp_path / 'hs.npz'},{hs_csv}"]) == 0
-    assert hs_csv.read_bytes() == (tmp_path / "halfspace__t__seed5.csv").read_bytes()
+    assert hs_csv.read_bytes() == (run / f"halfspace__{tag}__seed5.csv").read_bytes()
     dyadic = tmp_path / "hs.dyadic.csv"
     if mode == "dyadic":
-        assert dyadic.read_bytes() == (tmp_path / "halfspace_dyadic__t__seed5.csv").read_bytes()
+        assert dyadic.read_bytes() == (run / f"halfspace_dyadic__{tag}__seed5.csv").read_bytes()
     else:
         assert not dyadic.exists()
 

@@ -14,7 +14,6 @@ import numpy as np
 from homlab import (
     EnsembleSpec,
     Grid,
-    basis_change_check,
     dyadic_radii,
     flux_potential_residual,
     homogenized_matrix,
@@ -23,7 +22,6 @@ from homlab import (
     solve_correctors,
     solve_pair,
     sublinearity_curve,
-    two_scale_error,
 )
 
 print("== laminate: closed forms are exact ==")
@@ -57,11 +55,3 @@ curve = sublinearity_curve(pair, radii)
 for r, d, dg, ps in zip(curve.radii, curve.delta, curve.delta_gno, curve.partial_sums):
     print(f"r = {r:5.0f}  delta = {d:.5f}  delta_gno = {dg:.5f}  partial sum = {ps:.3f}")
 print(f"decay ratio delta({radii[-1]:.0f})/delta(8) = {curve.ratio(radii[-1], 8.0):.3f}")
-
-lhs, bound = basis_change_check(pair, np.linalg.qr(np.random.default_rng(1).standard_normal((2, 2)))[0], r=16.0)
-print(f"rotated-frame functional {lhs:.5f} <= bound {bound:.5f}")
-
-print("\n== two-scale expansion error ==")
-rep = two_scale_error(f, pair, R=32.0, trace=lambda x, y: 0.05 * (x * x - y * y))
-print(f"|grad w| = {rep.grad_w:.4f} vs |grad(u - u_hom)| = {rep.grad_diff:.4f} "
-      f"(cutoff width {rep.cutoff_width:.1f})")

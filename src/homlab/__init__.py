@@ -27,7 +27,6 @@ from .pde import (
     VectorField,
     assemble,
     caccioppoli_ratio,
-    dense_solve,
     flux,
     gradient,
     solve,
@@ -37,7 +36,6 @@ from .corrector import (
     FluxPotentialSet,
     HomogenizedMatrix,
     SublinearityCurve,
-    basis_change_check,
     dyadic_radii,
     flux_potential_residual,
     homogenized_matrix,
@@ -47,7 +45,6 @@ from .corrector import (
     solve_flux_potential,
     solve_pair,
     sublinearity_curve,
-    two_scale_error,
 )
 from .halfspace import (
     DyadicConfig,

@@ -212,7 +212,7 @@ def validate_config(raw):
 
 def check_corrector(cfg, grid):
     """Fill ``radii`` (default 8h..side/4) and check that it is a non-empty
-    list of powers of two."""
+    list of powers of two up to the torus half-side."""
     radii = cfg.get("radii")
     if radii is None:
         radii = dyadic_radii(grid, r_max=grid.side / 4.0)
@@ -220,6 +220,8 @@ def check_corrector(cfg, grid):
     for r in cfg["radii"]:
         if not is_dyadic(r):
             raise ConfigError(f"radius {r} is not a positive power of two")
+        if r > grid.side / 2.0 + 1e-12:
+            raise ConfigError(f"radius {r:g} exceeds the torus half-side {grid.side / 2.0:g}")
     if not cfg["radii"]:
         raise ConfigError(f"no corrector radius; the default 8h..side/4 is empty at side "
                           f"{grid.side:g}")
@@ -250,7 +252,7 @@ def check_halfspace(cfg, grid):
 
 def check_excess(cfg, grid):
     """Fill ``excess``: R (side/4), radii (the corrector radii up to R) and
-    trace_amplitude (1); check the window and the radii."""
+    trace_amplitude (1); check the window and that the radii lie in [4h, R]."""
     ex = cfg["excess"] = {"R": grid.side / 4.0, "trace_amplitude": 1.0, **cfg.get("excess", {})}
     R = ex["R"] = float(ex["R"])
     radii = ex["radii"] if "radii" in ex else [r for r in cfg["radii"] if r <= R]
@@ -263,6 +265,8 @@ def check_excess(cfg, grid):
         raise ConfigError(f"excess window height R = {R:g} is not a whole number >= 2 of cells")
     if not ex["radii"] or min(ex["radii"]) < 4 * grid.h:
         raise ConfigError(f"excess radii {ex['radii']} empty or below the quadrature floor 4h")
+    if max(ex["radii"]) > R + 1e-12:
+        raise ConfigError(f"excess radius {max(ex['radii']):g} exceeds the window R = {R:g}")
 
 
 def config_hash(cfg):
@@ -469,9 +473,10 @@ def build_report(cfg, out_dir, tag):
         report["delta_curves"] = curves
         first = next(iter(curves.values()))
         if len(first["radii"]) >= 2:
+            # a seed with a delta <= 0 has no log-log slope; null, not NaN, if no seed has one
             exps = [float(-np.polyfit(np.log(c["radii"]), np.log(c["delta"]), 1)[0])
-                    for c in curves.values()]
-            report["delta_fit_exponent_mean"] = float(np.mean(exps))
+                    for c in curves.values() if all(d > 0 for d in c["delta"])]
+            report["delta_fit_exponent_mean"] = float(np.mean(exps)) if exps else None
     hs_sum = out_dir / f"halfspace__{tag}__summary.json"
     if hs_sum.exists():
         report["halfspace_residuals"] = json.loads(hs_sum.read_text())

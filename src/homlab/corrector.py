@@ -28,23 +28,19 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from ._transforms import PERIODIC, FastConstSolver
-from .field import CoefficientField, restrict_to_half_box, restrict_values, sample_field
+from .field import CoefficientField, sample_field
 from .grid import Grid, TORUS, cell_offsets, face_offsets, is_dyadic, pair_offsets
 from .pde import (
     BoundarySpec,
-    Dirichlet,
     Operator,
     ScalarField,
     SourceTerm,
     VectorField,
-    _interior_mask,
-    assemble,
     diff_to_half,
     diff_to_integer,
     divergence,
     face_current,
     flux,
-    gradient,
     interior_ball_mask,
     solve,
 )
@@ -378,105 +374,3 @@ def _raw_and_centered(v):
         return 0.0, 0.0
     m = float(v.mean())
     return float((v * v).mean()), float(((v - m) ** 2).mean())
-
-
-def basis_change_check(pair, basis, r):
-    """Evaluates the rotated-direction functional and the bound
-    sqrt(d(d+1)/2) delta_r; returns (lhs, bound)."""
-    d = pair.cset.grid.dim
-    B = np.asarray(basis, dtype=float)
-    if B.shape != (d, d) or np.abs(B @ B.T - np.eye(d)).max() > 1e-10:
-        raise ValueError("basis must be orthonormal (rows)")
-    lhs = sublinearity_curve(pair, [r], basis=B).delta[0]
-    bound = np.sqrt(d * (d + 1) / 2.0) * sublinearity_curve(pair, [r]).delta[0]
-    return lhs, bound
-
-
-# ---------------------------------------------------------------------------
-# two-scale expansion error
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TwoScaleReport:
-    grad_w: float
-    grad_diff: float
-    cutoff_width: float
-    scale_warning: bool
-
-
-def two_scale_error(field, pair, R, trace, tol=1e-10):
-    """Homogenization error on a Dirichlet window of half-width R.
-
-    The window is the box [-R, R]^(d-1) x [0, R] cut from the torus; the
-    heterogeneous solution u and the homogenized solution share the trace
-    on all window sides.  Returns the gradient norms of the two-scale
-    remainder w = u - u_hom - eta sum_i phi_i d_i u_hom (with a boundary
-    cutoff eta of width R^(2/3)) and of the plain difference u - u_hom.
-    """
-    grid = field.grid
-    if grid.topology != TORUS:
-        raise ValueError("two-scale window is cut from a torus field")
-    warn = R / 1.0 < 8.0
-    window_field = restrict_to_half_box(field, R, tangential_periodic=False)
-    wgrid = window_field.grid
-    bc = BoundarySpec.half_box(
-        wgrid, flat=Dirichlet(trace), top=Dirichlet(trace), lateral=Dirichlet(trace)
-    )
-    u, _ = solve(assemble(window_field, bc), tol=tol)
-    d = grid.dim
-    a_hom = pair.a_hom
-    hom_faces = []
-    for k in range(d):
-        hom_faces.append(np.broadcast_to(a_hom, wgrid.face_shape(k) + (d, d)).copy())
-    hom_field = CoefficientField(wgrid, hom_faces, lam=min(np.linalg.eigvalsh(0.5 * (a_hom + a_hom.T))))
-    u_hom, _ = solve(assemble(hom_field, bc), tol=tol)
-
-    rho = R ** (2.0 / 3.0)
-    eta = _boundary_cutoff(wgrid, rho)
-    du_hom = _cell_gradient(u_hom)
-    corr = np.zeros(wgrid.shape)
-    for i in range(d):
-        phi_w = restrict_values(pair.cset.phi[i].values, grid, wgrid, cell_offsets(d))
-        corr += phi_w * du_hom[i]
-    w = ScalarField(wgrid, u.values - u_hom.values - eta * corr)
-    diff = ScalarField(wgrid, u.values - u_hom.values)
-    return TwoScaleReport(_grad_norm(w), _grad_norm(diff), rho, warn)
-
-
-def _cell_gradient(u):
-    g = gradient(u)
-    grid = u.grid
-    out = []
-    for k in range(grid.dim):
-        c = g.comps[k]
-        if grid.periodic_axis(k):
-            out.append(0.5 * (c + np.roll(c, -1, axis=k)))
-        else:
-            out.append(0.5 * (np.take(c, np.arange(grid.shape[k]), axis=k)
-                              + np.take(c, np.arange(1, grid.shape[k] + 1), axis=k)))
-    return out
-
-
-def _boundary_cutoff(grid, rho):
-    """Piecewise-linear ramp from 0 on the window boundary to 1 at
-    distance rho inside."""
-    dist = None
-    for a in range(grid.dim):
-        x = grid.coords(cell_offsets(grid.dim))[a]
-        lo = x - (grid.origin[a])
-        hi = (grid.origin[a] + grid.shape[a] * grid.h) - x
-        d_a = np.minimum(lo, hi)
-        dist = d_a if dist is None else np.minimum(dist, d_a)
-    return np.clip(dist / rho, 0.0, 1.0)
-
-
-def _grad_norm(u):
-    g = gradient(u)
-    grid = u.grid
-    tot = 0.0
-    for k in range(grid.dim):
-        mask = _interior_mask(grid, face_offsets(grid.dim, k))
-        c = g.comps[k][mask]
-        tot += float((c * c).sum())
-    return float(np.sqrt(tot * grid.cell_volume()))

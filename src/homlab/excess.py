@@ -46,6 +46,9 @@ from .pde import (
 )
 
 EXCESS_FLOOR = 1e-14  # solver-noise floor excluded from log-log fits
+# band of a random trace: wavenumbers |k_i| <= TRACE_MODES, amplitudes ~ (1 + |k|^2)^-TRACE_DECAY
+TRACE_MODES = 4
+TRACE_DECAY = 1.5
 # round-off of a difference quotient of data of size |u|, in units of eps |u| / h
 GRADIENT_ROUNDOFF_ULPS = 1e3
 
@@ -55,7 +58,7 @@ GRADIENT_ROUNDOFF_ULPS = 1e3
 # ---------------------------------------------------------------------------
 
 
-def band_limited_trace(seed, box_half_width, n_modes=4, decay=1.5, amplitude=1.0, dim=2):
+def band_limited_trace(seed, box_half_width, amplitude=1.0, dim=2):
     """Smooth random trace of ``dim`` coordinates with a fixed, seeded
     spectrum.
 
@@ -65,11 +68,11 @@ def band_limited_trace(seed, box_half_width, n_modes=4, decay=1.5, amplitude=1.0
     """
     rng = np.random.default_rng(seed)
     terms = []
-    for k in np.ndindex(*([2 * n_modes + 1] * dim)):
-        kv = np.array(k) - n_modes
+    for k in np.ndindex(*([2 * TRACE_MODES + 1] * dim)):
+        kv = np.array(k) - TRACE_MODES
         if not np.any(kv):
             continue
-        amp = rng.standard_normal() / (1.0 + float(kv @ kv)) ** decay
+        amp = rng.standard_normal() / (1.0 + float(kv @ kv)) ** TRACE_DECAY
         phase = rng.uniform(0.0, 2.0 * np.pi)
         terms.append((kv, amp, phase))
 
@@ -218,9 +221,10 @@ class ExcessReport:
     floored: list  # radii excluded from the fit
 
 
-def excess_decay_experiment(sample, hset, radii, fit_window=None):
+def excess_decay_experiment(sample, hset, radii):
     """Excess table over dyadic radii with the fitted decay exponent
-    (slope of log Exc over log r on the largest usable decade)."""
+    (half the slope of log Exc over log r on every radius above
+    ``EXCESS_FLOOR``)."""
     radii = sorted(float(r) for r in radii)
     grid = sample.u.grid
     g = gradient(sample.u)
@@ -237,8 +241,6 @@ def excess_decay_experiment(sample, hset, radii, fit_window=None):
     rad = np.asarray(radii)
     floored = [float(r) for r, v in zip(rad, vals) if v <= EXCESS_FLOOR]
     keep = vals > EXCESS_FLOOR
-    if fit_window is not None:
-        keep &= (rad >= fit_window[0]) & (rad <= fit_window[1])
     if keep.sum() >= 2:
         slope = np.polyfit(np.log(rad[keep]), np.log(vals[keep]), 1)[0]
         alpha = 0.5 * slope

@@ -588,24 +588,6 @@ def solve(system, tol=1e-10, max_iter=20000):
     return ScalarField(grid, x.reshape(grid.shape)), SolveStats(it, true, energy)
 
 
-def dense_solve(system):
-    """Direct dense solve, the oracle for small systems (<= a few 1e3)."""
-    A = system.matrix.toarray()
-    b = system.rhs
-    if system.singular:
-        # pin the mean-zero representative via least squares
-        x, *_ = np.linalg.lstsq(A, b, rcond=None)
-        x -= x.mean()
-        return x.reshape(system.grid.shape)
-    return np.linalg.solve(A, b).reshape(system.grid.shape)
-
-
-def residual_norm(system, x):
-    r = system.rhs - system.matrix @ np.ravel(x)
-    nb = np.linalg.norm(system.rhs)
-    return float(np.linalg.norm(r) / (nb if nb > 0 else 1.0))
-
-
 # ---------------------------------------------------------------------------
 # field calculus
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ import time
 import numpy as np
 import pytest
 
+from coo_reference import dense_solve
 from homlab.grid import Grid, cell_offsets
 from homlab.field import EnsembleSpec, sample_field, restrict_to_half_box
-from homlab.pde import ScalarField, VectorField, assemble, dense_solve, solve
+from homlab.pde import ScalarField, VectorField, assemble, solve
 from homlab.pde import BoundarySpec, Dirichlet, NoFlux, SourceTerm
 from homlab.corrector import (
     dyadic_radii,

@@ -248,6 +248,22 @@ def test_pipeline_3d_runs(tmp_path):
     assert header[3:6] == ["b1", "b2", "b3"] and rows
 
 
+def strict_json(out):
+    """Every JSON file of a pipeline run directory by kind (``manifest``,
+    ``report``, ``excess_summary``, ...), parsed with NaN and Infinity,
+    which are not JSON, rejected."""
+
+    def no_constant(name):
+        raise AssertionError(f"invalid JSON constant {name}")
+
+    docs = {}
+    for path in out.glob("*.json"):
+        kind, _, rest = path.stem.partition("__")
+        kind += "_summary" if rest.endswith("__summary") else ""
+        docs[kind] = json.loads(path.read_text(), parse_constant=no_constant)
+    return docs
+
+
 def test_pipeline_without_a_fitted_exponent_writes_null(tmp_path):
     # n=32 with the default radii leaves the excess stage one radius, so
     # no seed fits an exponent and no mean-value ratio compares two radii:
@@ -262,18 +278,30 @@ def test_pipeline_without_a_fitted_exponent_writes_null(tmp_path):
     p.write_text(json.dumps(cfg))
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 0
-    manifest = json.loads(next(out.glob("manifest__*.json")).read_text())
-    assert "failed" not in manifest
-
-    def no_constant(name):
-        raise AssertionError(f"invalid JSON constant {name}")
-
-    for pattern in ("excess__*__summary.json", "report__*.json"):
-        doc = json.loads(next(out.glob(pattern)).read_text(), parse_constant=no_constant)
-        summary = doc.get("excess", doc)
+    docs = strict_json(out)
+    assert "failed" not in docs["manifest"]
+    for name in ("excess_summary", "report"):
+        summary = docs[name].get("excess", docs[name])
         assert summary["alpha_mean"] is None and summary["c_mean_max"] is None
     header, rows = read_csv(next(out.glob("excess__*.csv")))
     assert rows and all(np.isnan(row[header.index("mvp_ratio")]) for row in rows)
+
+
+def test_pipeline_constant_field_writes_strict_json(tmp_path):
+    # constant coefficients have zero correctors, so every delta is 0 and no
+    # seed fits a log-log exponent: the report holds null, never NaN
+    cfg = {
+        "ensemble": {"kind": "constant", "lam": 1.0, "params": {"a0": [[1.0, 0.0], [0.0, 1.0]]}},
+        "grid": {"dim": 2, "n": 64},
+        "seeds": [0, 1],
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 0
+    docs = strict_json(out)
+    assert len(docs) == 5
+    assert docs["report"]["delta_fit_exponent_mean"] is None
 
 
 def test_pipeline_bad_config_exit_code(tmp_path):
@@ -295,11 +323,14 @@ def test_pipeline_bad_config_exit_code(tmp_path):
     # r0 that is no power of two, an n_max below -1 (no annulus), an outer
     # annulus r0 2^(n_max+1) beyond 2L, an excess window 2R wider than the
     # torus or with a height R off the grid planes (the window half-box needs
-    # an even number of cells a side), and seeds that are not a list of integers
+    # an even number of cells a side), a corrector radius above the torus
+    # half-side, an excess radius above the window height R, and seeds that
+    # are not a list of integers
     dyadic = {"L": 16.0, "mode": "dyadic"}
     for name, change in (("empty_radii", {"grid": {"dim": 2, "n": 16}, "radii": None}),
                          ("low_radius", {"radii": [2.0, 4.0, 8.0], "excess": {}}),
                          ("negative_radius", {"radii": [-8.0, 8.0]}),
+                         ("radius_above_half_side", {"radii": [8.0, 64.0]}),
                          ("short_slab", {"halfspace": {"L": 8.0, "mode": "direct"}}),
                          ("odd_r0", {"halfspace": {**dyadic, "dyadic": {"r0": 6.0, "n_max": 0}}}),
                          ("wide_annulus",
@@ -309,6 +340,8 @@ def test_pipeline_bad_config_exit_code(tmp_path):
                          ("wide_window", {"excess": {"R": 32.0, "radii": [4.0, 8.0]}}),
                          ("window_off_planes", {"excess": {"R": 7.25, "radii": [4.0]}}),
                          ("odd_window", {"excess": {"R": 7.5, "radii": [4.0]}}),
+                         ("excess_radius_above_window",
+                          {"excess": {"R": 8.0, "radii": [4.0, 8.0, 32.0]}}),
                          ("float_seeds", {"seeds": [0.5, 1]}),
                          ("string_seeds", {"seeds": ["a"]}),
                          ("scalar_seeds", {"seeds": 3})):

@@ -8,7 +8,6 @@ from homlab.pde import ScalarField, VectorField, ball_values, divergence
 from homlab.corrector import (
     CorrectorSet,
     FluxPotentialSet,
-    basis_change_check,
     coefficient_times_vector,
     dyadic_radii,
     flux_correction,
@@ -20,7 +19,6 @@ from homlab.corrector import (
     solve_flux_potential,
     solve_pair,
     sublinearity_curve,
-    two_scale_error,
 )
 
 
@@ -345,54 +343,6 @@ def test_sublinearity_gno_below_delta_and_decay():
     assert np.all(curve.delta_gno <= curve.delta + 1e-15)
     assert curve.delta[-1] / curve.delta[0] <= 0.6
     assert np.all(np.diff(curve.partial_sums) > 0)
-
-
-def test_basis_change_identity_and_random_bases():
-    grid = Grid.torus(2, 64)
-    f = sample_field(EnsembleSpec.checkerboard(seed=9), grid)
-    pair = solve_pair(f, tol=1e-11)
-    lhs, bound = basis_change_check(pair, np.eye(2), r=16.0)
-    # the identity frame is the coordinate sum itself, to the last bit
-    assert lhs == sublinearity_curve(pair, [16.0]).delta[0]
-    assert lhs <= bound + 1e-12
-    pair3 = solve_pair(sample_field(EnsembleSpec.checkerboard(seed=9), Grid.torus(3, 16)))
-    assert basis_change_check(pair3, np.eye(3), r=4.0)[0] == sublinearity_curve(pair3, [4.0]).delta[0]
-    rng = np.random.default_rng(42)
-    for _ in range(100):
-        Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-        lhs, bound = basis_change_check(pair, Q, r=16.0)
-        assert lhs <= bound + 1e-12
-    with pytest.raises(ValueError):
-        basis_change_check(pair, np.array([[1.0, 1.0], [0.0, 1.0]]), r=16.0)
-
-
-def test_two_scale_constant_field_zero_error():
-    grid = Grid.torus(2, 64)
-    f = sample_field(EnsembleSpec.constant(np.eye(2)), grid)
-    pair = solve_pair(f)
-    rep = two_scale_error(f, pair, R=16.0, trace=lambda x, y: x + 0.5 * y)
-    assert rep.grad_w <= 1e-10 and rep.grad_diff <= 1e-10
-    assert not rep.scale_warning
-
-
-def test_two_scale_laminate_parallel_trace_exact():
-    grid = Grid.torus(2, 64, h=0.5)
-    f = sample_field(EnsembleSpec.laminate(axis=0, values=(0.25, 1.0)), grid)
-    pair = solve_pair(f, tol=1e-12)
-    rep = two_scale_error(f, pair, R=8.0, trace=lambda x, y: y)
-    # exact solution u = u_hom = x_d, so both errors are solver-level
-    assert rep.grad_w <= 1e-7 and rep.grad_diff <= 1e-7
-    assert not rep.scale_warning
-    rep_small = two_scale_error(f, pair, R=4.0, trace=lambda x, y: y)
-    assert rep_small.scale_warning
-
-
-def test_two_scale_checkerboard_improvement():
-    grid = Grid.torus(2, 128)
-    f = sample_field(EnsembleSpec.checkerboard(seed=13), grid)
-    pair = solve_pair(f, tol=1e-10)
-    rep = two_scale_error(f, pair, R=32.0, trace=lambda x, y: 0.05 * (x * x - y * y))
-    assert rep.grad_w < rep.grad_diff
 
 
 def test_homogenized_estimate_stays_admissible():

@@ -11,11 +11,10 @@ import homlab
 
 OPTIONS = {
     "assemble": ("src",),
-    "band_limited_trace": ("n_modes", "decay", "amplitude", "dim"),
+    "band_limited_trace": ("amplitude", "dim"),
     "build_halfspace_set": ("tangential_periodic", "tol"),
     "dyadic_construction": ("tol", "direct", "op"),
     "dyadic_radii": ("r_min", "r_max"),
-    "excess_decay_experiment": ("fit_window",),
     "flux_potential_residual": ("inner_radius",),
     "halfspace_residuals": ("op",),
     "harmonic_sample": ("tol",),
@@ -27,7 +26,6 @@ OPTIONS = {
     "solve_halfspace_correction": ("tol", "op"),
     "solve_pair": ("tol",),
     "sublinearity_curve": ("basis",),
-    "two_scale_error": ("tol",),
 }
 
 
@@ -46,4 +44,4 @@ def exported_options():
 
 def test_exported_functions_have_only_the_listed_options():
     assert exported_options() == OPTIONS
-    assert sum(len(v) for v in OPTIONS.values()) == 28
+    assert sum(len(v) for v in OPTIONS.values()) == 24

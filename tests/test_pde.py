@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from coo_reference import coo_operator_matrix
+from coo_reference import coo_operator_matrix, dense_solve, residual_norm
 from homlab import _transforms as ft
 from homlab.grid import HALF_BOX, Grid, cell_offsets, face_offsets, pair_offsets
 from homlab.field import (
@@ -28,13 +28,11 @@ from homlab.pde import (
     ball_mean_square,
     ball_values,
     caccioppoli_ratio,
-    dense_solve,
     divergence,
     flux,
     gradient,
     interior_ball_mask,
     mean_product,
-    residual_norm,
     solve,
 )
 

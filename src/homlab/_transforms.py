@@ -214,10 +214,11 @@ class FastConstSolver:
 
     def solve(self, b):
         """The solution for data ``b``, in the solver's dtype; ``b`` itself
-        is never written."""
-        x = np.array(b, dtype=self.dtype)
-        for transform in self._forward:
-            x = transform(x, overwrite_x=True)
+        is never written: the first transform reads it into a new array,
+        and the later ones overwrite their own intermediates."""
+        x = np.asarray(b, dtype=self.dtype)
+        for i, transform in enumerate(self._forward):
+            x = transform(x, overwrite_x=i > 0)
         x *= self._inverse_symbol
         for transform in self._backward:
             x = transform(x, overwrite_x=True)

@@ -96,8 +96,9 @@ class CorrectorSet:
         """Corrected current a(grad phi_b + b) of direction b as a face
         field."""
         q = flux(self.field, self.phi_for(b))
-        ab = coefficient_times_vector(self.field, b)
-        return VectorField(self.grid, [q.comps[k] + ab.comps[k] for k in range(self.grid.dim)])
+        for c, ab in zip(q.comps, coefficient_times_vector(self.field, b).comps):
+            c += ab
+        return q
 
 
 def solve_correctors(field, tol=DEFAULT_TOL):
@@ -134,16 +135,16 @@ class HomogenizedMatrix:
         return HomogenizedMatrix(mean, list(samples), stderr)
 
 
+def _a_hom_column(cur):
+    """The column of a_hom of one direction: the exact face-family
+    averages of its corrected current."""
+    return np.array([float(c.mean()) for c in cur.comps])
+
+
 def homogenized_matrix(cset):
     """Columns are the exact face-family averages of the corrected
     currents of the coordinate correctors."""
-    d = cset.grid.dim
-    a_hom = np.zeros((d, d))
-    for i in range(d):
-        cur = cset.current(np.eye(d)[i])
-        for k in range(d):
-            a_hom[k, i] = float(cur.comps[k].mean())
-    return a_hom
+    return np.column_stack([_a_hom_column(cset.current(e)) for e in np.eye(cset.grid.dim)])
 
 
 def monte_carlo_homogenized(spec, grid, seeds, tol=DEFAULT_TOL):
@@ -158,10 +159,14 @@ def monte_carlo_homogenized(spec, grid, seeds, tol=DEFAULT_TOL):
 
 def flux_correction(cset, a_hom, i):
     """q_i = a(grad phi_i + e_i) - a_hom e_i as a face field."""
-    d = cset.grid.dim
-    cur = cset.current(np.eye(d)[i])
-    comps = [cur.comps[k] - a_hom[k, i] for k in range(d)]
-    return VectorField(cset.grid, comps)
+    return _less_mean(cset.current(np.eye(cset.grid.dim)[i]), a_hom[:, i])
+
+
+def _less_mean(cur, column):
+    """The current ``cur`` less its column of a_hom, written in place."""
+    for c, a in zip(cur.comps, column):
+        c -= a
+    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +294,15 @@ class WholeSpacePair:
 
 def solve_pair(field, tol=DEFAULT_TOL):
     """Correctors, a_hom and flux potentials; each direction's current is
-    built only to solve its flux potential."""
+    built once, for its column of a_hom and its flux potential."""
     cset = solve_correctors(field, tol=tol)
-    a_hom = homogenized_matrix(cset)
-    sigmas = {i: solve_flux_potential(field.grid, flux_correction(cset, a_hom, i))
-              for i in range(field.grid.dim)}
+    d = field.grid.dim
+    a_hom = np.zeros((d, d))
+    sigmas = {}
+    for i in range(d):  # one current per direction: its a_hom column and its potential
+        cur = cset.current(np.eye(d)[i])
+        a_hom[:, i] = _a_hom_column(cur)
+        sigmas[i] = solve_flux_potential(field.grid, _less_mean(cur, a_hom[:, i]))
     return WholeSpacePair(cset, a_hom, sigmas)
 
 

@@ -9,14 +9,19 @@ entries, the cross part ``face_current_map``.  ``flux``,
 ``A u = -div flux(u)`` up to Dirichlet ghost terms, and symmetric face
 matrices give a symmetric matrix as assembled.
 
-The matrix is stored by diagonals (scipy's ``dia_matrix``), their flat
-steps ascending.  Assembly slices the diagonal part (face couplings,
-Dirichlet ghost weights on the centre) into the 2d+1 stencil bands and
-writes each into the cell-shaped view of its diagonal; on a periodic seam
-the edge layer of a band goes into its wrap diagonal.  The cross part
-``G^T X G`` (G the sparse face gradient) is added one diagonal at a time.
-As the steps ascend, each row of a product sums in ascending column
-order, as a CSR product with sorted columns does.
+The matrix (``StencilMatrix``) keeps the 2d+1 stencil bands by diagonals
+(scipy's ``dia_matrix``), their flat steps ascending, and one seam per
+periodic axis.  Assembly slices the diagonal part (face couplings,
+Dirichlet ghost weights on the centre) into the bands and writes each
+into the cell-shaped view of its diagonal; a band stops at every side.
+The coupling across a periodic seam is kept as the face weights
+``a_kk / h^2`` of that one face layer, and a product adds it by slices
+after the bands, instead of storing a full-length wrap diagonal that is
+zero but on one layer.  The cross part ``G^T X G`` (G the sparse face
+gradient) is added one diagonal at a time, its wrap offsets included.
+As the steps ascend, each row of the bands' product sums in ascending
+column order, as a CSR product with sorted columns does; without a
+periodic axis the products are those of a CSR copy bit for bit.
 
 Boundary conditions on half-boxes:
 
@@ -238,10 +243,42 @@ def _side_cells(L, k, side):
     return np.take(L, 0 if side == 0 else L.shape[k] - 1, axis=k).ravel()
 
 
+class StencilMatrix:
+    """The matrix of an ``Operator``: the stencil bands by diagonals
+    (``bands``, a scipy ``dia_matrix``) and one seam per periodic axis k,
+    ``(first, last, w)``: the index tuples of the first and the last cell
+    layer along k and ``w``, the ``a_kk / h^2`` of the face layer between
+    them, which couples the two layers by ``-w`` both ways.  ``A @ x`` (x
+    one vector or a stack of columns) is ``bands @ x`` with the seam
+    couplings added by slices."""
+
+    def __init__(self, bands, seams, cells):
+        self.bands, self.seams, self.cells = bands, seams, cells
+
+    shape = property(lambda self: self.bands.shape)
+
+    def astype(self, dtype):
+        return StencilMatrix(self.bands.astype(dtype),
+                             [(first, last, w.astype(dtype)) for first, last, w in self.seams],
+                             self.cells)
+
+    def __matmul__(self, x):
+        y = self.bands @ x
+        if self.seams:
+            cells = self.cells + x.shape[1:]
+            xs, ys = x.reshape(cells), y.reshape(cells)
+            for first, last, w in self.seams:
+                if x.ndim > 1:
+                    w = w[..., None]
+                ys[first] -= w * xs[last]
+                ys[last] -= w * xs[first]
+        return y
+
+
 class Operator:
     """-div(a grad u) for one coefficient field and one set of boundary
-    kinds: the matrix by diagonals, its symmetric and singular flags, the
-    mean coefficient and transform bcs of the fast solve, and (built on
+    kinds: the matrix (bands and seams), its symmetric and singular flags,
+    the mean coefficient and transform bcs of the fast solve, and (built on
     first use) its float32 cast for the inner solves and their
     preconditioner, the fast solve between two l1-Jacobi smoothing steps.
     Only the kinds of ``bc`` enter; ``system`` turns boundary data and
@@ -265,10 +302,8 @@ class Operator:
 
         per = [grid.periodic_axis(a) for a in range(d)]
         stride = [int(np.prod(shape[a + 1:])) for a in range(d)]
-        # the flat steps of the bands: the centre, the neighbours and, on
-        # periodic axes, the wrap steps of the layers next to the seam
+        # the flat steps of the bands: the centre and the neighbours
         steps = {0} | {s * stride[k] for k in range(d) for s in (-1, 1)}
-        steps |= {s * (shape[k] - 1) * stride[k] for k in range(d) if per[k] for s in (-1, 1)}
         cross_steps = []
         if not field.diagonal:
             # -div of the cross current: G^T X G, as X has zero boundary rows
@@ -293,29 +328,30 @@ class Operator:
             out[(slice(None),) * k + (slice(0, -1) if s > 0 else slice(1, None),)] = a
             return out
 
+        seams = []
         self._dirichlet_weight = {}  # (axis, side) -> ghost weight 2 a_kk / h^2
         for k in range(d):
             a_kk = field.entry(k, k)
             t = (a_kk if per[k] else a_kk[(slice(None),) * k + (slice(1, shape[k]),)]) * inv_h2
-            lo, hi, first, last = ((slice(None),) * k + (i,) for i in
-                                   (slice(0, -1), slice(1, None), slice(0, 1), slice(-1, None)))
+            lo, hi = ((slice(None),) * k + (i,) for i in (slice(0, -1), slice(1, None)))
             for s in (-1, 1):
                 ts = facing(t, k, s)
                 centre += ts
-                # row c couples to column c + s e_k; the edge layer's column
-                # wraps across a periodic side, and past another side the
-                # band is zero and skipped
-                rows, cols, edge, seam = (lo, hi, last, first) if s > 0 else (hi, lo, first, last)
+                # row c couples to column c + s e_k; past a side the band is
+                # zero, and across a periodic seam the coupling is a seam's
+                rows, cols = (lo, hi) if s > 0 else (hi, lo)
                 diag[s * stride[k]][cols] -= ts[rows]
-                if per[k]:
-                    diag[-s * (shape[k] - 1) * stride[k]][seam] -= ts[edge]
+            if per[k]:  # the seam faces, between the last and the first layer
+                first, last = (slice(None),) * k + (0,), (slice(None),) * k + (-1,)
+                seams.append((first, last, t[first].copy()))
             for side in (i for i in (0, 1) if isinstance(bc.bc(k, i), Dirichlet)):
                 t_b = a_kk[(slice(None),) * k + (side * shape[k],)]
                 w = self._dirichlet_weight[k, side] = 2.0 * (t_b * inv_h2)
                 centre[(slice(None),) * k + (-side,)] += w
         for o in cross_steps:
             data[offsets.index(o), max(o, 0):n_cells + min(o, 0)] += cross.diagonal(o)
-        self.matrix = sp.dia_matrix((data, offsets), shape=(n_cells, n_cells))
+        self.matrix = StencilMatrix(sp.dia_matrix((data, offsets), shape=(n_cells, n_cells)),
+                                    seams, shape)
         self.symmetric = field.is_symmetric()
         self.singular = grid.topology == TORUS or not any(
             isinstance(b, Dirichlet) for b in bc.sides.values())
@@ -323,16 +359,16 @@ class Operator:
 
     @cached_property
     def matrix32(self):
-        """The matrix in float32, for the inner solves."""
+        """The matrix in float32 (bands and seams), for the inner solves."""
         return self.matrix.astype(np.float32)
 
     @cached_property
     def preconditioner(self):
         """The two-level preconditioner of the inner solves (Tang, Nabben,
         Vuik and Erlangga, J. Sci. Comput. 39, 2009): ``M(r)`` smooths
-        with l1-Jacobi ``S = SMOOTH_WEIGHT / l1``,
-        ``l1`` the row sums of ``|A|`` (Baker, Falgout, Kolev and Yang,
-        SIAM J. Sci. Comput. 33, 2011), corrects with the fast
+        with l1-Jacobi ``S = SMOOTH_WEIGHT / l1``, ``l1`` the row sums
+        of ``|A|``, seams included (Baker, Falgout, Kolev and Yang, SIAM
+        J. Sci. Comput. 33, 2011), corrects with the fast
         constant-coefficient solve ``F`` of the operator's kinds and mean
         coefficient, and smooths again:
 
@@ -352,8 +388,11 @@ class Operator:
         A32 = self.matrix32
         n = A32.shape[0]
         s = np.zeros(n, np.float32)  # l1 summed one diagonal at a time, no |A| copy
-        for o, diagonal in zip(A32.offsets.tolist(), A32.data):
+        for o, diagonal in zip(A32.bands.offsets.tolist(), A32.bands.data):
             s[max(-o, 0):n - max(o, 0)] += np.abs(diagonal[max(o, 0):n + min(o, 0)])
+        for first, last, w in A32.seams:  # the seam couplings of both layers
+            s.reshape(shape)[first] += np.abs(w)
+            s.reshape(shape)[last] += np.abs(w)
         np.divide(SMOOTH_WEIGHT, s, out=s)
 
         def apply(r):  # the residuals r - A z overwrite the products A z
@@ -574,7 +613,9 @@ def solve(system, tol=1e-10, max_iter=20000):
                                       best_x=x, history=history)
                 return z
 
-            d, _ = spla.bicgstab(A32, r32, rtol=target, atol=0.0, maxiter=max_iter - it,
+            d, _ = spla.bicgstab(spla.LinearOperator(A32.shape, matvec=A32.__matmul__,
+                                                     dtype=np.float32),
+                                 r32, rtol=target, atol=0.0, maxiter=max_iter - it,
                                  M=spla.LinearOperator(A32.shape, matvec=precondition,
                                                        dtype=np.float32))
             it += (applies + 1) // 2

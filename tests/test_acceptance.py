@@ -26,8 +26,6 @@ from homlab.halfspace import (
     dyadic_construction,
     half_sublinearity_curve,
     halfspace_residuals,
-    sigma_identity_residual,
-    tangential_basis,
 )
 from homlab.excess import (
     band_limited_trace,

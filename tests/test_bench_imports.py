@@ -22,11 +22,22 @@ def test_benchmark_workloads_import(monkeypatch):
 def test_benchmark_workloads_run_in_process(monkeypatch, tmp_path):
     """Each workload's smoke-size operation, output check, traced extras
     and probes, so a changed signature of a function the benchmark calls
-    fails here and not only in ``python3 -m pytest perfbench``."""
+    fails here and not only in ``python3 -m pytest perfbench``.  The
+    probes read ``system.matrix @ x`` for the solve's true residual, which
+    must stay within 10x the solve's ``tol``: a product that dropped a
+    term (say the periodic seams) would read far above it."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     try:
         tracing = importlib.import_module("tracing")
         workloads = importlib.import_module("workloads")
+        tols = []
+        probe = workloads.kernel_probes
+
+        def recording_probes(tracer, build_system, tol):
+            tols.append(tol)
+            probe(tracer, build_system, tol)
+
+        monkeypatch.setattr(workloads, "kernel_probes", recording_probes)
         for name, cls in workloads.WORKLOADS.items():
             tracer = tracing.Tracer()
             tracer.unit = "setup"
@@ -37,8 +48,12 @@ def test_benchmark_workloads_run_in_process(monkeypatch, tmp_path):
                 result = wl.op(wl.prepare(3), tracer.span)
             assert wl.check(result) == [], name
             wl.traced_extras(result, tracer)
+            tols.clear()
             wl.probes(tracer)
             assert tracer.spans and tracer.values, name
+            true = [v for _, key, v in tracer.values if key == "pde.true_residual"]
+            assert len(true) == len(tols) == 1, name
+            assert true[0] <= 10 * tols[0], name
     finally:
         sys.modules.pop("workloads", None)
         sys.modules.pop("tracing", None)

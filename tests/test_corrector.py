@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from homlab.grid import Grid, cell_offsets
+from homlab.grid import Grid
 from homlab.field import EnsembleSpec, sample_field
 from homlab import pde
 from homlab.pde import ScalarField, VectorField, ball_values, divergence
 from homlab.corrector import (
     CorrectorSet,
     FluxPotentialSet,
-    coefficient_times_vector,
     dyadic_radii,
     flux_correction,
     flux_potential_residual,
@@ -225,13 +224,16 @@ def test_sigma_for_coordinate_directions_and_linearity(dim, n):
 def test_pair_currents_are_computed_on_read(monkeypatch):
     """pair.q keeps nothing: each read of q[i] builds direction i alone,
     bit-identical to ``flux_correction``, and the mapping behaves like a
-    dict of the d directions."""
+    dict of the d directions.  The pair's a_hom, whose columns come from
+    the currents ``solve_pair`` builds for the flux potentials, is
+    ``homogenized_matrix`` bit for bit."""
     from homlab import corrector
 
     pair = solve_pair(sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=4),
                                    Grid.torus(3, 8)))
     held = [x for v in vars(pair).values() for x in (v.values() if isinstance(v, dict) else (v,))]
     assert not any(isinstance(x, VectorField) for x in held)
+    assert np.array_equal(pair.a_hom, homogenized_matrix(pair.cset))
     calls = []
     real_flux = corrector.flux
 

@@ -191,3 +191,22 @@ def test_single_precision_solver_matches_float64(axes, h, coeff, magnitude, seed
     assert np.array_equal(b32, kept)
     assert x.shape == tuple(shape) and x.dtype == np.float32
     assert np.allclose(norm * x.astype(np.float64), ref, rtol=0.0, atol=1e-5 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kinds", [
+    [("periodic", "periodic")] * 3,
+    [("periodic", "periodic"), ("periodic", "periodic"), ("neumann", "dirichlet")],
+    [("dirichlet", "dirichlet"), ("dirichlet", "dirichlet"), ("neumann", "dirichlet")],
+], ids=["torus", "slab", "box"])
+def test_fast_solver_leaves_its_input_unwritten(kinds, dtype):
+    # the first transform reads b into a new array and only the later ones
+    # overwrite; data in the solver's dtype or the other one
+    shape = (8, 6, 4)
+    solver = ft.FastConstSolver(Grid.torus(3, 4), (0.5,) * 3, kinds, shape,
+                                project_mean=kinds[-1][1] == "periodic", dtype=dtype)
+    for data_dtype in (np.float64, np.float32):
+        b = np.random.default_rng(3).standard_normal(shape).astype(data_dtype)
+        kept = b.copy()
+        x = solver.solve(b)
+        assert np.array_equal(b, kept) and x.dtype == dtype and not np.shares_memory(x, b)

@@ -162,9 +162,12 @@ def read_json(path):
 
 def ensemble_spec(raw):
     try:
-        return EnsembleSpec.from_dict(raw)
+        spec = EnsembleSpec.from_dict(raw)
     except Exception as e:
         raise ConfigError(f"bad ensemble spec: {e}") from e
+    if spec.seed < 0:
+        raise ConfigError(f"ensemble seed {spec.seed} is negative")
+    return spec
 
 
 def load_config(path):
@@ -187,8 +190,8 @@ def validate_config(raw):
             raise ConfigError(f"grid config misses {key!r}")
     seeds = cfg["seeds"]
     if not isinstance(seeds, (list, tuple)) or not all(
-            isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in seeds):
-        raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
+            isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0 for s in seeds):
+        raise ConfigError(f"seeds must be a list of non-negative integers, got {seeds!r}")
     if not seeds:
         raise ConfigError("seeds is empty; a run needs at least one seed")
     if len(set(seeds)) != len(seeds):
@@ -198,6 +201,7 @@ def validate_config(raw):
     try:
         cfg["grid"] = {**g, "dim": int(g["dim"]), "n": int(g["n"]), "h": float(g.get("h", 1.0))}
         cfg["tol"], cfg["threads"] = float(cfg["tol"]), int(cfg["threads"])
+        check_tol(cfg)
         if cfg["threads"] < 1:
             raise ConfigError(f"threads {cfg['threads']} is below 1")
         grid = _grid_from_config(cfg)
@@ -208,6 +212,12 @@ def validate_config(raw):
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad config value: {e}") from e
     return cfg
+
+
+def check_tol(cfg):
+    """Every solve takes ``tol``, which must lie in (0, 1)."""
+    if not 0.0 < cfg["tol"] < 1.0:
+        raise ConfigError(f"tol {cfg['tol']} is not in (0, 1)")
 
 
 def check_corrector(cfg, grid):
@@ -557,6 +567,7 @@ def _flag_config(grid, checks, **keys):
     """The config of a subcommand's flags ``keys``: filled in and checked,
     before any solve, by the checks of the stages it runs."""
     cfg = {**DEFAULT_CONFIG, **_given(keys)}
+    check_tol(cfg)
     for check in checks:
         check(cfg, grid)
     return cfg

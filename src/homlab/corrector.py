@@ -328,7 +328,6 @@ class SublinearityCurve:
     delta: np.ndarray
     delta_gno: np.ndarray
     partial_sums: np.ndarray  # cumulative sum of log2(r) * delta^(1/3)
-    partial_sums_gno: np.ndarray = None  # same series on the mean-subtracted curve
     # the same measurement (pair, directions) at other radii
     remeasure: object = dc_field(default=None, repr=False, compare=False)
 
@@ -369,10 +368,8 @@ def sublinearity_curve(pair, radii, basis=None):
                 tot_g[m] += w * csq
     delta = np.sqrt(tot) / radii
     delta_gno = np.sqrt(tot_g) / radii
-    weights = np.log2(radii)
-    partial = np.cumsum(weights * delta ** (1.0 / 3.0))
-    partial_gno = np.cumsum(weights * delta_gno ** (1.0 / 3.0))
-    return SublinearityCurve(radii, delta, delta_gno, partial, partial_gno,
+    partial = np.cumsum(np.log2(radii) * delta ** (1.0 / 3.0))
+    return SublinearityCurve(radii, delta, delta_gno, partial,
                              lambda rs: sublinearity_curve(pair, rs, basis))
 
 

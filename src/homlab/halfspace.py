@@ -38,6 +38,7 @@ from . import _transforms as ft
 from .corrector import (
     FluxPotentialSet,
     WholeSpacePair,
+    _less_mean,
     _raw_and_centered,
     coefficient_times_vector,
     flux_potential_residual,
@@ -130,28 +131,18 @@ def _orient(r):
 class CorrectionResult:
     varphi: ScalarField
     current: VectorField  # G = a grad varphi, flat layer carrying the datum
-    datum: np.ndarray  # prescribed conormal on the flat boundary
     stats: object
 
 
-def _flat_datum_on(field_torus, pair, b, grid):
-    """e_d . a (grad phi_b + b) on the flat face layer of a half-box cut
-    from the torus of ``pair``."""
-    d = grid.dim
-    total_d = pair.cset.current(b).comps[d - 1]
-    total_half = restrict_values(total_d, field_torus.grid, grid, face_offsets(d, d - 1))
-    return np.take(total_half, 0, axis=d - 1)
-
-
-def solve_halfspace_correction(field_hb, field_torus, pair, b, tol=DEFAULT_TOL, op=None):
+def solve_halfspace_correction(field_hb, g_flat, tol=DEFAULT_TOL, op=None):
     """Correction enforcing the no-flux condition for phi_b + b.x on the
-    flat boundary of the half-box.  ``op`` is the half-box operator with
-    the default closure (no-flux flat, Dirichlet top) when the caller
-    holds one."""
+    flat boundary of the half-box, whose flat datum g_flat = e_d . a
+    (grad phi_b + b) on the flat face layer is the fourth value of
+    ``restrict_pair``.  ``op`` is the half-box operator with the default
+    closure (no-flux flat, Dirichlet top) when the caller holds one."""
     grid = field_hb.grid
     # e_d . a grad varphi = -e_d . a (grad phi_b + b); with the outward
-    # normal -e_d of the flat side this is a prescribed current +total
-    g_flat = _flat_datum_on(field_torus, pair, b, grid)
+    # normal -e_d of the flat side this is a prescribed current +g_flat
     if op is None:
         op = Operator(field_hb, BoundarySpec.half_box(grid))
     varphi, stats = solve(op.system(BoundarySpec.half_box(grid, flat=NoFlux(g_flat))), tol=tol)
@@ -159,7 +150,7 @@ def solve_halfspace_correction(field_hb, field_torus, pair, b, tol=DEFAULT_TOL, 
     # unit-ball normalization is applied: shifting the solution would break
     # its own top rows and the ghost-closed current below
     G = correction_current(field_hb, varphi, g_flat)
-    return CorrectionResult(varphi, G, g_flat, stats)
+    return CorrectionResult(varphi, G, stats)
 
 
 def correction_current(field_hb, varphi, g_flat):
@@ -238,24 +229,12 @@ def face_poisson_solve(grid, j, rhs):
 def solve_vector_potentials(grid, G):
     """Direct-mode potentials v_j, one constant-coefficient solve per
     component with rhs G_j (equal to div(x_j G) up to the divergence
-    residual of G); the vertical component is normalized to zero average
-    over the unit half-ball, tangential components are pinned by their
-    Dirichlet data.  No per-annulus linear growth is subtracted here."""
+    residual of G); tangential components are pinned by their Dirichlet
+    data, the vertical one by its far-field Dirichlet closure.  No
+    per-annulus linear growth is subtracted here."""
     d = grid.dim
-    v = {}
-    for j in range(d):
-        vals = face_poisson_solve(grid, j, G.comps[j])
-        if j == d - 1:
-            vals = _unit_ball_centred(vals, grid, face_offsets(d, j))
-        v[j] = ScalarField(grid, vals, face_offsets(d, j))
-    return v
-
-
-def _unit_ball_centred(vals, grid, offs):
-    """Values of the vertical potential less their mean over the full
-    ball of radius max(1, 2h) about the origin."""
-    [ball] = ball_values(ScalarField(grid, vals, offs), grid, max(1.0, 2 * grid.h), half=False)
-    return vals - ball.mean() if ball.size else vals
+    return {j: ScalarField(grid, face_poisson_solve(grid, j, G.comps[j]), face_offsets(d, j))
+            for j in range(d)}
 
 
 def curl_of_potentials(v, grid):
@@ -332,31 +311,46 @@ class HalfSpaceCorrectorSet:
     stats: dict = dc_field(default_factory=dict)
 
 
+def _restricted_current(pair, b, half_grid):
+    """Direction b's current a(grad phi_b + b), the one torus-sized array
+    built, restricted to a half-box cut from the torus of ``pair``, and its
+    flat layer, the datum of the half-space correction (a copy)."""
+    d = half_grid.dim
+    comps = [restrict_values(c, pair.cset.grid, half_grid, face_offsets(d, k))
+             for k, c in enumerate(pair.cset.current(b).comps)]
+    return VectorField(half_grid, comps), np.take(comps[d - 1], 0, axis=d - 1)
+
+
 def restrict_pair(pair, b, half_grid):
     """The whole-space corrector phi_b, flux potential ``sigma_for(b)`` and
     current q_b = a(grad phi_b + b) - a_hom b restricted to a half-box cut
-    from the torus of the pair; each array is a new one, and q_b is the one
-    torus-sized current built."""
+    from the torus of the pair, and the flat datum of the correction, the
+    flat layer of a(grad phi_b + b).  Each array is a new one, and the
+    current of b is the one torus-sized array built."""
     torus = pair.cset.grid
     d = half_grid.dim
-    phi = ScalarField(half_grid, restrict_values(pair.cset.phi_for(b).values, torus, half_grid,
-                                                 cell_offsets(d)))
+
+    def restricted(fields):  # sum_w b_w f_w from the restricted f_w, value for value
+        offs = fields[0].offsets
+        vals = sum(b[w] * restrict_values(fields[w].values, torus, half_grid, offs)
+                   for w in range(d))
+        return ScalarField(half_grid, vals, offs)
+
+    phi = restricted(pair.cset.phi)
     sigma = FluxPotentialSet(half_grid, {
-        key: ScalarField(half_grid, restrict_values(f.values, torus, half_grid, f.offsets),
-                         f.offsets)
-        for key, f in pair.sigma_for(b).sigma.items()})
-    cur = pair.cset.current(b)
-    a_hom_b = pair.a_hom @ b
-    q = [restrict_values(cur.comps[k] - a_hom_b[k], torus, half_grid, face_offsets(d, k))
-         for k in range(d)]
-    return phi, sigma, VectorField(half_grid, q)
+        key: restricted([pair.sigmas[w].sigma[key] for w in range(d)])
+        for key in pair.sigmas[0].sigma})
+    q, datum = _restricted_current(pair, b, half_grid)
+    _less_mean(q, pair.a_hom @ b)  # a gather commutes with the subtraction
+    return phi, sigma, q, datum
 
 
 def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFAULT_TOL):
     """Construct the full half-space-adapted set on a half-box of height
     L cut from the torus field.  Each tangential direction adds its
     correction to the restricted whole-space pair; the transversal one
-    is the restriction alone (no solve, Theorem-style)."""
+    is the restriction alone (no solve, Theorem-style).  Each direction
+    builds one torus-sized current, d in all."""
     d = field_torus.grid.dim
     field_hb = restrict_to_half_box(field_torus, L, tangential_periodic)
     grid = field_hb.grid
@@ -364,12 +358,11 @@ def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFA
     op = Operator(field_hb, BoundarySpec.half_box(grid))
     phi_h, varphi, sigma_h, q_h, gap, stats = {}, {}, {}, {}, {}, {}
     for i in range(d - 1):
-        b = basis.vectors[i]
-        corr = solve_halfspace_correction(field_hb, field_torus, pair, b, tol=tol, op=op)
+        # the restricted whole-space pair plus the correction of its datum
+        phi_h[i], sigma_h[i], q_h[i], g_flat = restrict_pair(pair, basis.vectors[i], grid)
+        corr = solve_halfspace_correction(field_hb, g_flat, tol=tol, op=op)
         varphi[i] = corr.varphi
         stats[i] = corr.stats
-        # the restricted whole-space pair plus the correction
-        phi_h[i], sigma_h[i], q_h[i] = restrict_pair(pair, b, grid)
         phi_h[i].values += corr.varphi.values
         for j in range(d):
             q_h[i].comps[j] += corr.current.comps[j]
@@ -384,7 +377,7 @@ def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFA
     # transversal direction, without the slab's operator, field and last
     # correction alive
     del op, field_hb, corr
-    phi_h[d - 1], sigma_h[d - 1], q_h[d - 1] = restrict_pair(pair, basis.normal_like, grid)
+    phi_h[d - 1], sigma_h[d - 1], q_h[d - 1], _ = restrict_pair(pair, basis.normal_like, grid)
     return HalfSpaceCorrectorSet(grid, basis, pair, phi_h, varphi, sigma_h, q_h, gap, stats)
 
 
@@ -395,14 +388,9 @@ def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFA
 
 @dataclass
 class HalfSpaceResiduals:
-    flat_flux_max: float
-    flat_flux_scale: float
+    flat_flux_relative: float  # max flat flux over the sup of b + grad phi_h
     interior_relative: float
     sigma_identity: float
-
-    @property
-    def flat_flux_relative(self):
-        return self.flat_flux_max / self.flat_flux_scale if self.flat_flux_scale > 0 else 0.0
 
 
 def halfspace_residuals(field_hb, hset, i, op=None):
@@ -439,7 +427,7 @@ def halfspace_residuals(field_hb, hset, i, op=None):
             keep[tuple(sl)] = False
     sl_flat = [slice(None)] * d
     sl_flat[d - 1] = 0
-    flat_flux = np.abs(np.where(keep, r, 0.0)[tuple(sl_flat)]) * grid.h
+    flat_flux = float((np.abs(np.where(keep, r, 0.0)[tuple(sl_flat)]) * grid.h).max())
     # scale: sup norm of the corrected gradient b + grad phi_h
     g = gradient(hset.phi_h[i])
     scale = 0.0
@@ -451,7 +439,7 @@ def halfspace_residuals(field_hb, hset, i, op=None):
     nb = np.linalg.norm(sys.rhs)
     interior_rel = float(np.linalg.norm(interior) / nb) if nb > 0 else 0.0
     sigma_res = sigma_identity_residual(hset, i)
-    return HalfSpaceResiduals(float(flat_flux.max()), scale, interior_rel, sigma_res)
+    return HalfSpaceResiduals(flat_flux / scale if scale > 0 else 0.0, interior_rel, sigma_res)
 
 
 def sigma_identity_residual(hset, i):
@@ -608,9 +596,11 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
     flux datum cut off by one radial partition member; energies on
     B_{r0}^+ are tabulated against the bound shape with the measured
     sublinearity values, and the partial sum is compared with the direct
-    solve.  ``direct`` is that single-solve correction varphi for b on this
-    half-box at this tol (``solve_halfspace_correction``, as in
-    ``HalfSpaceCorrectorSet.varphi``); it is solved here when not given.
+    solve.  The flux datum is the flat layer of b's current restricted from
+    the torus of ``pair`` (the field ``field_torus``), as in
+    ``restrict_pair``.  ``direct`` is that single-solve correction varphi
+    for b on this half-box at this tol (``solve_halfspace_correction``, as
+    in ``HalfSpaceCorrectorSet.varphi``); it is solved here when not given.
     All solves share one operator, ``op`` (the half-box operator with the
     default closure) when the caller holds one."""
     grid = field_hb.grid
@@ -619,7 +609,7 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
     if r0 * 2.0 ** (config.n_max + 1) > grid.height * 2.0 + 1e-9:
         raise ValueError("outermost annulus exceeds the domain")
     config.validate(grid)
-    g_full = _flat_datum_on(field_torus, pair, b, grid)
+    _, g_full = _restricted_current(pair, b, grid)
     coords = grid.coords(face_offsets(d, d - 1))
     sl = [slice(None)] * d
     sl[d - 1] = 0
@@ -640,7 +630,7 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
         energies[(n, r0)] = float(np.sqrt(ball_mean_square(gradient(sol), sol.grid, r0)))
         shapes[(n, r0)] = (R / r0) ** (d / 2.0) * dlt ** (1.0 / 3.0)
     if direct is None:
-        direct = solve_halfspace_correction(field_hb, field_torus, pair, b, tol=tol, op=op).varphi
+        direct = solve_halfspace_correction(field_hb, g_full, tol=tol, op=op).varphi
     total_f = ScalarField(grid, total)
     c_r0 = _relative_gradient_difference(total_f, direct, r0)
     c_quarter = _relative_gradient_difference(total_f, direct, grid.height / 4.0)

@@ -189,7 +189,6 @@ class SourceTerm:
 class SolveStats:
     iterations: int
     relative_residual: float  # |b - Ax| / |b| at exit, computed in float64
-    energy: float
 
 
 class SolverError(RuntimeError):
@@ -236,11 +235,6 @@ def _transform_bcs(grid, bc):
                     raise ValueError("periodic side on a non-periodic axis")
             out.append(tuple(pair))
     return tuple(out)
-
-
-def _side_cells(L, k, side):
-    """Flat indices of the cell layer next to side (k, side)."""
-    return np.take(L, 0 if side == 0 else L.shape[k] - 1, axis=k).ravel()
 
 
 class StencilMatrix:
@@ -417,8 +411,7 @@ class Operator:
         grid = self.grid
         shape = grid.shape
         h = grid.h
-        L = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape)
-        rhs = np.zeros(L.size)
+        rhs = np.zeros(int(np.prod(shape)))
         if src is not None and src.volume is not None:
             vol = np.asarray(src.volume, dtype=float)
             if vol.shape != shape:
@@ -435,11 +428,11 @@ class Operator:
             for side in (0, 1):
                 b_side = bc.bc(k, side)
                 g = _boundary_datum(b_side.value, grid, k, side)
-                cells = _side_cells(L, k, side)
+                cells = rhs.reshape(shape)[(slice(None),) * k + (-side,)]  # the side's cell layer
                 if isinstance(b_side, Dirichlet):
-                    rhs[cells] += (self._dirichlet_weight[k, side] * g).ravel()
+                    cells += self._dirichlet_weight[k, side] * g
                 else:
-                    rhs[cells] += (g / h).ravel()
+                    cells += g / h
                     if Fk is not None:  # absorbed into the datum
                         Fk[(slice(None),) * k + (side * shape[k],)] = 0.0
             if Fk is not None:
@@ -548,7 +541,7 @@ def solve(system, tol=1e-10, max_iter=20000):
         raise SolverError(f"right-hand side is not finite (|b| = {nb})")
     if nb == 0.0:
         zero = ScalarField(grid, np.zeros(grid.shape))
-        return zero, SolveStats(0, 0.0, 0.0)
+        return zero, SolveStats(0, 0.0)
 
     M = system.operator.preconditioner
     A, A32 = system.matrix, system.operator.matrix32
@@ -625,8 +618,7 @@ def solve(system, tol=1e-10, max_iter=20000):
         if project:
             x -= x.mean()
         r = b - A @ x
-    energy = -0.5 * nb * float((x / nb) @ (b + r))  # x.Ax / 2 - x.b with Ax = b - r
-    return ScalarField(grid, x.reshape(grid.shape)), SolveStats(it, true, energy)
+    return ScalarField(grid, x.reshape(grid.shape)), SolveStats(it, true)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ interior m-faces, (a_km on the k-face + a_km on the m-face) / 8 times the
 two-point m-difference across that m-face.  The property tests compare
 every operator's dense form ``A @ I`` against it: equal entries for
 diagonal fields, equal entries up to round-off for fields with cross
-terms.
+terms.  ``boundary_rhs`` is the right-hand side of boundary data,
+indexed the same way, which ``Operator.system`` must match bit for bit.
 
 ``dense_solve`` and ``residual_norm`` are the dense-solve oracle and the
 relative residual |b - Ax| / |b| the solver tests check against.
@@ -17,7 +18,7 @@ relative residual |b - Ax| / |b| the solver tests check against.
 import numpy as np
 import scipy.sparse as sp
 
-from homlab.pde import Dirichlet
+from homlab.pde import Dirichlet, NoFlux
 
 
 def _side_cells(L, k, side):
@@ -110,6 +111,23 @@ def coo_operator_matrix(field, bc):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_cells, n_cells),
     ).tocsr()
+
+
+def boundary_rhs(field, bc):
+    """The right-hand side of the boundary data of ``bc`` (arrays, one per
+    side) without a source, added at the flat indices of each side's cell
+    layer: 2 a_kk / h^2 times a Dirichlet datum, a no-flux datum over h."""
+    grid = field.grid
+    L = np.arange(int(np.prod(grid.shape)), dtype=np.int64).reshape(grid.shape)
+    rhs = np.zeros(L.size)
+    inv_h2 = 1.0 / (grid.h * grid.h)
+    for (k, side), b in sorted(bc.sides.items()):
+        if isinstance(b, Dirichlet):
+            t_b = field.entry(k, k)[(slice(None),) * k + (side * grid.shape[k],)]
+            rhs[_side_cells(L, k, side)] += (2.0 * (t_b * inv_h2) * b.value).ravel()
+        elif isinstance(b, NoFlux):
+            rhs[_side_cells(L, k, side)] += (b.value / grid.h).ravel()
+    return rhs
 
 
 def dense_solve(system):

@@ -215,7 +215,7 @@ def test_criterion_09_coercivity_and_mean_value(checkerboard_suite, excess_suite
     for entry in checkerboard_suite:
         rep = coercivity_check(entry["hset"], r=32.0)
         assert rep.ok
-        worst_const = min(worst_const, float(rep.values[0] / rep.magnitudes[0] ** 2))
+        worst_const = min(worst_const, rep.value)
     bound = (1.0 / 16.0) ** 3
     cmeans_R = [mean_value_check(e["sample"], [8.0, 16.0, 32.0, 64.0, 128.0]).c_mean
                 for e in excess_suite]

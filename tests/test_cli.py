@@ -69,10 +69,12 @@ def test_field_sample_and_check(tmp_path):
         else:
             assert rc == 0 and load_field(out).grid == grid
     # the spec is read like a config: malformed JSON, an ensemble without a
-    # kind and a grid no torus has are config errors that write no file
+    # kind, a negative seed and a grid no torus has are config errors that
+    # write no file
     good = json.loads(write_spec(tmp_path).read_text())
     for name, text in (("malformed", '{"kind": "checkerboard",'),
                        ("kindless", json.dumps({"lam": 0.25, "grid": {"dim": 2, "n": 32}})),
+                       ("negative_seed", json.dumps({**good, "seed": -1})),
                        ("odd_n", json.dumps({**good, "grid": {"dim": 2, "n": 30}})),
                        ("text_n", json.dumps({**good, "grid": {"dim": 2, "n": "abc"}}))):
         bad, out = tmp_path / f"{name}.json", tmp_path / f"{name}.bin"
@@ -324,8 +326,8 @@ def test_pipeline_bad_config_exit_code(tmp_path):
     # annulus r0 2^(n_max+1) beyond 2L, an excess window 2R wider than the
     # torus or with a height R off the grid planes (the window half-box needs
     # an even number of cells a side), a corrector radius above the torus
-    # half-side, an excess radius above the window height R, and seeds that
-    # are not a list of integers
+    # half-side, an excess radius above the window height R, seeds that are
+    # not a list of non-negative integers, and a tol outside (0, 1)
     dyadic = {"L": 16.0, "mode": "dyadic"}
     for name, change in (("empty_radii", {"grid": {"dim": 2, "n": 16}, "radii": None}),
                          ("low_radius", {"radii": [2.0, 4.0, 8.0], "excess": {}}),
@@ -344,7 +346,12 @@ def test_pipeline_bad_config_exit_code(tmp_path):
                           {"excess": {"R": 8.0, "radii": [4.0, 8.0, 32.0]}}),
                          ("float_seeds", {"seeds": [0.5, 1]}),
                          ("string_seeds", {"seeds": ["a"]}),
-                         ("scalar_seeds", {"seeds": 3})):
+                         ("scalar_seeds", {"seeds": 3}),
+                         ("negative_seed", {"seeds": [-1]}),
+                         ("zero_tol", {"tol": 0}),
+                         ("unit_tol", {"tol": 1}),
+                         ("negative_tol", {"tol": -1}),
+                         ("nan_tol", {"tol": float("nan")})):
         cfg = {k: v for k, v in {**good, **change}.items() if v is not None}
         p3 = tmp_path / f"{name}.json"
         p3.write_text(json.dumps(cfg))
@@ -362,8 +369,9 @@ def test_pipeline_bad_config_exit_code(tmp_path):
     ["corrector", "--radii=-8:64", "--out", "curve.csv"],
     ["excess", "--R", "7.25", "--out", "excess.csv"],
     ["excess", "--R", "8", "--seeds", "0", "--out", "excess.csv"],
+    ["corrector", "--tol", "0", "--out", "curve.csv"],
 ], ids=["n_max", "slab_height", "radii_off_powers", "radii_text", "radii_from_zero",
-        "radii_from_negative", "window_off_planes", "excess_seeds_zero"])
+        "radii_from_negative", "window_off_planes", "excess_seeds_zero", "zero_tol"])
 def test_bad_flags_fail_before_any_solve(tmp_path, monkeypatch, argv):
     """A flag a stage check rejects exits 2, as the pipeline does for the
     same config value, before any solve and without writing a file."""

@@ -357,12 +357,3 @@ def test_homogenized_estimate_stays_admissible():
     assert np.linalg.norm(est.matrix, 2) <= 1.0 + eps_stat
     assert est.sample_count == 4
 
-
-def test_gno_partial_sums_reported():
-    grid = Grid.torus(2, 64)
-    f = sample_field(EnsembleSpec.checkerboard(seed=3), grid)
-    pair = solve_pair(f, tol=1e-11)
-    curve = sublinearity_curve(pair, [8.0, 16.0, 32.0])
-    assert curve.partial_sums_gno is not None
-    assert np.all(np.diff(curve.partial_sums_gno) > 0)
-    assert np.all(curve.partial_sums_gno <= curve.partial_sums + 1e-12)

@@ -92,8 +92,9 @@ def test_laminate_correction_vanishes():
     pair = solve_pair(f, tol=1e-13)
     fhb = restrict_to_half_box(f, 8.0)
     b1 = tangential_basis(pair.a_hom).vectors[0]
-    corr = solve_halfspace_correction(fhb, f, pair, b1)
-    assert np.abs(corr.datum).max() <= 1e-10
+    datum = restrict_pair(pair, b1, fhb.grid)[3]
+    corr = solve_halfspace_correction(fhb, datum)
+    assert np.abs(datum).max() <= 1e-10
     assert np.abs(corr.varphi.values).max() <= 1e-10
 
 
@@ -265,7 +266,8 @@ def correction_potentials(f, pair, L, i=0):
     its vector potentials and its skew correction, as ``build_halfspace_set``
     computes them before it drops the potentials and the correction."""
     fhb = restrict_to_half_box(f, L)
-    corr = solve_halfspace_correction(fhb, f, pair, tangential_basis(pair.a_hom).vectors[i])
+    g_flat = restrict_pair(pair, tangential_basis(pair.a_hom).vectors[i], fhb.grid)[3]
+    corr = solve_halfspace_correction(fhb, g_flat)
     return (corr, solve_vector_potentials(fhb.grid, corr.current),
             skew_correction(fhb.grid, corr.current))
 
@@ -341,7 +343,11 @@ def test_restrict_pair_restricts_sigma_for():
     pair = solve_pair(f, tol=1e-12)
     half = restrict_to_half_box(f, 16.0).grid
     b = tangential_basis(pair.a_hom).vectors[0]
-    _, sigma, q = restrict_pair(pair, b, half)
+    phi, sigma, q, datum = restrict_pair(pair, b, half)
+    # phi and sigma combine restricted components: value for value the
+    # restriction of phi_for(b) and sigma_for(b)
+    assert np.array_equal(phi.values, restrict_values(pair.cset.phi_for(b).values, grid, half,
+                                                      cell_offsets(2)))
     whole = pair.sigma_for(b)
     assert isinstance(sigma, FluxPotentialSet) and sigma.grid == half
     assert list(sigma.sigma) == list(whole.sigma) == [(0, 1)]
@@ -353,6 +359,29 @@ def test_restrict_pair_restricts_sigma_for():
         expect = restrict_values(sum(b[w] * pair.q[w].comps[k] for w in range(2)), grid, half,
                                  face_offsets(2, k))
         assert np.allclose(q.comps[k], expect, rtol=0.0, atol=1e-13)
+    # q is b's restricted current less a_hom b, and the datum its flat layer
+    current = pair.cset.current(b)
+    assert np.array_equal(q.comps[1], restrict_values(current.comps[1] - (pair.a_hom @ b)[1],
+                                                      grid, half, face_offsets(2, 1)))
+    assert np.array_equal(datum, restrict_values(current.comps[1], grid, half,
+                                                 face_offsets(2, 1))[:, 0])
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+def test_halfspace_set_builds_one_current_per_direction(monkeypatch, dim, n):
+    # each direction restricts its torus-sized current once, and a
+    # tangential one reads its flat datum and q_h off that restriction
+    from homlab.corrector import CorrectorSet
+
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=4), Grid.torus(dim, n))
+    pair = solve_pair(f, tol=1e-10)
+    built = []
+    current = CorrectorSet.current
+    monkeypatch.setattr(CorrectorSet, "current",
+                        lambda cset, b: built.append(b) or current(cset, b))
+    hset = build_halfspace_set(f, pair, L=n / 2.0, tol=1e-10)
+    assert len(built) == dim
+    assert np.array_equal(np.stack(built), hset.basis.vectors)
 
 
 def test_pair_and_halfspace_set_peak_memory():

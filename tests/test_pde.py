@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from coo_reference import coo_operator_matrix, dense_solve, residual_norm
+from coo_reference import boundary_rhs, coo_operator_matrix, dense_solve, residual_norm
 from homlab import _transforms as ft
 from homlab.grid import HALF_BOX, Grid, cell_offsets, face_offsets, pair_offsets
 from homlab.field import (
@@ -753,6 +753,13 @@ def test_band_assembly_matches_coo_reference(case):
     ghost = op.system(trace).rhs
     gap = A @ u.ravel() + divergence(flux(field, ScalarField(grid, u))).ravel() - ghost
     assert np.abs(gap).max() <= 1e-12 * np.abs(dense).max() * np.abs(u).max()
+    # boundary data of every kind enter the right-hand side bit for bit as
+    # the reference adds them at the flat indices of the side layers
+    data, _ = random_data(kinds, grid, rng)
+    want = boundary_rhs(field, data)
+    if op.singular:
+        want -= want.mean()
+    assert np.array_equal(op.system(data).rhs, want)
 
 
 def test_torus_operator_stores_stencil_bands_and_seams():

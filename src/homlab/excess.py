@@ -16,9 +16,12 @@ which is all the decay theory needs.
 Many harmonic samples on one window share its operator, and many excess
 evaluations share the corrected-gradient family: the torus field keeps the
 operator of its last window and the half-space set the family on its last
-grid, read-only, and both go with their owner.  Fields and sets are taken
-as immutable: a field changed in place after a sample keeps its old window
-operator.  Every ball mean goes through the quadrature of ``homlab.pde``.
+grid, read-only, with the family's Gram matrix of each radius, and both go
+with their owner.  A sample keeps the ball mean of |grad u|^2 of each radius
+its excess table reads, for the mean-value check.  Fields, sets and samples
+are taken as immutable: a field changed in place after a sample keeps its
+old window operator.  Every ball mean goes through the quadrature of
+``homlab.pde``.
 """
 
 from __future__ import annotations
@@ -140,20 +143,29 @@ def _corrected_gradient(hset, i, grid):
             for k in range(d)]
 
 
-def corrected_gradient_family(hset, grid):
-    """Per tangential direction, the face components of b + grad phi_h_b
-    on the face families of ``grid``, kept read-only on the set for the
-    last grid (a new grid drops it before the new one is built)."""
+def _family_record(hset, grid):
+    """The set's record ``(grid, family, grams)`` for ``grid``: the
+    corrected-gradient family and, by radius, the read-only Gram matrix
+    of the family on the half-ball and its condition number.  Kept on the
+    set for the last grid; a new grid drops the record before the new
+    one is built."""
     kept = vars(hset).get("_gradient_family")
     if kept is not None and kept[0] == grid:
-        return kept[1]
+        return kept
     hset._gradient_family = None
     fam = [_corrected_gradient(hset, i, grid) for i in range(grid.dim - 1)]
     for comps in fam:
         for a in comps:
             a.flags.writeable = False
-    hset._gradient_family = (grid, fam)
-    return fam
+    hset._gradient_family = (grid, fam, {})
+    return hset._gradient_family
+
+
+def corrected_gradient_family(hset, grid):
+    """Per tangential direction, the face components of b + grad phi_h_b
+    on the face families of ``grid``, kept read-only on the set for the
+    last grid with the Gram matrices of ``excess``."""
+    return _family_record(hset, grid)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -173,29 +185,34 @@ def excess(u, r, hset):
     """Exact minimization of the tilt functional over the tangential
     space via the normal equations; singular Gram systems fall back to
     the minimum-norm solution."""
-    grid = u.grid
-    return _excess(gradient(u), corrected_gradient_family(hset, grid), hset.basis, grid, r)
+    return _excess(gradient(u), hset, u.grid, r)
 
 
-def _excess(g, fam, basis, grid, r):
-    """``excess`` from the gradient g of u and the corrected gradient
-    family on u's grid, which do not depend on r; g and each member are
-    gathered on the half-ball once."""
+def _excess(g, hset, grid, r, energies=None):
+    """``excess`` from the gradient g of u, which does not depend on r;
+    g and each family member are gathered on the half-ball once, and the
+    Gram matrix at r is kept with the family.  ``energies``, when given,
+    records the ball mean of |g|^2 at r."""
     d = grid.dim
     if r < 4 * grid.h:
         raise ValueError("radius below the quadrature floor (need r >= 4h)")
     g = ball_values(g, grid, r)
     if not any(x.size for x in g):
         raise ValueError("empty half-ball")
+    if energies is not None:
+        energies[r] = mean_product(g, g)
+    _, fam, grams = _family_record(hset, grid)
     fam = [ball_values(VectorField(grid, f), grid, r) for f in fam]
     m = len(fam)
-    M = np.zeros((m, m))
-    c = np.zeros(m)
-    for i in range(m):
-        c[i] = mean_product(g, fam[i])
-        for j in range(i, m):
-            M[i, j] = M[j, i] = mean_product(fam[i], fam[j])
-    cond = float(np.linalg.cond(M)) if m else 0.0
+    if r not in grams:
+        M = np.zeros((m, m))
+        for i in range(m):
+            for j in range(i, m):
+                M[i, j] = M[j, i] = mean_product(fam[i], fam[j])
+        M.flags.writeable = False
+        grams[r] = (M, float(np.linalg.cond(M)) if m else 0.0)
+    M, cond = grams[r]
+    c = np.asarray([mean_product(g, f) for f in fam])
     if m:
         if np.isfinite(cond) and cond < 1e12:
             t = scipy.linalg.solve(M, c, assume_a="sym")
@@ -205,7 +222,7 @@ def _excess(g, fam, basis, grid, r):
         t = np.zeros(0)
     resid = [g[k] - sum(t[i] * fam[i][k] for i in range(m)) for k in range(d)]
     val = mean_product(resid, resid)
-    b_tilde = sum(t[i] * basis.vectors[i] for i in range(m)) if m else np.zeros(d)
+    b_tilde = sum(t[i] * hset.basis.vectors[i] for i in range(m)) if m else np.zeros(d)
     return ExcessValue(max(val, 0.0), np.asarray(b_tilde), t, cond)
 
 
@@ -225,11 +242,11 @@ def excess_decay_experiment(sample, hset, radii):
     radii = sorted(float(r) for r in radii)
     grid = sample.u.grid
     g = gradient(sample.u)
-    fam = corrected_gradient_family(hset, grid)
+    energies = _ball_energies(sample)
     vals = []
     mins = []
     for r in radii:
-        ev = _excess(g, fam, hset.basis, grid, r)
+        ev = _excess(g, hset, grid, r, energies)
         vals.append(ev.value)
         mins.append(ev.minimizer)
     vals = np.asarray(vals)
@@ -291,24 +308,37 @@ class MeanValueReport:
     zero_energy: bool
 
 
+def _ball_energies(sample):
+    """The ball means of |grad u|^2 of the sample by radius, kept on the
+    sample as scalars (``excess_decay_experiment`` records those of its
+    radii); samples are taken as immutable, like fields."""
+    return vars(sample).setdefault("_ball_energies", {})
+
+
 def mean_value_check(sample, radii):
     """Ratios fint_{B_r^+} |grad u|^2 / fint_{B_R^+} |grad u|^2 with R the
     largest radius; degenerate zero-energy samples report unit ratios
     with an explicit flag.  A sample counts as zero-energy when its energy
     is at the round-off level of its own gradient, so the flag does not
     depend on the scale of u.  Fewer than two radii compare nothing: the
-    ratios and the constant are NaN."""
+    ratios and the constant are NaN.  The energies come from the sample's
+    kept ones; the gradient is built only for a radius they lack."""
     grid = sample.u.grid
-    g = gradient(sample.u)
     radii = sorted(float(r) for r in radii)
     if len(radii) < 2:
         return MeanValueReport(np.asarray(radii), np.full(len(radii), np.nan), float("nan"), False)
+    energies = _ball_energies(sample)
+    lacking = [r for r in radii if r not in energies]
+    if lacking:
+        g = gradient(sample.u)
+        for r in lacking:
+            energies[r] = ball_mean_square(g, grid, r)
     R = radii[-1]
-    den = ball_mean_square(g, grid, R)
+    den = energies[R]
     roundoff = GRADIENT_ROUNDOFF_ULPS * np.finfo(float).eps * np.abs(sample.u.values).max() / grid.h
     if den <= roundoff**2:
         return MeanValueReport(np.asarray(radii), np.ones(len(radii)), 1.0, True)
-    ratios = np.asarray([ball_mean_square(g, grid, r) / den for r in radii])
+    ratios = np.asarray([energies[r] / den for r in radii])
     return MeanValueReport(np.asarray(radii), ratios, float(ratios.max()), False)
 
 

@@ -57,6 +57,7 @@ from .pde import (
     diff_to_integer,
     flux,
     gradient,
+    mean_product,
     solve,
     _interior_mask,
 )
@@ -474,10 +475,16 @@ def half_sublinearity_curve(hset, radii):
     grid = hset.grid
     d = grid.dim
     i_d = d - 1
-    torus = hset.torus_pair.cset.grid
+    pair = hset.torus_pair
+    torus = pair.cset.grid
     b = hset.basis.normal_like
-    phi_d_torus = hset.torus_pair.cset.phi_for(b)
-    sigma_d_torus = hset.torus_pair.sigma_for(b)
+
+    def torus_ball_square(fs, r):
+        # fint |sum_w b_w f_w|^2 on the full torus ball, each direction's
+        # field gathered before it is combined (phi_for(b), sigma_for(b))
+        v = sum(b[w] * ball_values(f, torus, r, half=False)[0] for w, f in enumerate(fs))
+        return mean_product([v], [v])
+
     out_full = []
     out_half = []
     for r in radii:
@@ -489,10 +496,10 @@ def half_sublinearity_curve(hset, radii):
             for f in hset.sigma_h[i].sigma.values():
                 tot_tang += 2.0 * ball_mean_square(f, grid, r)
         # transversal term, full-ball (torus fields) and half-ball variant
-        full = ball_mean_square(phi_d_torus, torus, r, half=False)
+        full = torus_ball_square([pair.cset.phi[w] for w in range(d)], r)
         halfv = ball_mean_square(hset.phi_h[i_d], grid, r)
-        for key, f_t in sigma_d_torus.sigma.items():
-            full += 2.0 * ball_mean_square(f_t, torus, r, half=False)
+        for key in pair.sigmas[0].sigma:
+            full += 2.0 * torus_ball_square([pair.sigmas[w].sigma[key] for w in range(d)], r)
             halfv += 2.0 * ball_mean_square(hset.sigma_h[i_d].sigma[key], grid, r)
         out_full.append(np.sqrt(tot_tang + full) / r)
         out_half.append(np.sqrt(tot_tang + halfv) / r)

@@ -32,6 +32,12 @@ Boundary conditions on half-boxes:
   only, mirroring the weak formulation in which the boundary flux term
   is simply absent.
 
+A datum ``g`` is a scalar, an array of the face layer's shape, or a
+callable.  ``Operator.system`` calls each callable once per system, on
+the face points of every non-periodic side that carries it, whatever
+the side's kind: it receives d 1-D coordinate arrays, must act
+elementwise, and returns one value per point or a scalar.
+
 Pure-periodic (and pure-Neumann) systems are singular with constant null
 space; the solver pins the mean-zero representative by projecting out
 the constant mode of every float64 residual and iterate.
@@ -199,22 +205,48 @@ class SolverError(RuntimeError):
 
 
 def _boundary_datum(value, grid, axis, side):
-    """Evaluate a boundary datum on the face layer (axis, side)."""
-    offs = face_offsets(grid.dim, axis)
+    """A scalar or array boundary datum as the face layer (axis, side)."""
     want = tuple(s for a, s in enumerate(grid.face_shape(axis)) if a != axis)
-    if callable(value):
-        # layer coordinates from the 1-D points of the other axes and the
-        # side's fixed coordinate, not from full-box meshgrids
-        pts = [grid.points_along(a, offs[a]) for a in range(grid.dim)]
-        pts[axis] = pts[axis][0 if side == 0 else -1]
-        coords = [c.reshape(want) for c in np.meshgrid(*pts, indexing="ij")]
-        out = np.asarray(value(*coords), dtype=float)
-    else:
-        out = np.asarray(value, dtype=float)
+    out = np.asarray(value, dtype=float)
     if out.ndim == 0:
         out = np.full(want, float(out))
     if out.shape != want:
         raise ValueError(f"boundary datum shape {out.shape} != {want}")
+    return out
+
+
+def _callable_data(bc, grid):
+    """The face layers of the callable data of ``bc`` by (axis, side).
+    Each callable is called once: on the 1-D coordinates of the face
+    points of every non-periodic side that carries it, side after side,
+    and its values (one per point, or a scalar) are split back into the
+    layers."""
+    sides = {}  # id -> (callable, its sides)
+    for k in range(grid.dim):
+        if grid.periodic_axis(k):
+            continue
+        for side in (0, 1):
+            value = bc.bc(k, side).value
+            if callable(value):
+                sides.setdefault(id(value), (value, []))[1].append((k, side))
+    out = {}
+    for value, keys in sides.values():
+        layers, shapes = [], []
+        for k, side in keys:
+            offs = face_offsets(grid.dim, k)
+            pts = [grid.points_along(a, offs[a]) for a in range(grid.dim)]
+            pts[k] = pts[k][0 if side == 0 else -1]
+            layers.append([c.ravel() for c in np.meshgrid(*pts, indexing="ij")])
+            shapes.append(tuple(len(p) for a, p in enumerate(pts) if a != k))
+        coords = [np.concatenate(c) for c in zip(*layers)]
+        n = coords[0].size
+        vals = np.asarray(value(*coords), dtype=float)
+        if vals.ndim == 0:
+            vals = np.full(n, float(vals))
+        if vals.shape != (n,):
+            raise ValueError(f"boundary datum shape {vals.shape} != {(n,)}")
+        parts = np.split(vals, np.cumsum([int(np.prod(w)) for w in shapes])[:-1])
+        out.update((key, part.reshape(w)) for key, part, w in zip(keys, parts, shapes))
     return out
 
 
@@ -418,6 +450,7 @@ class Operator:
                 raise ValueError("volume source shape mismatch")
             rhs += vol.ravel()
         F = src.divergence_form if src is not None else None
+        called = _callable_data(bc, grid)
         for k in range(grid.dim):
             if grid.periodic_axis(k):
                 if F is not None:
@@ -427,7 +460,9 @@ class Operator:
             Fk = F.comps[k].copy() if F is not None else None
             for side in (0, 1):
                 b_side = bc.bc(k, side)
-                g = _boundary_datum(b_side.value, grid, k, side)
+                g = called.get((k, side))
+                if g is None:
+                    g = _boundary_datum(b_side.value, grid, k, side)
                 cells = rhs.reshape(shape)[(slice(None),) * k + (-side,)]  # the side's cell layer
                 if isinstance(b_side, Dirichlet):
                     cells += self._dirichlet_weight[k, side] * g

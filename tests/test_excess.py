@@ -216,6 +216,47 @@ def test_kept_window_gives_the_same_reports_warm_and_fresh():
         assert np.array_equal(w_exc, c_exc) and w_c == c_c
 
 
+def test_mean_value_reads_the_energies_the_excess_table_kept(monkeypatch):
+    # after the excess table the mean-value check builds no gradient for
+    # the table's radii and matches a fresh sample bit for bit, also with
+    # radii the table lacks (below its floor of 4h, above the window)
+    import sys
+
+    from homlab.excess import HarmonicSample
+
+    ex = sys.modules["homlab.excess"]  # the package exports the function ``excess``
+
+    f, pair, hset = make_setup(n=64, seed=5)
+    s = harmonic_sample(f, 16.0, band_limited_trace(4, 16.0))
+    excess_decay_experiment(s, hset, [4.0, 8.0, 16.0])
+    assert sorted(vars(s)["_ball_energies"]) == [4.0, 8.0, 16.0]
+    fresh = lambda: HarmonicSample(s.u, s.field, s.radius, s.residual)
+    gradients = []
+    monkeypatch.setattr(ex, "gradient", lambda u: gradients.append(u) or gradient(u))
+    for radii, built in (([4.0, 8.0, 16.0], 0), ([2.0, 4.0, 8.0, 16.0, 32.0], 1)):
+        kept = mean_value_check(s, radii)
+        assert len(gradients) == built
+        cold = mean_value_check(fresh(), radii)
+        assert np.array_equal(kept.ratios, cold.ratios) and kept.c_mean == cold.c_mean
+        gradients.clear()
+    assert all(isinstance(v, float) for v in vars(s)["_ball_energies"].values())
+
+
+def test_gram_matrices_go_with_the_family_when_windows_alternate():
+    f, pair, hset = make_setup(n=64, seed=5)
+    radii = {8.0: [4.0, 8.0], 16.0: [4.0, 8.0, 16.0]}
+    for step, R in enumerate([8.0, 16.0, 8.0, 16.0]):
+        s = harmonic_sample(f, R, band_limited_trace(step, R))
+        warm = excess_decay_experiment(s, hset, radii[R])
+        grid, _, grams = vars(hset)["_gradient_family"]
+        assert grid == s.u.grid and sorted(grams) == radii[R]
+        assert all(not M.flags.writeable for M, _ in grams.values())
+        _drop_kept(hset)
+        cold = excess_decay_experiment(s, hset, radii[R])
+        assert np.array_equal(warm.excess, cold.excess)
+        assert all(np.array_equal(a, b) for a, b in zip(warm.minimizers, cold.minimizers))
+
+
 def test_harmonic_sample_band_limited_residual():
     f, pair, hset = make_setup(n=64, seed=3)
     trace = band_limited_trace(seed=0, box_half_width=16.0)

@@ -984,6 +984,46 @@ def test_callable_boundary_datum_matches_meshgrid_path():
         assert np.array_equal(rhs, op.system(BoundarySpec(evaluated)).rhs)
 
 
+def _layer_values(datum, grid, axis, side):
+    # the datum on full-box coordinate meshgrids, sliced to the face layer
+    layer = (slice(None),) * axis + (0 if side == 0 else grid.face_shape(axis)[axis] - 1,)
+    return datum(*(c[layer] for c in grid.coords(face_offsets(grid.dim, axis))))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_shared_callable_datum_is_called_once_per_system(dim):
+    # one callable on the lateral, top and flat sides (two kinds): one call
+    # per system, on 1-D coordinates, and the rhs of per-layer evaluation
+    grid = Grid.half_box(dim, 8, tangential_periodic=False)
+    datum = lambda *x: np.sin(0.4 * x[0]) + x[-1] * x[0] - 0.1 * x[1] ** 2
+    calls = []
+
+    def counted(*x):
+        calls.append([c.shape for c in x])
+        return datum(*x)
+
+    op = Operator(identity_field(grid), BoundarySpec.half_box(grid))
+    kinds = BoundarySpec.half_box(grid, flat=NoFlux(counted), top=Dirichlet(counted),
+                                  lateral=Dirichlet(counted))
+    rhs = [op.system(kinds).rhs for _ in range(2)]
+    evaluated = BoundarySpec({key: type(b)(_layer_values(datum, grid, *key))
+                              for key, b in kinds.sides.items()})
+    n_points = sum(b.value.size for b in evaluated.sides.values())
+    assert calls == [[(n_points,)] * dim] * 2
+    assert all(np.array_equal(r, op.system(evaluated).rhs) for r in rhs)
+
+
+def test_callable_datum_scalar_broadcasts_and_wrong_shape_raises():
+    grid = Grid.half_box(3, 4, tangential_periodic=False)
+    op = Operator(identity_field(grid), BoundarySpec.half_box(grid))
+    spec = lambda g: BoundarySpec.half_box(grid, top=Dirichlet(g), lateral=Dirichlet(g))
+    assert np.array_equal(op.system(spec(lambda *x: 2.5)).rhs, op.system(spec(2.5)).rhs)
+    for wrong in (lambda *x: np.ones(3), lambda *x: np.ones((x[0].size, 1)),
+                  lambda *x: x[0][:-1]):
+        with pytest.raises(ValueError, match="boundary datum shape"):
+            op.system(spec(wrong))
+
+
 @pytest.mark.parametrize("case", ["torus2d-c100", "slab2d", "window3d"])
 def test_solve_by_diagonals_matches_csr_copy(case, monkeypatch):
     # the inner CG's float32 stencil product against a float32 CSR copy of

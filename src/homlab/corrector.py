@@ -342,35 +342,39 @@ def sublinearity_curve(pair, radii, basis=None):
     origin, plus the partial sums of the quantified-ergodicity series
     (weights log2 r, increments log2(r) * delta_r^(1/3)).  The sum runs
     over the directions b given as rows of ``basis`` (default: the
-    coordinate frame), each through the ball values of ``phi_for(b)`` and
-    ``sigma_for(b)``, formed from each stored field gathered once per
-    (home, radius)."""
+    coordinate frame), through ``_ball_sums``."""
     grid = pair.cset.grid
-    d = grid.dim
     radii = np.asarray(radii)
-    basis = np.eye(d) if basis is None else np.asarray(basis, dtype=float)
+    basis = np.eye(grid.dim) if basis is None else np.asarray(basis, dtype=float)
     for r in radii:
         if not is_dyadic(r / grid.h):
             raise ValueError(f"radius {r} is not a positive dyadic multiple of h")
-    # per home, its weight and the stored fields of the d coordinate
-    # directions; sigma_kj = -sigma_jk: each stored pair enters twice
-    homes = [(1.0, [pair.cset.phi[i] for i in range(d)])]
-    homes += [(2.0, [pair.sigmas[w].sigma[key] for w in range(d)]) for key in pair.sigmas[0].sigma]
-    tot = np.zeros(len(radii))
-    tot_g = np.zeros(len(radii))
-    for m, r in enumerate(radii):
-        gathered = [(w, [f.values[interior_ball_mask(grid, f.offsets, r)] for f in fs])
-                    for w, fs in homes]
-        for b in basis:
-            for w, vals in gathered:
-                msq, csq = _raw_and_centered(sum(b[i] * vals[i] for i in range(d)))
-                tot[m] += w * msq
-                tot_g[m] += w * csq
-    delta = np.sqrt(tot) / radii
-    delta_gno = np.sqrt(tot_g) / radii
+    sums = np.asarray([_ball_sums(pair, r, basis) for r in radii]).reshape(len(radii), 2)
+    delta, delta_gno = np.sqrt(sums.T) / radii
     partial = np.cumsum(np.log2(radii) * delta ** (1.0 / 3.0))
     return SublinearityCurve(radii, delta, delta_gno, partial,
                              lambda rs: sublinearity_curve(pair, rs, basis))
+
+
+def _ball_sums(pair, r, basis):
+    """Sums over the rows b of ``basis`` of fint |phi_for(b)|^2 + sum_{j,k}
+    fint |sigma_for(b)_jk|^2 on the torus ball of radius r, raw and with
+    each ball mean subtracted.  Each stored field is gathered once and the
+    values of b are formed on the ball; sigma_kj = -sigma_jk, so each
+    stored pair enters twice."""
+    grid = pair.cset.grid
+    d = grid.dim
+    homes = [(1.0, [pair.cset.phi[i] for i in range(d)])]
+    homes += [(2.0, [pair.sigmas[w].sigma[key] for w in range(d)]) for key in pair.sigmas[0].sigma]
+    gathered = [(w, [f.values[interior_ball_mask(grid, f.offsets, r)] for f in fs])
+                for w, fs in homes]
+    raw = centred = 0.0
+    for b in basis:
+        for w, vals in gathered:
+            msq, csq = _raw_and_centered(sum(b[i] * vals[i] for i in range(d)))
+            raw += w * msq
+            centred += w * csq
+    return raw, centred
 
 
 def _raw_and_centered(v):

@@ -18,10 +18,10 @@ evaluations share the corrected-gradient family: the torus field keeps the
 operator of its last window and the half-space set the family on its last
 grid, read-only, with the family's Gram matrix of each radius, and both go
 with their owner.  A sample keeps the ball mean of |grad u|^2 of each radius
-its excess table reads, for the mean-value check.  Fields, sets and samples
-are taken as immutable: a field changed in place after a sample keeps its
-old window operator.  Every ball mean goes through the quadrature of
-``homlab.pde``.
+its excess table reads, for the mean-value check, and a set its coercivity
+value of each radius.  Fields, sets and samples are taken as immutable: a
+field changed in place after a sample keeps its old window operator.  Every
+ball mean goes through the quadrature of ``homlab.pde``.
 """
 
 from __future__ import annotations
@@ -284,10 +284,13 @@ class CoercivityReport:
 def coercivity_check(hset, r):
     """fint_{B_r^+} |b_1 + grad phi_h_{b_1}|^2 against (1/16)^(d+1); the
     corrected family is linear in b, so this one comparison covers every
-    multiple t b_1 (both sides scale by t^2)."""
+    multiple t b_1 (both sides scale by t^2).  The value of each r is kept
+    on the set as a scalar."""
     grid = hset.grid
-    value = ball_mean_square(VectorField(grid, _corrected_gradient(hset, 0, grid)), grid, r)
-    return CoercivityReport(r, value, (1.0 / 16.0) ** (grid.dim + 1))
+    values = vars(hset).setdefault("_coercivity", {})
+    if r not in values:
+        values[r] = ball_mean_square(VectorField(grid, _corrected_gradient(hset, 0, grid)), grid, r)
+    return CoercivityReport(r, values[r], (1.0 / 16.0) ** (grid.dim + 1))
 
 
 def smallness_radius(hcurve, threshold):

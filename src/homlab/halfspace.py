@@ -38,6 +38,7 @@ from . import _transforms as ft
 from .corrector import (
     FluxPotentialSet,
     WholeSpacePair,
+    _ball_sums,
     _less_mean,
     _raw_and_centered,
     coefficient_times_vector,
@@ -57,7 +58,6 @@ from .pde import (
     diff_to_integer,
     flux,
     gradient,
-    mean_product,
     solve,
     _interior_mask,
 )
@@ -146,49 +146,32 @@ def solve_halfspace_correction(field_hb, g_flat, tol=DEFAULT_TOL, op=None):
     # normal -e_d of the flat side this is a prescribed current +g_flat
     if op is None:
         op = Operator(field_hb, BoundarySpec.half_box(grid))
-    varphi, stats = solve(op.system(BoundarySpec.half_box(grid, flat=NoFlux(g_flat))), tol=tol)
+    bc = BoundarySpec.half_box(grid, flat=NoFlux(g_flat))
+    varphi, stats = solve(op.system(bc), tol=tol)
     # the far-field Dirichlet truncation pins the additive constant, so no
     # unit-ball normalization is applied: shifting the solution would break
     # its own top rows and the ghost-closed current below
-    G = correction_current(field_hb, varphi, g_flat)
+    G = correction_current(field_hb, varphi, g_flat, bc)
     return CorrectionResult(varphi, G, stats)
 
 
-def correction_current(field_hb, varphi, g_flat):
+def correction_current(field_hb, varphi, g_flat, bc):
     """a grad varphi as a face field with boundary layers closed the way
-    the assembled operator sees them: the flat layer carries the
+    the operator of ``bc`` sees them: the flat layer carries the
     prescribed datum (+e_d oriented, the negative of the outward-normal
-    value) and Dirichlet-0 truncation sides carry the ghost fluxes.
+    value) and each zero-Dirichlet side of ``bc`` its ghost flux.
     This keeps the discrete divergence of the current at the solver
     residual everywhere, which the skew correction construction needs.
     """
     grid = field_hb.grid
     d = grid.dim
-    h = grid.h
     G = flux(field_hb, varphi)
-    sl = [slice(None)] * d
-    sl[d - 1] = 0
-    G.comps[d - 1][tuple(sl)] = -g_flat
-    for k in range(d):
-        if grid.periodic_axis(k):
-            continue
-        a_kk = field_hb.entry(k, k)
-        m = grid.shape[k]
-        hi_face = [slice(None)] * d
-        hi_face[k] = m
-        hi_cell = [slice(None)] * d
-        hi_cell[k] = m - 1
-        G.comps[k][tuple(hi_face)] = (
-            -2.0 * a_kk[tuple(hi_face)] * varphi.values[tuple(hi_cell)] / h
-        )
-        if k < d - 1:
-            lo_face = [slice(None)] * d
-            lo_face[k] = 0
-            lo_cell = [slice(None)] * d
-            lo_cell[k] = 0
-            G.comps[k][tuple(lo_face)] = (
-                2.0 * a_kk[tuple(lo_face)] * varphi.values[tuple(lo_cell)] / h
-            )
+    G.comps[d - 1][..., 0] = -g_flat
+    for k, side in bc.dirichlet_sides():
+        face = (slice(None),) * k + (side * grid.shape[k],)
+        cell = (slice(None),) * k + (-side,)
+        a_kk = field_hb.entry(k, k)[face]
+        G.comps[k][face] = (1 - 2 * side) * 2.0 * a_kk * varphi.values[cell] / grid.h
     return G
 
 
@@ -295,10 +278,11 @@ class HalfSpaceCorrectorSet:
     """Correctors and flux potentials for one realization.
 
     Directions are indexed by rows of the tangential basis; the last row
-    needs no solve (restriction only).  sigma_h holds one
-    ``FluxPotentialSet`` per row.  liouville_gap holds, per tangential
-    row, the identity residual of sigma built with psi = curl v instead
-    of the axial-gauge skew correction.
+    needs no solve (restriction only).  phi_h and sigma_h hold one
+    ``ScalarField`` and one ``FluxPotentialSet`` per row; varphi, q_h and
+    liouville_gap hold the tangential rows only: the correction, the
+    current a(grad phi_h + b) - a_hom b, and the identity residual of sigma
+    built with psi = curl v instead of the axial-gauge skew correction.
     """
 
     grid: Grid
@@ -322,16 +306,15 @@ def _restricted_current(pair, b, half_grid):
     return VectorField(half_grid, comps), np.take(comps[d - 1], 0, axis=d - 1)
 
 
-def restrict_pair(pair, b, half_grid):
-    """The whole-space corrector phi_b, flux potential ``sigma_for(b)`` and
-    current q_b = a(grad phi_b + b) - a_hom b restricted to a half-box cut
-    from the torus of the pair, and the flat datum of the correction, the
-    flat layer of a(grad phi_b + b).  Each array is a new one, and the
-    current of b is the one torus-sized array built."""
+def _restricted_potentials(pair, b, half_grid):
+    """The whole-space corrector phi_b and flux potential ``sigma_for(b)``
+    restricted to a half-box cut from the torus of ``pair``, each a sum
+    sum_w b_w f_w of the restricted coordinate fields f_w, value for value
+    the restriction of the torus-sized sum."""
     torus = pair.cset.grid
     d = half_grid.dim
 
-    def restricted(fields):  # sum_w b_w f_w from the restricted f_w, value for value
+    def restricted(fields):
         offs = fields[0].offsets
         vals = sum(b[w] * restrict_values(fields[w].values, torus, half_grid, offs)
                    for w in range(d))
@@ -341,6 +324,15 @@ def restrict_pair(pair, b, half_grid):
     sigma = FluxPotentialSet(half_grid, {
         key: restricted([pair.sigmas[w].sigma[key] for w in range(d)])
         for key in pair.sigmas[0].sigma})
+    return phi, sigma
+
+
+def restrict_pair(pair, b, half_grid):
+    """``_restricted_potentials`` of b, the current of b restricted to the
+    same half-box, q_b = a(grad phi_b + b) - a_hom b, and the flat datum of
+    the correction, the flat layer of a(grad phi_b + b).  Each array is a
+    new one, and the current of b is the one torus-sized array built."""
+    phi, sigma = _restricted_potentials(pair, b, half_grid)
     q, datum = _restricted_current(pair, b, half_grid)
     _less_mean(q, pair.a_hom @ b)  # a gather commutes with the subtraction
     return phi, sigma, q, datum
@@ -349,9 +341,9 @@ def restrict_pair(pair, b, half_grid):
 def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFAULT_TOL):
     """Construct the full half-space-adapted set on a half-box of height
     L cut from the torus field.  Each tangential direction adds its
-    correction to the restricted whole-space pair; the transversal one
-    is the restriction alone (no solve, Theorem-style).  Each direction
-    builds one torus-sized current, d in all."""
+    correction to the restricted whole-space pair and builds one
+    torus-sized current, d - 1 in all; the transversal one restricts phi
+    and sigma alone (no solve, no current)."""
     d = field_torus.grid.dim
     field_hb = restrict_to_half_box(field_torus, L, tangential_periodic)
     grid = field_hb.grid
@@ -375,10 +367,8 @@ def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFA
         del sigma_v
         for key, f in skew_correction(grid, corr.current).sigma.items():
             sigma_h[i].sigma[key].values += f.values
-    # transversal direction, without the slab's operator, field and last
-    # correction alive
-    del op, field_hb, corr
-    phi_h[d - 1], sigma_h[d - 1], q_h[d - 1], _ = restrict_pair(pair, basis.normal_like, grid)
+    # the transversal direction: the restriction alone
+    phi_h[d - 1], sigma_h[d - 1] = _restricted_potentials(pair, basis.normal_like, grid)
     return HalfSpaceCorrectorSet(grid, basis, pair, phi_h, varphi, sigma_h, q_h, gap, stats)
 
 
@@ -413,22 +403,11 @@ def halfspace_residuals(field_hb, hset, i, op=None):
     u = hset.phi_h[i].values.ravel()
     r = (sys.matrix @ u - sys.rhs).reshape(grid.shape)
     # rows inside Dirichlet truncation layers are determined by the trace
-    # and excluded: the top layer always, plus one cell on non-periodic
-    # lateral sides of a plain half-box
+    # and excluded: the cell layer of each Dirichlet side
     keep = np.ones(grid.shape, dtype=bool)
-    sl_top = [slice(None)] * d
-    sl_top[d - 1] = grid.shape[d - 1] - 1
-    keep[tuple(sl_top)] = False
-    for a in range(d - 1):
-        if not grid.periodic_axis(a):
-            sl = [slice(None)] * d
-            sl[a] = 0
-            keep[tuple(sl)] = False
-            sl[a] = grid.shape[a] - 1
-            keep[tuple(sl)] = False
-    sl_flat = [slice(None)] * d
-    sl_flat[d - 1] = 0
-    flat_flux = float((np.abs(np.where(keep, r, 0.0)[tuple(sl_flat)]) * grid.h).max())
+    for k, side in sys.bc.dirichlet_sides():
+        keep[(slice(None),) * k + (-side,)] = False
+    flat_flux = float((np.abs(np.where(keep, r, 0.0)[..., 0]) * grid.h).max())
     # scale: sup norm of the corrected gradient b + grad phi_h
     g = gradient(hset.phi_h[i])
     scale = 0.0
@@ -436,7 +415,7 @@ def halfspace_residuals(field_hb, hset, i, op=None):
         mask = _interior_mask(grid, face_offsets(d, k))
         scale = max(scale, float(np.abs(g.comps[k][mask] + b[k]).max()))
     interior = np.where(keep, r, 0.0)
-    interior[tuple(sl_flat)] = 0.0
+    interior[..., 0] = 0.0
     nb = np.linalg.norm(sys.rhs)
     interior_rel = float(np.linalg.norm(interior) / nb) if nb > 0 else 0.0
     sigma_res = sigma_identity_residual(hset, i)
@@ -475,16 +454,7 @@ def half_sublinearity_curve(hset, radii):
     grid = hset.grid
     d = grid.dim
     i_d = d - 1
-    pair = hset.torus_pair
-    torus = pair.cset.grid
     b = hset.basis.normal_like
-
-    def torus_ball_square(fs, r):
-        # fint |sum_w b_w f_w|^2 on the full torus ball, each direction's
-        # field gathered before it is combined (phi_for(b), sigma_for(b))
-        v = sum(b[w] * ball_values(f, torus, r, half=False)[0] for w, f in enumerate(fs))
-        return mean_product([v], [v])
-
     out_full = []
     out_half = []
     for r in radii:
@@ -496,11 +466,10 @@ def half_sublinearity_curve(hset, radii):
             for f in hset.sigma_h[i].sigma.values():
                 tot_tang += 2.0 * ball_mean_square(f, grid, r)
         # transversal term, full-ball (torus fields) and half-ball variant
-        full = torus_ball_square([pair.cset.phi[w] for w in range(d)], r)
+        full = _ball_sums(hset.torus_pair, r, [b])[0]
         halfv = ball_mean_square(hset.phi_h[i_d], grid, r)
-        for key in pair.sigmas[0].sigma:
-            full += 2.0 * torus_ball_square([pair.sigmas[w].sigma[key] for w in range(d)], r)
-            halfv += 2.0 * ball_mean_square(hset.sigma_h[i_d].sigma[key], grid, r)
+        for f in hset.sigma_h[i_d].sigma.values():
+            halfv += 2.0 * ball_mean_square(f, grid, r)
         out_full.append(np.sqrt(tot_tang + full) / r)
         out_half.append(np.sqrt(tot_tang + halfv) / r)
     return HalfSublinearityCurve(np.asarray(radii), np.asarray(out_full), np.asarray(out_half))
@@ -617,10 +586,10 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
         raise ValueError("outermost annulus exceeds the domain")
     config.validate(grid)
     _, g_full = _restricted_current(pair, b, grid)
-    coords = grid.coords(face_offsets(d, d - 1))
-    sl = [slice(None)] * d
-    sl[d - 1] = 0
-    rho = np.sqrt(sum(coords[a][tuple(sl)] ** 2 for a in range(d - 1)))
+    # tangential radius of the flat face layer
+    axes = np.meshgrid(*(grid.points_along(a, 0.5) for a in range(d - 1)),
+                       indexing="ij", sparse=True)
+    rho = np.sqrt(sum(x ** 2 for x in axes))
     if op is None:
         op = Operator(field_hb, BoundarySpec.half_box(grid))
     varphi_n = {}

@@ -419,6 +419,22 @@ def test_coercivity_constant_field_exact():
     assert rep.ok
 
 
+def test_coercivity_value_is_kept_per_radius(monkeypatch):
+    # a second call on the same (set, r) builds no gradient and returns
+    # the first value bit for bit; a new radius builds one
+    import sys
+
+    ex = sys.modules["homlab.excess"]  # the package exports the function ``excess``
+    f, pair, hset = make_setup(n=64, seed=7)
+    first = coercivity_check(hset, r=16.0)
+    gradients = []
+    monkeypatch.setattr(ex, "gradient", lambda u: gradients.append(u) or gradient(u))
+    again = coercivity_check(hset, r=16.0)
+    assert gradients == [] and again.value == first.value and again.radius == 16.0
+    assert coercivity_check(hset, r=8.0).value != first.value and len(gradients) == 1
+    assert all(isinstance(v, float) for v in vars(hset)["_coercivity"].values())
+
+
 def test_coercivity_checkerboard_above_bound():
     f, pair, hset = make_setup(n=64, seed=7)
     rep = coercivity_check(hset, r=16.0)

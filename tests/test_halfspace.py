@@ -367,10 +367,34 @@ def test_restrict_pair_restricts_sigma_for():
                                                  face_offsets(2, 1))[:, 0])
 
 
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("periodic", [True, False], ids=["slab", "box"])
+def test_correction_current_closes_the_flat_and_dirichlet_sides(dim, n, periodic):
+    # the flat layer carries -g_flat and each zero-Dirichlet side (the top,
+    # and the lateral sides of a plain half-box) the ghost flux
+    # 2 a_kk u / h, outward, of the cell layer beside it
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=2), Grid.torus(dim, n))
+    pair = solve_pair(f, tol=1e-11)
+    L = n / 2.0 if periodic else n / 4.0
+    fhb = restrict_to_half_box(f, L, tangential_periodic=periodic)
+    grid = fhb.grid
+    g_flat = restrict_pair(pair, tangential_basis(pair.a_hom).vectors[0], grid)[3]
+    corr = solve_halfspace_correction(fhb, g_flat, tol=1e-11)
+    G, u = corr.current.comps, corr.varphi.values
+    assert np.array_equal(np.take(G[dim - 1], 0, axis=dim - 1), -g_flat)
+    sides = [(dim - 1, 1)] + [(a, s) for a in range(dim - 1) if not periodic for s in (0, 1)]
+    for k, side in sides:
+        m = grid.shape[k]
+        a_kk = np.take(fhb.entry(k, k), side * m, axis=k)
+        ghost = (1 - 2 * side) * 2.0 * a_kk * np.take(u, side * (m - 1), axis=k) / grid.h
+        assert np.array_equal(np.take(G[k], side * m, axis=k), ghost)
+
+
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
 def test_halfspace_set_builds_one_current_per_direction(monkeypatch, dim, n):
-    # each direction restricts its torus-sized current once, and a
-    # tangential one reads its flat datum and q_h off that restriction
+    # each tangential direction restricts its torus-sized current once and
+    # reads its flat datum and q_h off that restriction; the transversal
+    # one restricts phi and sigma only
     from homlab.corrector import CorrectorSet
 
     f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=4), Grid.torus(dim, n))
@@ -380,8 +404,9 @@ def test_halfspace_set_builds_one_current_per_direction(monkeypatch, dim, n):
     monkeypatch.setattr(CorrectorSet, "current",
                         lambda cset, b: built.append(b) or current(cset, b))
     hset = build_halfspace_set(f, pair, L=n / 2.0, tol=1e-10)
-    assert len(built) == dim
-    assert np.array_equal(np.stack(built), hset.basis.vectors)
+    assert len(built) == dim - 1
+    assert np.array_equal(np.stack(built), hset.basis.vectors[:dim - 1])
+    assert set(hset.q_h) == set(range(dim - 1))
 
 
 def test_pair_and_halfspace_set_peak_memory():
@@ -463,6 +488,42 @@ def test_half_sublinearity_decay_and_variants():
     assert np.all(np.abs(curve.delta_h - curve.delta_h_halfball) / curve.delta_h < 0.5)
     with pytest.raises(ValueError):
         half_sublinearity_curve(hset, [128.0])
+
+
+def reference_half_sublinearity(hset, radii):
+    """delta_h row by row: the tangential rows on the half-ball, the
+    transversal one on the torus ball from the full fields phi_for(b) and
+    sigma_for(b), summed in the same order."""
+    grid, pair = hset.grid, hset.torus_pair
+    d = grid.dim
+    b = hset.basis.normal_like
+    out = []
+    for r in radii:
+        tang = 0.0
+        for i in range(d - 1):
+            [v] = pde.ball_values(hset.phi_h[i], grid, r)
+            tang += float(((v - float(v.mean())) ** 2).mean())
+            for f in hset.sigma_h[i].sigma.values():
+                [v] = pde.ball_values(f, grid, r)
+                tang += 2.0 * float((v * v).mean())
+        full = 0.0
+        fields = [(1.0, pair.cset.phi_for(b))]
+        fields += [(2.0, f) for f in pair.sigma_for(b).sigma.values()]
+        for w, f in fields:
+            [v] = pde.ball_values(f, pair.cset.grid, r)
+            full += w * float((v * v).mean())
+        out.append(np.sqrt(tang + full) / r)
+    return np.asarray(out)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+def test_half_sublinearity_matches_row_by_row_reference(dim, n):
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=3), Grid.torus(dim, n))
+    pair = solve_pair(f, tol=1e-11)
+    hset = build_halfspace_set(f, pair, L=n / 2.0, tol=1e-11)
+    radii = [2.0, 4.0, 8.0]
+    curve = half_sublinearity_curve(hset, radii)
+    assert np.array_equal(curve.delta_h, reference_half_sublinearity(hset, radii))
 
 
 def test_half_sublinearity_shares_the_torus_ball_masks():

@@ -613,6 +613,24 @@ def test_operator_rhs_split_properties(case):
         assert np.abs(u.values - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_dirichlet_sides_of_the_closures(dim):
+    slab, box = Grid.half_box(dim, 8), Grid.half_box(dim, 8, tangential_periodic=False)
+    lateral = [(a, s) for a in range(dim - 1) for s in (0, 1)]
+    trace = Dirichlet(lambda *x: x[0])
+    window = BoundarySpec.half_box(box, flat=NoFlux(0.0), top=trace, lateral=trace)
+    assert BoundarySpec.half_box(slab).dirichlet_sides() == [(dim - 1, 1)]
+    assert BoundarySpec.half_box(box).dirichlet_sides() == lateral + [(dim - 1, 1)]
+    assert window.dirichlet_sides() == lateral + [(dim - 1, 1)]
+    flat = BoundarySpec.half_box(box, flat=trace)
+    assert flat.dirichlet_sides() == lateral + [(dim - 1, 0), (dim - 1, 1)]
+    assert BoundarySpec.periodic().dirichlet_sides() == []
+    # a system is singular exactly when no side is Dirichlet
+    assert not Operator(identity_field(slab), BoundarySpec.half_box(slab)).singular
+    no_flux = BoundarySpec.half_box(slab, top=NoFlux(0.0))
+    assert no_flux.dirichlet_sides() == [] and Operator(identity_field(slab), no_flux).singular
+
+
 def test_operator_rejects_other_boundary_kinds():
     grid = Grid.half_box(2, 8)
     op = Operator(identity_field(grid), BoundarySpec.half_box(grid))

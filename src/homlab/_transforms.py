@@ -19,8 +19,10 @@ symmetric systems, BiCGSTAB on nonsymmetric ones), whose residuals are
 normalized to unit norm, so no scaling is needed to stay inside the
 float32 range, and the float32 transforms move half the bytes.  The float64 outer loop of ``pde.solve`` recomputes
 the residual and adds the corrections, so single precision limits the
-cost of a correction, not the accuracy of the solution.  The exact
-solves (Hodge solves, vector potentials) use the float64 default.
+cost of a correction, not the accuracy of the solution.  The
+preconditioner hands its residual over as scratch (``overwrite=True``).
+The exact solves (Hodge solves, vector potentials) use the float64
+default and keep their input.
 ``thomas_many`` and ``vertical_stencil`` serve only the benchmark's
 tridiagonal-sweep probe (``perfbench``); no solver of the lab calls them.
 """
@@ -212,13 +214,17 @@ class FastConstSolver:
         self.dtype = np.dtype(dtype)
         self._inverse_symbol = (1.0 / symbol).astype(self.dtype)
 
-    def solve(self, b):
-        """The solution for data ``b``, in the solver's dtype; ``b`` itself
-        is never written: the first transform reads it into a new array,
-        and the later ones overwrite their own intermediates."""
+    def solve(self, b, overwrite=False):
+        """The solution for data ``b``, in the solver's dtype.  By default
+        ``b`` is never written: the first transform reads it into a new
+        array, and the later ones overwrite their own intermediates.
+        ``overwrite=True`` marks ``b`` as scratch, which the first
+        transform may then overwrite too (a real trig transform of b in
+        the solver's dtype does), one array fewer per solve; the result is
+        the same bit for bit."""
         x = np.asarray(b, dtype=self.dtype)
         for i, transform in enumerate(self._forward):
-            x = transform(x, overwrite_x=i > 0)
+            x = transform(x, overwrite_x=overwrite or i > 0)
         x *= self._inverse_symbol
         for transform in self._backward:
             x = transform(x, overwrite_x=True)

@@ -43,6 +43,7 @@ from .pde import (
     flux,
     interior_ball_mask,
     solve,
+    solve_many,
 )
 
 DEFAULT_TOL = 1e-12  # corrector solves feed the flux-potential identity
@@ -61,15 +62,20 @@ def periodic_operator(field):
     return Operator(field, BoundarySpec.periodic())
 
 
-def solve_corrector(field, xi, tol=DEFAULT_TOL, op=None):
-    """Zero-mean corrector for one unit direction on a torus field; ``op``
-    is the field's ``periodic_operator`` when the caller holds one."""
+def _corrector_system(field, xi, op):
+    """The corrector system of unit direction xi on ``op``, the field's
+    ``periodic_operator``."""
     xi = np.asarray(xi, dtype=float)
     if abs(np.linalg.norm(xi) - 1.0) > 1e-12:
         raise ValueError("direction must be a unit vector")
+    return op.system(src=SourceTerm(divergence_form=coefficient_times_vector(field, xi)))
+
+
+def solve_corrector(field, xi, tol=DEFAULT_TOL, op=None):
+    """Zero-mean corrector for one unit direction on a torus field; ``op``
+    is the field's ``periodic_operator`` when the caller holds one."""
     op = periodic_operator(field) if op is None else op
-    src = SourceTerm(divergence_form=coefficient_times_vector(field, xi))
-    phi, stats = solve(op.system(src=src), tol=tol)
+    phi, stats = solve(_corrector_system(field, xi, op), tol=tol)
     phi.values -= phi.values.mean()
     return phi, stats
 
@@ -102,11 +108,16 @@ class CorrectorSet:
 
 
 def solve_correctors(field, tol=DEFAULT_TOL):
+    """The zero-mean correctors of the coordinate directions, solved
+    concurrently on one operator (``pde.solve_many``), each the same as
+    ``solve_corrector``'s."""
     op = periodic_operator(field)
+    systems = [_corrector_system(field, e, op) for e in np.eye(field.grid.dim)]
     phi = {}
     stats = {}
-    for i in range(field.grid.dim):
-        phi[i], stats[i] = solve_corrector(field, np.eye(field.grid.dim)[i], tol=tol, op=op)
+    for i, (u, st) in enumerate(solve_many(systems, tol=tol)):
+        u.values -= u.values.mean()
+        phi[i], stats[i] = u, st
     return CorrectorSet(field, phi, stats)
 
 

@@ -122,7 +122,10 @@ class Grid:
         return self.origin[axis] + (idx + offset) * self.h
 
     def home_shape(self, offsets):
-        return tuple(len(self.points_along(a, offsets[a])) for a in range(self.dim))
+        """The lengths of ``points_along`` per axis: m, or m + 1 on a
+        non-periodic axis with integer offset."""
+        return tuple(m + 1 if offsets[a] == 0.0 and not self.periodic_axis(a) else m
+                     for a, m in enumerate(self.shape))
 
     def face_shape(self, axis):
         return self.home_shape(face_offsets(self.dim, axis))

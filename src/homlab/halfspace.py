@@ -59,6 +59,7 @@ from .pde import (
     flux,
     gradient,
     solve,
+    solve_many,
     _interior_mask,
 )
 
@@ -146,27 +147,33 @@ def solve_halfspace_correction(field_hb, g_flat, tol=DEFAULT_TOL, op=None):
     # normal -e_d of the flat side this is a prescribed current +g_flat
     if op is None:
         op = Operator(field_hb, BoundarySpec.half_box(grid))
-    bc = BoundarySpec.half_box(grid, flat=NoFlux(g_flat))
+    bc = _correction_bc(grid, g_flat)
     varphi, stats = solve(op.system(bc), tol=tol)
     # the far-field Dirichlet truncation pins the additive constant, so no
     # unit-ball normalization is applied: shifting the solution would break
     # its own top rows and the ghost-closed current below
-    G = correction_current(field_hb, varphi, g_flat, bc)
-    return CorrectionResult(varphi, G, stats)
+    return CorrectionResult(varphi, correction_current(field_hb, varphi, bc), stats)
 
 
-def correction_current(field_hb, varphi, g_flat, bc):
+def _correction_bc(grid, g_flat):
+    """The boundary data of the correction: the flat datum ``g_flat`` as
+    a prescribed current on the default closure."""
+    return BoundarySpec.half_box(grid, flat=NoFlux(g_flat))
+
+
+def correction_current(field_hb, varphi, bc):
     """a grad varphi as a face field with boundary layers closed the way
     the operator of ``bc`` sees them: the flat layer carries the
-    prescribed datum (+e_d oriented, the negative of the outward-normal
-    value) and each zero-Dirichlet side of ``bc`` its ghost flux.
-    This keeps the discrete divergence of the current at the solver
-    residual everywhere, which the skew correction construction needs.
+    prescribed datum of ``bc`` (+e_d oriented, the negative of the
+    outward-normal value) and each zero-Dirichlet side of ``bc`` its
+    ghost flux.  This keeps the discrete divergence of the current at the
+    solver residual everywhere, which the skew correction construction
+    needs.
     """
     grid = field_hb.grid
     d = grid.dim
     G = flux(field_hb, varphi)
-    G.comps[d - 1][..., 0] = -g_flat
+    G.comps[d - 1][..., 0] = -bc.bc(d - 1, 0).value
     for k, side in bc.dirichlet_sides():
         face = (slice(None),) * k + (side * grid.shape[k],)
         cell = (slice(None),) * k + (-side,)
@@ -343,29 +350,33 @@ def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFA
     L cut from the torus field.  Each tangential direction adds its
     correction to the restricted whole-space pair and builds one
     torus-sized current, d - 1 in all; the transversal one restricts phi
-    and sigma alone (no solve, no current)."""
+    and sigma alone (no solve, no current).  The restrictions come first,
+    then the d - 1 corrections are solved concurrently on one operator
+    (``pde.solve_many``), each the same as ``solve_halfspace_correction``'s."""
     d = field_torus.grid.dim
     field_hb = restrict_to_half_box(field_torus, L, tangential_periodic)
     grid = field_hb.grid
     basis = tangential_basis(pair.a_hom)
     op = Operator(field_hb, BoundarySpec.half_box(grid))
-    phi_h, varphi, sigma_h, q_h, gap, stats = {}, {}, {}, {}, {}, {}
+    phi_h, varphi, sigma_h, q_h, gap, stats, bcs = {}, {}, {}, {}, {}, {}, {}
     for i in range(d - 1):
-        # the restricted whole-space pair plus the correction of its datum
+        # the restricted whole-space pair and the datum of its correction
         phi_h[i], sigma_h[i], q_h[i], g_flat = restrict_pair(pair, basis.vectors[i], grid)
-        corr = solve_halfspace_correction(field_hb, g_flat, tol=tol, op=op)
-        varphi[i] = corr.varphi
-        stats[i] = corr.stats
-        phi_h[i].values += corr.varphi.values
+        bcs[i] = _correction_bc(grid, g_flat)
+    solved = solve_many([op.system(bcs[i]) for i in range(d - 1)], tol=tol)
+    for i, (u, st) in enumerate(solved):
+        varphi[i], stats[i] = u, st
+        G = correction_current(field_hb, u, bcs[i])
+        phi_h[i].values += u.values
         for j in range(d):
-            q_h[i].comps[j] += corr.current.comps[j]
+            q_h[i].comps[j] += G.comps[j]
         # the Liouville gap: sigma with psi = curl v, measured and dropped
-        sigma_v = curl_of_potentials(solve_vector_potentials(grid, corr.current), grid)
+        sigma_v = curl_of_potentials(solve_vector_potentials(grid, G), grid)
         for key, f in sigma_v.sigma.items():
             f.values += sigma_h[i].sigma[key].values
         gap[i] = flux_potential_residual(sigma_v, q_h[i].comps, grid.height / 2.0)
         del sigma_v
-        for key, f in skew_correction(grid, corr.current).sigma.items():
+        for key, f in skew_correction(grid, G).sigma.items():
             sigma_h[i].sigma[key].values += f.values
     # the transversal direction: the restriction alone
     phi_h[d - 1], sigma_h[d - 1] = _restricted_potentials(pair, basis.normal_like, grid)
@@ -578,7 +589,8 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
     for b on this half-box at this tol (``solve_halfspace_correction``, as
     in ``HalfSpaceCorrectorSet.varphi``); it is solved here when not given.
     All solves share one operator, ``op`` (the half-box operator with the
-    default closure) when the caller holds one."""
+    default closure) when the caller holds one, and the annuli are solved
+    concurrently on it (``pde.solve_many``)."""
     grid = field_hb.grid
     d = grid.dim
     r0 = config.r0
@@ -596,9 +608,9 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
     energies = {}
     shapes = {}
     total = np.zeros(grid.shape)
-    for n in config.annuli():
-        g_n = config.cutoff(n, rho) * g_full
-        sol, _ = solve(op.system(BoundarySpec.half_box(grid, flat=NoFlux(g_n))), tol=tol)
+    solved = solve_many([op.system(_correction_bc(grid, config.cutoff(n, rho) * g_full))
+                         for n in config.annuli()], tol=tol)
+    for n, (sol, _) in zip(config.annuli(), solved):
         varphi_n[n] = sol
         total += sol.values
         R = r0 * 2.0 ** (n + 1)

@@ -45,12 +45,25 @@ the constant mode of every float64 residual and iterate.
 An ``Operator`` is built once per (field, boundary kinds) and holds the
 matrix and the preconditioner; its ``system`` turns boundary data and
 sources into right-hand sides, so many solves share one assembly.
+
+``solve_many`` solves the independent right-hand sides of one operator
+concurrently: the calling thread and up to one helper thread per further
+CPU take systems from a shared queue, each solve the same as ``solve``'s
+bit for bit.  The whole-space correctors (``corrector.solve_correctors``),
+the half-space corrections (``halfspace.build_halfspace_set``) and the
+dyadic annuli (``halfspace.dyadic_construction``) go through it; every
+other solve runs alone in its caller's thread.  A call from any thread
+but the main one, such as a seed of the pipeline's pool at ``threads`` >
+1, solves in that thread, so ``threads`` still schedules seeds only and
+pools never nest.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import os
+import threading
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Union
@@ -409,7 +422,9 @@ class Operator:
         nonsymmetric A, and BiCGSTAB asks no symmetry of M.  All of it runs
         in single precision on the float32 residuals of the inner solves,
         whose norm is about 1 or less and more than ``INNER_TOL``, so the
-        transforms need no scaling."""
+        transforms need no scaling.  ``M(r, out)`` writes z into ``out``
+        when given; r is only read, and the residual r - A z overwrites the
+        product A z and then the fast solve's input."""
         shape = self.grid.shape
         solver = ft.FastConstSolver(self.grid, cell_offsets(self.grid.dim), self.axis_bcs,
                                     shape, project_mean=self.singular,
@@ -424,10 +439,10 @@ class Operator:
             s.reshape(shape)[last] += np.abs(w)
         np.divide(SMOOTH_WEIGHT, s, out=s)
 
-        def apply(r):  # the residuals r - A z overwrite the products A z
-            z = s * r
+        def apply(r, out=None):
+            z = np.multiply(s, r, out=out)
             t = A32 @ z
-            z += solver.solve(np.subtract(r, t, out=t).reshape(shape)).ravel()
+            z += solver.solve(np.subtract(r, t, out=t).reshape(shape), overwrite=True).ravel()
             t = A32 @ z
             z += np.multiply(s, np.subtract(r, t, out=t), out=t)
             return z
@@ -528,6 +543,9 @@ def assemble(field, bc, src=None):
 # loop does the rest.
 INNER_TOL = 1e-4
 
+# Inner iterations a solve may spend in all (``solve``'s default).
+MAX_ITER = 20000
+
 # Weight of the l1-Jacobi smoothing steps of ``Operator.preconditioner``.
 # Any weight below 2 keeps the preconditioner positive definite.
 SMOOTH_WEIGHT = 1.5
@@ -544,7 +562,7 @@ def _norm(v):
     return m * float(np.linalg.norm(v / m)) if 0.0 < m < np.inf else m
 
 
-def solve(system, tol=1e-10, max_iter=20000):
+def solve(system, tol=1e-10, max_iter=MAX_ITER):
     """Solve the assembled system to a true residual |b - Ax| / |b| of at
     most ``tol``.
 
@@ -572,19 +590,43 @@ def solve(system, tol=1e-10, max_iter=20000):
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
-    grid = system.grid
+    x, stats = _refine(system, tol, max_iter, _WorkArrays(system.rhs.size))
+    return ScalarField(system.grid, x.reshape(system.grid.shape)), stats
+
+
+class _WorkArrays:
+    """The n-sized arrays one solve works in, reused by every solve of a
+    ``solve_many`` slot: the float64 residual, and the float32 residual,
+    correction, preconditioned residual and search direction of the inner
+    CG.  The preconditioned residual is free while CG updates the
+    correction and the residual, so it is their scratch; z and p are free
+    from the end of one inner solve to the start of the next, so their
+    bytes hold the previous float64 iterate of the outer loop."""
+
+    def __init__(self, n):
+        self.r = np.empty(n)
+        self.r32, self.d, self.z, self.p = f32 = np.empty((4, n), np.float32)
+        self.x_prev = f32[2:].reshape(-1).view(np.float64)
+
+
+def _refine(system, tol, max_iter, work):
+    """The refinement loop of ``solve`` in the arrays of ``work``; returns
+    the flat solution and the SolveStats.  Beyond ``work`` it allocates
+    only the solution, the matrix products and the fast solves'
+    transforms (and BiCGSTAB's own vectors)."""
     b = system.rhs
     nb = _norm(b)
     if not np.isfinite(nb):
         raise SolverError(f"right-hand side is not finite (|b| = {nb})")
+    x = np.zeros(b.size)
     if nb == 0.0:
-        zero = ScalarField(grid, np.zeros(grid.shape))
-        return zero, SolveStats(0, 0.0)
+        return x, SolveStats(0, 0.0)
 
     M = system.operator.preconditioner
     A, A32 = system.matrix, system.operator.matrix32
     project = system.singular
-    x, r = np.zeros_like(b), b.copy()
+    r = work.r
+    np.copyto(r, b)
     history = []
     it, x_prev = 0, None
     while True:
@@ -604,15 +646,15 @@ def solve(system, tol=1e-10, max_iter=20000):
         if it >= max_iter:
             raise SolverError(f"inner solves did not reach tol={tol} in {max_iter} iterations "
                               f"(best residual {true:.3e})", best_x=x, history=history)
-        # a float32 solve of A d = r / |r|: PCG (buffers allocated once per
-        # correction) on symmetric systems, BiCGSTAB otherwise
+        # a float32 solve of A d = r / |r|: PCG on symmetric systems,
+        # BiCGSTAB otherwise
         target = max(INNER_TOL, 0.5 * tol / true)
-        r32 = np.divide(r, nr, out=np.empty(r.shape, np.float32), casting="same_kind")
+        r32 = np.divide(r, nr, out=work.r32, casting="same_kind")
         if system.symmetric:
-            d = np.zeros_like(r32)
-            scratch = np.empty_like(r32)
-            z = M(r32)
-            p = z.astype(np.float32)
+            d, scratch, p = work.d, work.z, work.p
+            d.fill(0.0)
+            z = M(r32, out=work.z)
+            np.copyto(p, z)
             rz = float(r32 @ z)
             while it < max_iter:
                 Ap = A32 @ p
@@ -627,7 +669,7 @@ def solve(system, tol=1e-10, max_iter=20000):
                 it += 1
                 if rel <= target:
                     break
-                z = M(r32)
+                z = M(r32, out=work.z)
                 beta = -alpha * float(z @ Ap) / rz
                 rz = float(r32 @ z)
                 p *= beta
@@ -650,13 +692,85 @@ def solve(system, tol=1e-10, max_iter=20000):
                                  M=spla.LinearOperator(A32.shape, matvec=precondition,
                                                        dtype=np.float32))
             it += (applies + 1) // 2
-        x_prev = x
-        # in float64: nr * d would be float32 (NEP 50) and under- or overflow
-        x = x + np.multiply(d, nr, dtype=np.float64)
+        x_prev = work.x_prev
+        np.copyto(x_prev, x)
+        # in float64 (nr * d would be float32 by NEP 50 and under- or
+        # overflow), into r, which r32 holds now
+        x += np.multiply(d, nr, out=r, dtype=np.float64)
         if project:
             x -= x.mean()
-        r = b - A @ x
-    return ScalarField(grid, x.reshape(grid.shape)), SolveStats(it, true)
+        np.subtract(b, A @ x, out=r)
+    return x, SolveStats(it, true)
+
+
+def _cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def solve_many(systems, tol=1e-10):
+    """``solve`` of each of ``systems``, right-hand sides of one Operator,
+    as a list of (ScalarField, SolveStats) in their order.
+
+    The calling thread and ``min(len(systems), CPUs) - 1`` helper threads
+    take the systems from a shared queue; a call from any thread but the
+    main thread solves them all in that thread.  The preconditioner and
+    one ``_WorkArrays`` per thread are allocated here, in the calling
+    thread, before a helper starts, so a helper allocates only its
+    solutions and the products and transforms of its solves, and its heap
+    stays small.  Each solve runs ``solve``'s loop on its own arrays, so
+    iterates, iteration counts and results are those of sequential solves
+    bit for bit.  After an error no system is started, and the error of
+    the first failing system by order is raised once every helper has
+    joined."""
+    systems = list(systems)
+    if not systems:
+        return []
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must lie in (0, 1)")
+    op = systems[0].operator
+    if any(s.operator is not op for s in systems):
+        raise ValueError("solve_many takes systems of one Operator")
+    slots = min(len(systems), _cpus())
+    if threading.current_thread() is not threading.main_thread():
+        slots = 1
+    op.preconditioner  # built once, before any helper reads it
+    work = [_WorkArrays(systems[0].rhs.size) for _ in range(slots)]
+    results = [None] * len(systems)
+    pending = list(range(len(systems)))[::-1]
+    failed = []  # (index, error)
+    lock = threading.Lock()
+
+    def run(arrays):
+        while True:
+            with lock:
+                if failed or not pending:
+                    return
+                i = pending.pop()
+            try:
+                results[i] = _refine(systems[i], tol, MAX_ITER, arrays)
+            except Exception as e:
+                with lock:
+                    failed.append((i, e))
+                return
+
+    helpers = [threading.Thread(target=run, args=(arrays,), name=f"homlab-solve-{k}")
+               for k, arrays in enumerate(work[1:], 1)]
+    for t in helpers:
+        t.start()
+    try:
+        run(work[0])
+    finally:
+        with lock:
+            pending.clear()
+        for t in helpers:
+            t.join()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return [(ScalarField(op.grid, x.reshape(op.grid.shape)), stats) for x, stats in results]
 
 
 # ---------------------------------------------------------------------------

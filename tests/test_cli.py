@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -193,14 +194,24 @@ def test_pipeline_threads_share_cache(tmp_path):
     assert all(s.get("cached") for s in manifest["stages"].values())
 
 
-def test_pipeline_threads_match_serial_run(tmp_path):
-    """Seeds run in a pool at threads 2 write the same files as at threads 1."""
+def test_pipeline_threads_match_serial_run(tmp_path, monkeypatch):
+    """Seeds run in a pool at threads 2 write the same files as at threads 1.
+    The seeds' solves run in the pool's threads then, and ``solve_many``
+    starts no helper thread of its own; at threads 1 it does, given a
+    second CPU."""
+    from homlab import pde
+
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self.name) or start(self))
     cfg = small_config(tmp_path, seeds=(0, 1))
-    files = {}
+    files, helpers = {}, {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
+        started.clear()
         assert main(["pipeline", "--config", str(cfg), "--out-dir", str(out),
                      "--threads", threads]) == 0
+        helpers[threads] = [name for name in started if name.startswith("homlab-solve")]
         manifest = json.loads(next(out.glob("manifest__*.json")).read_text())
         assert not any(s["cached"] for s in manifest["stages"].values())
         files[threads] = {p.name: p.read_bytes() for p in out.iterdir()
@@ -208,6 +219,7 @@ def test_pipeline_threads_match_serial_run(tmp_path):
     # 2 corrector and 2 half-space CSVs, 3 summaries, the excess table, the report
     assert len(files["1"]) == 9
     assert files["2"] == files["1"]
+    assert helpers["2"] == [] and (len(helpers["1"]) > 0) == (pde._cpus() > 1)
 
 
 @pytest.mark.parametrize("change, flags", [
@@ -673,9 +685,16 @@ def test_pipeline_builds_one_operator_per_field_and_kinds(tmp_path, monkeypatch)
         solves.append(1)
         return pde.solve(*args, **kwargs)
 
+    def counting_solve_many(systems, **kwargs):
+        solves.extend(1 for _ in systems)
+        return pde.solve_many(systems, **kwargs)
+
     monkeypatch.setattr(pde.Operator, "__init__", counting_init)
     for name in ("corrector", "halfspace", "excess"):
-        monkeypatch.setattr(importlib.import_module(f"homlab.{name}"), "solve", counting_solve)
+        module = importlib.import_module(f"homlab.{name}")
+        monkeypatch.setattr(module, "solve", counting_solve)
+        if hasattr(module, "solve_many"):
+            monkeypatch.setattr(module, "solve_many", counting_solve_many)
     n_max = 1
     cfg = validate_config({
         "ensemble": {"kind": "checkerboard", "lam": 0.25,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,3 +75,14 @@ def test_displacement_full_shape(dim, topology):
             if grid.periodic_axis(a):
                 want = (want + grid.side / 2.0) % grid.side - grid.side / 2.0
             assert np.array_equal(d, want)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(dim=st.sampled_from([2, 3]), topology=st.sampled_from(["torus", "slab", "box"]),
+       n=st.sampled_from([4, 8, 16]), h=st.sampled_from([1.0, 0.5]))
+def test_home_shape_is_the_lengths_of_points_along(dim, topology, n, h):
+    # every axis at integer and at half offset: every home of the topology
+    grid = make_grid(dim, topology, n, h)
+    for offsets in itertools.product((0.0, 0.5), repeat=dim):
+        assert grid.home_shape(offsets) == tuple(
+            len(grid.points_along(a, offsets[a])) for a in range(dim))

@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,7 @@ from homlab.grid import HALF_BOX, Grid, cell_offsets, face_offsets, pair_offsets
 from homlab.field import (
     CoefficientField, EnsembleSpec, faces_from_cells, restrict_to_half_box, sample_field,
 )
+from homlab import pde
 from homlab.pde import (
     BoundarySpec,
     Dirichlet,
@@ -34,6 +38,7 @@ from homlab.pde import (
     interior_ball_mask,
     mean_product,
     solve,
+    solve_many,
 )
 
 
@@ -297,8 +302,8 @@ def test_solve_raises_on_non_finite_curvature(monkeypatch):
     b = np.random.default_rng(1).standard_normal(grid.shape)
     sys = op.system(src=SourceTerm(volume=b - b.mean()))
     exact, calls = op.preconditioner, iter(range(10**6))
-    monkeypatch.setattr(op, "preconditioner", lambda r: exact(r) if next(calls) < 5
-                        else np.full_like(r, np.nan))
+    monkeypatch.setattr(op, "preconditioner", lambda r, out=None: exact(r, out)
+                        if next(calls) < 5 else np.full_like(r, np.nan))
     with pytest.raises(SolverError, match="lost positivity") as exc:
         solve(sys, tol=1e-12)
     # the nan came in the second correction; the iterate of the first is returned
@@ -350,6 +355,98 @@ def test_bicgstab_counts_its_half_step(monkeypatch):
     _, stats = solve(sys, tol=1e-12)
     assert sum(per_solve) == len(applies) and any(a % 2 for a in per_solve)
     assert stats.iterations == sum((a + 1) // 2 for a in per_solve)
+
+
+# -- many right-hand sides on one operator ------------------------------------
+
+
+def _many_systems(kind, count=4):
+    """``count`` systems with random data on one new operator: a periodic
+    contrast-100 torus (``periodic``, and a smaller one for ``stress``), a
+    slab half-box with no-flux flat and Dirichlet top data, or a
+    nonsymmetric cross-term torus (BiCGSTAB)."""
+    rng = np.random.default_rng(0)
+    if kind == "halfbox":
+        grid = Grid.half_box(2, 32)
+        f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=3), grid)
+        op = Operator(f, BoundarySpec.half_box(grid))
+        return op, [op.system(BoundarySpec.half_box(
+            grid, flat=NoFlux(rng.standard_normal(32)), top=Dirichlet(rng.standard_normal(32))))
+            for _ in range(count)]
+    values = ([[0.6, 0.1], [-0.1, 0.5]], 1.0) if kind == "nonsymmetric" else (0.01, 1.0)
+    grid = Grid.torus(2, 16 if kind == "stress" else 32)
+    f = sample_field(EnsembleSpec.checkerboard(values=values, seed=3), grid)
+    op = Operator(f, BoundarySpec.periodic())
+    return op, [op.system(src=SourceTerm(volume=rng.standard_normal(grid.shape)))
+                for _ in range(count)]
+
+
+def _helper_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("homlab-solve")]
+
+
+@pytest.mark.parametrize("kind", ["periodic", "halfbox", "nonsymmetric"])
+def test_solve_many_matches_sequential_solves(kind):
+    op, systems = _many_systems(kind)
+    assert op.symmetric == (kind != "nonsymmetric")
+    many = solve_many(systems, tol=1e-12)
+    assert len(many) == len(systems) and not _helper_threads()
+    for sys_, (u, stats) in zip(systems, many):
+        v, ref = solve(sys_, tol=1e-12)
+        assert np.array_equal(u.values, v.values)
+        assert stats == ref and stats.relative_residual <= 1e-12
+    assert solve_many([], tol=1e-12) == []
+
+
+def test_solve_many_raises_the_first_error_and_joins_every_helper(monkeypatch):
+    # a non-finite right-hand side fails its own solve; the error of the
+    # first failing system reaches the caller once every helper has joined
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self.name) or start(self))
+    op, systems = _many_systems("periodic", count=5)
+    for i, bad in ((1, np.nan), (3, np.inf)):
+        rhs = systems[i].rhs.copy()
+        rhs[7] = bad
+        systems[i] = LinearSystem(op, rhs, op.bc)
+    with pytest.raises(SolverError, match=r"right-hand side is not finite \(\|b\| = nan\)"):
+        solve_many(systems, tol=1e-12)
+    assert len(started) == min(5, pde._cpus()) - 1 and not _helper_threads()
+    other = Operator(op.field, BoundarySpec.periodic())
+    with pytest.raises(ValueError, match="one Operator"):
+        solve_many([systems[0], LinearSystem(other, systems[0].rhs, other.bc)])
+
+
+def test_solve_many_builds_one_preconditioner_under_thread_switching(monkeypatch):
+    # more systems than CPUs on operators whose preconditioner is not built
+    # yet, with the interpreter switching threads as often as it can: one
+    # build per operator, and every result that of the sequential solve
+    builds = []
+
+    class CountingSolver(ft.FastConstSolver):
+        def __init__(self, *args, **kwargs):
+            builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    count = 2 * pde._cpus() + 1
+    _, reference = _many_systems("stress", count)
+    want = [solve(s, tol=1e-12) for s in reference]
+    monkeypatch.setattr(ft, "FastConstSolver", CountingSolver)
+    interval = sys.getswitchinterval()
+    rounds, deadline = 0, time.monotonic() + 2.0
+    try:
+        sys.setswitchinterval(1e-6)
+        while rounds < 2 or time.monotonic() < deadline:
+            builds.clear()
+            _, systems = _many_systems("stress", count)
+            got = solve_many(systems, tol=1e-12)
+            assert len(builds) == 1
+            for (u, stats), (v, ref) in zip(got, want):
+                assert np.array_equal(u.values, v.values) and stats == ref
+            rounds += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert not _helper_threads()
 
 
 # -- calculus ----------------------------------------------------------------
@@ -934,7 +1031,7 @@ def test_solve_tolerates_perturbed_preconditioner():
         # new relative noise at every apply: neither symmetric nor fixed; the
         # flexible beta keeps the iteration count within 2x of the exact
         # preconditioner's (Fletcher-Reeves beta takes 6.7x at 10 % noise)
-        op.preconditioner = lambda r: exact(r) * (
+        op.preconditioner = lambda r, out=None: exact(r) * (
             1.0 + noise * rng.standard_normal(r.size))
         u, stats = solve(sys, tol=1e-12)
         assert residual_norm(sys, u.values) <= 1e-12
@@ -976,7 +1073,7 @@ def test_smoothed_preconditioner_cuts_iterations(monkeypatch):
     fast = ft.FastConstSolver(grid, cell_offsets(2), op.axis_bcs, grid.shape, project_mean=True,
                               coeff=op.mean_coeff, dtype=np.float32)
     monkeypatch.setattr(op, "preconditioner",
-                        lambda r: fast.solve(r.reshape(grid.shape)).ravel())
+                        lambda r, out=None: fast.solve(r.reshape(grid.shape)).ravel())
     u, plain = solve(sys, tol=1e-12)
     assert residual_norm(sys, u.values) <= 1e-12 and smoothed.relative_residual <= 1e-12
     assert smoothed.iterations <= 0.6 * plain.iterations

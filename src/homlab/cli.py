@@ -317,12 +317,12 @@ def halfspace_seed(cfg, f, pair, curve):
     first tangential direction, with cutoff heights from the whole-space
     ``curve`` at the annulus radii."""
     hs, tol = cfg["halfspace"], cfg["tol"]
-    hset = build_halfspace_set(f, pair, L=hs["L"], tol=tol)
+    fhb = restrict_to_half_box(f, hs["L"])
+    op = Operator(fhb, BoundarySpec.half_box(fhb.grid))
+    hset = build_halfspace_set(f, pair, L=hs["L"], tol=tol, op=op)
     hcurve = half_sublinearity_curve(hset, [r for r in cfg["radii"] if r <= hs["L"] / 2.0])
     rows = [[float(r), float(d), float(dh)]
             for r, d, dh in zip(hcurve.radii, hcurve.delta_h, hcurve.delta_h_halfball)]
-    fhb = restrict_to_half_box(f, hs["L"])
-    op = Operator(fhb, BoundarySpec.half_box(fhb.grid))
     res = halfspace_residuals(fhb, hset, 0, op=op)
     entry = {key: getattr(res, key) for key in RESIDUALS}
     entry["liouville_gap"] = hset.liouville_gap[0]

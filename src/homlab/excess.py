@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .field import restrict_to_half_box, restrict_values
 from .grid import cell_offsets, face_offsets
@@ -210,19 +209,16 @@ def _excess(g, hset, grid, r, energies=None):
             for j in range(i, m):
                 M[i, j] = M[j, i] = mean_product(fam[i], fam[j])
         M.flags.writeable = False
-        grams[r] = (M, float(np.linalg.cond(M)) if m else 0.0)
+        grams[r] = (M, float(np.linalg.cond(M)))
     M, cond = grams[r]
     c = np.asarray([mean_product(g, f) for f in fam])
-    if m:
-        if np.isfinite(cond) and cond < 1e12:
-            t = scipy.linalg.solve(M, c, assume_a="sym")
-        else:
-            t, *_ = np.linalg.lstsq(M, c, rcond=None)
+    if np.isfinite(cond) and cond < 1e12:
+        t = np.linalg.solve(M, c)
     else:
-        t = np.zeros(0)
+        t, *_ = np.linalg.lstsq(M, c, rcond=None)
     resid = [g[k] - sum(t[i] * fam[i][k] for i in range(m)) for k in range(d)]
     val = mean_product(resid, resid)
-    b_tilde = sum(t[i] * hset.basis.vectors[i] for i in range(m)) if m else np.zeros(d)
+    b_tilde = sum(t[i] * hset.basis.vectors[i] for i in range(m))
     return ExcessValue(max(val, 0.0), np.asarray(b_tilde), t, cond)
 
 

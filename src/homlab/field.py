@@ -445,14 +445,8 @@ def restrict_values(values, src_grid, dst_grid, offsets):
     return np.asarray(values)[np.ix_(*index_maps(src_grid, dst_grid, offsets))]
 
 
-def restrict_to_half_box(field, L, tangential_periodic=True):
-    """Restrict a torus coefficient field to the half-box of height L.
-
-    Face coefficients are copied from the torus field by index arithmetic
-    on the leading (spatial) axes, so they agree exactly at corresponding
-    locations and keep the torus field's storage.
-    """
-    grid = field.grid
+def half_box_grid(grid, L, tangential_periodic=True):
+    """The grid of the half-box of height L cut from the torus ``grid``."""
     if grid.topology != TORUS:
         raise ValueError("restriction starts from a torus field")
     if 2.0 * L > grid.side + 1e-12:
@@ -465,7 +459,18 @@ def restrict_to_half_box(field, L, tangential_periodic=True):
     n_half = 2.0 * L / grid.h
     if abs(n_half - round(n_half)) > 1e-12:
         raise ValueError("flat boundary must lie in a grid plane (L/h integral)")
-    half = Grid.half_box(grid.dim, int(round(n_half)), grid.h, tangential_periodic)
+    return Grid.half_box(grid.dim, int(round(n_half)), grid.h, tangential_periodic)
+
+
+def restrict_to_half_box(field, L, tangential_periodic=True):
+    """Restrict a torus coefficient field to the half-box of height L.
+
+    Face coefficients are copied from the torus field by index arithmetic
+    on the leading (spatial) axes, so they agree exactly at corresponding
+    locations and keep the torus field's storage.
+    """
+    grid = field.grid
+    half = half_box_grid(grid, L, tangential_periodic)
     faces = [restrict_values(field.faces[k], grid, half, face_offsets(grid.dim, k))
              for k in range(grid.dim)]
     return CoefficientField(half, faces, lam=field.lam, seed=field.seed)

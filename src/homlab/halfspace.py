@@ -44,7 +44,7 @@ from .corrector import (
     coefficient_times_vector,
     flux_potential_residual,
 )
-from .field import restrict_to_half_box, restrict_values
+from .field import half_box_grid, restrict_to_half_box, restrict_values
 from .grid import Grid, cell_offsets, face_offsets, is_dyadic, pair_offsets
 from .pde import (
     BoundarySpec,
@@ -345,19 +345,26 @@ def restrict_pair(pair, b, half_grid):
     return phi, sigma, q, datum
 
 
-def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFAULT_TOL):
+def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFAULT_TOL,
+                        op=None):
     """Construct the full half-space-adapted set on a half-box of height
     L cut from the torus field.  Each tangential direction adds its
     correction to the restricted whole-space pair and builds one
     torus-sized current, d - 1 in all; the transversal one restricts phi
     and sigma alone (no solve, no current).  The restrictions come first,
     then the d - 1 corrections are solved concurrently on one operator
-    (``pde.solve_many``), each the same as ``solve_halfspace_correction``'s."""
+    (``pde.solve_many``), each the same as ``solve_halfspace_correction``'s.
+    ``op`` is the operator of the restricted field with the default
+    closure when the caller holds one; its grid must be this half-box."""
     d = field_torus.grid.dim
-    field_hb = restrict_to_half_box(field_torus, L, tangential_periodic)
-    grid = field_hb.grid
+    grid = half_box_grid(field_torus.grid, L, tangential_periodic)
+    if op is None:
+        op = Operator(restrict_to_half_box(field_torus, L, tangential_periodic),
+                      BoundarySpec.half_box(grid))
+    elif op.grid != grid:
+        raise ValueError(f"op is not on the half-box of height {L}")
+    field_hb = op.field
     basis = tangential_basis(pair.a_hom)
-    op = Operator(field_hb, BoundarySpec.half_box(grid))
     phi_h, varphi, sigma_h, q_h, gap, stats, bcs = {}, {}, {}, {}, {}, {}, {}
     for i in range(d - 1):
         # the restricted whole-space pair and the datum of its correction
@@ -587,10 +594,10 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
     the torus of ``pair`` (the field ``field_torus``), as in
     ``restrict_pair``.  ``direct`` is that single-solve correction varphi
     for b on this half-box at this tol (``solve_halfspace_correction``, as
-    in ``HalfSpaceCorrectorSet.varphi``); it is solved here when not given.
-    All solves share one operator, ``op`` (the half-box operator with the
-    default closure) when the caller holds one, and the annuli are solved
-    concurrently on it (``pde.solve_many``)."""
+    in ``HalfSpaceCorrectorSet.varphi``); when not given, its system joins
+    the annuli's.  All solves share one operator, ``op`` (the half-box
+    operator with the default closure) when the caller holds one, and are
+    solved concurrently on it (``pde.solve_many``)."""
     grid = field_hb.grid
     d = grid.dim
     r0 = config.r0
@@ -608,8 +615,12 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
     energies = {}
     shapes = {}
     total = np.zeros(grid.shape)
-    solved = solve_many([op.system(_correction_bc(grid, config.cutoff(n, rho) * g_full))
-                         for n in config.annuli()], tol=tol)
+    data = [config.cutoff(n, rho) * g_full for n in config.annuli()]
+    if direct is None:
+        data.append(g_full)
+    solved = solve_many([op.system(_correction_bc(grid, g)) for g in data], tol=tol)
+    if direct is None:
+        direct = solved.pop()[0]
     for n, (sol, _) in zip(config.annuli(), solved):
         varphi_n[n] = sol
         total += sol.values
@@ -617,8 +628,6 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
         dlt = config.delta_at[n + 1]
         energies[(n, r0)] = float(np.sqrt(ball_mean_square(gradient(sol), sol.grid, r0)))
         shapes[(n, r0)] = (R / r0) ** (d / 2.0) * dlt ** (1.0 / 3.0)
-    if direct is None:
-        direct = solve_halfspace_correction(field_hb, g_full, tol=tol, op=op).varphi
     total_f = ScalarField(grid, total)
     c_r0 = _relative_gradient_difference(total_f, direct, r0)
     c_quarter = _relative_gradient_difference(total_f, direct, grid.height / 4.0)

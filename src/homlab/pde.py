@@ -60,6 +60,7 @@ pools never nest.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import logging
 import os
@@ -70,7 +71,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import _transforms as ft
 from .grid import Grid, HALF_BOX, TORUS, cell_offsets, face_offsets
@@ -686,6 +686,7 @@ def _refine(system, tol, max_iter, work):
                                       best_x=x, history=history)
                 return z
 
+            import scipy.sparse.linalg as spla  # loaded by nonsymmetric solves only
             d, _ = spla.bicgstab(spla.LinearOperator(A32.shape, matvec=A32.__matmul__,
                                                      dtype=np.float32),
                                  r32, rtol=target, atol=0.0, maxiter=max_iter - it,
@@ -717,8 +718,9 @@ def solve_many(systems, tol=1e-10):
 
     The calling thread and ``min(len(systems), CPUs) - 1`` helper threads
     take the systems from a shared queue; a call from any thread but the
-    main thread solves them all in that thread.  The preconditioner and
-    one ``_WorkArrays`` per thread are allocated here, in the calling
+    main thread solves them all in that thread.  The preconditioner, one
+    ``_WorkArrays`` per thread and, for a nonsymmetric operator, the
+    module of BiCGSTAB are allocated or imported here, in the calling
     thread, before a helper starts, so a helper allocates only its
     solutions and the products and transforms of its solves, and its heap
     stays small.  Each solve runs ``solve``'s loop on its own arrays, so
@@ -738,6 +740,8 @@ def solve_many(systems, tol=1e-10):
     if threading.current_thread() is not threading.main_thread():
         slots = 1
     op.preconditioner  # built once, before any helper reads it
+    if not op.symmetric:
+        importlib.import_module("scipy.sparse.linalg")
     work = [_WorkArrays(systems[0].rhs.size) for _ in range(slots)]
     results = [None] * len(systems)
     pending = list(range(len(systems)))[::-1]

@@ -345,7 +345,6 @@ def test_excess_minimizer_matches_brute_force_search():
 def test_excess_equals_full_array_evaluation(dim, n, R):
     # the Gram matrix, right-hand side and residual of the tilt functional
     # computed on full arrays masked per product, as the definition reads
-    import scipy.linalg
     from homlab.excess import corrected_gradient_family
     from homlab.grid import face_offsets
 
@@ -363,7 +362,7 @@ def test_excess_equals_full_array_evaluation(dim, n, R):
             masks = [interior_ball_mask(u.grid, face_offsets(dim, k), r) for k in range(dim)]
             M = np.array([[fint(fam[i], fam[j], masks) for j in range(m)] for i in range(m)])
             c = np.array([fint(g, fam[i], masks) for i in range(m)])
-            t = scipy.linalg.solve(M, c, assume_a="sym")
+            t = np.linalg.solve(M, c)
             resid = [g[k] - sum(t[i] * fam[i][k] for i in range(m)) for k in range(dim)]
             ev = excess(u, r, hset)
             assert np.array_equal(ev.coefficients, t)

@@ -84,6 +84,29 @@ def test_constant_field_trivial_halfspace_set():
     assert curve.delta_h[0] <= 1e-10
 
 
+def test_halfspace_set_on_the_callers_operator():
+    # the set built on the caller's slab operator is the set built on its
+    # own, bit for bit; an operator on another half-box is refused
+    grid = Grid.torus(2, 32)
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=3), grid)
+    pair = solve_pair(f, tol=1e-12)
+    fhb = restrict_to_half_box(f, 16.0)
+    op = pde.Operator(fhb, pde.BoundarySpec.half_box(fhb.grid))
+    own, given = build_halfspace_set(f, pair, L=16.0), build_halfspace_set(f, pair, L=16.0, op=op)
+    assert given.grid == own.grid
+    assert np.array_equal(given.varphi[0].values, own.varphi[0].values)
+    for i in range(2):
+        assert np.array_equal(given.phi_h[i].values, own.phi_h[i].values)
+        for key, s in own.sigma_h[i].sigma.items():
+            assert np.array_equal(given.sigma_h[i].sigma[key].values, s.values)
+    assert given.liouville_gap == own.liouville_gap
+    box = restrict_to_half_box(f, 8.0, tangential_periodic=False)
+    box_op = pde.Operator(box, pde.BoundarySpec.half_box(box.grid))
+    for L, periodic, other in ((16.0, False, op), (16.0, True, box_op)):
+        with pytest.raises(ValueError, match="not on the half-box"):
+            build_halfspace_set(f, pair, L=L, tangential_periodic=periodic, op=other)
+
+
 def test_laminate_correction_vanishes():
     # stripes across x1: the whole-space corrector current has no
     # vertical component, so the flat datum is exactly zero
@@ -610,6 +633,36 @@ def test_dyadic_partition_and_consistency():
     assert 0 < dy.empirical_constant < np.inf
     for key, e in dy.energies.items():
         assert np.isfinite(e) and e >= 0.0
+
+
+def test_dyadic_direct_correction_joins_the_annuli(monkeypatch):
+    # without ``direct`` its system is one more of the annuli's solve_many
+    # call, and the consistency values are those of the given correction
+    from homlab import halfspace
+
+    grid = Grid.torus(2, 64)
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=7), grid)
+    pair = solve_pair(f, tol=1e-12)
+    fhb = restrict_to_half_box(f, 32.0)
+    n_max = 1
+    cfg = DyadicConfig.from_curve(sublinearity_curve(pair, dyadic_radii(grid)), 8.0, n_max)
+    b1 = tangential_basis(pair.a_hom).vectors[0]
+    calls = []
+
+    def counting_solve_many(systems, **kwargs):
+        calls.append(len(systems))
+        return pde.solve_many(systems, **kwargs)
+
+    monkeypatch.setattr(halfspace, "solve_many", counting_solve_many)
+    dy = dyadic_construction(fhb, f, pair, b1, cfg)
+    assert calls == [n_max + 3]
+    direct = solve_halfspace_correction(fhb, restrict_pair(pair, b1, fhb.grid)[3]).varphi
+    given = dyadic_construction(fhb, f, pair, b1, cfg, direct=direct)
+    assert calls == [n_max + 3, n_max + 2]
+    assert given.consistency_r0 == dy.consistency_r0
+    assert given.consistency_quarter == dy.consistency_quarter
+    for n, sol in dy.varphi_n.items():
+        assert np.array_equal(given.varphi_n[n].values, sol.values)
 
 
 def test_dyadic_constant_field_all_zero():

@@ -1,17 +1,28 @@
-"""Every imported name is read by its module.
+"""Every imported name is read by its module, and homlab loads no scipy
+subpackage that a run does not use.
 
 An ``ast`` scan of the library, the tests and the demos: a name bound by
 an import and never loaded is an unused import.  ``__init__.py`` files
 are skipped, since their imports are the package's re-exports, and so
 are ``__future__`` imports.
+
+The import graph is read in fresh interpreters, since pytest and its
+plugins may load scipy themselves: ``import homlab``, a 2d pipeline and
+a 3d excess sample load none of ``LAZY``, and only a nonsymmetric solve
+loads BiCGSTAB's module.
 """
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+LAZY = ("scipy.linalg", "scipy.sparse.linalg", "scipy.stats")
 SOURCES = sorted(p for top in ("src/homlab", "tests", "demos")
                  for p in (ROOT / top).rglob("*.py") if p.name != "__init__.py")
 
@@ -41,3 +52,73 @@ def test_scan_finds_an_unread_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text()) == []
+
+
+def loaded_after(code, cwd):
+    """The modules of ``LAZY`` loaded in a fresh interpreter, run in
+    ``cwd`` with homlab from this checkout, after ``code``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    probe = textwrap.dedent(code) + textwrap.dedent(f"""
+        import sys
+        print("LOADED", *(m for m in {LAZY!r} if m in sys.modules))
+        """)
+    done = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    line = [ln for ln in done.stdout.splitlines() if ln.startswith("LOADED")][-1]
+    return line.split()[1:]
+
+
+def test_import_loads_no_lazy_scipy_subpackage(tmp_path):
+    assert loaded_after("import homlab", tmp_path) == []
+
+
+def test_2d_dyadic_pipeline_loads_no_lazy_scipy_subpackage(tmp_path):
+    assert loaded_after("""
+        from homlab import cli
+        cfg = cli.validate_config({
+            "ensemble": {"kind": "checkerboard", "lam": 0.25,
+                         "params": {"values": [0.25, 1.0], "cell_size": 1.0}},
+            "grid": {"dim": 2, "n": 32, "h": 1.0},
+            "seeds": [0],
+            "halfspace": {"L": 16.0, "mode": "dyadic", "dyadic": {"r0": 4.0, "n_max": 1}},
+            "excess": {"R": 8.0, "radii": [4.0, 8.0]},
+        })
+        assert "failed" not in cli.run_pipeline(cfg, "run")
+        """, tmp_path) == []
+
+
+def test_3d_excess_sample_loads_no_lazy_scipy_subpackage(tmp_path):
+    assert loaded_after("""
+        from homlab import (EnsembleSpec, Grid, band_limited_trace, build_halfspace_set,
+                            excess_decay_experiment, harmonic_sample, sample_field, solve_pair)
+        f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=5), Grid.torus(3, 16))
+        hset = build_halfspace_set(f, solve_pair(f, tol=1e-12), L=8.0)
+        sample = harmonic_sample(f, 8.0, band_limited_trace(1, 8.0, dim=3))
+        excess_decay_experiment(sample, hset, [4.0, 8.0])
+        """, tmp_path) == []
+
+
+def test_nonsymmetric_solve_many_loads_bicgstab_and_matches_solve(tmp_path):
+    # the module, which loads scipy.linalg, is imported by solve_many
+    # before any helper starts; the solves are those of sequential
+    # ``solve`` bit for bit
+    assert loaded_after("""
+        import sys
+        import numpy as np
+        from homlab import EnsembleSpec, Grid, sample_field
+        from homlab.corrector import _corrector_system, periodic_operator
+        from homlab.pde import solve, solve_many
+        f = sample_field(EnsembleSpec.checkerboard(values=([[0.6, 0.1], [-0.1, 0.5]], 1.0),
+                                                   seed=3), Grid.torus(2, 32))
+        op = periodic_operator(f)
+        assert not op.symmetric
+        systems = [_corrector_system(f, xi, op) for xi in np.eye(2)]
+        assert "scipy.sparse.linalg" not in sys.modules
+        many = solve_many(systems)
+        assert "scipy.sparse.linalg" in sys.modules
+        for (u, stats), system in zip(many, systems):
+            v, ref = solve(system)
+            assert np.array_equal(u.values, v.values) and stats == ref
+        """, tmp_path) == ["scipy.linalg", "scipy.sparse.linalg"]

@@ -12,7 +12,7 @@ import homlab
 OPTIONS = {
     "assemble": ("src",),
     "band_limited_trace": ("amplitude", "dim"),
-    "build_halfspace_set": ("tangential_periodic", "tol"),
+    "build_halfspace_set": ("tangential_periodic", "tol", "op"),
     "dyadic_construction": ("tol", "direct", "op"),
     "dyadic_radii": ("r_min", "r_max"),
     "flux_potential_residual": ("inner_radius",),
@@ -44,4 +44,4 @@ def exported_options():
 
 def test_exported_functions_have_only_the_listed_options():
     assert exported_options() == OPTIONS
-    assert sum(len(v) for v in OPTIONS.values()) == 24
+    assert sum(len(v) for v in OPTIONS.values()) == 25

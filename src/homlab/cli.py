@@ -55,7 +55,7 @@ from .field import (
     save_field,
     validate_ellipticity,
 )
-from .pde import BoundarySpec, Operator, ScalarField, SolverError
+from .pde import ScalarField, SolverError
 from .corrector import (
     FluxPotentialSet,
     HomogenizedMatrix,
@@ -69,6 +69,7 @@ from .halfspace import (
     TangentialBasis,
     build_halfspace_set,
     dyadic_construction,
+    half_box_operator,
     half_sublinearity_curve,
     halfspace_residuals,
 )
@@ -317,20 +318,19 @@ def halfspace_seed(cfg, f, pair, curve):
     first tangential direction, with cutoff heights from the whole-space
     ``curve`` at the annulus radii."""
     hs, tol = cfg["halfspace"], cfg["tol"]
-    fhb = restrict_to_half_box(f, hs["L"])
-    op = Operator(fhb, BoundarySpec.half_box(fhb.grid))
-    hset = build_halfspace_set(f, pair, L=hs["L"], tol=tol, op=op)
+    op = half_box_operator(restrict_to_half_box(f, hs["L"]))
+    hset = build_halfspace_set(op, pair, L=hs["L"], tol=tol)
     hcurve = half_sublinearity_curve(hset, [r for r in cfg["radii"] if r <= hs["L"] / 2.0])
     rows = [[float(r), float(d), float(dh)]
             for r, d, dh in zip(hcurve.radii, hcurve.delta_h, hcurve.delta_h_halfball)]
-    res = halfspace_residuals(fhb, hset, 0, op=op)
+    res = halfspace_residuals(op, hset, 0)
     entry = {key: getattr(res, key) for key in RESIDUALS}
     entry["liouville_gap"] = hset.liouville_gap[0]
     dy_rows = None
     if hs["mode"] == "dyadic":
         config = DyadicConfig.from_curve(curve, hs["dyadic"]["r0"], hs["dyadic"]["n_max"])
-        dy = dyadic_construction(fhb, f, pair, hset.basis.vectors[0], config, tol=tol,
-                                 direct=hset.varphi[0], op=op)
+        dy = dyadic_construction(op, f, pair, hset.basis.vectors[0], config, tol=tol,
+                                 direct=hset.varphi[0])
         dy_rows = [[int(n), float(config.heights[n + 1]), float(dy.energies[(n, config.r0)]),
                     float(dy.bound_shape[(n, config.r0)])] for n in config.annuli()]
         entry["dyadic_consistency_r0"] = dy.consistency_r0

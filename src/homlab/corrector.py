@@ -71,11 +71,9 @@ def _corrector_system(field, xi, op):
     return op.system(src=SourceTerm(divergence_form=coefficient_times_vector(field, xi)))
 
 
-def solve_corrector(field, xi, tol=DEFAULT_TOL, op=None):
-    """Zero-mean corrector for one unit direction on a torus field; ``op``
-    is the field's ``periodic_operator`` when the caller holds one."""
-    op = periodic_operator(field) if op is None else op
-    phi, stats = solve(_corrector_system(field, xi, op), tol=tol)
+def solve_corrector(field, xi, tol=DEFAULT_TOL):
+    """Zero-mean corrector for one unit direction on a torus field."""
+    phi, stats = solve(_corrector_system(field, xi, periodic_operator(field)), tol=tol)
     phi.values -= phi.values.mean()
     return phi, stats
 
@@ -353,7 +351,7 @@ def sublinearity_curve(pair, radii, basis=None):
     origin, plus the partial sums of the quantified-ergodicity series
     (weights log2 r, increments log2(r) * delta_r^(1/3)).  The sum runs
     over the directions b given as rows of ``basis`` (default: the
-    coordinate frame), through ``_ball_sums``."""
+    coordinate frame), through ``_ball_terms``."""
     grid = pair.cset.grid
     radii = np.asarray(radii)
     basis = np.eye(grid.dim) if basis is None else np.asarray(basis, dtype=float)
@@ -367,24 +365,31 @@ def sublinearity_curve(pair, radii, basis=None):
                              lambda rs: sublinearity_curve(pair, rs, basis))
 
 
-def _ball_sums(pair, r, basis):
-    """Sums over the rows b of ``basis`` of fint |phi_for(b)|^2 + sum_{j,k}
-    fint |sigma_for(b)_jk|^2 on the torus ball of radius r, raw and with
-    each ball mean subtracted.  Each stored field is gathered once and the
-    values of b are formed on the ball; sigma_kj = -sigma_jk, so each
-    stored pair enters twice."""
+def _ball_terms(pair, r, basis):
+    """The terms of the sums over the rows b of ``basis`` of fint
+    |phi_for(b)|^2 + sum_{j,k} fint |sigma_for(b)_jk|^2 on the torus ball
+    of radius r: for each b, one (weight, values on the ball) per stored
+    home.  Each stored field is gathered once and the values of b are
+    formed on the ball, one b and home at a time; sigma_kj = -sigma_jk, so
+    each stored pair has weight 2."""
     grid = pair.cset.grid
     d = grid.dim
     homes = [(1.0, [pair.cset.phi[i] for i in range(d)])]
     homes += [(2.0, [pair.sigmas[w].sigma[key] for w in range(d)]) for key in pair.sigmas[0].sigma]
     gathered = [(w, [f.values[interior_ball_mask(grid, f.offsets, r)] for f in fs])
                 for w, fs in homes]
-    raw = centred = 0.0
     for b in basis:
         for w, vals in gathered:
-            msq, csq = _raw_and_centered(sum(b[i] * vals[i] for i in range(d)))
-            raw += w * msq
-            centred += w * csq
+            yield w, sum(b[i] * vals[i] for i in range(d))
+
+
+def _ball_sums(pair, r, basis):
+    """The sums of ``_ball_terms``, raw and with each ball mean subtracted."""
+    raw = centred = 0.0
+    for w, v in _ball_terms(pair, r, basis):
+        msq, csq = _raw_and_centered(v)
+        raw += w * msq
+        centred += w * csq
     return raw, centred
 
 

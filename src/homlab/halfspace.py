@@ -38,7 +38,7 @@ from . import _transforms as ft
 from .corrector import (
     FluxPotentialSet,
     WholeSpacePair,
-    _ball_sums,
+    _ball_terms,
     _less_mean,
     _raw_and_centered,
     coefficient_times_vector,
@@ -58,6 +58,7 @@ from .pde import (
     diff_to_integer,
     flux,
     gradient,
+    mean_product,
     solve,
     solve_many,
     _interior_mask,
@@ -136,23 +137,30 @@ class CorrectionResult:
     stats: object
 
 
-def solve_halfspace_correction(field_hb, g_flat, tol=DEFAULT_TOL, op=None):
+def half_box_operator(field_hb):
+    """The operator of the half-box field ``field_hb`` with the default
+    closure (no-flux flat, Dirichlet top), or ``field_hb`` itself when it
+    is such an Operator already: the half-space functions take either."""
+    if isinstance(field_hb, Operator):
+        return field_hb
+    return Operator(field_hb, BoundarySpec.half_box(field_hb.grid))
+
+
+def solve_halfspace_correction(field_hb, g_flat, tol=DEFAULT_TOL):
     """Correction enforcing the no-flux condition for phi_b + b.x on the
     flat boundary of the half-box, whose flat datum g_flat = e_d . a
     (grad phi_b + b) on the flat face layer is the fourth value of
-    ``restrict_pair``.  ``op`` is the half-box operator with the default
-    closure (no-flux flat, Dirichlet top) when the caller holds one."""
-    grid = field_hb.grid
+    ``restrict_pair``.  ``field_hb`` is the half-box field or its
+    ``half_box_operator``."""
+    op = half_box_operator(field_hb)
     # e_d . a grad varphi = -e_d . a (grad phi_b + b); with the outward
     # normal -e_d of the flat side this is a prescribed current +g_flat
-    if op is None:
-        op = Operator(field_hb, BoundarySpec.half_box(grid))
-    bc = _correction_bc(grid, g_flat)
+    bc = _correction_bc(op.grid, g_flat)
     varphi, stats = solve(op.system(bc), tol=tol)
     # the far-field Dirichlet truncation pins the additive constant, so no
     # unit-ball normalization is applied: shifting the solution would break
     # its own top rows and the ghost-closed current below
-    return CorrectionResult(varphi, correction_current(field_hb, varphi, bc), stats)
+    return CorrectionResult(varphi, correction_current(op.field, varphi, bc), stats)
 
 
 def _correction_bc(grid, g_flat):
@@ -345,24 +353,23 @@ def restrict_pair(pair, b, half_grid):
     return phi, sigma, q, datum
 
 
-def build_halfspace_set(field_torus, pair, L, tangential_periodic=True, tol=DEFAULT_TOL,
-                        op=None):
+def build_halfspace_set(field, pair, L, tangential_periodic=True, tol=DEFAULT_TOL):
     """Construct the full half-space-adapted set on a half-box of height
-    L cut from the torus field.  Each tangential direction adds its
+    L cut from the torus of ``pair``.  Each tangential direction adds its
     correction to the restricted whole-space pair and builds one
     torus-sized current, d - 1 in all; the transversal one restricts phi
     and sigma alone (no solve, no current).  The restrictions come first,
     then the d - 1 corrections are solved concurrently on one operator
     (``pde.solve_many``), each the same as ``solve_halfspace_correction``'s.
-    ``op`` is the operator of the restricted field with the default
-    closure when the caller holds one; its grid must be this half-box."""
-    d = field_torus.grid.dim
-    grid = half_box_grid(field_torus.grid, L, tangential_periodic)
-    if op is None:
-        op = Operator(restrict_to_half_box(field_torus, L, tangential_periodic),
-                      BoundarySpec.half_box(grid))
-    elif op.grid != grid:
-        raise ValueError(f"op is not on the half-box of height {L}")
+    ``field`` is the torus field of ``pair`` or the ``half_box_operator``
+    of its restriction, which must lie on this half-box."""
+    grid = half_box_grid(pair.cset.grid, L, tangential_periodic)
+    d = grid.dim
+    if not isinstance(field, Operator):
+        field = restrict_to_half_box(field, L, tangential_periodic)
+    op = half_box_operator(field)
+    if op.grid != grid:
+        raise ValueError(f"the operator is not on the half-box of height {L} of the pair")
     field_hb = op.field
     basis = tangential_basis(pair.a_hom)
     phi_h, varphi, sigma_h, q_h, gap, stats, bcs = {}, {}, {}, {}, {}, {}, {}
@@ -402,22 +409,21 @@ class HalfSpaceResiduals:
     sigma_identity: float
 
 
-def halfspace_residuals(field_hb, hset, i, op=None):
+def halfspace_residuals(field_hb, hset, i):
     """Residuals of the defining problem for tangential direction i.
 
     flat flux: the implied conormal of phi_h + b.x through flat faces,
     from the cell balances of the assembled no-flux problem (top layer
     excluded); interior: relative equation residual; sigma identity:
     relative L2 defect of the row-divergence identity on the inner
-    half-ball of radius L/2.  ``op`` is the half-box operator with the
-    default closure when the caller holds one.
+    half-ball of radius L/2.  ``field_hb`` is the half-box field or its
+    ``half_box_operator``.
     """
-    grid = field_hb.grid
+    op = half_box_operator(field_hb)
+    grid = op.grid
     d = grid.dim
     b = hset.basis.vectors[i]
-    if op is None:
-        op = Operator(field_hb, BoundarySpec.half_box(grid))
-    sys = op.system(src=SourceTerm(divergence_form=coefficient_times_vector(field_hb, b)))
+    sys = op.system(src=SourceTerm(divergence_form=coefficient_times_vector(op.field, b)))
     u = hset.phi_h[i].values.ravel()
     r = (sys.matrix @ u - sys.rhs).reshape(grid.shape)
     # rows inside Dirichlet truncation layers are determined by the trace
@@ -484,7 +490,7 @@ def half_sublinearity_curve(hset, radii):
             for f in hset.sigma_h[i].sigma.values():
                 tot_tang += 2.0 * ball_mean_square(f, grid, r)
         # transversal term, full-ball (torus fields) and half-ball variant
-        full = _ball_sums(hset.torus_pair, r, [b])[0]
+        full = sum(w * mean_product([v], [v]) for w, v in _ball_terms(hset.torus_pair, r, [b]))
         halfv = ball_mean_square(hset.phi_h[i_d], grid, r)
         for f in hset.sigma_h[i_d].sigma.values():
             halfv += 2.0 * ball_mean_square(f, grid, r)
@@ -549,24 +555,6 @@ class DyadicConfig:
             return c(0, rho)
         return c(n + 1, rho) - c(n, rho)
 
-    def validate(self, grid):
-        """Grid-sampled invariants: partition sums to one inside the
-        outermost annulus and discrete slopes respect the stated
-        bounds."""
-        t = np.linspace(0.0, self.r0 * 2.0 ** (self.n_max + 1), 4096)
-        total = sum(self.cutoff(n, t) for n in self.annuli())
-        inside = t <= self.r0 * 2.0 ** self.n_max
-        if np.abs(total[inside] - 1.0).max() > 1e-12:
-            raise ValueError("radial cutoffs do not sum to one")
-        for n in self.annuli():
-            vals = self.cutoff(n, t)
-            slope = np.abs(np.diff(vals) / np.diff(t)).max()
-            if slope > 4.0 / (self.r0 * 2.0 ** max(n, 0)) + 1e-9:
-                raise ValueError(f"radial cutoff {n} violates its gradient bound")
-            if not self.heights[n + 1] < self.r0 * 2.0 ** (n + 1):
-                raise ValueError("cutoff height must stay below the annulus radius")
-        return True
-
 
 @dataclass
 class DyadicResult:
@@ -585,32 +573,32 @@ class DyadicResult:
 
 
 def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
-                        direct=None, op=None):
+                        direct=None):
     """Annulus-by-annulus boundary corrections: each solve carries the
     flux datum cut off by one radial partition member; energies on
     B_{r0}^+ are tabulated against the bound shape with the measured
     sublinearity values, and the partial sum is compared with the direct
     solve.  The flux datum is the flat layer of b's current restricted from
-    the torus of ``pair`` (the field ``field_torus``), as in
-    ``restrict_pair``.  ``direct`` is that single-solve correction varphi
-    for b on this half-box at this tol (``solve_halfspace_correction``, as
-    in ``HalfSpaceCorrectorSet.varphi``); when not given, its system joins
-    the annuli's.  All solves share one operator, ``op`` (the half-box
-    operator with the default closure) when the caller holds one, and are
-    solved concurrently on it (``pde.solve_many``)."""
-    grid = field_hb.grid
+    the torus of ``pair``, as in ``restrict_pair``; ``field_torus``, the
+    field of that torus, is not read and stays for callers that pass the
+    arguments by position.  ``direct`` is that single-solve correction
+    varphi for b on this half-box at this tol
+    (``solve_halfspace_correction``, as in ``HalfSpaceCorrectorSet.varphi``);
+    when not given, its system joins the annuli's.  All solves share one
+    operator, ``field_hb`` when it is the ``half_box_operator`` of the
+    half-box field, and are solved concurrently on it
+    (``pde.solve_many``)."""
+    op = half_box_operator(field_hb)
+    grid = op.grid
     d = grid.dim
     r0 = config.r0
     if r0 * 2.0 ** (config.n_max + 1) > grid.height * 2.0 + 1e-9:
         raise ValueError("outermost annulus exceeds the domain")
-    config.validate(grid)
     _, g_full = _restricted_current(pair, b, grid)
     # tangential radius of the flat face layer
     axes = np.meshgrid(*(grid.points_along(a, 0.5) for a in range(d - 1)),
                        indexing="ij", sparse=True)
     rho = np.sqrt(sum(x ** 2 for x in axes))
-    if op is None:
-        op = Operator(field_hb, BoundarySpec.half_box(grid))
     varphi_n = {}
     energies = {}
     shapes = {}

@@ -48,14 +48,15 @@ sources into right-hand sides, so many solves share one assembly.
 
 ``solve_many`` solves the independent right-hand sides of one operator
 concurrently: the calling thread and up to one helper thread per further
-CPU take systems from a shared queue, each solve the same as ``solve``'s
-bit for bit.  The whole-space correctors (``corrector.solve_correctors``),
-the half-space corrections (``halfspace.build_halfspace_set``) and the
-dyadic annuli (``halfspace.dyadic_construction``) go through it; every
-other solve runs alone in its caller's thread.  A call from any thread
-but the main one, such as a seed of the pipeline's pool at ``threads`` >
-1, solves in that thread, so ``threads`` still schedules seeds only and
-pools never nest.
+CPU take systems from a shared queue, each solve the same as a
+sequential one bit for bit.  Every solve runs there: ``solve`` is
+``solve_many`` of one system, which runs in its caller's thread, and the
+whole-space correctors (``corrector.solve_correctors``), the half-space
+corrections (``halfspace.build_halfspace_set``) and the dyadic annuli
+(``halfspace.dyadic_construction``) are solved together.  A call from any
+thread but the main one, such as a seed of the pipeline's pool at
+``threads`` > 1, solves in that thread, so ``threads`` still schedules
+seeds only and pools never nest.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _transforms as ft
-from .grid import Grid, HALF_BOX, TORUS, cell_offsets, face_offsets
+from .grid import Grid, HALF_BOX, cell_offsets, face_offsets
 
 log = logging.getLogger(__name__)
 
@@ -163,7 +164,7 @@ class PeriodicBC:
 
 @dataclass
 class BoundarySpec:
-    """Per-side boundary conditions; torus grids admit only periodic."""
+    """Per-side boundary conditions; periodic axes take none."""
 
     sides: dict = dc_field(default_factory=dict)  # (axis, side) -> bc
 
@@ -221,8 +222,8 @@ class SolverError(RuntimeError):
         self.history = history or []
 
 
-def _boundary_datum(value, grid, axis, side):
-    """A scalar or array boundary datum as the face layer (axis, side)."""
+def _boundary_datum(value, grid, axis):
+    """A scalar or array boundary datum as a face layer of ``axis``."""
     want = tuple(s for a, s in enumerate(grid.face_shape(axis)) if a != axis)
     out = np.asarray(value, dtype=float)
     if out.ndim == 0:
@@ -268,21 +269,24 @@ def _callable_data(bc, grid):
 
 
 def _transform_bcs(grid, bc):
+    """The (low, high) transform bcs of each axis of ``grid`` under the
+    kinds of ``bc``; a periodic axis takes no side data, a non-periodic
+    one no periodic side, and ``bc`` no side of an axis the grid lacks."""
+    stray = set(bc.sides) - {(a, s) for a in range(grid.dim) for s in (0, 1)}
+    if stray:
+        raise ValueError(f"sides {stray} are not sides of a {grid.dim}d grid")
     out = []
     for a in range(grid.dim):
+        kinds = [bc.bc(a, s) for s in (0, 1)]
         if grid.periodic_axis(a):
+            if not all(isinstance(b, PeriodicBC) for b in kinds):
+                raise ValueError(f"periodic axis {a} takes no side data")
             out.append((ft.PERIODIC, ft.PERIODIC))
+        elif all(isinstance(b, (Dirichlet, NoFlux)) for b in kinds):
+            out.append(tuple(ft.DIRICHLET if isinstance(b, Dirichlet) else ft.NEUMANN
+                             for b in kinds))
         else:
-            pair = []
-            for s in (0, 1):
-                b = bc.bc(a, s)
-                if isinstance(b, Dirichlet):
-                    pair.append(ft.DIRICHLET)
-                elif isinstance(b, NoFlux):
-                    pair.append(ft.NEUMANN)
-                else:
-                    raise ValueError("periodic side on a non-periodic axis")
-            out.append(tuple(pair))
+            raise ValueError("periodic side on a non-periodic axis")
     return tuple(out)
 
 
@@ -335,12 +339,7 @@ class Operator:
         shape = grid.shape
         n_cells = int(np.prod(shape))
         inv_h2 = 1.0 / (grid.h * grid.h)
-        if grid.topology == TORUS:
-            if any(not isinstance(b, PeriodicBC) for b in bc.sides.values()):
-                raise ValueError("torus grids admit only periodic conditions")
-            self.axis_bcs = ((ft.PERIODIC, ft.PERIODIC),) * d
-        else:
-            self.axis_bcs = _transform_bcs(grid, bc)  # validates side kinds
+        self.axis_bcs = _transform_bcs(grid, bc)  # validates side kinds
         self.field, self.grid, self.bc = field, grid, bc
 
         per = [grid.periodic_axis(a) for a in range(d)]
@@ -396,7 +395,7 @@ class Operator:
         self.matrix = StencilMatrix(sp.dia_matrix((data, offsets), shape=(n_cells, n_cells)),
                                     seams, shape)
         self.symmetric = field.is_symmetric()
-        self.singular = grid.topology == TORUS or not bc.dirichlet_sides()
+        self.singular = not bc.dirichlet_sides()
         self.mean_coeff = float(np.mean([field.entry(k, k).mean() for k in range(d)]))
 
     @cached_property
@@ -480,7 +479,7 @@ class Operator:
                 b_side = bc.bc(k, side)
                 g = called.get((k, side))
                 if g is None:
-                    g = _boundary_datum(b_side.value, grid, k, side)
+                    g = _boundary_datum(b_side.value, grid, k)
                 cells = rhs.reshape(shape)[(slice(None),) * k + (-side,)]  # the side's cell layer
                 if isinstance(b_side, Dirichlet):
                     cells += self._dirichlet_weight[k, side] * g
@@ -543,7 +542,7 @@ def assemble(field, bc, src=None):
 # loop does the rest.
 INNER_TOL = 1e-4
 
-# Inner iterations a solve may spend in all (``solve``'s default).
+# Inner iterations a solve may spend in all.
 MAX_ITER = 20000
 
 # Weight of the l1-Jacobi smoothing steps of ``Operator.preconditioner``.
@@ -562,9 +561,9 @@ def _norm(v):
     return m * float(np.linalg.norm(v / m)) if 0.0 < m < np.inf else m
 
 
-def solve(system, tol=1e-10, max_iter=MAX_ITER):
+def solve(system, tol=1e-10):
     """Solve the assembled system to a true residual |b - Ax| / |b| of at
-    most ``tol``.
+    most ``tol``: ``solve_many`` of the one system.
 
     Returns (ScalarField, SolveStats).  Semi-definite systems return the
     mean-zero representative.  Non-convergence raises SolverError with
@@ -584,14 +583,11 @@ def solve(system, tol=1e-10, max_iter=MAX_ITER):
     projects: A annihilates constants, so the constant part that the
     smoothing steps of the preconditioner add to the correction leaves r
     alone, and the outer loop projects r and x.  A correction that does
-    not lower |r|, or ``max_iter`` spent inner iterations, raises
+    not lower |r|, or ``MAX_ITER`` spent inner iterations, raises
     SolverError, and so does a non-finite |b|, |r|, p.Ap (in CG) or
     preconditioned residual (in BiCGSTAB).
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
-    x, stats = _refine(system, tol, max_iter, _WorkArrays(system.rhs.size))
-    return ScalarField(system.grid, x.reshape(system.grid.shape)), stats
+    return solve_many([system], tol)[0]
 
 
 class _WorkArrays:
@@ -609,11 +605,12 @@ class _WorkArrays:
         self.x_prev = f32[2:].reshape(-1).view(np.float64)
 
 
-def _refine(system, tol, max_iter, work):
-    """The refinement loop of ``solve`` in the arrays of ``work``; returns
-    the flat solution and the SolveStats.  Beyond ``work`` it allocates
-    only the solution, the matrix products and the fast solves'
-    transforms (and BiCGSTAB's own vectors)."""
+def _refine(system, tol, work):
+    """The refinement loop of ``solve`` in the arrays of ``work``, with at
+    most ``MAX_ITER`` inner iterations; returns the flat solution and the
+    SolveStats.  Beyond ``work`` it allocates only the solution, the
+    matrix products and the fast solves' transforms (and BiCGSTAB's own
+    vectors)."""
     b = system.rhs
     nb = _norm(b)
     if not np.isfinite(nb):
@@ -643,8 +640,8 @@ def _refine(system, tol, max_iter, work):
         if len(history) > 1 and true >= history[-2]:
             raise SolverError(f"refinement stalled at true residual {true:.3e} > tol={tol}",
                               best_x=x_prev, history=history)
-        if it >= max_iter:
-            raise SolverError(f"inner solves did not reach tol={tol} in {max_iter} iterations "
+        if it >= MAX_ITER:
+            raise SolverError(f"inner solves did not reach tol={tol} in {MAX_ITER} iterations "
                               f"(best residual {true:.3e})", best_x=x, history=history)
         # a float32 solve of A d = r / |r|: PCG on symmetric systems,
         # BiCGSTAB otherwise
@@ -656,7 +653,7 @@ def _refine(system, tol, max_iter, work):
             z = M(r32, out=work.z)
             np.copyto(p, z)
             rz = float(r32 @ z)
-            while it < max_iter:
+            while it < MAX_ITER:
                 Ap = A32 @ p
                 pAp = float(p @ Ap)
                 if not pAp > 0.0:  # also a nan from a non-finite product
@@ -689,7 +686,7 @@ def _refine(system, tol, max_iter, work):
             import scipy.sparse.linalg as spla  # loaded by nonsymmetric solves only
             d, _ = spla.bicgstab(spla.LinearOperator(A32.shape, matvec=A32.__matmul__,
                                                      dtype=np.float32),
-                                 r32, rtol=target, atol=0.0, maxiter=max_iter - it,
+                                 r32, rtol=target, atol=0.0, maxiter=MAX_ITER - it,
                                  M=spla.LinearOperator(A32.shape, matvec=precondition,
                                                        dtype=np.float32))
             it += (applies + 1) // 2
@@ -713,8 +710,9 @@ def _cpus():
 
 
 def solve_many(systems, tol=1e-10):
-    """``solve`` of each of ``systems``, right-hand sides of one Operator,
-    as a list of (ScalarField, SolveStats) in their order.
+    """The solutions of ``systems``, right-hand sides of one Operator, each
+    solved as ``solve`` states, as a list of (ScalarField, SolveStats) in
+    their order.
 
     The calling thread and ``min(len(systems), CPUs) - 1`` helper threads
     take the systems from a shared queue; a call from any thread but the
@@ -723,11 +721,11 @@ def solve_many(systems, tol=1e-10):
     module of BiCGSTAB are allocated or imported here, in the calling
     thread, before a helper starts, so a helper allocates only its
     solutions and the products and transforms of its solves, and its heap
-    stays small.  Each solve runs ``solve``'s loop on its own arrays, so
-    iterates, iteration counts and results are those of sequential solves
-    bit for bit.  After an error no system is started, and the error of
-    the first failing system by order is raised once every helper has
-    joined."""
+    stays small.  Each solve runs the refinement loop on its own arrays,
+    so iterates, iteration counts and results are those of sequential
+    solves bit for bit.  After an error no system is started, and the
+    error of the first failing system by order is raised once every helper
+    has joined."""
     systems = list(systems)
     if not systems:
         return []
@@ -755,7 +753,7 @@ def solve_many(systems, tol=1e-10):
                     return
                 i = pending.pop()
             try:
-                results[i] = _refine(systems[i], tol, MAX_ITER, arrays)
+                results[i] = _refine(systems[i], tol, arrays)
             except Exception as e:
                 with lock:
                     failed.append((i, e))

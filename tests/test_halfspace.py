@@ -20,6 +20,7 @@ from homlab.halfspace import (
     curl_of_potentials,
     dyadic_construction,
     face_poisson_solve,
+    half_box_operator,
     half_sublinearity_curve,
     halfspace_residuals,
     restrict_pair,
@@ -85,14 +86,15 @@ def test_constant_field_trivial_halfspace_set():
 
 
 def test_halfspace_set_on_the_callers_operator():
-    # the set built on the caller's slab operator is the set built on its
-    # own, bit for bit; an operator on another half-box is refused
+    # the set built on the caller's slab operator, passed for the torus
+    # field, is the set built on its own, bit for bit; an operator on
+    # another half-box is refused
     grid = Grid.torus(2, 32)
     f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=3), grid)
     pair = solve_pair(f, tol=1e-12)
     fhb = restrict_to_half_box(f, 16.0)
     op = pde.Operator(fhb, pde.BoundarySpec.half_box(fhb.grid))
-    own, given = build_halfspace_set(f, pair, L=16.0), build_halfspace_set(f, pair, L=16.0, op=op)
+    own, given = build_halfspace_set(f, pair, L=16.0), build_halfspace_set(op, pair, L=16.0)
     assert given.grid == own.grid
     assert np.array_equal(given.varphi[0].values, own.varphi[0].values)
     for i in range(2):
@@ -104,7 +106,35 @@ def test_halfspace_set_on_the_callers_operator():
     box_op = pde.Operator(box, pde.BoundarySpec.half_box(box.grid))
     for L, periodic, other in ((16.0, False, op), (16.0, True, box_op)):
         with pytest.raises(ValueError, match="not on the half-box"):
-            build_halfspace_set(f, pair, L=L, tangential_periodic=periodic, op=other)
+            build_halfspace_set(other, pair, L=L, tangential_periodic=periodic)
+
+
+def test_halfspace_functions_take_the_field_or_its_operator():
+    # the half-box field and its half_box_operator give the same results,
+    # bit for bit, and the operator's field is the one read
+    grid = Grid.torus(2, 32)
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=3), grid)
+    pair = solve_pair(f, tol=1e-12)
+    fhb = restrict_to_half_box(f, 16.0)
+    op = half_box_operator(fhb)
+    assert op.field is fhb and half_box_operator(op) is op
+    hset = build_halfspace_set(op, pair, L=16.0)
+    assert halfspace_residuals(op, hset, 0) == halfspace_residuals(fhb, hset, 0)
+    b1 = hset.basis.vectors[0]
+    g_flat = restrict_pair(pair, b1, fhb.grid)[3]
+    by_field, by_op = solve_halfspace_correction(fhb, g_flat), solve_halfspace_correction(op, g_flat)
+    assert by_field.stats == by_op.stats
+    assert np.array_equal(by_field.varphi.values, by_op.varphi.values)
+    for a, b in zip(by_field.current.comps, by_op.current.comps):
+        assert np.array_equal(a, b)
+    cfg = DyadicConfig.from_curve(sublinearity_curve(pair, dyadic_radii(grid)), 4.0, 0)
+    for direct in (None, hset.varphi[0]):
+        a = dyadic_construction(fhb, f, pair, b1, cfg, direct=direct)
+        b = dyadic_construction(op, f, pair, b1, cfg, direct=direct)
+        assert (a.energies, a.consistency_r0, a.consistency_quarter) == (
+            b.energies, b.consistency_r0, b.consistency_quarter)
+        for n, sol in a.varphi_n.items():
+            assert np.array_equal(b.varphi_n[n].values, sol.values)
 
 
 def test_laminate_correction_vanishes():
@@ -618,6 +648,22 @@ def test_dyadic_single_annulus_equals_cut_direct():
     assert np.abs(dy.varphi_n[-1].values - ref.values).max() <= 1e-9
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-3, 6), st.integers(-1, 4))
+def test_dyadic_cutoffs_are_a_partition_with_bounded_slopes(k, n_max):
+    # the cutoffs telescope to c(n_max + 1), one up to r0 2^n_max, and
+    # neighbouring ramps [R_n / 2, R_n] and [R_n, 2 R_n] do not overlap,
+    # so each slope is at most 3 / R_n
+    r0 = 2.0 ** k
+    cfg = DyadicConfig(r0, n_max, np.zeros(n_max + 2), np.zeros(n_max + 2))
+    t = np.linspace(0.0, r0 * 2.0 ** (n_max + 1), 4096)
+    total = sum(cfg.cutoff(n, t) for n in cfg.annuli())
+    assert np.abs(total[t <= r0 * 2.0 ** n_max] - 1.0).max() <= 1e-12
+    for n in cfg.annuli():
+        slope = np.abs(np.diff(cfg.cutoff(n, t)) / np.diff(t)).max()
+        assert slope < 4.0 / (r0 * 2.0 ** max(n, 0))
+
+
 def test_dyadic_partition_and_consistency():
     grid = Grid.torus(2, 128)
     f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=7), grid)
@@ -625,7 +671,7 @@ def test_dyadic_partition_and_consistency():
     fhb = restrict_to_half_box(f, 64.0)
     curve = sublinearity_curve(pair, dyadic_radii(grid))
     cfg = DyadicConfig.from_curve(curve, r0=8.0, n_max=2)
-    assert cfg.validate(fhb.grid)
+    assert np.all(cfg.heights < 8.0 * 2.0 ** np.arange(len(cfg.heights)))
     b1 = tangential_basis(pair.a_hom).vectors[0]
     dy = dyadic_construction(fhb, f, pair, b1, cfg)
     assert dy.consistency_r0 <= 0.05

@@ -1,10 +1,13 @@
-"""Every imported name is read by its module, and homlab loads no scipy
-subpackage that a run does not use.
+"""Every imported name is read by its module, every parameter of the
+library by its function, and homlab loads no scipy subpackage that a run
+does not use.
 
 An ``ast`` scan of the library, the tests and the demos: a name bound by
 an import and never loaded is an unused import.  ``__init__.py`` files
 are skipped, since their imports are the package's re-exports, and so
-are ``__future__`` imports.
+are ``__future__`` imports.  The same walk over the library finds the
+parameters of each function or lambda that its body never loads; the
+ones kept on purpose are named in ``UNREAD_PARAMETERS`` with a reason.
 
 The import graph is read in fresh interpreters, since pytest and its
 plugins may load scipy themselves: ``import homlab``, a 2d pipeline and
@@ -25,6 +28,13 @@ ROOT = Path(__file__).resolve().parent.parent
 LAZY = ("scipy.linalg", "scipy.sparse.linalg", "scipy.stats")
 SOURCES = sorted(p for top in ("src/homlab", "tests", "demos")
                  for p in (ROOT / top).rglob("*.py") if p.name != "__init__.py")
+LIBRARY = sorted((ROOT / "src/homlab").rglob("*.py"))
+# (module, function, parameter) -> why the parameter stays unread
+UNREAD_PARAMETERS = {
+    ("halfspace.py", "dyadic_construction", "field_torus"):
+        "perfbench/workloads.py passes the arguments by position; the datum "
+        "comes from the torus of ``pair``",
+}
 
 
 def unread_imports(source):
@@ -52,6 +62,44 @@ def test_scan_finds_an_unread_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text()) == []
+
+
+def unread_parameters(source):
+    """(line, function, parameter) of each parameter of a function or
+    lambda in ``source`` that its body never loads."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        loaded = {n.id for stmt in body for n in ast.walk(stmt)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(node.lineno, getattr(node, "name", "<lambda>"), p.arg)
+                for p in params if p.arg not in loaded]
+    return sorted(out)
+
+
+def test_scan_finds_an_unread_parameter():
+    src = ("def f(a, b=1, *c, d, **e):\n    return a + len(e)\n"
+           "g = lambda x, y: x\n"
+           "def h(u):\n    def inner(v):\n        return u\n    return inner\n")
+    assert unread_parameters(src) == [(1, "f", "b"), (1, "f", "c"), (1, "f", "d"),
+                                      (3, "<lambda>", "y"), (5, "inner", "v")]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_library_parameter_is_read(path):
+    unread = [(name, param) for _, name, param in unread_parameters(path.read_text())
+              if (path.name, name, param) not in UNREAD_PARAMETERS]
+    assert unread == []
+
+
+def test_every_kept_unread_parameter_is_still_unread():
+    found = {(path.name, name, param) for path in LIBRARY
+             for _, name, param in unread_parameters(path.read_text())}
+    assert set(UNREAD_PARAMETERS) <= found
 
 
 def loaded_after(code, cwd):

@@ -12,18 +12,17 @@ import homlab
 OPTIONS = {
     "assemble": ("src",),
     "band_limited_trace": ("amplitude", "dim"),
-    "build_halfspace_set": ("tangential_periodic", "tol", "op"),
-    "dyadic_construction": ("tol", "direct", "op"),
+    "build_halfspace_set": ("tangential_periodic", "tol"),
+    "dyadic_construction": ("tol", "direct"),
     "dyadic_radii": ("r_min", "r_max"),
     "flux_potential_residual": ("inner_radius",),
-    "halfspace_residuals": ("op",),
     "harmonic_sample": ("tol",),
     "monte_carlo_homogenized": ("tol",),
     "restrict_to_half_box": ("tangential_periodic",),
-    "solve": ("tol", "max_iter"),
-    "solve_corrector": ("tol", "op"),
+    "solve": ("tol",),
+    "solve_corrector": ("tol",),
     "solve_correctors": ("tol",),
-    "solve_halfspace_correction": ("tol", "op"),
+    "solve_halfspace_correction": ("tol",),
     "solve_pair": ("tol",),
     "sublinearity_curve": ("basis",),
 }
@@ -44,4 +43,4 @@ def exported_options():
 
 def test_exported_functions_have_only_the_listed_options():
     assert exported_options() == OPTIONS
-    assert sum(len(v) for v in OPTIONS.values()) == 25
+    assert sum(len(v) for v in OPTIONS.values()) == 19

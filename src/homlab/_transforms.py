@@ -17,18 +17,23 @@ by the coefficient contrast, so iteration counts stay flat in the grid
 size.  It serves the float32 inner solves of ``pde.solve`` (CG on
 symmetric systems, BiCGSTAB on nonsymmetric ones), whose residuals are
 normalized to unit norm, so no scaling is needed to stay inside the
-float32 range, and the float32 transforms move half the bytes.  The float64 outer loop of ``pde.solve`` recomputes
-the residual and adds the corrections, so single precision limits the
-cost of a correction, not the accuracy of the solution.  The
-preconditioner hands its residual over as scratch (``overwrite=True``).
-The exact solves (Hodge solves, vector potentials) use the float64
-default and keep their input.
+float32 range, and the float32 transforms move half the bytes.  In
+float32 a bounded axis of at most ``DENSE_AXIS_MAX`` cells is one matrix
+product (BLAS sgemm) with the matrices of its forward and backward
+transforms, built in float64: the backward one is not the transpose, so
+the non-orthonormal node-like axis stays exact.  The float64 outer loop of
+``pde.solve`` recomputes the residual and adds the corrections, so single
+precision limits the cost of a correction, not the accuracy of the
+solution.  The preconditioner hands its residual over as scratch
+(``overwrite=True``).  The exact solves (Hodge solves, vector potentials)
+use the float64 default, every axis a transform, and keep their input.
 ``thomas_many`` and ``vertical_stencil`` serve only the benchmark's
 tridiagonal-sweep probe (``perfbench``); no solver of the lab calls them.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
@@ -37,12 +42,28 @@ from scipy import fft as sfft
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
+# A float32 solver applies each bounded axis of at most this many cells as
+# one matrix product (BLAS sgemm) with its dense mode matrix, not pocketfft.
+# Float32 solves on a 2-core host, BLAS pinned, best of 7: 64x64x32 window
+# 1.57 -> 0.82 ms, 32x32x16 0.23 -> 0.08; 256x128 slab with the 128-cell axis
+# dense 0.25 -> 0.28.  Periodic axes as dense modes lose (256² torus 0.4 -> 1.0).
+DENSE_AXIS_MAX = 64
 
 
 def _along(transform, **fixed):
     """``transform`` as a function of (x, axis), passing ``overwrite_x``
     and other keywords through."""
     return lambda x, axis, **kw: transform(x, axis=axis, **fixed, **kw)
+
+
+def _matrix_along(matrix, x, axis, overwrite_x=False):
+    """``matrix`` applied along ``axis`` of x: one product on the last axis,
+    a batch of them (one for the first axis) on any other; x is never
+    written."""
+    m = x.shape[axis]
+    if axis == x.ndim - 1:
+        return (x.reshape(-1, m) @ matrix.T).reshape(x.shape)
+    return np.matmul(matrix, x.reshape(-1, m, math.prod(x.shape[axis + 1:]))).reshape(x.shape)
 
 
 def axis_modes(m, offset, bc_low, bc_high):
@@ -167,7 +188,8 @@ class FastConstSolver:
     """Direct solver for ``-coeff lap_h u = b`` on a structured home.
 
     Every axis is transformed: bounded axes by the real trig transform of
-    ``axis_modes``, periodic axes by one real FFT over all of them, which
+    ``axis_modes`` (in float32, up to ``DENSE_AXIS_MAX`` cells, by its
+    dense matrix), periodic axes by one real FFT over all of them, which
     stores and divides only half of the spectrum.  ``solve`` multiplies by
     the precomputed inverse symbol in between; there is no sweep.
 
@@ -184,8 +206,9 @@ class FastConstSolver:
         for the mean-free part of the data
     coeff : constant coefficient, folded into the inverse symbol
     dtype : precision of the transforms, the symbol and the result;
-        ``np.float32`` halves the memory traffic of a preconditioner apply,
-        the float64 default is the exact solve
+        ``np.float32`` halves the memory traffic of a preconditioner apply
+        and takes short bounded axes as matrix products, the float64
+        default is the exact solve
     """
 
     def __init__(self, grid, offsets, bcs, shape, project_mean=False, coeff=1.0,
@@ -195,9 +218,14 @@ class FastConstSolver:
         self._forward = []
         self._backward = []
         symbol = np.zeros([1] * d)
+        self.dtype = np.dtype(dtype)
         for a in range(d):
             fwd, bwd, lam = axis_modes(shape[a], offsets[a], *bcs[a])
             if a not in periodic:
+                if self.dtype == np.float32 and shape[a] <= DENSE_AXIS_MAX:
+                    eye = np.eye(shape[a])  # each transform's matrix in float64, then cast
+                    fwd, bwd = (partial(_matrix_along, t(eye, 0).astype(np.float32))
+                                for t in (fwd, bwd))
                 self._forward.append(partial(fwd, axis=a))
                 self._backward.insert(0, partial(bwd, axis=a))
             elif a == periodic[-1]:
@@ -211,7 +239,6 @@ class FastConstSolver:
         symbol = symbol * coeff / (grid.h * grid.h)
         if project_mean:
             symbol.flat[0] = np.inf  # the mean mode is projected away
-        self.dtype = np.dtype(dtype)
         self._inverse_symbol = (1.0 / symbol).astype(self.dtype)
 
     def solve(self, b, overwrite=False):
@@ -220,8 +247,8 @@ class FastConstSolver:
         array, and the later ones overwrite their own intermediates.
         ``overwrite=True`` marks ``b`` as scratch, which the first
         transform may then overwrite too (a real trig transform of b in
-        the solver's dtype does), one array fewer per solve; the result is
-        the same bit for bit."""
+        the solver's dtype does, a dense axis never does), one array fewer
+        per solve; the result is the same bit for bit."""
         x = np.asarray(b, dtype=self.dtype)
         for i, transform in enumerate(self._forward):
             x = transform(x, overwrite_x=overwrite or i > 0)

@@ -34,6 +34,9 @@ UNREAD_PARAMETERS = {
     ("halfspace.py", "dyadic_construction", "field_torus"):
         "perfbench/workloads.py passes the arguments by position; the datum "
         "comes from the torus of ``pair``",
+    ("_transforms.py", "_matrix_along", "overwrite_x"):
+        "a dense axis never writes its input; the keyword keeps the one call "
+        "signature of ``FastConstSolver``'s transforms",
 }
 
 

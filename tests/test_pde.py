@@ -935,6 +935,30 @@ def test_corrector_iterations_pinned(kind):
             assert abs(stats.iterations - count) <= 1
 
 
+def test_3d_window_and_slab_iterations_pinned():
+    # every bounded axis of the 32x32x16 window and the vertical axis of
+    # the slab are dense float32 products in the preconditioner; the
+    # harmonic samples and the half-space corrections take the iteration
+    # counts of the pocketfft transforms, +-1
+    from homlab import band_limited_trace, build_halfspace_set, solve_pair
+    from homlab.excess import window_operator
+
+    for seed, (window, slab) in enumerate([((14, 14), (14, 14)), ((14, 14), (15, 15))]):
+        f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=seed),
+                         Grid.torus(3, 32))
+        hset = build_halfspace_set(f, solve_pair(f, tol=1e-12), L=16.0, tol=1e-12)
+        assert len(hset.stats) == len(slab)
+        for stats, count in zip(hset.stats.values(), slab):
+            assert abs(stats.iterations - count) <= 1
+        op = window_operator(f, 16.0)
+        for trace_seed, count in enumerate(window):
+            trace = band_limited_trace(trace_seed, 16.0, dim=3)
+            bc = BoundarySpec.half_box(op.grid, flat=NoFlux(0.0), top=Dirichlet(trace),
+                                       lateral=Dirichlet(trace))
+            _, stats = solve(op.system(bc), tol=1e-12)
+            assert abs(stats.iterations - count) <= 1
+
+
 def test_band_assembly_peak_memory():
     torus = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=2), Grid.torus(3, 32))
     window = restrict_to_half_box(torus, 16.0, tangential_periodic=False)

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -129,8 +135,15 @@ def fast_solver(axes, h, project_mean=False):
     )
 
 
-def axes_strategy(cases):
-    return st.lists(st.tuples(st.sampled_from(cases), st.integers(2, 7)), min_size=1, max_size=3)
+def axes_strategy(cases, lengths=st.integers(2, 7)):
+    return st.lists(st.tuples(st.sampled_from(cases), lengths), min_size=1, max_size=3)
+
+
+# a float32 solver takes a bounded axis of at most DENSE_AXIS_MAX cells as a
+# dense product, a longer one through pocketfft: lengths on both sides
+BOTH_PATHS = st.one_of(st.integers(2, 7),
+                       st.sampled_from([ft.DENSE_AXIS_MAX - 1, ft.DENSE_AXIS_MAX,
+                                        ft.DENSE_AXIS_MAX + 1, ft.DENSE_AXIS_MAX + 2]))
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -169,9 +182,13 @@ def test_fast_solver_project_mean_matches_least_squares(axes, h, seed):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(axes=axes_strategy(CASES + [PERIODIC_AXIS]), h=st.sampled_from([1.0, 0.5]),
+@given(axes=axes_strategy(CASES + [PERIODIC_AXIS], BOTH_PATHS), h=st.sampled_from([1.0, 0.5]),
        coeff=st.sampled_from([0.3, 1.0, 40.0]), magnitude=st.sampled_from([1e-40, 1.0, 1e30]),
        seed=st.integers(0, 2**16))
+@example(axes=[(CASES[2], 64), (CASES[5], 65), (CASES[0], 5)], h=0.5, coeff=0.3, magnitude=1.0,
+         seed=0)
+@example(axes=[(CASES[3], 66), (PERIODIC_AXIS, 6), (CASES[4], 63)], h=1.0, coeff=40.0,
+         magnitude=1e-40, seed=1)
 def test_single_precision_solver_matches_float64(axes, h, coeff, magnitude, seed):
     """The float32 instance folds ``coeff`` into its symbol, returns float32
     within float32 round-off of the exact solve for data of unit norm (what
@@ -201,12 +218,62 @@ def test_single_precision_solver_matches_float64(axes, h, coeff, magnitude, seed
 ], ids=["torus", "slab", "box"])
 def test_fast_solver_leaves_its_input_unwritten(kinds, dtype):
     # the first transform reads b into a new array and only the later ones
-    # overwrite; data in the solver's dtype or the other one
-    shape = (8, 6, 4)
-    solver = ft.FastConstSolver(Grid.torus(3, 4), (0.5,) * 3, kinds, shape,
-                                project_mean=kinds[-1][1] == "periodic", dtype=dtype)
-    for data_dtype in (np.float64, np.float32):
-        b = np.random.default_rng(3).standard_normal(shape).astype(data_dtype)
-        kept = b.copy()
-        x = solver.solve(b)
-        assert np.array_equal(b, kept) and x.dtype == dtype and not np.shares_memory(x, b)
+    # overwrite; data in the solver's dtype or the other one.  In float32 the
+    # bounded axes of (8, 6, 4) are dense products, those of length 65 and 66
+    # pocketfft transforms
+    for shape in [(8, 6, 4), (65, 6, 66)]:
+        solver = ft.FastConstSolver(Grid.torus(3, 4), (0.5,) * 3, kinds, shape,
+                                    project_mean=kinds[-1][1] == "periodic", dtype=dtype)
+        for data_dtype in (np.float64, np.float32):
+            b = np.random.default_rng(3).standard_normal(shape).astype(data_dtype)
+            kept = b.copy()
+            x = solver.solve(b)
+            assert np.array_equal(b, kept) and x.dtype == dtype and not np.shares_memory(x, b)
+
+
+@pytest.mark.parametrize("offset,lo,hi", CASES)
+def test_dense_and_pocketfft_single_precision_solves_agree(offset, lo, hi, monkeypatch):
+    # the dense mode matrices on the first, a middle and the last axis
+    # against the float32 trig transforms, both against the float64 solve
+    shape = (ft.DENSE_AXIS_MAX, 7, 12)
+    args = (Grid.torus(2, 4, 0.5), (offset,) * 3, [(lo, hi)] * 3, shape,
+            (lo, hi) == ("neumann", "neumann"))
+    b = np.random.default_rng(4).standard_normal(shape)
+    b /= np.linalg.norm(b)
+    ref = ft.FastConstSolver(*args).solve(b)
+    dense = ft.FastConstSolver(*args, dtype=np.float32).solve(b.astype(np.float32))
+    monkeypatch.setattr(ft, "DENSE_AXIS_MAX", 0)
+    fft = ft.FastConstSolver(*args, dtype=np.float32).solve(b.astype(np.float32))
+    tol = 16 * np.finfo(np.float32).eps * np.abs(ref).max()
+    assert dense.dtype == fft.dtype == np.float32 and not np.array_equal(dense, fft)
+    assert np.abs(dense - fft).max() <= tol
+    assert np.abs(dense - ref).max() <= tol and np.abs(fft - ref).max() <= tol
+
+
+def test_dense_single_precision_solve_is_the_same_at_any_blas_thread_count():
+    # the dense products run in BLAS, which reads its thread variables when
+    # it loads: one fresh interpreter per thread count, the same bytes
+    probe = textwrap.dedent("""
+        import hashlib
+        import numpy as np
+        from homlab import _transforms as ft
+        from homlab.grid import Grid
+        shape = (64, 64, 32)  # the 3d window: every axis a dense product
+        assert max(shape) <= ft.DENSE_AXIS_MAX
+        kinds = [("dirichlet", "dirichlet")] * 2 + [("neumann", "dirichlet")]
+        solver = ft.FastConstSolver(Grid.torus(3, 4), (0.5,) * 3, kinds, shape, dtype=np.float32)
+        b = np.random.default_rng(0).standard_normal(shape).astype(np.float32)
+        print(hashlib.sha256(solver.solve(b).tobytes()).hexdigest())
+        """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               **{v: threads for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                       "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.split()[-1])
+    assert len(digests) == 1

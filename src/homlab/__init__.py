@@ -40,7 +40,6 @@ from .corrector import (
     flux_potential_residual,
     homogenized_matrix,
     monte_carlo_homogenized,
-    solve_corrector,
     solve_correctors,
     solve_flux_potential,
     solve_pair,
@@ -54,7 +53,6 @@ from .halfspace import (
     dyadic_construction,
     half_sublinearity_curve,
     halfspace_residuals,
-    sigma_identity_residual,
     solve_halfspace_correction,
     solve_vector_potentials,
     tangential_basis,

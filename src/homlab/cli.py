@@ -33,7 +33,6 @@ import argparse
 import hashlib
 import json
 import numbers
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -54,6 +53,7 @@ from .field import (
     sample_field,
     save_field,
     validate_ellipticity,
+    write_atomic,
 )
 from .pde import ScalarField, SolverError
 from .corrector import (
@@ -97,20 +97,6 @@ EXIT_INVARIANT = 4
 def fmt(x):
     """Deterministic float formatting for byte-stable CSV output."""
     return f"{float(x):.17g}"
-
-
-def write_atomic(path, write, mode="w"):
-    """Call ``write(fh)`` on a temporary file next to ``path``, then move
-    it over ``path`` with ``os.replace``: the final name holds the old
-    file or the whole new one, never a partial write."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode, newline=None if "b" in mode else "\n") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def write_json(path, obj):
@@ -224,9 +210,8 @@ def check_tol(cfg):
 def check_corrector(cfg, grid):
     """Fill ``radii`` (default 8h..side/4) and check that it is a non-empty
     list of powers of two up to the torus half-side."""
-    radii = cfg.get("radii")
-    if radii is None:
-        radii = dyadic_radii(grid, r_max=grid.side / 4.0)
+    given = cfg.get("radii")
+    radii = dyadic_radii(grid, r_max=grid.side / 4.0) if given is None else given
     cfg["radii"] = [float(r) for r in radii]
     for r in cfg["radii"]:
         if not is_dyadic(r):
@@ -234,8 +219,8 @@ def check_corrector(cfg, grid):
         if r > grid.side / 2.0 + 1e-12:
             raise ConfigError(f"radius {r:g} exceeds the torus half-side {grid.side / 2.0:g}")
     if not cfg["radii"]:
-        raise ConfigError(f"no corrector radius; the default 8h..side/4 is empty at side "
-                          f"{grid.side:g}")
+        raise ConfigError("no corrector radius; " + ("radii is empty" if given is not None else
+                          f"the default 8h..side/4 is empty at side {grid.side:g}"))
 
 
 def check_halfspace(cfg, grid):
@@ -617,6 +602,9 @@ def cmd_corrector(args):
         except ValueError as e:
             raise ConfigError(f"--radii {args.radii!r} is not lo:hi") from e
         radii = dyadic_radii(grid, r_min=lo, r_max=min(hi, grid.side / 2.0))
+        if not radii:
+            raise ConfigError(f"--radii {args.radii} holds no corrector radius lo 2^k: lo must "
+                              f"be positive and at most min(hi, side/2 = {grid.side / 2.0:g})")
     cfg = _flag_config(grid, (check_corrector,), tol=args.tol, radii=radii)
     pair = solve_pair(f, tol=cfg["tol"])
     curve = sublinearity_curve(pair, cfg["radii"], basis=basis)

@@ -22,6 +22,7 @@ returns -q, which the residual check rejects.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -42,7 +43,6 @@ from .pde import (
     face_current,
     flux,
     interior_ball_mask,
-    solve,
     solve_many,
 )
 
@@ -69,13 +69,6 @@ def _corrector_system(field, xi, op):
     if abs(np.linalg.norm(xi) - 1.0) > 1e-12:
         raise ValueError("direction must be a unit vector")
     return op.system(src=SourceTerm(divergence_form=coefficient_times_vector(field, xi)))
-
-
-def solve_corrector(field, xi, tol=DEFAULT_TOL):
-    """Zero-mean corrector for one unit direction on a torus field."""
-    phi, stats = solve(_corrector_system(field, xi, periodic_operator(field)), tol=tol)
-    phi.values -= phi.values.mean()
-    return phi, stats
 
 
 @dataclass
@@ -107,8 +100,7 @@ class CorrectorSet:
 
 def solve_correctors(field, tol=DEFAULT_TOL):
     """The zero-mean correctors of the coordinate directions, solved
-    concurrently on one operator (``pde.solve_many``), each the same as
-    ``solve_corrector``'s."""
+    concurrently on one operator (``pde.solve_many``)."""
     op = periodic_operator(field)
     systems = [_corrector_system(field, e, op) for e in np.eye(field.grid.dim)]
     phi = {}
@@ -129,10 +121,6 @@ class HomogenizedMatrix:
     matrix: np.ndarray
     samples: list  # per-realization matrices
     stderr: np.ndarray
-
-    @property
-    def sample_count(self):
-        return len(self.samples)
 
     @staticmethod
     def from_samples(samples):
@@ -190,13 +178,6 @@ class FluxPotentialSet:
 
     grid: Grid
     sigma: dict  # (j, k) with j < k -> ScalarField at pair home
-
-    def component(self, j, k):
-        if j == k:
-            return np.zeros(self.grid.home_shape(pair_offsets(self.grid.dim, j, k)))
-        if j < k:
-            return self.sigma[(j, k)].values
-        return -self.sigma[(k, j)].values
 
     def row_divergence(self, j):
         """sum_k d_k sigma_jk at the j-face family, a pair the set does not
@@ -290,16 +271,6 @@ class WholeSpacePair:
         """i -> q_i = a(grad phi_i + e_i) - a_hom e_i (``flux_correction``)."""
         return _Currents(self)
 
-    def sigma_for(self, b):
-        """The flux potential sum_w b_w sigma_w of direction b (linear in b,
-        like ``CorrectorSet.phi_for``)."""
-        b = np.asarray(b, dtype=float)
-        d = len(self.sigmas)
-        return FluxPotentialSet(self.cset.grid, {
-            key: ScalarField(f.grid, sum(b[w] * self.sigmas[w].sigma[key].values for w in range(d)),
-                             f.offsets)
-            for key, f in self.sigmas[0].sigma.items()})
-
 
 def solve_pair(field, tol=DEFAULT_TOL):
     """Correctors, a_hom and flux potentials; each direction's current is
@@ -337,7 +308,8 @@ class SublinearityCurve:
     delta: np.ndarray
     delta_gno: np.ndarray
     partial_sums: np.ndarray  # cumulative sum of log2(r) * delta^(1/3)
-    # the same measurement (pair, directions) at other radii
+    # the same measurement (pair, directions) at other radii while the pair
+    # is alive: a weak reference, so a kept curve keeps no pair
     remeasure: object = dc_field(default=None, repr=False, compare=False)
 
     def ratio(self, r_num, r_den):
@@ -361,13 +333,22 @@ def sublinearity_curve(pair, radii, basis=None):
     sums = np.asarray([_ball_sums(pair, r, basis) for r in radii]).reshape(len(radii), 2)
     delta, delta_gno = np.sqrt(sums.T) / radii
     partial = np.cumsum(np.log2(radii) * delta ** (1.0 / 3.0))
-    return SublinearityCurve(radii, delta, delta_gno, partial,
-                             lambda rs: sublinearity_curve(pair, rs, basis))
+    return SublinearityCurve(radii, delta, delta_gno, partial, _remeasure(weakref.ref(pair), basis))
+
+
+def _remeasure(pair_ref, basis):
+    """``sublinearity_curve`` on the pair of ``pair_ref`` while it is alive."""
+    def remeasure(radii):
+        pair = pair_ref()
+        if pair is None:
+            raise ValueError("the pair of this sublinearity curve is gone; measure it again")
+        return sublinearity_curve(pair, radii, basis)
+    return remeasure
 
 
 def _ball_terms(pair, r, basis):
     """The terms of the sums over the rows b of ``basis`` of fint
-    |phi_for(b)|^2 + sum_{j,k} fint |sigma_for(b)_jk|^2 on the torus ball
+    |phi_b|^2 + sum_{j,k} fint |sigma_b,jk|^2 on the torus ball
     of radius r: for each b, one (weight, values on the ball) per stored
     home.  Each stored field is gathered once and the values of b are
     formed on the ball, one b and home at a time; sigma_kj = -sigma_jk, so

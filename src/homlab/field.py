@@ -17,7 +17,9 @@ the torus (the Lipschitz image of a stationary Gaussian field).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field as dc_field
+from pathlib import Path
 
 import numpy as np
 
@@ -269,72 +271,59 @@ def cell_matrices(spec, grid):
     return cells if cells.ndim == grid.dim + 2 else _diagonal_matrices(cells)
 
 
-def _pair_mean(a, b):
-    """Face value between two cell matrices: harmonic mean for symmetric
-    invertible pairs, arithmetic otherwise."""
-    sym = np.array_equal(a, np.swapaxes(a, -1, -2)) and np.array_equal(
-        b, np.swapaxes(b, -1, -2)
-    )
-    if sym:
-        try:
-            h = 2.0 * np.linalg.inv(np.linalg.inv(a) + np.linalg.inv(b))
-            return 0.5 * (h + np.swapaxes(h, -1, -2))
-        except np.linalg.LinAlgError:
-            pass
-    return 0.5 * (a + b)
+def _diagonal_harmonic(out, a, b):
+    """Write the harmonic mean 2 a b / (a + b) of cell diagonals into ``out``."""
+    np.multiply(2.0, a, out=out)
+    out *= b
+    out /= a + b
 
 
-def _diagonal_pair_mean(out, a, b, harmonic):
-    """Write the face diagonals between cell diagonals ``a`` and ``b``
-    into ``out``: 2 a b / (a + b), or (a + b) / 2 unless ``harmonic``."""
-    if harmonic:
-        np.multiply(2.0, a, out=out)
-        out *= b
-        out /= a + b
-    else:
-        np.add(a, b, out=out)
-        out *= 0.5
+def _matrix_harmonic(out, a, b):
+    """Write the harmonic mean 2 (a^-1 + b^-1)^-1 of symmetric cell matrices,
+    symmetrized, into ``out``; raises LinAlgError on a singular one."""
+    h = 2.0 * np.linalg.inv(np.linalg.inv(a) + np.linalg.inv(b))
+    np.add(h, np.swapaxes(h, -1, -2), out=out)
+    out *= 0.5
+
+
+def _arithmetic(out, a, b):
+    """Write the arithmetic mean (a + b) / 2 of cell values into ``out``."""
+    np.add(a, b, out=out)
+    out *= 0.5
 
 
 def faces_from_cells(grid, cells):
     """Face coefficients from cell diagonals (..., d) or matrices
-    (..., d, d); a boundary face of a non-periodic axis copies its cell."""
+    (..., d, d): the harmonic mean of the two cells of a face when every
+    diagonal is positive or every matrix symmetric, on an axis where no
+    inverse is singular, else the arithmetic mean; a boundary face of a
+    non-periodic axis copies its cell."""
     d = grid.dim
-    if cells.ndim == d + 2:
-        if np.any(cells[..., ~np.eye(d, dtype=bool)]):
-            return _faces_from_cell_matrices(grid, cells)
+    if cells.ndim == d + 2 and not np.any(cells[..., ~np.eye(d, dtype=bool)]):
         cells = cells[..., np.arange(d), np.arange(d)]
-    harmonic = bool(np.all(cells > 0))
+    if cells.ndim == d + 1:
+        mean = _diagonal_harmonic if np.all(cells > 0) else _arithmetic
+    else:
+        symmetric = np.array_equal(cells, np.swapaxes(cells, -1, -2))
+        mean = _matrix_harmonic if symmetric else _arithmetic
     faces = []
     for k in range(d):
         m = grid.shape[k]
         at = lambda s: (slice(None),) * k + (s,)
-        out = np.empty(grid.face_shape(k) + cells.shape[-1:])
-        _diagonal_pair_mean(out[at(slice(1, m))], cells[at(slice(0, m - 1))],
-                            cells[at(slice(1, m))], harmonic)
+        out = np.empty(grid.face_shape(k) + cells.shape[d:])
+        # (face, low cell, high cell) slices: the interior, then the seam
+        pairs = [(slice(1, m), slice(0, m - 1), slice(1, m))]
         if grid.periodic_axis(k):
-            _diagonal_pair_mean(out[at(slice(0, 1))], cells[at(slice(m - 1, m))],
-                                cells[at(slice(0, 1))], harmonic)
+            pairs.append((slice(0, 1), slice(m - 1, m), slice(0, 1)))
         else:
             out[at(0)], out[at(m)] = cells[at(0)], cells[at(m - 1)]
+        try:
+            for face, lo, hi in pairs:
+                mean(out[at(face)], cells[at(lo)], cells[at(hi)])
+        except np.linalg.LinAlgError:
+            for face, lo, hi in pairs:
+                _arithmetic(out[at(face)], cells[at(lo)], cells[at(hi)])
         faces.append(out)
-    return faces
-
-
-def _faces_from_cell_matrices(grid, cells):
-    faces = []
-    for k in range(grid.dim):
-        if grid.periodic_axis(k):
-            faces.append(_pair_mean(np.roll(cells, 1, axis=k), cells))
-        else:
-            m = grid.shape[k]
-            inner = _pair_mean(
-                np.take(cells, np.arange(m - 1), axis=k),
-                np.take(cells, np.arange(1, m), axis=k),
-            )
-            lo = np.take(cells, [0], axis=k)
-            hi = np.take(cells, [m - 1], axis=k)
-            faces.append(np.concatenate([lo, inner, hi], axis=k))
     return faces
 
 
@@ -497,21 +486,38 @@ def _grid_from_token(dim, n, h, token):
     raise FieldFileError(f"unknown topology token {token!r}")
 
 
+def write_atomic(path, write, mode="w"):
+    """Call ``write(fh)`` on a temporary file next to ``path``, then move
+    it over ``path`` with ``os.replace``: the final name holds the old
+    file or the whole new one, never a partial write."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "\n") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_field(field, path):
     """Binary field format: magic, ASCII header `dim n h topology lambda
     seed`, then row-major little-endian float64 payload, faces ordered by
     (axis, index), d*d values per face (a diagonal field writes its zero
-    off-diagonals)."""
+    off-diagonals).  Written atomically (``write_atomic``)."""
     grid = field.grid
     header = (
         f"{grid.dim} {grid.n} {grid.h!r} {_topology_token(grid)} "
         f"{field.lam!r} {field.seed}\n"
     )
-    with open(path, "wb") as fh:
+
+    def write(fh):
         fh.write(MAGIC)
         fh.write(header.encode("ascii"))
         for k in range(grid.dim):
             fh.write(np.ascontiguousarray(field.matrices(k), dtype="<f8").data)
+
+    write_atomic(path, write, "wb")
 
 
 def _read_header(fh, path):

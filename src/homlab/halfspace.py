@@ -322,7 +322,7 @@ def _restricted_current(pair, b, half_grid):
 
 
 def _restricted_potentials(pair, b, half_grid):
-    """The whole-space corrector phi_b and flux potential ``sigma_for(b)``
+    """The whole-space corrector phi_b and flux potential sigma_b
     restricted to a half-box cut from the torus of ``pair``, each a sum
     sum_w b_w f_w of the restricted coordinate fields f_w, value for value
     the restriction of the torus-sized sum."""
@@ -416,7 +416,7 @@ def halfspace_residuals(field_hb, hset, i):
     from the cell balances of the assembled no-flux problem (top layer
     excluded); interior: relative equation residual; sigma identity:
     relative L2 defect of the row-divergence identity on the inner
-    half-ball of radius L/2.  ``field_hb`` is the half-box field or its
+    half-ball of radius L/2 (``flux_potential_residual``).  ``field_hb`` is the half-box field or its
     ``half_box_operator``.
     """
     op = half_box_operator(field_hb)
@@ -442,15 +442,8 @@ def halfspace_residuals(field_hb, hset, i):
     interior[..., 0] = 0.0
     nb = np.linalg.norm(sys.rhs)
     interior_rel = float(np.linalg.norm(interior) / nb) if nb > 0 else 0.0
-    sigma_res = sigma_identity_residual(hset, i)
+    sigma_res = flux_potential_residual(hset.sigma_h[i], hset.q_h[i].comps, grid.height / 2.0)
     return HalfSpaceResiduals(flat_flux / scale if scale > 0 else 0.0, interior_rel, sigma_res)
-
-
-def sigma_identity_residual(hset, i):
-    """Relative L2 residual of sum_k d_k sigma_h_jk = q_h_j for direction
-    i over the inner half-ball of radius L/2, normalised by q_h there
-    (``flux_potential_residual``)."""
-    return flux_potential_residual(hset.sigma_h[i], hset.q_h[i].comps, hset.grid.height / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +516,9 @@ class DyadicConfig:
     @staticmethod
     def from_curve(curve, r0, n_max):
         """The config whose heights read ``curve`` at the annulus radii;
-        a curve that lacks one of them is measured again at those radii,
-        and one that cannot be (built by hand) raises ValueError."""
+        a curve that lacks one of them is measured again at those radii
+        while its pair is alive, and otherwise (or when built by hand)
+        raises ValueError."""
         if not is_dyadic(r0):
             raise ValueError(f"r0 {r0} is not a positive power of two")
         if n_max < -1:

@@ -104,12 +104,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite entries")
 
-    def mean(self):
-        return float(self.values.mean())
-
-    def copy(self):
-        return ScalarField(self.grid, self.values.copy(), self.offsets)
-
 
 @dataclass
 class VectorField:
@@ -131,13 +125,6 @@ class VectorField:
             expect = self.grid.face_shape(k)
             if c.shape != expect:
                 raise ValueError(f"component {k} shape {c.shape} != {expect}")
-
-    @staticmethod
-    def zeros(grid):
-        return VectorField(grid, [np.zeros(grid.face_shape(k)) for k in range(grid.dim)])
-
-    def copy(self):
-        return VectorField(self.grid, [c.copy() for c in self.comps])
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +500,6 @@ class LinearSystem:
     symmetric = property(lambda self: self.operator.symmetric)
     singular = property(lambda self: self.operator.singular)
     axis_bcs = property(lambda self: self.operator.axis_bcs)  # per-axis (low, high)
-
-    @property
-    def n_unknowns(self):
-        return self.matrix.shape[0]
 
 
 def assemble(field, bc, src=None):

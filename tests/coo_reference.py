@@ -132,7 +132,7 @@ def boundary_rhs(field, bc):
 
 def dense_solve(system):
     """Direct dense solve, the oracle for small systems (<= a few 1e3)."""
-    A = system.matrix @ np.eye(system.n_unknowns)
+    A = system.matrix @ np.eye(system.rhs.size)
     b = system.rhs
     if system.singular:
         # pin the mean-zero representative via least squares

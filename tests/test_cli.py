@@ -402,6 +402,25 @@ def test_bad_flags_fail_before_any_solve(tmp_path, monkeypatch, argv):
     assert set(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("radii", ["0:8", "32:64"])
+def test_empty_corrector_radii_name_the_given_range(tmp_path, capsys, radii):
+    # at side 32 neither range holds a radius; the error names the range,
+    # not the default 8h..side/4 it did not use
+    fld = tmp_path / "field.bin"
+    assert main(["field", "sample", "--spec", str(write_spec(tmp_path)), "--out", str(fld)]) == 0
+    capsys.readouterr()
+    assert main(["corrector", "--field", str(fld), "--radii", radii,
+                 "--out", str(tmp_path / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"--radii {radii} " in err and "default" not in err
+
+
+def test_empty_config_radii_are_not_blamed_on_the_default(tmp_path):
+    cfg = {**json.loads(small_config(tmp_path).read_text()), "radii": []}
+    with pytest.raises(ConfigError, match="radii is empty"):
+        validate_config(cfg)
+
+
 def dyadic_config(**spelled_out):
     return {
         "ensemble": {"kind": "checkerboard", "lam": 0.25,
@@ -692,9 +711,9 @@ def test_pipeline_builds_one_operator_per_field_and_kinds(tmp_path, monkeypatch)
     monkeypatch.setattr(pde.Operator, "__init__", counting_init)
     for name in ("corrector", "halfspace", "excess"):
         module = importlib.import_module(f"homlab.{name}")
-        monkeypatch.setattr(module, "solve", counting_solve)
-        if hasattr(module, "solve_many"):
-            monkeypatch.setattr(module, "solve_many", counting_solve_many)
+        for attr, counting in (("solve", counting_solve), ("solve_many", counting_solve_many)):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, counting)
     n_max = 1
     cfg = validate_config({
         "ensemble": {"kind": "checkerboard", "lam": 0.25,

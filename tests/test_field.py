@@ -14,6 +14,7 @@ from homlab.field import (
     cell_matrices,
     cell_values,
     checkerboard_assignment,
+    faces_from_cells,
     index_maps,
     load_field,
     restrict_to_half_box,
@@ -263,6 +264,103 @@ def test_load_truncated_file_raises(tmp_path):
     (tmp_path / "m.bin").write_bytes(b"NOTAFIELD" + raw)
     with pytest.raises(FieldFileError):
         load_field(tmp_path / "m.bin")
+
+
+def test_save_that_fails_mid_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    # the save raises while writing axis 1; the file keeps its old bytes
+    grid = Grid.torus(2, 16)
+    p = tmp_path / "f.bin"
+    save_field(sample_field(EnsembleSpec.checkerboard(seed=7), grid), p)
+    before = p.read_bytes()
+    matrices = CoefficientField.matrices
+
+    def failing(field, k):
+        if k == 1:
+            raise OSError("disk full")
+        return matrices(field, k)
+
+    monkeypatch.setattr(CoefficientField, "matrices", failing)
+    with pytest.raises(OSError, match="disk full"):
+        save_field(sample_field(EnsembleSpec.checkerboard(seed=8), grid), p)
+    assert p.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [p]
+
+
+def reference_faces(grid, cells):
+    """Face matrices one face at a time: per axis, the harmonic mean
+    2 (a^-1 + b^-1)^-1 (symmetrized) of the two cells of every face when
+    all cells are symmetric and no inverse on the axis is singular, else
+    the arithmetic mean; boundary faces of a non-periodic axis copy their
+    cell."""
+    d = grid.dim
+    symmetric = np.array_equal(cells, np.swapaxes(cells, -1, -2))
+    faces = []
+    for k in range(d):
+        m = grid.shape[k]
+        pairs = {}
+        for idx in np.ndindex(grid.face_shape(k)):
+            cell = lambda i: cells[idx[:k] + (i,) + idx[k + 1:]]
+            i = idx[k]
+            if not grid.periodic_axis(k) and i in (0, m):
+                pairs[idx] = (cell(min(i, m - 1)),)
+            else:
+                pairs[idx] = (cell((i - 1) % m), cell(i % m))
+
+        def mean(a, b, harmonic):
+            if not harmonic:
+                return 0.5 * (a + b)
+            h = 2.0 * np.linalg.inv(np.linalg.inv(a) + np.linalg.inv(b))
+            return 0.5 * (h + h.T)
+
+        try:
+            out = {idx: p[0] if len(p) == 1 else mean(*p, symmetric) for idx, p in pairs.items()}
+        except np.linalg.LinAlgError:
+            out = {idx: p[0] if len(p) == 1 else mean(*p, False) for idx, p in pairs.items()}
+        face = np.empty(grid.face_shape(k) + (d, d))
+        for idx, v in out.items():
+            face[idx] = v
+        faces.append(face)
+    return faces
+
+
+MATRIX_VALUES = {
+    2: {"symmetric": ([[0.6, 0.1], [0.1, 0.5]], np.eye(2)),
+        "nonsymmetric": ([[0.6, 0.1], [-0.1, 0.5]], np.eye(2)),
+        "singular_symmetric": ([[0.5, 0.5], [0.5, 0.5]], np.eye(2))},
+    3: {"symmetric": ([[0.6, 0.1, 0.0], [0.1, 0.5, 0.1], [0.0, 0.1, 0.7]], np.eye(3)),
+        "nonsymmetric": ([[0.6, 0.1, 0.0], [-0.1, 0.5, 0.1], [0.0, -0.1, 0.7]], np.eye(3)),
+        "singular_symmetric": (np.ones((3, 3)) / 3.0, np.eye(3))},
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("values", ["symmetric", "nonsymmetric", "singular_symmetric"])
+@pytest.mark.parametrize("topology", ["torus", "slab", "box"])
+def test_faces_from_cell_matrices_match_per_face_reference(dim, values, topology):
+    n = 8 if dim == 2 else 4
+    grid = {"torus": Grid.torus(dim, n), "slab": Grid.half_box(dim, n, 1.0, True),
+            "box": Grid.half_box(dim, n, 1.0, False)}[topology]
+    assign = np.random.default_rng(dim).integers(0, 2, grid.shape)
+    cells = np.asarray(MATRIX_VALUES[dim][values], dtype=float)[assign]
+    faces = faces_from_cells(grid, cells)
+    for face, want in zip(faces, reference_faces(grid, cells)):
+        assert np.array_equal(face, want)
+    field = CoefficientField(grid, faces, lam=0.1)
+    assert not field.diagonal and field.is_symmetric() == (values != "nonsymmetric")
+
+
+def test_faces_from_cell_matrices_fall_back_per_axis():
+    # a = [[2, 1], [1, 1]] and b = [[0, 1], [1, 1]] alternate along axis 0:
+    # a^-1 + b^-1 = diag(0, 2) is singular, so that axis takes the
+    # arithmetic mean and axis 1, whose pairs are equal, the harmonic one
+    grid = Grid.torus(2, 4)
+    cells = np.array([[[2.0, 1.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 1.0]]])[np.arange(4) % 2]
+    cells = np.repeat(cells[:, None], 4, axis=1)
+    faces = faces_from_cells(grid, cells)
+    for face, want in zip(faces, reference_faces(grid, cells)):
+        assert np.array_equal(face, want)
+    assert np.array_equal(faces[0], 0.5 * (cells + np.roll(cells, 1, axis=0)))
+    assert np.allclose(faces[1], cells, rtol=0.0, atol=1e-15)
 
 
 def test_restrict_errors():

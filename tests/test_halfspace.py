@@ -9,6 +9,7 @@ from homlab.field import EnsembleSpec, sample_field, restrict_to_half_box, restr
 from homlab.corrector import (
     FluxPotentialSet,
     dyadic_radii,
+    flux_potential_residual,
     solve_pair,
     sublinearity_curve,
 )
@@ -24,7 +25,6 @@ from homlab.halfspace import (
     half_sublinearity_curve,
     halfspace_residuals,
     restrict_pair,
-    sigma_identity_residual,
     skew_correction,
     solve_halfspace_correction,
     solve_vector_potentials,
@@ -289,7 +289,7 @@ def test_face_poisson_matches_dense_oracle(j):
 
 def test_vector_potentials_zero_for_zero_current():
     grid = Grid.half_box(2, 16)
-    G = VectorField.zeros(grid)
+    G = VectorField(grid, [np.zeros(grid.face_shape(k)) for k in range(2)])
     v = solve_vector_potentials(grid, G)
     for j in range(2):
         assert np.all(v[j].values == 0.0)
@@ -348,7 +348,7 @@ def test_potential_equation_residual():
     pair = solve_pair(f, tol=1e-12)
     hset = build_halfspace_set(f, pair, L=32.0)
     _, vs, _ = correction_potentials(f, pair, 32.0)
-    corr_current = hset.q_h[0].copy()
+    corr_current = hset.q_h[0]
     # rebuild G = q_h - restricted q
     q_r = restrict_pair(pair, hset.basis.vectors[0], hset.grid)[2]
     h2 = grid.h * grid.h
@@ -366,6 +366,11 @@ def test_potential_equation_residual():
             assert np.abs(res).max() <= 1e-9 * max(1.0, np.abs(G_j).max())
 
 
+def sigma_identity(hset, i=0):
+    """The residual ``halfspace_residuals`` reports as ``sigma_identity``."""
+    return flux_potential_residual(hset.sigma_h[i], hset.q_h[i].comps, hset.grid.height / 2.0)
+
+
 def test_liouville_gap_vs_exact_stream():
     # the curl of the potentials misses the identity by the divergence
     # of v; the skew correction closes it, and the gap is the identity
@@ -374,7 +379,8 @@ def test_liouville_gap_vs_exact_stream():
     f = sample_field(EnsembleSpec.checkerboard(seed=11), grid)
     pair = solve_pair(f, tol=1e-12)
     hset = build_halfspace_set(f, pair, L=64.0)
-    exact = sigma_identity_residual(hset, 0)
+    exact = sigma_identity(hset)
+    assert halfspace_residuals(restrict_to_half_box(f, 64.0), hset, 0).sigma_identity == exact
     assert exact <= 1e-8
     assert hset.liouville_gap[0] > 100 * exact
     import copy
@@ -387,7 +393,13 @@ def test_liouville_gap_vs_exact_stream():
         hset.grid, hset.sigma_h[0].sigma[key].values - psi.sigma[key].values + curl_v.values,
         pair_offsets(2, 0, 1),
     )})}
-    assert sigma_identity_residual(alt, 0) == pytest.approx(hset.liouville_gap[0], rel=1e-6)
+    assert sigma_identity(alt) == pytest.approx(hset.liouville_gap[0], rel=1e-6)
+
+
+def combined_sigma(pair, b):
+    """The values of sigma_b = sum_w b_w sigma_w per stored pair (j, k)."""
+    return {key: sum(b[w] * s.sigma[key].values for w, s in pair.sigmas.items())
+            for key in pair.sigmas[0].sigma}
 
 
 def test_restrict_pair_restricts_sigma_for():
@@ -398,15 +410,14 @@ def test_restrict_pair_restricts_sigma_for():
     b = tangential_basis(pair.a_hom).vectors[0]
     phi, sigma, q, datum = restrict_pair(pair, b, half)
     # phi and sigma combine restricted components: value for value the
-    # restriction of phi_for(b) and sigma_for(b)
+    # restriction of phi_for(b) and of sigma_b = sum_w b_w sigma_w
     assert np.array_equal(phi.values, restrict_values(pair.cset.phi_for(b).values, grid, half,
                                                       cell_offsets(2)))
-    whole = pair.sigma_for(b)
     assert isinstance(sigma, FluxPotentialSet) and sigma.grid == half
-    assert list(sigma.sigma) == list(whole.sigma) == [(0, 1)]
+    assert list(sigma.sigma) == [(0, 1)]
     offs = pair_offsets(2, 0, 1)
     assert np.array_equal(sigma.sigma[(0, 1)].values,
-                          restrict_values(whole.sigma[(0, 1)].values, grid, half, offs))
+                          restrict_values(combined_sigma(pair, b)[(0, 1)], grid, half, offs))
     # the current of direction b is the superposition of the coordinate ones
     for k in range(2):
         expect = restrict_values(sum(b[w] * pair.q[w].comps[k] for w in range(2)), grid, half,
@@ -523,7 +534,7 @@ def test_halfspace_identity_3d(n, periodic):
     L = n / 2.0 if periodic else n / 4.0
     hset = build_halfspace_set(f, pair, L=L, tangential_periodic=periodic, tol=1e-11)
     for i in range(2):
-        assert sigma_identity_residual(hset, i) <= 1e-10
+        assert sigma_identity(hset, i) <= 1e-10
         assert hset.liouville_gap[i] > 0.0
 
 
@@ -546,7 +557,7 @@ def test_half_sublinearity_decay_and_variants():
 def reference_half_sublinearity(hset, radii):
     """delta_h row by row: the tangential rows on the half-ball, the
     transversal one on the torus ball from the full fields phi_for(b) and
-    sigma_for(b), summed in the same order."""
+    sigma_b (``combined_sigma``), summed in the same order."""
     grid, pair = hset.grid, hset.torus_pair
     d = grid.dim
     b = hset.basis.normal_like
@@ -561,7 +572,8 @@ def reference_half_sublinearity(hset, radii):
                 tang += 2.0 * float((v * v).mean())
         full = 0.0
         fields = [(1.0, pair.cset.phi_for(b))]
-        fields += [(2.0, f) for f in pair.sigma_for(b).sigma.values()]
+        fields += [(2.0, ScalarField(pair.cset.grid, v, pair.sigmas[0].sigma[key].offsets))
+                   for key, v in combined_sigma(pair, b).items()]
         for w, f in fields:
             [v] = pde.ball_values(f, pair.cset.grid, r)
             full += w * float((v * v).mean())
@@ -732,13 +744,18 @@ def test_dyadic_constant_field_all_zero():
 
 def test_dyadic_config_reads_every_annulus_radius():
     # n_max 2 reads delta at radius 64: a measured curve without it is
-    # measured again there, not read at its nearest radius (32)
+    # measured again there while its pair is alive, not read at its
+    # nearest radius (32); once the pair is gone it raises
     grid = Grid.torus(2, 64)
     pair = solve_pair(sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=5), grid))
     full = DyadicConfig.from_curve(sublinearity_curve(pair, [8.0, 16.0, 32.0, 64.0]), 8.0, 2)
-    short = DyadicConfig.from_curve(sublinearity_curve(pair, dyadic_radii(grid)), 8.0, 2)
+    short_curve = sublinearity_curve(pair, dyadic_radii(grid))
+    short = DyadicConfig.from_curve(short_curve, 8.0, 2)
     assert np.array_equal(short.delta_at, full.delta_at)
     assert np.array_equal(short.heights, full.heights)
+    del pair
+    with pytest.raises(ValueError, match="gone"):
+        DyadicConfig.from_curve(short_curve, 8.0, 2)
     from homlab.corrector import SublinearityCurve
 
     hand = SublinearityCurve(np.array([8.0, 16.0, 32.0]), np.array([0.1, 0.05, 0.025]),
@@ -764,7 +781,7 @@ def test_halfspace_3d_smoke():
     pair = solve_pair(f, tol=1e-11)
     hset = build_halfspace_set(f, pair, L=8.0, tol=1e-11)
     assert set(hset.phi_h) == {0, 1, 2}
-    assert sigma_identity_residual(hset, 0) <= 1e-10
+    assert sigma_identity(hset) <= 1e-10
     assert 0.0 < hset.liouville_gap[0] < 0.05
     curve = half_sublinearity_curve(hset, [4.0])
     assert np.isfinite(curve.delta_h[0])

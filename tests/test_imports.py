@@ -1,6 +1,7 @@
 """Every imported name is read by its module, every parameter of the
-library by its function, and homlab loads no scipy subpackage that a run
-does not use.
+library by its function, every library function, class and method by
+some code outside the tests, and homlab loads no scipy subpackage that a
+run does not use.
 
 An ``ast`` scan of the library, the tests and the demos: a name bound by
 an import and never loaded is an unused import.  ``__init__.py`` files
@@ -8,6 +9,12 @@ are skipped, since their imports are the package's re-exports, and so
 are ``__future__`` imports.  The same walk over the library finds the
 parameters of each function or lambda that its body never loads; the
 ones kept on purpose are named in ``UNREAD_PARAMETERS`` with a reason.
+A third walk finds the top-level functions and classes of the library,
+and the methods not named ``__*__``, that no code outside the tests loads
+(as a name, an attribute or an import) outside their own body; the ones
+kept on purpose are named in ``UNREAD_DEFINITIONS`` with a reason.  The
+walk matches names, so a method named like a numpy one (``mean``,
+``copy``, ``zeros``) counts as read wherever that name is.
 
 The import graph is read in fresh interpreters, since pytest and its
 plugins may load scipy themselves: ``import homlab``, a 2d pipeline and
@@ -29,6 +36,9 @@ LAZY = ("scipy.linalg", "scipy.sparse.linalg", "scipy.stats")
 SOURCES = sorted(p for top in ("src/homlab", "tests", "demos")
                  for p in (ROOT / top).rglob("*.py") if p.name != "__init__.py")
 LIBRARY = sorted((ROOT / "src/homlab").rglob("*.py"))
+# the code whose loads count as reads of a library definition
+READERS = [p for top in ("src/homlab", "demos", "perfbench")
+           for p in sorted((ROOT / top).rglob("*.py")) if p.name != "__init__.py"]
 # (module, function, parameter) -> why the parameter stays unread
 UNREAD_PARAMETERS = {
     ("halfspace.py", "dyadic_construction", "field_torus"):
@@ -37,6 +47,19 @@ UNREAD_PARAMETERS = {
     ("_transforms.py", "_matrix_along", "overwrite_x"):
         "a dense axis never writes its input; the keyword keeps the one call "
         "signature of ``FastConstSolver``'s transforms",
+}
+
+# (module, qualified name) -> why the definition stays without a reader
+UNREAD_DEFINITIONS = {
+    ("excess.py", "corrected_gradient_family"):
+        "the accessor of the family a half-space set keeps, named in README",
+    ("halfspace.py", "solve_halfspace_correction"):
+        "the single correction solve, the tests' reference for the batch of "
+        "``build_halfspace_set``",
+    ("excess.py", "smallness_radius"):
+        "ROADMAP item 4 wires it into the report's checks or deletes it",
+    ("pde.py", "caccioppoli_ratio"):
+        "ROADMAP item 4 wires it into the report's checks or deletes it",
 }
 
 
@@ -103,6 +126,79 @@ def test_every_kept_unread_parameter_is_still_unread():
     found = {(path.name, name, param) for path in LIBRARY
              for _, name, param in unread_parameters(path.read_text())}
     assert set(UNREAD_PARAMETERS) <= found
+
+
+def _reads(tree):
+    """(name, node) of each name, attribute or import alias ``tree`` loads."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append((node.attr, node))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [(alias.name.split(".")[-1], node) for alias in node.names]
+    return out
+
+
+def _definitions(tree):
+    """(qualified name, node) of the top-level functions and classes of
+    ``tree`` and of the methods of its classes not named ``__*__``."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for node in tree.body:
+        if isinstance(node, defs):
+            out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{node.name}.{m.name}", m) for m in node.body
+                    if isinstance(m, defs[:2])
+                    and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return out
+
+
+def unread_definitions(readers, modules):
+    """(module, qualified name) of each definition in ``modules``, keys of
+    ``readers`` (name -> source), that no load in ``readers`` names
+    outside the definition's own body."""
+    trees = {name: ast.parse(text) for name, text in readers.items()}
+    reads = [load for tree in trees.values() for load in _reads(tree)]
+    out = []
+    for module in modules:
+        for qualname, node in _definitions(trees[module]):
+            own = {id(n) for n in ast.walk(node)}
+            name = qualname.split(".")[-1]
+            if not any(n == name and id(at) not in own for n, at in reads):
+                out.append((module, qualname))
+    return sorted(out)
+
+
+def test_scan_finds_an_unread_definition():
+    lib = ("import numpy as np\n"
+           "def used():\n    return 1\n"
+           "def recursive(n):\n    return recursive(n - 1)\n"
+           "def unused():\n    return used()\n"
+           "class Kept:\n    def read(self):\n        return self\n"
+           "    def unread(self):\n        return self.unread\n"
+           "    def __len__(self):\n        return 0\n")
+    other = "from lib import Kept\nKept().read()\nimport lib.unused\n"
+    assert unread_definitions({"lib.py": lib, "other.py": other}, ["lib.py"]) == [
+        ("lib.py", "Kept.unread"), ("lib.py", "recursive")]
+
+
+def library_unread_definitions():
+    """(file name, qualified name) of the library definitions without a
+    reader in ``READERS``."""
+    readers = {p: p.read_text() for p in READERS}
+    return {(module.name, name)
+            for module, name in unread_definitions(readers, [p for p in READERS if p in LIBRARY])}
+
+
+def test_every_library_definition_has_a_reader():
+    assert library_unread_definitions() - set(UNREAD_DEFINITIONS) == set()
+
+
+def test_every_kept_unread_definition_is_still_unread():
+    assert set(UNREAD_DEFINITIONS) <= library_unread_definitions()
 
 
 def loaded_after(code, cwd):

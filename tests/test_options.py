@@ -20,7 +20,6 @@ OPTIONS = {
     "monte_carlo_homogenized": ("tol",),
     "restrict_to_half_box": ("tangential_periodic",),
     "solve": ("tol",),
-    "solve_corrector": ("tol",),
     "solve_correctors": ("tol",),
     "solve_halfspace_correction": ("tol",),
     "solve_pair": ("tol",),
@@ -43,4 +42,4 @@ def exported_options():
 
 def test_exported_functions_have_only_the_listed_options():
     assert exported_options() == OPTIONS
-    assert sum(len(v) for v in OPTIONS.values()) == 19
+    assert sum(len(v) for v in OPTIONS.values()) == 18

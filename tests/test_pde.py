@@ -56,7 +56,7 @@ def cell_x(grid, axis):
 def test_torus_operator_annihilates_constants():
     grid = Grid.torus(2, 16)
     sys = assemble(identity_field(grid), BoundarySpec.periodic())
-    ones = np.ones(sys.n_unknowns)
+    ones = np.ones(sys.rhs.size)
     assert np.abs(sys.matrix @ ones).max() <= 1e-13
 
 
@@ -85,8 +85,7 @@ def test_divergence_source_absorbed_in_flat_datum():
     # -lap u = div F with F = e_d and total-current datum g=-1 -> u = 0
     grid = Grid.half_box(2, 16)
     f = identity_field(grid)
-    F = VectorField.zeros(grid)
-    F.comps[1][:] = 1.0
+    F = VectorField(grid, [np.zeros(grid.face_shape(0)), np.ones(grid.face_shape(1))])
     bc = BoundarySpec.half_box(grid, flat=NoFlux(-1.0), top=Dirichlet(0.0))
     sys = assemble(f, bc, SourceTerm(divergence_form=F))
     u, stats = solve(sys, tol=1e-12)
@@ -114,8 +113,8 @@ def test_symmetry_with_full_tensor_faces():
     cells[..., 1, 0] += bump
     field = CoefficientField(grid, faces_from_cells(grid, cells), lam=0.2)
     sys = assemble(field, BoundarySpec.periodic())
-    u = rng.standard_normal(sys.n_unknowns)
-    v = rng.standard_normal(sys.n_unknowns)
+    u = rng.standard_normal(sys.rhs.size)
+    v = rng.standard_normal(sys.rhs.size)
     lhs = float(u @ (sys.matrix @ v))
     rhs = float(v @ (sys.matrix @ u))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
@@ -126,7 +125,7 @@ def test_coercivity_bound():
     f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=6), grid)
     sys = assemble(f, BoundarySpec.periodic())
     rng = np.random.default_rng(8)
-    u = rng.standard_normal(sys.n_unknowns)
+    u = rng.standard_normal(sys.rhs.size)
     u -= u.mean()
     uf = ScalarField(grid, u.reshape(grid.shape))
     g = gradient(uf)
@@ -150,9 +149,9 @@ def test_noflux_conservation_identity():
     bc = BoundarySpec(sides)
     F = VectorField(grid, [rng.standard_normal(grid.face_shape(k)) for k in range(2)])
     sys = assemble(f, bc, SourceTerm(divergence_form=F))
-    u = rng.standard_normal(sys.n_unknowns)
+    u = rng.standard_normal(sys.rhs.size)
     # operator is exactly conservative: column sums vanish
-    assert abs((sys.matrix @ u).sum()) <= 1e-12 * np.abs(u).max() * sys.n_unknowns
+    assert abs((sys.matrix @ u).sum()) <= 1e-12 * np.abs(u).max() * sys.rhs.size
     # total source balance: the original rhs integrates to the datum sum
     rhs_orig = sys.rhs + sys.rhs_mean_shift
     total_datum = sum(v.sum() for v in g_vals.values())
@@ -196,9 +195,9 @@ def test_solver_dense_oracle_small_systems():
     cases.append(assemble(f2, bc2, SourceTerm(volume=rng.standard_normal(g2.shape), divergence_form=F)))
     for sys in cases:
         if sys.singular and np.linalg.norm(sys.rhs) == 0:
-            sys.rhs = np.sin(np.arange(sys.n_unknowns))
+            sys.rhs = np.sin(np.arange(sys.rhs.size))
             sys.rhs -= sys.rhs.mean()
-        assert sys.n_unknowns <= 1024
+        assert sys.rhs.size <= 1024
         u, _ = solve(sys, tol=1e-13)
         ud = dense_solve(sys)
         assert np.abs(u.values - ud).max() <= 1e-9
@@ -212,7 +211,7 @@ def test_solver_nonconvergence_raises_with_history(monkeypatch):
                              (nonsymmetric, 1), (nonsymmetric, 3), (nonsymmetric, 8)]:
         f = sample_field(EnsembleSpec.checkerboard(values=values, seed=1), grid)
         sys = assemble(f, BoundarySpec.periodic())
-        b = np.random.default_rng(1).standard_normal(sys.n_unknowns)
+        b = np.random.default_rng(1).standard_normal(sys.rhs.size)
         sys.rhs = b - b.mean()
         monkeypatch.setattr(pde, "MAX_ITER", max_iter)
         with pytest.raises(SolverError) as exc:

@@ -7,15 +7,16 @@ All physical parameters are dimensionless in unit-cell units; curves are
 exchanged as CSV, fields as binary, and a pipeline run is reproducible
 byte-for-byte from its config (fixed seeds, fixed reduction order).
 
-`validate_config` is the one place that knows the config defaults; the
-stages and the cache key read the config it fills.  `pipeline` runs seed
-by seed: `run_seed` runs the three stages of one seed, whose field, pair
-and half-space set go when it returns, `threads > 1` runs whole seeds in
-a pool, and the stage files are written once every seed is done (the
-manifest's stage seconds are sums over the seeds).  The subcommands map
-their flags onto config keys (the grid comes from the field file), pass
-the checks of the stages they run, so a bad flag exits 2 before any
-solve, and run the stages' per-seed code:
+`validate_config` is the one place that knows the config keys and
+defaults; the stages and the cache key read the config it fills.
+`pipeline` runs seed by seed: `run_seed` runs the three stages of one
+seed, whose field, pair and half-space set go when it returns,
+`threads > 1` runs whole seeds in a pool, and the stage files are
+written once every seed is done (the manifest's stage seconds are sums
+over the seeds).  The subcommands map their flags onto config keys (the
+grid comes from the field file), pass the checks of the stages they run,
+so a bad flag exits 2 before any solve, and run the stages' per-seed
+code:
 
     --tol                    tol
     corrector --radii lo:hi  radii = dyadic_radii(grid, lo, min(hi, side/2))
@@ -45,6 +46,7 @@ from . import __version__
 from .grid import Grid, is_dyadic, pair_offsets
 from .field import (
     EllipticityError,
+    ENSEMBLE_KINDS,
     EnsembleSpec,
     FieldFileError,
     _grid_from_token,
@@ -138,6 +140,15 @@ def read_csv(path):
 # ---------------------------------------------------------------------------
 
 DEFAULT_CONFIG = {"tol": 1e-12, "threads": 1}
+# the keys some stage reads, by block; validate_config refuses any other
+CONFIG_KEYS = {
+    "": {"ensemble", "grid", "seeds", "radii", "halfspace", "excess", "tol", "threads"},
+    "ensemble": {"kind", "lam", "params"},  # the seed is each run's, from seeds
+    "grid": {"dim", "n", "h"},
+    "halfspace": {"L", "mode", "dyadic"},
+    "halfspace.dyadic": {"r0", "n_max"},
+    "excess": {"R", "radii"},
+}
 
 
 def read_json(path):
@@ -152,6 +163,8 @@ def ensemble_spec(raw):
         spec = EnsembleSpec.from_dict(raw)
     except Exception as e:
         raise ConfigError(f"bad ensemble spec: {e}") from e
+    if spec.kind not in ENSEMBLE_KINDS:
+        raise ConfigError(f"unknown ensemble kind {spec.kind!r}; the kinds are {ENSEMBLE_KINDS}")
     if spec.seed < 0:
         raise ConfigError(f"ensemble seed {spec.seed} is negative")
     return spec
@@ -167,6 +180,7 @@ def validate_config(raw):
     for a config some stage could not run.  A filled config passes unchanged."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    check_keys(raw)
     cfg = {**DEFAULT_CONFIG, **raw}
     for key in ("ensemble", "grid", "seeds"):
         if key not in cfg:
@@ -201,6 +215,22 @@ def validate_config(raw):
     return cfg
 
 
+def check_keys(raw):
+    """Refuse a key that no stage reads: one outside its block's
+    ``CONFIG_KEYS``, or a ``halfspace.dyadic`` block in direct mode."""
+    for block, keys in CONFIG_KEYS.items():
+        values = raw
+        for name in filter(None, block.split(".")):
+            values = values.get(name, {})
+        if not isinstance(values, dict):
+            raise ConfigError(f"config block {block} must be a JSON object")
+        unread = sorted(set(values) - keys)
+        if unread:
+            raise ConfigError(f"no stage reads the config keys {unread} of {block or 'the top level'}")
+    if "dyadic" in raw.get("halfspace", {}) and raw["halfspace"].get("mode") != "dyadic":
+        raise ConfigError("halfspace.dyadic is read only in dyadic mode")
+
+
 def check_tol(cfg):
     """Every solve takes ``tol``, which must lie in (0, 1)."""
     if not 0.0 < cfg["tol"] < 1.0:
@@ -209,13 +239,13 @@ def check_tol(cfg):
 
 def check_corrector(cfg, grid):
     """Fill ``radii`` (default 8h..side/4) and check that it is a non-empty
-    list of powers of two up to the torus half-side."""
+    list of powers of two times h up to the torus half-side."""
     given = cfg.get("radii")
     radii = dyadic_radii(grid, r_max=grid.side / 4.0) if given is None else given
     cfg["radii"] = [float(r) for r in radii]
     for r in cfg["radii"]:
-        if not is_dyadic(r):
-            raise ConfigError(f"radius {r} is not a positive power of two")
+        if not is_dyadic(r / grid.h):
+            raise ConfigError(f"radius {r:g} is not a positive power of two times h = {grid.h:g}")
         if r > grid.side / 2.0 + 1e-12:
             raise ConfigError(f"radius {r:g} exceeds the torus half-side {grid.side / 2.0:g}")
     if not cfg["radii"]:
@@ -226,7 +256,7 @@ def check_corrector(cfg, grid):
 def check_halfspace(cfg, grid):
     """Fill ``halfspace``: L (side/2), mode (direct) and, in dyadic mode,
     dyadic.r0 (8) and dyadic.n_max (2); check the slab height and the
-    annuli."""
+    annuli, whose r0 is a power of two and h times one."""
     hs = cfg["halfspace"] = {"L": grid.side / 2.0, "mode": "direct", **cfg.get("halfspace", {})}
     if hs["mode"] not in ("direct", "dyadic"):
         raise ConfigError("halfspace mode must be direct or dyadic")
@@ -238,8 +268,8 @@ def check_halfspace(cfg, grid):
         dy = hs["dyadic"] = {"r0": 8.0, "n_max": 2, **hs.get("dyadic", {})}
         r0 = dy["r0"] = float(dy["r0"])
         n_max = dy["n_max"] = int(dy["n_max"])
-        if not is_dyadic(r0):
-            raise ConfigError(f"dyadic r0 {r0:g} is not a positive power of two")
+        if not (is_dyadic(r0) and is_dyadic(r0 / grid.h)):
+            raise ConfigError(f"dyadic r0 {r0:g} is not a power of two and h = {grid.h:g} times one")
         if n_max < -1:
             raise ConfigError(f"dyadic n_max {n_max} leaves no annulus; the least is -1")
         if r0 * 2.0 ** (n_max + 1) > 2.0 * L + 1e-9:
@@ -247,13 +277,12 @@ def check_halfspace(cfg, grid):
 
 
 def check_excess(cfg, grid):
-    """Fill ``excess``: R (side/4), radii (the corrector radii up to R) and
-    trace_amplitude (1); check the window and that the radii lie in [4h, R]."""
-    ex = cfg["excess"] = {"R": grid.side / 4.0, "trace_amplitude": 1.0, **cfg.get("excess", {})}
+    """Fill ``excess``: R (side/4) and radii (the corrector radii up to R);
+    check the window and that the radii lie in [4h, R]."""
+    ex = cfg["excess"] = {"R": grid.side / 4.0, **cfg.get("excess", {})}
     R = ex["R"] = float(ex["R"])
     radii = ex["radii"] if "radii" in ex else [r for r in cfg["radii"] if r <= R]
     ex["radii"] = [float(r) for r in radii]
-    ex["trace_amplitude"] = float(ex["trace_amplitude"])
     if 2.0 * R > grid.side + 1e-12:
         raise ConfigError(f"excess window 2R = {2.0 * R:g} exceeds the torus side {grid.side:g}")
     # the window is a half-box of 2R/h cells a side, which must be even and at least 4
@@ -268,7 +297,7 @@ def check_excess(cfg, grid):
 def config_hash(cfg):
     """Cache key of a filled config and the homlab version: every key
     except ``threads``, which changes how seeds are scheduled but not what
-    is computed."""
+    is computed (``check_keys`` lets in no key that changes nothing)."""
     keyed = {k: v for k, v in cfg.items() if k != "threads"}
     blob = json.dumps({"config": keyed, "version": __version__},
                       sort_keys=True, separators=(",", ":")).encode()
@@ -337,7 +366,7 @@ def excess_rows(cfg, f, hset, seeds):
     ex = cfg["excess"]
     rows, alphas, c_means = [], [], []
     for seed in seeds:
-        trace = band_limited_trace(seed, ex["R"], amplitude=ex["trace_amplitude"], dim=f.grid.dim)
+        trace = band_limited_trace(seed, ex["R"], dim=f.grid.dim)
         sample = harmonic_sample(f, ex["R"], trace, tol=min(cfg["tol"] * 1e2, 1e-10))
         rep = excess_decay_experiment(sample, hset, ex["radii"])
         mvp = mean_value_check(sample, ex["radii"])
@@ -722,7 +751,7 @@ def build_parser():
     ph = sub.add_parser("halfspace", help="half-space-adapted corrector construction")
     ph.add_argument("--field", required=True)
     ph.add_argument("--mode", choices=("direct", "dyadic"))
-    ph.add_argument("--L", type=float, required=True)
+    ph.add_argument("--L", type=float, help="slab height (default and only value: side/2)")
     ph.add_argument("--r0", type=float)
     ph.add_argument("--n-max", type=int)
     ph.add_argument("--out", required=True, help="hs.npz or hs.npz,hs.csv")

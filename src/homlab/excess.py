@@ -60,7 +60,7 @@ GRADIENT_ROUNDOFF_ULPS = 1e3
 # ---------------------------------------------------------------------------
 
 
-def band_limited_trace(seed, box_half_width, amplitude=1.0, dim=2):
+def band_limited_trace(seed, box_half_width, dim=2):
     """Smooth random trace of ``dim`` coordinates with a fixed, seeded
     spectrum.
 
@@ -85,7 +85,7 @@ def band_limited_trace(seed, box_half_width, amplitude=1.0, dim=2):
         for kv, amp, phase in terms:
             arg = sum(k * c for k, c in zip(kv, coords))
             out = out + amp * np.cos(np.pi * arg / (2.0 * box_half_width) + phase)
-        return amplitude * out
+        return out
 
     return trace
 
@@ -94,7 +94,6 @@ def band_limited_trace(seed, box_half_width, amplitude=1.0, dim=2):
 class HarmonicSample:
     u: ScalarField
     field: object
-    radius: float
     residual: float
 
 
@@ -122,7 +121,7 @@ def harmonic_sample(field_torus, R, trace, tol=1e-11):
         op.grid, flat=NoFlux(0.0), top=Dirichlet(trace), lateral=Dirichlet(trace)
     )
     u, stats = solve(op.system(bc), tol=tol)
-    return HarmonicSample(u, op.field, R, stats.relative_residual)
+    return HarmonicSample(u, op.field, stats.relative_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +176,6 @@ class ExcessValue:
     value: float
     minimizer: np.ndarray  # tangential vector in the ambient coordinates
     coefficients: np.ndarray  # coordinates in the tangential basis
-    gram_condition: float
 
 
 def excess(u, r, hset):
@@ -219,7 +217,7 @@ def _excess(g, hset, grid, r, energies=None):
     resid = [g[k] - sum(t[i] * fam[i][k] for i in range(m)) for k in range(d)]
     val = mean_product(resid, resid)
     b_tilde = sum(t[i] * hset.basis.vectors[i] for i in range(m))
-    return ExcessValue(max(val, 0.0), np.asarray(b_tilde), t, cond)
+    return ExcessValue(max(val, 0.0), np.asarray(b_tilde), t)
 
 
 @dataclass
@@ -268,7 +266,6 @@ def excess_decay_experiment(sample, hset, radii):
 
 @dataclass
 class CoercivityReport:
-    radius: float
     value: float  # fint_{B_r^+} |b_1 + grad phi_h_{b_1}|^2
     lower_bound: float  # (1/16)^(d+1)
 
@@ -286,7 +283,7 @@ def coercivity_check(hset, r):
     values = vars(hset).setdefault("_coercivity", {})
     if r not in values:
         values[r] = ball_mean_square(VectorField(grid, _corrected_gradient(hset, 0, grid)), grid, r)
-    return CoercivityReport(r, values[r], (1.0 / 16.0) ** (grid.dim + 1))
+    return CoercivityReport(values[r], (1.0 / 16.0) ** (grid.dim + 1))
 
 
 def smallness_radius(hcurve, threshold):

@@ -219,6 +219,9 @@ def checkerboard_assignment(spec, grid):
     return rng.integers(0, nvals, size=(units,) * grid.dim)
 
 
+ENSEMBLE_KINDS = ("constant", "laminate", "checkerboard", "gaussian_lipschitz")
+
+
 def cell_values(spec, grid):
     """Per-cell coefficients of an ensemble on a torus grid: diagonals,
     shape grid.shape + (d,), for a diagonal ensemble (scalar or diagonal

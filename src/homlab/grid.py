@@ -154,18 +154,14 @@ class Grid:
         """
         return np.meshgrid(*self._axis_displacements(offsets), indexing="ij")
 
-    def ball_mask(self, offsets, r, half):
-        """Boolean mask of home points with |x| < r.
-
-        ``half=True`` additionally requires x_d > 0 (points exactly on
-        the flat plane are excluded).  The ball is separable: the squared
-        1-D displacements are summed in axis order by broadcasting, so no
-        full-shape coordinate array is built.
-        """
+    def ball_mask(self, offsets, r):
+        """Boolean mask of home points with |x| < r, and x_d > 0 on a
+        half-box (the flat plane excluded).  The squared 1-D displacements
+        are summed in axis order by broadcasting: no full-shape array."""
         disp = np.meshgrid(*self._axis_displacements(offsets), indexing="ij", sparse=True)
         rho2 = sum(d * d for d in disp)
         mask = rho2 < r * r
-        if half:
+        if self.topology == HALF_BOX:
             # the vertical axis is the last one, so its 1-D test broadcasts
             mask &= self.points_along(self.dim - 1, offsets[self.dim - 1]) > 0.0
         return mask

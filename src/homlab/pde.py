@@ -74,7 +74,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _transforms as ft
-from .grid import Grid, HALF_BOX, cell_offsets, face_offsets
+from .grid import Grid, cell_offsets, face_offsets
 
 log = logging.getLogger(__name__)
 
@@ -899,32 +899,29 @@ def _interior_mask(grid, offsets):
     return mask
 
 
-def interior_ball_mask(grid, offsets, r, half=None):
+def interior_ball_mask(grid, offsets, r):
     """``grid.ball_mask`` without the boundary-plane layers of
-    ``_interior_mask``: the home points a ball quadrature sums over.
-
-    ``half=None`` is the grid's default, half balls on a half-box.  Masks
-    are cached by value of (grid, offsets, r, half), the last 16 of them,
-    and are read-only."""
-    half = grid.topology == HALF_BOX if half is None else half
-    return _cached_ball_mask(grid, tuple(offsets), r, half)
+    ``_interior_mask``: the home points a ball quadrature sums over, half
+    balls on a half-box.  Masks are cached by value of (grid, offsets, r),
+    the last 16 of them, and are read-only."""
+    return _cached_ball_mask(grid, tuple(offsets), r)
 
 
 @lru_cache(maxsize=16)  # a 3d excess table of three radii and a coercivity radius take 12
-def _cached_ball_mask(grid, offsets, r, half):
-    mask = grid.ball_mask(offsets, r, half=half) & _interior_mask(grid, offsets)
+def _cached_ball_mask(grid, offsets, r):
+    mask = grid.ball_mask(offsets, r) & _interior_mask(grid, offsets)
     mask.flags.writeable = False
     return mask
 
 
-def ball_values(f, grid, r, half=None):
+def ball_values(f, grid, r):
     """The values of f at the home points of the (half-)ball, one array
     per home: one for a ScalarField, one per face family of a
     VectorField."""
     if isinstance(f, VectorField):
-        return [c[interior_ball_mask(grid, face_offsets(grid.dim, k), r, half)]
+        return [c[interior_ball_mask(grid, face_offsets(grid.dim, k), r)]
                 for k, c in enumerate(f.comps)]
-    return [f.values[interior_ball_mask(grid, f.offsets, r, half)]]
+    return [f.values[interior_ball_mask(grid, f.offsets, r)]]
 
 
 def mean_product(a, b):
@@ -937,10 +934,10 @@ def mean_product(a, b):
     return out
 
 
-def ball_mean_square(f, grid, r, half=None):
+def ball_mean_square(f, grid, r):
     """Mean of |f|^2 over the (half-)ball; vector fields average each
     face component on its own home and sum the component means."""
-    v = ball_values(f, grid, r, half=half)
+    v = ball_values(f, grid, r)
     return mean_product(v, v)
 
 

@@ -132,6 +132,20 @@ def test_corrector_and_halfspace_commands(tmp_path):
     assert np.array_equal(loaded.basis.a_hom, hset.basis.a_hom)
 
 
+def test_halfspace_slab_height_defaults_to_half_the_side(tmp_path):
+    # side/2 is the one legal --L, so leaving it out writes the same files
+    fld = tmp_path / "field.bin"
+    assert main(["field", "sample", "--spec", str(write_spec(tmp_path)), "--out", str(fld)]) == 0
+    for name, flag in (("given", ["--L", "16"]), ("default", [])):
+        assert main(["halfspace", "--field", str(fld), *flag,
+                     "--out", f"{tmp_path / name}.npz,{tmp_path / name}.csv"]) == 0
+    assert (tmp_path / "given.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+    # the zip entries carry their write time, so the bundles compare by content
+    given, default = np.load(tmp_path / "given.npz"), np.load(tmp_path / "default.npz")
+    assert given.files == default.files
+    assert all(np.array_equal(given[k], default[k]) for k in given.files)
+
+
 def test_halfspace_dyadic_mode(tmp_path):
     spec = write_spec(tmp_path, n=64)
     fld = tmp_path / "field.bin"
@@ -339,8 +353,12 @@ def test_pipeline_bad_config_exit_code(tmp_path):
     # torus or with a height R off the grid planes (the window half-box needs
     # an even number of cells a side), a corrector radius above the torus
     # half-side, an excess radius above the window height R, seeds that are
-    # not a list of non-negative integers, and a tol outside (0, 1)
+    # not a list of non-negative integers, and a tol outside (0, 1); and so
+    # is a key no stage reads, which would run the defaults under a new cache
+    # tag (the run's seeds replace ensemble.seed), and an unknown ensemble
+    # kind, which would fail at sampling after the run directory is made
     dyadic = {"L": 16.0, "mode": "dyadic"}
+    ens, hs, ex = good["ensemble"], good["halfspace"], good["excess"]
     for name, change in (("empty_radii", {"grid": {"dim": 2, "n": 16}, "radii": None}),
                          ("low_radius", {"radii": [2.0, 4.0, 8.0], "excess": {}}),
                          ("negative_radius", {"radii": [-8.0, 8.0]}),
@@ -363,13 +381,40 @@ def test_pipeline_bad_config_exit_code(tmp_path):
                          ("zero_tol", {"tol": 0}),
                          ("unit_tol", {"tol": 1}),
                          ("negative_tol", {"tol": -1}),
-                         ("nan_tol", {"tol": float("nan")})):
+                         ("nan_tol", {"tol": float("nan")}),
+                         ("misspelled_key", {"raddi": good["radii"], "radii": None}),
+                         ("ensemble_seed", {"ensemble": {**ens, "seed": 5}}),
+                         ("trace_amplitude", {"excess": {**ex, "trace_amplitude": 2.0}}),
+                         ("dyadic_in_direct_mode",
+                          {"halfspace": {**hs, "dyadic": {"r0": 8.0, "n_max": 0}}}),
+                         ("unknown_kind", {"ensemble": {**ens, "kind": "chekerboard"}})):
         cfg = {k: v for k, v in {**good, **change}.items() if v is not None}
         p3 = tmp_path / f"{name}.json"
         p3.write_text(json.dumps(cfg))
         out = tmp_path / name
         assert main(["pipeline", "--config", str(p3), "--out-dir", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
+
+
+def test_config_radii_are_dyadic_multiples_of_h(tmp_path):
+    # at h = 0.75 the default radii 8h..side/4 are 6 and 12, which the
+    # whole-space curve measures; radii 8 and 16 are no power of two times h,
+    # and neither is the default annulus r0 8 of dyadic mode
+    cfg = {**json.loads(small_config(tmp_path).read_text()), "seeds": [0],
+           "ensemble": {"kind": "checkerboard", "lam": 0.25,
+                        "params": {"values": [0.25, 1.0], "cell_size": 1.5}},
+           "grid": {"dim": 2, "n": 64, "h": 0.75}, "halfspace": {"mode": "direct"}}
+    for key in ("radii", "excess"):
+        del cfg[key]
+    filled = validate_config(cfg)
+    assert filled["radii"] == [6.0, 12.0] and filled["excess"]["radii"] == [6.0, 12.0]
+    with pytest.raises(ConfigError, match="radius 8 is not a positive power of two times h"):
+        validate_config({**cfg, "radii": [8.0, 16.0]})
+    with pytest.raises(ConfigError, match="dyadic r0 8"):
+        validate_config({**cfg, "halfspace": {"mode": "dyadic"}})
+    p = tmp_path / "h075.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["pipeline", "--config", str(p), "--out-dir", str(tmp_path / "run")]) == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -438,7 +483,7 @@ def test_spelled_out_defaults_share_the_cache(tmp_path):
         grid={"dim": 2, "n": 64, "h": 1},
         radii=[8, 16],
         halfspace={"L": 32, "mode": "dyadic", "dyadic": {"r0": 8, "n_max": 2}},
-        excess={"R": 16, "radii": [8, 16], "trace_amplitude": 1},
+        excess={"R": 16, "radii": [8, 16]},
         tol=1e-12,
         threads=2,
     )
@@ -883,8 +928,9 @@ def test_corrector_command_matches_corrector_stage_3d(tmp_path):
 def test_halfspace_command_matches_halfspace_stage(tmp_path, mode):
     # n_max 2 reaches the annulus radius 64, beyond the radii of both the
     # stage's curve (side / 4) and the command's default (side / 2)
-    cfg = stage_config(2, 64, 5, halfspace={"L": 32.0, "mode": mode,
-                                            "dyadic": {"r0": 8.0, "n_max": 2}})
+    # the dyadic block is read in dyadic mode only, and refused in direct mode
+    annuli = {"dyadic": {"r0": 8.0, "n_max": 2}} if mode == "dyadic" else {}
+    cfg = stage_config(2, 64, 5, halfspace={"L": 32.0, "mode": mode, **annuli})
     run = tmp_path / "run"
     cli.run_pipeline(cfg, run)
     tag = config_hash(cfg)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homlab.grid import Grid, cell_offsets, face_offsets, pair_offsets
+from homlab.grid import HALF_BOX, Grid, cell_offsets, face_offsets, pair_offsets
 
 
-def reference_ball_mask(grid, offsets, r, half):
+def reference_ball_mask(grid, offsets, r):
     """Brute force on full-shape arrays: meshgrid of home coordinates,
-    minimum image per axis, squared distances summed in axis order."""
+    minimum image per axis, squared distances summed in axis order; on a
+    half-box also x_d > 0."""
     xs = grid.coords(offsets)
     rho2 = 0
     for a, x in enumerate(xs):
@@ -19,7 +20,7 @@ def reference_ball_mask(grid, offsets, r, half):
             d = (d + s / 2.0) % s - s / 2.0
         rho2 = rho2 + d * d
     mask = rho2 < r * r
-    if half:
+    if grid.topology == HALF_BOX:
         mask &= xs[grid.dim - 1] > 0.0
     return mask
 
@@ -47,16 +48,15 @@ def ball_cases(draw):
     # half-integer multiples of h hit points exactly on the sphere
     r = draw(st.one_of(st.floats(0.0, grid.side, allow_nan=False),
                        st.integers(0, 2 * n).map(lambda i: 0.5 * i * h)))
-    half = draw(st.booleans())
-    return grid, offsets, r, half
+    return grid, offsets, r
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(case=ball_cases())
 def test_ball_mask_matches_brute_force(case):
-    grid, offsets, r, half = case
-    got = grid.ball_mask(offsets, r, half=half)
-    want = reference_ball_mask(grid, offsets, r, half=half)
+    grid, offsets, r = case
+    got = grid.ball_mask(offsets, r)
+    want = reference_ball_mask(grid, offsets, r)
     assert got.shape == grid.home_shape(offsets)
     assert got.dtype == bool
     assert np.array_equal(got, want)

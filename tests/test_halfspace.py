@@ -592,9 +592,8 @@ def test_half_sublinearity_matches_row_by_row_reference(dim, n):
 
 
 def test_half_sublinearity_shares_the_torus_ball_masks():
-    # the transversal row reads the torus balls with half=False, the masks
-    # sublinearity_curve cached with the torus default: 4 torus and 4
-    # half-box masks at two radii
+    # the transversal row reads the torus balls, the masks
+    # sublinearity_curve cached: 4 torus and 4 half-box masks at two radii
     f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=7), Grid.torus(2, 32))
     pair = solve_pair(f, tol=1e-12)
     hset = build_halfspace_set(f, pair, L=16.0)

@@ -14,7 +14,11 @@ and the methods not named ``__*__``, that no code outside the tests loads
 (as a name, an attribute or an import) outside their own body; the ones
 kept on purpose are named in ``UNREAD_DEFINITIONS`` with a reason.  The
 walk matches names, so a method named like a numpy one (``mean``,
-``copy``, ``zeros``) counts as read wherever that name is.
+``copy``, ``zeros``) counts as read wherever that name is.  A fourth walk
+finds the fields of the library's dataclasses that no code outside the
+tests reads as an attribute or names in a string (``getattr`` by a key of
+a table) outside the class body; the ones kept on purpose are named in
+``UNREAD_FIELDS`` with a reason.
 
 The import graph is read in fresh interpreters, since pytest and its
 plugins may load scipy themselves: ``import homlab``, a 2d pipeline and
@@ -60,6 +64,25 @@ UNREAD_DEFINITIONS = {
         "ROADMAP item 4 wires it into the report's checks or deletes it",
     ("pde.py", "caccioppoli_ratio"):
         "ROADMAP item 4 wires it into the report's checks or deletes it",
+}
+
+
+# (module, class.field) -> why the field stays without a reader
+UNREAD_FIELDS = {
+    ("corrector.py", "HomogenizedMatrix.samples"):
+        "ROADMAP item 1's t-interval counts the samples",
+    ("excess.py", "ExcessValue.coefficients"):
+        "an acceptance criterion reads the minimizer's coordinates in the basis",
+    ("excess.py", "LiouvilleReport.minimizer_drift"):
+        "it goes with ``liouville_check`` (ROADMAP item 10)",
+    ("halfspace.py", "DyadicResult.varphi_n"):
+        "the annulus corrections themselves, the construction's result",
+    ("pde.py", "LinearSystem.rhs_mean_shift"):
+        "a fault diagnostic: the mean removed from a singular system's data",
+    ("pde.py", "CaccioppoliResult.warning"):
+        "ROADMAP item 4 wires ``caccioppoli_ratio`` into the report's checks or deletes it",
+    ("pde.py", "CaccioppoliResult.equation_residual"):
+        "ROADMAP item 4 wires ``caccioppoli_ratio`` into the report's checks or deletes it",
 }
 
 
@@ -199,6 +222,62 @@ def test_every_library_definition_has_a_reader():
 
 def test_every_kept_unread_definition_is_still_unread():
     assert set(UNREAD_DEFINITIONS) <= library_unread_definitions()
+
+
+def _is_dataclass(node):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def unread_fields(readers, modules):
+    """(module, class.field) of each field of a top-level dataclass in
+    ``modules``, keys of ``readers`` (name -> source), that no code in
+    ``readers`` loads as an attribute or names in a string outside the
+    class body."""
+    trees = {name: ast.parse(text) for name, text in readers.items()}
+    reads = [(n.attr, n) if isinstance(n, ast.Attribute) else (n.value, n)
+             for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+             or isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    out = []
+    for module in modules:
+        for cls in trees[module].body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            own = {id(n) for n in ast.walk(cls)}
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                    if not any(n == name and id(at) not in own for n, at in reads):
+                        out.append((module, f"{cls.name}.{name}"))
+    return sorted(out)
+
+
+def test_scan_finds_an_unread_field():
+    lib = ("from dataclasses import dataclass\n"
+           "@dataclass\nclass R:\n    a: int\n    b: int\n    c: int\n    d: int\n"
+           "    def total(self):\n        return self.d\n"
+           "@dataclass(frozen=True)\nclass S:\n    e: int\n"
+           "class Plain:\n    f: int\n")
+    other = "r = R(1, 2, 3, 4)\nprint(r.a, getattr(r, 'b'))\nr.c = 0\n"
+    assert unread_fields({"lib.py": lib, "other.py": other}, ["lib.py"]) == [
+        ("lib.py", "R.c"), ("lib.py", "R.d"), ("lib.py", "S.e")]
+
+
+def library_unread_fields():
+    """(file name, class.field) of the library dataclass fields without a
+    reader in ``READERS``."""
+    readers = {p: p.read_text() for p in READERS}
+    return {(module.name, name)
+            for module, name in unread_fields(readers, [p for p in READERS if p in LIBRARY])}
+
+
+def test_every_library_field_has_a_reader():
+    assert library_unread_fields() - set(UNREAD_FIELDS) == set()
+
+
+def test_every_kept_unread_field_is_still_unread():
+    assert set(UNREAD_FIELDS) <= library_unread_fields()
 
 
 def loaded_after(code, cwd):

@@ -504,13 +504,12 @@ def test_half_ball_average_indicator_symmetry():
     assert abs(ind.mean() - 0.5) <= 2.0 / 16.0
 
 
-def reference_ball_values(grid, offsets, values, r, half=None):
+def reference_ball_values(grid, offsets, values, r):
     """Brute force over home points in index order: keep a point that
-    lies in the (half-)ball by its minimum-image distance and off the
-    boundary planes of a non-periodic integer axis."""
+    lies in the ball (a half ball on a half-box) by its minimum-image
+    distance and off the boundary planes of a non-periodic integer axis."""
     d = grid.dim
-    if half is None:
-        half = grid.topology == HALF_BOX
+    half = grid.topology == HALF_BOX
     pts = [grid.points_along(a, offsets[a]) for a in range(d)]
     out = []
     for idx in np.ndindex(values.shape):
@@ -541,15 +540,14 @@ def quadrature_cases(draw):
     # half-integer multiples of h hit points exactly on the sphere
     r = draw(st.one_of(st.floats(0.0, grid.side, allow_nan=False),
                        st.integers(0, 2 * n).map(lambda i: 0.5 * i * h)))
-    half = draw(st.sampled_from([None, True, False]))
     seed = draw(st.integers(0, 2**16))
-    return grid, home, r, half, seed
+    return grid, home, r, seed
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(case=quadrature_cases())
 def test_ball_quadrature_matches_brute_force(case):
-    grid, home, r, half, seed = case
+    grid, home, r, seed = case
     d = grid.dim
     rng = np.random.default_rng(seed)
     if home == "face":
@@ -560,8 +558,8 @@ def test_ball_quadrature_matches_brute_force(case):
         offsets = [cell_offsets(d) if home == "cell" else pair_offsets(d, 0, d - 1)]
         f = ScalarField(grid, rng.standard_normal(grid.home_shape(offsets[0])), offsets[0])
         arrays = [f.values]
-    got = ball_values(f, grid, r, half=half)
-    want = [reference_ball_values(grid, o, a, r, half) for o, a in zip(offsets, arrays)]
+    got = ball_values(f, grid, r)
+    want = [reference_ball_values(grid, o, a, r) for o, a in zip(offsets, arrays)]
     assert len(got) == len(want)
     assert all(np.array_equal(x, y) for x, y in zip(got, want))
     # the mean of products skips empty homes and sums the rest from 0.0
@@ -569,7 +567,7 @@ def test_ball_quadrature_matches_brute_force(case):
     for v in want:
         if v.size:
             total += float((v * v).mean())
-    assert ball_mean_square(f, grid, r, half=half) == total
+    assert ball_mean_square(f, grid, r) == total
     assert mean_product(got, got) == total
 
 
@@ -580,7 +578,8 @@ def test_ball_masks_are_cached_by_value_and_read_only():
     # an equal grid and the offsets as a list
     same = interior_ball_mask(Grid.half_box(3, 8), list(offsets), 3.0)
     assert same is mask
-    assert interior_ball_mask(grid, offsets, 3.0, half=False) is not mask
+    assert interior_ball_mask(grid, offsets, 2.0) is not mask
+    assert interior_ball_mask(Grid.half_box(3, 8, tangential_periodic=False), offsets, 3.0) is not mask
     with pytest.raises(ValueError):
         mask[1, 1, 1] = True
 

@@ -72,4 +72,4 @@ from .excess import (
     window_operator,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

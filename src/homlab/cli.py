@@ -46,10 +46,10 @@ from . import __version__
 from .grid import Grid, is_dyadic, pair_offsets
 from .field import (
     EllipticityError,
-    ENSEMBLE_KINDS,
     EnsembleSpec,
     FieldFileError,
     _grid_from_token,
+    ensemble_params,
     load_field,
     restrict_to_half_box,
     sample_field,
@@ -159,12 +159,12 @@ def read_json(path):
 
 
 def ensemble_spec(raw):
+    """The spec of an ensemble block, its kind's parameters filled in."""
     try:
         spec = EnsembleSpec.from_dict(raw)
+        spec.params = ensemble_params(spec)
     except Exception as e:
         raise ConfigError(f"bad ensemble spec: {e}") from e
-    if spec.kind not in ENSEMBLE_KINDS:
-        raise ConfigError(f"unknown ensemble kind {spec.kind!r}; the kinds are {ENSEMBLE_KINDS}")
     if spec.seed < 0:
         raise ConfigError(f"ensemble seed {spec.seed} is negative")
     return spec
@@ -176,8 +176,8 @@ def load_config(path):
 
 def validate_config(raw):
     """The config ``raw`` with every default filled in (``tol``, ``threads``,
-    ``grid.h`` and the keys of the stage checks below), or ``ConfigError``
-    for a config some stage could not run.  A filled config passes unchanged."""
+    ``grid.h``, ensemble ``params``, the keys of the stage checks below), or
+    ``ConfigError`` if some stage could not run it.  A filled config passes unchanged."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     check_keys(raw)
@@ -198,7 +198,7 @@ def validate_config(raw):
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
     cfg["seeds"] = [int(s) for s in seeds]
-    ensemble_spec(cfg["ensemble"])
+    cfg["ensemble"] = {**cfg["ensemble"], "params": ensemble_spec(cfg["ensemble"]).params}
     try:
         cfg["grid"] = {**g, "dim": int(g["dim"]), "n": int(g["n"]), "h": float(g.get("h", 1.0))}
         cfg["tol"], cfg["threads"] = float(cfg["tol"]), int(cfg["threads"])
@@ -573,14 +573,17 @@ def save_halfspace_bundle(path, hset):
 
 
 def _given(keys):
-    """``keys`` without the flags not given (None), at every depth."""
-    return {k: _given(v) if isinstance(v, dict) else v for k, v in keys.items() if v is not None}
+    """``keys`` without the flags not given (None) or blocks left empty."""
+    given = {k: _given(v) if isinstance(v, dict) else v for k, v in keys.items()}
+    return {k: v for k, v in given.items() if v is not None and v != {}}
 
 
 def _flag_config(grid, checks, **keys):
     """The config of a subcommand's flags ``keys``: filled in and checked,
-    before any solve, by the checks of the stages it runs."""
+    before any solve, by ``check_keys`` and the checks of the stages it
+    runs."""
     cfg = {**DEFAULT_CONFIG, **_given(keys)}
+    check_keys(cfg)
     check_tol(cfg)
     for check in checks:
         check(cfg, grid)
@@ -591,6 +594,8 @@ def cmd_field_sample(args):
     spec_raw = read_json(args.spec)
     spec = ensemble_spec(spec_raw)
     g = {"dim": 2, "n": 64, "h": 1.0, "topology": "torus", **spec_raw.get("grid", {})}
+    if set(g) != {"dim", "n", "h", "topology"}:
+        raise ConfigError(f"{args.spec}: grid keys {sorted(g)}; a grid takes dim, n, h, topology")
     try:
         grid = _grid_from_token(int(g["dim"]), int(g["n"]), float(g["h"]), g["topology"])
     except (TypeError, ValueError) as e:

@@ -66,26 +66,25 @@ def band_limited_trace(seed, box_half_width, dim=2):
 
     A real cosine sum over a band of low wavenumbers; the decay exponent
     keeps the trace dominated by macroscopic scales so decay statistics
-    are reproducible across seeds.
+    are reproducible across seeds.  A term amp cos(pi k.x / 2w + phase)
+    is Re c_k prod_a e^(i pi k_a x_a / 2w), c_k = amp e^(i phase): one
+    einsum of the c_k with a phase table per axis.
     """
     rng = np.random.default_rng(seed)
-    terms = []
-    for k in np.ndindex(*([2 * TRACE_MODES + 1] * dim)):
-        kv = np.array(k) - TRACE_MODES
-        if not np.any(kv):
-            continue
-        amp = rng.standard_normal() / (1.0 + float(kv @ kv)) ** TRACE_DECAY
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        terms.append((kv, amp, phase))
+    k = np.arange(-TRACE_MODES, TRACE_MODES + 1)
+    k2 = sum(np.ix_(*[k * k] * dim))
+    coef = np.zeros(k2.shape, complex)
+    for idx in zip(*np.nonzero(k2)):  # in C order, each term's amplitude, then its phase
+        amp = rng.standard_normal() / (1.0 + float(k2[idx])) ** TRACE_DECAY
+        coef[idx] = amp * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    contraction = ",".join(["abc"[:dim]] + [a + "..." for a in "abc"[:dim]]) + "->..."
 
     def trace(*coords):
         if len(coords) != dim:
             raise TypeError(f"trace takes {dim} coordinates, got {len(coords)}")
-        out = np.zeros(np.broadcast(*coords).shape)
-        for kv, amp, phase in terms:
-            arg = sum(k * c for k, c in zip(kv, coords))
-            out = out + amp * np.cos(np.pi * arg / (2.0 * box_half_width) + phase)
-        return out
+        tables = [np.exp(1j * np.pi / (2.0 * box_half_width) * np.multiply.outer(k, c))
+                  for c in np.broadcast_arrays(*coords)]
+        return np.einsum(contraction, coef, *tables).real
 
     return trace
 
@@ -93,7 +92,6 @@ def band_limited_trace(seed, box_half_width, dim=2):
 @dataclass
 class HarmonicSample:
     u: ScalarField
-    field: object
     residual: float
 
 
@@ -121,7 +119,7 @@ def harmonic_sample(field_torus, R, trace, tol=1e-11):
         op.grid, flat=NoFlux(0.0), top=Dirichlet(trace), lateral=Dirichlet(trace)
     )
     u, stats = solve(op.system(bc), tol=tol)
-    return HarmonicSample(u, op.field, stats.relative_residual)
+    return HarmonicSample(u, stats.relative_residual)
 
 
 # ---------------------------------------------------------------------------

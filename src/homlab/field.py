@@ -11,8 +11,9 @@ pairs) so that one-dimensional flux continuity is exact; this makes the
 classical laminate formulas hold exactly on the discrete level.
 
 Ensembles: constant matrices, laminates, iid checkerboards with unit
-range of dependence, and clipped Gaussian fields sampled spectrally on
-the torus (the Lipschitz image of a stationary Gaussian field).
+range of dependence, and clipped Gaussian fields (the Lipschitz image of
+a stationary Gaussian field, a seeded Fourier series on the torus).  Each
+is one continuum realization per seed, read at the cell centres of any h.
 """
 
 from __future__ import annotations
@@ -161,16 +162,10 @@ class EnsembleSpec:
 
     @staticmethod
     def gaussian_lipschitz(correlation_length=2.0, lam=0.25, seed=0, mean=None, scale=None):
-        if mean is None:
-            mean = 0.5 * (1.0 + lam)
-        if scale is None:
-            scale = 0.25 * (1.0 - lam)
-        return EnsembleSpec(
-            "gaussian_lipschitz",
-            lam,
-            seed,
-            {"correlation_length": correlation_length, "mean": mean, "scale": scale},
-        )
+        """Mean and scale None take their defaults from ``ENSEMBLE_PARAMS``."""
+        params = {"correlation_length": correlation_length, "mean": mean, "scale": scale}
+        return EnsembleSpec("gaussian_lipschitz", lam, seed,
+                            {k: v for k, v in params.items() if v is not None})
 
     @staticmethod
     def from_dict(d):
@@ -206,7 +201,8 @@ def _value_stack(values, dim):
 def checkerboard_assignment(spec, grid):
     """iid unit-cell assignment of the checkerboard on the ambient torus,
     deterministic in the seed."""
-    cs = float(spec.params.get("cell_size", 1.0))
+    params = ensemble_params(spec)
+    cs = float(params["cell_size"])
     per_unit = cs / grid.h
     if abs(per_unit - round(per_unit)) > 1e-12 or round(per_unit) < 1:
         raise ValueError(f"cell_size {cs} not an integer multiple of h={grid.h}")
@@ -215,11 +211,48 @@ def checkerboard_assignment(spec, grid):
         raise ValueError("torus side must hold an integer number of unit cells")
     units = int(round(units))
     rng = np.random.default_rng(spec.seed)
-    nvals = len(spec.params["values"])
-    return rng.integers(0, nvals, size=(units,) * grid.dim)
+    return rng.integers(0, len(params["values"]), size=(units,) * grid.dim)
 
 
-ENSEMBLE_KINDS = ("constant", "laminate", "checkerboard", "gaussian_lipschitz")
+# each kind's parameters and their constructor's defaults: a callable
+# default is a function of lam, None marks a parameter without one
+ENSEMBLE_PARAMS = {
+    "constant": {"a0": None},
+    "laminate": {"axis": 0, "values": (0.25, 1.0), "width": 1.0},
+    "checkerboard": {"values": (0.25, 1.0), "cell_size": 1.0},
+    "gaussian_lipschitz": {"correlation_length": 2.0, "mean": lambda lam: 0.5 * (1.0 + lam),
+                           "scale": lambda lam: 0.25 * (1.0 - lam)},
+}
+
+
+def ensemble_params(spec):
+    """The parameters of ``spec`` with the defaults of its kind filled in;
+    ValueError on an unknown kind or key, or a parameter without a value."""
+    table = ENSEMBLE_PARAMS.get(spec.kind, {})
+    params = {k: v(spec.lam) if callable(v) else v for k, v in table.items()} | spec.params
+    if not table or params.keys() != table.keys() or any(v is None for v in params.values()):
+        raise ValueError(f"ensemble {spec.kind!r} with the parameters {sorted(spec.params)}; the "
+                         f"kinds take {({k: sorted(t) for k, t in ENSEMBLE_PARAMS.items()})}")
+    return params
+
+
+def gaussian_cells(ell, seed, grid):
+    """Re sum_m c_m s_m e^(2 pi i m.x / side) at the cell centres, with c_m
+    complex normal from the seed for every mode whose per-axis weight
+    exp(-2 (pi ell m_a / side)^2) exceeds 1e-16, and s_m^2 the Fourier
+    coefficient of the periodized covariance exp(-|x|^2 / 2 ell^2)."""
+    d, n, side = grid.dim, grid.n, grid.side
+    top = int(side / (np.pi * ell) * np.sqrt(8.0 * np.log(10.0)))
+    x = np.pi * np.arange(-top, top + 1) / side
+    # s_m per axis, with the half-cell phase e^(i pi m h / side)
+    amp = np.sqrt(np.sqrt(2.0 * np.pi) * ell / side) * np.exp(-(ell * x) ** 2 + 1j * x * grid.h)
+    g = np.random.default_rng(seed).standard_normal((x.size,) * d + (2,)).view(complex)[..., 0]
+    lead = -top % n  # leading zeros put each mode at an index equal to it mod n
+    for a in range(d):
+        g *= amp.reshape([-1 if b == a else 1 for b in range(d)])
+        g = np.pad(g, [(lead, -(lead + x.size) % n) if b == a else (0, 0) for b in range(d)])
+        g = g.reshape(g.shape[:a] + (-1, n) + g.shape[a + 1:]).sum(axis=a)  # fold mod n
+    return np.fft.ifftn(g, norm="forward").real
 
 
 def cell_values(spec, grid):
@@ -230,41 +263,31 @@ def cell_values(spec, grid):
         raise ValueError("cell sampling happens on the ambient torus")
     d = grid.dim
     shape = grid.shape
+    params = ensemble_params(spec)
     if spec.kind == "constant":
-        a0 = _value_stack([spec.params["a0"]], d)[0]
+        a0 = _value_stack([params["a0"]], d)[0]
         return np.broadcast_to(a0, shape + a0.shape).copy()
     if spec.kind == "laminate":
-        axis = int(spec.params.get("axis", 0))
-        width = float(spec.params.get("width", 1.0))
-        vals = _value_stack(spec.params["values"], d)
+        axis = int(params["axis"])
+        width = float(params["width"])
+        vals = _value_stack(params["values"], d)
         tail = vals.shape[1:]
         x = grid.points_along(axis, 0.5)
         stripe = np.floor(x / width).astype(int) % len(vals)
         out = vals[stripe].reshape([shape[axis] if a == axis else 1 for a in range(d)] + list(tail))
         return np.broadcast_to(out, shape + tail).copy()
     if spec.kind == "checkerboard":
-        vals = _value_stack(spec.params["values"], d)
+        vals = _value_stack(params["values"], d)
         assign = checkerboard_assignment(spec, grid)
-        per_unit = int(round(float(spec.params.get("cell_size", 1.0)) / grid.h))
+        per_unit = int(round(float(params["cell_size"]) / grid.h))
         for a in range(d):
             assign = np.repeat(assign, per_unit, axis=a)
         return vals[assign]
-    if spec.kind == "gaussian_lipschitz":
-        ell = float(spec.params["correlation_length"])
-        mean = float(spec.params["mean"])
-        scale = float(spec.params["scale"])
-        disp = grid.displacement((0.0,) * d)
-        rho2 = sum(x * x for x in disp)
-        cov = np.exp(-rho2 / (2.0 * ell * ell))
-        eig = np.maximum(np.fft.fftn(cov).real, 0.0)
-        rng = np.random.default_rng(spec.seed)
-        white = rng.standard_normal(shape)
-        g = np.fft.ifftn(np.sqrt(eig) * np.fft.fftn(white)).real
-        lo = spec.lam * (1.0 + 1e-9)
-        hi = 1.0 - 1e-12
-        m = np.clip(mean + scale * g, lo, hi)
-        return np.broadcast_to(m[..., None], shape + (d,))
-    raise ValueError(f"unknown ensemble kind {spec.kind!r}")
+    g = gaussian_cells(float(params["correlation_length"]), spec.seed, grid)
+    lo = spec.lam * (1.0 + 1e-9)
+    hi = 1.0 - 1e-12
+    m = np.clip(float(params["mean"]) + float(params["scale"]) * g, lo, hi)
+    return np.broadcast_to(m[..., None], shape + (d,))
 
 
 def cell_matrices(spec, grid):

@@ -135,31 +135,17 @@ class Grid:
         axes = [self.points_along(a, offsets[a]) for a in range(self.dim)]
         return np.meshgrid(*axes, indexing="ij")
 
-    def _axis_displacements(self, offsets):
-        """1-D displacements of home points from the origin, one per axis."""
-        out = []
-        for a in range(self.dim):
-            d = self.points_along(a, offsets[a])
-            if self.periodic_axis(a):
-                s = self.side
-                d = (d + s / 2.0) % s - s / 2.0
-            out.append(d)
-        return out
-
-    def displacement(self, offsets):
-        """Per-axis full-shape displacement arrays from the origin.
-
-        On the torus the minimum-image convention is used so that balls
-        around the origin wrap correctly.
-        """
-        return np.meshgrid(*self._axis_displacements(offsets), indexing="ij")
-
     def ball_mask(self, offsets, r):
-        """Boolean mask of home points with |x| < r, and x_d > 0 on a
-        half-box (the flat plane excluded).  The squared 1-D displacements
-        are summed in axis order by broadcasting: no full-shape array."""
-        disp = np.meshgrid(*self._axis_displacements(offsets), indexing="ij", sparse=True)
-        rho2 = sum(d * d for d in disp)
+        """Boolean mask of home points with |x| < r (the minimum image on a
+        periodic axis), and x_d > 0 on a half-box (the flat plane excluded).
+        The squared 1-D displacements are summed in axis order by
+        broadcasting: no full-shape array."""
+        rho2 = 0
+        for a in range(self.dim):
+            x = self.points_along(a, offsets[a])
+            if self.periodic_axis(a):
+                x = (x + self.side / 2.0) % self.side - self.side / 2.0
+            rho2 = rho2 + (x * x).reshape([-1 if b == a else 1 for b in range(self.dim)])
         mask = rho2 < r * r
         if self.topology == HALF_BOX:
             # the vertical axis is the last one, so its 1-D test broadcasts

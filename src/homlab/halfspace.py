@@ -552,7 +552,6 @@ class DyadicConfig:
 
 @dataclass
 class DyadicResult:
-    config: DyadicConfig
     varphi_n: dict            # n -> ScalarField
     energies: dict            # (n, r) -> measured (fint |grad varphi_n|^2)^(1/2)
     bound_shape: dict         # (n, r) -> (r0 2^(n+1)/r)^(d/2) delta^(1/3)
@@ -613,7 +612,7 @@ def dyadic_construction(field_hb, field_torus, pair, b, config, tol=DEFAULT_TOL,
     total_f = ScalarField(grid, total)
     c_r0 = _relative_gradient_difference(total_f, direct, r0)
     c_quarter = _relative_gradient_difference(total_f, direct, grid.height / 4.0)
-    return DyadicResult(config, varphi_n, energies, shapes, c_r0, c_quarter)
+    return DyadicResult(varphi_n, energies, shapes, c_r0, c_quarter)
 
 
 def _relative_gradient_difference(u_a, u_b, r):

@@ -10,7 +10,8 @@ import pytest
 
 from homlab import cli
 from homlab.corrector import FluxPotentialSet, solve_pair, sublinearity_curve
-from homlab.field import load_field
+from homlab.field import EnsembleSpec, load_field, sample_field
+from homlab.grid import Grid
 from homlab.halfspace import build_halfspace_set
 from homlab.cli import (
     ConfigError, CsvError, config_hash, load_config, main, read_csv, validate_config,
@@ -528,6 +529,78 @@ def test_module_entry_point_runs_from_a_checkout():
     assert done.stdout.strip() == cli.__version__
 
 
+def test_pyproject_version_is_the_package_version():
+    # installs take the version from pyproject.toml, the cache key (config_hash) from __version__
+    import re
+
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == cli.__version__
+
+
+def test_unknown_ensemble_param_is_refused_before_any_file(tmp_path):
+    # a misspelled cell_size would sample the default cell size under a new tag
+    cfg = json.loads(small_config(tmp_path).read_text())
+    cfg["ensemble"]["params"] = {"values": [0.25, 1.0], "cellsize": 2.0}
+    p = tmp_path / "cellsize.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    spec = json.loads(write_spec(tmp_path).read_text())
+    spec["params"]["cellsize"] = 2.0
+    p.write_text(json.dumps(spec))
+    assert main(["field", "sample", "--spec", str(p), "--out", str(tmp_path / "f.bin")]) == 2
+    assert not (tmp_path / "f.bin").exists()
+
+
+@pytest.mark.parametrize("kind, params, spec", [
+    ("gaussian_lipschitz", {"correlation_length": 2.0},
+     lambda seed: EnsembleSpec.gaussian_lipschitz(lam=0.25, seed=seed)),
+    ("checkerboard", {}, lambda seed: EnsembleSpec.checkerboard(lam=0.25, seed=seed)),
+])
+def test_pipeline_fills_ensemble_defaults_of_the_constructor(tmp_path, kind, params, spec):
+    # without the Gaussian mean and scale, or the checkerboard values, the
+    # pipeline runs the config of the constructor's defaults, under its tag
+    cfg = json.loads(small_config(tmp_path, seeds=(3,)).read_text())
+    cfg["ensemble"] = {"kind": kind, "lam": 0.25, "params": params}
+    p = tmp_path / "defaults.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 0
+    filled = load_config(p)
+    explicit = {**cfg, "ensemble": {**cfg["ensemble"], "params": spec(3).params}}
+    assert config_hash(validate_config(explicit)) == config_hash(filled)
+    assert not json.loads((out / f"manifest__{config_hash(filled)}.json").read_text()).get("failed")
+
+
+def test_field_sample_fills_ensemble_defaults(tmp_path):
+    spec = {"kind": "gaussian_lipschitz", "lam": 0.25, "seed": 4, "grid": {"dim": 2, "n": 32}}
+    p, out = tmp_path / "spec.json", tmp_path / "f.bin"
+    p.write_text(json.dumps(spec))
+    assert main(["field", "sample", "--spec", str(p), "--out", str(out)]) == 0
+    want = sample_field(EnsembleSpec.gaussian_lipschitz(lam=0.25, seed=4), Grid.torus(2, 32))
+    assert load_field(out).equals(want)
+
+
+def test_field_sample_refuses_an_unknown_grid_key(tmp_path):
+    spec = json.loads(write_spec(tmp_path).read_text())
+    spec["grid"] = {"dim": 2, "nn": 32}
+    p, out = tmp_path / "nn.json", tmp_path / "f.bin"
+    p.write_text(json.dumps(spec))
+    assert main(["field", "sample", "--spec", str(p), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_halfspace_command_refuses_dyadic_flags_in_direct_mode(tmp_path, monkeypatch):
+    fld = str(field_file(tmp_path, 2, 32, 1))
+    monkeypatch.setattr(cli, "solve_pair", lambda *a, **k: pytest.fail("solved"))
+    for mode in (["--mode", "direct"], []):
+        out = tmp_path / "hs.npz"
+        assert main(["halfspace", "--field", fld, *mode, "--r0", "8", "--n-max", "2",
+                     "--out", f"{out},{tmp_path / 'hs.csv'}"]) == 2
+        assert not out.exists() and not (tmp_path / "hs.csv").exists()
+
+
 def test_config_validation_rules():
     with pytest.raises(ConfigError):
         validate_config({"ensemble": {}, "grid": {"dim": 2, "n": 8}, "seeds": [0],
@@ -930,13 +1003,14 @@ def test_halfspace_command_matches_halfspace_stage(tmp_path, mode):
     # stage's curve (side / 4) and the command's default (side / 2)
     # the dyadic block is read in dyadic mode only, and refused in direct mode
     annuli = {"dyadic": {"r0": 8.0, "n_max": 2}} if mode == "dyadic" else {}
+    flags = ["--r0", "8", "--n-max", "2"] if mode == "dyadic" else []
     cfg = stage_config(2, 64, 5, halfspace={"L": 32.0, "mode": mode, **annuli})
     run = tmp_path / "run"
     cli.run_pipeline(cfg, run)
     tag = config_hash(cfg)
     hs_csv = tmp_path / "hs.csv"
     assert main(["halfspace", "--field", str(field_file(tmp_path, 2, 64, 5)), "--L", "32",
-                 "--mode", mode, "--r0", "8", "--n-max", "2", "--tol", "1e-12",
+                 "--mode", mode, *flags, "--tol", "1e-12",
                  "--out", f"{tmp_path / 'hs.npz'},{hs_csv}"]) == 0
     assert hs_csv.read_bytes() == (run / f"halfspace__{tag}__seed5.csv").read_bytes()
     dyadic = tmp_path / "hs.dyadic.csv"

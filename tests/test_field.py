@@ -117,6 +117,39 @@ def test_gaussian_field_range_and_determinism():
     assert d.std() > 0.01  # genuinely random
 
 
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_gaussian_field_statistics_at_every_h(n):
+    # side 64, l = 2: (a - mean) / scale has unit variance and correlation
+    # e^(-1/2) at lag l, pooled over 24 seeds; the scale keeps every cell
+    # off the clip
+    grid = Grid.torus(2, n, 64.0 / n)
+    lag = int(round(2.0 / grid.h))
+    var, cov = [], []
+    for seed in range(24):
+        spec = EnsembleSpec.gaussian_lipschitz(lam=0.25, seed=seed, mean=0.625, scale=0.05)
+        a = cell_values(spec, grid)[..., 0]
+        assert a.min() > 0.25 * (1.0 + 1e-9) and a.max() < 1.0 - 1e-12
+        g = (a - 0.625) / 0.05
+        var.append(np.mean(g * g))
+        cov.append(np.mean([np.mean(g * np.roll(g, lag, axis=k)) for k in range(2)]))
+    assert abs(np.mean(var) - 1.0) <= 0.03
+    assert abs(np.mean(cov) / np.mean(var) - np.exp(-0.5)) <= 0.02
+
+
+def test_gaussian_rungs_of_one_seed_pair_across_h():
+    # one seed is one continuum realization at every h: on the side-32
+    # torus the rung differences of a_hom_11 vary 10x less over seeds than
+    # the h = 1 level
+    from homlab.corrector import homogenized_matrix, solve_correctors
+
+    rungs = np.array([[homogenized_matrix(solve_correctors(sample_field(
+        EnsembleSpec.gaussian_lipschitz(seed=seed), Grid.torus(2, 32 * k, 1.0 / k)),
+        tol=1e-10))[0, 0] for k in (1, 2, 4)] for seed in range(8)])
+    stderr = lambda v: v.std(ddof=1) / np.sqrt(len(v))
+    for diff in (rungs[:, 1] - rungs[:, 0], rungs[:, 2] - rungs[:, 1]):
+        assert stderr(diff) <= 0.1 * stderr(rungs[:, 0])
+
+
 def test_torus_periodicity_of_faces():
     grid = Grid.torus(2, 32)
     f = sample_field(EnsembleSpec.checkerboard(seed=1), grid)

@@ -1,7 +1,6 @@
 import itertools
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from homlab.grid import HALF_BOX, Grid, cell_offsets, face_offsets, pair_offsets
@@ -60,21 +59,6 @@ def test_ball_mask_matches_brute_force(case):
     assert got.shape == grid.home_shape(offsets)
     assert got.dtype == bool
     assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("topology", ["torus", "slab", "box"])
-@pytest.mark.parametrize("dim", [2, 3])
-def test_displacement_full_shape(dim, topology):
-    grid = make_grid(dim, topology, 8, 0.5)
-    for offsets in homes(dim):
-        disp = grid.displacement(offsets)
-        xs = grid.coords(offsets)
-        for a, (d, x) in enumerate(zip(disp, xs)):
-            assert d.shape == grid.home_shape(offsets)
-            want = x
-            if grid.periodic_axis(a):
-                want = (want + grid.side / 2.0) % grid.side - grid.side / 2.0
-            assert np.array_equal(d, want)
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -593,6 +593,9 @@ def _flag_config(grid, checks, **keys):
 def cmd_field_sample(args):
     spec_raw = read_json(args.spec)
     spec = ensemble_spec(spec_raw)
+    keys = CONFIG_KEYS["ensemble"] | {"seed", "grid"}
+    if not set(spec_raw) <= keys:
+        raise ConfigError(f"{args.spec}: spec keys {sorted(spec_raw)}; a spec takes {sorted(keys)}")
     g = {"dim": 2, "n": 64, "h": 1.0, "topology": "torus", **spec_raw.get("grid", {})}
     if set(g) != {"dim", "n", "h", "topology"}:
         raise ConfigError(f"{args.spec}: grid keys {sorted(g)}; a grid takes dim, n, h, topology")

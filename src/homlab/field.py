@@ -53,12 +53,15 @@ class CoefficientField:
     construction, so realizations are safe to share across concurrent
     solves; independent realizations come from independent seeds.
 
-    ``faces[k]`` holds the k-faces either as diagonals, shape
-    ``face_shape(k) + (d,)``, or as full matrices, shape
+    ``faces[k]`` holds the k-faces as diagonals, shape
+    ``face_shape(k) + (s,)``, or as full matrices, shape
     ``face_shape(k) + (d, d)``.  A field without an off-diagonal entry is
     always stored as diagonals (``diagonal`` is True), whichever form it
-    was given in, so the same numbers give the same storage.  Readers go
-    through ``entry`` and ``matrices``, never the storage itself.
+    was given in; their trailing length s is 1 when every face tensor is
+    a multiple of the identity (one value per face, read as d equal
+    entries) and d otherwise.  The form follows from the numbers, so the
+    same numbers give the same storage.  Readers go through ``entry`` and
+    ``matrices``, never the storage itself.
     """
 
     grid: Grid
@@ -74,31 +77,33 @@ class CoefficientField:
         faces = [np.asarray(f, dtype=float) for f in self.faces]
         for k, f in enumerate(faces):
             base = self.grid.face_shape(k)
-            if f.shape not in (base + (d,), base + (d, d)):
+            if f.shape not in (base + (1,), base + (d,), base + (d, d)):
                 raise ValueError(f"face array {k}: shape {f.shape}, "
-                                 f"need {base + (d,)} or {base + (d, d)}")
+                                 f"need {base + (1,)}, {base + (d,)} or {base + (d, d)}")
         self.diagonal = not any(f.ndim == d + 2 and np.any(f[..., i, j])
                                 for f in faces for i in range(d) for j in range(d) if i != j)
         ii = np.arange(d)
         if self.diagonal:
             faces = [f[..., ii, ii] if f.ndim == d + 2 else f for f in faces]
+            s = 1 if all(_isotropic(f) for f in faces) else d
+            faces = [np.broadcast_to(f[..., :s], f.shape[:-1] + (s,)) for f in faces]
         else:
-            faces = [_diagonal_matrices(f) if f.ndim == d + 1 else f for f in faces]
+            faces = [_diagonal_matrices(f, d) if f.ndim == d + 1 else f for f in faces]
         self.faces = [np.ascontiguousarray(f) for f in faces]
 
     def entry(self, k, m):
         """a_km on the k-faces (exact zeros off the diagonal of a
-        diagonal field)."""
+        diagonal field); contiguous for one value per face."""
         f = self.faces[k]
         if not self.diagonal:
             return f[..., k, m]
-        return f[..., k] if m == k else np.broadcast_to(0.0, f.shape[:-1])
+        return f[..., k % f.shape[-1]] if m == k else np.broadcast_to(0.0, f.shape[:-1])
 
     def matrices(self, k):
         """The k-face matrices, shape face_shape(k) + (d, d); a new array
         for a diagonal field, the storage itself otherwise (read only)."""
         f = self.faces[k]
-        return _diagonal_matrices(f) if self.diagonal else f
+        return _diagonal_matrices(f, self.grid.dim) if self.diagonal else f
 
     def is_symmetric(self):
         """Whether every face matrix is symmetric to 1e-12 relative."""
@@ -119,12 +124,17 @@ class CoefficientField:
         )
 
 
-def _diagonal_matrices(diag):
-    """Diagonal matrices (..., d, d) with the given diagonals (..., d)."""
-    d = diag.shape[-1]
-    out = np.zeros(diag.shape + (d,))
+def _diagonal_matrices(diag, d):
+    """Diagonal matrices (..., d, d) with the given diagonals (..., d), or
+    multiples of the identity from one value each (..., 1)."""
+    out = np.zeros(diag.shape[:-1] + (d, d))
     out[..., np.arange(d), np.arange(d)] = diag
     return out
+
+
+def _isotropic(diag):
+    """Whether every diagonal (..., d) has d equal entries."""
+    return all(np.array_equal(diag[..., i], diag[..., 0]) for i in range(1, diag.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +191,8 @@ def _value_rayleigh(v):
 
 
 def _value_stack(values, dim):
-    """Ensemble values stacked as cell diagonals (k, d) when none has an
+    """Ensemble values stacked as one value each (k, 1) when all are
+    multiples of the identity, as cell diagonals (k, d) when none has an
     off-diagonal entry, else as matrices (k, d, d)."""
     out = []
     for v in values:
@@ -195,7 +206,8 @@ def _value_stack(values, dim):
     mats = np.stack(out)
     if np.any(mats[:, ~np.eye(dim, dtype=bool)]):
         return mats
-    return mats[:, np.arange(dim), np.arange(dim)]
+    diag = mats[:, np.arange(dim), np.arange(dim)]
+    return diag[:, :1] if _isotropic(diag) else diag
 
 
 def checkerboard_assignment(spec, grid):
@@ -256,45 +268,46 @@ def gaussian_cells(ell, seed, grid):
 
 
 def cell_values(spec, grid):
-    """Per-cell coefficients of an ensemble on a torus grid: diagonals,
-    shape grid.shape + (d,), for a diagonal ensemble (scalar or diagonal
-    values, and every Gaussian field), else matrices grid.shape + (d, d)."""
+    """Per-cell coefficients of an ensemble on a torus grid, read only:
+    diagonals, shape grid.shape + (d,), for a diagonal ensemble (scalar or
+    diagonal values, and every Gaussian field), else matrices
+    grid.shape + (d, d).  Scalar values are one value per cell in memory,
+    broadcast over the d entries."""
     if grid.topology != TORUS:
         raise ValueError("cell sampling happens on the ambient torus")
     d = grid.dim
     shape = grid.shape
     params = ensemble_params(spec)
+    if spec.kind == "gaussian_lipschitz":
+        g = gaussian_cells(float(params["correlation_length"]), spec.seed, grid)
+        lo = spec.lam * (1.0 + 1e-9)
+        hi = 1.0 - 1e-12
+        m = np.clip(float(params["mean"]) + float(params["scale"]) * g, lo, hi)
+        return np.broadcast_to(m[..., None], shape + (d,))
+    vals = _value_stack([params["a0"]] if spec.kind == "constant" else params["values"], d)
+    tail = (d,) * (vals.ndim - 1)
     if spec.kind == "constant":
-        a0 = _value_stack([params["a0"]], d)[0]
-        return np.broadcast_to(a0, shape + a0.shape).copy()
-    if spec.kind == "laminate":
+        cells = vals[0]
+    elif spec.kind == "laminate":
         axis = int(params["axis"])
-        width = float(params["width"])
-        vals = _value_stack(params["values"], d)
-        tail = vals.shape[1:]
         x = grid.points_along(axis, 0.5)
-        stripe = np.floor(x / width).astype(int) % len(vals)
-        out = vals[stripe].reshape([shape[axis] if a == axis else 1 for a in range(d)] + list(tail))
-        return np.broadcast_to(out, shape + tail).copy()
-    if spec.kind == "checkerboard":
-        vals = _value_stack(params["values"], d)
+        stripe = np.floor(x / float(params["width"])).astype(int) % len(vals)
+        cells = vals[stripe].reshape([shape[axis] if a == axis else 1 for a in range(d)]
+                                     + list(vals.shape[1:]))
+    else:
         assign = checkerboard_assignment(spec, grid)
         per_unit = int(round(float(params["cell_size"]) / grid.h))
         for a in range(d):
             assign = np.repeat(assign, per_unit, axis=a)
-        return vals[assign]
-    g = gaussian_cells(float(params["correlation_length"]), spec.seed, grid)
-    lo = spec.lam * (1.0 + 1e-9)
-    hi = 1.0 - 1e-12
-    m = np.clip(float(params["mean"]) + float(params["scale"]) * g, lo, hi)
-    return np.broadcast_to(m[..., None], shape + (d,))
+        cells = vals[assign]
+    return np.broadcast_to(cells, shape + tail)
 
 
 def cell_matrices(spec, grid):
     """Per-cell coefficient matrices of an ensemble on a torus grid,
     shape grid.shape + (d, d)."""
     cells = cell_values(spec, grid)
-    return cells if cells.ndim == grid.dim + 2 else _diagonal_matrices(cells)
+    return cells if cells.ndim == grid.dim + 2 else _diagonal_matrices(cells, grid.dim)
 
 
 def _diagonal_harmonic(out, a, b):
@@ -323,10 +336,14 @@ def faces_from_cells(grid, cells):
     (..., d, d): the harmonic mean of the two cells of a face when every
     diagonal is positive or every matrix symmetric, on an axis where no
     inverse is singular, else the arithmetic mean; a boundary face of a
-    non-periodic axis copies its cell."""
+    non-periodic axis copies its cell.  Diagonal cells come out as
+    diagonal faces (..., d), and multiples of the identity as one value
+    per face (..., 1), the storage of ``CoefficientField``."""
     d = grid.dim
     if cells.ndim == d + 2 and not np.any(cells[..., ~np.eye(d, dtype=bool)]):
         cells = cells[..., np.arange(d), np.arange(d)]
+    if cells.ndim == d + 1 and _isotropic(cells):
+        cells = cells[..., :1]
     if cells.ndim == d + 1:
         mean = _diagonal_harmonic if np.all(cells > 0) else _arithmetic
     else:
@@ -408,7 +425,7 @@ def validate_ellipticity(field):
     violations = []
     for ax, f in enumerate(field.faces):
         if field.diagonal:
-            flat = f.reshape(-1, d)
+            flat = f.reshape(-1, f.shape[-1])
             f_min, f_max = float(flat.min()), float(flat.max())
             min_r, max_g = min(min_r, f_min), max(max_g, f_max, -f_min)
             if f_min >= lo and max(f_max, -f_min) <= hi:
@@ -430,7 +447,8 @@ def validate_ellipticity(field):
         bad = np.nonzero((r < lo) | (g > hi))[0]
         for b in bad[: 10 - len(violations)]:
             idx = np.unravel_index(b, field.grid.face_shape(ax))
-            violations.append((ax, idx, np.diag(flat[b]) if field.diagonal else flat[b].copy()))
+            violations.append((ax, idx, _diagonal_matrices(flat[b], d) if field.diagonal
+                               else flat[b].copy()))
     ok = (min_r >= lo) and (max_g <= hi)
     return EllipticityReport(field.lam, float(min_r), float(max_g), violations, ok)
 
@@ -482,7 +500,10 @@ def restrict_to_half_box(field, L, tangential_periodic=True):
 
     Face coefficients are copied from the torus field by index arithmetic
     on the leading (spatial) axes, so they agree exactly at corresponding
-    locations and keep the torus field's storage.
+    locations.  The copy keeps the torus field's storage, one value per
+    face included; a restriction that keeps only multiples of the identity
+    of an anisotropic diagonal field stores one value per face, as any
+    field of those numbers does.
     """
     grid = field.grid
     half = half_box_grid(grid, L, tangential_periodic)

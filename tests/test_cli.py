@@ -71,12 +71,14 @@ def test_field_sample_and_check(tmp_path):
         else:
             assert rc == 0 and load_field(out).grid == grid
     # the spec is read like a config: malformed JSON, an ensemble without a
-    # kind, a negative seed and a grid no torus has are config errors that
-    # write no file
+    # kind, a negative seed, a key no sampling reads and a grid no torus
+    # has are config errors that write no file
     good = json.loads(write_spec(tmp_path).read_text())
+    seedless = {k: v for k, v in good.items() if k != "seed"}
     for name, text in (("malformed", '{"kind": "checkerboard",'),
                        ("kindless", json.dumps({"lam": 0.25, "grid": {"dim": 2, "n": 32}})),
                        ("negative_seed", json.dumps({**good, "seed": -1})),
+                       ("misspelt_seed", json.dumps({**seedless, "sed": 7})),
                        ("odd_n", json.dumps({**good, "grid": {"dim": 2, "n": 30}})),
                        ("text_n", json.dumps({**good, "grid": {"dim": 2, "n": "abc"}}))):
         bad, out = tmp_path / f"{name}.json", tmp_path / f"{name}.bin"
@@ -85,17 +87,29 @@ def test_field_sample_and_check(tmp_path):
         assert not out.exists()
 
 
-def test_field_check_flags_bad_field(tmp_path):
+def test_field_check_flags_bad_field(tmp_path, capsys):
     spec = write_spec(tmp_path)
     out = tmp_path / "field.bin"
     main(["field", "sample", "--spec", str(spec), "--out", str(out)])
     from homlab.field import CoefficientField, load_field, save_field
+    from test_field import twelve_violations
 
     f = load_field(out)
     scaled = CoefficientField(f.grid, [1.5 * f.matrices(k) for k in range(2)], lam=f.lam, seed=f.seed)
     bad = tmp_path / "bad.bin"
     save_field(scaled, bad)
     assert main(["field", "check", "--field", str(bad)]) == 4
+    # one value per face in storage, a 3x3 matrix per violation on the screen
+    iso, _ = twelve_violations("isotropic")
+    assert all(a.shape[-1] == 1 for a in iso.faces)
+    save_field(iso, bad)
+    capsys.readouterr()
+    assert main(["field", "check", "--field", str(bad)]) == 4
+    lines = [s for s in capsys.readouterr().out.splitlines() if s.startswith("violation")]
+    assert len(lines) == 10
+    for line in lines:
+        mat = np.array(json.loads(line.split(": ", 1)[1]))
+        assert mat.shape == (3, 3) and np.array_equal(mat, mat[0, 0] * np.eye(3))
 
 
 def test_corrector_and_halfspace_commands(tmp_path):

@@ -489,7 +489,24 @@ def test_pair_and_halfspace_set_peak_memory():
     finally:
         tracemalloc.stop()
     assert kept <= 110 * cells
-    assert peak <= 360 * cells
+    assert peak <= 310 * cells
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sampled_pair_and_halfspace_set_peak_memory_at_64(monkeypatch, cpus):
+    # bytes per torus cell of numpy arrays on a 3d 64^3 grid, the field
+    # included: sampling, solve_pair and build_halfspace_set together stay
+    # within 300 B/cell, with the solves on one or two threads
+    monkeypatch.setattr(pde, "_cpus", lambda: cpus)
+    grid = Grid.torus(3, 64)
+    tracemalloc.start()
+    try:
+        f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=2), grid)
+        build_halfspace_set(f, solve_pair(f, tol=1e-10), L=32.0, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300 * grid.shape[0] ** 3
 
 
 @st.composite

@@ -199,13 +199,21 @@ def solve_flux_potential(grid, q):
     the staggered pair homes by FFT; the row-divergence identity then
     holds up to the divergence residual of q, at most 1e-6 |q|.
     """
-    h = grid.h
+    return _flux_potential(grid, q, _norm(q))
+
+
+def _norm(v):
+    return np.sqrt(sum(float((c * c).sum()) for c in v.comps))
+
+
+def _flux_potential(grid, q, size):
+    """``solve_flux_potential`` with |div q| h held to 1e-6 ``size``, in
+    ``solve_pair`` the size of the current before a_hom is subtracted."""
     div = divergence(q)
-    nq = np.sqrt(sum(float((c * c).sum()) for c in q.comps))
-    ndiv = float(np.linalg.norm(div)) * h
+    ndiv = float(np.linalg.norm(div)) * grid.h
     floor = 1e-13 * np.sqrt(div.size)  # all-round-off currents are fine
-    if nq > floor and ndiv > 1e-6 * nq + floor:
-        raise ValueError(f"current is not divergence-free: |div q| h = {ndiv:.3e} vs |q| = {nq:.3e}")
+    if size > floor and ndiv > 1e-6 * size + floor:
+        raise ValueError(f"current is not divergence-free: |div q| h = {ndiv:.3e} vs size {size:.3e}")
     sigma = {}
     d = grid.dim
     # one periodic symbol serves every staggered home of the torus
@@ -282,7 +290,8 @@ def solve_pair(field, tol=DEFAULT_TOL):
     for i in range(d):  # one current per direction: its a_hom column and its potential
         cur = cset.current(np.eye(d)[i])
         a_hom[:, i] = _a_hom_column(cur)
-        sigmas[i] = solve_flux_potential(field.grid, _less_mean(cur, a_hom[:, i]))
+        size = _norm(cur)
+        sigmas[i] = _flux_potential(field.grid, _less_mean(cur, a_hom[:, i]), size)
     return WholeSpacePair(cset, a_hom, sigmas)
 
 

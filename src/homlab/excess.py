@@ -15,13 +15,13 @@ which is all the decay theory needs.
 
 Many harmonic samples on one window share its operator, and many excess
 evaluations share the corrected-gradient family: the torus field keeps the
-operator of its last window and the half-space set the family on its last
-grid, read-only, with the family's Gram matrix of each radius, and both go
-with their owner.  A sample keeps the ball mean of |grad u|^2 of each radius
-its excess table reads, for the mean-value check, and a set its coercivity
-value of each radius.  Fields, sets and samples are taken as immutable: a
-field changed in place after a sample keeps its old window operator.  Every
-ball mean goes through the quadrature of ``homlab.pde``.
+operator of its last window and the half-space set, for its last grid, the
+family gathered on the half-ball of each radius with its Gram matrix, all
+read-only, and both go with their owner.  A sample keeps the ball mean of
+|grad u|^2 of each radius its excess table reads, for the mean-value check,
+and a set its coercivity value of each radius.  Fields, sets and samples
+are taken as immutable: a field changed in place after a sample keeps its
+old window operator.  Every ball mean goes through ``homlab.pde``.
 """
 
 from __future__ import annotations
@@ -128,40 +128,40 @@ def harmonic_sample(field_torus, R, trace, tol=1e-11):
 
 
 def _corrected_gradient(hset, i, grid):
-    """Face components of b_i + grad phi_h_{b_i} on the faces of ``grid``
-    (the set's own grid needs no restriction)."""
+    """Face components of b_i + grad phi_h_{b_i} on the faces of ``grid``,
+    the set's own grid or a window inside it."""
     d = grid.dim
     g = gradient(hset.phi_h[i])
     b = hset.basis.vectors[i]
-    if grid == hset.grid:
-        return [g.comps[k] + b[k] for k in range(d)]
     return [restrict_values(g.comps[k], hset.grid, grid, face_offsets(d, k)) + b[k]
             for k in range(d)]
 
 
-def _family_record(hset, grid):
-    """The set's record ``(grid, family, grams)`` for ``grid``: the
-    corrected-gradient family and, by radius, the read-only Gram matrix
-    of the family on the half-ball and its condition number.  Kept on the
-    set for the last grid; a new grid drops the record before the new
-    one is built."""
-    kept = vars(hset).get("_gradient_family")
-    if kept is not None and kept[0] == grid:
-        return kept
-    hset._gradient_family = None
-    fam = [_corrected_gradient(hset, i, grid) for i in range(grid.dim - 1)]
-    for comps in fam:
-        for a in comps:
+def _family(hset, grid, radii):
+    """The set's record ``r -> (fam, M, cond)`` on ``grid`` for every r of
+    ``radii``: the corrected-gradient family gathered on the half-ball of
+    r (``ball_values`` per member), its Gram matrix M and cond M, all
+    read-only.  Kept on the set for the last grid; a new grid drops the
+    record.  A call that lacks radii builds the family on ``grid`` once,
+    gathers it at each of them and drops it."""
+    kept = vars(hset).get("_family_by_radius")
+    if kept is None or kept[0] != grid:
+        hset._family_by_radius = kept = (grid, {})
+    record = kept[1]
+    lacking = [r for r in radii if r not in record]
+    full = [VectorField(grid, _corrected_gradient(hset, i, grid))
+            for i in range(grid.dim - 1)] if lacking else []
+    for r in lacking:
+        if r < 4 * grid.h:
+            raise ValueError("radius below the quadrature floor (need r >= 4h)")
+        fam = [ball_values(f, grid, r) for f in full]
+        if not any(x.size for x in fam[0]):
+            raise ValueError("empty half-ball")
+        M = np.array([[mean_product(a, b) for b in fam] for a in fam])
+        for a in [M, *(x for comps in fam for x in comps)]:
             a.flags.writeable = False
-    hset._gradient_family = (grid, fam, {})
-    return hset._gradient_family
-
-
-def corrected_gradient_family(hset, grid):
-    """Per tangential direction, the face components of b + grad phi_h_b
-    on the face families of ``grid``, kept read-only on the set for the
-    last grid with the Gram matrices of ``excess``."""
-    return _family_record(hset, grid)[1]
+        record[r] = (fam, M, float(np.linalg.cond(M)))
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -185,28 +185,15 @@ def excess(u, r, hset):
 
 def _excess(g, hset, grid, r, energies=None):
     """``excess`` from the gradient g of u, which does not depend on r;
-    g and each family member are gathered on the half-ball once, and the
-    Gram matrix at r is kept with the family.  ``energies``, when given,
-    records the ball mean of |g|^2 at r."""
+    only g is gathered on the half-ball, the family's gathers and Gram
+    matrix at r are read from the set's record.  ``energies``, when
+    given, records the ball mean of |g|^2 at r."""
     d = grid.dim
-    if r < 4 * grid.h:
-        raise ValueError("radius below the quadrature floor (need r >= 4h)")
+    fam, M, cond = _family(hset, grid, [r])[r]
+    m = len(fam)
     g = ball_values(g, grid, r)
-    if not any(x.size for x in g):
-        raise ValueError("empty half-ball")
     if energies is not None:
         energies[r] = mean_product(g, g)
-    _, fam, grams = _family_record(hset, grid)
-    fam = [ball_values(VectorField(grid, f), grid, r) for f in fam]
-    m = len(fam)
-    if r not in grams:
-        M = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                M[i, j] = M[j, i] = mean_product(fam[i], fam[j])
-        M.flags.writeable = False
-        grams[r] = (M, float(np.linalg.cond(M)))
-    M, cond = grams[r]
     c = np.asarray([mean_product(g, f) for f in fam])
     if np.isfinite(cond) and cond < 1e12:
         t = np.linalg.solve(M, c)
@@ -233,6 +220,7 @@ def excess_decay_experiment(sample, hset, radii):
     ``EXCESS_FLOOR``)."""
     radii = sorted(float(r) for r in radii)
     grid = sample.u.grid
+    _family(hset, grid, radii)  # the family is built once for every radius
     g = gradient(sample.u)
     energies = _ball_energies(sample)
     vals = []

@@ -366,6 +366,8 @@ def build_halfspace_set(field, pair, L, tangential_periodic=True, tol=DEFAULT_TO
     grid = half_box_grid(pair.cset.grid, L, tangential_periodic)
     d = grid.dim
     if not isinstance(field, Operator):
+        if field is not pair.cset.field:
+            raise ValueError("the torus field is not the field of the pair")
         field = restrict_to_half_box(field, L, tangential_periodic)
     op = half_box_operator(field)
     if op.grid != grid:

@@ -907,7 +907,9 @@ def interior_ball_mask(grid, offsets, r):
     return _cached_ball_mask(grid, tuple(offsets), r)
 
 
-@lru_cache(maxsize=16)  # a 3d excess table of three radii and a coercivity radius take 12
+# a benchmark operation: torus2d-c100 16 lookups, 0 misses; pipeline2d-dyadic 84, 34 misses
+# (4-5 ms of builds); excess3d-traces 9, 0 misses.  64 entries cost +66 MB ru_maxrss at 128^3
+@lru_cache(maxsize=16)
 def _cached_ball_mask(grid, offsets, r):
     mask = grid.ball_mask(offsets, r) & _interior_mask(grid, offsets)
     mask.flags.writeable = False

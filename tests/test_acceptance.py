@@ -286,10 +286,10 @@ def test_criterion_11_oracle_equivalence():
     hset = build_halfspace_set(f, pair, L=16.0)
     u = harmonic_sample(f, 8.0, band_limited_trace(3, 8.0)).u
     ev = excess(u, 4.0, hset)
-    from homlab.excess import corrected_gradient_family
+    from homlab.excess import _corrected_gradient
     from homlab.pde import ball_values, gradient, mean_product
 
-    fam = ball_values(VectorField(u.grid, corrected_gradient_family(hset, u.grid)[0]), u.grid, 4.0)
+    fam = ball_values(VectorField(u.grid, _corrected_gradient(hset, 0, u.grid)), u.grid, 4.0)
     g = ball_values(gradient(u), u.grid, 4.0)
     ts = np.arange(-4.0, 4.0 + 1e-9, 1e-3)
     a = mean_product(fam, fam)

@@ -347,6 +347,23 @@ def test_pipeline_constant_field_writes_strict_json(tmp_path):
     assert docs["report"]["delta_fit_exponent_mean"] is None
 
 
+def test_pipeline_on_a_laminate_across_its_stripes(tmp_path):
+    # the flux correction across the stripes is round-off; the pair's
+    # divergence check scales with the current, so the pipeline runs
+    cfg = {
+        "ensemble": {"kind": "laminate", "lam": 0.25,
+                     "params": {"axis": 1, "values": [0.25, 1.0], "width": 2.0}},
+        "grid": {"dim": 2, "n": 64},
+        "seeds": [0],
+        "tol": 1e-11,
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 0
+    assert "failed" not in strict_json(out)["manifest"]
+
+
 def test_pipeline_bad_config_exit_code(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"grid": {"dim": 2, "n": 16}}))

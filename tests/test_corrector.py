@@ -181,6 +181,36 @@ def test_flux_potential_skew_and_rejects_nondivfree():
         solve_flux_potential(grid, bad)
 
 
+def test_flux_potential_refuses_a_corrector_current_with_a_divergence():
+    # one face value of a solved current moved by 1e-3 of its norm gives a
+    # divergence of 1.4e-3 |q| h, far above the 1e-6 |q| the check allows,
+    # whether q or the current before a_hom is subtracted sets the size
+    from homlab import corrector
+
+    grid = Grid.torus(2, 32)
+    f = sample_field(EnsembleSpec.checkerboard(seed=3), grid)
+    pair = solve_pair(f, tol=1e-12)
+    q = pair.q[0]
+    solve_flux_potential(grid, q)
+    size = corrector._norm(pair.cset.current(np.eye(2)[0]))
+    q.comps[0][5, 7] += 1e-3 * corrector._norm(q)
+    with pytest.raises(ValueError, match="current is not divergence-free"):
+        solve_flux_potential(grid, q)
+    with pytest.raises(ValueError, match="current is not divergence-free"):
+        corrector._flux_potential(grid, q, size)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-11, 1e-12])
+def test_pair_of_a_laminate_across_its_stripes(tol):
+    # the current across the stripes is constant, so q of that direction
+    # is round-off: the divergence check scales with the current, whose
+    # divergence q shares, and a_hom is the lamination formula
+    grid = Grid.torus(2, 64)
+    f = sample_field(EnsembleSpec.laminate(axis=1, values=(0.25, 1.0), width=2.0), grid)
+    pair = solve_pair(f, tol=tol)
+    assert np.abs(pair.a_hom - np.diag([0.625, 0.4])).max() <= 1e-10
+
+
 def test_flux_potential_3d_identity():
     grid = Grid.torus(3, 8)
     nonsymmetric = ([[0.6, 0.1, 0.0], [-0.1, 0.5, 0.1], [0.0, -0.1, 0.7]], 1.0)

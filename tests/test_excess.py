@@ -1,4 +1,6 @@
 import gc
+import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -25,6 +27,7 @@ from homlab.excess import (
     EXCESS_FLOOR,
     TRACE_DECAY,
     TRACE_MODES,
+    _corrected_gradient,
     band_limited_trace,
     coercivity_check,
     excess,
@@ -93,7 +96,7 @@ def _drop_kept(*owners):
     """Forget the window operators and families kept on fields and sets."""
     for owner in owners:
         vars(owner).pop("_window_operator", None)
-        vars(owner).pop("_gradient_family", None)
+        vars(owner).pop("_family_by_radius", None)
 
 
 def test_window_operator_builds_one_operator_per_field_and_R(monkeypatch):
@@ -142,20 +145,65 @@ def test_window_operators_of_live_fields_do_not_evict_one_another(monkeypatch):
 
 
 def test_gradient_family_is_kept_read_only_and_goes_with_its_set():
-    from homlab.excess import corrected_gradient_family
-
+    # the set keeps, per radius of the table, the family gathered on the
+    # half-ball with its Gram matrix and condition number, all read-only
     f, pair, hset = make_setup(n=32, seed=3)
     s = harmonic_sample(f, 8.0, band_limited_trace(2, 8.0))
     excess_decay_experiment(s, hset, [4.0, 8.0])
-    fam = corrected_gradient_family(hset, s.u.grid)
-    assert fam is corrected_gradient_family(hset, s.u.grid)
-    assert all(not a.flags.writeable for comps in fam for a in comps)
+    grid, record = vars(hset)["_family_by_radius"]
+    assert grid == s.u.grid and sorted(record) == [4.0, 8.0]
+    full = VectorField(grid, _corrected_gradient(hset, 0, grid))
+    for r, (fam, M, cond) in record.items():
+        assert len(fam) == 1
+        assert all(np.array_equal(x, y) for x, y in zip(fam[0], ball_values(full, grid, r)))
+        assert M.shape == (1, 1) and M[0, 0] == mean_product(fam[0], fam[0])
+        assert cond == float(np.linalg.cond(M))
+        assert all(not a.flags.writeable for a in [M, *fam[0]])
     with pytest.raises(ValueError):
-        fam[0][0][0, 0] = 0.0
-    family = weakref.ref(fam[0][0])
-    del fam, pair, hset
+        record[8.0][0][0][0][0] = 0.0
+    with pytest.raises(ValueError):
+        record[8.0][1][0, 0] = 0.0
+    gathered = weakref.ref(record[8.0][0][0][0])
+    del record, fam, M, pair, hset
     gc.collect()
-    assert family() is None
+    assert gathered() is None
+
+
+def test_a_second_decay_table_reads_the_kept_family(monkeypatch):
+    # 3d n = 64, R = 32: the first table builds each family member once
+    # and keeps its gathers (under 5 MiB, where the full window family
+    # took 7.29 MiB); a second table on the same set, window and radii
+    # builds no member and gathers the sample gradient alone
+    ex = sys.modules["homlab.excess"]  # the package exports the function ``excess``
+    grid = Grid.torus(3, 64)
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=2), grid)
+    hset = build_halfspace_set(f, solve_pair(f, tol=1e-10), L=32.0, tol=1e-10)
+    radii = [8.0, 16.0, 32.0]
+    samples = [harmonic_sample(f, 32.0, band_limited_trace(seed, 32.0, dim=3), tol=1e-10)
+               for seed in (1, 2)]
+    builds = []
+    monkeypatch.setattr(ex, "_corrected_gradient",
+                        lambda h, i, g: builds.append(i) or _corrected_gradient(h, i, g))
+    tracemalloc.start()
+    try:
+        excess_decay_experiment(samples[0], hset, radii)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert builds == [0, 1]
+    assert kept <= 5 * 2**20
+    gathers = []
+    monkeypatch.setattr(ex, "ball_values",
+                        lambda v, g, r: gathers.append((v, r)) or ball_values(v, g, r))
+    second = excess_decay_experiment(samples[1], hset, radii)
+    assert builds == [0, 1]
+    assert [r for _, r in gathers] == radii
+    g = gradient(samples[1].u)
+    assert all(np.array_equal(x, y) for v, _ in gathers for x, y in zip(v.comps, g.comps))
+    # the same table as a fresh set record gives
+    _drop_kept(hset)
+    cold = excess_decay_experiment(samples[1], hset, radii)
+    assert np.array_equal(second.excess, cold.excess)
 
 
 def _same_reports(a, b):
@@ -170,7 +218,6 @@ def _same_reports(a, b):
 
 def test_kept_window_gives_the_same_reports_warm_and_fresh():
     from homlab import pde
-    from homlab.excess import corrected_gradient_family
     from homlab.grid import face_offsets
 
     f, pair, hset = make_setup(n=64, seed=5)
@@ -195,11 +242,12 @@ def test_kept_window_gives_the_same_reports_warm_and_fresh():
         reports(seed, fresh=False)  # warms the window of this sample
         warm = reports(seed, fresh=False)
         window = window_operator(f, 16.0).grid
-        assert vars(hset)["_gradient_family"][0] == window
+        grid, record = vars(hset)["_family_by_radius"]
+        assert grid == window and sorted(record) == radii
         _same_reports(warm, cold)
-    # the first direction on the set's own grid, as the whole family gives it
+    # the first direction on the set's own grid, as the family builder gives it
     grid = hset.grid
-    fam = corrected_gradient_family(hset, grid)[0]
+    fam = _corrected_gradient(hset, 0, grid)
     assert warm[2].value == ball_mean_square(VectorField(grid, fam), grid, 8.0)
     # the quadrature serves one read-only mask per key
     mask = interior_ball_mask(window, face_offsets(2, 0), 8.0)
@@ -250,9 +298,9 @@ def test_gram_matrices_go_with_the_family_when_windows_alternate():
     for step, R in enumerate([8.0, 16.0, 8.0, 16.0]):
         s = harmonic_sample(f, R, band_limited_trace(step, R))
         warm = excess_decay_experiment(s, hset, radii[R])
-        grid, _, grams = vars(hset)["_gradient_family"]
-        assert grid == s.u.grid and sorted(grams) == radii[R]
-        assert all(not M.flags.writeable for M, _ in grams.values())
+        grid, record = vars(hset)["_family_by_radius"]
+        assert grid == s.u.grid and sorted(record) == radii[R]
+        assert all(not M.flags.writeable for _, M, _ in record.values())
         _drop_kept(hset)
         cold = excess_decay_experiment(s, hset, radii[R])
         assert np.array_equal(warm.excess, cold.excess)
@@ -311,9 +359,7 @@ def test_excess_first_order_optimality():
     ev = excess(u, 8.0, hset)
 
     def functional(t):
-        from homlab.excess import corrected_gradient_family
-
-        fam = corrected_gradient_family(hset, u.grid)[0]
+        fam = _corrected_gradient(hset, 0, u.grid)
         g = gradient(u)
         resid = VectorField(u.grid, [g.comps[k] - t * fam[k] for k in range(2)])
         return ball_mean_square(resid, u.grid, 8.0)
@@ -331,9 +377,7 @@ def test_excess_minimizer_matches_brute_force_search():
     u = harmonic_sample(f, R=8.0, trace=trace).u
     ev = excess(u, 4.0, hset)
     ts = np.arange(-4.0, 4.0 + 1e-9, 1e-3)
-    from homlab.excess import corrected_gradient_family
-
-    fam = ball_values(VectorField(u.grid, corrected_gradient_family(hset, u.grid)[0]), u.grid, 4.0)
+    fam = ball_values(VectorField(u.grid, _corrected_gradient(hset, 0, u.grid)), u.grid, 4.0)
     g = ball_values(gradient(u), u.grid, 4.0)
     a = mean_product(fam, fam)
     blin = mean_product(g, fam)
@@ -347,7 +391,6 @@ def test_excess_minimizer_matches_brute_force_search():
 def test_excess_equals_full_array_evaluation(dim, n, R):
     # the Gram matrix, right-hand side and residual of the tilt functional
     # computed on full arrays masked per product, as the definition reads
-    from homlab.excess import corrected_gradient_family
     from homlab.grid import face_offsets
 
     def fint(a, b, masks):
@@ -358,7 +401,7 @@ def test_excess_equals_full_array_evaluation(dim, n, R):
     for seed in (1, 2):
         u = harmonic_sample(f, R, band_limited_trace(seed, R, dim=dim)).u
         g = gradient(u).comps
-        fam = corrected_gradient_family(hset, u.grid)
+        fam = [_corrected_gradient(hset, i, u.grid) for i in range(dim - 1)]
         m = len(fam)
         for r in (4.0, R / 2, R):
             masks = [interior_ball_mask(u.grid, face_offsets(dim, k), r) for k in range(dim)]
@@ -369,8 +412,12 @@ def test_excess_equals_full_array_evaluation(dim, n, R):
             ev = excess(u, r, hset)
             assert np.array_equal(ev.coefficients, t)
             assert ev.value == max(fint(resid, resid, masks), 0.0)
-            # the condition number kept with the Gram matrix picks the solve
-            assert vars(hset)["_gradient_family"][2][r][1] == float(np.linalg.cond(M))
+            # the set keeps the masked members, M and the condition number
+            # that picks the solve
+            kept, M_kept, cond = vars(hset)["_family_by_radius"][1][r]
+            assert all(np.array_equal(kept[i][k], fam[i][k][mk])
+                       for i in range(m) for k, mk in enumerate(masks))
+            assert np.array_equal(M_kept, M) and cond == float(np.linalg.cond(M))
             assert np.array_equal(ev.minimizer, sum(t[i] * hset.basis.vectors[i] for i in range(m)))
 
 
@@ -572,8 +619,6 @@ def test_caccioppoli_ratios_bounded_for_harmonic_samples():
 
 def test_excess_monotone_window_property():
     # freezing the large-radius minimizer upper-bounds the infimum
-    from homlab.excess import corrected_gradient_family
-
     f, pair, hset = make_setup(n=64, seed=6)
     trace = band_limited_trace(seed=6, box_half_width=16.0)
     u = harmonic_sample(f, R=16.0, trace=trace).u
@@ -581,7 +626,7 @@ def test_excess_monotone_window_property():
     t_R = ev_R.coefficients[0]
     for r in (4.0, 8.0):
         ev_r = excess(u, r, hset)
-        fam = corrected_gradient_family(hset, u.grid)[0]
+        fam = _corrected_gradient(hset, 0, u.grid)
         g = gradient(u)
         resid = VectorField(u.grid, [g.comps[k] - t_R * fam[k] for k in range(2)])
         frozen = ball_mean_square(resid, u.grid, r)

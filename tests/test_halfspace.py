@@ -109,6 +109,21 @@ def test_halfspace_set_on_the_callers_operator():
             build_halfspace_set(other, pair, L=L, tangential_periodic=periodic)
 
 
+def test_halfspace_set_refuses_the_torus_field_of_another_pair(monkeypatch):
+    # another seed's field beside the pair would mix the two (its flat flux
+    # reads 0.35 of the scale against 1e-13 for the pair's own field): it
+    # is refused before any solve
+    from homlab import halfspace
+
+    grid = Grid.torus(2, 32)
+    f, other = (sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=s), grid)
+                for s in (3, 4))
+    pair = solve_pair(f, tol=1e-12)
+    monkeypatch.setattr(halfspace, "solve_many", lambda *a, **k: pytest.fail("solved"))
+    with pytest.raises(ValueError, match="not the field of the pair"):
+        build_halfspace_set(other, pair, L=16.0)
+
+
 def test_halfspace_functions_take_the_field_or_its_operator():
     # the half-box field and its half_box_operator give the same results,
     # bit for bit, and the operator's field is the one read

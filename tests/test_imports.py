@@ -55,8 +55,6 @@ UNREAD_PARAMETERS = {
 
 # (module, qualified name) -> why the definition stays without a reader
 UNREAD_DEFINITIONS = {
-    ("excess.py", "corrected_gradient_family"):
-        "the accessor of the family a half-space set keeps, named in README",
     ("halfspace.py", "solve_halfspace_correction"):
         "the single correction solve, the tests' reference for the batch of "
         "``build_halfspace_set``",

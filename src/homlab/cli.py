@@ -4,8 +4,9 @@
     pipeline | report
 
 All physical parameters are dimensionless in unit-cell units; curves are
-exchanged as CSV, fields as binary, and a pipeline run is reproducible
-byte-for-byte from its config (fixed seeds, fixed reduction order).
+exchanged as CSV, fields and half-space bundles as ``field.write_arrays``
+archives, and a pipeline run is reproducible byte-for-byte from its config
+(fixed seeds, fixed reduction order).
 
 `validate_config` is the one place that knows the config keys and
 defaults; the stages and the cache key read the config it fills.
@@ -51,10 +52,12 @@ from .field import (
     _grid_from_token,
     ensemble_params,
     load_field,
+    read_arrays,
     restrict_to_half_box,
     sample_field,
     save_field,
     validate_ellipticity,
+    write_arrays,
     write_atomic,
 )
 from .pde import ScalarField, SolverError
@@ -190,18 +193,16 @@ def validate_config(raw):
         if key not in g:
             raise ConfigError(f"grid config misses {key!r}")
     seeds = cfg["seeds"]
-    if not isinstance(seeds, (list, tuple)) or not all(
-            isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0 for s in seeds):
-        raise ConfigError(f"seeds must be a list of non-negative integers, got {seeds!r}")
-    if not seeds:
-        raise ConfigError("seeds is empty; a run needs at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be distinct")
-    cfg["seeds"] = [int(s) for s in seeds]
+    if not isinstance(seeds, (list, tuple)) or not seeds:
+        raise ConfigError(f"seeds must be a non-empty list of seeds, got {seeds!r}")
+    cfg["seeds"] = [integer(s, "seed") for s in seeds]
+    if min(cfg["seeds"]) < 0 or len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds {seeds} must be distinct and non-negative")
     cfg["ensemble"] = {**cfg["ensemble"], "params": ensemble_spec(cfg["ensemble"]).params}
     try:
-        cfg["grid"] = {**g, "dim": int(g["dim"]), "n": int(g["n"]), "h": float(g.get("h", 1.0))}
-        cfg["tol"], cfg["threads"] = float(cfg["tol"]), int(cfg["threads"])
+        cfg["grid"] = {**g, "dim": integer(g["dim"], "grid.dim"), "n": integer(g["n"], "grid.n"),
+                       "h": float(g.get("h", 1.0))}
+        cfg["tol"], cfg["threads"] = float(cfg["tol"]), integer(cfg["threads"], "threads")
         check_tol(cfg)
         if cfg["threads"] < 1:
             raise ConfigError(f"threads {cfg['threads']} is below 1")
@@ -213,6 +214,13 @@ def validate_config(raw):
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad config value: {e}") from e
     return cfg
+
+
+def integer(value, name):
+    """``value`` if it is an integer and no bool, else ConfigError: a config never truncates."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} {value!r} is not an integer")
+    return int(value)
 
 
 def check_keys(raw):
@@ -238,8 +246,8 @@ def check_tol(cfg):
 
 
 def check_corrector(cfg, grid):
-    """Fill ``radii`` (default 8h..side/4) and check that it is a non-empty
-    list of powers of two times h up to the torus half-side."""
+    """Fill ``radii`` (default 8h..side/4) and check that it is a non-empty,
+    strictly increasing list of powers of two times h up to the half-side."""
     given = cfg.get("radii")
     radii = dyadic_radii(grid, r_max=grid.side / 4.0) if given is None else given
     cfg["radii"] = [float(r) for r in radii]
@@ -251,6 +259,8 @@ def check_corrector(cfg, grid):
     if not cfg["radii"]:
         raise ConfigError("no corrector radius; " + ("radii is empty" if given is not None else
                           f"the default 8h..side/4 is empty at side {grid.side:g}"))
+    if np.any(np.diff(cfg["radii"]) <= 0):
+        raise ConfigError(f"radii {cfg['radii']} do not increase strictly")
 
 
 def check_halfspace(cfg, grid):
@@ -267,7 +277,7 @@ def check_halfspace(cfg, grid):
     if hs["mode"] == "dyadic":
         dy = hs["dyadic"] = {"r0": 8.0, "n_max": 2, **hs.get("dyadic", {})}
         r0 = dy["r0"] = float(dy["r0"])
-        n_max = dy["n_max"] = int(dy["n_max"])
+        n_max = dy["n_max"] = integer(dy["n_max"], "halfspace.dyadic.n_max")
         if not (is_dyadic(r0) and is_dyadic(r0 / grid.h)):
             raise ConfigError(f"dyadic r0 {r0:g} is not a power of two and h = {grid.h:g} times one")
         if n_max < -1:
@@ -278,7 +288,7 @@ def check_halfspace(cfg, grid):
 
 def check_excess(cfg, grid):
     """Fill ``excess``: R (side/4) and radii (the corrector radii up to R);
-    check the window and that the radii lie in [4h, R]."""
+    check the window and that the radii increase strictly in [4h, R]."""
     ex = cfg["excess"] = {"R": grid.side / 4.0, **cfg.get("excess", {})}
     R = ex["R"] = float(ex["R"])
     radii = ex["radii"] if "radii" in ex else [r for r in cfg["radii"] if r <= R]
@@ -292,6 +302,8 @@ def check_excess(cfg, grid):
         raise ConfigError(f"excess radii {ex['radii']} empty or below the quadrature floor 4h")
     if max(ex["radii"]) > R + 1e-12:
         raise ConfigError(f"excess radius {max(ex['radii']):g} exceeds the window R = {R:g}")
+    if np.any(np.diff(ex["radii"]) <= 0):
+        raise ConfigError(f"excess radii {ex['radii']} do not increase strictly")
 
 
 def config_hash(cfg):
@@ -513,7 +525,7 @@ def build_report(cfg, out_dir, tag):
 
 
 # ---------------------------------------------------------------------------
-# half-space bundle (hs.npz)
+# half-space bundle (hs.npz, a ``write_arrays`` archive like a field file)
 # ---------------------------------------------------------------------------
 
 
@@ -522,49 +534,42 @@ def load_halfspace_bundle(path):
     diagnostics: grid, basis, the correctors phi_h and varphi, the flux
     potentials sigma_h (one ``FluxPotentialSet`` per direction) and the
     Liouville gaps.  Those diagnostics never read the whole-space pair or
-    the currents q_h, which the bundle does not carry."""
-    bundle = np.load(path)
-    meta = json.loads(str(bundle["__meta__"]))
-    grid = Grid.half_box(int(meta["dim"]), int(meta["n"]), float(meta["h"]),
-                         tangential_periodic=bool(meta["tangential_periodic"]))
-    basis = TangentialBasis(np.asarray(meta["basis"]), np.asarray(meta["a_hom"]))
-    d = grid.dim
-    phi_h, varphi = {}, {}
-    sigma_h = {i: FluxPotentialSet(grid, {}) for i in range(d)}
-    for name in bundle.files:
-        if name.startswith("phi_h_"):
-            phi_h[int(name.split("_")[-1])] = ScalarField(grid, bundle[name])
-        elif name.startswith("sigma_h_"):
-            _, _, i, jk = name.split("_")
-            j, k = int(jk[0]), int(jk[1])
-            sigma_h[int(i)].sigma[(j, k)] = ScalarField(grid, bundle[name], pair_offsets(d, j, k))
-        elif name.startswith("varphi_"):
-            varphi[int(name.split("_")[-1])] = ScalarField(grid, bundle[name])
-    gap = {int(k): float(vv) for k, vv in meta.get("liouville_gap", {}).items()}
+    the currents q_h, which the bundle does not carry.  FieldFileError on
+    a file that is no bundle (``read_arrays``), lacks a meta key or holds
+    an array of the wrong shape."""
+    meta, arrays = read_arrays(path)
+    try:
+        grid = Grid.half_box(int(meta["dim"]), int(meta["n"]), float(meta["h"]),
+                             tangential_periodic=bool(meta["tangential_periodic"]))
+        basis = TangentialBasis(np.asarray(meta["basis"]), np.asarray(meta["a_hom"]))
+        d = grid.dim
+        phi_h, varphi = {}, {}
+        sigma_h = {i: FluxPotentialSet(grid, {}) for i in range(d)}
+        for name, values in arrays.items():
+            if name.startswith("phi_h_"):
+                phi_h[int(name.split("_")[-1])] = ScalarField(grid, values)
+            elif name.startswith("sigma_h_"):
+                _, _, i, jk = name.split("_")
+                j, k = int(jk[0]), int(jk[1])
+                sigma_h[int(i)].sigma[(j, k)] = ScalarField(grid, values, pair_offsets(d, j, k))
+            elif name.startswith("varphi_"):
+                varphi[int(name.split("_")[-1])] = ScalarField(grid, values)
+        gap = {int(k): float(vv) for k, vv in meta.get("liouville_gap", {}).items()}
+    except (KeyError, IndexError, TypeError, ValueError) as e:
+        raise FieldFileError(f"{path}: {type(e).__name__}: {e}") from e
     return HalfSpaceCorrectorSet(grid, basis, None, phi_h, varphi, sigma_h, {}, gap)
 
 
 def save_halfspace_bundle(path, hset):
-    arrays = {}
-    meta = {
-        "dim": hset.grid.dim,
-        "n": hset.grid.n,
-        "h": hset.grid.h,
-        "tangential_periodic": hset.grid.tangential_periodic,
-        "a_hom": hset.basis.a_hom.tolist(),
-        "basis": hset.basis.vectors.tolist(),
-        "liouville_gap": {str(k): v for k, v in hset.liouville_gap.items()},
-    }
-    for i, fphi in hset.phi_h.items():
-        arrays[f"phi_h_{i}"] = fphi.values
-    for i, fps in hset.sigma_h.items():
-        for (j, k), s in fps.sigma.items():
-            arrays[f"sigma_h_{i}_{j}{k}"] = s.values
-    for i, fvarphi in hset.varphi.items():
-        arrays[f"varphi_{i}"] = fvarphi.values
-    # through a handle: np.savez appends ".npz" to a path without that suffix
-    write_atomic(path, lambda fh: np.savez(fh, __meta__=json.dumps(meta, sort_keys=True), **arrays),
-                 "wb")
+    g = hset.grid
+    meta = {"dim": g.dim, "n": g.n, "h": g.h, "tangential_periodic": g.tangential_periodic,
+            "a_hom": hset.basis.a_hom.tolist(), "basis": hset.basis.vectors.tolist(),
+            "liouville_gap": {str(k): v for k, v in hset.liouville_gap.items()}}
+    arrays = {f"phi_h_{i}": f.values for i, f in hset.phi_h.items()}
+    arrays |= {f"sigma_h_{i}_{j}{k}": s.values
+               for i, fps in hset.sigma_h.items() for (j, k), s in fps.sigma.items()}
+    arrays |= {f"varphi_{i}": f.values for i, f in hset.varphi.items()}
+    write_arrays(path, meta, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +605,8 @@ def cmd_field_sample(args):
     if set(g) != {"dim", "n", "h", "topology"}:
         raise ConfigError(f"{args.spec}: grid keys {sorted(g)}; a grid takes dim, n, h, topology")
     try:
-        grid = _grid_from_token(int(g["dim"]), int(g["n"]), float(g["h"]), g["topology"])
+        grid = _grid_from_token(integer(g["dim"], "grid.dim"), integer(g["n"], "grid.n"),
+                                float(g["h"]), g["topology"])
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad grid in {args.spec}: {e}") from e
     save_field(sample_field(spec, grid), args.out)

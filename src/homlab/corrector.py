@@ -330,7 +330,8 @@ class SublinearityCurve:
 def sublinearity_curve(pair, radii, basis=None):
     """delta_r and its mean-subtracted variant on dyadic balls around the
     origin, plus the partial sums of the quantified-ergodicity series
-    (weights log2 r, increments log2(r) * delta_r^(1/3)).  The sum runs
+    (weights log2 r, increments log2(r) * delta_r^(1/3)), accumulated
+    over the radii, which must increase strictly.  The sum runs
     over the directions b given as rows of ``basis`` (default: the
     coordinate frame), through ``_ball_terms``."""
     grid = pair.cset.grid
@@ -339,6 +340,8 @@ def sublinearity_curve(pair, radii, basis=None):
     for r in radii:
         if not is_dyadic(r / grid.h):
             raise ValueError(f"radius {r} is not a positive dyadic multiple of h")
+    if np.any(np.diff(radii) <= 0):
+        raise ValueError(f"radii {radii.tolist()} do not increase strictly")
     sums = np.asarray([_ball_sums(pair, r, basis) for r in radii]).reshape(len(radii), 2)
     delta, delta_gno = np.sqrt(sums.T) / radii
     partial = np.cumsum(np.log2(radii) * delta ** (1.0 / 3.0))

@@ -18,7 +18,9 @@ is one continuum realization per seed, read at the cell centres of any h.
 
 from __future__ import annotations
 
+import json
 import os
+import zipfile
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -26,11 +28,12 @@ import numpy as np
 
 from .grid import Grid, HALF_BOX, TORUS, face_offsets
 
-MAGIC = b"HOMLAB-FIELD-v1\n"
+META = "__meta__"  # the archive entry of the JSON meta (``write_arrays``)
 
 
 class FieldFileError(ValueError):
-    """Raised on malformed or truncated field files."""
+    """Raised on a field file or half-space bundle that is not a
+    ``write_arrays`` archive of the entries and meta its loader reads."""
 
 
 class EllipticityError(ValueError):
@@ -513,7 +516,7 @@ def restrict_to_half_box(field, L, tangential_periodic=True):
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# persistence: one archive format for field files and half-space bundles
 # ---------------------------------------------------------------------------
 
 
@@ -547,62 +550,48 @@ def write_atomic(path, write, mode="w"):
         tmp.unlink(missing_ok=True)
 
 
-def save_field(field, path):
-    """Binary field format: magic, ASCII header `dim n h topology lambda
-    seed`, then row-major little-endian float64 payload, faces ordered by
-    (axis, index), d*d values per face (a diagonal field writes its zero
-    off-diagonals).  Written atomically (``write_atomic``)."""
-    grid = field.grid
-    header = (
-        f"{grid.dim} {grid.n} {grid.h!r} {_topology_token(grid)} "
-        f"{field.lam!r} {field.seed}\n"
-    )
-
+def write_arrays(path, meta, arrays):
+    """Write the JSON object ``meta`` and the named ``arrays`` as the .npy
+    entries of an uncompressed zip (the npz layout) through ``write_atomic``;
+    each entry is dated 1980-01-01, so equal contents give equal bytes."""
     def write(fh):
-        fh.write(MAGIC)
-        fh.write(header.encode("ascii"))
-        for k in range(grid.dim):
-            fh.write(np.ascontiguousarray(field.matrices(k), dtype="<f8").data)
+        with zipfile.ZipFile(fh, "w") as archive:
+            for name, a in {META: np.array(json.dumps(meta, sort_keys=True)), **arrays}.items():
+                with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as entry:
+                    np.lib.format.write_array(entry, a, allow_pickle=False)
 
     write_atomic(path, write, "wb")
 
 
-def _read_header(fh, path):
-    magic = fh.read(len(MAGIC))
-    if magic != MAGIC:
-        raise FieldFileError(f"{path}: bad magic {magic!r}")
-    line = b""
-    while not line.endswith(b"\n"):
-        c = fh.read(1)
-        if not c:
-            raise FieldFileError(f"{path}: truncated header")
-        line += c
-    tokens = line.decode("ascii").split()
-    if len(tokens) != 6:
-        raise FieldFileError(f"{path}: header has {len(tokens)} tokens, want 6")
-    return tokens
+def read_arrays(path):
+    """The ``(meta, arrays)`` of a ``write_arrays`` archive; FieldFileError
+    on any other file."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        return json.loads(str(arrays.pop(META))), arrays
+    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as e:
+        raise FieldFileError(f"{path} is not a homlab archive ({type(e).__name__}: {e}); a field "
+                             "file of the retired HOMLAB-FIELD-v1 format is made again, bit for "
+                             "bit, by `homlab field sample` from its spec") from e
+
+
+def save_field(field, path):
+    """Write ``field`` as stored: the entries ``faces_k``, the meta ``dim n
+    h topology lam seed``."""
+    g = field.grid
+    meta = {"dim": g.dim, "n": g.n, "h": float(g.h), "topology": _topology_token(g),
+            "lam": float(field.lam), "seed": int(field.seed)}
+    write_arrays(path, meta, {f"faces_{k}": f for k, f in enumerate(field.faces)})
 
 
 def load_field(path):
-    with open(path, "rb") as fh:
-        tokens = _read_header(fh, path)
-        dim, n = int(tokens[0]), int(tokens[1])
-        h = float(tokens[2])
-        grid = _grid_from_token(dim, n, h, tokens[3])
-        lam = float(tokens[4])
-        seed = int(tokens[5])
-        sizes = [int(np.prod(grid.face_shape(k))) * dim * dim for k in range(dim)]
-        raw = fh.read()
-    data = np.frombuffer(raw, dtype="<f8")
-    if data.size != sum(sizes):
-        raise FieldFileError(
-            f"{path}: payload holds {data.size} floats, header implies {sum(sizes)}"
-        )
-    faces = []
-    pos = 0
-    for k in range(dim):
-        chunk = data[pos : pos + sizes[k]]
-        pos += sizes[k]
-        faces.append(chunk.reshape(grid.face_shape(k) + (dim, dim)))
-    return CoefficientField(grid, faces, lam=lam, seed=seed)  # compresses diagonal fields
-
+    """The field of a ``save_field`` file; FieldFileError on any other."""
+    meta, arrays = read_arrays(path)
+    try:
+        grid = _grid_from_token(int(meta["dim"]), int(meta["n"]), float(meta["h"]),
+                                meta["topology"])
+        return CoefficientField(grid, [arrays[f"faces_{k}"] for k in range(grid.dim)],
+                                lam=float(meta["lam"]), seed=int(meta["seed"]))
+    except (KeyError, TypeError, ValueError) as e:
+        raise FieldFileError(f"{path}: {type(e).__name__}: {e}") from e

@@ -362,16 +362,16 @@ def build_halfspace_set(field, pair, L, tangential_periodic=True, tol=DEFAULT_TO
     then the d - 1 corrections are solved concurrently on one operator
     (``pde.solve_many``), each the same as ``solve_halfspace_correction``'s.
     ``field`` is the torus field of ``pair`` or the ``half_box_operator``
-    of its restriction, which must lie on this half-box."""
+    of its restriction to this half-box, checked face by face."""
     grid = half_box_grid(pair.cset.grid, L, tangential_periodic)
     d = grid.dim
     if not isinstance(field, Operator):
         if field is not pair.cset.field:
             raise ValueError("the torus field is not the field of the pair")
         field = restrict_to_half_box(field, L, tangential_periodic)
+    elif not field.field.equals(restrict_to_half_box(pair.cset.field, L, tangential_periodic)):
+        raise ValueError(f"the operator is not on the half-box of height {L} of the pair's field")
     op = half_box_operator(field)
-    if op.grid != grid:
-        raise ValueError(f"the operator is not on the half-box of height {L} of the pair")
     field_hb = op.field
     basis = tangential_basis(pair.a_hom)
     phi_h, varphi, sigma_h, q_h, gap, stats, bcs = {}, {}, {}, {}, {}, {}, {}

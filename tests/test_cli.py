@@ -428,6 +428,53 @@ def test_pipeline_bad_config_exit_code(tmp_path):
         assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("change", [
+    {"grid": {"dim": 2, "n": 32.7}},
+    {"grid": {"dim": 2, "n": "32"}},
+    {"grid": {"dim": 2.9, "n": 32}},
+    {"threads": 1.7},
+    {"threads": True},
+    {"halfspace": {"L": 16.0, "mode": "dyadic", "dyadic": {"r0": 4.0, "n_max": 1.9}}},
+], ids=["float_n", "string_n", "float_dim", "float_threads", "bool_threads", "float_n_max"])
+def test_config_integers_are_not_truncated(tmp_path, change):
+    """An integer key takes an integer, as ``seeds`` does: a float, a
+    string or a bool exits 2 before any file is written (each of these ran
+    truncated to an integer)."""
+    cfg = {**json.loads(small_config(tmp_path, seeds=(0,)).read_text()), **change}
+    p, out = tmp_path / "cfg.json", tmp_path / "run"
+    p.write_text(json.dumps(cfg))
+    assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_field_spec_grid_integers_are_not_truncated(tmp_path):
+    spec = json.loads(write_spec(tmp_path).read_text())
+    for grid in ({"dim": 2, "n": 32.7}, {"dim": 2.0, "n": 32}, {"dim": 2, "n": True}):
+        p, out = tmp_path / "spec2.json", tmp_path / "f.bin"
+        p.write_text(json.dumps({**spec, "grid": grid}))
+        assert main(["field", "sample", "--spec", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("change", [
+    {"radii": [8.0, 4.0]},
+    {"radii": [4.0, 4.0, 8.0]},
+    {"excess": {"R": 8.0, "radii": [8.0, 4.0]}},
+    {"excess": {"R": 8.0, "radii": [4.0, 4.0, 8.0]}},
+], ids=["radii_reversed", "radii_repeated", "excess_radii_reversed", "excess_radii_repeated"])
+def test_config_radii_out_of_order_are_refused(tmp_path, change):
+    """Radii that do not increase strictly exit 2 before any file is
+    written: out of order they changed the partial sums and the decay
+    ratio, and every order ran under its own cache tag."""
+    cfg = {**json.loads(small_config(tmp_path, seeds=(0,)).read_text()), **change}
+    with pytest.raises(ConfigError, match="do not increase strictly"):
+        validate_config(cfg)
+    p, out = tmp_path / "cfg.json", tmp_path / "run"
+    p.write_text(json.dumps(cfg))
+    assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_config_radii_are_dyadic_multiples_of_h(tmp_path):
     # at h = 0.75 the default radii 8h..side/4 are 6 and 12, which the
     # whole-space curve measures; radii 8 and 16 are no power of two times h,
@@ -693,6 +740,58 @@ def test_excess_rejects_a_bundle_of_another_field(tmp_path, monkeypatch):
     assert main(["excess", "--field", str(fields[32]), "--hs", str(hs64), "--R", "8",
                  "--seeds", "1", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def malformed_bundles(bundle):
+    """Files named by how they fail to be the half-space bundle at
+    ``bundle``."""
+    from homlab.field import read_arrays, write_arrays
+
+    raw = bundle.read_bytes()
+    meta, arrays = read_arrays(bundle)
+    out = {name: bundle.with_name(f"{name}.npz") for name in (
+        "not_a_zip", "truncated", "no_meta", "no_basis_key", "short_phi", "field_file")}
+    out["not_a_zip"].write_bytes(b"not a bundle\n")
+    out["truncated"].write_bytes(raw[: len(raw) // 2])
+    np.savez(out["no_meta"], **arrays)
+    write_arrays(out["no_basis_key"], {k: v for k, v in meta.items() if k != "basis"}, arrays)
+    write_arrays(out["short_phi"], meta, {**arrays, "phi_h_0": arrays["phi_h_0"][:-1]})
+    return out
+
+
+def test_excess_refuses_a_malformed_bundle(tmp_path, monkeypatch, capsys):
+    """A file that is not a half-space bundle exits 2 before any solve and
+    without writing the table: a non-zip, a truncated bundle, one without
+    its meta entry or a meta key, one with a wrong-shaped array and a field
+    file (they exited 4 or 1 with a traceback)."""
+    fld = tmp_path / "field.bin"
+    assert main(["field", "sample", "--spec", str(write_spec(tmp_path)), "--out", str(fld)]) == 0
+    hs = tmp_path / "hs.npz"
+    assert main(["halfspace", "--field", str(fld), "--out", str(hs)]) == 0
+    bad = malformed_bundles(hs)
+    bad["field_file"].write_bytes(fld.read_bytes())
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved although the bundle is malformed")
+
+    monkeypatch.setattr(cli, "solve_pair", no_solve)
+    monkeypatch.setattr(cli, "harmonic_sample", no_solve)
+    out = tmp_path / "excess.csv"
+    for name, path in bad.items():
+        capsys.readouterr()
+        assert main(["excess", "--field", str(fld), "--hs", str(path), "--R", "8",
+                     "--seeds", "1", "--out", str(out)]) == 2, name
+        assert capsys.readouterr().err.startswith(f"config error: {path}"), name
+        assert not out.exists()
+
+
+def test_field_file_of_the_retired_format_is_refused(tmp_path, capsys):
+    # a HOMLAB-FIELD-v1 file exits 2 with the remedy: sample it again
+    v1 = tmp_path / "v1.bin"
+    v1.write_bytes(b"HOMLAB-FIELD-v1\n2 8 1.0 torus 0.25 7\n" + bytes(8 * 2 * 64 * 4))
+    assert main(["field", "check", "--field", str(v1)]) == 2
+    err = capsys.readouterr().err
+    assert "is not a homlab archive" in err and "homlab field sample" in err
 
 
 def test_corrector_direction_flag_validation(tmp_path):

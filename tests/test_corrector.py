@@ -336,6 +336,17 @@ def test_sublinearity_matches_row_by_row_reference(dim, n):
         assert np.array_equal(curve.delta, delta) and np.array_equal(curve.delta_gno, delta_gno)
 
 
+@pytest.mark.parametrize("radii", [[8.0, 4.0], [4.0, 4.0, 8.0]])
+def test_sublinearity_curve_refuses_radii_out_of_order(radii):
+    # the partial sums accumulate in the order of the radii: [8, 4] gave
+    # 1.249, 2.326 for the 1.077, 2.326 of [4, 8], and [4, 4, 8] counted 4 twice
+    pair = solve_pair(sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=0),
+                                   Grid.torus(2, 32)), tol=1e-12)
+    with pytest.raises(ValueError, match="do not increase strictly"):
+        sublinearity_curve(pair, radii)
+    assert sublinearity_curve(pair, [4.0, 8.0]).partial_sums.shape == (2,)
+
+
 def test_sublinearity_curve_keeps_no_pair_alive():
     # a kept curve holds its numbers only: the pair, its correctors, flux
     # potentials and field go once the caller drops them

@@ -1,4 +1,5 @@
 import hashlib
+import time
 import tracemalloc
 
 import numpy as np
@@ -300,21 +301,23 @@ def test_load_truncated_file_raises(tmp_path):
 
 
 def test_save_that_fails_mid_write_keeps_the_previous_file(tmp_path, monkeypatch):
-    # the save raises while writing axis 1; the file keeps its old bytes
+    # the archive writer raises at the second face array; the file keeps its old bytes
     grid = Grid.torus(2, 16)
     p = tmp_path / "f.bin"
     save_field(sample_field(EnsembleSpec.checkerboard(seed=7), grid), p)
     before = p.read_bytes()
-    matrices = CoefficientField.matrices
+    write_array, written = np.lib.format.write_array, []
 
-    def failing(field, k):
-        if k == 1:
+    def failing(entry, array, **kwargs):
+        written.append(array.shape)
+        if len(written) == 3:  # the meta, faces_0, then faces_1
             raise OSError("disk full")
-        return matrices(field, k)
+        return write_array(entry, array, **kwargs)
 
-    monkeypatch.setattr(CoefficientField, "matrices", failing)
+    monkeypatch.setattr(np.lib.format, "write_array", failing)
     with pytest.raises(OSError, match="disk full"):
         save_field(sample_field(EnsembleSpec.checkerboard(seed=8), grid), p)
+    assert written[1:] == [grid.face_shape(0) + (1,), grid.face_shape(1) + (1,)]
     assert p.read_bytes() == before
     assert list(tmp_path.iterdir()) == [p]
 
@@ -597,17 +600,16 @@ def test_nonsymmetric_constant_field_keeps_full_storage(tmp_path):
     assert np.abs(homogenized_matrix(solve_correctors(f)) - a0).max() <= 1e-14
 
 
-# SHA-256 of save_field files of checkerboard (0.25, 1) seed 7 fields, recorded
-# with the full-matrix storage that preceded diagonal storage: the file
-# format did not change.
+# SHA-256 of save_field files of checkerboard (0.25, 1) seed 7 fields: the
+# write_arrays archive of one value per face, its entries dated 1980-01-01
 SAVED_FIELD_SHA256 = {
-    2: (8, "aa6d2d2b3f1ea087b7a4a8c832de5d01f9b03044e2a672ed72a8d4560495cf94"),
-    3: (4, "f99e1b047e8f52e666c3a7ea812ef6e4ae67d87b0ac59d46bf2859007dce92be"),
+    2: (8, "79b5a9b58c0e5abfdbcc8e991618ed71b33d776f08a8e37619f14dbb2eddc91b"),
+    3: (4, "d9fb5adb792095cc1425c18eb463d37221eab4c05185f6d9c2e21e2fb78847c3"),
 }
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_saved_field_bytes_unchanged(tmp_path, dim):
+def test_saved_field_bytes_unchanged(tmp_path, monkeypatch, dim):
     n, digest = SAVED_FIELD_SHA256[dim]
     f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=7), Grid.torus(dim, n))
     p, q = tmp_path / "f.bin", tmp_path / "g.bin"
@@ -615,8 +617,30 @@ def test_saved_field_bytes_unchanged(tmp_path, dim):
     assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
     g = load_field(p)
     assert g.diagonal and g.equals(f)
+    # a save a year later by the clock writes the same bytes
+    now = time.time()
+    monkeypatch.setattr(time, "time", lambda: now + 366 * 86400.0)
     save_field(g, q)
     assert q.read_bytes() == p.read_bytes()
+
+
+def test_field_file_holds_the_stored_faces(tmp_path):
+    # one float64 per face at 32^3: the file is the stored bytes plus the
+    # archive's headers, and loading it peaks below twice the stored bytes
+    grid = Grid.torus(3, 32)
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=2), grid)
+    stored = sum(a.nbytes for a in f.faces)
+    assert stored == 786_432
+    p = tmp_path / "f.bin"
+    save_field(f, p)
+    assert p.stat().st_size <= stored + 4096
+    tracemalloc.start()
+    try:
+        g = load_field(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.equals(f) and peak <= 2 * stored
 
 
 def test_sample_field_peak_memory():

@@ -124,6 +124,26 @@ def test_halfspace_set_refuses_the_torus_field_of_another_pair(monkeypatch):
         build_halfspace_set(other, pair, L=16.0)
 
 
+def test_halfspace_set_refuses_the_operator_of_another_field(monkeypatch):
+    # the slab operator of seed 4 beside the pair of seed 3 lies on the right
+    # half-box, but the set would mix the two fields (its flat flux reads
+    # 0.72 of the scale against 1e-13 with the pair's own operator): it is
+    # refused before any solve, and the pair's own operator is taken
+    from homlab import halfspace
+
+    grid = Grid.torus(2, 32)
+    f, other = (sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=s), grid)
+                for s in (3, 4))
+    pair = solve_pair(f, tol=1e-12)
+    solve_many = halfspace.solve_many
+    monkeypatch.setattr(halfspace, "solve_many", lambda *a, **k: pytest.fail("solved"))
+    with pytest.raises(ValueError, match="not on the half-box of height 16.0 of the pair's field"):
+        build_halfspace_set(half_box_operator(restrict_to_half_box(other, 16.0)), pair, L=16.0)
+    monkeypatch.setattr(halfspace, "solve_many", solve_many)
+    own = half_box_operator(restrict_to_half_box(f, 16.0))
+    assert build_halfspace_set(own, pair, L=16.0).grid == own.grid
+
+
 def test_halfspace_functions_take_the_field_or_its_operator():
     # the half-box field and its half_box_operator give the same results,
     # bit for bit, and the operator's field is the one read

@@ -18,7 +18,11 @@ walk matches names, so a method named like a numpy one (``mean``,
 finds the fields of the library's dataclasses that no code outside the
 tests reads as an attribute or names in a string (``getattr`` by a key of
 a table) outside the class body; the ones kept on purpose are named in
-``UNREAD_FIELDS`` with a reason.
+``UNREAD_FIELDS`` with a reason.  A fifth walk finds the calls of the
+numpy archive functions (``np.save``, ``np.savez``,
+``np.savez_compressed``, ``np.load``) outside ``field.py``, so field files
+and half-space bundles keep one container, ``field.write_arrays`` and
+``field.read_arrays``.
 
 The import graph is read in fresh interpreters, since pytest and its
 plugins may load scipy themselves: ``import homlab``, a 2d pipeline and
@@ -276,6 +280,30 @@ def test_every_library_field_has_a_reader():
 
 def test_every_kept_unread_field_is_still_unread():
     assert set(UNREAD_FIELDS) <= library_unread_fields()
+
+
+ARCHIVE_CALLS = ("save", "savez", "savez_compressed", "load")
+
+
+def archive_calls(source):
+    """(line, name) of each call ``np.<name>`` or ``numpy.<name>`` in
+    ``source`` of a numpy archive function (``ARCHIVE_CALLS``)."""
+    return sorted((node.lineno, node.func.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ARCHIVE_CALLS and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in ("np", "numpy"))
+
+
+def test_scan_finds_an_archive_call():
+    src = ("import numpy as np\nnp.load(p)\nbundle.load(p)\nnumpy.savez(f, a=a)\n"
+           "np.lib.format.write_array(f, a)\nnp.save(p, a)\n")
+    assert archive_calls(src) == [(2, "load"), (4, "savez"), (6, "save")]
+
+
+@pytest.mark.parametrize("path", [p for p in LIBRARY if p.name != "field.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_field_module_calls_numpy_archive_functions(path):
+    assert archive_calls(path.read_text()) == []
 
 
 def loaded_after(code, cwd):

@@ -5,8 +5,10 @@
 
 All physical parameters are dimensionless in unit-cell units; curves are
 exchanged as CSV, fields and half-space bundles as ``field.write_arrays``
-archives, and a pipeline run is reproducible byte-for-byte from its config
-(fixed seeds, fixed reduction order).
+archives (a bundle holds the tangential phi_h and names its field by
+``field_sha256``; ``excess --hs`` refuses it with any other field), and a
+pipeline run is reproducible byte-for-byte from its config (fixed seeds,
+fixed reduction order).
 
 `validate_config` is the one place that knows the config keys and
 defaults; the stages and the cache key read the config it fills.
@@ -44,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid import Grid, is_dyadic, pair_offsets
+from .grid import Grid, is_dyadic
 from .field import (
     EllipticityError,
     EnsembleSpec,
@@ -62,7 +64,6 @@ from .field import (
 )
 from .pde import ScalarField, SolverError
 from .corrector import (
-    FluxPotentialSet,
     HomogenizedMatrix,
     dyadic_radii,
     solve_pair,
@@ -316,6 +317,15 @@ def config_hash(cfg):
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def field_sha256(field):
+    """SHA-256 of a field's faces as stored: dtype, shape and bytes."""
+    digest = hashlib.sha256()
+    for f in field.faces:
+        digest.update(f"{f.dtype.str}{f.shape}".encode())
+        digest.update(f)
+    return digest.hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # stage runners
 # ---------------------------------------------------------------------------
@@ -496,7 +506,7 @@ def build_report(cfg, out_dir, tag):
         entries = json.loads(corr_sum.read_text())
         est = HomogenizedMatrix.from_samples([e["a_hom"] for e in entries])
         report["a_hom_mean"] = est.matrix.tolist()
-        report["a_hom_stderr"] = est.stderr.tolist()
+        report["a_hom_stderr"] = None if est.stderr is None else est.stderr.tolist()
         ratios = [e["delta_last"] / e["delta_first"] for e in entries if e["delta_first"] > 0]
         report["delta_decay_ratio_mean"] = float(np.mean(ratios)) if ratios else None
     curves = {}
@@ -529,47 +539,38 @@ def build_report(cfg, out_dir, tag):
 # ---------------------------------------------------------------------------
 
 
-def load_halfspace_bundle(path):
-    """Rebuild the lightweight half-space view needed by the excess
-    diagnostics: grid, basis, the correctors phi_h and varphi, the flux
-    potentials sigma_h (one ``FluxPotentialSet`` per direction) and the
-    Liouville gaps.  Those diagnostics never read the whole-space pair or
-    the currents q_h, which the bundle does not carry.  FieldFileError on
-    a file that is no bundle (``read_arrays``), lacks a meta key or holds
-    an array of the wrong shape."""
+def load_halfspace_bundle(path, field):
+    """The half-space view the excess diagnostics read, from the bundle at
+    ``path`` of ``field``: grid, basis, a_hom and the tangential phi_h (no
+    pair, q_h, sigma_h or varphi).  FieldFileError on a file that is no
+    bundle (``read_arrays``), lacks an entry or meta key, holds an array of
+    the wrong shape, or names no field or another one (``field_sha256``)."""
     meta, arrays = read_arrays(path)
     try:
         grid = Grid.half_box(int(meta["dim"]), int(meta["n"]), float(meta["h"]),
                              tangential_periodic=bool(meta["tangential_periodic"]))
-        basis = TangentialBasis(np.asarray(meta["basis"]), np.asarray(meta["a_hom"]))
         d = grid.dim
-        phi_h, varphi = {}, {}
-        sigma_h = {i: FluxPotentialSet(grid, {}) for i in range(d)}
-        for name, values in arrays.items():
-            if name.startswith("phi_h_"):
-                phi_h[int(name.split("_")[-1])] = ScalarField(grid, values)
-            elif name.startswith("sigma_h_"):
-                _, _, i, jk = name.split("_")
-                j, k = int(jk[0]), int(jk[1])
-                sigma_h[int(i)].sigma[(j, k)] = ScalarField(grid, values, pair_offsets(d, j, k))
-            elif name.startswith("varphi_"):
-                varphi[int(name.split("_")[-1])] = ScalarField(grid, values)
-        gap = {int(k): float(vv) for k, vv in meta.get("liouville_gap", {}).items()}
+        basis = TangentialBasis(np.array(meta["basis"], float), np.array(meta["a_hom"], float))
+        if basis.vectors.shape != (d, d) or basis.a_hom.shape != (d, d):
+            raise ValueError(f"basis and a_hom are not {d}x{d} on a {d}d grid")
+        phi_h = {i: ScalarField(grid, arrays[f"phi_h_{i}"]) for i in range(d - 1)}
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise FieldFileError(f"{path}: {type(e).__name__}: {e}") from e
-    return HalfSpaceCorrectorSet(grid, basis, None, phi_h, varphi, sigma_h, {}, gap)
+    digest, g = meta.get("field_sha256"), field.grid
+    if digest != field_sha256(field) or grid != Grid.half_box(g.dim, g.n, g.h):
+        raise FieldFileError(f"{path} is not a bundle of this field ({grid}, field_sha256 "
+                             f"{digest or 'missing'}); run `homlab halfspace` on the field again")
+    return HalfSpaceCorrectorSet(grid, basis, None, phi_h, {}, {}, {}, {})
 
 
 def save_halfspace_bundle(path, hset):
+    """Write what ``load_halfspace_bundle`` reads: the tangential ``phi_h_i``
+    and the meta ``dim n h tangential_periodic a_hom basis field_sha256``."""
     g = hset.grid
     meta = {"dim": g.dim, "n": g.n, "h": g.h, "tangential_periodic": g.tangential_periodic,
             "a_hom": hset.basis.a_hom.tolist(), "basis": hset.basis.vectors.tolist(),
-            "liouville_gap": {str(k): v for k, v in hset.liouville_gap.items()}}
-    arrays = {f"phi_h_{i}": f.values for i, f in hset.phi_h.items()}
-    arrays |= {f"sigma_h_{i}_{j}{k}": s.values
-               for i, fps in hset.sigma_h.items() for (j, k), s in fps.sigma.items()}
-    arrays |= {f"varphi_{i}": f.values for i, f in hset.varphi.items()}
-    write_arrays(path, meta, arrays)
+            "field_sha256": field_sha256(hset.torus_pair.cset.field)}
+    write_arrays(path, meta, {f"phi_h_{i}": hset.phi_h[i].values for i in range(g.dim - 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -682,10 +683,7 @@ def cmd_excess(args):
     cfg = _flag_config(f.grid, (check_halfspace, check_excess), tol=args.tol,
                        excess={"R": args.R, "radii": dyadic_radii(f.grid, r_max=args.R)})
     if args.hs:
-        hset = load_halfspace_bundle(args.hs)
-        if hset.grid != Grid.half_box(f.grid.dim, f.grid.n, f.grid.h):
-            raise ConfigError(f"--hs {args.hs} holds a set on {hset.grid}, not on the half-box "
-                              f"of --field {args.field}")
+        hset = load_halfspace_bundle(args.hs, f)
     else:
         hset = build_halfspace_set(f, solve_pair(f, tol=cfg["tol"]), L=cfg["halfspace"]["L"],
                                    tol=cfg["tol"])

@@ -120,16 +120,15 @@ def solve_correctors(field, tol=DEFAULT_TOL):
 class HomogenizedMatrix:
     matrix: np.ndarray
     samples: list  # per-realization matrices
-    stderr: np.ndarray
+    stderr: np.ndarray  # None for a single sample
 
     @staticmethod
     def from_samples(samples):
         """Entrywise mean and standard error of per-realization matrices
-        (standard error zero for a single sample)."""
+        (no standard error, None, for a single sample)."""
         arr = np.asarray(samples, dtype=float)
-        mean = arr.mean(axis=0)
-        stderr = arr.std(axis=0, ddof=1) / np.sqrt(len(arr)) if len(arr) > 1 else 0.0 * mean
-        return HomogenizedMatrix(mean, list(samples), stderr)
+        stderr = arr.std(axis=0, ddof=1) / np.sqrt(len(arr)) if len(arr) > 1 else None
+        return HomogenizedMatrix(arr.mean(axis=0), list(samples), stderr)
 
 
 def _a_hom_column(cur):

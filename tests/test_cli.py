@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from homlab import cli
-from homlab.corrector import FluxPotentialSet, solve_pair, sublinearity_curve
+from homlab.corrector import solve_pair, sublinearity_curve
 from homlab.field import EnsembleSpec, load_field, sample_field
 from homlab.grid import Grid
 from homlab.halfspace import build_halfspace_set
@@ -129,21 +129,16 @@ def test_corrector_and_halfspace_commands(tmp_path):
     header, rows = read_csv(hs_csv)
     assert header[:2] == ["r", "delta_h"]
     bundle = np.load(hs_bin)
-    assert sorted(bundle.files) == ["__meta__", "phi_h_0", "phi_h_1", "sigma_h_0_01",
-                                    "sigma_h_1_01", "varphi_0"]
-    # the bundle loads one FluxPotentialSet per direction, equal to the
-    # saved set's (rebuilt here from the same field and tolerance)
+    assert sorted(bundle.files) == ["__meta__", "phi_h_0"]
+    # the bundle loads the tangential phi_h and the basis bit for bit,
+    # equal to the saved set's (rebuilt here from the same field and
+    # tolerance)
     f = load_field(fld)
     hset = build_halfspace_set(f, solve_pair(f, tol=1e-12), L=16.0, tol=1e-12)
-    loaded = cli.load_halfspace_bundle(hs_bin)
-    assert list(loaded.sigma_h) == list(hset.sigma_h) == [0, 1]
-    for i, fps in hset.sigma_h.items():
-        got = loaded.sigma_h[i]
-        assert isinstance(got, FluxPotentialSet) and got.grid == hset.grid
-        assert list(got.sigma) == list(fps.sigma)
-        for key, s in fps.sigma.items():
-            assert got.sigma[key].offsets == s.offsets
-            assert np.array_equal(got.sigma[key].values, s.values)
+    loaded = cli.load_halfspace_bundle(hs_bin, f)
+    assert loaded.grid == hset.grid and list(loaded.phi_h) == [0]
+    assert np.array_equal(loaded.phi_h[0].values, hset.phi_h[0].values)
+    assert np.array_equal(loaded.basis.vectors, hset.basis.vectors)
     assert np.array_equal(loaded.basis.a_hom, hset.basis.a_hom)
 
 
@@ -328,6 +323,21 @@ def test_pipeline_without_a_fitted_exponent_writes_null(tmp_path):
         assert summary["alpha_mean"] is None and summary["c_mean_max"] is None
     header, rows = read_csv(next(out.glob("excess__*.csv")))
     assert rows and all(np.isnan(row[header.index("mvp_ratio")]) for row in rows)
+
+
+def test_one_seed_report_has_no_standard_error(tmp_path):
+    # one sample has no spread: the report writes null (it wrote 0.0),
+    # and two seeds the sample standard error of each entry
+    docs = {}
+    for seeds in ((0,), (0, 1)):
+        out = tmp_path / f"run{len(seeds)}"
+        assert main(["pipeline", "--config", str(small_config(tmp_path, seeds=seeds)),
+                     "--out-dir", str(out)]) == 0
+        docs[len(seeds)] = strict_json(out)
+    assert docs[1]["report"]["a_hom_stderr"] is None
+    samples = np.array([e["a_hom"] for e in docs[2]["corrector_summary"]])
+    assert np.array_equal(docs[2]["report"]["a_hom_stderr"],
+                          samples.std(axis=0, ddof=1) / np.sqrt(2))
 
 
 def test_pipeline_constant_field_writes_strict_json(tmp_path):
@@ -721,15 +731,40 @@ def test_excess_command_with_bundle(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
-def test_excess_rejects_a_bundle_of_another_field(tmp_path, monkeypatch):
-    """A bundle built from an n=64 field, passed with an n=32 field, exits 2
-    before any solve and without writing the table."""
-    fields = {}
-    for n in (32, 64):
-        fields[n] = tmp_path / f"f{n}.bin"
-        main(["field", "sample", "--spec", str(write_spec(tmp_path, n=n)), "--out", str(fields[n])])
-    hs64 = tmp_path / "hs64.npz"
-    assert main(["halfspace", "--field", str(fields[64]), "--L", "32", "--out", str(hs64)]) == 0
+def parent_layout_bundle(fld, path):
+    """The bundle of the field file ``fld`` in the layout written before
+    bundles named their field: every phi_h, sigma_h and varphi, the
+    Liouville gaps, no ``field_sha256``."""
+    from homlab.field import write_arrays
+
+    f = load_field(fld)
+    hset = build_halfspace_set(f, solve_pair(f, tol=1e-12), L=f.grid.side / 2, tol=1e-12)
+    g = hset.grid
+    meta = {"dim": g.dim, "n": g.n, "h": g.h, "tangential_periodic": g.tangential_periodic,
+            "a_hom": hset.basis.a_hom.tolist(), "basis": hset.basis.vectors.tolist(),
+            "liouville_gap": {str(k): v for k, v in hset.liouville_gap.items()}}
+    arrays = {f"phi_h_{i}": v.values for i, v in hset.phi_h.items()}
+    arrays |= {f"sigma_h_{i}_{j}{k}": v.values
+               for i, fps in hset.sigma_h.items() for (j, k), v in fps.sigma.items()}
+    arrays |= {f"varphi_{i}": v.values for i, v in hset.varphi.items()}
+    write_arrays(path, meta, arrays)
+
+
+def test_excess_rejects_a_bundle_of_another_field(tmp_path, monkeypatch, capsys):
+    """A bundle of another field exits 2 before any solve and without
+    writing the table: one built from an n=64 field, one from a field of
+    another seed on the same grid (it exited 0 with the other field's
+    numbers), and one in the layout that names no field, with the remedy."""
+    fld = tmp_path / "f.bin"
+    main(["field", "sample", "--spec", str(write_spec(tmp_path, n=32, seed=7)), "--out", str(fld)])
+    bundles = {}
+    for name, n, seed in (("other_n", 64, 7), ("other_seed", 32, 8)):
+        src, bundles[name] = tmp_path / f"{name}.bin", tmp_path / f"{name}.npz"
+        main(["field", "sample", "--spec", str(write_spec(tmp_path, n=n, seed=seed)),
+              "--out", str(src)])
+        assert main(["halfspace", "--field", str(src), "--out", str(bundles[name])]) == 0
+    bundles["parent_layout"] = tmp_path / "parent_layout.npz"
+    parent_layout_bundle(fld, bundles["parent_layout"])
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the bundle was checked")
@@ -737,9 +772,12 @@ def test_excess_rejects_a_bundle_of_another_field(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve_pair", no_solve)
     monkeypatch.setattr(cli, "harmonic_sample", no_solve)
     out = tmp_path / "excess.csv"
-    assert main(["excess", "--field", str(fields[32]), "--hs", str(hs64), "--R", "8",
-                 "--seeds", "1", "--out", str(out)]) == 2
-    assert not out.exists()
+    for name, hs in bundles.items():
+        capsys.readouterr()
+        assert main(["excess", "--field", str(fld), "--hs", str(hs), "--R", "8",
+                     "--seeds", "1", "--out", str(out)]) == 2, name
+        assert not out.exists()
+        assert "run `homlab halfspace` on the field again" in capsys.readouterr().err, name
 
 
 def malformed_bundles(bundle):
@@ -750,20 +788,24 @@ def malformed_bundles(bundle):
     raw = bundle.read_bytes()
     meta, arrays = read_arrays(bundle)
     out = {name: bundle.with_name(f"{name}.npz") for name in (
-        "not_a_zip", "truncated", "no_meta", "no_basis_key", "short_phi", "field_file")}
+        "not_a_zip", "truncated", "no_meta", "no_basis_key", "short_phi", "field_file",
+        "no_phi_h_0", "basis_3x3")}
     out["not_a_zip"].write_bytes(b"not a bundle\n")
     out["truncated"].write_bytes(raw[: len(raw) // 2])
     np.savez(out["no_meta"], **arrays)
     write_arrays(out["no_basis_key"], {k: v for k, v in meta.items() if k != "basis"}, arrays)
     write_arrays(out["short_phi"], meta, {**arrays, "phi_h_0": arrays["phi_h_0"][:-1]})
+    write_arrays(out["no_phi_h_0"], meta, {k: v for k, v in arrays.items() if k != "phi_h_0"})
+    write_arrays(out["basis_3x3"], {**meta, "basis": np.eye(3).tolist()}, arrays)
     return out
 
 
 def test_excess_refuses_a_malformed_bundle(tmp_path, monkeypatch, capsys):
     """A file that is not a half-space bundle exits 2 before any solve and
     without writing the table: a non-zip, a truncated bundle, one without
-    its meta entry or a meta key, one with a wrong-shaped array and a field
-    file (they exited 4 or 1 with a traceback)."""
+    its meta entry, a meta key or its phi_h_0, one with a wrong-shaped
+    array or a 3x3 basis on a 2d grid, and a field file (they exited 4 or 1
+    with a traceback, or 0 with a table)."""
     fld = tmp_path / "field.bin"
     assert main(["field", "sample", "--spec", str(write_spec(tmp_path)), "--out", str(fld)]) == 0
     hs = tmp_path / "hs.npz"
@@ -783,6 +825,52 @@ def test_excess_refuses_a_malformed_bundle(tmp_path, monkeypatch, capsys):
                      "--seeds", "1", "--out", str(out)]) == 2, name
         assert capsys.readouterr().err.startswith(f"config error: {path}"), name
         assert not out.exists()
+
+
+BUNDLE_META = ["dim", "n", "h", "tangential_periodic", "a_hom", "basis", "field_sha256"]
+
+
+@pytest.fixture(scope="module")
+def bundles(tmp_path_factory):
+    """dim -> (field, the half-space bundle of it): 2d n=32 and 3d n=16."""
+    tmp = tmp_path_factory.mktemp("bundles")
+    out = {}
+    for dim, n in ((2, 32), (3, 16)):
+        f = load_field(field_file(tmp, dim, n, 3))
+        hs = tmp / f"hs{dim}.npz"
+        cli.save_halfspace_bundle(hs, build_halfspace_set(f, solve_pair(f), L=n / 2))
+        out[dim] = (f, hs)
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_halfspace_bundle_holds_what_its_loader_reads(bundles, dim):
+    """The meta keys and the tangential phi_h, nothing more (the 2d n=32
+    bundle was 23,746 B with every sigma_h and varphi)."""
+    from homlab.field import read_arrays
+
+    f, hs = bundles[dim]
+    meta, arrays = read_arrays(hs)
+    assert sorted(meta) == sorted(BUNDLE_META)
+    assert sorted(arrays) == [f"phi_h_{i}" for i in range(dim - 1)]
+    assert meta["field_sha256"] == cli.field_sha256(f)
+    if dim == 2:
+        assert hs.stat().st_size <= 0.3 * 23746
+
+
+@pytest.mark.parametrize("dim, name", [(d, name) for d in (2, 3) for name in (
+    BUNDLE_META + [f"phi_h_{i}" for i in range(d - 1)])])
+def test_halfspace_bundle_without_any_one_entry_is_refused(bundles, tmp_path, dim, name):
+    from homlab.field import FieldFileError, read_arrays, write_arrays
+
+    f, hs = bundles[dim]
+    meta, arrays = read_arrays(hs)
+    cli.load_halfspace_bundle(hs, f)
+    cut = tmp_path / "cut.npz"
+    write_arrays(cut, {k: v for k, v in meta.items() if k != name},
+                 {k: v for k, v in arrays.items() if k != name})
+    with pytest.raises(FieldFileError):
+        cli.load_halfspace_bundle(cut, f)
 
 
 def test_field_file_of_the_retired_format_is_refused(tmp_path, capsys):

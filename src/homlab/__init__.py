@@ -72,4 +72,4 @@ from .excess import (
     window_operator,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

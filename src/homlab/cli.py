@@ -11,7 +11,9 @@ pipeline run is reproducible byte-for-byte from its config (fixed seeds,
 fixed reduction order).
 
 `validate_config` is the one place that knows the config keys and
-defaults; the stages and the cache key read the config it fills.
+defaults; the stages and the cache key read the config it fills.  A
+pipeline run is its config (the manifest holds it) and one record per
+seed and stage (the summaries); `build_report` computes the aggregates.
 `pipeline` runs seed by seed: `run_seed` runs the three stages of one
 seed, whose field, pair and half-space set go when it returns,
 `threads > 1` runs whole seeds in a pool, and the stage files are
@@ -23,7 +25,7 @@ code:
 
     --tol                    tol
     corrector --radii lo:hi  radii = dyadic_radii(grid, lo, min(hi, side/2))
-    halfspace --L --mode     halfspace.L, halfspace.mode
+    halfspace --mode         halfspace.mode (halfspace.L is side/2)
     halfspace --r0 --n-max   halfspace.dyadic.r0, halfspace.dyadic.n_max
     excess --R               excess.R, excess.radii = dyadic_radii(grid, r_max=R)
 
@@ -247,10 +249,11 @@ def check_tol(cfg):
 
 
 def check_corrector(cfg, grid):
-    """Fill ``radii`` (default 8h..side/4) and check that it is a non-empty,
-    strictly increasing list of powers of two times h up to the half-side."""
-    given = cfg.get("radii")
-    radii = dyadic_radii(grid, r_max=grid.side / 4.0) if given is None else given
+    """Fill ``radii`` (default min(8h, side/4)..side/4) and check that it is a
+    non-empty, strictly increasing list of powers of two times h up to the half-side."""
+    radii, quarter = cfg.get("radii"), grid.side / 4.0
+    if radii is None:
+        radii = dyadic_radii(grid, r_min=min(8.0 * grid.h, quarter), r_max=quarter)
     cfg["radii"] = [float(r) for r in radii]
     for r in cfg["radii"]:
         if not is_dyadic(r / grid.h):
@@ -258,8 +261,7 @@ def check_corrector(cfg, grid):
         if r > grid.side / 2.0 + 1e-12:
             raise ConfigError(f"radius {r:g} exceeds the torus half-side {grid.side / 2.0:g}")
     if not cfg["radii"]:
-        raise ConfigError("no corrector radius; " + ("radii is empty" if given is not None else
-                          f"the default 8h..side/4 is empty at side {grid.side:g}"))
+        raise ConfigError("no corrector radius; radii is empty")
     if np.any(np.diff(cfg["radii"]) <= 0):
         raise ConfigError(f"radii {cfg['radii']} do not increase strictly")
 
@@ -307,12 +309,16 @@ def check_excess(cfg, grid):
         raise ConfigError(f"excess radii {ex['radii']} do not increase strictly")
 
 
+def hashed_config(cfg):
+    """The filled config ``cfg`` without ``threads``, which changes how seeds
+    are scheduled but not what is computed (``check_keys`` lets in no key
+    that changes nothing)."""
+    return {k: v for k, v in cfg.items() if k != "threads"}
+
+
 def config_hash(cfg):
-    """Cache key of a filled config and the homlab version: every key
-    except ``threads``, which changes how seeds are scheduled but not what
-    is computed (``check_keys`` lets in no key that changes nothing)."""
-    keyed = {k: v for k, v in cfg.items() if k != "threads"}
-    blob = json.dumps({"config": keyed, "version": __version__},
+    """Cache key of a filled config and the homlab version."""
+    blob = json.dumps({"config": hashed_config(cfg), "version": __version__},
                       sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -407,11 +413,15 @@ SEED_CSVS = {"corrector": CORRECTOR_HEADER, "halfspace": HALFSPACE_HEADER,
              "halfspace_dyadic": DYADIC_HEADER}
 
 
+def json_number(x):
+    """``x``, or None (null) if it is not finite: NaN is not JSON."""
+    return float(x) if np.isfinite(x) else None
+
+
 def run_seed(cfg, seed):
     """The three stages for one seed of the filled config ``cfg``: the rows
-    of its per-seed CSVs by kind (``SEED_CSVS``), its entry per stage (the
-    summary entry; for the excess stage its rows, fitted exponent and
-    mean-value constant) and each stage's seconds.  The seed's field, pair,
+    of its per-seed CSVs by kind (``SEED_CSVS``) and of the excess table,
+    its record per stage and each stage's seconds.  The seed's field, pair,
     set, window operator and gradient family go when it returns."""
     clock = [time.perf_counter()]
     f = sample_field(replace(EnsembleSpec.from_dict(cfg["ensemble"]), seed=seed),
@@ -419,39 +429,31 @@ def run_seed(cfg, seed):
     pair = solve_pair(f, tol=cfg["tol"])
     curve = sublinearity_curve(pair, cfg["radii"])
     csvs = {"corrector": corrector_rows(curve)}
-    entries = {"corrector": {"seed": seed, "a_hom": pair.a_hom.tolist(),
-                             "delta_first": float(curve.delta[0]),
-                             "delta_last": float(curve.delta[-1])}}
+    records = {"corrector": {"seed": seed, "a_hom": pair.a_hom.tolist()}}
     clock.append(time.perf_counter())
     hset, csvs["halfspace"], entry, dy_rows = halfspace_seed(cfg, f, pair, curve)
     if dy_rows is not None:
         csvs["halfspace_dyadic"] = dy_rows
-    entries["halfspace"] = {"seed": seed, **entry}
+    records["halfspace"] = {"seed": seed, **entry}
     clock.append(time.perf_counter())
     # one trace per field, seeded like the field
     rows, (alpha,), (c_mean,) = excess_rows(cfg, f, hset, [seed])
-    entries["excess"] = {"rows": rows, "alpha": alpha, "c_mean": c_mean}
+    records["excess"] = {"seed": seed, "alpha": json_number(alpha),
+                         "c_mean": json_number(c_mean)}
     clock.append(time.perf_counter())
-    return csvs, entries, {name: b - a for name, a, b in zip(STAGES, clock, clock[1:])}
+    return csvs, rows, records, {name: b - a for name, a, b in zip(STAGES, clock, clock[1:])}
 
 
 def write_stage_files(cfg, out_dir, tag, results):
     """The stage files of the ``run_seed`` results, in the order of
-    ``cfg["seeds"]``."""
-    for seed, (csvs, _, _) in zip(cfg["seeds"], results):
+    ``cfg["seeds"]``; a stage's summary is the list of its records."""
+    for seed, (csvs, _, _, _) in zip(cfg["seeds"], results):
         for kind, rows in csvs.items():
             write_csv(out_dir / f"{kind}__{tag}__seed{seed}.csv", SEED_CSVS[kind], rows)
-    for name in ("corrector", "halfspace"):
-        write_json(out_dir / f"{name}__{tag}__summary.json", [e[name] for _, e, _ in results])
-    ex = [e["excess"] for _, e, _ in results]
     write_csv(out_dir / f"excess__{tag}.csv", excess_header(cfg["grid"]["dim"]),
-              [row for e in ex for row in e["rows"]])
-    alphas, c_means = [e["alpha"] for e in ex], [e["c_mean"] for e in ex]
-    # null, not NaN (invalid JSON), when no seed gave a finite value
-    write_json(out_dir / f"excess__{tag}__summary.json", {
-        "alpha_mean": float(np.nanmean(alphas)) if np.isfinite(alphas).any() else None,
-        "c_mean_max": float(np.nanmax(c_means)) if np.isfinite(c_means).any() else None,
-    })
+              [row for _, rows, _, _ in results for row in rows])
+    for name in STAGES:
+        write_json(out_dir / f"{name}__{tag}__summary.json", [r[name] for _, _, r, _ in results])
 
 
 def run_pipeline(cfg, out_dir):
@@ -462,7 +464,8 @@ def run_pipeline(cfg, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = config_hash(cfg)
-    manifest = {"config_hash": tag, "version": __version__, "stages": {}}
+    manifest = {"config_hash": tag, "config": hashed_config(cfg), "version": __version__,
+                "stages": {}}
     manifest_path = out_dir / f"manifest__{tag}.json"
     kinds = ["corrector", "halfspace"]
     if cfg["halfspace"]["mode"] == "dyadic":
@@ -480,7 +483,7 @@ def run_pipeline(cfg, out_dir):
                 results = [run_seed(cfg, seed) for seed in cfg["seeds"]]
             write_stage_files(cfg, out_dir, tag, results)
             manifest["stages"] = {name: {"cached": False,
-                                         "seconds": round(sum(s[name] for _, _, s in results), 3)}
+                                         "seconds": round(sum(s[name] for *_, s in results), 3)}
                                   for name in STAGES}
         hs_sum = out_dir / f"halfspace__{tag}__summary.json"
         if hs_sum.exists():
@@ -496,19 +499,22 @@ def run_pipeline(cfg, out_dir):
     return manifest
 
 
+def reduce_non_null(reduce, values):
+    """``reduce`` of the values that are not None (null), or None if none is."""
+    kept = [v for v in values if v is not None]
+    return float(reduce(kept)) if kept else None
+
+
 def build_report(cfg, out_dir, tag):
-    """Consolidated JSON summary; numbers are copied from the stage
-    outputs, never recomputed."""
+    """Consolidated JSON summary: the aggregates over the seeds of the
+    per-seed records and CSVs of the stage outputs, never solved again."""
     out_dir = Path(out_dir)
     report = {"config_hash": tag, "version": __version__}
     corr_sum = out_dir / f"corrector__{tag}__summary.json"
     if corr_sum.exists():
-        entries = json.loads(corr_sum.read_text())
-        est = HomogenizedMatrix.from_samples([e["a_hom"] for e in entries])
+        est = HomogenizedMatrix.from_samples([e["a_hom"] for e in json.loads(corr_sum.read_text())])
         report["a_hom_mean"] = est.matrix.tolist()
         report["a_hom_stderr"] = None if est.stderr is None else est.stderr.tolist()
-        ratios = [e["delta_last"] / e["delta_first"] for e in entries if e["delta_first"] > 0]
-        report["delta_decay_ratio_mean"] = float(np.mean(ratios)) if ratios else None
     curves = {}
     for seed in cfg["seeds"]:
         p = out_dir / f"corrector__{tag}__seed{seed}.csv"
@@ -517,18 +523,22 @@ def build_report(cfg, out_dir, tag):
             curves[str(seed)] = {"radii": [r[0] for r in rows], "delta": [r[1] for r in rows]}
     if curves:
         report["delta_curves"] = curves
+        ratios = [c["delta"][-1] / c["delta"][0] for c in curves.values() if c["delta"][0] > 0]
+        report["delta_decay_ratio_mean"] = reduce_non_null(np.mean, ratios)
         first = next(iter(curves.values()))
         if len(first["radii"]) >= 2:
             # a seed with a delta <= 0 has no log-log slope; null, not NaN, if no seed has one
             exps = [float(-np.polyfit(np.log(c["radii"]), np.log(c["delta"]), 1)[0])
                     for c in curves.values() if all(d > 0 for d in c["delta"])]
-            report["delta_fit_exponent_mean"] = float(np.mean(exps)) if exps else None
+            report["delta_fit_exponent_mean"] = reduce_non_null(np.mean, exps)
     hs_sum = out_dir / f"halfspace__{tag}__summary.json"
     if hs_sum.exists():
         report["halfspace_residuals"] = json.loads(hs_sum.read_text())
     ex_sum = out_dir / f"excess__{tag}__summary.json"
     if ex_sum.exists():
-        report["excess"] = json.loads(ex_sum.read_text())
+        records = json.loads(ex_sum.read_text())
+        report["excess"] = {"alpha_mean": reduce_non_null(np.mean, [r["alpha"] for r in records]),
+                            "c_mean_max": reduce_non_null(np.max, [r["c_mean"] for r in records])}
     path = out_dir / f"report__{tag}.json"
     write_json(path, report)
     return path
@@ -660,7 +670,7 @@ def cmd_corrector(args):
 def cmd_halfspace(args):
     f = load_field(args.field)
     cfg = _flag_config(f.grid, (check_corrector, check_halfspace), tol=args.tol,
-                       halfspace={"L": args.L, "mode": args.mode,
+                       halfspace={"mode": args.mode,
                                   "dyadic": {"r0": args.r0, "n_max": args.n_max}})
     pair = solve_pair(f, tol=cfg["tol"])
     hset, rows, entry, dy_rows = halfspace_seed(cfg, f, pair,
@@ -693,22 +703,10 @@ def cmd_excess(args):
     return 0
 
 
-def _config_from_args(args):
-    """The ``--config`` file with the ``--seeds``/``--tol`` overrides, which
-    enter the config hash, so ``pipeline`` and ``report`` share them, and
-    ``pipeline --threads``; checked with the overrides applied."""
-    cfg = load_config(args.config)
-    if args.seeds is not None:
-        cfg["seeds"] = list(range(int(args.seeds)))
-    if args.tol is not None:
-        cfg["tol"] = float(args.tol)
-    if vars(args).get("threads") is not None:
-        cfg["threads"] = int(args.threads)
-    return validate_config(cfg)
-
-
 def cmd_pipeline(args):
-    cfg = _config_from_args(args)
+    cfg = load_config(args.config)
+    if args.threads is not None:  # not hashed: it schedules the seeds
+        cfg = validate_config({**cfg, "threads": args.threads})
     manifest = run_pipeline(cfg, args.out_dir)
     print(json.dumps(manifest, indent=1, sort_keys=True))
     return 0
@@ -717,20 +715,21 @@ def cmd_pipeline(args):
 def cmd_report(args):
     out_dir = Path(args.out_dir)
     if args.config:
-        cfg = _config_from_args(args)
+        cfg = load_config(args.config)
         tag = config_hash(cfg)
         if not (out_dir / f"manifest__{tag}.json").exists():
             raise ConfigError(f"no manifest for config hash {tag} in {out_dir}")
-    elif args.seeds is not None or args.tol is not None:
-        raise ConfigError("--seeds and --tol override a --config")
     else:
         manifests = list(out_dir.glob("manifest__*.json"))
         if not manifests:
             raise ConfigError(f"no manifest in {out_dir}")
         newest = max(manifests, key=lambda p: p.stat().st_mtime_ns)
-        tag = json.loads(newest.read_text())["config_hash"]
-        cfg = {"seeds": sorted(int(p.stem.split("seed")[1])
-                               for p in out_dir.glob(f"corrector__{tag}__seed*.csv"))}
+        tag, manifest = newest.stem.partition("__")[2], read_json(newest)
+        cfg = manifest.get("config") if isinstance(manifest, dict) else None
+        if not isinstance(cfg, dict) or config_hash(cfg) != tag:
+            raise ConfigError(f"{newest} holds no config of hash {tag} at homlab {__version__}; "
+                              "rerun `homlab pipeline` on its config, which reads the outputs "
+                              "from cache and rewrites the manifest")
     path = build_report(cfg, out_dir, tag)
     print(f"wrote {path}")
     return 0
@@ -763,7 +762,6 @@ def build_parser():
     ph = sub.add_parser("halfspace", help="half-space-adapted corrector construction")
     ph.add_argument("--field", required=True)
     ph.add_argument("--mode", choices=("direct", "dyadic"))
-    ph.add_argument("--L", type=float, help="slab height (default and only value: side/2)")
     ph.add_argument("--r0", type=float)
     ph.add_argument("--n-max", type=int)
     ph.add_argument("--out", required=True, help="hs.npz or hs.npz,hs.csv")
@@ -782,16 +780,12 @@ def build_parser():
     pp = sub.add_parser("pipeline", help="run all stages from a config")
     pp.add_argument("--config", required=True)
     pp.add_argument("--out-dir", required=True)
-    pp.add_argument("--seeds", type=int, default=None)
-    pp.add_argument("--tol", type=float, default=None)
     pp.add_argument("--threads", type=int, default=None)
     pp.set_defaults(fn=cmd_pipeline)
 
     pr = sub.add_parser("report", help="consolidate stage outputs into report.json")
     pr.add_argument("--out-dir", required=True)
     pr.add_argument("--config", default=None)
-    pr.add_argument("--seeds", type=int, default=None, help="as given to pipeline")
-    pr.add_argument("--tol", type=float, default=None, help="as given to pipeline")
     pr.set_defaults(fn=cmd_report)
     return p
 

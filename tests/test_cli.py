@@ -124,8 +124,7 @@ def test_corrector_and_halfspace_commands(tmp_path):
     assert len(rows) == 2
     hs_bin = tmp_path / "hs.npz"
     hs_csv = tmp_path / "hs.csv"
-    assert main(["halfspace", "--field", str(fld), "--L", "16",
-                 "--out", f"{hs_bin},{hs_csv}"]) == 0
+    assert main(["halfspace", "--field", str(fld), "--out", f"{hs_bin},{hs_csv}"]) == 0
     header, rows = read_csv(hs_csv)
     assert header[:2] == ["r", "delta_h"]
     bundle = np.load(hs_bin)
@@ -143,17 +142,27 @@ def test_corrector_and_halfspace_commands(tmp_path):
 
 
 def test_halfspace_slab_height_defaults_to_half_the_side(tmp_path):
-    # side/2 is the one legal --L, so leaving it out writes the same files
+    # side/2 is the one slab height the stage takes, so no flag sets it
+    # (``tests/test_options.py`` pins the flags)
     fld = tmp_path / "field.bin"
     assert main(["field", "sample", "--spec", str(write_spec(tmp_path)), "--out", str(fld)]) == 0
-    for name, flag in (("given", ["--L", "16"]), ("default", [])):
-        assert main(["halfspace", "--field", str(fld), *flag,
-                     "--out", f"{tmp_path / name}.npz,{tmp_path / name}.csv"]) == 0
-    assert (tmp_path / "given.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
-    # the zip entries carry their write time, so the bundles compare by content
-    given, default = np.load(tmp_path / "given.npz"), np.load(tmp_path / "default.npz")
-    assert given.files == default.files
-    assert all(np.array_equal(given[k], default[k]) for k in given.files)
+    assert main(["halfspace", "--field", str(fld), "--out", str(tmp_path / "hs.npz")]) == 0
+    assert cli.load_halfspace_bundle(tmp_path / "hs.npz", load_field(fld)).grid.height == 16.0
+
+
+def test_halfspace_command_on_a_side_16_field(tmp_path):
+    # the default corrector radii run min(8h, side/4)..side/4: 8h..side/4
+    # from side 32h on, and 4 at side 16, so the command writes a bundle
+    # there, which needs no radius
+    base = {k: v for k, v in json.loads(small_config(tmp_path).read_text()).items()
+            if k not in ("radii", "halfspace", "excess")}
+    assert validate_config(base)["radii"] == [8.0]
+    assert validate_config({**base, "grid": {"dim": 3, "n": 16}})["radii"] == [4.0]
+    fld = field_file(tmp_path, 3, 16, 0)
+    hs_bin = tmp_path / "hs.npz"
+    assert main(["halfspace", "--field", str(fld), "--out", str(hs_bin)]) == 0
+    assert main(["excess", "--field", str(fld), "--hs", str(hs_bin), "--R", "8", "--seeds", "1",
+                 "--out", str(tmp_path / "excess.csv")]) == 0
 
 
 def test_halfspace_dyadic_mode(tmp_path):
@@ -162,13 +171,13 @@ def test_halfspace_dyadic_mode(tmp_path):
     main(["field", "sample", "--spec", str(spec), "--out", str(fld)])
     hs_bin = tmp_path / "hs.npz"
     hs_csv = tmp_path / "hs.csv"
-    assert main(["halfspace", "--field", str(fld), "--L", "32", "--mode", "dyadic",
+    assert main(["halfspace", "--field", str(fld), "--mode", "dyadic",
                  "--r0", "8", "--n-max", "0", "--out", f"{hs_bin},{hs_csv}"]) == 0
     header, rows = read_csv(tmp_path / "hs.dyadic.csv")
     assert header == ["n", "l_n", "energy", "bound_shape"]
     # an n_max below -1 leaves no annulus: a config error before any solve,
     # as in the pipeline
-    assert main(["halfspace", "--field", str(fld), "--L", "32", "--mode", "dyadic",
+    assert main(["halfspace", "--field", str(fld), "--mode", "dyadic",
                  "--n-max", "-2", "--out", str(tmp_path / "no_annulus.npz")]) == 2
     assert not (tmp_path / "no_annulus.npz").exists()
 
@@ -248,10 +257,9 @@ def test_pipeline_threads_match_serial_run(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("change, flags", [
     ({"seeds": []}, []),
-    ({}, ["--seeds", "0"]),
     ({"threads": 0}, []),
     ({}, ["--threads", "-3"]),
-], ids=["empty_seeds", "seeds_flag_zero", "threads_zero", "threads_flag_negative"])
+], ids=["empty_seeds", "threads_zero", "threads_flag_negative"])
 def test_pipeline_without_seeds_or_threads_fails_before_any_solve(tmp_path, monkeypatch,
                                                                   change, flags):
     def no_solve(*args, **kwargs):
@@ -305,7 +313,7 @@ def strict_json(out):
 def test_pipeline_without_a_fitted_exponent_writes_null(tmp_path):
     # n=32 with the default radii leaves the excess stage one radius, so
     # no seed fits an exponent and no mean-value ratio compares two radii:
-    # the CSV holds nan ratios and the summaries null, never NaN
+    # the CSV holds nan ratios, the seed's record and the report null, never NaN
     cfg = {
         "ensemble": {"kind": "checkerboard", "lam": 0.25,
                      "params": {"values": [0.25, 1.0], "cell_size": 1.0}},
@@ -318,9 +326,8 @@ def test_pipeline_without_a_fitted_exponent_writes_null(tmp_path):
     assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 0
     docs = strict_json(out)
     assert "failed" not in docs["manifest"]
-    for name in ("excess_summary", "report"):
-        summary = docs[name].get("excess", docs[name])
-        assert summary["alpha_mean"] is None and summary["c_mean_max"] is None
+    assert docs["excess_summary"] == [{"seed": 0, "alpha": None, "c_mean": None}]
+    assert docs["report"]["excess"] == {"alpha_mean": None, "c_mean_max": None}
     header, rows = read_csv(next(out.glob("excess__*.csv")))
     assert rows and all(np.isnan(row[header.index("mvp_ratio")]) for row in rows)
 
@@ -385,9 +392,9 @@ def test_pipeline_bad_config_exit_code(tmp_path):
         "seeds": [0, 0],
     }))
     assert main(["pipeline", "--config", str(p2), "--out-dir", str(tmp_path / "o")]) == 2
-    # radii a stage would fail on are rejected before any solve: the default
-    # corrector radii 8h..side/4 are empty at n=16, and an excess radius of
-    # 2 is below the quadrature floor 4h
+    # radii a stage would fail on are rejected before any solve: at n=16 the
+    # default corrector radius is side/4 = 4 and the slab height 16 is not
+    # side/2, and an excess radius of 2 is below the quadrature floor 4h
     good = json.loads(small_config(tmp_path).read_text())
     # so are non-positive radii, a slab height L other than side/2, a dyadic
     # r0 that is no power of two, an n_max below -1 (no annulus), an outer
@@ -507,8 +514,7 @@ def test_config_radii_are_dyadic_multiples_of_h(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["halfspace", "--L", "16", "--mode", "dyadic", "--n-max", "-2", "--out", "hs.npz,hs.csv"],
-    ["halfspace", "--L", "10", "--out", "hs.npz,hs.csv"],
+    ["halfspace", "--mode", "dyadic", "--n-max", "-2", "--out", "hs.npz,hs.csv"],
     ["corrector", "--radii", "6:64", "--out", "curve.csv"],
     ["corrector", "--radii", "abc", "--out", "curve.csv"],
     ["corrector", "--radii", "0:64", "--out", "curve.csv"],
@@ -516,7 +522,7 @@ def test_config_radii_are_dyadic_multiples_of_h(tmp_path):
     ["excess", "--R", "7.25", "--out", "excess.csv"],
     ["excess", "--R", "8", "--seeds", "0", "--out", "excess.csv"],
     ["corrector", "--tol", "0", "--out", "curve.csv"],
-], ids=["n_max", "slab_height", "radii_off_powers", "radii_text", "radii_from_zero",
+], ids=["n_max", "radii_off_powers", "radii_text", "radii_from_zero",
         "radii_from_negative", "window_off_planes", "excess_seeds_zero", "zero_tol"])
 def test_bad_flags_fail_before_any_solve(tmp_path, monkeypatch, argv):
     """A flag a stage check rejects exits 2, as the pipeline does for the
@@ -721,7 +727,7 @@ def test_excess_command_with_bundle(tmp_path):
     fld = tmp_path / "field.bin"
     main(["field", "sample", "--spec", str(spec), "--out", str(fld)])
     hs_bin = tmp_path / "hs.npz"
-    main(["halfspace", "--field", str(fld), "--L", "16", "--out", str(hs_bin)])
+    main(["halfspace", "--field", str(fld), "--out", str(hs_bin)])
     out = tmp_path / "excess.csv"
     assert main(["excess", "--field", str(fld), "--hs", str(hs_bin), "--R", "8",
                  "--seeds", "1", "--out", str(out)]) == 0
@@ -948,8 +954,7 @@ def test_halfspace_bundle_written_to_exact_path(tmp_path):
     main(["field", "sample", "--spec", str(spec), "--out", str(fld)])
     hs_bin = tmp_path / "hs.bin"
     hs_csv = tmp_path / "hs.csv"
-    assert main(["halfspace", "--field", str(fld), "--L", "16",
-                 "--out", f"{hs_bin},{hs_csv}"]) == 0
+    assert main(["halfspace", "--field", str(fld), "--out", f"{hs_bin},{hs_csv}"]) == 0
     assert hs_bin.exists() and not (tmp_path / "hs.bin.npz").exists()
     out = tmp_path / "excess.csv"
     assert main(["excess", "--field", str(fld), "--hs", str(hs_bin), "--R", "8",
@@ -985,7 +990,7 @@ def test_excess_with_bundle_skips_whole_space_pair(tmp_path, monkeypatch):
     fld = tmp_path / "field.bin"
     main(["field", "sample", "--spec", str(spec), "--out", str(fld)])
     hs_bin = tmp_path / "hs.npz"
-    assert main(["halfspace", "--field", str(fld), "--L", "16", "--out", str(hs_bin)]) == 0
+    assert main(["halfspace", "--field", str(fld), "--out", str(hs_bin)]) == 0
     rebuilt = tmp_path / "rebuilt.csv"
     assert main(["excess", "--field", str(fld), "--R", "8", "--seeds", "2",
                  "--out", str(rebuilt)]) == 0
@@ -1000,18 +1005,33 @@ def test_excess_with_bundle_skips_whole_space_pair(tmp_path, monkeypatch):
     assert out.read_bytes() == rebuilt.read_bytes()
 
 
-def test_report_takes_pipeline_overrides(tmp_path):
-    cfg = small_config(tmp_path, seeds=(0,))
+def test_report_reads_the_config_from_the_manifest(tmp_path, capsys):
+    """The manifest holds the hashed config, from which ``report`` takes the
+    seeds; a manifest without one, with one of another hash, or that is no
+    JSON object exits 2 and names the remedy, a cached rerun of ``pipeline``."""
+    cfg = small_config(tmp_path, seeds=(3, 1))
     out = tmp_path / "run"
-    assert main(["pipeline", "--config", str(cfg), "--out-dir", str(out), "--tol", "1e-10"]) == 0
-    for rp in out.glob("report__*.json"):
-        rp.unlink()
-    assert main(["report", "--out-dir", str(out), "--config", str(cfg), "--tol", "1e-10"]) == 0
-    tag = json.loads(next(out.glob("manifest__*.json")).read_text())["config_hash"]
-    assert [p.name for p in out.glob("report__*.json")] == [f"report__{tag}.json"]
-    # the overrides change the hash, so the plain config has no run here
-    assert main(["report", "--out-dir", str(out), "--config", str(cfg)]) == 2
-    assert main(["report", "--out-dir", str(out), "--tol", "1e-10"]) == 2
+    assert main(["pipeline", "--config", str(cfg), "--out-dir", str(out), "--threads", "2"]) == 0
+    manifest_path = next(out.glob("manifest__*.json"))
+    manifest = json.loads(manifest_path.read_text())
+    filled = load_config(cfg)
+    assert manifest["config"] == cli.hashed_config(filled) and "threads" not in manifest["config"]
+    assert config_hash(manifest["config"]) == manifest["config_hash"] == config_hash(filled)
+    report = out / f"report__{manifest['config_hash']}.json"
+    want = report.read_bytes()
+    report.unlink()
+    assert main(["report", "--out-dir", str(out)]) == 0
+    assert report.read_bytes() == want
+    for broken in ({k: v for k, v in manifest.items() if k != "config"},
+                   {**manifest, "config": {**manifest["config"], "seeds": [3]}}, []):
+        manifest_path.write_text(json.dumps(broken))
+        capsys.readouterr()
+        assert main(["report", "--out-dir", str(out)]) == 2
+        assert "rerun `homlab pipeline`" in capsys.readouterr().err
+    # the rerun reads every stage from cache and writes the manifest again
+    assert main(["pipeline", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert json.loads(manifest_path.read_text())["config"] == manifest["config"]
+    assert main(["report", "--out-dir", str(out)]) == 0
 
 
 def test_pipeline_builds_one_operator_per_field_and_kinds(tmp_path, monkeypatch):
@@ -1227,7 +1247,7 @@ def test_halfspace_command_matches_halfspace_stage(tmp_path, mode):
     cli.run_pipeline(cfg, run)
     tag = config_hash(cfg)
     hs_csv = tmp_path / "hs.csv"
-    assert main(["halfspace", "--field", str(field_file(tmp_path, 2, 64, 5)), "--L", "32",
+    assert main(["halfspace", "--field", str(field_file(tmp_path, 2, 64, 5)),
                  "--mode", mode, *flags, "--tol", "1e-12",
                  "--out", f"{tmp_path / 'hs.npz'},{hs_csv}"]) == 0
     assert hs_csv.read_bytes() == (run / f"halfspace__{tag}__seed5.csv").read_bytes()
@@ -1246,7 +1266,7 @@ def test_excess_command_matches_excess_stage(tmp_path):
     cli.run_pipeline(cfg, tmp_path / "run")
     fld = str(field_file(tmp_path, 2, 64, seed))
     hs_bin = tmp_path / "hs.npz"
-    assert main(["halfspace", "--field", fld, "--L", "32", "--tol", "1e-12",
+    assert main(["halfspace", "--field", fld, "--tol", "1e-12",
                  "--out", str(hs_bin)]) == 0
     out = tmp_path / "excess.csv"
     assert main(["excess", "--field", fld, "--hs", str(hs_bin), "--R", "16",

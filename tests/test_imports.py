@@ -11,10 +11,12 @@ parameters of each function or lambda that its body never loads; the
 ones kept on purpose are named in ``UNREAD_PARAMETERS`` with a reason.
 A third walk finds the top-level functions and classes of the library,
 and the methods not named ``__*__``, that no code outside the tests loads
-(as a name, an attribute or an import) outside their own body; the ones
-kept on purpose are named in ``UNREAD_DEFINITIONS`` with a reason.  The
-walk matches names, so a method named like a numpy one (``mean``,
-``copy``, ``zeros``) counts as read wherever that name is.  A fourth walk
+outside their own body: a top-level definition as a name or an import
+(an attribute of that name, such as ``rep.excess``, is some object's), a
+method also as an attribute; the ones kept on purpose are named in
+``UNREAD_DEFINITIONS`` with a reason.  The walk matches names, so a
+method named like a numpy one (``mean``, ``copy``, ``zeros``) counts as
+read wherever that name is.  A fourth walk
 finds the fields of the library's dataclasses that no code outside the
 tests reads as an attribute or names in a string (``getattr`` by a key of
 a table) outside the class body; the ones kept on purpose are named in
@@ -66,6 +68,9 @@ UNREAD_DEFINITIONS = {
         "ROADMAP item 4 wires it into the report's checks or deletes it",
     ("pde.py", "caccioppoli_ratio"):
         "ROADMAP item 4 wires it into the report's checks or deletes it",
+    ("excess.py", "excess"):
+        "the excess of u at one radius, which acceptance criteria 01 and 11 "
+        "call; the stages run the same minimization through ``_excess``",
 }
 
 
@@ -154,15 +159,16 @@ def test_every_kept_unread_parameter_is_still_unread():
 
 
 def _reads(tree):
-    """(name, node) of each name, attribute or import alias ``tree`` loads."""
+    """(name, node, attribute) of each name, attribute or import alias
+    ``tree`` loads, ``attribute`` true for an attribute."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.append((node.id, node))
+            out.append((node.id, node, False))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.append((node.attr, node))
+            out.append((node.attr, node, True))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            out += [(alias.name.split(".")[-1], node) for alias in node.names]
+            out += [(alias.name.split(".")[-1], node, False) for alias in node.names]
     return out
 
 
@@ -184,15 +190,17 @@ def _definitions(tree):
 def unread_definitions(readers, modules):
     """(module, qualified name) of each definition in ``modules``, keys of
     ``readers`` (name -> source), that no load in ``readers`` names
-    outside the definition's own body."""
+    outside the definition's own body; only a method is read by an
+    attribute load."""
     trees = {name: ast.parse(text) for name, text in readers.items()}
     reads = [load for tree in trees.values() for load in _reads(tree)]
     out = []
     for module in modules:
         for qualname, node in _definitions(trees[module]):
             own = {id(n) for n in ast.walk(node)}
-            name = qualname.split(".")[-1]
-            if not any(n == name and id(at) not in own for n, at in reads):
+            *owner, name = qualname.split(".")
+            if not any(n == name and id(at) not in own and (owner or not attribute)
+                       for n, at, attribute in reads):
                 out.append((module, qualname))
     return sorted(out)
 
@@ -208,6 +216,17 @@ def test_scan_finds_an_unread_definition():
     other = "from lib import Kept\nKept().read()\nimport lib.unused\n"
     assert unread_definitions({"lib.py": lib, "other.py": other}, ["lib.py"]) == [
         ("lib.py", "Kept.unread"), ("lib.py", "recursive")]
+
+
+def test_scan_reads_a_top_level_definition_by_name_or_import_only():
+    # ``rep.excess`` is an attribute of a result, not the function ``excess``;
+    # a method is called through its instance, so an attribute load reads it
+    lib = ("def excess():\n    return 0\n"
+           "def imported():\n    return 1\n"
+           "class K:\n    def excess(self):\n        return 2\n")
+    other = "from lib import K, imported\nprint(rep.excess, K, imported)\n"
+    assert unread_definitions({"lib.py": lib, "other.py": other}, ["lib.py"]) == [
+        ("lib.py", "excess")]
 
 
 def library_unread_definitions():

@@ -10,13 +10,21 @@ by name (a method by its attribute, ``__init__`` by its class), so a
 parameter counts as set wherever a function of that name is called with
 it; a call that splats ``*args`` or ``**kwargs`` sets every parameter it
 could reach.
+
+The command line is pinned the same way: ``CLI_FLAGS`` lists the flags
+of each subcommand, read from ``cli.build_parser()``, so a new flag fails
+the table test until the table names it, and no ``pipeline`` or
+``report`` flag may set a key that ``cli.config_hash`` hashes: a run is
+its config file.
 """
 
+import argparse
 import ast
 import inspect
 from pathlib import Path
 
 import homlab
+from homlab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src/homlab").rglob("*.py"))
@@ -163,3 +171,47 @@ def test_every_library_option_is_set_somewhere():
 
 def test_every_kept_unset_option_is_still_unset():
     assert set(UNSET_OPTIONS) <= library_unset_options()
+
+
+# subcommand -> its flags, in the parser's order
+CLI_FLAGS = {
+    "": ("--version",),
+    "field": (),
+    "field sample": ("--spec", "--out"),
+    "field check": ("--field",),
+    "corrector": ("--field", "--directions", "--radii", "--out", "--tol"),
+    "halfspace": ("--field", "--mode", "--r0", "--n-max", "--out", "--tol"),
+    "excess": ("--field", "--hs", "--R", "--seeds", "--out", "--tol"),
+    "pipeline": ("--config", "--out-dir", "--threads"),
+    "report": ("--out-dir", "--config"),
+}
+
+
+def cli_flags(parser, command=""):
+    """subcommand -> {flag: dest} of ``parser`` and of its subparsers."""
+    out = {command: {}}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(cli_flags(sub, f"{command} {name}".strip()))
+        out[command] |= {flag: action.dest for flag in action.option_strings
+                         if flag.startswith("--") and flag != "--help"}
+    return out
+
+
+def test_cli_has_only_the_listed_flags():
+    assert {cmd: tuple(flags) for cmd, flags in cli_flags(cli.build_parser()).items()} == CLI_FLAGS
+
+
+def _keys(block):
+    """Every key of a nested dict, at any depth."""
+    return set(block) | {k for v in block.values() if isinstance(v, dict) for k in _keys(v)}
+
+
+def test_pipeline_and_report_flags_set_no_hashed_key():
+    cfg = cli.load_config(ROOT / "demos/configs/checkerboard_small.json")
+    hashed = _keys(cli.hashed_config(cfg))
+    assert {"seeds", "tol", "L", "r0"} <= hashed and "threads" not in hashed
+    flags = cli_flags(cli.build_parser())
+    assert {cmd: set(flags[cmd].values()) & hashed for cmd in ("pipeline", "report")} == {
+        "pipeline": set(), "report": set()}

@@ -72,4 +72,4 @@ from .excess import (
     window_operator,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -12,8 +12,10 @@ fixed reduction order).
 
 `validate_config` is the one place that knows the config keys and
 defaults; the stages and the cache key read the config it fills.  A
-pipeline run is its config (the manifest holds it) and one record per
-seed and stage (the summaries); `build_report` computes the aggregates.
+pipeline run is its config (the manifest holds it) and its outputs
+(`run_outputs`: per-seed CSVs, the corrector and half-space records and
+the excess table), each number in one file; `build_report` is their one
+reader, computes every aggregate and refuses a run that lacks an output.
 `pipeline` runs seed by seed: `run_seed` runs the three stages of one
 seed, whose field, pair and half-space set go when it returns,
 `threads > 1` runs whole seeds in a pool, and the stage files are
@@ -355,19 +357,20 @@ def corrector_rows(curve):
 
 def halfspace_seed(cfg, f, pair, curve):
     """The half-space stage for one torus field ``f``: the set, its curve
-    rows (HALFSPACE_HEADER), its summary entry and, in dyadic mode, the
-    rows (DYADIC_HEADER, else None) of the dyadic construction for the
-    first tangential direction, with cutoff heights from the whole-space
-    ``curve`` at the annulus radii."""
+    rows (HALFSPACE_HEADER), its summary entry (each residual and the
+    Liouville gap at their largest over the tangential directions) and,
+    in dyadic mode, the rows (DYADIC_HEADER, else None) of the dyadic
+    construction for the first tangential direction, with cutoff heights
+    from the whole-space ``curve`` at the annulus radii."""
     hs, tol = cfg["halfspace"], cfg["tol"]
     op = half_box_operator(restrict_to_half_box(f, hs["L"]))
     hset = build_halfspace_set(op, pair, L=hs["L"], tol=tol)
     hcurve = half_sublinearity_curve(hset, [r for r in cfg["radii"] if r <= hs["L"] / 2.0])
     rows = [[float(r), float(d), float(dh)]
             for r, d, dh in zip(hcurve.radii, hcurve.delta_h, hcurve.delta_h_halfball)]
-    res = halfspace_residuals(op, hset, 0)
-    entry = {key: getattr(res, key) for key in RESIDUALS}
-    entry["liouville_gap"] = hset.liouville_gap[0]
+    residuals = [halfspace_residuals(op, hset, i) for i in range(f.grid.dim - 1)]
+    entry = {key: max(getattr(res, key) for res in residuals) for key in RESIDUALS}
+    entry["liouville_gap"] = max(hset.liouville_gap.values())
     dy_rows = None
     if hs["mode"] == "dyadic":
         config = DyadicConfig.from_curve(curve, hs["dyadic"]["r0"], hs["dyadic"]["n_max"])
@@ -389,40 +392,44 @@ def excess_rows(cfg, f, hset, seeds):
     """Excess table rows (``excess_header``) of one harmonic sample per
     trace seed in ``seeds`` on the window ``excess.R`` of the torus field
     f (the samples share its window operator), measured against the
-    half-space set hset of f; also the fitted exponent and mean-value
-    constant of each sample."""
+    half-space set hset of f."""
     ex = cfg["excess"]
-    rows, alphas, c_means = [], [], []
+    rows = []
     for seed in seeds:
         trace = band_limited_trace(seed, ex["R"], dim=f.grid.dim)
         sample = harmonic_sample(f, ex["R"], trace, tol=min(cfg["tol"] * 1e2, 1e-10))
         rep = excess_decay_experiment(sample, hset, ex["radii"])
         mvp = mean_value_check(sample, ex["radii"])
-        alphas.append(rep.fitted_alpha)
-        c_means.append(mvp.c_mean)
         for i, r in enumerate(rep.radii):
             ratio = rep.pair_ratios.get(float(r), float("nan"))
             rows.append([int(seed), float(r), float(rep.excess[i]),
                          *[float(c) for c in rep.minimizers[i]],
                          float(ratio), float(rep.fitted_alpha), float(mvp.ratios[i])])
-    return rows, alphas, c_means
+    return rows
 
 
 STAGES = ("corrector", "halfspace", "excess")
+RECORDS = ("corrector", "halfspace")  # the excess table holds the excess stage's values
 SEED_CSVS = {"corrector": CORRECTOR_HEADER, "halfspace": HALFSPACE_HEADER,
              "halfspace_dyadic": DYADIC_HEADER}
 
 
-def json_number(x):
-    """``x``, or None (null) if it is not finite: NaN is not JSON."""
-    return float(x) if np.isfinite(x) else None
+def run_outputs(cfg, tag):
+    """The names of the files a pipeline run of the filled config ``cfg``
+    writes under ``tag`` besides its manifest and report: the per-seed CSVs,
+    the summaries of ``RECORDS`` and the excess table.  The cache check and
+    ``build_report`` read this list."""
+    kinds = [k for k in SEED_CSVS if k != "halfspace_dyadic" or cfg["halfspace"]["mode"] == "dyadic"]
+    return ([f"{kind}__{tag}__seed{s}.csv" for kind in kinds for s in cfg["seeds"]]
+            + [f"{name}__{tag}__summary.json" for name in RECORDS] + [f"excess__{tag}.csv"])
 
 
 def run_seed(cfg, seed):
     """The three stages for one seed of the filled config ``cfg``: the rows
     of its per-seed CSVs by kind (``SEED_CSVS``) and of the excess table,
-    its record per stage and each stage's seconds.  The seed's field, pair,
-    set, window operator and gradient family go when it returns."""
+    its record per stage of ``RECORDS`` and each stage's seconds.  The
+    seed's field, pair, set, window operator and gradient family go when
+    it returns."""
     clock = [time.perf_counter()]
     f = sample_field(replace(EnsembleSpec.from_dict(cfg["ensemble"]), seed=seed),
                      _grid_from_config(cfg))
@@ -437,9 +444,7 @@ def run_seed(cfg, seed):
     records["halfspace"] = {"seed": seed, **entry}
     clock.append(time.perf_counter())
     # one trace per field, seeded like the field
-    rows, (alpha,), (c_mean,) = excess_rows(cfg, f, hset, [seed])
-    records["excess"] = {"seed": seed, "alpha": json_number(alpha),
-                         "c_mean": json_number(c_mean)}
+    rows = excess_rows(cfg, f, hset, [seed])
     clock.append(time.perf_counter())
     return csvs, rows, records, {name: b - a for name, a, b in zip(STAGES, clock, clock[1:])}
 
@@ -452,7 +457,7 @@ def write_stage_files(cfg, out_dir, tag, results):
             write_csv(out_dir / f"{kind}__{tag}__seed{seed}.csv", SEED_CSVS[kind], rows)
     write_csv(out_dir / f"excess__{tag}.csv", excess_header(cfg["grid"]["dim"]),
               [row for _, rows, _, _ in results for row in rows])
-    for name in STAGES:
+    for name in RECORDS:
         write_json(out_dir / f"{name}__{tag}__summary.json", [r[name] for _, _, r, _ in results])
 
 
@@ -467,13 +472,8 @@ def run_pipeline(cfg, out_dir):
     manifest = {"config_hash": tag, "config": hashed_config(cfg), "version": __version__,
                 "stages": {}}
     manifest_path = out_dir / f"manifest__{tag}.json"
-    kinds = ["corrector", "halfspace"]
-    if cfg["halfspace"]["mode"] == "dyadic":
-        kinds.append("halfspace_dyadic")
-    outputs = [f"{kind}__{tag}__seed{s}.csv" for kind in kinds for s in cfg["seeds"]]
-    outputs += [f"{name}__{tag}__summary.json" for name in STAGES] + [f"excess__{tag}.csv"]
     try:
-        if all((out_dir / name).exists() for name in outputs):
+        if all((out_dir / name).exists() for name in run_outputs(cfg, tag)):
             manifest["stages"] = {name: {"cached": True} for name in STAGES}
         else:
             if cfg["threads"] > 1:
@@ -485,11 +485,6 @@ def run_pipeline(cfg, out_dir):
             manifest["stages"] = {name: {"cached": False,
                                          "seconds": round(sum(s[name] for *_, s in results), 3)}
                                   for name in STAGES}
-        hs_sum = out_dir / f"halfspace__{tag}__summary.json"
-        if hs_sum.exists():
-            entries = json.loads(hs_sum.read_text())
-            manifest["residual_summary"] = {f"{key}_max": max(e[key] for e in entries)
-                                            for key in RESIDUALS}
     except Exception as e:
         manifest["failed"] = f"{type(e).__name__}: {e}"
         write_json(manifest_path, manifest)
@@ -499,46 +494,46 @@ def run_pipeline(cfg, out_dir):
     return manifest
 
 
-def reduce_non_null(reduce, values):
-    """``reduce`` of the values that are not None (null), or None if none is."""
-    kept = [v for v in values if v is not None]
+def reduce_finite(reduce, values):
+    """``reduce`` of the finite values, or None (null, as NaN is no JSON) if none is."""
+    kept = [v for v in values if np.isfinite(v)]
     return float(reduce(kept)) if kept else None
 
 
 def build_report(cfg, out_dir, tag):
-    """Consolidated JSON summary: the aggregates over the seeds of the
-    per-seed records and CSVs of the stage outputs, never solved again."""
+    """The report of the run of the filled config ``cfg`` under ``tag`` in
+    ``out_dir``: every aggregate over the seeds, computed from the
+    ``run_outputs``, never solved again.  ConfigError, naming the remedy, if
+    one of them is missing."""
     out_dir = Path(out_dir)
-    report = {"config_hash": tag, "version": __version__}
-    corr_sum = out_dir / f"corrector__{tag}__summary.json"
-    if corr_sum.exists():
-        est = HomogenizedMatrix.from_samples([e["a_hom"] for e in json.loads(corr_sum.read_text())])
-        report["a_hom_mean"] = est.matrix.tolist()
-        report["a_hom_stderr"] = None if est.stderr is None else est.stderr.tolist()
+    for name in run_outputs(cfg, tag):
+        if not (out_dir / name).exists():
+            raise ConfigError(f"{out_dir / name} is missing; rerun `homlab pipeline` on the "
+                              "run's config, which writes its outputs again")
+    est = HomogenizedMatrix.from_samples(
+        [e["a_hom"] for e in read_json(out_dir / f"corrector__{tag}__summary.json")])
     curves = {}
     for seed in cfg["seeds"]:
-        p = out_dir / f"corrector__{tag}__seed{seed}.csv"
-        if p.exists():
-            header, rows = read_csv(p)
-            curves[str(seed)] = {"radii": [r[0] for r in rows], "delta": [r[1] for r in rows]}
-    if curves:
-        report["delta_curves"] = curves
-        ratios = [c["delta"][-1] / c["delta"][0] for c in curves.values() if c["delta"][0] > 0]
-        report["delta_decay_ratio_mean"] = reduce_non_null(np.mean, ratios)
-        first = next(iter(curves.values()))
-        if len(first["radii"]) >= 2:
-            # a seed with a delta <= 0 has no log-log slope; null, not NaN, if no seed has one
-            exps = [float(-np.polyfit(np.log(c["radii"]), np.log(c["delta"]), 1)[0])
-                    for c in curves.values() if all(d > 0 for d in c["delta"])]
-            report["delta_fit_exponent_mean"] = reduce_non_null(np.mean, exps)
-    hs_sum = out_dir / f"halfspace__{tag}__summary.json"
-    if hs_sum.exists():
-        report["halfspace_residuals"] = json.loads(hs_sum.read_text())
-    ex_sum = out_dir / f"excess__{tag}__summary.json"
-    if ex_sum.exists():
-        records = json.loads(ex_sum.read_text())
-        report["excess"] = {"alpha_mean": reduce_non_null(np.mean, [r["alpha"] for r in records]),
-                            "c_mean_max": reduce_non_null(np.max, [r["c_mean"] for r in records])}
+        _, rows = read_csv(out_dir / f"corrector__{tag}__seed{seed}.csv")
+        curves[str(seed)] = {"radii": [r[0] for r in rows], "delta": [r[1] for r in rows]}
+    # one radius has no decay, and a seed with a delta <= 0 no log-log slope
+    decaying = list(curves.values()) if len(cfg["radii"]) >= 2 else []
+    ratios = [c["delta"][-1] / c["delta"][0] for c in decaying if c["delta"][0] > 0]
+    exps = [float(-np.polyfit(np.log(c["radii"]), np.log(c["delta"]), 1)[0])
+            for c in decaying if all(d > 0 for d in c["delta"])]
+    halfspace = read_json(out_dir / f"halfspace__{tag}__summary.json")
+    header, rows = read_csv(out_dir / f"excess__{tag}.csv")
+    alpha, mvp = header.index("fitted_alpha"), header.index("mvp_ratio")
+    # a seed's rows (seed first) share its exponent; its mean-value constant is their largest ratio
+    alphas = {row[0]: row[alpha] for row in rows}
+    report = {"config_hash": tag, "version": __version__, "a_hom_mean": est.matrix.tolist(),
+              "a_hom_stderr": None if est.stderr is None else est.stderr.tolist(),
+              "delta_curves": curves, "delta_decay_ratio_mean": reduce_finite(np.mean, ratios),
+              "delta_fit_exponent_mean": reduce_finite(np.mean, exps),
+              "halfspace_residuals": halfspace,
+              "residual_summary": {f"{k}_max": max(e[k] for e in halfspace) for k in RESIDUALS},
+              "excess": {"alpha_mean": reduce_finite(np.mean, list(alphas.values())),
+                         "c_mean_max": reduce_finite(np.max, [row[mvp] for row in rows])}}
     path = out_dir / f"report__{tag}.json"
     write_json(path, report)
     return path
@@ -690,14 +685,18 @@ def cmd_excess(args):
     if args.seeds < 1:
         raise ConfigError(f"--seeds {args.seeds} runs no trace; the least is 1")
     f = load_field(args.field)
+    radii = dyadic_radii(f.grid, r_max=args.R)
+    if not radii:
+        raise ConfigError(f"--R {args.R:g} holds no excess radius 8h 2^k <= R: R must be at "
+                          f"least 8h = {8.0 * f.grid.h:g}")
     cfg = _flag_config(f.grid, (check_halfspace, check_excess), tol=args.tol,
-                       excess={"R": args.R, "radii": dyadic_radii(f.grid, r_max=args.R)})
+                       excess={"R": args.R, "radii": radii})
     if args.hs:
         hset = load_halfspace_bundle(args.hs, f)
     else:
         hset = build_halfspace_set(f, solve_pair(f, tol=cfg["tol"]), L=cfg["halfspace"]["L"],
                                    tol=cfg["tol"])
-    rows, _, _ = excess_rows(cfg, f, hset, range(args.seeds))
+    rows = excess_rows(cfg, f, hset, range(args.seeds))
     write_csv(args.out, excess_header(f.grid.dim), rows)
     print(f"wrote {args.out}")
     return 0
@@ -713,25 +712,24 @@ def cmd_pipeline(args):
 
 
 def cmd_report(args):
+    """Report the run of ``--config``'s tag, else the newest, by its manifest's config."""
     out_dir = Path(args.out_dir)
     if args.config:
-        cfg = load_config(args.config)
-        tag = config_hash(cfg)
-        if not (out_dir / f"manifest__{tag}.json").exists():
-            raise ConfigError(f"no manifest for config hash {tag} in {out_dir}")
+        path = out_dir / f"manifest__{config_hash(load_config(args.config))}.json"
+        if not path.exists():
+            raise ConfigError(f"no manifest {path.name} of {args.config} in {out_dir}")
     else:
         manifests = list(out_dir.glob("manifest__*.json"))
         if not manifests:
             raise ConfigError(f"no manifest in {out_dir}")
-        newest = max(manifests, key=lambda p: p.stat().st_mtime_ns)
-        tag, manifest = newest.stem.partition("__")[2], read_json(newest)
-        cfg = manifest.get("config") if isinstance(manifest, dict) else None
-        if not isinstance(cfg, dict) or config_hash(cfg) != tag:
-            raise ConfigError(f"{newest} holds no config of hash {tag} at homlab {__version__}; "
-                              "rerun `homlab pipeline` on its config, which reads the outputs "
-                              "from cache and rewrites the manifest")
-    path = build_report(cfg, out_dir, tag)
-    print(f"wrote {path}")
+        path = max(manifests, key=lambda p: p.stat().st_mtime_ns)
+    tag, manifest = path.stem.partition("__")[2], read_json(path)
+    cfg = manifest.get("config") if isinstance(manifest, dict) else None
+    if not isinstance(cfg, dict) or config_hash(cfg) != tag:
+        raise ConfigError(f"{path} holds no config of hash {tag} at homlab {__version__}; "
+                          "rerun `homlab pipeline` on its config, which reads the outputs "
+                          "from cache and rewrites the manifest")
+    print(f"wrote {build_report(cfg, out_dir, tag)}")
     return 0
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -249,8 +250,8 @@ def test_pipeline_threads_match_serial_run(tmp_path, monkeypatch):
         assert not any(s["cached"] for s in manifest["stages"].values())
         files[threads] = {p.name: p.read_bytes() for p in out.iterdir()
                           if not p.name.startswith("manifest__")}
-    # 2 corrector and 2 half-space CSVs, 3 summaries, the excess table, the report
-    assert len(files["1"]) == 9
+    # 2 corrector and 2 half-space CSVs, 2 summaries, the excess table, the report
+    assert len(files["1"]) == 8
     assert files["2"] == files["1"]
     assert helpers["2"] == [] and (len(helpers["1"]) > 0) == (pde._cpus() > 1)
 
@@ -296,7 +297,7 @@ def test_pipeline_3d_runs(tmp_path):
 
 def strict_json(out):
     """Every JSON file of a pipeline run directory by kind (``manifest``,
-    ``report``, ``excess_summary``, ...), parsed with NaN and Infinity,
+    ``report``, ``corrector_summary``, ...), parsed with NaN and Infinity,
     which are not JSON, rejected."""
 
     def no_constant(name):
@@ -313,7 +314,7 @@ def strict_json(out):
 def test_pipeline_without_a_fitted_exponent_writes_null(tmp_path):
     # n=32 with the default radii leaves the excess stage one radius, so
     # no seed fits an exponent and no mean-value ratio compares two radii:
-    # the CSV holds nan ratios, the seed's record and the report null, never NaN
+    # the table holds nan exponents and ratios, the report null, never NaN
     cfg = {
         "ensemble": {"kind": "checkerboard", "lam": 0.25,
                      "params": {"values": [0.25, 1.0], "cell_size": 1.0}},
@@ -325,11 +326,11 @@ def test_pipeline_without_a_fitted_exponent_writes_null(tmp_path):
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 0
     docs = strict_json(out)
-    assert "failed" not in docs["manifest"]
-    assert docs["excess_summary"] == [{"seed": 0, "alpha": None, "c_mean": None}]
+    assert "failed" not in docs["manifest"] and "excess_summary" not in docs
     assert docs["report"]["excess"] == {"alpha_mean": None, "c_mean_max": None}
     header, rows = read_csv(next(out.glob("excess__*.csv")))
-    assert rows and all(np.isnan(row[header.index("mvp_ratio")]) for row in rows)
+    assert rows and all(np.isnan(row[header.index(key)]) for row in rows
+                        for key in ("fitted_alpha", "mvp_ratio"))
 
 
 def test_one_seed_report_has_no_standard_error(tmp_path):
@@ -360,7 +361,7 @@ def test_pipeline_constant_field_writes_strict_json(tmp_path):
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 0
     docs = strict_json(out)
-    assert len(docs) == 5
+    assert len(docs) == 4
     assert docs["report"]["delta_fit_exponent_mean"] is None
 
 
@@ -938,7 +939,7 @@ def test_pipeline_rewrites_missing_dyadic_and_excess_outputs(tmp_path):
     assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 0
     tag = config_hash(validate_config(cfg))
     for name, stage in ((f"halfspace_dyadic__{tag}__seed0.csv", "halfspace"),
-                        (f"excess__{tag}__summary.json", "excess")):
+                        (f"excess__{tag}.csv", "excess")):
         target = out / name
         before = target.read_bytes()
         target.unlink()
@@ -1098,7 +1099,7 @@ def test_pipeline_cross_term_checkerboard(tmp_path):
         report = json.loads(sorted(out.glob("report__*.json"))[-1].read_text())
         a_hom = np.array(report["a_hom_mean"])
         assert a_hom.shape == (2, 2) and np.all(np.isfinite(a_hom))
-        assert manifest["residual_summary"]["sigma_identity_max"] <= 1e-10
+        assert report["residual_summary"]["sigma_identity_max"] <= 1e-10
 
 
 def test_pipeline_cache_keyed_on_version(tmp_path, monkeypatch):
@@ -1185,9 +1186,9 @@ def test_excess_rows_keep_one_window_alive(monkeypatch):
             windows.append(self)
 
     monkeypatch.setattr(pde.Operator, "__init__", recording_init)
-    rows, alphas, _ = cli.excess_rows(cfg, f, hset, [0, 1])
+    rows = cli.excess_rows(cfg, f, hset, [0, 1])
     assert len(windows) == 1
-    assert {row[0] for row in rows} == {0, 1} and len(alphas) == 2
+    assert {row[0] for row in rows} == {0, 1}
 
 
 def test_pipeline_keeps_one_seed_alive(tmp_path, monkeypatch):
@@ -1276,3 +1277,126 @@ def test_excess_command_matches_excess_stage(tmp_path):
     assert header == want[0]
     rows = [ln for ln in lines if ln.startswith(f"{seed},")]
     assert rows and rows == want[1:]
+
+
+def dyadic_run_config(tmp_path):
+    """A two-seed n = 32 config in dyadic mode, so that every kind of
+    output is written."""
+    cfg = json.loads(small_config(tmp_path).read_text())
+    cfg["halfspace"] = {"L": 16.0, "mode": "dyadic", "dyadic": {"r0": 8.0, "n_max": 0}}
+    p = tmp_path / "dyadic.json"
+    p.write_text(json.dumps(cfg))
+    return p
+
+
+@pytest.mark.parametrize("mode", ["direct", "dyadic"])
+def test_run_directory_holds_exactly_the_listed_outputs(tmp_path, mode):
+    """The stage writer, the cache check and the report name the same
+    files: a run directory holds ``run_outputs``, the manifest and the
+    report, before and after a cached rerun."""
+    p = dyadic_run_config(tmp_path) if mode == "dyadic" else small_config(tmp_path)
+    cfg = load_config(p)
+    tag = config_hash(cfg)
+    want = set(cli.run_outputs(cfg, tag)) | {f"manifest__{tag}.json", f"report__{tag}.json"}
+    assert len(want) == (9 if mode == "dyadic" else 7) + 2
+    out = tmp_path / "run"
+    for _ in range(2):
+        assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 0
+        assert {q.name for q in out.iterdir()} == want
+    manifest = json.loads((out / f"manifest__{tag}.json").read_text())
+    assert all(stage["cached"] for stage in manifest["stages"].values())
+
+
+@pytest.fixture(scope="module")
+def dyadic_run(tmp_path_factory):
+    """A finished dyadic run: its config file, tag and directory."""
+    base = tmp_path_factory.mktemp("dyadic_run")
+    p = dyadic_run_config(base)
+    out = base / "run"
+    assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 0
+    return p, config_hash(load_config(p)), out
+
+
+@pytest.mark.parametrize("name", [
+    *(f"{kind}__{{tag}}__seed{seed}.csv"
+      for kind in ("corrector", "halfspace", "halfspace_dyadic") for seed in (0, 1)),
+    "corrector__{tag}__summary.json", "halfspace__{tag}__summary.json", "excess__{tag}.csv",
+])
+def test_report_refuses_a_run_without_any_one_output(dyadic_run, tmp_path, capsys, name):
+    """A run that lacks one of its outputs exits 2, names the file and the
+    remedy, and writes no report; the ``pipeline`` rerun writes it again."""
+    p, tag, done = dyadic_run
+    name = name.format(tag=tag)
+    out = tmp_path / "run"
+    shutil.copytree(done, out)
+    want = (out / name).read_bytes()
+    (out / name).unlink()
+    (out / f"report__{tag}.json").unlink()
+    capsys.readouterr()
+    assert main(["report", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "rerun `homlab pipeline`" in err
+    assert not (out / f"report__{tag}.json").exists()
+    assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 0
+    assert (out / name).read_bytes() == want
+    assert main(["report", "--out-dir", str(out), "--config", str(p)]) == 0
+    assert (out / f"report__{tag}.json").read_bytes() == (done / f"report__{tag}.json").read_bytes()
+    assert name in cli.run_outputs(load_config(p), tag)
+
+
+def test_report_with_config_reads_the_config_from_the_manifest(tmp_path, capsys):
+    """``--config`` only picks the tag: the seeds come from the manifest,
+    and a manifest whose config is not of that tag exits 2 with the remedy."""
+    p = small_config(tmp_path, seeds=(0, 1))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(p), "--out-dir", str(out)]) == 0
+    manifest_path = next(out.glob("manifest__*.json"))
+    manifest = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps({**manifest,
+                                         "config": {**manifest["config"], "seeds": [0]}}))
+    capsys.readouterr()
+    assert main(["report", "--out-dir", str(out), "--config", str(p)]) == 2
+    assert "rerun `homlab pipeline`" in capsys.readouterr().err
+
+
+def test_one_corrector_radius_reports_no_decay(tmp_path):
+    # radii [8] give each seed one delta: no decay ratio (it read 1.0) and no
+    # slope (the key was missing); both keys are there and null
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(small_config(tmp_path)), "--out-dir", str(out)]) == 0
+    report = strict_json(out)["report"]
+    assert report["delta_decay_ratio_mean"] is None
+    assert report["delta_fit_exponent_mean"] is None
+    assert set(report["delta_curves"]) == {"0", "1"}
+
+
+def test_halfspace_record_is_the_worst_tangential_direction_3d():
+    """A 3d half-space record holds each residual and the Liouville gap at
+    their largest over both tangential directions; at seed 0 direction 1
+    has the larger gap."""
+    from homlab.field import restrict_to_half_box
+    from homlab.halfspace import half_box_operator, halfspace_residuals
+
+    cfg = stage_config(3, 16, 0, radii=[2.0, 4.0], excess={"radii": [4.0]})
+    f = sample_field(EnsembleSpec.checkerboard(values=(0.25, 1.0), seed=0), Grid.torus(3, 16))
+    pair = solve_pair(f, tol=cfg["tol"])
+    hset, _, entry, _ = cli.halfspace_seed(cfg, f, pair, sublinearity_curve(pair, cfg["radii"]))
+    op = half_box_operator(restrict_to_half_box(f, cfg["halfspace"]["L"]))
+    residuals = [halfspace_residuals(op, hset, i) for i in (0, 1)]
+    assert set(hset.liouville_gap) == {0, 1}
+    assert hset.liouville_gap[1] > hset.liouville_gap[0]
+    assert entry == {**{key: max(getattr(res, key) for res in residuals) for key in cli.RESIDUALS},
+                     "liouville_gap": max(hset.liouville_gap.values())}
+
+
+def test_excess_radius_below_8h_names_the_range(tmp_path, capsys):
+    # R = 4 is a valid window of 4h, but excess --R takes the radii 8h 2^k <= R,
+    # of which there is none; the error says so and blames no quadrature floor
+    fld = tmp_path / "field.bin"
+    assert main(["field", "sample", "--spec", str(write_spec(tmp_path)), "--out", str(fld)]) == 0
+    capsys.readouterr()
+    assert main(["excess", "--field", str(fld), "--R", "4", "--out",
+                 str(tmp_path / "excess.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "--R 4 " in err and "8h" in err and "quadrature floor" not in err
+    assert not (tmp_path / "excess.csv").exists()
